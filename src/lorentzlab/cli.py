@@ -10,6 +10,7 @@ the same configuration are byte-identical.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import clifford, dirac, distance, filtration, moyal, steepness
 from .expressions import ExpressionError, parse_expression, variables_used
-from .lattice import AXIS_NAMES, Lattice
+from .lattice import AXIS_NAMES, Lattice, ScalarField
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -85,8 +86,9 @@ def validate_config(cfg, need_dense=False):
     if cfg.box is not None:
         try:
             box = float(cfg.box)
-            if not box > 0:
-                errors.append("box must be positive, got %r" % (cfg.box,))
+            if not (math.isfinite(box) and box > 0):
+                errors.append("box must be positive and finite, got %r"
+                              % (cfg.box,))
         except (TypeError, ValueError):
             errors.append("box must be a number, got %r" % (cfg.box,))
     if cfg.boundary not in ("periodic", "clamped"):
@@ -102,8 +104,9 @@ def validate_config(cfg, need_dense=False):
         errors.append("u does not parse: %s" % exc)
     try:
         theta = float(cfg.theta)
-        if theta <= 0:
-            errors.append("theta must be positive, got %r" % (cfg.theta,))
+        if not (math.isfinite(theta) and theta > 0):
+            errors.append("theta must be positive and finite, got %r"
+                          % (cfg.theta,))
     except (TypeError, ValueError):
         errors.append("theta must be a number, got %r" % (cfg.theta,))
     if not isinstance(cfg.truncation, int) or not 2 <= cfg.truncation <= 32:
@@ -112,6 +115,10 @@ def validate_config(cfg, need_dense=False):
     if not isinstance(cfg.pairs, int) or not 1 <= cfg.pairs <= 10000:
         errors.append("pairs must be an integer in [1, 10000], got %r"
                       % (cfg.pairs,))
+    if cfg.out is not None and not isinstance(cfg.out, str):
+        errors.append("out must be a directory path string, got %r" % (cfg.out,))
+    if not isinstance(cfg.quick, bool):
+        errors.append("quick must be true or false, got %r" % (cfg.quick,))
     if cfg.candidates is not None:
         if not isinstance(cfg.candidates, (list, tuple)) or not cfg.candidates:
             errors.append("candidates must be a non-empty list of expressions")
@@ -138,6 +145,13 @@ def validate_config(cfg, need_dense=False):
                           "%d^%d sites x %d spinor components = %d > %d"
                           % (cfg.points, cfg.dimension, spinor, dense,
                              dirac.DENSE_LIMIT))
+    if need_dense and not errors:
+        with np.errstate(all="ignore"):
+            u = ScalarField.from_expression(_lattice(cfg), str(cfg.u)).values
+        if not np.all(np.isfinite(u) & (u > 0)):
+            errors.append("u = %r must be positive and finite at every site "
+                          "of the %d^%d lattice" % (str(cfg.u), cfg.points,
+                                                    cfg.dimension))
     return errors
 
 
@@ -179,11 +193,14 @@ def _outdir(cfg):
     return out
 
 
-def _operator(cfg):
+def _lattice(cfg):
     side = float(cfg.box) if cfg.box is not None else float(cfg.points)
     extents = tuple((0.0, side) for _ in range(cfg.dimension))
-    lat = Lattice(extents, (cfg.points,) * cfg.dimension, cfg.boundary)
-    from .lattice import ScalarField
+    return Lattice(extents, (cfg.points,) * cfg.dimension, cfg.boundary)
+
+
+def _operator(cfg):
+    lat = _lattice(cfg)
     ufield = ScalarField.from_expression(lat, str(cfg.u))
     return dirac.DiracOperator(clifford.build_gamma(cfg.dimension), lat, ufield)
 
@@ -311,14 +328,15 @@ def run_moyal(cfg):
           suite["center_time"]["passed"],
           "; ".join("%s %.1e" % (c["theta_case"], c["commutator_residual"])
                     for c in suite["center_time"]["cases"]))
-    _line("gaussian closed form", suite["gaussian_oracle_residual"] <= 1e-8,
+    _line("gaussian closed form",
+          suite["gaussian_oracle_residual"] <= moyal.GAUSSIAN_TOL,
           "residual %.3e" % suite["gaussian_oracle_residual"])
     _line("trace property", suite["trace_residual"] <= moyal.TRACE_TOL,
           "residual %.3e" % suite["trace_residual"])
     _line("associativity",
           suite["associativity_residual"] <= moyal.ASSOCIATIVITY_TOL,
           "residual %.3e" % suite["associativity_residual"])
-    _line("involution", suite["involution_residual"] <= 1e-8,
+    _line("involution", suite["involution_residual"] <= moyal.INVOLUTION_TOL,
           "residual %.3e" % suite["involution_residual"])
     return bool(suite["passed"]), suite
 
@@ -461,7 +479,8 @@ def build_parser():
                        help="star product engine checks")
     m.add_argument("--theta", type=float)
     m.add_argument("--truncation", type=int)
-    m.add_argument("--quick", action="store_true")
+    # default None, not False, so a config file's "quick" is not overridden
+    m.add_argument("--quick", action="store_true", default=None)
 
     f = sub.add_parser("filtration", parents=[common],
                        help="filtered algebra and state extension")

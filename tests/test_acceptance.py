@@ -166,7 +166,7 @@ def test_star_product_suite():
                "delta %.3e, commutator %.3e, %.2fs"
                % (delta["product_residual"],
                   suite["commutation"]["residual"], elapsed))
-    assert elapsed < 60.0
+    assert elapsed < 10.0
 
 
 def test_filtered_algebra_suite():

@@ -106,3 +106,22 @@ def test_dense_limit_guard(tmp_path, capsys):
     code = run(["verify", "--points", "80"], tmp_path)
     assert code == 2
     assert "dense" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("verify", {"out": 5}),
+    ("verify", {"box": float("inf")}),
+    ("moyal", {"theta": float("nan")}),
+    ("moyal", {"quick": "no"}),
+    ("verify", {"u": "t-3"}),
+], ids=["out-type", "box-inf", "theta-nan", "quick-type", "u-negative"])
+def test_bad_config_fails_before_any_work(command, config, tmp_path,
+                                          monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error:" in err
+    assert list(tmp_path.iterdir()) == [path]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lorentzlab.lattice import Lattice
 from lorentzlab.moyal import (MoyalElement, ThetaMatrix, associativity_check,
                               basis_field, basis_values, center_time_check,
                               commutation_check, cross_engine_check,
@@ -123,6 +124,31 @@ def test_twisted_warns_on_nyquist_content():
                       + lat.coordinate_array(1) ** 2))
     with pytest.warns(RuntimeWarning, match="Nyquist"):
         star_twisted(noisy, smooth, lat, THETA)
+
+
+def test_twisted_matches_defining_sum_on_rectangular_lattice():
+    # unequal points and extents per axis expose any k1/k2 or m1/m2 mix-up
+    lat = Lattice(((-3.0, 4.0), (-5.0, 2.5)), (10, 14), boundary="periodic",
+                  axis_names=("x", "y"))
+    rng = np.random.default_rng(7)
+    fv = rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape)
+    hv = rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape)
+    theta = 0.7
+    with pytest.warns(RuntimeWarning, match="Nyquist"):
+        got, _ = star_twisted(fv, hv, lat, theta)
+
+    # (m1 m2)^-2 sum_{p,q} F(p) H(q) e^{i q.Theta p/2} e^{2 pi i (p+q).j/M}
+    m = np.array(lat.points)
+    idx = np.indices(lat.shape).reshape(2, -1).T
+    k = 2.0 * np.pi * np.stack(
+        [np.fft.fftfreq(m[a], lat.spacing(a))[idx[:, a]] for a in (0, 1)], 1)
+    twist = np.exp(0.5j * theta * (np.outer(k[:, 0], k[:, 1])
+                                    - np.outer(k[:, 1], k[:, 0])))
+    wave = np.exp(2j * np.pi * idx @ (idx / m).T)
+    want = np.einsum("p,q,qp,pj,qj->j", np.fft.fft2(fv).reshape(-1),
+                     np.fft.fft2(hv).reshape(-1), twist, wave, wave,
+                     optimize=True) / m.prod() ** 2
+    assert np.max(np.abs(got.values.reshape(-1) - want)) <= 1e-12
 
 
 # ----------------------------------------------------------- matrix basis
