@@ -146,12 +146,16 @@ def validate_config(cfg, need_dense=False):
                           % (cfg.points, cfg.dimension, spinor, dense,
                              dirac.DENSE_LIMIT))
     if need_dense and not errors:
-        with np.errstate(all="ignore"):
-            u = ScalarField.from_expression(_lattice(cfg), str(cfg.u)).values
-        if not np.all(np.isfinite(u) & (u > 0)):
-            errors.append("u = %r must be positive and finite at every site "
-                          "of the %d^%d lattice" % (str(cfg.u), cfg.points,
-                                                    cfg.dimension))
+        try:
+            with np.errstate(all="ignore"):
+                u = ScalarField.from_expression(_lattice(cfg), str(cfg.u)).values
+        except ExpressionError as exc:
+            errors.append("u cannot be evaluated on the lattice: %s" % exc)
+        else:
+            if not np.all(np.isfinite(u) & (u > 0)):
+                errors.append("u = %r must be positive and finite at every "
+                              "site of the %d^%d lattice"
+                              % (str(cfg.u), cfg.points, cfg.dimension))
     return errors
 
 

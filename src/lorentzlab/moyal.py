@@ -431,12 +431,16 @@ def project(values, lat, theta, truncation=TRUNCATION_DEFAULT):
 
 
 def synthesize(coeffs, theta):
-    """Callable (x, y) -> sum c_mn f_mn(x, y) for a square c."""
+    """Callable (x, y) -> sum c_mn f_mn(x, y) for a 2-d c."""
     c = np.asarray(coeffs, dtype=complex)
+    if c.ndim != 2:
+        raise ValueError("coefficients must be a 2-d array, got shape %s"
+                         % (c.shape,))
+    rows, cols = c.shape
 
     def fn(x, y):
-        return np.einsum("mn,mn...->...", c,
-                         basis_stack(len(c), theta, x, y))
+        basis = basis_stack(max(rows, cols), theta, x, y)[:rows, :cols]
+        return np.einsum("mn,mn...->...", c, basis)
 
     return fn
 
@@ -518,14 +522,15 @@ def delta_algebra_check(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,
     projection_residual = float(np.max(np.abs(gram - np.eye(n * n))))
     cs = np.ascontiguousarray(gram.T).reshape(n * n, n, n)
 
-    # (c_mk c_Kl)_ij must be delta_mi delta_kK delta_lj; taking one m at a
-    # time holds n^5 products instead of n^6 (17 GB at truncation 32)
-    rule = np.einsum("kK,lj->kKlj", np.eye(n), np.eye(n))
+    # (c_mk c_Kl)_ij must be delta_mi delta_kK delta_lj; one left factor
+    # c_mk at a time holds n^4 products, where all at once would hold n^6
     right = cs.transpose(1, 0, 2).reshape(n, -1)          # [r, (K, l, j)]
+    eye = np.eye(n)
     product_residual = 0.0
-    for m, left in enumerate(cs.reshape(n, n * n, n)):    # [(k, i), r]
-        got = (left @ right).reshape((n,) * 5)            # [k, i, K, l, j]
-        got[:, m] -= rule
+    for a, left in enumerate(cs):                          # left = c_mk [i, r]
+        m, k = divmod(a, n)
+        got = (left @ right).reshape((n,) * 4)             # [i, K, l, j]
+        got[m, k] -= eye
         product_residual = max(product_residual, float(np.max(np.abs(got))))
 
     ident = np.eye(n, dtype=complex)

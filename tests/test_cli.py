@@ -114,7 +114,10 @@ def test_dense_limit_guard(tmp_path, capsys):
     ("moyal", {"theta": float("nan")}),
     ("moyal", {"quick": "no"}),
     ("verify", {"u": "t-3"}),
-], ids=["out-type", "box-inf", "theta-nan", "quick-type", "u-negative"])
+    ("verify", {"u": "1/(t-3)"}),
+    ("verify", {"u": "sqrt(t-3)"}),
+], ids=["out-type", "box-inf", "theta-nan", "quick-type", "u-negative",
+        "u-division-floor", "u-sqrt-negative"])
 def test_bad_config_fails_before_any_work(command, config, tmp_path,
                                           monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

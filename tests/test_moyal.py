@@ -199,6 +199,18 @@ def test_project_synthesize_round_trip():
     assert np.max(np.abs(back - coeffs)) <= 1e-8
 
 
+def test_synthesize_rectangular_coefficients():
+    rng = np.random.default_rng(5)
+    coeffs = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+    x = np.linspace(-2.0, 2.0, 7)
+    y = np.linspace(1.5, -1.0, 7)
+    want = sum(coeffs[m, n] * basis_values(m, n, THETA, x, y)
+               for m in range(2) for n in range(5))
+    assert np.max(np.abs(synthesize(coeffs, THETA)(x, y) - want)) <= 1e-14
+    with pytest.raises(ValueError, match="2-d"):
+        synthesize(np.ones(4), THETA)
+
+
 def test_truncation_leakage():
     c = np.zeros((5, 5))
     c[0, 0] = 1.0
