@@ -10,6 +10,7 @@ symbols with pure-state extension (``filtration``), a tiny expression
 language (``expressions``), and a deterministic CLI (``cli``).
 """
 
+from .checks import Check
 from .clifford import (GammaRep, build_gamma, check_clifford, chirality,
                        fundamental_symmetry, krein_adjoint, signature_audit)
 from .dirac import (DiracOperator, TemporalElement, check_temporal_axioms,
@@ -34,6 +35,7 @@ from .steepness import (equivalence_scan, is_steep_matrix, is_steep_scalar,
 __version__ = "0.1.0"
 
 __all__ = [
+    "Check",
     "GammaRep", "build_gamma", "check_clifford", "chirality",
     "fundamental_symmetry", "krein_adjoint", "signature_audit",
     "DiracOperator", "TemporalElement", "check_temporal_axioms",

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -25,9 +25,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 OUTPUT_ENV = "LORENTZLAB_OUT"
-
-BOOSTED_TOL = 1e-6
-VARIATIONAL_FLOOR = -1e-9
 
 
 @dataclass
@@ -47,6 +44,20 @@ class RunConfig:
 
 
 CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
+
+# value rules for keys of the right type: (predicate, what the key must be)
+VALUE_RULES = {
+    "seed": (lambda v: v >= 0, "non-negative"),
+    "dimension": (lambda v: v in (2, 3, 4), "2, 3, or 4"),
+    "points": (lambda v: v >= 3, ">= 3"),
+    "box": (lambda v: math.isfinite(v) and v > 0, "positive and finite"),
+    "boundary": (lambda v: v in ("periodic", "clamped"),
+                 "'periodic' or 'clamped'"),
+    "theta": (lambda v: math.isfinite(v) and v > 0, "positive and finite"),
+    "truncation": (lambda v: 2 <= v <= 32, "in [2, 32]"),
+    "pairs": (lambda v: 1 <= v <= 10000, "in [1, 10000]"),
+    "candidates": (lambda v: len(v) > 0, "a non-empty list of expressions"),
+}
 
 
 def load_config(path, overrides):
@@ -75,68 +86,52 @@ def load_config(path, overrides):
     return cfg, errors
 
 
+def _has_type(value, kind):
+    """isinstance for a RunConfig field type: bool only for bool, int as float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 def validate_config(cfg, need_dense=False):
     errors = []
-    if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool) or cfg.seed < 0:
-        errors.append("seed must be a non-negative integer, got %r" % (cfg.seed,))
-    if cfg.dimension not in (2, 3, 4):
-        errors.append("dimension must be 2, 3, or 4, got %r" % (cfg.dimension,))
-    if not isinstance(cfg.points, int) or cfg.points < 3:
-        errors.append("points must be an integer >= 3, got %r" % (cfg.points,))
-    if cfg.box is not None:
-        try:
-            box = float(cfg.box)
-            if not (math.isfinite(box) and box > 0):
-                errors.append("box must be positive and finite, got %r"
-                              % (cfg.box,))
-        except (TypeError, ValueError):
-            errors.append("box must be a number, got %r" % (cfg.box,))
-    if cfg.boundary not in ("periodic", "clamped"):
-        errors.append("boundary must be 'periodic' or 'clamped', got %r"
-                      % (cfg.boundary,))
-    try:
-        ast = parse_expression(str(cfg.u))
-        extra = variables_used(ast) - {"t"}
-        if extra:
-            errors.append("u must depend on t only, found %s"
-                          % sorted(extra))
-    except ExpressionError as exc:
-        errors.append("u does not parse: %s" % exc)
-    try:
-        theta = float(cfg.theta)
-        if not (math.isfinite(theta) and theta > 0):
-            errors.append("theta must be positive and finite, got %r"
-                          % (cfg.theta,))
-    except (TypeError, ValueError):
-        errors.append("theta must be a number, got %r" % (cfg.theta,))
-    if not isinstance(cfg.truncation, int) or not 2 <= cfg.truncation <= 32:
-        errors.append("truncation must be an integer in [2, 32], got %r"
-                      % (cfg.truncation,))
-    if not isinstance(cfg.pairs, int) or not 1 <= cfg.pairs <= 10000:
-        errors.append("pairs must be an integer in [1, 10000], got %r"
-                      % (cfg.pairs,))
-    if cfg.out is not None and not isinstance(cfg.out, str):
-        errors.append("out must be a directory path string, got %r" % (cfg.out,))
-    if not isinstance(cfg.quick, bool):
-        errors.append("quick must be true or false, got %r" % (cfg.quick,))
-    if cfg.candidates is not None:
-        if not isinstance(cfg.candidates, (list, tuple)) or not cfg.candidates:
-            errors.append("candidates must be a non-empty list of expressions")
+    valid = set()
+    for f in fields(RunConfig):
+        value = getattr(cfg, f.name)
+        if value is None and f.default is None:
+            continue
+        if not _has_type(value, f.type):
+            errors.append("%s must be of type %s, got %r"
+                          % (f.name, f.type.__name__, value))
+            continue
+        rule = VALUE_RULES.get(f.name)
+        if rule is None or rule[0](value):
+            valid.add(f.name)
         else:
-            if isinstance(cfg.dimension, int) and cfg.dimension in (2, 3, 4):
-                allowed = set(AXIS_NAMES[: cfg.dimension])
-            else:
-                allowed = set(AXIS_NAMES)
-            for cand in cfg.candidates:
-                try:
-                    cast = parse_expression(str(cand))
-                    extra = variables_used(cast) - allowed
-                    if extra:
-                        errors.append("candidate %r uses variables %s outside "
-                                      "axes %s" % (cand, sorted(extra),
-                                                   sorted(allowed)))
-                except ExpressionError as exc:
-                    errors.append("candidate %r does not parse: %s" % (cand, exc))
+            errors.append("%s must be %s, got %r" % (f.name, rule[1], value))
+    if "u" in valid:
+        try:
+            extra = variables_used(parse_expression(cfg.u)) - {"t"}
+            if extra:
+                errors.append("u must depend on t only, found %s"
+                              % sorted(extra))
+        except ExpressionError as exc:
+            errors.append("u does not parse: %s" % exc)
+    if "candidates" in valid:
+        allowed = set(AXIS_NAMES[: cfg.dimension] if "dimension" in valid
+                      else AXIS_NAMES)
+        for cand in cfg.candidates:
+            try:
+                extra = variables_used(parse_expression(str(cand))) - allowed
+                if extra:
+                    errors.append("candidate %r uses variables %s outside "
+                                  "axes %s" % (cand, sorted(extra),
+                                               sorted(allowed)))
+            except ExpressionError as exc:
+                errors.append("candidate %r does not parse: %s" % (cand, exc))
+    if not errors and cfg.points ** cfg.dimension > dirac.SITE_LIMIT:
+        errors.append("lattice too large: %d^%d sites > %d"
+                      % (cfg.points, cfg.dimension, dirac.SITE_LIMIT))
     if need_dense and not errors:
         spinor = 2 ** (cfg.dimension // 2)
         dense = cfg.points ** cfg.dimension * spinor
@@ -148,14 +143,14 @@ def validate_config(cfg, need_dense=False):
     if need_dense and not errors:
         try:
             with np.errstate(all="ignore"):
-                u = ScalarField.from_expression(_lattice(cfg), str(cfg.u)).values
+                u = ScalarField.from_expression(_lattice(cfg), cfg.u).values
         except ExpressionError as exc:
             errors.append("u cannot be evaluated on the lattice: %s" % exc)
         else:
             if not np.all(np.isfinite(u) & (u > 0)):
                 errors.append("u = %r must be positive and finite at every "
                               "site of the %d^%d lattice"
-                              % (str(cfg.u), cfg.points, cfg.dimension))
+                              % (cfg.u, cfg.points, cfg.dimension))
     return errors
 
 
@@ -184,11 +179,10 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-def _line(name, ok, detail=""):
-    tag = "PASS" if ok else "FAIL"
-    text = "%s %-36s %s" % (tag, name, detail)
-    print(text.rstrip())
-    return ok
+def _line(check):
+    """The PASS/FAIL line printed for one Check."""
+    tag = "PASS" if check.passed else "FAIL"
+    return ("%s %-36s %s" % (tag, check.name, check.detail)).rstrip()
 
 
 def _outdir(cfg):
@@ -205,102 +199,32 @@ def _lattice(cfg):
 
 def _operator(cfg):
     lat = _lattice(cfg)
-    ufield = ScalarField.from_expression(lat, str(cfg.u))
+    ufield = ScalarField.from_expression(lat, cfg.u)
     return dirac.DiracOperator(clifford.build_gamma(cfg.dimension), lat, ufield)
 
 
 # ------------------------------------------------------------- subcommands
+# Each returns (checks, payload) or (checks, payload, csv rows); the suites
+# decide every verdict and main only renders and writes them.
 
 
 def run_verify(cfg):
-    ok = True
-    payload = {"clifford": {}, "axioms": None,
+    reports = [clifford.check_clifford(clifford.build_gamma(n))
+               for n in (2, 3, 4, 6)]
+    axioms = dirac.check_temporal_axioms(_operator(cfg), seed=cfg.seed)
+    checks = [c for rep in reports + [axioms] for c in rep.checks]
+    payload = {"clifford": {str(rep.dimension): rep.to_dict() for rep in reports},
+               "axioms": axioms.to_dict(),
                "config": {"dimension": cfg.dimension, "points": cfg.points,
-                          "boundary": cfg.boundary, "u": str(cfg.u),
-                          "seed": cfg.seed}}
-    for n in (2, 3, 4, 6):
-        rep = clifford.build_gamma(n)
-        crep = clifford.check_clifford(rep)
-        payload["clifford"][str(n)] = crep.to_dict()
-        ok &= _line("clifford n=%d" % n, crep.passed,
-                    "max residual %.3e" % crep.max_residual)
-    op = _operator(cfg)
-    arep = dirac.check_temporal_axioms(op, seed=cfg.seed)
-    payload["axioms"] = arep.to_dict()
-    ok &= _line("temporal commutator hermitian",
-                arep.hermiticity_residual <= dirac.HERMITICITY_TOL,
-                "residual %.3e" % arep.hermiticity_residual)
-    ok &= _line("[D,T]^2 scalar and positive",
-                arep.u_square_deviation <= dirac.U_SQUARE_TOL
-                and arep.u_ax_min > 0,
-                "deviation %.3e, range [%.6g, %.6g]"
-                % (arep.u_square_deviation, arep.u_ax_min, arep.u_ax_max))
-    ok &= _line("u_ax * u_metric = 1",
-                arep.reciprocal_residual <= 1e-12,
-                "residual %.3e" % arep.reciprocal_residual)
-    ok &= _line("[D,T] D skew-adjoint",
-                arep.skew_residual <= dirac.SKEW_TOL,
-                "residual %.3e" % arep.skew_residual)
-    ok &= _line("Krein skewness (both forms)",
-                max(arep.krein_skew_residual,
-                    arep.krein_equiv_residual) <= dirac.KREIN_TOL,
-                "residuals %.3e / %.3e"
-                % (arep.krein_skew_residual, arep.krein_equiv_residual))
-    ok &= _line("[D,T] commutes with functions",
-                arep.commute_residual <= dirac.COMMUTE_TOL,
-                "residual %.3e" % arep.commute_residual)
-    if arep.elliptic_min_eigenvalue is not None:
-        ok &= _line("<D>^2 hermitian and non-negative",
-                    arep.elliptic_hermiticity <= dirac.ELLIPTIC_HERM_TOL
-                    and arep.elliptic_min_eigenvalue >= dirac.ELLIPTIC_EIG_FLOOR,
-                    "min eigenvalue %.3e" % arep.elliptic_min_eigenvalue)
-    payload["passed"] = bool(ok)
-    return bool(ok), payload
+                          "boundary": cfg.boundary, "u": cfg.u,
+                          "seed": cfg.seed},
+               "passed": all(c.passed for c in checks)}
+    return checks, payload
 
 
 def run_distance(cfg):
-    rng = np.random.default_rng(cfg.seed)
-    d = cfg.dimension
-    # clamped boundary: steep candidates are not periodic, and wrapped
-    # difference stencils would corrupt their boundary gradients
-    op = dirac.flat_operator(d, cfg.points, boundary="clamped")
-    spatial = AXIS_NAMES[1:d]
-    cands = list(cfg.candidates) if cfg.candidates else \
-        distance.boosted_candidate_expressions(axes=spatial)
-
-    rows = []
-    worst_boosted = 0.0
-    worst_gap_low = 0.0
-    worst_gap_high = 0.0
-    for i in range(cfg.pairs):
-        p = tuple(rng.uniform(-3.0, 3.0, size=d))
-        q = tuple(rng.uniform(-3.0, 3.0, size=d))
-        oracle = distance.minkowski_oracle(p, q)
-        boosted = distance.boosted_family_distance(p, q)
-        vres = distance.variational_distance(p, q, cands, op)
-        worst_boosted = max(worst_boosted, abs(boosted.value - oracle))
-        worst_gap_low = min(worst_gap_low, vres.value - oracle)
-        worst_gap_high = max(worst_gap_high, vres.value - oracle)
-        pair = distance.EventPair(p, q)
-        rows.append((i, pair.dt, pair.spatial_separation, oracle,
-                     boosted.value, vres.value, vres.achieving))
-    ok = _line("boosted family matches oracle",
-               worst_boosted <= BOOSTED_TOL,
-               "max |error| %.3e over %d pairs" % (worst_boosted, cfg.pairs))
-    ok &= _line("variational bound above oracle",
-                worst_gap_low >= VARIATIONAL_FLOOR,
-                "min gap %.3e, max gap %.3e" % (worst_gap_low, worst_gap_high))
-    payload = {
-        "pairs": cfg.pairs,
-        "dimension": d,
-        "seed": cfg.seed,
-        "candidates": [str(c) for c in cands],
-        "max_boosted_error": float(worst_boosted),
-        "min_variational_gap": float(worst_gap_low),
-        "max_variational_gap": float(worst_gap_high),
-        "passed": bool(ok),
-    }
-    return bool(ok), payload, rows
+    return distance.run_distance_suite(cfg.pairs, cfg.dimension, cfg.points,
+                                       cfg.seed, cfg.candidates)
 
 
 def write_distance_csv(path, rows):
@@ -313,130 +237,35 @@ def write_distance_csv(path, rows):
 
 
 def run_moyal(cfg):
-    suite = moyal.run_moyal_suite(theta=float(cfg.theta),
-                                  truncation=cfg.truncation, quick=cfg.quick)
-    _line("matrix basis delta algebra",
-          suite["delta_algebra"]["passed"],
-          "projection %.3e, product %.3e"
-          % (suite["delta_algebra"]["projection_residual"],
-             suite["delta_algebra"]["product_residual"]))
-    _line("engines agree on basis products",
-          suite["cross_engine"]["passed"],
-          "quadrature %.3e, twisted %.3e"
-          % (suite["cross_engine"]["quadrature_vs_basis"],
-             suite["cross_engine"]["twisted_vs_basis"]))
-    _line("[x,y]_* = i theta (extrapolated)",
-          suite["commutation"]["passed"],
-          "residual %.3e" % suite["commutation"]["residual"])
-    _line("time central iff Theta row 0 = 0",
-          suite["center_time"]["passed"],
-          "; ".join("%s %.1e" % (c["theta_case"], c["commutator_residual"])
-                    for c in suite["center_time"]["cases"]))
-    _line("gaussian closed form",
-          suite["gaussian_oracle_residual"] <= moyal.GAUSSIAN_TOL,
-          "residual %.3e" % suite["gaussian_oracle_residual"])
-    _line("trace property", suite["trace_residual"] <= moyal.TRACE_TOL,
-          "residual %.3e" % suite["trace_residual"])
-    _line("associativity",
-          suite["associativity_residual"] <= moyal.ASSOCIATIVITY_TOL,
-          "residual %.3e" % suite["associativity_residual"])
-    _line("involution", suite["involution_residual"] <= moyal.INVOLUTION_TOL,
-          "residual %.3e" % suite["involution_residual"])
-    return bool(suite["passed"]), suite
+    return moyal.run_moyal_suite(theta=float(cfg.theta),
+                                 truncation=cfg.truncation, quick=cfg.quick)
 
 
 def run_filtration(cfg):
-    lat = Lattice(((-8.0, 8.0), (-2.0, 2.0)), (65, 5), boundary="clamped")
-    rng = np.random.default_rng(cfg.seed)
-
-    t_elem = filtration.FilteredElement.time_element()
-    tnorm = filtration.weighted_norm(t_elem, -1, lat)
-    grading = filtration.operator_norm_grading_check(t_elem, lat, trials=8,
-                                                     seed=cfg.seed)
-
-    def random_element(degree):
-        c = rng.uniform(-2.0, 2.0, size=3)
-        text = "%r*sin(t) + %r*cos(x) + %r" % tuple(float(v) for v in c)
-        return filtration.FilteredElement.from_expression(text, degree)
-
-    worst_sub = -np.inf
-    for _ in range(20):
-        a = random_element(int(rng.integers(-2, 3)))
-        b = random_element(int(rng.integers(-2, 3)))
-        worst_sub = max(worst_sub,
-                        filtration.submultiplicativity_residual(a, b, lat))
-
-    worst_well = 0.0
-    states = [tuple(rng.uniform(-5.0, 5.0, size=2)) for _ in range(6)]
-    for _ in range(20):
-        a = random_element(int(rng.integers(-1, 3)))
-        b = a.to_degree(a.degree - int(rng.integers(1, 3)))
-        worst_well = max(worst_well,
-                         filtration.well_definedness_check(a, b, lat, states))
-
-    toy = filtration.ToyAlgebra(tuple(np.linspace(-3.0, 3.0, 8)))
-    central = filtration.central_multiplicativity_check(toy, trials=500,
-                                                        seed=cfg.seed)
-    try:
-        filtration.extend_state((float("inf"), 0.0), t_elem)
-        rejection_works = False
-    except ValueError:
-        rejection_works = True
-
-    ok = _line("time element is a contraction", tnorm < 1.0,
-               "||T||_{-1} = %.12f" % tnorm)
-    ok &= _line("operator norm independent of grade",
-                grading.spread <= filtration.NORM_SPREAD_TOL
-                and grading.bound_ok and grading.approach_ok,
-                "spread %.3e" % grading.spread)
-    ok &= _line("weighted norms submultiplicative",
-                worst_sub <= filtration.SUBMULT_TOL,
-                "worst relative slack %.3e" % worst_sub)
-    ok &= _line("state extension well defined",
-                worst_well <= filtration.WELL_DEFINED_TOL,
-                "max extension deviation %.3e" % worst_well)
-    ok &= _line("multiplicative on central elements",
-                central.max_central_residual <= filtration.CENTRAL_TOL,
-                "max residual %.3e over %d trials"
-                % (central.max_central_residual, central.trials))
-    ok &= _line("non-central counterexample violates",
-                central.counterexample_residual > 0.1,
-                "violation %.6f" % central.counterexample_residual)
-    ok &= _line("degenerate state rejected", rejection_works,
-                "chi((1+T^2)^(-1/2)) = 0 raises")
-    payload = {
-        "time_element_norm": float(tnorm),
-        "grading": grading.to_dict(),
-        "worst_submultiplicativity_slack": float(worst_sub),
-        "worst_well_definedness": float(worst_well),
-        "central_multiplicativity": central.to_dict(),
-        "rejection_guard": bool(rejection_works),
-        "seed": cfg.seed,
-        "passed": bool(ok),
-    }
-    return bool(ok), payload
+    return filtration.run_filtration_suite(seed=cfg.seed)
 
 
 def run_report(cfg):
-    ok_v, verify_payload = run_verify(cfg)
-    ok_d, dist_payload, rows = run_distance(cfg)
-    moyal_cfg = RunConfig(**{f.name: getattr(cfg, f.name) for f in fields(RunConfig)})
-    moyal_cfg.quick = True
-    ok_m, moyal_payload = run_moyal(moyal_cfg)
-    ok_f, filt_payload = run_filtration(cfg)
+    verify_checks, verify_payload = run_verify(cfg)
+    dist_checks, dist_payload, rows = run_distance(cfg)
+    moyal_checks, moyal_payload = run_moyal(replace(cfg, quick=True))
+    filt_checks, filt_payload = run_filtration(cfg)
     scan = steepness.equivalence_scan(500, cfg.seed, dimension=2)
-    ok_s = _line("steepness routes agree", not scan.disagreements,
-                 "%d/%d agree" % (scan.agreements, scan.samples))
-    ok = ok_v and ok_d and ok_m and ok_f and ok_s
+    checks = [*verify_checks, *dist_checks, *moyal_checks, *filt_checks,
+              *scan.checks]
     payload = {
         "verify": verify_payload,
         "distance": dist_payload,
         "moyal": moyal_payload,
         "filtration": filt_payload,
         "steepness_equivalence": scan.to_dict(),
-        "passed": bool(ok),
+        "passed": all(c.passed for c in checks),
     }
-    return bool(ok), payload, rows
+    return checks, payload, rows
+
+
+RUNS = {"verify": run_verify, "distance": run_distance, "moyal": run_moyal,
+        "filtration": run_filtration, "report": run_report}
 
 
 # -------------------------------------------------------------------- main
@@ -512,29 +341,16 @@ def main(argv=None):
 
     out = _outdir(cfg)
     try:
-        if args.command == "verify":
-            ok, payload = run_verify(cfg)
-            write_json(os.path.join(out, "verify.json"), payload)
-        elif args.command == "distance":
-            ok, payload, rows = run_distance(cfg)
-            write_json(os.path.join(out, "distance.json"), payload)
-            write_distance_csv(os.path.join(out, "distance.csv"), rows)
-        elif args.command == "moyal":
-            ok, payload = run_moyal(cfg)
-            write_json(os.path.join(out, "moyal.json"), payload)
-        elif args.command == "filtration":
-            ok, payload = run_filtration(cfg)
-            write_json(os.path.join(out, "filtration.json"), payload)
-        elif args.command == "report":
-            ok, payload, rows = run_report(cfg)
-            write_json(os.path.join(out, "report.json"), payload)
-            write_distance_csv(os.path.join(out, "distance.csv"), rows)
-        else:                                    # pragma: no cover
-            parser.error("unknown command %r" % (args.command,))
+        checks, payload, *rows = RUNS[args.command](cfg)
     except (ExpressionError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    for check in checks:
+        print(_line(check))
+    write_json(os.path.join(out, args.command + ".json"), payload)
+    if rows:
+        write_distance_csv(os.path.join(out, "distance.csv"), rows[0])
+    return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -22,13 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import Check
+
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
-HERMITICITY_TOL = 1e-12
 CLIFFORD_TOL = 1e-12
-KREIN_TOL = 1e-14
 
 
 def _kron_chain(mats):
@@ -92,7 +92,16 @@ class CliffordReport:
     anticommutator_residuals: dict = field(default_factory=dict)  # (mu,nu) -> float
     hermiticity_residuals: tuple = ()
     max_residual: float = 0.0
-    passed: bool = False
+
+    @property
+    def checks(self):
+        return (Check("clifford n=%d" % self.dimension,
+                      self.max_residual <= CLIFFORD_TOL,
+                      "max residual %.3e" % self.max_residual),)
+
+    @property
+    def passed(self):
+        return all(c.passed for c in self.checks)
 
     def to_dict(self):
         return {
@@ -104,7 +113,7 @@ class CliffordReport:
         }
 
 
-def check_clifford(rep, tol=CLIFFORD_TOL):
+def check_clifford(rep):
     """Verify anticommutators and the Hermiticity pattern of a GammaRep."""
     n = rep.dimension
     size = rep.matrix_size
@@ -128,7 +137,6 @@ def check_clifford(rep, tol=CLIFFORD_TOL):
         anticommutator_residuals=anti,
         hermiticity_residuals=tuple(herm),
         max_residual=worst,
-        passed=bool(worst <= tol),
     )
 
 

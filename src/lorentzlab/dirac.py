@@ -22,13 +22,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import Check
 from .clifford import GammaRep, build_gamma, fundamental_symmetry, max_abs
 from .lattice import Lattice, ScalarField, SpinorField, gradient
 
 DENSE_LIMIT = 4096
+SITE_LIMIT = 65536       # lattice sites any command may allocate fields on
 
 HERMITICITY_TOL = 1e-12
 U_SQUARE_TOL = 1e-13
+RECIPROCAL_TOL = 1e-12
 SKEW_TOL = 1e-12
 KREIN_TOL = 1e-12
 COMMUTE_TOL = 1e-13
@@ -57,19 +60,6 @@ class MatrixField:
     def apply(self, psi):
         out = np.einsum("...ab,...b->...a", self.values, psi.values)
         return SpinorField(self.lattice, out)
-
-    def dense(self):
-        """Block-diagonal dense matrix in row-major site order."""
-        s = self.values.shape[-1]
-        n = self.lattice.site_count * s
-        if n > DENSE_LIMIT:
-            raise ValueError("dense matrix would be %d^2; limit is %d^2"
-                             % (n, DENSE_LIMIT))
-        blocks = self.values.reshape(self.lattice.site_count, s, s)
-        out = np.zeros((n, n), dtype=complex)
-        for k in range(blocks.shape[0]):
-            out[k * s:(k + 1) * s, k * s:(k + 1) * s] = blocks[k]
-        return out
 
     def hermiticity_residual(self):
         return max_abs(self.values - np.conj(np.swapaxes(self.values, -1, -2)))
@@ -200,48 +190,75 @@ class AxiomReport:
     tolerances: dict = field(default_factory=dict)
 
     def to_dict(self):
-        d = {
-            "hermiticity_residual": self.hermiticity_residual,
-            "u_square_deviation": self.u_square_deviation,
-            "u_ax_min": self.u_ax_min,
-            "u_ax_max": self.u_ax_max,
-            "u_metric_min": self.u_metric_min,
-            "u_metric_max": self.u_metric_max,
-            "reciprocal_residual": self.reciprocal_residual,
-            "skew_residual": self.skew_residual,
-            "krein_skew_residual": self.krein_skew_residual,
-            "krein_equiv_residual": self.krein_equiv_residual,
-            "commute_residual": self.commute_residual,
-            "elliptic_hermiticity": self.elliptic_hermiticity,
-            "elliptic_min_eigenvalue": self.elliptic_min_eigenvalue,
-            "adjoints_exact": self.adjoints_exact,
-            "notes": list(self.notes),
-            "tolerances": dict(self.tolerances),
-        }
-        return d
+        return {**vars(self), "notes": list(self.notes),
+                "tolerances": dict(self.tolerances)}
+
+    @property
+    def checks(self):
+        checks = [
+            Check("temporal commutator hermitian",
+                  self.hermiticity_residual <= HERMITICITY_TOL,
+                  "residual %.3e" % self.hermiticity_residual),
+            Check("[D,T]^2 scalar and positive",
+                  self.u_square_deviation <= U_SQUARE_TOL and self.u_ax_min > 0,
+                  "deviation %.3e, range [%.6g, %.6g]"
+                  % (self.u_square_deviation, self.u_ax_min, self.u_ax_max)),
+            Check("u_ax * u_metric = 1",
+                  self.reciprocal_residual <= RECIPROCAL_TOL,
+                  "residual %.3e" % self.reciprocal_residual),
+            Check("[D,T] D skew-adjoint", self.skew_residual <= SKEW_TOL,
+                  "residual %.3e" % self.skew_residual),
+            Check("Krein skewness (both forms)",
+                  self.krein_skew_residual <= KREIN_TOL
+                  and self.krein_equiv_residual <= KREIN_TOL,
+                  "residuals %.3e / %.3e"
+                  % (self.krein_skew_residual, self.krein_equiv_residual)),
+            Check("[D,T] commutes with functions",
+                  self.commute_residual <= COMMUTE_TOL,
+                  "residual %.3e" % self.commute_residual),
+        ]
+        if self.elliptic_min_eigenvalue is not None:
+            checks.append(Check(
+                "<D>^2 hermitian and non-negative",
+                self.elliptic_hermiticity <= ELLIPTIC_HERM_TOL
+                and self.elliptic_min_eigenvalue >= ELLIPTIC_EIG_FLOOR,
+                "min eigenvalue %.3e" % self.elliptic_min_eigenvalue))
+        return tuple(checks)
 
     @property
     def passed(self):
-        ok = (self.hermiticity_residual <= HERMITICITY_TOL
-              and self.u_square_deviation <= U_SQUARE_TOL
-              and self.u_ax_min > 0
-              and self.skew_residual <= SKEW_TOL
-              and self.krein_skew_residual <= KREIN_TOL
-              and self.krein_equiv_residual <= KREIN_TOL
-              and self.commute_residual <= COMMUTE_TOL)
-        if self.elliptic_min_eigenvalue is not None:
-            ok = ok and (self.elliptic_hermiticity <= ELLIPTIC_HERM_TOL
-                         and self.elliptic_min_eigenvalue >= ELLIPTIC_EIG_FLOOR)
-        return bool(ok)
+        return all(c.passed for c in self.checks)
+
+
+# Per-site (s, s) blocks act on a dense (site, spinor) matrix as a batched
+# product, never as an n x n block-diagonal matrix.  Each block row of
+# K = -i gamma^0 u^{-1/2} and J = i gamma^0 has one nonzero, so the result
+# equals the dense product entry for entry.
+
+def _blocks_times(blocks, a):
+    """blockdiag(blocks) @ a for per-site blocks of shape (..., s, s)."""
+    s = blocks.shape[-1]
+    b = blocks.reshape(-1, s, s)
+    return np.einsum("kab,kbn->kan", b, a.reshape(len(b), s, -1)).reshape(a.shape)
+
+
+def _times_blocks(a, blocks):
+    """a @ blockdiag(blocks) for per-site blocks of shape (..., s, s)."""
+    s = blocks.shape[-1]
+    b = blocks.reshape(-1, s, s)
+    return np.einsum("ika,kab->ikb", a.reshape(-1, len(b), s), b).reshape(a.shape)
+
+
+def _elliptic_square(d, k):
+    """-1/2 (D K D K + K D K D) from dense D and the blocks of K = [D,T]."""
+    dk = _times_blocks(d, k)
+    kd = _blocks_times(k, d)
+    return -0.5 * (dk @ dk + kd @ kd)
 
 
 def elliptic_square(D: DiracOperator, T: TemporalElement = None):
     """<D>^2 = -1/2 (D K D K + K D K D) with K = [D,T], as a dense matrix."""
-    k = D.temporal_commutator(T).dense()
-    d = D.dense_matrix()
-    dk = d @ k
-    kd = k @ d
-    return -0.5 * (dk @ dk + kd @ kd)
+    return _elliptic_square(D.dense_matrix(), D.temporal_commutator(T).values)
 
 
 def check_temporal_axioms(D: DiracOperator, T: TemporalElement = None,
@@ -259,17 +276,18 @@ def check_temporal_axioms(D: DiracOperator, T: TemporalElement = None,
     dev = max_abs(ksq - c[..., None, None] * eye)
     recip = float(np.max(np.abs(c * D.u - 1.0)))
 
-    kd = K.dense()
     dd = D.dense_matrix()
-    a = kd @ dd
+    a = _blocks_times(K.values, dd)
     skew = max_abs(D.weighted_adjoint(a) + a)
+    del a
 
     # Krein equivalence both ways with J = i gamma^0 (normalized symmetry):
     # J D skew-Hermitian, and D^dagger = -J D J.
-    j = np.kron(np.eye(lat.site_count), fundamental_symmetry(D.rep))
-    jd = j @ dd
+    j = np.broadcast_to(fundamental_symmetry(D.rep), K.values.shape)
+    jd = _blocks_times(j, dd)
     krein_skew = max_abs(D.weighted_adjoint(jd) + jd)
-    krein_equiv = max_abs(D.weighted_adjoint(dd) + j @ dd @ j)
+    krein_equiv = max_abs(D.weighted_adjoint(dd) + _times_blocks(jd, j))
+    del jd
 
     rng = np.random.default_rng(seed)
     commute = 0.0
@@ -282,7 +300,7 @@ def check_temporal_axioms(D: DiracOperator, T: TemporalElement = None,
 
     ell_herm = ell_min = None
     if include_elliptic:
-        m = elliptic_square(D, T)
+        m = _elliptic_square(dd, K.values)
         ell_herm = max_abs(m - m.conj().T)
         ell_min = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
 

@@ -23,12 +23,16 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import expressions
+from .checks import Check
+from .dirac import flat_operator
 from .filtration import FilteredElement
-from .lattice import ScalarField
+from .lattice import AXIS_NAMES, ScalarField
 from .steepness import EIG_TOL, is_steep_matrix
 
 GOLDEN_TOL = 1e-10
 V_CAP = 1.0 - 1e-12
+BOOSTED_TOL = 1e-6
+VARIATIONAL_FLOOR = -1e-9
 
 
 def golden_section(fn, lo, hi, tol=GOLDEN_TOL, max_iter=200):
@@ -272,3 +276,50 @@ def boosted_candidate_expressions(velocities=(0.0, 0.25, 0.5, 0.75),
             g = 1.0 / np.sqrt(1.0 - v * v)
             out.append("%r * (t - %r * %s)" % (float(g), float(v), ax))
     return out
+
+
+def run_distance_suite(pairs, dimension, points, seed, candidates=None):
+    """Distances on seeded random pairs; returns (checks, payload, rows).
+
+    Certification runs on a clamped lattice: steep candidates are not
+    periodic, and wrapped stencils would corrupt their boundary gradients.
+    """
+    rng = np.random.default_rng(seed)
+    op = flat_operator(dimension, points, boundary="clamped")
+    cands = list(candidates) if candidates else \
+        boosted_candidate_expressions(axes=AXIS_NAMES[1:dimension])
+
+    rows = []
+    worst_boosted = 0.0
+    worst_gap_low = 0.0
+    worst_gap_high = 0.0
+    for i in range(pairs):
+        p = tuple(rng.uniform(-3.0, 3.0, size=dimension))
+        q = tuple(rng.uniform(-3.0, 3.0, size=dimension))
+        oracle = minkowski_oracle(p, q)
+        boosted = boosted_family_distance(p, q)
+        vres = variational_distance(p, q, cands, op)
+        worst_boosted = max(worst_boosted, abs(boosted.value - oracle))
+        worst_gap_low = min(worst_gap_low, vres.value - oracle)
+        worst_gap_high = max(worst_gap_high, vres.value - oracle)
+        pair = EventPair(p, q)
+        rows.append((i, pair.dt, pair.spatial_separation, oracle,
+                     boosted.value, vres.value, vres.achieving))
+    checks = (
+        Check("boosted family matches oracle", worst_boosted <= BOOSTED_TOL,
+              "max |error| %.3e over %d pairs" % (worst_boosted, pairs)),
+        Check("variational bound above oracle",
+              worst_gap_low >= VARIATIONAL_FLOOR,
+              "min gap %.3e, max gap %.3e" % (worst_gap_low, worst_gap_high)),
+    )
+    payload = {
+        "pairs": pairs,
+        "dimension": dimension,
+        "seed": seed,
+        "candidates": [str(c) for c in cands],
+        "max_boosted_error": float(worst_boosted),
+        "min_variational_gap": float(worst_gap_low),
+        "max_variational_gap": float(worst_gap_high),
+        "passed": all(c.passed for c in checks),
+    }
+    return checks, payload, rows

@@ -31,12 +31,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expressions
+from .checks import Check
 from .lattice import Lattice, ScalarField, SpinorField, inner_product
 
 SUBMULT_TOL = 1e-12          # relative
 NORM_SPREAD_TOL = 1e-10      # relative, across H_n, n in -2..2
 WELL_DEFINED_TOL = 1e-12
 CENTRAL_TOL = 1e-13
+TIME_NORM_BOUND = 1.0        # ||T||_{-1} < 1: the time element is a contraction
+COUNTEREXAMPLE_FLOOR = 0.1   # the non-central witness must violate by more
 STATE_WEIGHT_FLOOR = 1e-300
 
 
@@ -153,13 +156,8 @@ class GradingReport:
     approach_ok: bool               # estimates within 5% of the sup norm
 
     def to_dict(self):
-        return {
-            "weighted_norm": self.weighted_norm,
-            "estimates": {str(k): v for k, v in self.estimates.items()},
-            "spread": self.spread,
-            "bound_ok": self.bound_ok,
-            "approach_ok": self.approach_ok,
-        }
+        return {**vars(self),
+                "estimates": {str(k): v for k, v in self.estimates.items()}}
 
 
 def operator_norm_grading_check(elem: FilteredElement, lattice: Lattice,
@@ -335,12 +333,7 @@ class CentralityReport:
     counterexample: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "trials": self.trials,
-            "max_central_residual": self.max_central_residual,
-            "counterexample_residual": self.counterexample_residual,
-            "counterexample": dict(self.counterexample),
-        }
+        return {**vars(self), "counterexample": dict(self.counterexample)}
 
 
 def central_multiplicativity_check(algebra: ToyAlgebra, trials=500, seed=0):
@@ -382,3 +375,78 @@ def central_multiplicativity_check(algebra: ToyAlgebra, trials=500, seed=0):
             "chi_a_chi_b": float((np.cos(2 * alpha) * np.sin(2 * alpha)).real),
         },
     )
+
+
+# ----------------------------------------------------------------- suite
+
+
+def run_filtration_suite(seed=0):
+    """All filtered-algebra checks; returns (checks, payload).
+
+    The payload holds every measured quantity; its "passed" is all checks.
+    """
+    lat = Lattice(((-8.0, 8.0), (-2.0, 2.0)), (65, 5), boundary="clamped")
+    rng = np.random.default_rng(seed)
+
+    t_elem = FilteredElement.time_element()
+    tnorm = weighted_norm(t_elem, -1, lat)
+    grading = operator_norm_grading_check(t_elem, lat, trials=8, seed=seed)
+
+    def random_element(degree):
+        c = rng.uniform(-2.0, 2.0, size=3)
+        text = "%r*sin(t) + %r*cos(x) + %r" % tuple(float(v) for v in c)
+        return FilteredElement.from_expression(text, degree)
+
+    worst_sub = -np.inf
+    for _ in range(20):
+        a = random_element(int(rng.integers(-2, 3)))
+        b = random_element(int(rng.integers(-2, 3)))
+        worst_sub = max(worst_sub, submultiplicativity_residual(a, b, lat))
+
+    worst_well = 0.0
+    states = [tuple(rng.uniform(-5.0, 5.0, size=2)) for _ in range(6)]
+    for _ in range(20):
+        a = random_element(int(rng.integers(-1, 3)))
+        b = a.to_degree(a.degree - int(rng.integers(1, 3)))
+        worst_well = max(worst_well, well_definedness_check(a, b, lat, states))
+
+    toy = ToyAlgebra(tuple(np.linspace(-3.0, 3.0, 8)))
+    central = central_multiplicativity_check(toy, trials=500, seed=seed)
+    try:
+        extend_state((float("inf"), 0.0), t_elem)
+        rejection_works = False
+    except ValueError:
+        rejection_works = True
+
+    checks = (
+        Check("time element is a contraction", tnorm < TIME_NORM_BOUND,
+              "||T||_{-1} = %.12f" % tnorm),
+        Check("operator norm independent of grade",
+              grading.spread <= NORM_SPREAD_TOL
+              and grading.bound_ok and grading.approach_ok,
+              "spread %.3e" % grading.spread),
+        Check("weighted norms submultiplicative", worst_sub <= SUBMULT_TOL,
+              "worst relative slack %.3e" % worst_sub),
+        Check("state extension well defined", worst_well <= WELL_DEFINED_TOL,
+              "max extension deviation %.3e" % worst_well),
+        Check("multiplicative on central elements",
+              central.max_central_residual <= CENTRAL_TOL,
+              "max residual %.3e over %d trials"
+              % (central.max_central_residual, central.trials)),
+        Check("non-central counterexample violates",
+              central.counterexample_residual > COUNTEREXAMPLE_FLOOR,
+              "violation %.6f" % central.counterexample_residual),
+        Check("degenerate state rejected", rejection_works,
+              "chi((1+T^2)^(-1/2)) = 0 raises"),
+    )
+    payload = {
+        "time_element_norm": float(tnorm),
+        "grading": grading.to_dict(),
+        "worst_submultiplicativity_slack": float(worst_sub),
+        "worst_well_definedness": float(worst_well),
+        "central_multiplicativity": central.to_dict(),
+        "rejection_guard": rejection_works,
+        "seed": seed,
+        "passed": all(c.passed for c in checks),
+    }
+    return checks, payload

@@ -35,6 +35,7 @@ import numpy as np
 from scipy.special import eval_genlaguerre
 
 from . import expressions
+from .checks import Check
 from .lattice import Lattice, ScalarField, integrate
 
 THETA_DEFAULT = 0.5
@@ -47,6 +48,8 @@ ASSOCIATIVITY_TOL = 1e-5
 GAUSSIAN_TOL = 1e-8
 INVOLUTION_TOL = 1e-8
 NORM_TOL = 1e-6
+CENTER_TOL = 1e-10
+CENTER_CONTRAST = 1e-3
 DECAY_REFUSE = 0.05
 TAIL_WARN = 1e-6
 
@@ -502,7 +505,7 @@ class DeltaAlgebraReport:
 
 
 def delta_algebra_check(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,
-                        box=7.0, points=96, tol=DELTA_TOL):
+                        box=7.0, points=96):
     """f_mn * f_kl = delta_nk f_ml through projection + matrix product.
 
     Projects every sampled basis function (should return the matrix units),
@@ -543,8 +546,10 @@ def delta_algebra_check(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,
         product_residual=product_residual,
         identity_residual=identity_residual,
         norm_ground_residual=float(norm_residual),
-        passed=bool(projection_residual <= tol and product_residual <= tol
-                    and identity_residual <= tol and norm_residual <= NORM_TOL),
+        passed=bool(projection_residual <= DELTA_TOL
+                    and product_residual <= DELTA_TOL
+                    and identity_residual <= DELTA_TOL
+                    and norm_residual <= NORM_TOL),
     )
 
 
@@ -572,8 +577,7 @@ class CrossEngineReport:
 
 
 def cross_engine_check(theta=THETA_DEFAULT, truncation=8, box=7.0, points=96,
-                       eval_points=((0.0, 0.0), (0.3, -0.4), (1.1, 0.7)),
-                       tol=CROSS_ENGINE_TOL):
+                       eval_points=((0.0, 0.0), (0.3, -0.4), (1.1, 0.7))):
     """All basis pairs f_mn * f_kl: quadrature and twisted vs the delta rule."""
     lat = moyal_grid(box, points)
     th = _theta_entries(theta, 2)
@@ -614,7 +618,8 @@ def cross_engine_check(theta=THETA_DEFAULT, truncation=8, box=7.0, points=96,
     return CrossEngineReport(truncation=n,
                              quadrature_vs_basis=worst_quad,
                              twisted_vs_basis=worst_tw,
-                             passed=bool(worst_quad <= tol and worst_tw <= tol))
+                             passed=bool(worst_quad <= CROSS_ENGINE_TOL
+                                         and worst_tw <= CROSS_ENGINE_TOL))
 
 
 @dataclass
@@ -636,7 +641,7 @@ class CommutationReport:
 
 
 def commutation_check(theta=THETA_DEFAULT, sigmas=(4.0, 4.0 * math.sqrt(2.0)),
-                      points=64, box_factor=5.0, tol=COMMUTATION_TOL):
+                      points=64, box_factor=5.0):
     """[x, y]_* = i theta via damped coordinates and Richardson extrapolation.
 
     For g = exp(-r^2/sigma^2) the damped commutator at the origin is exactly
@@ -671,7 +676,7 @@ def commutation_check(theta=THETA_DEFAULT, sigmas=(4.0, 4.0 * math.sqrt(2.0)),
                              closed_form_residuals=tuple(float(c) for c in closed),
                              extrapolated_imag=float(extrap.imag),
                              residual=float(residual),
-                             passed=bool(residual <= tol))
+                             passed=bool(residual <= COMMUTATION_TOL))
 
 
 @dataclass
@@ -683,8 +688,7 @@ class CenterTimeReport:
         return {"cases": [dict(c) for c in self.cases], "passed": self.passed}
 
 
-def center_time_check(theta=THETA_DEFAULT, box=6.0, points=32, sigma=2.0,
-                      tol=1e-10, contrast=1e-3):
+def center_time_check(theta=THETA_DEFAULT, box=6.0, points=32, sigma=2.0):
     """Time is central iff Theta has vanishing first row/column.
 
     Checks [f, h]_* for f = t exp(-t^2/sigma^2) against three Theta choices:
@@ -706,21 +710,16 @@ def center_time_check(theta=THETA_DEFAULT, box=6.0, points=32, sigma=2.0,
     mixed = ThetaMatrix.plane_block(theta, 3, axes=(0, 1))
 
     cases = []
-    ok = True
     for name, th in (("zero", zero), ("spatial_block", spatial),
                      ("time_space_block", mixed)):
         fh, _ = star_quadrature(f_time, h_gauss, th, pts, lat, slot="second")
         hf, _ = star_quadrature(h_gauss, f_time, th, pts, lat, slot="first")
         resid = float(np.max(np.abs(fh - hf)))
         central = th.commutative_time()
-        if central:
-            case_ok = resid <= tol
-        else:
-            case_ok = resid >= contrast
-        ok = ok and case_ok
+        case_ok = resid <= CENTER_TOL if central else resid >= CENTER_CONTRAST
         cases.append({"theta_case": name, "commutative_time": central,
                       "commutator_residual": resid, "ok": bool(case_ok)})
-    return CenterTimeReport(cases=cases, passed=bool(ok))
+    return CenterTimeReport(cases=cases, passed=all(c["ok"] for c in cases))
 
 
 def trace_check(theta=THETA_DEFAULT, box=7.0, points=96):
@@ -765,7 +764,10 @@ def involution_check(theta=THETA_DEFAULT, box=7.0, points=64):
 
 def run_moyal_suite(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,
                     quick=False):
-    """All star-product checks bundled for reporting; returns a dict."""
+    """All star-product checks; returns (checks, payload).
+
+    The payload holds every measured quantity; its "passed" is all checks.
+    """
     n = 8 if quick else truncation
     # projection integrands have twice the single-function spectral extent,
     # so the delta check keeps the fine grid even in quick mode
@@ -777,10 +779,26 @@ def run_moyal_suite(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,
     tr = trace_check(theta=theta, points=64)
     assoc = associativity_check(theta=theta)
     invol = involution_check(theta=theta)
-    passed = (delta.passed and cross.passed and comm.passed and center.passed
-              and gauss <= GAUSSIAN_TOL and tr <= TRACE_TOL
-              and assoc <= ASSOCIATIVITY_TOL and invol <= INVOLUTION_TOL)
-    return {
+    checks = (
+        Check("matrix basis delta algebra", delta.passed,
+              "projection %.3e, product %.3e"
+              % (delta.projection_residual, delta.product_residual)),
+        Check("engines agree on basis products", cross.passed,
+              "quadrature %.3e, twisted %.3e"
+              % (cross.quadrature_vs_basis, cross.twisted_vs_basis)),
+        Check("[x,y]_* = i theta (extrapolated)", comm.passed,
+              "residual %.3e" % comm.residual),
+        Check("time central iff Theta row 0 = 0", center.passed,
+              "; ".join("%s %.1e" % (c["theta_case"], c["commutator_residual"])
+                        for c in center.cases)),
+        Check("gaussian closed form", gauss <= GAUSSIAN_TOL,
+              "residual %.3e" % gauss),
+        Check("trace property", tr <= TRACE_TOL, "residual %.3e" % tr),
+        Check("associativity", assoc <= ASSOCIATIVITY_TOL,
+              "residual %.3e" % assoc),
+        Check("involution", invol <= INVOLUTION_TOL, "residual %.3e" % invol),
+    )
+    return checks, {
         "theta": float(theta),
         "delta_algebra": delta.to_dict(),
         "cross_engine": cross.to_dict(),
@@ -791,5 +809,5 @@ def run_moyal_suite(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,
         "associativity_residual": float(assoc),
         "involution_residual": float(invol),
         "membership": "assumed",
-        "passed": bool(passed),
+        "passed": all(c.passed for c in checks),
     }

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import Check
 from .clifford import build_gamma, chirality
 from .dirac import DiracOperator
 from .lattice import ScalarField, gradient
@@ -165,6 +166,11 @@ class EquivalenceReport:
     @property
     def agreement_rate(self):
         return self.agreements / self.samples if self.samples else 1.0
+
+    @property
+    def checks(self):
+        return (Check("steepness routes agree", not self.disagreements,
+                      "%d/%d agree" % (self.agreements, self.samples)),)
 
     def to_dict(self):
         return {

@@ -31,7 +31,7 @@ def test_gamma_algebra_exact():
     worst = 0.0
     for n in (2, 3, 4, 6):
         rep = build_gamma(n)
-        report = check_clifford(rep, tol=1e-12)
+        report = check_clifford(rep)
         worst = max(worst, report.max_residual)
         assert report.passed
 
@@ -147,7 +147,8 @@ def test_variational_distance_certified():
 
 def test_star_product_suite():
     start = time.perf_counter()
-    suite = run_moyal_suite(theta=0.5, truncation=16)
+    checks, suite = run_moyal_suite(theta=0.5, truncation=16)
+    assert suite["passed"] == all(c.passed for c in checks)
     delta = suite["delta_algebra"]
     assert delta["projection_residual"] <= 1e-10
     assert delta["product_residual"] <= 1e-10

@@ -4,6 +4,12 @@ import os
 import pytest
 
 from lorentzlab import cli
+from lorentzlab.clifford import build_gamma, check_clifford
+from lorentzlab.dirac import check_temporal_axioms, flat_operator
+from lorentzlab.distance import run_distance_suite
+from lorentzlab.filtration import run_filtration_suite
+from lorentzlab.moyal import run_moyal_suite
+from lorentzlab.steepness import equivalence_scan
 
 
 def run(argv, tmp_path, extra=()):
@@ -116,8 +122,13 @@ def test_dense_limit_guard(tmp_path, capsys):
     ("verify", {"u": "t-3"}),
     ("verify", {"u": "1/(t-3)"}),
     ("verify", {"u": "sqrt(t-3)"}),
+    ("distance", {"pairs": True}),
+    ("moyal", {"theta": True}),
+    ("verify", {"box": True}),
+    ("distance", {"dimension": 4, "points": 200}),
 ], ids=["out-type", "box-inf", "theta-nan", "quick-type", "u-negative",
-        "u-division-floor", "u-sqrt-negative"])
+        "u-division-floor", "u-sqrt-negative", "pairs-bool", "theta-bool",
+        "box-bool", "distance-sites"])
 def test_bad_config_fails_before_any_work(command, config, tmp_path,
                                           monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -128,3 +139,38 @@ def test_bad_config_fails_before_any_work(command, config, tmp_path,
     assert out == ""
     assert "config error:" in err
     assert list(tmp_path.iterdir()) == [path]
+
+
+def _verify_checks(points, u="1", boundary="periodic"):
+    checks = [c for n in (2, 3, 4, 6) for c in check_clifford(build_gamma(n)).checks]
+    op = flat_operator(2, points, boundary=boundary, u=u)
+    return checks + list(check_temporal_axioms(op, seed=42).checks)
+
+
+def _report_checks():
+    return (_verify_checks(12) + list(run_distance_suite(10, 2, 12, 42)[0])
+            + list(run_moyal_suite(quick=True)[0])
+            + list(run_filtration_suite(seed=42)[0])
+            + list(equivalence_scan(500, 42, dimension=2).checks))
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["verify", "--points", "12"], lambda: _verify_checks(12)),
+    (["verify", "--points", "12", "--boundary", "clamped", "--u", "1+0.1*t"],
+     lambda: _verify_checks(12, u="1+0.1*t", boundary="clamped")),
+    (["moyal", "--quick"], lambda: run_moyal_suite(quick=True)[0]),
+    (["filtration"], lambda: run_filtration_suite(seed=42)[0]),
+    (["distance", "--pairs", "10", "--points", "12"],
+     lambda: run_distance_suite(10, 2, 12, 42)[0]),
+    (["report", "--points", "12", "--pairs", "10"], _report_checks),
+], ids=["verify", "verify-failing", "moyal-quick", "filtration", "distance",
+        "report"])
+def test_cli_prints_exactly_the_suite_checks(argv, expected, tmp_path, capsys):
+    code = run(argv, tmp_path)
+    out = capsys.readouterr().out
+    checks = list(expected())
+    assert out == "".join(cli._line(c) + "\n" for c in checks)
+    passed = all(c.passed for c in checks)
+    payload = json.loads((tmp_path / (argv[0] + ".json")).read_text())
+    assert payload["passed"] is passed
+    assert code == (cli.EXIT_OK if passed else cli.EXIT_CHECK_FAILED)

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
-from lorentzlab.clifford import build_gamma, max_abs
-from lorentzlab.dirac import (DENSE_LIMIT, DiracOperator, check_temporal_axioms,
-                              elliptic_square, flat_operator)
+from lorentzlab.clifford import build_gamma, fundamental_symmetry, max_abs
+from lorentzlab.dirac import (DENSE_LIMIT, RECIPROCAL_TOL, DiracOperator,
+                              check_temporal_axioms, elliptic_square,
+                              flat_operator)
 from lorentzlab.lattice import Lattice, ScalarField, SpinorField
 
 
@@ -91,6 +95,34 @@ def test_varying_u_reports_honest_defect():
     assert any("non-constant" in note for note in rep.notes)
     assert rep.reciprocal_residual <= 1e-13     # pointwise identity still exact
     assert rep.u_square_deviation <= 1e-13
+
+
+def test_reciprocal_residual_above_bound_fails():
+    rep = check_temporal_axioms(flat_operator(2, 8), seed=0)
+    assert rep.passed
+    bad = dataclasses.replace(rep, reciprocal_residual=2.0 * RECIPROCAL_TOL)
+    assert not bad.passed
+    assert [c.name for c in bad.checks if not c.passed] == ["u_ax * u_metric = 1"]
+
+
+@pytest.mark.parametrize("dim,points", [(2, 6), (4, 3)])
+def test_block_products_match_dense_oracles(dim, points):
+    # K = [D,T] and J act per site; the suite never forms them as n x n
+    # matrices, and the dense block-diagonal products must agree exactly
+    op = flat_operator(dim, points, box=((-3.0, 3.0),) * dim,
+                       boundary="clamped", u="1 + 0.1*t")
+    rep = check_temporal_axioms(op, seed=0)
+    s = op.spinor_dim
+    d = op.dense_matrix()
+    k = block_diag(*op.temporal_commutator().values.reshape(-1, s, s))
+    j = np.kron(np.eye(op.lattice.site_count), fundamental_symmetry(op.rep))
+    kd, dk, jd = k @ d, d @ k, j @ d
+    assert rep.skew_residual == max_abs(op.weighted_adjoint(kd) + kd)
+    assert rep.krein_skew_residual == max_abs(op.weighted_adjoint(jd) + jd)
+    assert rep.krein_equiv_residual == max_abs(op.weighted_adjoint(d) + j @ d @ j)
+    m = -0.5 * (dk @ dk + kd @ kd)
+    assert np.array_equal(elliptic_square(op), m)
+    assert rep.elliptic_hermiticity == max_abs(m - m.conj().T)
 
 
 def test_elliptic_square_positive_with_zero_mode():
