@@ -93,7 +93,13 @@ def _has_type(value, kind):
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def validate_config(cfg, need_dense=False):
+# commands held to dirac.DENSE_LIMIT, and commands whose steepness
+# certificates need the chirality matrix (even dimensions only)
+DENSE_COMMANDS = ("verify", "report")
+EVEN_COMMANDS = ("distance", "report")
+
+
+def validate_config(cfg, command):
     errors = []
     valid = set()
     for f in fields(RunConfig):
@@ -129,6 +135,10 @@ def validate_config(cfg, need_dense=False):
                                                sorted(allowed)))
             except ExpressionError as exc:
                 errors.append("candidate %r does not parse: %s" % (cand, exc))
+    if command in EVEN_COMMANDS and "dimension" in valid and cfg.dimension % 2:
+        errors.append("%s needs an even dimension (chirality), got %d"
+                      % (command, cfg.dimension))
+    need_dense = command in DENSE_COMMANDS
     if not errors and cfg.points ** cfg.dimension > dirac.SITE_LIMIT:
         errors.append("lattice too large: %d^%d sites > %d"
                       % (cfg.points, cfg.dimension, dirac.SITE_LIMIT))
@@ -333,7 +343,7 @@ def main(argv=None):
     overrides = {k: v for k, v in vars(args).items()
                  if k in CONFIG_KEYS and v is not None}
     cfg, errors = load_config(getattr(args, "config", None), overrides)
-    errors += validate_config(cfg, need_dense=args.command in ("verify", "report"))
+    errors += validate_config(cfg, args.command)
     if errors:
         for err in errors:
             print("config error: %s" % err, file=sys.stderr)

@@ -78,6 +78,20 @@ def test_temporal_axiom_suite():
     assert elapsed < 10.0
 
 
+def test_temporal_axiom_suite_4d():
+    # 5^4 sites x 4 spinor components: the sparse D and momentum blocks
+    # replace dense 2500^2 products and a 2500^2 eigvalsh
+    start = time.perf_counter()
+    rep = check_temporal_axioms(flat_operator(4, 5), seed=0)
+    elapsed = time.perf_counter() - start
+    failed = [c.name for c in rep.checks if not c.passed]
+    _criterion("temporal axiom suite (4-d, 5^4 sites)", not failed,
+               "min <D>^2 eigenvalue %.3e, %.2fs"
+               % (rep.elliptic_min_eigenvalue, elapsed))
+    assert len(rep.checks) == 7
+    assert elapsed < 1.0
+
+
 def test_steepness_route_equivalence():
     start = time.perf_counter()
     total_disagree = 0

@@ -126,9 +126,12 @@ def test_dense_limit_guard(tmp_path, capsys):
     ("moyal", {"theta": True}),
     ("verify", {"box": True}),
     ("distance", {"dimension": 4, "points": 200}),
+    ("distance", {"dimension": 3, "points": 40, "pairs": 1}),
+    ("report", {"dimension": 3, "points": 6}),
 ], ids=["out-type", "box-inf", "theta-nan", "quick-type", "u-negative",
         "u-division-floor", "u-sqrt-negative", "pairs-bool", "theta-bool",
-        "box-bool", "distance-sites"])
+        "box-bool", "distance-sites", "distance-odd-dimension",
+        "report-odd-dimension"])
 def test_bad_config_fails_before_any_work(command, config, tmp_path,
                                           monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

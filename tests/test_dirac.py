@@ -1,13 +1,16 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import block_diag
 
+from lorentzlab import dirac
 from lorentzlab.clifford import build_gamma, fundamental_symmetry, max_abs
-from lorentzlab.dirac import (DENSE_LIMIT, RECIPROCAL_TOL, DiracOperator,
-                              check_temporal_axioms, elliptic_square,
-                              flat_operator)
+from lorentzlab.dirac import (DENSE_LIMIT, RECIPROCAL_TOL, AxiomReport,
+                              DiracOperator, check_temporal_axioms,
+                              elliptic_square, flat_operator)
 from lorentzlab.lattice import Lattice, ScalarField, SpinorField
 
 
@@ -105,10 +108,15 @@ def test_reciprocal_residual_above_bound_fails():
     assert [c.name for c in bad.checks if not c.passed] == ["u_ax * u_metric = 1"]
 
 
+# Sparse products sum in a different order from zgemm; measured entry
+# differences stay below 2.2 ulps of max|<D>^2| on these lattices.
+ELLIPTIC_ULPS = 4
+
+
 @pytest.mark.parametrize("dim,points", [(2, 6), (4, 3)])
 def test_block_products_match_dense_oracles(dim, points):
-    # K = [D,T] and J act per site; the suite never forms them as n x n
-    # matrices, and the dense block-diagonal products must agree exactly
+    # K = [D,T] and J act per site; the suite's sparse products must agree
+    # exactly with the dense block-diagonal products of the dense oracle
     op = flat_operator(dim, points, box=((-3.0, 3.0),) * dim,
                        boundary="clamped", u="1 + 0.1*t")
     rep = check_temporal_axioms(op, seed=0)
@@ -117,17 +125,87 @@ def test_block_products_match_dense_oracles(dim, points):
     k = block_diag(*op.temporal_commutator().values.reshape(-1, s, s))
     j = np.kron(np.eye(op.lattice.site_count), fundamental_symmetry(op.rep))
     kd, dk, jd = k @ d, d @ k, j @ d
+    sd = op.sparse_matrix()
+    sk = dirac._site_blocks(op.temporal_commutator().values)
+    sj = sp.csr_matrix(j)
+    assert np.array_equal(sd.toarray(), d)
+    assert np.array_equal((sk @ sd).toarray(), kd)
+    assert np.array_equal((sd @ sk).toarray(), dk)
+    assert np.array_equal((sj @ sd).toarray(), jd)
     assert rep.skew_residual == max_abs(op.weighted_adjoint(kd) + kd)
     assert rep.krein_skew_residual == max_abs(op.weighted_adjoint(jd) + jd)
     assert rep.krein_equiv_residual == max_abs(op.weighted_adjoint(d) + j @ d @ j)
+    # <D>^2: exact against the sparse product of the oracle operands, and
+    # within a few ulps of the zgemm product
+    pd, pk = sp.csr_matrix(d), sp.csr_matrix(k)
+    pdk, pkd = pd @ pk, pk @ pd
+    want = -0.5 * (pdk @ pdk + pkd @ pkd)
+    got = elliptic_square(op)
+    assert np.array_equal(got.toarray(), want.toarray())
+    assert rep.elliptic_hermiticity == max_abs(want - want.conj().T)
     m = -0.5 * (dk @ dk + kd @ kd)
-    assert np.array_equal(elliptic_square(op), m)
-    assert rep.elliptic_hermiticity == max_abs(m - m.conj().T)
+    eps = np.finfo(float).eps
+    assert max_abs(got.toarray() - m) <= ELLIPTIC_ULPS * eps * max_abs(m)
+
+
+@pytest.mark.parametrize("dim,boundary,u", list(itertools.product(
+    (2, 3, 4), ("periodic", "clamped"), (None, "1 + 0.1*t"))))
+def test_sparse_matrix_equals_dense_oracle(dim, boundary, u):
+    points = {2: 6, 3: 4, 4: 3}[dim]
+    op = flat_operator(dim, points, box=((-3.0, 3.0),) * dim,
+                       boundary=boundary, u=u)
+    assert np.array_equal(op.sparse_matrix().toarray(), op.dense_matrix())
+
+
+@pytest.mark.parametrize("dim,points,u", [
+    (2, 8, "1"), (2, 6, "1 + 0.1*t"), (3, 4, "1 + 0.1*t"), (4, 3, "1"),
+    (4, 3, "1 + 0.1*t"), (3, 6, "2+sin(t)")])
+def test_momentum_blocks_match_dense_eigenvalues(dim, points, u):
+    op = flat_operator(dim, points, u=u)
+    m = elliptic_square(op).toarray()
+    want = np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min()
+    rep = check_temporal_axioms(op, seed=0)
+    assert abs(rep.elliptic_min_eigenvalue - want) <= 1e-12
+    blocks = dirac._momentum_blocks(op)
+    assert blocks.shape == (points ** (dim - 1),) + (points * op.spinor_dim,) * 2
+    if u == "2+sin(t)":     # the failing 3-d CLI config
+        assert rep.elliptic_min_eigenvalue == pytest.approx(-5.0554e-3, abs=1e-7)
+        assert not rep.passed
+
+
+def test_periodic_suite_needs_no_dense_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense_matrix called")
+    monkeypatch.setattr(DiracOperator, "dense_matrix", refuse)
+    rep = check_temporal_axioms(flat_operator(4, 5), seed=0)
+    assert rep.passed
+
+
+def test_clamped_elliptic_check_keeps_dense_limit():
+    op = flat_operator(2, 64, boundary="clamped")
+    assert op.dense_dim > DENSE_LIMIT
+    with pytest.raises(ValueError, match="dense"):
+        check_temporal_axioms(op)
+    rep = check_temporal_axioms(op, include_elliptic=False)
+    assert rep.elliptic_min_eigenvalue is None
+
+
+def test_tolerances_record_every_bound_of_the_checks(monkeypatch):
+    # every threshold constant the checks read must appear in `tolerances`
+    names = [n for n in AxiomReport.checks.fget.__code__.co_names
+             if n.endswith(("_TOL", "_FLOOR"))]
+    assert len(names) == 8
+    for i, name in enumerate(names):
+        sentinel = 0.125 + i
+        with monkeypatch.context() as mp:
+            mp.setattr(dirac, name, sentinel)
+            rep = check_temporal_axioms(flat_operator(2, 4), seed=0)
+        assert sentinel in rep.tolerances.values(), name
 
 
 def test_elliptic_square_positive_with_zero_mode():
     op = flat_operator(2, 8)
-    m = elliptic_square(op)
+    m = elliptic_square(op).toarray()
     herm = max_abs(m - m.conj().T)
     assert herm <= 1e-12
     eigs = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
