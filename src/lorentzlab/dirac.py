@@ -10,10 +10,11 @@ only), and the metric measure is sqrt(u) * cell weight; adjoints are taken
 with respect to that weighted inner product.
 
 The axiom suite works on D as a scipy.sparse matrix assembled from the
-one-dimensional stencils of `lattice.gradient`; the probe-built
-`dense_matrix` is kept as the independent oracle it is tested against.  On
-a periodic lattice D commutes with spatial translations (u depends on t
-only), so the spectrum of <D>^2 is computed one spatial momentum at a time.
+one-dimensional stencils of `lattice.gradient`.  The probe-built
+`dense_matrix` is the independent route it is checked against: by the tests,
+and by the suite itself up to ORACLE_LIMIT dense dimensions.  On a periodic
+lattice D commutes with spatial translations (u depends on t only), so the
+spectrum of <D>^2 is computed one spatial momentum at a time.
 
 The temporal element T is the time coordinate *with its analytic gradient*
 dT = dt: its commutator symbol [D,T](x) = -i gamma^0 u^{-1/2}(x) is exact per
@@ -28,12 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import block_diag
 
 from .checks import Check
 from .clifford import GammaRep, build_gamma, fundamental_symmetry, max_abs
 from .lattice import Lattice, ScalarField, SpinorField, gradient
 
 DENSE_LIMIT = 4096
+ORACLE_LIMIT = 512       # dense_dim up to which the suite probes dense_matrix
 SITE_LIMIT = 65536       # lattice sites any command may allocate fields on
 
 HERMITICITY_TOL = 1e-12
@@ -44,6 +47,7 @@ KREIN_TOL = 1e-12
 COMMUTE_TOL = 1e-13
 ELLIPTIC_EIG_FLOOR = -1e-10
 ELLIPTIC_HERM_TOL = 1e-12
+ASSEMBLY_TOL = 0.0       # the sparse D equals the probe-built D entry for entry
 
 
 @dataclass(frozen=True)
@@ -168,9 +172,7 @@ class DiracOperator:
     def dense_matrix(self):
         """Dense matrix of D in row-major (site, spinor) order."""
         n = self.dense_dim
-        if n > DENSE_LIMIT:
-            raise ValueError("dense matrix would be %d^2; limit is %d^2 "
-                             "(use a coarser lattice)" % (n, DENSE_LIMIT))
+        _require_dense(n, "dense matrix")
         s = self.spinor_dim
         out = np.zeros((n, n), dtype=complex)
         basis = np.zeros(self.lattice.shape + (s,), dtype=complex)
@@ -193,6 +195,12 @@ class DiracOperator:
             return sp.csr_matrix((b.data * w[b.col] / w[b.row], (b.row, b.col)),
                                  shape=b.shape)
         return (a.conj().T * w[None, :]) / w[:, None]
+
+
+def _require_dense(n, what):
+    if n > DENSE_LIMIT:
+        raise ValueError("%s would be %d^2; limit is %d^2 "
+                         "(use a coarser lattice)" % (what, n, DENSE_LIMIT))
 
 
 def _stencil(n, h, boundary):
@@ -249,6 +257,7 @@ class AxiomReport:
     commute_residual: float
     elliptic_hermiticity: float = None
     elliptic_min_eigenvalue: float = None
+    assembly_residual: float = None  # max |sparse D - probe-built D|
     adjoints_exact: bool = True    # False on clamped lattices
     notes: tuple = ()
     tolerances: dict = field(default_factory=dict)
@@ -287,6 +296,10 @@ class AxiomReport:
                 self.elliptic_hermiticity <= ELLIPTIC_HERM_TOL
                 and self.elliptic_min_eigenvalue >= ELLIPTIC_EIG_FLOOR,
                 "min eigenvalue %.3e" % self.elliptic_min_eigenvalue))
+        if self.assembly_residual is not None:
+            checks.append(Check("sparse D equals probe-built D",
+                                self.assembly_residual <= ASSEMBLY_TOL,
+                                "residual %.3e" % self.assembly_residual))
         return tuple(checks)
 
     @property
@@ -318,9 +331,10 @@ def _elliptic_square(d, k):
 
 
 def elliptic_square(D: DiracOperator, T: TemporalElement = None):
-    """<D>^2 = -1/2 (D K D K + K D K D) with K = [D,T], as a sparse CSR matrix."""
+    """<D>^2 = -1/2 (D K D K + K D K D) with K = [D,T], as a dense matrix."""
+    _require_dense(D.dense_dim, "<D>^2")
     return _elliptic_square(D.sparse_matrix(),
-                            _site_blocks(D.temporal_commutator(T).values))
+                            _site_blocks(D.temporal_commutator(T).values)).toarray()
 
 
 def _momentum_blocks(D, T=None):
@@ -346,7 +360,7 @@ def _momentum_blocks(D, T=None):
     spatial = np.stack([np.kron(np.eye(nt), g) for g in D.rep.matrices[1:]])
     # -i (e0 d_t gamma^0 + sum_i (i sin_i / h_i) gamma^i)
     d = -1j * time_part + np.einsum("pi,iab->pab", sines, spatial)
-    k = _site_blocks(D.temporal_commutator(T).values[first]).toarray()
+    k = block_diag(*D.temporal_commutator(T).values[first])
     return _elliptic_square(d, k)
 
 
@@ -354,16 +368,17 @@ def check_temporal_axioms(D: DiracOperator, T: TemporalElement = None,
                           samples=3, seed=0, include_elliptic=True):
     """Run the axiom residual suite on the sparse D.
 
-    The smallest eigenvalue of <D>^2 comes from `_momentum_blocks` on a
-    periodic lattice; on a clamped lattice it needs a dense eigvalsh, so
-    there the elliptic check requires dense_dim <= DENSE_LIMIT.
+    Up to ORACLE_LIMIT dense dimensions the sparse D is also compared with
+    the probe-built `dense_matrix`.  The smallest eigenvalue of <D>^2 comes
+    from `_momentum_blocks` on a periodic lattice; on a clamped lattice it
+    needs a dense eigvalsh, so there the elliptic check requires
+    dense_dim <= DENSE_LIMIT.
     """
     lat = D.lattice
     s = D.spinor_dim
     periodic = lat.boundary == "periodic"
-    if include_elliptic and not periodic and D.dense_dim > DENSE_LIMIT:
-        raise ValueError("dense eigvalsh would be %d^2; limit is %d^2 "
-                         "(use a coarser lattice)" % (D.dense_dim, DENSE_LIMIT))
+    if include_elliptic and not periodic:
+        _require_dense(D.dense_dim, "dense eigvalsh")
     K = D.temporal_commutator(T)
 
     herm = K.hermiticity_residual()
@@ -375,6 +390,9 @@ def check_temporal_axioms(D: DiracOperator, T: TemporalElement = None,
     recip = float(np.max(np.abs(c * D.u - 1.0)))
 
     d = D.sparse_matrix()
+    assembly = None
+    if D.dense_dim <= ORACLE_LIMIT:
+        assembly = max_abs(d.toarray() - D.dense_matrix())
     k = _site_blocks(K.values)
     kd = k @ d
     skew = max_abs(D.weighted_adjoint(kd) + kd)
@@ -415,6 +433,9 @@ def check_temporal_axioms(D: DiracOperator, T: TemporalElement = None,
         notes.append("non-constant u(t): continuum skew-self-adjointness of "
                      "[D,T]D acquires a bounded defect ~ d(u^{-1/2}); residual "
                      "reported honestly")
+    if assembly is None:
+        notes.append("dense_dim %d > %d: sparse D not compared with the "
+                     "probe-built dense_matrix" % (D.dense_dim, ORACLE_LIMIT))
     notes.append("u_ax = [D,T]^2 = -g^00 = 1/u_metric; both conventions reported")
 
     return AxiomReport(
@@ -431,6 +452,7 @@ def check_temporal_axioms(D: DiracOperator, T: TemporalElement = None,
         commute_residual=commute,
         elliptic_hermiticity=ell_herm,
         elliptic_min_eigenvalue=ell_min,
+        assembly_residual=assembly,
         adjoints_exact=(periodic and uvar <= 1e-12),
         notes=tuple(notes),
         tolerances={
@@ -442,6 +464,7 @@ def check_temporal_axioms(D: DiracOperator, T: TemporalElement = None,
             "commute": COMMUTE_TOL,
             "elliptic_hermiticity": ELLIPTIC_HERM_TOL,
             "elliptic_floor": ELLIPTIC_EIG_FLOOR,
+            "assembly": ASSEMBLY_TOL,
         },
     )
 

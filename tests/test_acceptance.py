@@ -7,7 +7,7 @@ import numpy as np
 from lorentzlab import cli
 from lorentzlab.clifford import (build_gamma, check_clifford, chirality,
                                  fundamental_symmetry, krein_adjoint, max_abs)
-from lorentzlab.dirac import check_temporal_axioms, flat_operator
+from lorentzlab.dirac import DiracOperator, check_temporal_axioms, flat_operator
 from lorentzlab.distance import (boosted_candidate_expressions,
                                  boosted_family_distance, minkowski_oracle,
                                  variational_distance)
@@ -78,9 +78,13 @@ def test_temporal_axiom_suite():
     assert elapsed < 10.0
 
 
-def test_temporal_axiom_suite_4d():
+def test_temporal_axiom_suite_4d(monkeypatch):
     # 5^4 sites x 4 spinor components: the sparse D and momentum blocks
-    # replace dense 2500^2 products and a 2500^2 eigvalsh
+    # replace dense 2500^2 products and a 2500^2 eigvalsh, and no dense
+    # route to D is taken
+    def refuse(self):
+        raise AssertionError("dense_matrix called")
+    monkeypatch.setattr(DiracOperator, "dense_matrix", refuse)
     start = time.perf_counter()
     rep = check_temporal_axioms(flat_operator(4, 5), seed=0)
     elapsed = time.perf_counter() - start

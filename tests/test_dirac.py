@@ -8,9 +8,10 @@ from scipy.linalg import block_diag
 
 from lorentzlab import dirac
 from lorentzlab.clifford import build_gamma, fundamental_symmetry, max_abs
-from lorentzlab.dirac import (DENSE_LIMIT, RECIPROCAL_TOL, AxiomReport,
-                              DiracOperator, check_temporal_axioms,
-                              elliptic_square, flat_operator)
+from lorentzlab.dirac import (DENSE_LIMIT, ORACLE_LIMIT, RECIPROCAL_TOL,
+                              AxiomReport, DiracOperator,
+                              check_temporal_axioms, elliptic_square,
+                              flat_operator)
 from lorentzlab.lattice import Lattice, ScalarField, SpinorField
 
 
@@ -141,11 +142,11 @@ def test_block_products_match_dense_oracles(dim, points):
     pdk, pkd = pd @ pk, pk @ pd
     want = -0.5 * (pdk @ pdk + pkd @ pkd)
     got = elliptic_square(op)
-    assert np.array_equal(got.toarray(), want.toarray())
+    assert np.array_equal(got, want.toarray())
     assert rep.elliptic_hermiticity == max_abs(want - want.conj().T)
     m = -0.5 * (dk @ dk + kd @ kd)
     eps = np.finfo(float).eps
-    assert max_abs(got.toarray() - m) <= ELLIPTIC_ULPS * eps * max_abs(m)
+    assert max_abs(got - m) <= ELLIPTIC_ULPS * eps * max_abs(m)
 
 
 @pytest.mark.parametrize("dim,boundary,u", list(itertools.product(
@@ -162,7 +163,7 @@ def test_sparse_matrix_equals_dense_oracle(dim, boundary, u):
     (4, 3, "1 + 0.1*t"), (3, 6, "2+sin(t)")])
 def test_momentum_blocks_match_dense_eigenvalues(dim, points, u):
     op = flat_operator(dim, points, u=u)
-    m = elliptic_square(op).toarray()
+    m = elliptic_square(op)
     want = np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min()
     rep = check_temporal_axioms(op, seed=0)
     assert abs(rep.elliptic_min_eigenvalue - want) <= 1e-12
@@ -173,12 +174,26 @@ def test_momentum_blocks_match_dense_eigenvalues(dim, points, u):
         assert not rep.passed
 
 
-def test_periodic_suite_needs_no_dense_matrix(monkeypatch):
-    def refuse(self):
-        raise AssertionError("dense_matrix called")
-    monkeypatch.setattr(DiracOperator, "dense_matrix", refuse)
-    rep = check_temporal_axioms(flat_operator(4, 5), seed=0)
-    assert rep.passed
+def test_suite_compares_sparse_d_with_probe_oracle(monkeypatch):
+    op = flat_operator(2, 6)
+    rep = check_temporal_axioms(op, seed=0)
+    assert rep.passed and rep.assembly_residual == 0.0
+    assert rep.checks[-1].name == "sparse D equals probe-built D"
+    assembled = DiracOperator.sparse_matrix
+
+    def perturbed(self):
+        d = assembled(self)
+        d.data[0] += 1e-15
+        return d
+    monkeypatch.setattr(DiracOperator, "sparse_matrix", perturbed)
+    bad = check_temporal_axioms(op, seed=0)
+    assert [c.name for c in bad.checks if not c.passed] == \
+        ["sparse D equals probe-built D"]
+    big = flat_operator(2, 20)
+    assert big.dense_dim > ORACLE_LIMIT
+    rep = check_temporal_axioms(big, seed=0, include_elliptic=False)
+    assert rep.assembly_residual is None
+    assert "sparse D equals probe-built D" not in [c.name for c in rep.checks]
 
 
 def test_clamped_elliptic_check_keeps_dense_limit():
@@ -186,6 +201,8 @@ def test_clamped_elliptic_check_keeps_dense_limit():
     assert op.dense_dim > DENSE_LIMIT
     with pytest.raises(ValueError, match="dense"):
         check_temporal_axioms(op)
+    with pytest.raises(ValueError, match="limit"):
+        elliptic_square(op)
     rep = check_temporal_axioms(op, include_elliptic=False)
     assert rep.elliptic_min_eigenvalue is None
 
@@ -194,7 +211,7 @@ def test_tolerances_record_every_bound_of_the_checks(monkeypatch):
     # every threshold constant the checks read must appear in `tolerances`
     names = [n for n in AxiomReport.checks.fget.__code__.co_names
              if n.endswith(("_TOL", "_FLOOR"))]
-    assert len(names) == 8
+    assert len(names) == 9
     for i, name in enumerate(names):
         sentinel = 0.125 + i
         with monkeypatch.context() as mp:
@@ -205,7 +222,7 @@ def test_tolerances_record_every_bound_of_the_checks(monkeypatch):
 
 def test_elliptic_square_positive_with_zero_mode():
     op = flat_operator(2, 8)
-    m = elliptic_square(op).toarray()
+    m = elliptic_square(op)
     herm = max_abs(m - m.conj().T)
     assert herm <= 1e-12
     eigs = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
