@@ -349,7 +349,12 @@ def main(argv=None):
             print("config error: %s" % err, file=sys.stderr)
         return EXIT_CONFIG
 
-    out = _outdir(cfg)
+    try:
+        out = _outdir(cfg)
+    except OSError as exc:
+        print("config error: cannot create output directory: %s" % exc,
+              file=sys.stderr)
+        return EXIT_CONFIG
     try:
         checks, payload, *rows = RUNS[args.command](cfg)
     except (ExpressionError, ValueError) as exc:

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import block_diag
 
 from .checks import Check
 from .clifford import GammaRep, build_gamma, fundamental_symmetry, max_abs
@@ -337,6 +336,14 @@ def elliptic_square(D: DiracOperator, T: TemporalElement = None):
                             _site_blocks(D.temporal_commutator(T).values)).toarray()
 
 
+def _block_diagonal(blocks):
+    """Dense (n s)^2 matrix with the n blocks of shape (s, s) on its diagonal."""
+    n, s, _ = blocks.shape
+    out = np.zeros((n, s, n, s), dtype=blocks.dtype)
+    out[np.arange(n), :, np.arange(n), :] = blocks
+    return out.reshape(n * s, n * s)
+
+
 def _momentum_blocks(D, T=None):
     """<D>^2 on a periodic lattice as one (N_t s)^2 block per spatial momentum.
 
@@ -360,7 +367,7 @@ def _momentum_blocks(D, T=None):
     spatial = np.stack([np.kron(np.eye(nt), g) for g in D.rep.matrices[1:]])
     # -i (e0 d_t gamma^0 + sum_i (i sin_i / h_i) gamma^i)
     d = -1j * time_part + np.einsum("pi,iab->pab", sines, spatial)
-    k = block_diag(*D.temporal_commutator(T).values[first])
+    k = _block_diagonal(D.temporal_commutator(T).values[first])
     return _elliptic_square(d, k)
 
 

@@ -20,7 +20,6 @@ metrics -u(t) dt^2 + dx^2 along pure time displacements.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import expressions
 from .checks import Check
@@ -179,6 +178,7 @@ def conformal_time_distance(t0, t1, u="1"):
         if not float(u_fn(ts)) > 0.0:
             raise ValueError("u(t) must be positive on [t0, t1]; "
                              "u(%r) = %r" % (ts, float(u_fn(ts))))
+    from scipy.integrate import quad    # deferred: it also loads scipy.optimize
     val, err = quad(lambda s: np.sqrt(float(u_fn(s))), t0, t1,
                     epsabs=1e-12, epsrel=1e-12, limit=200)
     return DistanceResult(float(val), "conformal",

@@ -32,7 +32,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
 from . import expressions
 from .checks import Check
@@ -394,6 +393,34 @@ def star_twisted(f, h, lat, theta):
 # ------------------------------------------------------- matrix-basis engine
 
 
+def _genlaguerre(m, k, xi):
+    """Generalized Laguerre L_m^k(xi) for integers m, k >= 0.
+
+    The same operations, in the same order, as scipy.special.eval_genlaguerre
+    for an integer degree: the d/p recurrence, then binom(m+k, m) by the
+    multiplication formula over min(m, k) factors, the branch scipy's binom
+    takes while min(m, k) < 20; its rescaling of products above 1e50 needs
+    m + k in the hundreds and is left out.  So the two agree bit for bit on
+    every order the basis uses.
+    """
+    if m == 0:
+        return np.ones_like(xi)
+    if m == 1:
+        return -xi + k + 1
+    d = -xi / (k + 1)
+    p = d + 1
+    for j in range(1, m):
+        c = j + k + 1.0
+        d = -xi / c * p + (j / c) * d
+        p = d + p
+    num = den = 1.0
+    small = min(m, k)
+    for i in range(1, small + 1):
+        num *= i + float(m + k) - small
+        den *= i
+    return num / den * p
+
+
 def basis_values(m, n, theta, x, y):
     """Landau basis function f_mn evaluated at arbitrary points."""
     if theta <= 0:
@@ -405,7 +432,7 @@ def basis_values(m, n, theta, x, y):
     k = n - m
     xi = 2.0 * (x * x + y * y) / theta
     pref = 2.0 * ((-1.0) ** m) * math.sqrt(math.factorial(m) / math.factorial(n))
-    radial = pref * xi ** (k / 2.0) * eval_genlaguerre(m, k, xi) * np.exp(-xi / 2.0)
+    radial = pref * xi ** (k / 2.0) * _genlaguerre(m, k, xi) * np.exp(-xi / 2.0)
     if k == 0:
         return radial.astype(complex)
     return radial * np.exp(1j * k * np.arctan2(y, x))

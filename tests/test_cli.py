@@ -128,10 +128,12 @@ def test_dense_limit_guard(tmp_path, capsys):
     ("distance", {"dimension": 4, "points": 200}),
     ("distance", {"dimension": 3, "points": 40, "pairs": 1}),
     ("report", {"dimension": 3, "points": 6}),
+    ("filtration", {"out": "cfg.json/x"}),
+    ("verify", {"points": 4, "out": "cfg.json"}),
 ], ids=["out-type", "box-inf", "theta-nan", "quick-type", "u-negative",
         "u-division-floor", "u-sqrt-negative", "pairs-bool", "theta-bool",
         "box-bool", "distance-sites", "distance-odd-dimension",
-        "report-odd-dimension"])
+        "report-odd-dimension", "out-under-a-file", "out-is-a-file"])
 def test_bad_config_fails_before_any_work(command, config, tmp_path,
                                           monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

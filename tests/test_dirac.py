@@ -174,6 +174,14 @@ def test_momentum_blocks_match_dense_eigenvalues(dim, points, u):
         assert not rep.passed
 
 
+@pytest.mark.parametrize("dim,points,u", [(2, 6, "1 + 0.1*t"), (4, 3, "2+sin(t)")])
+def test_block_diagonal_equals_scipy_block_diag(dim, points, u):
+    op = flat_operator(dim, points, u=u)
+    first = (slice(None),) + (0,) * (dim - 1)
+    blocks = op.temporal_commutator().values[first]
+    assert np.array_equal(dirac._block_diagonal(blocks), block_diag(*blocks))
+
+
 def test_suite_compares_sparse_d_with_probe_oracle(monkeypatch):
     op = flat_operator(2, 6)
     rep = check_temporal_axioms(op, seed=0)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre
 
 from lorentzlab.lattice import Lattice
-from lorentzlab.moyal import (MoyalElement, ThetaMatrix, associativity_check,
+from lorentzlab.moyal import (MoyalElement, ThetaMatrix, _genlaguerre,
+                              associativity_check,
                               basis_field, basis_values, center_time_check,
                               commutation_check, cross_engine_check,
                               damped_commutator_closed_form,
@@ -159,6 +161,33 @@ def test_ground_state_profile():
     f00 = basis_values(0, 0, THETA, x, y)
     want = 2.0 * np.exp(-(x * x + y * y) / THETA)
     assert np.max(np.abs(f00 - want)) <= 1e-13
+
+
+def _laguerre_points():
+    # xi = 2 r^2 / theta on the delta check's grid (box 7, 96^2 sites), plus
+    # the origin and points far out in the Gaussian tail
+    lat = moyal_grid()
+    x, y = lat.coordinate_array(0), lat.coordinate_array(1)
+    xi = 2.0 * (x * x + y * y) / THETA
+    return np.concatenate([xi.reshape(-1), [0.0, 250.0, 1e3, 1e4]])
+
+
+def test_genlaguerre_equals_scipy_bitwise():
+    # every (m, k) the basis reaches at the largest accepted truncation, 32
+    xi = _laguerre_points()
+    for m in range(33):
+        for k in range(33 - m):
+            assert np.array_equal(_genlaguerre(m, k, xi),
+                                  eval_genlaguerre(m, k, xi)), (m, k)
+
+
+def test_genlaguerre_high_orders_match_scipy():
+    # from min(m, k) = 20 on scipy's binom leaves the multiplication formula
+    xi = _laguerre_points()
+    for m, k in [(33, 0), (0, 33), (7, 30), (20, 20), (24, 21), (22, 26)]:
+        np.testing.assert_allclose(_genlaguerre(m, k, xi),
+                                   eval_genlaguerre(m, k, xi),
+                                   rtol=1e-12, atol=0, err_msg=str((m, k)))
 
 
 def test_basis_conjugate_symmetry():
