@@ -93,9 +93,10 @@ def _has_type(value, kind):
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-# commands held to dirac.DENSE_LIMIT, and commands whose steepness
-# certificates need the chirality matrix (even dimensions only)
-DENSE_COMMANDS = ("verify", "report")
+# commands that run the axiom suite (held to dirac.DENSE_LIMIT on clamped
+# lattices and to dirac.MOMENTUM_BYTES_LIMIT on periodic ones), and commands
+# whose steepness certificates need the chirality matrix (even dimensions)
+AXIOM_COMMANDS = ("verify", "report")
 EVEN_COMMANDS = ("distance", "report")
 
 
@@ -138,19 +139,25 @@ def validate_config(cfg, command):
     if command in EVEN_COMMANDS and "dimension" in valid and cfg.dimension % 2:
         errors.append("%s needs an even dimension (chirality), got %d"
                       % (command, cfg.dimension))
-    need_dense = command in DENSE_COMMANDS
+    axioms = command in AXIOM_COMMANDS
     if not errors and cfg.points ** cfg.dimension > dirac.SITE_LIMIT:
         errors.append("lattice too large: %d^%d sites > %d"
                       % (cfg.points, cfg.dimension, dirac.SITE_LIMIT))
-    if need_dense and not errors:
+    if axioms and not errors:
         spinor = 2 ** (cfg.dimension // 2)
         dense = cfg.points ** cfg.dimension * spinor
-        if dense > dirac.DENSE_LIMIT:
+        blocks = dirac.momentum_block_bytes((cfg.points,) * cfg.dimension, spinor)
+        if cfg.boundary == "clamped" and dense > dirac.DENSE_LIMIT:
             errors.append("lattice too large for dense verification: "
                           "%d^%d sites x %d spinor components = %d > %d"
                           % (cfg.points, cfg.dimension, spinor, dense,
                              dirac.DENSE_LIMIT))
-    if need_dense and not errors:
+        elif cfg.boundary == "periodic" and blocks > dirac.MOMENTUM_BYTES_LIMIT:
+            errors.append("lattice too large for the <D>^2 momentum blocks: "
+                          "%d^%d sites need %d bytes > %d"
+                          % (cfg.points, cfg.dimension, blocks,
+                             dirac.MOMENTUM_BYTES_LIMIT))
+    if axioms and not errors:
         try:
             with np.errstate(all="ignore"):
                 u = ScalarField.from_expression(_lattice(cfg), cfg.u).values

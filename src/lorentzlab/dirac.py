@@ -9,12 +9,15 @@ For the metric -u(t) dt^2 + dx^2 the spin connection vanishes (u depends on t
 only), and the metric measure is sqrt(u) * cell weight; adjoints are taken
 with respect to that weighted inner product.
 
-The axiom suite works on D as a scipy.sparse matrix assembled from the
-one-dimensional stencils of `lattice.gradient`.  The probe-built
-`dense_matrix` is the independent route it is checked against: by the tests,
-and by the suite itself up to ORACLE_LIMIT dense dimensions.  On a periodic
-lattice D commutes with spatial translations (u depends on t only), so the
-spectrum of <D>^2 is computed one spatial momentum at a time.
+The axiom suite works on D in stencil form (`StencilOperator`, numpy
+only): one array of coefficients per diagonal, a site offset together with
+a spinor diagonal a -> a XOR k, assembled from the one-dimensional stencils
+of `lattice.gradient` and the gamma matrices.  The products, adjoints and
+residuals of the suite are array operations on those diagonals.  The
+probe-built `dense_matrix` is the independent route D is checked against:
+by the tests, and by the suite itself up to ORACLE_LIMIT dense dimensions.
+On a periodic lattice D commutes with spatial translations (u depends on t
+only), so the spectrum of <D>^2 is computed one spatial momentum at a time.
 
 The temporal element T is the time coordinate *with its analytic gradient*
 dT = dt: its commutator symbol [D,T](x) = -i gamma^0 u^{-1/2}(x) is exact per
@@ -28,15 +31,16 @@ residual so both conventions stay visible.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
+from numpy.random import default_rng
 
 from .checks import Check
 from .clifford import GammaRep, build_gamma, fundamental_symmetry, max_abs
 from .lattice import Lattice, ScalarField, SpinorField, gradient
 
-DENSE_LIMIT = 4096
+DENSE_LIMIT = 4096       # dense_dim of the clamped eigvalsh and elliptic_square
 ORACLE_LIMIT = 512       # dense_dim up to which the suite probes dense_matrix
 SITE_LIMIT = 65536       # lattice sites any command may allocate fields on
+MOMENTUM_BYTES_LIMIT = 2 ** 25   # the periodic <D>^2 blocks, momentum_block_bytes
 
 HERMITICITY_TOL = 1e-12
 U_SQUARE_TOL = 1e-13
@@ -149,24 +153,24 @@ class DiracOperator:
     # ------------------------------------------------------------ matrices
 
     def sparse_matrix(self):
-        """D as CSR in row-major (site, spinor) order, assembled from stencils.
+        """D as a StencilOperator, assembled from the 1-d stencils.
 
-        Each axis contributes the 1-d stencil of `gradient` (identities on
-        the other axes) times gamma^mu, rows scaled by e^mu, summed in axis
-        order as `apply` sums them; the result equals `dense_matrix()`
-        entry for entry, with sorted indices and no stored zeros.
+        Each axis contributes its `gradient` stencil times gamma^mu, scaled
+        by e^mu, summed in axis order as `apply` sums them; the result
+        equals `dense_matrix()` entry for entry.
         """
-        s = self.spinor_dim
-        out = None
-        for mu in range(self.lattice.dimension):
-            e = np.repeat(self.vielbein(mu).reshape(-1), s)
-            term = sp.diags(e) @ sp.kron(_axis_stencil(self.lattice, mu),
-                                         self.rep.matrices[mu], format="csr")
-            out = term if out is None else out + term
-        out = (-1j * out).tocsr()
-        out.eliminate_zeros()   # canonical form: the products sum in a fixed order
-        out.sort_indices()
-        return out
+        lat, s = self.lattice, self.spinor_dim
+        diagonals = {}
+        for mu in range(lat.dimension):
+            e = self.vielbein(mu)[..., None]
+            along = [1] * (lat.dimension + 1)
+            along[mu] = lat.points[mu]
+            for step, coeff in _stencil(lat.points[mu], lat.spacing(mu), lat.boundary):
+                sites = tuple(step if a == mu else 0 for a in range(lat.dimension))
+                c = coeff.reshape(along)
+                for k, g in _diagonals(self.rep.matrices[mu]):
+                    _accumulate(diagonals, lat, sites, k, e * (c * g))
+        return StencilOperator(lat, s, {o: -1j * v for o, v in diagonals.items()})
 
     def dense_matrix(self):
         """Dense matrix of D in row-major (site, spinor) order."""
@@ -187,12 +191,10 @@ class DiracOperator:
         return self.lattice.site_weights() * np.sqrt(self.u)
 
     def weighted_adjoint(self, a):
-        """Adjoint of a dense or sparse matrix w.r.t. the metric measure."""
+        """Adjoint of a dense matrix or StencilOperator w.r.t. the metric measure."""
+        if isinstance(a, StencilOperator):
+            return a.adjoint(self.measure_weights())
         w = np.repeat(self.measure_weights().reshape(-1), self.spinor_dim)
-        if sp.issparse(a):
-            b = a.conj().T.tocoo()
-            return sp.csr_matrix((b.data * w[b.col] / w[b.row], (b.row, b.col)),
-                                 shape=b.shape)
         return (a.conj().T * w[None, :]) / w[:, None]
 
 
@@ -202,37 +204,166 @@ def _require_dense(n, what):
                          "(use a coarser lattice)" % (what, n, DENSE_LIMIT))
 
 
+def momentum_block_bytes(points, spinor_dim):
+    """Bytes of the periodic <D>^2 blocks: momenta x (N_t s)^2 complex entries."""
+    return int(np.prod(points[1:])) * (points[0] * spinor_dim) ** 2 * 16
+
+
+def _require_momentum_blocks(points, spinor_dim):
+    n = momentum_block_bytes(points, spinor_dim)
+    if n > MOMENTUM_BYTES_LIMIT:
+        raise ValueError("<D>^2 momentum blocks would take %d bytes; limit is "
+                         "%d (use a coarser lattice)" % (n, MOMENTUM_BYTES_LIMIT))
+
+
 def _stencil(n, h, boundary):
-    """The 1-d difference matrix of `gradient` on n sites of spacing h.
+    """The 1-d difference of `gradient` on n sites of spacing h, by offsets.
 
-    Periodic central differences add their wrap entries, so they cancel on a
-    2-site axis as the rolled difference does; a clamped axis carries the
-    exact `np.gradient(edge_order=2)` coefficients.
+    Returns (offset, coefficients) pairs: row i has coefficients[i] in
+    column i + offset.  A periodic axis has both central entries in every
+    row (on a 2-site axis their columns coincide and they cancel, as the
+    rolled difference does); a clamped axis also carries the one-sided
+    `np.gradient(edge_order=2)` rows 0 and n - 1 at offsets 0, +-1, +-2, as
+    coefficients that are zero in the interior and wherever the column
+    would leave the axis.
     """
-    i = np.arange(n)
+    forward = np.full(n, 1.0 / (2.0 * h))
+    backward = np.full(n, -1.0 / (2.0 * h))
     if boundary == "periodic":
-        rows = np.concatenate([i, i])
-        cols = np.concatenate([(i + 1) % n, (i - 1) % n])
-        vals = np.concatenate([np.full(n, 1.0 / (2.0 * h)),
-                               np.full(n, -1.0 / (2.0 * h))])
-    else:
-        inner = i[1:-1]
-        rows = np.concatenate([inner, inner, [0, 0, 0, n - 1, n - 1, n - 1]])
-        cols = np.concatenate([inner + 1, inner - 1,
-                               [0, 1, 2, n - 3, n - 2, n - 1]])
-        vals = np.concatenate([np.full(n - 2, 1.0 / (2.0 * h)),
-                               np.full(n - 2, -1.0 / (2.0 * h)),
-                               [-1.5 / h, 2.0 / h, -0.5 / h,
-                                0.5 / h, -2.0 / h, 1.5 / h]])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        return [(1, forward), (-1, backward)]
+    forward[[0, -1]] = 2.0 / h, 0.0
+    backward[[0, -1]] = 0.0, -2.0 / h
+    centre, ahead, behind = np.zeros((3, n))
+    centre[[0, -1]] = -1.5 / h, 1.5 / h
+    ahead[0] = -0.5 / h
+    behind[-1] = 0.5 / h
+    return [(1, forward), (-1, backward), (0, centre), (2, ahead), (-2, behind)]
 
 
-def _axis_stencil(lat, axis):
-    """`gradient` along `axis` as a sparse matrix on the whole lattice."""
-    stencil = _stencil(lat.points[axis], lat.spacing(axis), lat.boundary)
-    before = sp.identity(int(np.prod(lat.points[:axis])))
-    after = sp.identity(int(np.prod(lat.points[axis + 1:])))
-    return sp.kron(sp.kron(before, stencil, format="csr"), after, format="csr")
+def _diagonals(blocks):
+    """(k, blocks[..., a, a XOR k] over rows a) for each XOR diagonal k not zero.
+
+    The s = 2^m spinor columns split into the s diagonals a -> a XOR k, which
+    are disjoint; each gamma matrix, a tensor product of Pauli matrices,
+    lies on exactly one of them.
+    """
+    rows = np.arange(blocks.shape[-1])
+    diags = [(k, blocks[..., rows, rows ^ k]) for k in range(len(rows))]
+    return [(k, d) for k, d in diags if np.any(d != 0)]
+
+
+def _shift(values, sites, k=0):
+    """values[x + sites, a XOR k] at every site x and spinor row a.
+
+    Sites wrap at the lattice edges; k = 0 leaves a trailing axis alone, so
+    the same shift serves per-site weights.
+    """
+    axes = [a for a, o in enumerate(sites) if o]
+    if axes:
+        values = np.roll(values, [-sites[a] for a in axes], axis=axes)
+    if k:
+        values = values[..., np.arange(values.shape[-1]) ^ k]
+    return values
+
+
+def _accumulate(diagonals, lattice, sites, k, values):
+    """Add values to the diagonal (sites, k), with sites reduced on `lattice`.
+
+    Site offsets are taken mod n on a periodic lattice; on a clamped one an
+    offset of n or more addresses no entry and is dropped.
+    """
+    if lattice.boundary == "periodic":
+        sites = tuple(o % n for o, n in zip(sites, lattice.points))
+    elif any(abs(o) >= n for o, n in zip(sites, lattice.points)):
+        return
+    key = (sites, k)
+    diagonals[key] = diagonals[key] + values if key in diagonals else values
+
+
+class StencilOperator:
+    """A linear map on spinor fields, stored by the diagonals of its entries.
+
+    A diagonal is a site offset o and a spinor diagonal k; it owns one array
+    V of shape lattice.shape + (s,), and
+
+        (A psi)[x, a] = sum_(o, k) V[x, a] psi[x + o, a XOR k].
+
+    Offsets are reduced mod n on a periodic lattice, so offsets that alias
+    share one array and every matrix entry lives in exactly one diagonal.
+    On a clamped lattice V[x] is zero wherever x + o leaves it; products
+    and adjoints keep that, so the wrapped reads of `_shift` there only
+    ever meet zeros.  Each entry of a product is one multiplication, as in a
+    dense product, when one factor has a single nonzero per row (the
+    per-site blocks K = [D,T] and J); with several it may be summed in
+    another order than a dense product, within rounding.
+    """
+
+    def __init__(self, lattice, spinor_dim, diagonals):
+        self.lattice = lattice
+        self.spinor_dim = spinor_dim
+        self.diagonals = diagonals      # {(site offset, k): array}
+
+    def _like(self, diagonals):
+        return StencilOperator(self.lattice, self.spinor_dim, diagonals)
+
+    def __matmul__(self, other):
+        out = {}
+        for (oa, ka), va in self.diagonals.items():
+            for (ob, kb), vb in other.diagonals.items():
+                _accumulate(out, self.lattice, tuple(a + b for a, b in zip(oa, ob)),
+                            ka ^ kb, va * _shift(vb, oa, ka))
+        return self._like(out)
+
+    def __add__(self, other):
+        out = dict(self.diagonals)
+        for (o, k), v in other.diagonals.items():
+            _accumulate(out, self.lattice, o, k, v)
+        return self._like(out)
+
+    def __mul__(self, scalar):
+        return self._like({o: scalar * v for o, v in self.diagonals.items()})
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def adjoint(self, weights=None):
+        """Conjugate transpose; with per-site weights w, W^-1 A^H W.
+
+        Entry by entry as the dense `weighted_adjoint`: the conjugated entry
+        times w of its new column, divided by w of its new row.
+        """
+        out = {}
+        for (o, k), v in self.diagonals.items():
+            back = tuple(-a for a in o)
+            w = np.conj(_shift(v, back, k))
+            if weights is not None:
+                w = w * _shift(weights, back)[..., None] / weights[..., None]
+            _accumulate(out, self.lattice, back, k, w)
+        return self._like(out)
+
+    def max_abs(self):
+        """Largest |entry|, as `clifford.max_abs` of the dense matrix."""
+        return max((float(np.abs(v).max()) for v in self.diagonals.values()),
+                   default=0.0)
+
+    def toarray(self):
+        """The dense matrix in row-major (site, spinor) order."""
+        lat, s = self.lattice, self.spinor_dim
+        out = np.zeros((lat.site_count, s, lat.site_count, s), dtype=complex)
+        sites = np.indices(lat.shape)
+        spin = np.arange(s)
+        for (o, k), v in self.diagonals.items():
+            target = [i + a for i, a in zip(sites, o)]
+            inside = np.ones(lat.shape, dtype=bool)
+            if lat.boundary != "periodic":
+                for t, n in zip(target, lat.points):
+                    inside &= (t >= 0) & (t < n)
+            row = np.flatnonzero(inside)[:, None]
+            col = np.ravel_multi_index(target, lat.shape, mode="wrap")[inside]
+            out[row, spin, col[:, None], spin ^ k] = v.reshape(-1, s)[row[:, 0]]
+        return out.reshape(lat.site_count * s, -1)
 
 
 def random_spinor(lattice, spinor_dim, rng):
@@ -306,20 +437,16 @@ class AxiomReport:
         return all(c.passed for c in self.checks)
 
 
-def _site_blocks(blocks):
-    """Block-diagonal CSR matrix of per-site (s, s) blocks, shape (..., s, s).
+def _site_blocks(lattice, blocks):
+    """StencilOperator of per-site (s, s) blocks, shape lattice.shape + (s, s).
 
     K = -i gamma^0 u^{-1/2} and J = i gamma^0 have one nonzero per block row,
-    so every sparse product with them is one multiplication per entry and
-    equals the dense product exactly.
+    so every product with them is one multiplication per entry and equals
+    the dense product exactly.
     """
-    s = blocks.shape[-1]
-    b = np.ascontiguousarray(blocks).reshape(-1, s, s)
-    n = len(b)
-    out = sp.bsr_matrix((b, np.arange(n), np.arange(n + 1)),
-                        shape=(n * s, n * s)).tocsr()
-    out.eliminate_zeros()
-    return out
+    zero = (0,) * lattice.dimension
+    return StencilOperator(lattice, blocks.shape[-1],
+                           {(zero, k): v for k, v in _diagonals(blocks)})
 
 
 def _elliptic_square(d, k):
@@ -332,8 +459,8 @@ def _elliptic_square(d, k):
 def elliptic_square(D: DiracOperator, T: TemporalElement = None):
     """<D>^2 = -1/2 (D K D K + K D K D) with K = [D,T], as a dense matrix."""
     _require_dense(D.dense_dim, "<D>^2")
-    return _elliptic_square(D.sparse_matrix(),
-                            _site_blocks(D.temporal_commutator(T).values)).toarray()
+    return _elliptic_square(D.sparse_matrix(), _site_blocks(
+        D.lattice, D.temporal_commutator(T).values)).toarray()
 
 
 def _block_diagonal(blocks):
@@ -358,7 +485,9 @@ def _momentum_blocks(D, T=None):
     nt = lat.points[0]
     first = (slice(None),) + (0,) * (lat.dimension - 1)     # the t axis
     e0 = np.repeat(D.vielbein(0)[first], s)
-    stencil = _stencil(nt, lat.spacing(0), "periodic").toarray()
+    stencil = np.zeros((nt, nt))
+    for step, coeff in _stencil(nt, lat.spacing(0), "periodic"):
+        stencil[np.arange(nt), (np.arange(nt) + step) % nt] += coeff
     time_part = e0[:, None] * np.kron(stencil, D.rep.matrices[0])
     waves = np.meshgrid(*(np.sin(2.0 * np.pi * np.arange(n) / n) / lat.spacing(a)
                           for a, n in enumerate(lat.points) if a > 0),
@@ -373,18 +502,20 @@ def _momentum_blocks(D, T=None):
 
 def check_temporal_axioms(D: DiracOperator, T: TemporalElement = None,
                           samples=3, seed=0, include_elliptic=True):
-    """Run the axiom residual suite on the sparse D.
+    """Run the axiom residual suite on D in stencil form (`sparse_matrix`).
 
-    Up to ORACLE_LIMIT dense dimensions the sparse D is also compared with
+    Up to ORACLE_LIMIT dense dimensions that D is also compared with
     the probe-built `dense_matrix`.  The smallest eigenvalue of <D>^2 comes
-    from `_momentum_blocks` on a periodic lattice; on a clamped lattice it
-    needs a dense eigvalsh, so there the elliptic check requires
-    dense_dim <= DENSE_LIMIT.
+    from `_momentum_blocks` on a periodic lattice, whose blocks must fit in
+    MOMENTUM_BYTES_LIMIT; on a clamped lattice it needs a dense eigvalsh, so
+    there the elliptic check requires dense_dim <= DENSE_LIMIT.
     """
     lat = D.lattice
     s = D.spinor_dim
     periodic = lat.boundary == "periodic"
-    if include_elliptic and not periodic:
+    if include_elliptic and periodic:
+        _require_momentum_blocks(lat.points, s)
+    elif include_elliptic:
         _require_dense(D.dense_dim, "dense eigvalsh")
     K = D.temporal_commutator(T)
 
@@ -400,18 +531,19 @@ def check_temporal_axioms(D: DiracOperator, T: TemporalElement = None,
     assembly = None
     if D.dense_dim <= ORACLE_LIMIT:
         assembly = max_abs(d.toarray() - D.dense_matrix())
-    k = _site_blocks(K.values)
+    k = _site_blocks(lat, K.values)
     kd = k @ d
-    skew = max_abs(D.weighted_adjoint(kd) + kd)
+    skew = (D.weighted_adjoint(kd) + kd).max_abs()
 
     # Krein equivalence both ways with J = i gamma^0 (normalized symmetry):
     # J D skew-Hermitian, and D^dagger = -J D J.
-    j = _site_blocks(np.broadcast_to(fundamental_symmetry(D.rep), K.values.shape))
+    j = _site_blocks(lat, np.broadcast_to(fundamental_symmetry(D.rep),
+                                          K.values.shape))
     jd = j @ d
-    krein_skew = max_abs(D.weighted_adjoint(jd) + jd)
-    krein_equiv = max_abs(D.weighted_adjoint(d) + jd @ j)
+    krein_skew = (D.weighted_adjoint(jd) + jd).max_abs()
+    krein_equiv = (D.weighted_adjoint(d) + jd @ j).max_abs()
 
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     commute = 0.0
     for _ in range(samples):
         f = rng.standard_normal(lat.shape)
@@ -423,12 +555,12 @@ def check_temporal_axioms(D: DiracOperator, T: TemporalElement = None,
     ell_herm = ell_min = None
     if include_elliptic:
         m = _elliptic_square(d, k)
-        ell_herm = max_abs(m - m.conj().T)
+        ell_herm = (m - m.adjoint()).max_abs()
         if periodic:
             blocks = _momentum_blocks(D, T)
             sym = 0.5 * (blocks + np.conj(np.swapaxes(blocks, -1, -2)))
         else:
-            sym = (0.5 * (m + m.conj().T)).toarray()
+            sym = (0.5 * (m + m.adjoint())).toarray()
         ell_min = float(np.linalg.eigvalsh(sym).min())
 
     notes = []

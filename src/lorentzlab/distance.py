@@ -20,6 +20,7 @@ metrics -u(t) dt^2 + dx^2 along pure time displacements.
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import expressions
 from .checks import Check
@@ -284,7 +285,7 @@ def run_distance_suite(pairs, dimension, points, seed, candidates=None):
     Certification runs on a clamped lattice: steep candidates are not
     periodic, and wrapped stencils would corrupt their boundary gradients.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     op = flat_operator(dimension, points, boundary="clamped")
     cands = list(candidates) if candidates else \
         boosted_candidate_expressions(axes=AXIS_NAMES[1:dimension])

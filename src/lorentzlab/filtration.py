@@ -29,6 +29,7 @@ chi(a) chi(b) holds for central a and any pure state.
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import expressions
 from .checks import Check
@@ -178,7 +179,7 @@ def operator_norm_grading_check(elem: FilteredElement, lattice: Lattice,
     target = np.abs((1.0 + t ** 2) ** (m / 2.0) * a)
     best_site = np.unravel_index(int(np.argmax(target)), lattice.shape)
 
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     estimates = {}
     for n in n_values:
         wn = (1.0 + t ** 2) ** float(n)
@@ -342,7 +343,7 @@ def central_multiplicativity_check(algebra: ToyAlgebra, trials=500, seed=0):
     Also records the documented non-central counterexample (a = sigma3 fiber,
     b = sigma1, angled state), which must violate multiplicativity.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         c = rng.standard_normal(algebra.sites) + 1j * rng.standard_normal(algebra.sites)
@@ -386,7 +387,7 @@ def run_filtration_suite(seed=0):
     The payload holds every measured quantity; its "passed" is all checks.
     """
     lat = Lattice(((-8.0, 8.0), (-2.0, 2.0)), (65, 5), boundary="clamped")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
 
     t_elem = FilteredElement.time_element()
     tnorm = weighted_norm(t_elem, -1, lat)

@@ -32,6 +32,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.fft import fft2, fftfreq, fftn
 
 from . import expressions
 from .checks import Check
@@ -146,11 +147,11 @@ def phys_fft(values, lat):
 
     Transforms the trailing lat.dimension axes, so a stack of fields works.
     """
-    F = np.fft.fftn(np.asarray(values, dtype=complex),
-                    axes=tuple(range(-lat.dimension, 0)))
+    F = fftn(np.asarray(values, dtype=complex),
+             axes=tuple(range(-lat.dimension, 0)))
     ks = []
     for a in range(lat.dimension):
-        k = 2.0 * np.pi * np.fft.fftfreq(lat.points[a], lat.spacing(a))
+        k = 2.0 * np.pi * fftfreq(lat.points[a], lat.spacing(a))
         ks.append(k)
         shape = [1] * lat.dimension
         shape[a] = -1
@@ -358,10 +359,10 @@ def star_twisted(f, h, lat, theta):
     fv = _values_on(f, lat)
     hv = _values_on(h, lat)
     m1, m2 = lat.points
-    fr = np.fft.fft2(fv)
-    hr = np.fft.fft2(hv)
-    k1 = 2.0 * np.pi * np.fft.fftfreq(m1, lat.spacing(0))
-    k2 = 2.0 * np.pi * np.fft.fftfreq(m2, lat.spacing(1))
+    fr = fft2(fv)
+    hr = fft2(hv)
+    k1 = 2.0 * np.pi * fftfreq(m1, lat.spacing(0))
+    k2 = 2.0 * np.pi * fftfreq(m2, lat.spacing(1))
 
     def shell_fraction(spec):
         a = np.abs(spec)
@@ -598,6 +599,8 @@ class CrossEngineReport:
     quadrature_vs_basis: float
     twisted_vs_basis: float
     passed: bool
+    twisted_tail_fraction: float = 0.0   # largest Nyquist-shell fraction seen
+    twisted_tail_warnings: int = 0       # twisted products above TAIL_WARN
 
     def to_dict(self):
         return self.__dict__.copy()
@@ -631,11 +634,13 @@ def cross_engine_check(theta=THETA_DEFAULT, truncation=8, box=7.0, points=96,
 
     # twisted engine on a few representative pairs, full grid
     worst_tw = 0.0
+    tails = []
     for (mn, kl) in (((0, 0), (0, 0)), ((0, 1), (1, 0)), ((0, 1), (1, 2)),
                      ((2, 1), (1, 3)), ((0, 1), (2, 2))):
         fv = basis_field(*mn, theta, lat)
         hv = basis_field(*kl, theta, lat)
-        got, _ = star_twisted(fv, hv, lat, theta)
+        got, info = star_twisted(fv, hv, lat, theta)
+        tails.append(max(info["tail_fractions"]))
         if mn[1] == kl[0]:
             want = basis_field(mn[0], kl[1], theta, lat)
         else:
@@ -646,7 +651,9 @@ def cross_engine_check(theta=THETA_DEFAULT, truncation=8, box=7.0, points=96,
                              quadrature_vs_basis=worst_quad,
                              twisted_vs_basis=worst_tw,
                              passed=bool(worst_quad <= CROSS_ENGINE_TOL
-                                         and worst_tw <= CROSS_ENGINE_TOL))
+                                         and worst_tw <= CROSS_ENGINE_TOL),
+                             twisted_tail_fraction=max(tails),
+                             twisted_tail_warnings=sum(t > TAIL_WARN for t in tails))
 
 
 @dataclass

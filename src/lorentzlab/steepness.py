@@ -22,6 +22,7 @@ margin >= -tol with, in scalar mode, the additional orientation d_t f > 0.
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import default_rng
 
 from .checks import Check
 from .clifford import build_gamma, chirality
@@ -192,7 +193,7 @@ def equivalence_scan(samples, seed, dimension=2, tol=EIG_TOL, u=1.0):
     """
     if dimension % 2 != 0:
         raise ValueError("matrix mode needs even dimension (chirality)")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     rep = build_gamma(dimension)
     gam = chirality(rep)
     agreements = 0

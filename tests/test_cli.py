@@ -109,9 +109,23 @@ def test_output_env_var(tmp_path, monkeypatch):
 
 
 def test_dense_limit_guard(tmp_path, capsys):
-    code = run(["verify", "--points", "80"], tmp_path)
+    # a clamped <D>^2 needs a dense eigvalsh: 80^2 x 2 = 12800 > DENSE_LIMIT
+    code = run(["verify", "--points", "80", "--boundary", "clamped"], tmp_path)
     assert code == 2
     assert "dense" in capsys.readouterr().err.lower()
+
+
+def test_periodic_verify_is_held_to_the_momentum_budget(tmp_path, capsys):
+    # a periodic suite does no dense work: 80^2 runs (32768000 bytes of
+    # momentum blocks), 81^2 and 4-d 11^4 exceed MOMENTUM_BYTES_LIMIT
+    assert run(["verify", "--points", "80"], tmp_path) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    for argv in (["--points", "81"], ["--dimension", "4", "--points", "11"]):
+        assert run(["verify", *argv], tmp_path) == 2
+        captured = capsys.readouterr()
+        assert "momentum" in captured.err and captured.out == ""
+    errors = cli.validate_config(cli.RunConfig(points=81), "verify")
+    assert len(errors) == 1 and "momentum" in errors[0]
 
 
 @pytest.mark.parametrize("command, config", [

@@ -109,14 +109,19 @@ def test_reciprocal_residual_above_bound_fails():
     assert [c.name for c in bad.checks if not c.passed] == ["u_ax * u_metric = 1"]
 
 
-# Sparse products sum in a different order from zgemm; measured entry
+# The stencil products may sum in another order than zgemm; measured entry
 # differences stay below 2.2 ulps of max|<D>^2| on these lattices.
 ELLIPTIC_ULPS = 4
 
 
+def _site_operator(op, blocks):
+    return dirac._site_blocks(op.lattice, np.broadcast_to(
+        blocks, op.temporal_commutator().values.shape))
+
+
 @pytest.mark.parametrize("dim,points", [(2, 6), (4, 3)])
 def test_block_products_match_dense_oracles(dim, points):
-    # K = [D,T] and J act per site; the suite's sparse products must agree
+    # K = [D,T] and J act per site; the suite's stencil products must agree
     # exactly with the dense block-diagonal products of the dense oracle
     op = flat_operator(dim, points, box=((-3.0, 3.0),) * dim,
                        boundary="clamped", u="1 + 0.1*t")
@@ -127,32 +132,55 @@ def test_block_products_match_dense_oracles(dim, points):
     j = np.kron(np.eye(op.lattice.site_count), fundamental_symmetry(op.rep))
     kd, dk, jd = k @ d, d @ k, j @ d
     sd = op.sparse_matrix()
-    sk = dirac._site_blocks(op.temporal_commutator().values)
-    sj = sp.csr_matrix(j)
+    sk = _site_operator(op, op.temporal_commutator().values)
+    sj = _site_operator(op, fundamental_symmetry(op.rep))
     assert np.array_equal(sd.toarray(), d)
     assert np.array_equal((sk @ sd).toarray(), kd)
     assert np.array_equal((sd @ sk).toarray(), dk)
     assert np.array_equal((sj @ sd).toarray(), jd)
+    assert np.array_equal(op.weighted_adjoint(sd).toarray(), op.weighted_adjoint(d))
+    assert np.array_equal(op.weighted_adjoint(sk @ sd).toarray(),
+                          op.weighted_adjoint(kd))
     assert rep.skew_residual == max_abs(op.weighted_adjoint(kd) + kd)
     assert rep.krein_skew_residual == max_abs(op.weighted_adjoint(jd) + jd)
     assert rep.krein_equiv_residual == max_abs(op.weighted_adjoint(d) + j @ d @ j)
-    # <D>^2: exact against the sparse product of the oracle operands, and
-    # within a few ulps of the zgemm product
-    pd, pk = sp.csr_matrix(d), sp.csr_matrix(k)
-    pdk, pkd = pd @ pk, pk @ pd
-    want = -0.5 * (pdk @ pdk + pkd @ pkd)
+    # <D>^2: the suite's residual is that of the matrix elliptic_square
+    # returns, which is within a few ulps of the zgemm product
     got = elliptic_square(op)
-    assert np.array_equal(got, want.toarray())
-    assert rep.elliptic_hermiticity == max_abs(want - want.conj().T)
+    assert rep.elliptic_hermiticity == max_abs(got - got.conj().T)
     m = -0.5 * (dk @ dk + kd @ kd)
     eps = np.finfo(float).eps
     assert max_abs(got - m) <= ELLIPTIC_ULPS * eps * max_abs(m)
 
 
-@pytest.mark.parametrize("dim,boundary,u", list(itertools.product(
-    (2, 3, 4), ("periodic", "clamped"), (None, "1 + 0.1*t"))))
-def test_sparse_matrix_equals_dense_oracle(dim, boundary, u):
-    points = {2: 6, 3: 4, 4: 3}[dim]
+@pytest.mark.parametrize("dim,points", [(2, 6), (3, 4), (4, 3)])
+def test_elliptic_square_equals_csr_product_when_exact(dim, points):
+    # with h = 1 and u = 4 every product and sum in <D>^2 is exact, so any
+    # summation order gives scipy's CSR product of the dense oracles
+    op = flat_operator(dim, points, u="4")
+    s = op.spinor_dim
+    d = sp.csr_matrix(op.dense_matrix())
+    k = sp.csr_matrix(block_diag(*op.temporal_commutator().values.reshape(-1, s, s)))
+    dk, kd = d @ k, k @ d
+    want = -0.5 * (dk @ dk + kd @ kd)
+    assert np.array_equal(elliptic_square(op), want.toarray())
+    rep = check_temporal_axioms(op, seed=0)
+    assert rep.elliptic_hermiticity == max_abs(want - want.conj().T)
+
+
+ORACLE_CASES = [pytest.param(dim, {2: 6, 3: 4, 4: 3}[dim], boundary, u,
+                             id="%d-%s-%s" % (dim, boundary, u))
+                for dim, boundary, u in itertools.product(
+                    (2, 3, 4), ("periodic", "clamped"), (None, "1 + 0.1*t"))]
+# 2-site periodic axes: the +1 and -1 offsets address one column and cancel
+ORACLE_CASES += [pytest.param(2, points, "periodic", u,
+                              id="%dx%d-periodic-%s" % (points + (u,)))
+                 for points in ((2, 5), (5, 2), (2, 2))
+                 for u in (None, "1 + 0.1*t")]
+
+
+@pytest.mark.parametrize("dim,points,boundary,u", ORACLE_CASES)
+def test_sparse_matrix_equals_dense_oracle(dim, points, boundary, u):
     op = flat_operator(dim, points, box=((-3.0, 3.0),) * dim,
                        boundary=boundary, u=u)
     assert np.array_equal(op.sparse_matrix().toarray(), op.dense_matrix())
@@ -191,7 +219,7 @@ def test_suite_compares_sparse_d_with_probe_oracle(monkeypatch):
 
     def perturbed(self):
         d = assembled(self)
-        d.data[0] += 1e-15
+        next(iter(d.diagonals.values())).flat[0] += 1e-15
         return d
     monkeypatch.setattr(DiracOperator, "sparse_matrix", perturbed)
     bad = check_temporal_axioms(op, seed=0)
@@ -213,6 +241,16 @@ def test_clamped_elliptic_check_keeps_dense_limit():
         elliptic_square(op)
     rep = check_temporal_axioms(op, include_elliptic=False)
     assert rep.elliptic_min_eigenvalue is None
+
+
+def test_periodic_elliptic_check_keeps_momentum_budget():
+    op = flat_operator(2, 81)
+    assert dirac.momentum_block_bytes(op.lattice.points, 2) > dirac.MOMENTUM_BYTES_LIMIT
+    assert dirac.momentum_block_bytes((80, 80), 2) <= dirac.MOMENTUM_BYTES_LIMIT
+    with pytest.raises(ValueError, match="momentum"):
+        check_temporal_axioms(op)
+    rep = check_temporal_axioms(op, include_elliptic=False)
+    assert rep.passed and rep.elliptic_min_eigenvalue is None
 
 
 def test_tolerances_record_every_bound_of_the_checks(monkeypatch):

@@ -3,8 +3,8 @@ import pytest
 from scipy.special import eval_genlaguerre
 
 from lorentzlab.lattice import Lattice
-from lorentzlab.moyal import (MoyalElement, ThetaMatrix, _genlaguerre,
-                              associativity_check,
+from lorentzlab.moyal import (TAIL_WARN, MoyalElement, ThetaMatrix,
+                              _genlaguerre, associativity_check,
                               basis_field, basis_values, center_time_check,
                               commutation_check, cross_engine_check,
                               damped_commutator_closed_form,
@@ -255,6 +255,20 @@ def test_cross_engine_agreement():
     assert rep.quadrature_vs_basis <= 1e-4
     assert rep.twisted_vs_basis <= 1e-4
     assert rep.passed
+
+
+def test_cross_engine_records_nyquist_warnings():
+    # the suite's twisted grid is too coarse at theta 0.25: each of the five
+    # products warns, and the report keeps what the warnings said
+    with pytest.warns(RuntimeWarning, match="Nyquist") as caught:
+        rep = cross_engine_check(theta=0.25, truncation=8, points=64)
+    assert len(caught) == 5
+    assert rep.twisted_tail_fraction > TAIL_WARN
+    assert rep.twisted_tail_warnings == 5
+    assert rep.to_dict()["twisted_tail_warnings"] == 5
+    rep = cross_engine_check(theta=0.5, truncation=8, points=64)
+    assert 0.0 < rep.twisted_tail_fraction <= TAIL_WARN
+    assert rep.twisted_tail_warnings == 0
 
 
 def test_coordinate_commutator():
