@@ -12,10 +12,11 @@ language (``expressions``), and a deterministic CLI (``cli``).
 
 from .checks import Check
 from .clifford import (GammaRep, build_gamma, check_clifford, chirality,
-                       fundamental_symmetry, krein_adjoint, signature_audit)
+                       fundamental_symmetry, krein_adjoint)
 from .dirac import (DiracOperator, TemporalElement, check_temporal_axioms,
                     elliptic_square, flat_operator)
-from .distance import (DistanceResult, EventPair, boosted_family_distance,
+from .distance import (CandidatePool, DistanceResult, EventPair,
+                       boosted_family_distance, certify_candidates,
                        conformal_time_distance, minkowski_oracle,
                        variational_distance)
 from .expressions import ExpressionError, compile_expression, parse_expression
@@ -37,11 +38,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Check",
     "GammaRep", "build_gamma", "check_clifford", "chirality",
-    "fundamental_symmetry", "krein_adjoint", "signature_audit",
+    "fundamental_symmetry", "krein_adjoint",
     "DiracOperator", "TemporalElement", "check_temporal_axioms",
     "elliptic_square", "flat_operator",
-    "DistanceResult", "EventPair", "boosted_family_distance",
-    "conformal_time_distance", "minkowski_oracle", "variational_distance",
+    "CandidatePool", "DistanceResult", "EventPair", "boosted_family_distance",
+    "certify_candidates", "conformal_time_distance", "minkowski_oracle",
+    "variational_distance",
     "ExpressionError", "compile_expression", "parse_expression",
     "EvaluationState", "FilteredElement", "ToyAlgebra", "ToyState",
     "central_multiplicativity_check", "extend_state",

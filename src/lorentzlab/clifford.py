@@ -174,83 +174,3 @@ def chirality(rep):
     gam = (-1j) ** (n // 2 + 1) * prod
     gam.setflags(write=False)
     return gam
-
-
-@dataclass
-class AuditVerdict:
-    verdict: str          # "lorentzian" | "not_lorentzian" | "indeterminate"
-    reason: str
-    anti_hermitian_indices: tuple
-    square_signs: tuple   # per-matrix sign of the square, 0 if not a multiple of 1
-    max_cross_residual: float
-
-    def to_dict(self):
-        return {
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "anti_hermitian_indices": list(self.anti_hermitian_indices),
-            "square_signs": list(self.square_signs),
-            "max_cross_residual": self.max_cross_residual,
-        }
-
-
-def signature_audit(matrices, tol=1e-10):
-    """Classify a family of square matrices by its Clifford signature.
-
-    Returns "lorentzian" only for exactly one anti-Hermitian generator sitting
-    at index 0 squaring to -1, all others Hermitian squaring to +1, and all
-    cross anticommutators vanishing.  Families that do not close a Clifford
-    algebra at all come back "indeterminate" with diagnostics.
-    """
-    mats = [np.asarray(m, dtype=complex) for m in matrices]
-    size = mats[0].shape[0]
-    eye = np.eye(size)
-
-    anti_idx = []
-    square_signs = []
-    closes = True
-    for i, m in enumerate(mats):
-        if max_abs(m + m.conj().T) <= tol:
-            anti_idx.append(i)
-        elif max_abs(m - m.conj().T) > tol:
-            closes = False  # neither Hermitian nor anti-Hermitian
-        sq = m @ m
-        if max_abs(sq - eye) <= tol:
-            square_signs.append(1)
-        elif max_abs(sq + eye) <= tol:
-            square_signs.append(-1)
-        else:
-            square_signs.append(0)
-            closes = False
-    cross = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            cross = max(cross, max_abs(mats[i] @ mats[j] + mats[j] @ mats[i]))
-    if cross > tol:
-        closes = False
-
-    if not closes:
-        return AuditVerdict(
-            "indeterminate",
-            "family does not close a Clifford algebra "
-            "(cross residual %.3e, square signs %s)" % (cross, square_signs),
-            tuple(anti_idx), tuple(square_signs), cross)
-
-    if len(anti_idx) != 1:
-        return AuditVerdict(
-            "not_lorentzian",
-            "%d anti-Hermitian generators (need exactly one)" % len(anti_idx),
-            tuple(anti_idx), tuple(square_signs), cross)
-    k = anti_idx[0]
-    if square_signs[k] != -1 or any(square_signs[i] != 1 for i in range(len(mats)) if i != k):
-        return AuditVerdict(
-            "not_lorentzian",
-            "square signs %s incompatible with (-,+,...,+)" % (square_signs,),
-            tuple(anti_idx), tuple(square_signs), cross)
-    if k != 0:
-        return AuditVerdict(
-            "not_lorentzian",
-            "time-like generator at index %d (expected 0)" % k,
-            tuple(anti_idx), tuple(square_signs), cross)
-    return AuditVerdict("lorentzian", "signature (-,+,...,+)",
-                        tuple(anti_idx), tuple(square_signs), cross)

@@ -471,7 +471,7 @@ def _block_diagonal(blocks):
     return out.reshape(n * s, n * s)
 
 
-def _momentum_blocks(D, T=None):
+def _momentum_blocks(D, T=None, momenta=slice(None)):
     """<D>^2 on a periodic lattice as one (N_t s)^2 block per spatial momentum.
 
     u depends on t only, so D commutes with spatial translations and the
@@ -479,7 +479,7 @@ def _momentum_blocks(D, T=None):
     momentum p: the time stencil and the lapse act as in D, each spatial
     difference becomes i sin(2 pi p_i / N_i) / h_i, and K = [D,T] is the same
     in every block.  Returns shape (momenta, N_t s, N_t s), momenta in
-    row-major order over the spatial axes.
+    row-major order over the spatial axes; `momenta` slices that order.
     """
     lat, s = D.lattice, D.spinor_dim
     nt = lat.points[0]
@@ -492,12 +492,30 @@ def _momentum_blocks(D, T=None):
     waves = np.meshgrid(*(np.sin(2.0 * np.pi * np.arange(n) / n) / lat.spacing(a)
                           for a, n in enumerate(lat.points) if a > 0),
                         indexing="ij")
-    sines = np.stack([w.reshape(-1) for w in waves], axis=-1)
+    sines = np.stack([w.reshape(-1) for w in waves], axis=-1)[momenta]
     spatial = np.stack([np.kron(np.eye(nt), g) for g in D.rep.matrices[1:]])
     # -i (e0 d_t gamma^0 + sum_i (i sin_i / h_i) gamma^i)
     d = -1j * time_part + np.einsum("pi,iab->pab", sines, spatial)
     k = _block_diagonal(D.temporal_commutator(T).values[first])
     return _elliptic_square(d, k)
+
+
+def _momentum_chunks(points, spinor_dim):
+    """Slices of momenta whose blocks take at most MOMENTUM_BYTES_LIMIT / 8.
+
+    `_elliptic_square` and the symmetrised copy hold about six block-sized
+    arrays at once, so a chunk's working set stays within the limit.
+    """
+    momenta = int(np.prod(points[1:]))
+    block = momentum_block_bytes(points, spinor_dim) // momenta
+    step = max(1, MOMENTUM_BYTES_LIMIT // (8 * block))
+    return [slice(i, i + step) for i in range(0, momenta, step)]
+
+
+def _min_eigenvalue(blocks):
+    """Smallest eigenvalue of the Hermitian parts of a stack of blocks."""
+    sym = 0.5 * (blocks + np.conj(np.swapaxes(blocks, -1, -2)))
+    return float(np.linalg.eigvalsh(sym).min())
 
 
 def check_temporal_axioms(D: DiracOperator, T: TemporalElement = None,
@@ -507,7 +525,8 @@ def check_temporal_axioms(D: DiracOperator, T: TemporalElement = None,
     Up to ORACLE_LIMIT dense dimensions that D is also compared with
     the probe-built `dense_matrix`.  The smallest eigenvalue of <D>^2 comes
     from `_momentum_blocks` on a periodic lattice, whose blocks must fit in
-    MOMENTUM_BYTES_LIMIT; on a clamped lattice it needs a dense eigvalsh, so
+    MOMENTUM_BYTES_LIMIT and are built and diagonalised in chunks of momenta
+    (`_momentum_chunks`); on a clamped lattice it needs a dense eigvalsh, so
     there the elliptic check requires dense_dim <= DENSE_LIMIT.
     """
     lat = D.lattice
@@ -557,11 +576,11 @@ def check_temporal_axioms(D: DiracOperator, T: TemporalElement = None,
         m = _elliptic_square(d, k)
         ell_herm = (m - m.adjoint()).max_abs()
         if periodic:
-            blocks = _momentum_blocks(D, T)
-            sym = 0.5 * (blocks + np.conj(np.swapaxes(blocks, -1, -2)))
+            ell_min = min(_min_eigenvalue(_momentum_blocks(D, T, chunk))
+                          for chunk in _momentum_chunks(lat.points, s))
         else:
-            sym = (0.5 * (m + m.adjoint())).toarray()
-        ell_min = float(np.linalg.eigvalsh(sym).min())
+            ell_min = float(np.linalg.eigvalsh(
+                (0.5 * (m + m.adjoint())).toarray()).min())
 
     notes = []
     if not periodic:

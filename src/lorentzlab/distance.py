@@ -7,9 +7,11 @@ Three routes for the causal distance d(p, q):
   velocities; each boosted time function gamma_v (t - v e.x) has causal
   gradient of norm exactly -1, so every h(v) is an upper bound and the
   infimum reproduces the oracle.
-* ``variational_distance``  inf over a supplied candidate set of steep
-  functions of max(0, f(q) - f(p)); candidates are certified steep on the
-  operator side before being admitted, and rejected ones are reported.
+* ``variational_distance``  inf over a pool of steep functions of
+  max(0, f(q) - f(p)).  ``certify_candidates`` builds the pool once: each
+  candidate is certified steep on the operator side before it is admitted,
+  and rejected ones are reported.  Events outside the pool's lattice box
+  are refused.
 
 Values at off-lattice events use the pure-state extension rule (evaluation
 states), so candidates may be expressions, callables, or filtered elements.
@@ -17,7 +19,7 @@ states), so candidates may be expressions, callables, or filtered elements.
 metrics -u(t) dt^2 + dx^2 along pure time displacements.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.random import default_rng
@@ -26,13 +28,14 @@ from . import expressions
 from .checks import Check
 from .dirac import flat_operator
 from .filtration import FilteredElement
-from .lattice import AXIS_NAMES, ScalarField
+from .lattice import AXIS_NAMES, Lattice, ScalarField
 from .steepness import EIG_TOL, is_steep_matrix
 
 GOLDEN_TOL = 1e-10
 V_CAP = 1.0 - 1e-12
 BOOSTED_TOL = 1e-6
 VARIATIONAL_FLOOR = -1e-9
+PAIR_EXTENT = 3.0     # distance suite: events and certification box in [-3, 3]^d
 
 
 def golden_section(fn, lo, hi, tol=GOLDEN_TOL, max_iter=200):
@@ -102,14 +105,7 @@ class DistanceResult:
     gap_vs_oracle: float = float("nan")
 
     def to_dict(self):
-        return {
-            "value": self.value,
-            "mode": self.mode,
-            "params": dict(self.params),
-            "achieving": self.achieving,
-            "rejected": list(self.rejected),
-            "gap_vs_oracle": self.gap_vs_oracle,
-        }
+        return asdict(self)
 
 
 def minkowski_oracle(p, q=None):
@@ -119,19 +115,6 @@ def minkowski_oracle(p, q=None):
     if dt >= r:
         return float(np.sqrt(max(dt * dt - r * r, 0.0)))
     return 0.0
-
-
-def boost_matrix(v, axis=1, dimension=2):
-    """Lorentz boost with velocity v along the given spatial axis."""
-    if not -1.0 < v < 1.0:
-        raise ValueError("boost velocity must satisfy |v| < 1")
-    if not 1 <= axis < dimension:
-        raise ValueError("boost axis out of range")
-    g = 1.0 / np.sqrt(1.0 - v * v)
-    m = np.eye(dimension)
-    m[0, 0] = m[axis, axis] = g
-    m[0, axis] = m[axis, 0] = -g * v
-    return m
 
 
 def boosted_family_distance(p, q=None, tol=GOLDEN_TOL):
@@ -201,66 +184,86 @@ def _resolve_candidate(cand, dirac):
         return label, fld, value_at
 
     if isinstance(cand, str):
-        _, fn = expressions.compile_expression(cand)
+        label, fn = cand, expressions.compile_expression(cand)[1]
         fld = ScalarField.from_expression(lat, cand)
-        def value_at(pt, fn=fn):
-            env = {nm: np.asarray(float(v)) for nm, v in zip(names, pt)}
-            return float(np.asarray(fn(**env)))
-        return cand, fld, value_at
-
-    if callable(cand):
+    elif callable(cand):
+        label, fn = getattr(cand, "__name__", "callable"), cand
         fld = ScalarField.from_callable(lat, cand)
-        def value_at(pt, fn=cand):
-            env = {nm: np.asarray(float(v)) for nm, v in zip(names, pt)}
-            return float(np.asarray(fn(**env)))
-        return getattr(cand, "__name__", "callable"), fld, value_at
+    else:
+        raise TypeError("unsupported candidate type: %r"
+                        % (type(cand).__name__,))
 
-    raise TypeError("unsupported candidate type: %r" % (type(cand).__name__,))
+    def value_at(pt):
+        env = {nm: np.asarray(float(v)) for nm, v in zip(names, pt)}
+        return float(np.asarray(fn(**env)))
+    return label, fld, value_at
 
 
-def variational_distance(p, q, candidates, dirac, gamma_ch=None,
-                         tol=EIG_TOL, compare_oracle=True):
-    """inf over certified steep candidates f of max(0, f(q) - f(p)).
+@dataclass(frozen=True)
+class CandidatePool:
+    """Candidates certified steep on one operator lattice.
 
-    Each candidate is checked for steepness on the operator lattice first;
-    candidates failing the matrix inequality are excluded and recorded with
-    their worst margin.  Raises when no candidate is certified.
-
-    Certification differentiates candidates with the lattice stencil, so
-    non-periodic candidates (t, boosts, ...) need an operator on a clamped
-    lattice; a periodic wrap would corrupt their boundary gradients.
+    `certified` holds (label, value_at, worst_margin) per steep candidate in
+    input order; `rejected` holds one record per candidate that failed.
     """
-    pair = _as_pair(p, q)
-    if len(pair.p) != dirac.lattice.dimension:
-        raise ValueError("event dimension %d does not match operator "
-                         "dimension %d" % (len(pair.p), dirac.lattice.dimension))
+    lattice: Lattice
+    certified: tuple
+    rejected: tuple
 
+
+def certify_candidates(candidates, dirac, gamma_ch=None, tol=EIG_TOL):
+    """Certify each candidate once on the operator lattice; returns the pool.
+
+    Steepness is a property of the function, not of the events, so one pool
+    serves every pair.  Certification differentiates candidates with the
+    lattice stencil, so non-periodic candidates (t, boosts, ...) need an
+    operator on a clamped lattice; a periodic wrap would corrupt their
+    boundary gradients.  Raises when no candidate is certified.
+    """
+    certified = []
     rejected = []
-    best = None
-    best_label = ""
-    best_report = None
     for cand in candidates:
         label, fld, value_at = _resolve_candidate(cand, dirac)
         report = is_steep_matrix(fld, dirac, gamma_ch=gamma_ch, tol=tol)
-        if not report.steep:
+        if report.steep:
+            certified.append((label, value_at, report.worst_margin))
+        else:
             rejected.append({"candidate": label,
                              "worst_margin": report.worst_margin,
                              "orientation_ok": report.orientation_ok})
-            continue
-        val = max(0.0, value_at(pair.q) - value_at(pair.p))
-        if best is None or val < best:
-            best, best_label, best_report = val, label, report
-    if best is None:
+    if not certified:
         raise ValueError("no steep candidates: all %d candidate(s) failed "
                          "certification" % len(rejected))
+    return CandidatePool(dirac.lattice, tuple(certified), tuple(rejected))
+
+
+def variational_distance(p, q, pool, compare_oracle=True):
+    """inf over the certified candidates f of `pool` of max(0, f(q) - f(p)).
+
+    Both events must lie in the box of the lattice the pool was certified
+    on: outside it, nothing is known about the candidates' gradients.
+    """
+    pair = _as_pair(p, q)
+    lat = pool.lattice
+    if len(pair.p) != lat.dimension:
+        raise ValueError("event dimension %d does not match operator "
+                         "dimension %d" % (len(pair.p), lat.dimension))
+    for event in (pair.p, pair.q):
+        if not all(lo <= x <= hi for x, (lo, hi) in zip(event, lat.extents)):
+            raise ValueError("event %r lies outside the certified box %r"
+                             % (event, lat.extents))
+
+    # min keeps the first of equal values: a later candidate must be smaller
+    value, label, margin = min(
+        ((max(0.0, value_at(pair.q) - value_at(pair.p)), label, margin)
+         for label, value_at, margin in pool.certified), key=lambda r: r[0])
 
     gap = float("nan")
     if compare_oracle:
-        gap = best - minkowski_oracle(pair)
-    return DistanceResult(best, "variational",
-                          params={"certified": True,
-                                  "worst_margin": best_report.worst_margin},
-                          achieving=best_label, rejected=rejected,
+        gap = value - minkowski_oracle(pair)
+    return DistanceResult(value, "variational",
+                          params={"certified": True, "worst_margin": margin},
+                          achieving=label, rejected=list(pool.rejected),
                           gap_vs_oracle=gap)
 
 
@@ -282,24 +285,27 @@ def boosted_candidate_expressions(velocities=(0.0, 0.25, 0.5, 0.75),
 def run_distance_suite(pairs, dimension, points, seed, candidates=None):
     """Distances on seeded random pairs; returns (checks, payload, rows).
 
-    Certification runs on a clamped lattice: steep candidates are not
-    periodic, and wrapped stencils would corrupt their boundary gradients.
+    The candidates are certified once, on a clamped lattice (steep candidates
+    are not periodic) over the box [-PAIR_EXTENT, PAIR_EXTENT]^d the events
+    are drawn from.
     """
     rng = default_rng(seed)
-    op = flat_operator(dimension, points, boundary="clamped")
+    box = ((-PAIR_EXTENT, PAIR_EXTENT),) * dimension
+    op = flat_operator(dimension, points, box=box, boundary="clamped")
     cands = list(candidates) if candidates else \
         boosted_candidate_expressions(axes=AXIS_NAMES[1:dimension])
+    pool = certify_candidates(cands, op)
 
     rows = []
     worst_boosted = 0.0
     worst_gap_low = 0.0
     worst_gap_high = 0.0
     for i in range(pairs):
-        p = tuple(rng.uniform(-3.0, 3.0, size=dimension))
-        q = tuple(rng.uniform(-3.0, 3.0, size=dimension))
+        p = tuple(rng.uniform(-PAIR_EXTENT, PAIR_EXTENT, size=dimension))
+        q = tuple(rng.uniform(-PAIR_EXTENT, PAIR_EXTENT, size=dimension))
         oracle = minkowski_oracle(p, q)
         boosted = boosted_family_distance(p, q)
-        vres = variational_distance(p, q, cands, op)
+        vres = variational_distance(p, q, pool)
         worst_boosted = max(worst_boosted, abs(boosted.value - oracle))
         worst_gap_low = min(worst_gap_low, vres.value - oracle)
         worst_gap_high = max(worst_gap_high, vres.value - oracle)

@@ -226,46 +226,6 @@ def parse_expression(text):
     return _Parser(text).parse()
 
 
-# ------------------------------------------------------------ pretty printer
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def to_string(node):
-    """Render an AST back to parseable text (round-trips through parse)."""
-    if isinstance(node, Constant):
-        value = node.value
-        if value == int(value) and abs(value) < 1e16:
-            return repr(int(value))
-        return repr(value)
-    if isinstance(node, Variable):
-        return node.name
-    if isinstance(node, Call):
-        return "%s(%s)" % (node.func, to_string(node.arg))
-    if isinstance(node, Unary):
-        inner = to_string(node.operand)
-        if isinstance(node.operand, Binary) and _PREC[node.operand.op] < _PREC["neg"]:
-            inner = "(%s)" % inner
-        return "-" + inner
-    if isinstance(node, Binary):
-        left, right = to_string(node.left), to_string(node.right)
-        prec = _PREC[node.op]
-        if isinstance(node.left, Binary) and _PREC[node.left.op] < prec:
-            left = "(%s)" % left
-        if isinstance(node.left, Unary) and prec >= _PREC["neg"]:
-            left = "(%s)" % left
-        # left-associative ops need parens around same-precedence right children
-        if isinstance(node.right, Binary) and (
-            _PREC[node.right.op] < prec
-            or (_PREC[node.right.op] == prec and node.op in ("-", "/", "*", "+"))
-        ):
-            right = "(%s)" % right
-        if isinstance(node.right, Unary) and node.op == "^":
-            right = "(%s)" % right
-        return "%s %s %s" % (left, node.op, right)
-    raise TypeError("not an AST node: %r" % (node,))
-
-
 # --------------------------------------------------------------- evaluation
 
 

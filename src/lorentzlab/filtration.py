@@ -113,25 +113,6 @@ def weighted_inner_product(psi, phi, n):
     return inner_product(psi, phi, weight=(1.0 + t ** 2) ** float(n))
 
 
-def growth_fit(elem: FilteredElement, lattice: Lattice):
-    """Least-squares exponent of |a| against sqrt(1+t^2); diagnostic only.
-
-    Returns (fitted_degree, suspicious) where suspicious flags a fitted
-    exponent more than 1.5 away from the declared degree.
-    """
-    t = lattice.axis_coordinates(0)
-    a = elem.sample(lattice).values
-    # reduce over spatial axes: max |a| per time slice
-    mag = np.abs(a).reshape(len(t), -1).max(axis=1)
-    keep = mag > 0
-    if keep.sum() < 2:
-        return float(elem.degree), False
-    x = 0.5 * np.log1p(t[keep] ** 2)
-    y = np.log(mag[keep])
-    slope = float(np.polyfit(x, y, 1)[0])
-    return slope, bool(abs(slope - elem.degree) > 1.5)
-
-
 def submultiplicativity_residual(a, b, lattice, m_a=None, m_b=None):
     """Relative slack of ||ab||_{ma+mb} <= ||a||_ma ||b||_mb (negative = holds)."""
     if m_a is None:

@@ -9,7 +9,7 @@ Axis 0 is time.  Two boundary modes:
 * "clamped": N sites including both endpoints, h = (max-min)/(N-1),
   trapezoidal weights, second-order one-sided stencils at the edges.
 
-Site ordering for flattening/serialization is row major (C order).
+Site ordering for flattening is row major (C order).
 """
 
 from dataclasses import dataclass
@@ -77,9 +77,6 @@ class Lattice:
         shape[axis] = self.points[axis]
         return np.broadcast_to(c.reshape(shape), self.shape)
 
-    def coordinate_field(self, axis):
-        return ScalarField(self, np.array(self.coordinate_array(axis), dtype=float))
-
     def axis_weights(self, axis):
         h = self.spacing(axis)
         n = self.points[axis]
@@ -143,10 +140,6 @@ class SpinorField:
             raise ValueError("spinor field shape %s does not match lattice %s"
                              % (self.values.shape, self.lattice.shape))
 
-    @property
-    def spinor_dim(self):
-        return self.values.shape[-1]
-
 
 def _central_diff(values, axis, h, boundary):
     if boundary == "periodic":
@@ -189,64 +182,3 @@ def inner_product(psi, phi, weight=None):
 
 def norm(psi, weight=None):
     return float(np.sqrt(inner_product(psi, psi, weight).real))
-
-
-# ------------------------------------------------------------- serialization
-
-
-def field_to_csv(fld, path):
-    """Write a field as CSV: site index, coordinates, real, imag.
-
-    Spinor fields get an extra `component` column after the site index.
-    Row order is row-major site order; line endings are LF; floats use the
-    shortest round-trip representation.
-    """
-    lat = fld.lattice
-    coords = [lat.coordinate_array(a).reshape(-1) for a in range(lat.dimension)]
-    names = list(lat.axis_names)
-    spinor = isinstance(fld, SpinorField)
-    with open(path, "w", newline="\n") as f:
-        header = ["site"] + (["component"] if spinor else []) + names + ["real", "imag"]
-        f.write(",".join(header) + "\n")
-        if spinor:
-            flat = fld.values.reshape(-1, fld.spinor_dim)
-            for site in range(lat.site_count):
-                prefix = ",".join(repr(float(c[site])) for c in coords)
-                for comp in range(fld.spinor_dim):
-                    z = complex(flat[site, comp])
-                    f.write("%d,%d,%s,%s,%s\n"
-                            % (site, comp, prefix, repr(z.real), repr(z.imag)))
-        else:
-            flat = fld.values.reshape(-1)
-            for site in range(lat.site_count):
-                z = complex(flat[site])
-                prefix = ",".join(repr(float(c[site])) for c in coords)
-                f.write("%d,%s,%s,%s\n" % (site, prefix, repr(z.real), repr(z.imag)))
-
-
-def field_from_csv(lattice, path):
-    """Read a field written by field_to_csv back onto `lattice`.
-
-    Returns a ScalarField, or a SpinorField when the header carries a
-    `component` column.
-    """
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        spinor = "component" in header
-        rows = []
-        for line in f:
-            parts = line.strip().split(",")
-            if not parts or parts[0] == "":
-                continue
-            rows.append(parts)
-    if spinor:
-        comps = max(int(p[1]) for p in rows) + 1
-        data = np.zeros((lattice.site_count, comps), dtype=complex)
-        for parts in rows:
-            data[int(parts[0]), int(parts[1])] = \
-                float(parts[-2]) + 1j * float(parts[-1])
-        return SpinorField(lattice, data.reshape(lattice.shape + (comps,)))
-    data = np.zeros(lattice.site_count, dtype=complex)
-    for parts in rows:
-        data[int(parts[0])] = float(parts[-2]) + 1j * float(parts[-1])
-    return ScalarField(lattice, data.reshape(lattice.shape))

@@ -29,14 +29,14 @@ declared ("assumed"), not verified; only the numerical identities are checked.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import fft2, fftfreq, fftn
 
 from . import expressions
 from .checks import Check
-from .lattice import Lattice, ScalarField, integrate
+from .lattice import Lattice, ScalarField
 
 THETA_DEFAULT = 0.5
 TRUNCATION_DEFAULT = 16
@@ -177,8 +177,8 @@ def _boundary_fraction(values):
 
 @dataclass
 class MoyalElement:
-    """A symbol for the star algebra: expression, callable, samples, or
-    coefficient matrix in the Landau basis.  Membership of unbounded symbols
+    """A symbol for the star algebra: expression, callable, or coefficient
+    matrix in the Landau basis.  Membership of unbounded symbols
     in the unitized multiplier algebra is recorded as declared, not proven.
     """
 
@@ -198,10 +198,6 @@ class MoyalElement:
         return cls("callable", fn, label=label or getattr(fn, "__name__", "callable"))
 
     @classmethod
-    def from_samples(cls, fld: ScalarField, label="samples"):
-        return cls("samples", fld, label=label)
-
-    @classmethod
     def from_coefficients(cls, coeffs, theta, label="coefficients"):
         return cls("coefficients", np.asarray(coeffs, dtype=complex),
                    theta=float(theta), label=label)
@@ -212,15 +208,9 @@ class MoyalElement:
             return fn
         if self.kind == "callable":
             return self.payload
-        if self.kind == "coefficients":
-            return synthesize(self.payload, self.theta)
-        return None
+        return synthesize(self.payload, self.theta)
 
     def sample(self, lat: Lattice):
-        if self.kind == "samples":
-            if self.payload.lattice != lat:
-                raise ValueError("sampled element lives on a different lattice")
-            return np.asarray(self.payload.values, dtype=complex)
         fn = self.callable_form()
         vals = fn(**lat.environment())
         return np.broadcast_to(np.asarray(vals, dtype=complex), lat.shape).copy()
@@ -489,16 +479,6 @@ def operator_norm(coeffs):
     """Operator norm of the symbol = largest singular value of c."""
     return float(np.linalg.svd(np.asarray(coeffs, dtype=complex),
                                compute_uv=False)[0])
-
-
-def truncation_leakage(coeffs):
-    """Weight on the last row/column relative to the Frobenius norm."""
-    c = np.asarray(coeffs, dtype=complex)
-    fro = float(np.linalg.norm(c))
-    if fro == 0.0:
-        return 0.0
-    return float(np.sqrt(np.linalg.norm(c[-1, :]) ** 2
-                         + np.linalg.norm(c[:, -1]) ** 2) / fro)
 
 
 # ----------------------------------------------------------------- oracles

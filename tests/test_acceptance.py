@@ -9,8 +9,8 @@ from lorentzlab.clifford import (build_gamma, check_clifford, chirality,
                                  fundamental_symmetry, krein_adjoint, max_abs)
 from lorentzlab.dirac import DiracOperator, check_temporal_axioms, flat_operator
 from lorentzlab.distance import (boosted_candidate_expressions,
-                                 boosted_family_distance, minkowski_oracle,
-                                 variational_distance)
+                                 boosted_family_distance, certify_candidates,
+                                 minkowski_oracle, variational_distance)
 from lorentzlab.filtration import (FilteredElement, ToyAlgebra,
                                    central_multiplicativity_check,
                                    operator_norm_grading_check,
@@ -145,17 +145,18 @@ def test_variational_distance_certified():
     start = time.perf_counter()
     box = ((-4.0, 4.0), (-4.0, 4.0))
     op = flat_operator(2, 12, box=box, boundary="clamped")
-    pool = boosted_candidate_expressions(axes=("x",))
+    pool = certify_candidates(boosted_candidate_expressions(axes=("x",)), op)
+    time_only = certify_candidates(["t"], op)
     rng = np.random.default_rng(42)
     worst_gap = -np.inf
     for _ in range(20):
         p = rng.uniform(-2, 2, size=2)
         q = p + np.array([rng.uniform(0.5, 1.5), rng.uniform(-0.4, 0.4)])
-        res = variational_distance(tuple(p), tuple(q), pool, op)
+        res = variational_distance(tuple(p), tuple(q), pool)
         gap = minkowski_oracle(tuple(p), tuple(q)) - res.value
         worst_gap = max(worst_gap, gap)
         # the plain time function reproduces dt with no rounding at all
-        exact = variational_distance(tuple(p), tuple(q), ["t"], op)
+        exact = variational_distance(tuple(p), tuple(q), time_only)
         assert exact.value == max(0.0, float(q[0] - p[0]))
     elapsed = time.perf_counter() - start
     _criterion("variational distance above oracle", worst_gap <= 1e-9,

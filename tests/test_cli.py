@@ -193,3 +193,13 @@ def test_cli_prints_exactly_the_suite_checks(argv, expected, tmp_path, capsys):
     payload = json.loads((tmp_path / (argv[0] + ".json")).read_text())
     assert payload["passed"] is passed
     assert code == (cli.EXIT_OK if passed else cli.EXIT_CHECK_FAILED)
+
+
+def test_distance_candidates_are_certified_where_the_events_lie(tmp_path, capsys):
+    # 2|t| is steep on t >= 0 only; the events are drawn from [-3, 3]^2
+    assert run(["distance", "--candidates", "2*abs(t)"], tmp_path) == 2
+    assert "no steep candidates" in capsys.readouterr().err
+    assert run(["distance", "--candidates", "2*abs(t)", "t"], tmp_path) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    rows = (tmp_path / "distance.csv").read_text().splitlines()[1:]
+    assert rows and all(row.endswith(",t") for row in rows)

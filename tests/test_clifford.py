@@ -3,7 +3,7 @@ import pytest
 
 from lorentzlab.clifford import (GammaRep, build_gamma, check_clifford,
                                  chirality, fundamental_symmetry,
-                                 krein_adjoint, max_abs, signature_audit)
+                                 krein_adjoint, max_abs)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -89,9 +89,6 @@ def test_conjugated_rep_still_passes():
     rot = rep.conjugated(q)
     report = check_clifford(rot)
     assert report.passed
-    verdict = signature_audit(rot.matrices)
-    assert verdict.verdict == "lorentzian"
-    assert verdict.anti_hermitian_indices == (0,)
 
 
 def test_perturbation_oracle():
@@ -109,25 +106,24 @@ def test_perturbation_oracle():
     assert report.max_residual == pytest.approx(2e-3, rel=1e-10)
 
 
-def test_signature_audit_accepts_built_reps():
-    for n in (2, 3, 4, 6):
-        verdict = signature_audit(build_gamma(n).matrices)
-        assert verdict.verdict == "lorentzian"
-
-
-def test_signature_audit_rejects_two_time_directions():
+def test_check_clifford_rejects_two_time_directions():
     rep = build_gamma(4)
     mats = list(rep.matrices)
     mats[1] = 1j * mats[1]          # second square becomes -1
-    verdict = signature_audit(tuple(mats))
-    assert verdict.verdict == "not_lorentzian"
+    report = check_clifford(GammaRep(4, tuple(mats), rep.metric_signs))
+    assert not report.passed
+    # {gamma^1, gamma^1} = -2 against the canonical +2, and gamma^1 is
+    # anti-Hermitian where a spatial generator must be Hermitian
+    assert report.anticommutator_residuals[(1, 1)] == pytest.approx(4.0)
+    assert report.hermiticity_residuals[1] == pytest.approx(2.0)
 
 
-def test_signature_audit_indeterminate_on_noise():
+def test_check_clifford_rejects_random_matrices():
     rng = np.random.RandomState(3)
     mats = tuple(rng.randn(4, 4) + 1j * rng.randn(4, 4) for _ in range(3))
-    verdict = signature_audit(mats)
-    assert verdict.verdict in ("not_lorentzian", "indeterminate")
+    report = check_clifford(GammaRep(3, mats, (-1, 1, 1)))
+    assert not report.passed
+    assert report.max_residual > 1.0
 
 
 def test_build_gamma_rejects_bad_dimension():

@@ -253,6 +253,23 @@ def test_periodic_elliptic_check_keeps_momentum_budget():
     assert rep.passed and rep.elliptic_min_eigenvalue is None
 
 
+@pytest.mark.parametrize("dim,points,u", [(2, 8, "1 + 0.1*t"), (3, 4, "2+sin(t)")])
+def test_elliptic_minimum_is_the_same_in_chunks(monkeypatch, dim, points, u):
+    op = flat_operator(dim, points, u=u)
+    pts, s = op.lattice.points, op.spinor_dim
+    assert len(dirac._momentum_chunks(pts, s)) == 1
+    whole = check_temporal_axioms(op, seed=0).elliptic_min_eigenvalue
+    blocks = dirac._momentum_blocks(op)
+    # the smallest limit that still admits the lattice: chunks of 1-2 momenta
+    monkeypatch.setattr(dirac, "MOMENTUM_BYTES_LIMIT",
+                        dirac.momentum_block_bytes(pts, s))
+    chunks = dirac._momentum_chunks(pts, s)
+    assert len(chunks) >= 8
+    assert np.array_equal(np.concatenate(
+        [dirac._momentum_blocks(op, momenta=c) for c in chunks]), blocks)
+    assert check_temporal_axioms(op, seed=0).elliptic_min_eigenvalue == whole
+
+
 def test_tolerances_record_every_bound_of_the_checks(monkeypatch):
     # every threshold constant the checks read must appear in `tolerances`
     names = [n for n in AxiomReport.checks.fget.__code__.co_names

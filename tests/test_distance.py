@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from lorentzlab import distance
 from lorentzlab.dirac import flat_operator
-from lorentzlab.distance import (EventPair, boost_matrix,
-                                 boosted_candidate_expressions,
-                                 boosted_family_distance,
+from lorentzlab.distance import (EventPair, boosted_candidate_expressions,
+                                 boosted_family_distance, certify_candidates,
                                  conformal_time_distance, golden_section,
-                                 minkowski_oracle, variational_distance)
+                                 minkowski_oracle, run_distance_suite,
+                                 variational_distance)
 from lorentzlab.filtration import FilteredElement
 
 ROOT3 = 1.7320508075688772            # sqrt(2^2 - 1^2)
@@ -66,24 +67,18 @@ def test_pure_time_pair():
 
 
 def test_boost_invariance():
+    # Lorentz boost with v = 0.6 along x in 2+1 dimensions
+    g = 1.0 / np.sqrt(1.0 - 0.6 ** 2)
+    lam = np.array([[g, -0.6 * g, 0.0], [-0.6 * g, g, 0.0], [0.0, 0.0, 1.0]])
+    eta = np.diag([-1.0, 1.0, 1.0])
+    assert np.abs(lam.T @ eta @ lam - eta).max() <= 1e-12
     rng = np.random.default_rng(5)
     for _ in range(50):
         p = rng.uniform(-2, 2, size=3)
         q = p + np.array([rng.uniform(0.5, 2.0), *rng.uniform(-0.3, 0.3, 2)])
         d0 = boosted_family_distance(p, q).value
-        lam = boost_matrix(0.6, axis=1, dimension=3)
         d1 = boosted_family_distance(lam @ p, lam @ q).value
         assert abs(d0 - d1) <= 1e-9
-
-
-def test_boost_matrix_properties():
-    lam = boost_matrix(0.8, axis=1, dimension=3)
-    eta = np.diag([-1.0, 1.0, 1.0])
-    assert np.abs(lam.T @ eta @ lam - eta).max() <= 1e-12
-    with pytest.raises(ValueError):
-        boost_matrix(1.0)
-    with pytest.raises(ValueError):
-        boost_matrix(0.5, axis=0)
 
 
 def test_antisymmetry():
@@ -136,10 +131,13 @@ def test_conformal_rejects_nonpositive_u():
         conformal_time_distance(0.0, 3.0, u="1 - t")
 
 
+def pool_of(candidates, dim=2):
+    return certify_candidates(candidates, clamped_op(dim=dim))
+
+
 def test_variational_meets_oracle():
-    op = clamped_op()
-    cands = boosted_candidate_expressions(axes=("x",))
-    res = variational_distance((0.0, 0.0), (2.0, 1.0), cands, op)
+    pool = pool_of(boosted_candidate_expressions(axes=("x",)))
+    res = variational_distance((0.0, 0.0), (2.0, 1.0), pool)
     oracle = minkowski_oracle((0.0, 0.0), (2.0, 1.0))
     assert res.value >= oracle - 1e-9
     assert "0.5" in res.achieving     # v = 0.5 boost achieves sqrt(3)
@@ -148,15 +146,15 @@ def test_variational_meets_oracle():
 
 
 def test_variational_time_candidate_exact():
-    op = clamped_op()
-    res = variational_distance((0.25, 0.5), (1.75, -0.5), ["t"], op)
+    res = variational_distance((0.25, 0.5), (1.75, -0.5), pool_of(["t"]))
     assert res.value == 1.5            # plain subtraction, no rounding
     assert res.achieving == "t"
 
 
 def test_variational_records_rejections():
-    op = clamped_op()
-    res = variational_distance((0.0, 0.0), (1.5, 0.0), ["0.5*t", "t"], op)
+    pool = pool_of(["0.5*t", "t"])
+    assert [c[0] for c in pool.certified] == ["t"]
+    res = variational_distance((0.0, 0.0), (1.5, 0.0), pool)
     assert res.value == 1.5
     assert len(res.rejected) == 1
     assert res.rejected[0]["candidate"] == "0.5*t"
@@ -164,29 +162,64 @@ def test_variational_records_rejections():
 
 
 def test_variational_no_steep_candidate_raises():
-    op = clamped_op()
     with pytest.raises(ValueError, match="no steep candidates"):
-        variational_distance((0.0, 0.0), (1.0, 0.0), ["0.5*t"], op)
+        pool_of(["0.5*t"])
 
 
 def test_variational_dimension_mismatch():
-    op = clamped_op(dim=2)
+    pool = pool_of(["t"], dim=2)
     with pytest.raises(ValueError, match="dimension"):
-        variational_distance((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), ["t"], op)
+        variational_distance((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), pool)
 
 
 def test_variational_filtered_element_candidate():
-    op = clamped_op()
-    elem = FilteredElement.time_element()
-    res = variational_distance((0.0, 0.0), (2.0, 0.5), [elem], op)
+    pool = pool_of([FilteredElement.time_element()])
+    res = variational_distance((0.0, 0.0), (2.0, 0.5), pool)
     assert abs(res.value - 2.0) <= 1e-12
     assert res.achieving == "T"
 
 
 def test_variational_spacelike_clips_to_zero():
-    op = clamped_op()
-    res = variational_distance((0.0, 0.0), (-1.0, 0.0), ["t"], op)
+    res = variational_distance((0.0, 0.0), (-1.0, 0.0), pool_of(["t"]))
     assert res.value == 0.0
+
+
+def test_variational_ties_keep_the_first_candidate():
+    # both candidates give dt on a pure time displacement
+    pool = pool_of(["t", "t + 0*x"])
+    assert variational_distance((0.0, 0.0), (1.0, 0.0), pool).achieving == "t"
+
+
+def test_variational_refuses_events_outside_the_certified_box():
+    pool = pool_of(["t"])              # certified on [-4, 4]^2
+    assert variational_distance((-4.0, 4.0), (4.0, -4.0), pool).value == 8.0
+    for p, q in (((0.0, 0.0), (4.5, 0.0)), ((-4.1, 0.0), (0.0, 0.0)),
+                 ((0.0, 0.0), (1.0, -5.0))):
+        with pytest.raises(ValueError, match="outside the certified box"):
+            variational_distance(p, q, pool)
+
+
+def test_distance_suite_certifies_each_candidate_once(monkeypatch):
+    calls = []
+    certify = distance.is_steep_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return certify(*args, **kwargs)
+    monkeypatch.setattr(distance, "is_steep_matrix", counted)
+    checks, payload, rows = run_distance_suite(25, 2, 8, 1)
+    assert len(rows) == 25 and payload["passed"]
+    assert len(calls) == len(payload["candidates"]) == 4
+
+
+def test_distance_suite_certifies_on_the_sampled_box():
+    # |t| is steep on [0, n] but not on [-3, 3], where the events are drawn
+    with pytest.raises(ValueError, match="no steep candidates"):
+        run_distance_suite(5, 2, 12, 42, candidates=["2*abs(t)"])
+    checks, payload, rows = run_distance_suite(5, 2, 12, 42,
+                                               candidates=["2*abs(t)", "t"])
+    assert payload["passed"]
+    assert {row[-1] for row in rows} == {"t"}
 
 
 def test_event_pair_validation():

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from lorentzlab.expressions import (ExpressionError, compile_expression,
-                                    evaluate, parse_expression, to_string,
-                                    variables_used)
+                                    evaluate, parse_expression, variables_used)
 
 
 def ev(text, **env):
@@ -51,15 +50,6 @@ def test_scientific_notation():
 def test_variables_used():
     ast = parse_expression("sin(t)*x + 3")
     assert variables_used(ast) == {"t", "x"}
-
-
-def test_to_string_round_trip():
-    for text in ("t + x*y", "-(t + 1)", "2^3^t", "(t + 1)/(x - 2)",
-                 "sin(t)^2 + cos(t)^2", "t^-2"):
-        ast = parse_expression(text)
-        again = parse_expression(to_string(ast))
-        env = {"t": np.asarray(0.7), "x": np.asarray(-1.3), "y": np.asarray(2.1)}
-        assert evaluate(ast, env) == evaluate(again, env)
 
 
 def test_parse_error_positions():

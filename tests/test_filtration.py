@@ -4,7 +4,7 @@ import pytest
 from lorentzlab.filtration import (EvaluationState, FilteredElement,
                                    ToyAlgebra, ToyFilteredElement, ToyState,
                                    central_multiplicativity_check,
-                                   extend_state, extend_toy_state, growth_fit,
+                                   extend_state, extend_toy_state,
                                    operator_norm_grading_check,
                                    submultiplicativity_residual,
                                    weighted_inner_product, weighted_norm,
@@ -132,18 +132,6 @@ def test_well_definedness_rejects_mismatch():
     b = FilteredElement.from_expression("cos(t)", 1)
     with pytest.raises(ValueError, match="differ as functions"):
         well_definedness_check(a, b, lat, [(0.0, 0.0)])
-
-
-def test_growth_fit_flags_mismatch():
-    lat = time_lattice()
-    honest, suspicious = growth_fit(FilteredElement.time_element(), lat)
-    assert abs(honest - 1.0) <= 0.5
-    assert not suspicious
-    # declared degree 0 but actually decaying like (1+t^2)^-2
-    liar = FilteredElement.from_expression("1/(1+t^2)^2", 0)
-    fitted, flag = growth_fit(liar, lat)
-    assert flag
-    assert fitted < -1.5
 
 
 # ------------------------------------------------------------- toy algebra

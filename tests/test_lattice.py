@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from lorentzlab.expressions import ExpressionError
-from lorentzlab.lattice import (Lattice, ScalarField, SpinorField,
-                                field_from_csv, field_to_csv, gradient,
+from lorentzlab.lattice import (Lattice, ScalarField, SpinorField, gradient,
                                 inner_product, integrate, norm)
 
 
@@ -101,32 +100,3 @@ def test_field_shape_validation():
         ScalarField(lat, np.zeros((4, 5)))
     with pytest.raises(ValueError):
         SpinorField(lat, np.zeros((4, 4)))   # missing spinor axis
-
-
-def test_csv_round_trip_scalar(tmp_path):
-    lat = Lattice(((-2.0, 2.0), (0.0, 4.0)), (5, 4), boundary="clamped")
-    rng = np.random.RandomState(7)
-    f = ScalarField(lat, rng.randn(5, 4))
-    path = tmp_path / "field.csv"
-    field_to_csv(f, str(path))
-    back = field_from_csv(lat, str(path))
-    assert np.array_equal(back.values, f.values)
-
-
-def test_csv_round_trip_spinor(tmp_path):
-    lat = Lattice(((0.0, 4.0),), (6,))
-    rng = np.random.RandomState(9)
-    psi = SpinorField(lat, rng.randn(6, 2) + 1j * rng.randn(6, 2))
-    path = tmp_path / "spinor.csv"
-    field_to_csv(psi, str(path))
-    back = field_from_csv(lat, str(path))
-    assert np.array_equal(back.values, psi.values)
-
-
-def test_csv_uses_lf_newlines(tmp_path):
-    lat = Lattice(((0.0, 2.0),), (4,))
-    f = ScalarField(lat, np.arange(4.0))
-    path = tmp_path / "f.csv"
-    field_to_csv(f, str(path))
-    raw = path.read_bytes()
-    assert b"\r" not in raw

@@ -12,7 +12,7 @@ from lorentzlab.moyal import (TAIL_WARN, MoyalElement, ThetaMatrix,
                               gaussian_star_closed_form, involution_check,
                               moyal_grid, operator_norm, project,
                               star_matrix_basis, star_quadrature, star_twisted,
-                              synthesize, trace_check, truncation_leakage)
+                              synthesize, trace_check)
 
 THETA = 0.5
 
@@ -238,14 +238,6 @@ def test_synthesize_rectangular_coefficients():
     assert np.max(np.abs(synthesize(coeffs, THETA)(x, y) - want)) <= 1e-14
     with pytest.raises(ValueError, match="2-d"):
         synthesize(np.ones(4), THETA)
-
-
-def test_truncation_leakage():
-    c = np.zeros((5, 5))
-    c[0, 0] = 1.0
-    assert truncation_leakage(c) == 0.0
-    c[-1, -1] = 2.0
-    assert truncation_leakage(c) > 0.5
 
 
 # ----------------------------------------------------------------- checks
