@@ -23,15 +23,13 @@ from .expressions import ExpressionError, compile_expression, parse_expression
 from .filtration import (EvaluationState, FilteredElement, ToyAlgebra,
                          ToyState, central_multiplicativity_check,
                          extend_state, operator_norm_grading_check,
-                         weighted_inner_product, weighted_norm,
-                         well_definedness_check)
+                         weighted_norm, well_definedness_check)
 from .lattice import Lattice, ScalarField, SpinorField, gradient, integrate
-from .moyal import (MoyalElement, ThetaMatrix, commutation_check,
-                    delta_algebra_check, moyal_grid, operator_norm, project,
-                    star_matrix_basis, star_quadrature, star_twisted,
-                    synthesize)
+from .moyal import (ThetaMatrix, commutation_check, delta_algebra_check,
+                    moyal_grid, operator_norm, project, star_matrix_basis,
+                    star_quadrature, star_twisted, synthesize)
 from .steepness import (equivalence_scan, is_steep_matrix, is_steep_scalar,
-                        matrix_margin_constant, scalar_margin_constant)
+                        matrix_margins, scalar_margins)
 
 __version__ = "0.1.0"
 
@@ -47,13 +45,12 @@ __all__ = [
     "ExpressionError", "compile_expression", "parse_expression",
     "EvaluationState", "FilteredElement", "ToyAlgebra", "ToyState",
     "central_multiplicativity_check", "extend_state",
-    "operator_norm_grading_check", "weighted_inner_product", "weighted_norm",
-    "well_definedness_check",
+    "operator_norm_grading_check", "weighted_norm", "well_definedness_check",
     "Lattice", "ScalarField", "SpinorField", "gradient", "integrate",
-    "MoyalElement", "ThetaMatrix", "commutation_check", "delta_algebra_check",
+    "ThetaMatrix", "commutation_check", "delta_algebra_check",
     "moyal_grid", "operator_norm", "project", "star_matrix_basis",
     "star_quadrature", "star_twisted", "synthesize",
     "equivalence_scan", "is_steep_matrix", "is_steep_scalar",
-    "matrix_margin_constant", "scalar_margin_constant",
+    "matrix_margins", "scalar_margins",
     "__version__",
 ]

@@ -56,7 +56,8 @@ VALUE_RULES = {
     "theta": (lambda v: math.isfinite(v) and v > 0, "positive and finite"),
     "truncation": (lambda v: 2 <= v <= 32, "in [2, 32]"),
     "pairs": (lambda v: 1 <= v <= 10000, "in [1, 10000]"),
-    "candidates": (lambda v: len(v) > 0, "a non-empty list of expressions"),
+    "candidates": (lambda v: len(v) > 0 and all(isinstance(c, str) for c in v),
+                   "a non-empty list of expression strings"),
 }
 
 
@@ -93,9 +94,9 @@ def _has_type(value, kind):
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-# commands that run the axiom suite (held to dirac.DENSE_LIMIT on clamped
-# lattices and to dirac.MOMENTUM_BYTES_LIMIT on periodic ones), and commands
-# whose steepness certificates need the chirality matrix (even dimensions)
+# commands that run the axiom suite (held to dirac.elliptic_size_error), and
+# commands whose steepness certificates need the chirality matrix (even
+# dimensions)
 AXIOM_COMMANDS = ("verify", "report")
 EVEN_COMMANDS = ("distance", "report")
 
@@ -129,7 +130,7 @@ def validate_config(cfg, command):
                       else AXIS_NAMES)
         for cand in cfg.candidates:
             try:
-                extra = variables_used(parse_expression(str(cand))) - allowed
+                extra = variables_used(parse_expression(cand)) - allowed
                 if extra:
                     errors.append("candidate %r uses variables %s outside "
                                   "axes %s" % (cand, sorted(extra),
@@ -144,19 +145,11 @@ def validate_config(cfg, command):
         errors.append("lattice too large: %d^%d sites > %d"
                       % (cfg.points, cfg.dimension, dirac.SITE_LIMIT))
     if axioms and not errors:
-        spinor = 2 ** (cfg.dimension // 2)
-        dense = cfg.points ** cfg.dimension * spinor
-        blocks = dirac.momentum_block_bytes((cfg.points,) * cfg.dimension, spinor)
-        if cfg.boundary == "clamped" and dense > dirac.DENSE_LIMIT:
-            errors.append("lattice too large for dense verification: "
-                          "%d^%d sites x %d spinor components = %d > %d"
-                          % (cfg.points, cfg.dimension, spinor, dense,
-                             dirac.DENSE_LIMIT))
-        elif cfg.boundary == "periodic" and blocks > dirac.MOMENTUM_BYTES_LIMIT:
-            errors.append("lattice too large for the <D>^2 momentum blocks: "
-                          "%d^%d sites need %d bytes > %d"
-                          % (cfg.points, cfg.dimension, blocks,
-                             dirac.MOMENTUM_BYTES_LIMIT))
+        error = dirac.elliptic_size_error(
+            (cfg.points,) * cfg.dimension, cfg.boundary,
+            clifford.build_gamma(cfg.dimension).matrix_size)
+        if error:
+            errors.append("%d^%d lattice: %s" % (cfg.points, cfg.dimension, error))
     if axioms and not errors:
         try:
             with np.errstate(all="ignore"):

@@ -17,7 +17,10 @@ residuals of the suite are array operations on those diagonals.  The
 probe-built `dense_matrix` is the independent route D is checked against:
 by the tests, and by the suite itself up to ORACLE_LIMIT dense dimensions.
 On a periodic lattice D commutes with spatial translations (u depends on t
-only), so the spectrum of <D>^2 is computed one spatial momentum at a time.
+only), so the spectrum of the stencil <D>^2 is computed one spatial
+momentum at a time, from the spatial Fourier transform of its diagonals.
+The symbol of [D, f], and with the exact gradient dT = dt that of [D, T],
+is `gradient_symbol` of the gradient values.
 
 The temporal element T is the time coordinate *with its analytic gradient*
 dT = dt: its commutator symbol [D,T](x) = -i gamma^0 u^{-1/2}(x) is exact per
@@ -51,6 +54,7 @@ COMMUTE_TOL = 1e-13
 ELLIPTIC_EIG_FLOOR = -1e-10
 ELLIPTIC_HERM_TOL = 1e-12
 ASSEMBLY_TOL = 0.0       # the sparse D equals the probe-built D entry for entry
+U_VARIATION_TOL = 1e-12  # spread of u up to which it counts as constant
 
 
 @dataclass(frozen=True)
@@ -96,7 +100,7 @@ class DiracOperator:
             raise ValueError("conformal factor u must be strictly positive")
         for axis in range(1, lattice.dimension):
             spread = np.max(np.ptp(u, axis=axis))
-            if spread > 1e-12 * max(1.0, np.max(np.abs(u))):
+            if spread > U_VARIATION_TOL * max(1.0, np.max(np.abs(u))):
                 raise ValueError("conformal factor u must depend on t only "
                                  "(axis %d spread %.3e)" % (axis, spread))
         self.u = u
@@ -133,22 +137,15 @@ class DiracOperator:
         """
         if f.lattice != self.lattice:
             raise ValueError("scalar lives on a different lattice")
-        s = self.spinor_dim
-        out = np.zeros(self.lattice.shape + (s, s), dtype=complex)
-        for mu in range(self.lattice.dimension):
-            df = gradient(f, mu).values * self.vielbein(mu)
-            out += df[..., None, None] * self.rep.matrices[mu]
-        return MatrixField(self.lattice, -1j * out)
+        grads = [gradient(f, mu).values for mu in range(self.lattice.dimension)]
+        return MatrixField(self.lattice, gradient_symbol(self.rep, grads, self.u))
 
     def temporal_commutator(self, T: TemporalElement = None) -> MatrixField:
         """[D, T] at symbol level: -i gamma^0 u^{-1/2}(x), exact per site."""
         if T is not None and T.lattice != self.lattice:
             raise ValueError("temporal element lives on a different lattice")
-        s = self.spinor_dim
-        coeff = self.vielbein(0)
-        out = coeff[..., None, None] * (-1j * self.rep.matrices[0])
-        return MatrixField(self.lattice, np.broadcast_to(
-            out, self.lattice.shape + (s, s)).copy())
+        dt = [1.0] + [0.0] * (self.lattice.dimension - 1)
+        return MatrixField(self.lattice, gradient_symbol(self.rep, dt, self.u))
 
     # ------------------------------------------------------------ matrices
 
@@ -175,7 +172,7 @@ class DiracOperator:
     def dense_matrix(self):
         """Dense matrix of D in row-major (site, spinor) order."""
         n = self.dense_dim
-        _require_dense(n, "dense matrix")
+        _require(_dense_error(n, "dense matrix"))
         s = self.spinor_dim
         out = np.zeros((n, n), dtype=complex)
         basis = np.zeros(self.lattice.shape + (s,), dtype=complex)
@@ -198,10 +195,29 @@ class DiracOperator:
         return (a.conj().T * w[None, :]) / w[:, None]
 
 
-def _require_dense(n, what):
+def gradient_symbol(rep, grads, u):
+    """-i sum_mu e^mu gamma^mu g_mu per point: the symbol of [D, f] for g = df.
+
+    grads holds one gradient component per axis and u the lapse (e^0 =
+    u^{-1/2}, e^i = 1), broadcast together; returns their shape + (s, s).
+    """
+    comps = np.broadcast_arrays(grads[0] * (1.0 / np.sqrt(u)), *grads[1:])
+    out = np.zeros(comps[0].shape + (rep.matrix_size,) * 2, dtype=complex)
+    for df, g in zip(comps, rep.matrices):
+        out += df[..., None, None] * g
+    return -1j * out
+
+
+def _dense_error(n, what):
     if n > DENSE_LIMIT:
-        raise ValueError("%s would be %d^2; limit is %d^2 "
-                         "(use a coarser lattice)" % (what, n, DENSE_LIMIT))
+        return ("%s would be %d^2; limit is %d^2 (use a coarser lattice)"
+                % (what, n, DENSE_LIMIT))
+    return None
+
+
+def _require(error):
+    if error:
+        raise ValueError(error)
 
 
 def momentum_block_bytes(points, spinor_dim):
@@ -209,11 +225,19 @@ def momentum_block_bytes(points, spinor_dim):
     return int(np.prod(points[1:])) * (points[0] * spinor_dim) ** 2 * 16
 
 
-def _require_momentum_blocks(points, spinor_dim):
+def elliptic_size_error(points, boundary, spinor_dim):
+    """Why the suite cannot take the <D>^2 spectrum on this lattice, or None.
+
+    A periodic lattice holds its momentum blocks to MOMENTUM_BYTES_LIMIT; a
+    clamped one needs a dense eigvalsh, held to DENSE_LIMIT dimensions.
+    """
+    if boundary != "periodic":
+        return _dense_error(int(np.prod(points)) * spinor_dim, "dense eigvalsh")
     n = momentum_block_bytes(points, spinor_dim)
     if n > MOMENTUM_BYTES_LIMIT:
-        raise ValueError("<D>^2 momentum blocks would take %d bytes; limit is "
-                         "%d (use a coarser lattice)" % (n, MOMENTUM_BYTES_LIMIT))
+        return ("<D>^2 momentum blocks would take %d bytes; limit is %d "
+                "(use a coarser lattice)" % (n, MOMENTUM_BYTES_LIMIT))
+    return None
 
 
 def _stencil(n, h, boundary):
@@ -458,53 +482,42 @@ def _elliptic_square(d, k):
 
 def elliptic_square(D: DiracOperator, T: TemporalElement = None):
     """<D>^2 = -1/2 (D K D K + K D K D) with K = [D,T], as a dense matrix."""
-    _require_dense(D.dense_dim, "<D>^2")
+    _require(_dense_error(D.dense_dim, "<D>^2"))
     return _elliptic_square(D.sparse_matrix(), _site_blocks(
         D.lattice, D.temporal_commutator(T).values)).toarray()
 
 
-def _block_diagonal(blocks):
-    """Dense (n s)^2 matrix with the n blocks of shape (s, s) on its diagonal."""
-    n, s, _ = blocks.shape
-    out = np.zeros((n, s, n, s), dtype=blocks.dtype)
-    out[np.arange(n), :, np.arange(n), :] = blocks
-    return out.reshape(n * s, n * s)
-
-
-def _momentum_blocks(D, T=None, momenta=slice(None)):
+def _momentum_blocks(m, momenta=slice(None)):
     """<D>^2 on a periodic lattice as one (N_t s)^2 block per spatial momentum.
 
-    u depends on t only, so D commutes with spatial translations and the
-    unitary spatial Fourier transform splits <D>^2 into blocks, one for each
-    momentum p: the time stencil and the lapse act as in D, each spatial
-    difference becomes i sin(2 pi p_i / N_i) / h_i, and K = [D,T] is the same
-    in every block.  Returns shape (momenta, N_t s, N_t s), momenta in
-    row-major order over the spatial axes; `momenta` slices that order.
+    m is <D>^2 in stencil form.  u depends on t only, so every diagonal of m
+    is the same at every spatial site, and the unitary spatial Fourier
+    transform splits m into blocks, one for each momentum p: the diagonal
+    (o, k) adds V[t, x=0, a] exp(2 pi i p.o_x / N_x) at row (t, a), column
+    ((t + o_t) mod N_t, a XOR k).  Returns shape (momenta, N_t s, N_t s),
+    momenta in row-major order over the spatial axes; `momenta` slices that
+    order.
     """
-    lat, s = D.lattice, D.spinor_dim
-    nt = lat.points[0]
-    first = (slice(None),) + (0,) * (lat.dimension - 1)     # the t axis
-    e0 = np.repeat(D.vielbein(0)[first], s)
-    stencil = np.zeros((nt, nt))
-    for step, coeff in _stencil(nt, lat.spacing(0), "periodic"):
-        stencil[np.arange(nt), (np.arange(nt) + step) % nt] += coeff
-    time_part = e0[:, None] * np.kron(stencil, D.rep.matrices[0])
-    waves = np.meshgrid(*(np.sin(2.0 * np.pi * np.arange(n) / n) / lat.spacing(a)
-                          for a, n in enumerate(lat.points) if a > 0),
-                        indexing="ij")
-    sines = np.stack([w.reshape(-1) for w in waves], axis=-1)[momenta]
-    spatial = np.stack([np.kron(np.eye(nt), g) for g in D.rep.matrices[1:]])
-    # -i (e0 d_t gamma^0 + sum_i (i sin_i / h_i) gamma^i)
-    d = -1j * time_part + np.einsum("pi,iab->pab", sines, spatial)
-    k = _block_diagonal(D.temporal_commutator(T).values[first])
-    return _elliptic_square(d, k)
+    lat, s = m.lattice, m.spinor_dim
+    nt, space = lat.points[0], lat.points[1:]
+    waves = np.stack([g.reshape(-1) for g in np.meshgrid(
+        *(np.arange(n) / n for n in space), indexing="ij")], axis=-1)[momenta]
+    out = np.zeros((len(waves), nt, s, nt, s), dtype=complex)
+    t = np.arange(nt)[:, None]
+    a = np.arange(s)
+    first = (slice(None),) + (0,) * len(space)      # the t axis at x = 0
+    for (o, k), v in m.diagonals.items():
+        phase = np.exp(2j * np.pi * (waves @ np.array(o[1:], dtype=float)))
+        out[:, t, a, (t + o[0]) % nt, a ^ k] += phase[:, None, None] * v[first]
+    return out.reshape(len(waves), nt * s, nt * s)
 
 
 def _momentum_chunks(points, spinor_dim):
     """Slices of momenta whose blocks take at most MOMENTUM_BYTES_LIMIT / 8.
 
-    `_elliptic_square` and the symmetrised copy hold about six block-sized
-    arrays at once, so a chunk's working set stays within the limit.
+    The blocks, their symmetrised copy with its temporaries and the copy
+    eigvalsh works on hold about four block-sized arrays at once, so a
+    chunk's working set stays within half the limit.
     """
     momenta = int(np.prod(points[1:]))
     block = momentum_block_bytes(points, spinor_dim) // momenta
@@ -524,18 +537,16 @@ def check_temporal_axioms(D: DiracOperator, T: TemporalElement = None,
 
     Up to ORACLE_LIMIT dense dimensions that D is also compared with
     the probe-built `dense_matrix`.  The smallest eigenvalue of <D>^2 comes
-    from `_momentum_blocks` on a periodic lattice, whose blocks must fit in
-    MOMENTUM_BYTES_LIMIT and are built and diagonalised in chunks of momenta
-    (`_momentum_chunks`); on a clamped lattice it needs a dense eigvalsh, so
-    there the elliptic check requires dense_dim <= DENSE_LIMIT.
+    from `_momentum_blocks` of the same stencil <D>^2 whose hermiticity is
+    checked, on a periodic lattice, built and diagonalised in chunks of
+    momenta (`_momentum_chunks`); on a clamped lattice it needs a dense
+    eigvalsh.  `elliptic_size_error` holds both to their limits.
     """
     lat = D.lattice
     s = D.spinor_dim
     periodic = lat.boundary == "periodic"
-    if include_elliptic and periodic:
-        _require_momentum_blocks(lat.points, s)
-    elif include_elliptic:
-        _require_dense(D.dense_dim, "dense eigvalsh")
+    if include_elliptic:
+        _require(elliptic_size_error(lat.points, lat.boundary, s))
     K = D.temporal_commutator(T)
 
     herm = K.hermiticity_residual()
@@ -576,7 +587,7 @@ def check_temporal_axioms(D: DiracOperator, T: TemporalElement = None,
         m = _elliptic_square(d, k)
         ell_herm = (m - m.adjoint()).max_abs()
         if periodic:
-            ell_min = min(_min_eigenvalue(_momentum_blocks(D, T, chunk))
+            ell_min = min(_min_eigenvalue(_momentum_blocks(m, chunk))
                           for chunk in _momentum_chunks(lat.points, s))
         else:
             ell_min = float(np.linalg.eigvalsh(
@@ -587,7 +598,7 @@ def check_temporal_axioms(D: DiracOperator, T: TemporalElement = None,
         notes.append("clamped lattice: difference adjoints hold only up to "
                      "boundary terms; skew residuals are approximate")
     uvar = float(np.ptp(D.u))
-    if uvar > 1e-12:
+    if uvar > U_VARIATION_TOL:
         notes.append("non-constant u(t): continuum skew-self-adjointness of "
                      "[D,T]D acquires a bounded defect ~ d(u^{-1/2}); residual "
                      "reported honestly")
@@ -611,7 +622,7 @@ def check_temporal_axioms(D: DiracOperator, T: TemporalElement = None,
         elliptic_hermiticity=ell_herm,
         elliptic_min_eigenvalue=ell_min,
         assembly_residual=assembly,
-        adjoints_exact=(periodic and uvar <= 1e-12),
+        adjoints_exact=(periodic and uvar <= U_VARIATION_TOL),
         notes=tuple(notes),
         tolerances={
             "hermiticity": HERMITICITY_TOL,

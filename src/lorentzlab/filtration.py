@@ -37,6 +37,8 @@ from .lattice import Lattice, ScalarField, SpinorField, inner_product
 
 SUBMULT_TOL = 1e-12          # relative
 NORM_SPREAD_TOL = 1e-10      # relative, across H_n, n in -2..2
+NORM_BOUND_TOL = 1e-12       # relative: estimates stay below the sup norm
+NORM_APPROACH = 0.95         # and reach this share of it
 WELL_DEFINED_TOL = 1e-12
 CENTRAL_TOL = 1e-13
 TIME_NORM_BOUND = 1.0        # ||T||_{-1} < 1: the time element is a contraction
@@ -107,12 +109,6 @@ def weighted_norm(elem: FilteredElement, m, lattice: Lattice):
     return float(np.max(np.abs((1.0 + t ** 2) ** (m / 2.0) * a)))
 
 
-def weighted_inner_product(psi, phi, n):
-    """<psi, phi>_n with the (1+t^2)^n time weight."""
-    t = psi.lattice.coordinate_array(0)
-    return inner_product(psi, phi, weight=(1.0 + t ** 2) ** float(n))
-
-
 def submultiplicativity_residual(a, b, lattice, m_a=None, m_b=None):
     """Relative slack of ||ab||_{ma+mb} <= ||a||_ma ||b||_mb (negative = holds)."""
     if m_a is None:
@@ -135,7 +131,7 @@ class GradingReport:
     estimates: dict                 # n -> operator norm estimate on H_n
     spread: float                   # relative spread of estimates across n
     bound_ok: bool
-    approach_ok: bool               # estimates within 5% of the sup norm
+    approach_ok: bool               # estimates reach NORM_APPROACH of the sup norm
 
     def to_dict(self):
         return {**vars(self),
@@ -185,8 +181,8 @@ def operator_norm_grading_check(elem: FilteredElement, lattice: Lattice,
         weighted_norm=sup,
         estimates=estimates,
         spread=spread,
-        bound_ok=bool(np.all(vals <= sup * (1.0 + 1e-12))),
-        approach_ok=bool(vals.min() >= 0.95 * sup),
+        bound_ok=bool(np.all(vals <= sup * (1.0 + NORM_BOUND_TOL))),
+        approach_ok=bool(vals.min() >= NORM_APPROACH * sup),
     )
 
 
@@ -282,22 +278,6 @@ class ToyState:
     def __call__(self, element):
         v = np.asarray(self.vector, dtype=complex)
         return complex(v.conj() @ np.asarray(element)[self.site] @ v)
-
-
-@dataclass(frozen=True)
-class ToyFilteredElement:
-    degree: int
-    bounded_blocks: np.ndarray      # (K, 2, 2)
-
-
-def extend_toy_state(state: ToyState, elem: ToyFilteredElement, algebra: ToyAlgebra):
-    """chi(a) = chi((1+T^2)^{-1/2})^{-n} chi(a0) on the toy algebra."""
-    t = float(algebra.t_values[state.site])
-    w = (1.0 + t * t) ** -0.5
-    if not np.isfinite(w) or abs(w) < STATE_WEIGHT_FLOOR:
-        raise ValueError("state has chi((1+T^2)^{-1/2}) = 0; extension "
-                         "undefined (state must be ignored)")
-    return w ** (-elem.degree) * state(elem.bounded_blocks)
 
 
 def random_toy_state(algebra, rng):

@@ -4,9 +4,11 @@ Three independent engines for f * h:
 
 * quadrature     (f*h)(x) = (2pi)^-d int ĥ(q) e^{iqx} f(x - Theta q/2) dq,
                  or the mirrored slot with f transformed and h(x + Theta p/2);
-                 pointwise, any dimension, needs one decaying factor and one
-                 callable factor.
-* twisted        full-grid product on a 2-d periodic lattice; the twist
+                 pointwise, any dimension; both factors are callables and
+                 the transformed one must decay.  Either may return a stack
+                 of functions, and one call then gives every product.
+* twisted        full-grid product of two sampled arrays on a 2-d periodic
+                 lattice; the twist
                  phase (theta/2)(q1 p2 - q2 p1) splits into two one-variable
                  phase matrices, so the double frequency sum becomes three
                  contractions against the DFT matrices; exact pointwise
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import fft2, fftfreq, fftn
 
-from . import expressions
 from .checks import Check
 from .lattice import Lattice, ScalarField
 
@@ -76,23 +77,6 @@ class ThetaMatrix:
             raise ValueError("Theta is not exactly antisymmetric: " + items)
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
-
-    @classmethod
-    def from_upper_triangle(cls, values, dimension):
-        """Fill Theta[i,j] for i<j row by row from a flat list."""
-        need = dimension * (dimension - 1) // 2
-        vals = [float(v) for v in values]
-        if len(vals) != need:
-            raise ValueError("need %d upper-triangle entries for dimension "
-                             "%d, got %d" % (need, dimension, len(vals)))
-        e = np.zeros((dimension, dimension))
-        k = 0
-        for i in range(dimension):
-            for j in range(i + 1, dimension):
-                e[i, j] = vals[k]
-                e[j, i] = -vals[k]
-                k += 1
-        return cls(e)
 
     @classmethod
     def plane_block(cls, theta, dimension=2, axes=(0, 1)):
@@ -159,179 +143,86 @@ def phys_fft(values, lat):
     return F * float(np.prod(lat.spacings)), ks
 
 
-def _boundary_fraction(values):
-    """max |f| on the outermost index shell relative to the global max."""
-    v = np.abs(np.asarray(values))
-    top = float(v.max())
-    if top == 0.0:
-        return 0.0
-    edge = 0.0
-    for a in range(v.ndim):
-        edge = max(edge, float(np.take(v, 0, axis=a).max()),
-                   float(np.take(v, -1, axis=a).max()))
-    return edge / top
-
-
-# -------------------------------------------------------------- elements
-
-
-@dataclass
-class MoyalElement:
-    """A symbol for the star algebra: expression, callable, or coefficient
-    matrix in the Landau basis.  Membership of unbounded symbols
-    in the unitized multiplier algebra is recorded as declared, not proven.
-    """
-
-    kind: str
-    payload: object
-    theta: float = None
-    label: str = ""
-    membership: str = "assumed"
-
-    @classmethod
-    def from_expression(cls, text):
-        expressions.parse_expression(text)
-        return cls("expression", str(text), label=str(text))
-
-    @classmethod
-    def from_callable(cls, fn, label=""):
-        return cls("callable", fn, label=label or getattr(fn, "__name__", "callable"))
-
-    @classmethod
-    def from_coefficients(cls, coeffs, theta, label="coefficients"):
-        return cls("coefficients", np.asarray(coeffs, dtype=complex),
-                   theta=float(theta), label=label)
-
-    def callable_form(self):
-        if self.kind == "expression":
-            _, fn = expressions.compile_expression(self.payload)
-            return fn
-        if self.kind == "callable":
-            return self.payload
-        return synthesize(self.payload, self.theta)
-
-    def sample(self, lat: Lattice):
-        fn = self.callable_form()
-        vals = fn(**lat.environment())
-        return np.broadcast_to(np.asarray(vals, dtype=complex), lat.shape).copy()
-
-    def to_dict(self):
-        return {"kind": self.kind, "label": self.label,
-                "membership": self.membership}
-
-
-def _values_on(obj, lat):
-    if isinstance(obj, MoyalElement):
-        return obj.sample(lat)
-    if isinstance(obj, ScalarField):
-        if obj.lattice != lat:
-            raise ValueError("field lives on a different lattice")
-        return np.asarray(obj.values, dtype=complex)
-    if isinstance(obj, np.ndarray):
-        if obj.shape != lat.shape:
-            raise ValueError("sample shape %s does not match lattice %s"
-                             % (obj.shape, lat.shape))
-        return np.asarray(obj, dtype=complex)
-    if isinstance(obj, str):
-        return np.asarray(ScalarField.from_expression(lat, obj).values,
-                          dtype=complex)
-    if callable(obj):
-        vals = obj(**lat.environment())
-        return np.broadcast_to(np.asarray(vals, dtype=complex), lat.shape).copy()
-    raise TypeError("cannot sample object of type %r" % (type(obj).__name__,))
-
-
-def _callable_of(obj):
-    if isinstance(obj, MoyalElement):
-        return obj.callable_form()
-    if isinstance(obj, str):
-        _, fn = expressions.compile_expression(obj)
-        return fn
-    if callable(obj):
-        return obj
-    return None
+def _boundary_fraction(values, lat):
+    """For each field of a stack: max |f| on the outer shell of `lat` / max |f|."""
+    v = np.abs(values).reshape((-1,) + lat.shape)
+    top = v.max(axis=tuple(range(1, v.ndim)))
+    edge = np.zeros_like(top)
+    for a in range(1, v.ndim):
+        for end in (0, -1):
+            shell = np.take(v, end, axis=a)
+            edge = np.maximum(edge, shell.max(axis=tuple(range(1, shell.ndim))))
+    return edge / np.where(top > 0.0, top, 1.0)
 
 
 # -------------------------------------------------------- quadrature engine
 
 
-def star_quadrature(f, h, theta, points, lat, slot="auto"):
+def star_quadrature(f, h, theta, points, lat, slot):
     """Pointwise f * h at the given points on any-dimensional grids.
 
-    slot="second" transforms h and shifts f by -Theta q/2; slot="first"
+    f and h are callables of the axis names of `lat`.  slot="second"
+    samples and transforms h and shifts f by -Theta q/2; slot="first"
     transforms f and shifts h by +Theta p/2.  Both evaluate the same ordered
-    product.  The transformed factor must decay inside the box and the
-    shifted factor must be callable; the call refuses when neither slot
-    qualifies.  Returns (values, info) with a heuristic error estimate from
-    the spectral tail and the boundary decay of the transformed factor.
+    product, and the transformed factor must decay inside the box.  Either
+    factor may return a stack of functions, shape S + the shape of its
+    arguments; the values then hold every product, shape
+    S_f + S_h + (len(points),).  Returns (values, info) with a heuristic
+    error estimate from the spectral tail and the boundary decay of the
+    transformed factor, the largest over its stack.
     """
     d = lat.dimension
     th = _theta_entries(theta, d)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != d:
         raise ValueError("points must have %d coordinates" % d)
+    if slot == "first":
+        transformed, shifted, sign = f, h, +0.5
+    elif slot == "second":
+        transformed, shifted, sign = h, f, -0.5
+    else:
+        raise ValueError("slot must be 'first' or 'second', got %r" % (slot,))
 
-    f_fn, h_fn = _callable_of(f), _callable_of(h)
-    f_vals = _values_on(f, lat)
-    h_vals = _values_on(h, lat)
-    f_bd, h_bd = _boundary_fraction(f_vals), _boundary_fraction(h_vals)
-
-    options = []
-    if h_fn is not None:
-        options.append(("first", f_bd))      # transform f, shift h
-    if f_fn is not None:
-        options.append(("second", h_bd))     # transform h, shift f
-    if slot in ("first", "second"):
-        options = [opt for opt in options if opt[0] == slot]
-        if not options:
-            raise ValueError("slot %r requires the shifted factor to be "
-                             "callable" % slot)
-    if not options:
-        raise ValueError("star_quadrature needs at least one callable factor")
-    use, bd = min(options, key=lambda o: o[1])
+    vals = np.asarray(transformed(**lat.environment()), dtype=complex)
+    stack = vals.shape[:vals.ndim - d]
+    bd = float(_boundary_fraction(vals, lat).max())
     if bd > DECAY_REFUSE:
         raise ValueError("transformed factor does not decay inside the box "
-                         "(boundary fraction %.3e for slot %r, %.3e for the "
-                         "mirror); enlarge the box" % (f_bd, "first", h_bd))
-
-    if use == "first":
-        F, ks = phys_fft(f_vals, lat)
-        shifted, sign = h_fn, +0.5
-    else:
-        F, ks = phys_fft(h_vals, lat)
-        shifted, sign = f_fn, -0.5
+                         "(boundary fraction %.3e for slot %r); enlarge the "
+                         "box" % (bd, slot))
+    F, ks = phys_fft(vals, lat)
+    del vals        # each point below holds shifted samples of the same size
 
     K = np.stack(np.meshgrid(*ks, indexing="ij"), axis=-1).reshape(-1, d)
-    W = F.reshape(-1)
+    W = F.reshape(-1, len(K))
     wq = float(np.prod([k[1] - k[0] for k in ks])) / (2.0 * np.pi) ** d
 
     # spectral tail of the transformed factor
-    absW = np.abs(W)
     kmax = np.array([np.abs(k).max() for k in ks])
     tail_mask = np.any(np.abs(K) > 0.8 * kmax[None, :], axis=1)
-    total = float(absW.sum())
-    tail = float(absW[tail_mask].sum()) / total if total > 0 else 0.0
+    total = np.abs(W).sum(axis=1)
+    tail = np.abs(W[:, tail_mask]).sum(axis=1) / np.where(total > 0.0, total, 1.0)
 
-    names = lat.axis_names
     shifts = sign * (K @ th.T)
-    out = np.empty(len(pts), dtype=complex)
-    for i, x in enumerate(pts):
-        args = x[None, :] + shifts
-        env = {nm: args[:, a] for a, nm in enumerate(names)}
-        fv = np.broadcast_to(np.asarray(shifted(**env), dtype=complex),
-                             (len(K),))
-        phase = np.exp(1j * (K @ x))
-        out[i] = np.sum(W * phase * fv) * wq
-    info = {"slot": use, "tail_fraction": tail, "boundary_fraction": bd,
-            "error_estimate": (tail + bd) * total * wq}
-    return out, info
+    out = []
+    for x in pts:
+        sv = np.asarray(shifted(**dict(zip(lat.axis_names, (x + shifts).T))),
+                        dtype=complex)
+        sv = np.broadcast_to(sv, sv.shape[:-1] + (len(K),))
+        rows = sv.reshape(-1, len(K))
+        w = W * (wq * np.exp(1j * (K @ x)))
+        out.append(rows @ w.T if slot == "second" else w @ rows.T)
+    shape = sv.shape[:-1] + stack if slot == "second" else stack + sv.shape[:-1]
+    info = {"tail_fraction": float(tail.max()), "boundary_fraction": bd,
+            "error_estimate": float(((tail + bd) * total).max()) * wq}
+    return np.stack(out, axis=-1).reshape(shape + (len(pts),)), info
 
 
 # ----------------------------------------------------------- twisted engine
 
 
 def star_twisted(f, h, lat, theta):
-    """Grid-valued f * h on a 2-d periodic lattice as a separable contraction.
+    """Grid-valued f * h of two arrays on a 2-d periodic lattice, contracted.
 
     result(x_j) = (m1 m2)^-2 sum_{p,q} F(p) H(q) e^{i q.Theta p/2}
                   e^{2 pi i (p1 j1/m1 + p2 j2/m2 + q1 j1/m1 + q2 j2/m2)}
@@ -346,11 +237,9 @@ def star_twisted(f, h, lat, theta):
     if lat.dimension != 2 or lat.boundary != "periodic":
         raise ValueError("twisted engine needs a 2-d periodic lattice")
     half_theta = 0.5 * _theta_entries(theta, 2)[0, 1]
-    fv = _values_on(f, lat)
-    hv = _values_on(h, lat)
     m1, m2 = lat.points
-    fr = fft2(fv)
-    hr = fft2(hv)
+    fr = fft2(np.asarray(f, dtype=complex))
+    hr = fft2(np.asarray(h, dtype=complex))
     k1 = 2.0 * np.pi * fftfreq(m1, lat.spacing(0))
     k2 = 2.0 * np.pi * fftfreq(m2, lat.spacing(1))
 
@@ -590,27 +479,17 @@ def cross_engine_check(theta=THETA_DEFAULT, truncation=8, box=7.0, points=96,
                        eval_points=((0.0, 0.0), (0.3, -0.4), (1.1, 0.7))):
     """All basis pairs f_mn * f_kl: quadrature and twisted vs the delta rule."""
     lat = moyal_grid(box, points)
-    th = _theta_entries(theta, 2)
     n = truncation
 
-    # transformed factors: physical FFT of every basis function
-    hmat, ks = phys_fft(basis_stack(n, theta, lat.coordinate_array(0),
-                                    lat.coordinate_array(1)), lat)
-    hmat = hmat.reshape(n * n, -1)
-    eye = np.eye(n)
-    K = np.stack(np.meshgrid(*ks, indexing="ij"), axis=-1).reshape(-1, 2)
-    wq = float(np.prod([k[1] - k[0] for k in ks])) / (2.0 * np.pi) ** 2
+    # every basis product f_mk * f_Kl at once, shape (m, k, K, l, point)
+    def basis(x, y):
+        return basis_stack(n, theta, x, y)
 
-    worst_quad = 0.0
-    for x in np.asarray(eval_points, dtype=float):
-        args = x[None, :] - 0.5 * (K @ th.T)
-        fmat = basis_stack(n, theta, args[:, 0], args[:, 1]).reshape(n * n, -1)
-        w = wq * np.exp(1j * (K @ x))
-        got = fmat @ (hmat * w[None, :]).T        # [(m,k) left, (K,l) right]
-        # delta rule: f_mk * f_Kl = delta_kK f_ml
-        want = np.einsum("kK,ml->mkKl", eye,
-                         basis_stack(n, theta, x[0], x[1])).reshape(n * n, -1)
-        worst_quad = max(worst_quad, float(np.max(np.abs(got - want))))
+    pts = np.asarray(eval_points, dtype=float)
+    got, _ = star_quadrature(basis, basis, theta, pts, lat, slot="second")
+    # delta rule: f_mk * f_Kl = delta_kK f_ml
+    want = np.einsum("kK,mlp->mkKlp", np.eye(n), basis(pts[:, 0], pts[:, 1]))
+    worst_quad = float(np.max(np.abs(got - want)))
 
     # twisted engine on a few representative pairs, full grid
     worst_tw = 0.0

@@ -14,6 +14,11 @@ and reported).  For a constant gradient (a, b) the spectrum is
 a/u +- sqrt((1+|b|^2)/u), which makes the two criteria exactly equivalent;
 `equivalence_scan` drives both routes independently over seeded random draws.
 
+Each route is one function of gradient values: `matrix_margins` builds M
+and returns its margins, `scalar_margins` the scalar ones.  The
+certificates feed them the stencil gradients of a lattice function, and
+`equivalence_scan` feeds them every constant-gradient draw at once.
+
 Margins: matrix mode reports the minimal eigenvalue of M (0 on the exactly
 steep boundary), scalar mode reports -(g(grad f, grad f) + 1).  Steep means
 margin >= -tol with, in scalar mode, the additional orientation d_t f > 0.
@@ -26,7 +31,7 @@ from numpy.random import default_rng
 
 from .checks import Check
 from .clifford import build_gamma, chirality
-from .dirac import DiracOperator
+from .dirac import DiracOperator, gradient_symbol
 from .lattice import ScalarField, gradient
 
 EIG_TOL = 1e-9
@@ -59,25 +64,40 @@ class SteepnessReport:
         return d
 
 
-def constraint_matrices(f: ScalarField, D: DiracOperator, gamma_ch=None):
-    """Per-site M(x) = [D,T] (-i c(df) + i gamma_ch), shape sites + (s, s)."""
+def matrix_margins(grads, u, rep, gamma_ch=None):
+    """Minimal eigenvalue of M at each point, and the Hermiticity residual of M.
+
+    M = [D,T] (-i c(df) + i gamma_ch) is built from gradient values: grads
+    holds one array of d_mu f per axis and u the lapse, broadcast together;
+    [D,T] is the symbol of the exact gradient dT = dt.
+    """
     if gamma_ch is None:
-        gamma_ch = chirality(D.rep)
-    c_df = D.commutator_with_scalar(f).values           # -i gamma^mu e^mu d_mu f
-    k = D.temporal_commutator().values                  # -i gamma^0 u^{-1/2}
-    inner = c_df + 1j * gamma_ch
-    return np.einsum("...ab,...bc->...ac", k, inner)
+        gamma_ch = chirality(rep)
+    k = gradient_symbol(rep, [1.0] + [0.0] * (len(grads) - 1), u)
+    m = np.einsum("...ab,...bc->...ac", k,
+                  gradient_symbol(rep, grads, u) + 1j * gamma_ch)
+    mh = np.conj(np.swapaxes(m, -1, -2))
+    herm = float(np.abs(m - mh).max(initial=0.0))
+    return np.linalg.eigvalsh(0.5 * (m + mh))[..., 0], herm
+
+
+def scalar_margins(grads, u):
+    """-(g(grad f, grad f) + 1) and the orientation d_t f > 0 at each point."""
+    g = -(grads[0] ** 2) / u
+    for gi in grads[1:]:
+        g = g + gi ** 2
+    return -(g + 1.0), grads[0] > 0
+
+
+def _stencil_gradients(f):
+    return [gradient(f, axis).values for axis in range(f.lattice.dimension)]
 
 
 def is_steep_matrix(f: ScalarField, D: DiracOperator, gamma_ch=None,
                     tol=EIG_TOL, site_detail=False):
     if f.lattice != D.lattice:
         raise ValueError("candidate lives on a different lattice")
-    m = constraint_matrices(f, D, gamma_ch)
-    herm = float(np.abs(m - np.conj(np.swapaxes(m, -1, -2))).max())
-    msym = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
-    eigs = np.linalg.eigvalsh(msym)
-    margins = eigs[..., 0]                              # minimal eigenvalue per site
+    margins, herm = matrix_margins(_stencil_gradients(f), D.u, D.rep, gamma_ch)
     failed = int(np.count_nonzero(margins < -tol))
     report = SteepnessReport(
         mode="matrix",
@@ -103,12 +123,7 @@ def is_steep_scalar(f: ScalarField, u=None, tol=EIG_TOL, site_detail=False):
     else:
         uv = np.asarray(u.values if isinstance(u, ScalarField) else u, dtype=float)
         uv = np.broadcast_to(uv, lat.shape)
-    dt = gradient(f, 0).values
-    g = -(dt ** 2) / uv
-    for axis in range(1, lat.dimension):
-        g = g + gradient(f, axis).values ** 2
-    margins = -(g + 1.0)
-    oriented = dt > 0
+    margins, oriented = scalar_margins(_stencil_gradients(f), uv)
     bad = (margins < -tol) | ~oriented
     failed = int(np.count_nonzero(bad))
     report = SteepnessReport(
@@ -127,33 +142,6 @@ def is_steep_scalar(f: ScalarField, u=None, tol=EIG_TOL, site_detail=False):
             for i in np.nonzero(bad.reshape(-1))[0]
         ]
     return report
-
-
-# ----------------------------------------------- constant-gradient fast paths
-
-
-def matrix_margin_constant(grad, rep=None, gamma_ch=None, u=1.0):
-    """Minimal eigenvalue of M for a constant gradient (site-independent)."""
-    grad = np.asarray(grad, dtype=float)
-    n = grad.size
-    if rep is None:
-        rep = build_gamma(n)
-    if gamma_ch is None:
-        gamma_ch = chirality(rep)
-    c_df = np.zeros((rep.matrix_size, rep.matrix_size), dtype=complex)
-    for mu in range(n):
-        e = 1.0 / np.sqrt(u) if mu == 0 else 1.0
-        c_df += -1j * e * grad[mu] * rep.matrices[mu]
-    k = -1j * rep.matrices[0] / np.sqrt(u)
-    m = k @ (c_df + 1j * gamma_ch)
-    msym = 0.5 * (m + m.conj().T)
-    return float(np.linalg.eigvalsh(msym).min())
-
-
-def scalar_margin_constant(grad, u=1.0):
-    grad = np.asarray(grad, dtype=float)
-    g = -(grad[0] ** 2) / u + float(np.sum(grad[1:] ** 2))
-    return -(g + 1.0), bool(grad[0] > 0)
 
 
 @dataclass
@@ -189,32 +177,21 @@ def equivalence_scan(samples, seed, dimension=2, tol=EIG_TOL, u=1.0):
 
     Linear f = a t + b.x + c has a site-independent gradient, so each draw is
     decided by one constraint matrix and one scalar inequality, evaluated
-    independently.  Returns an agreement report (must be 100%).
+    independently; all draws go through `matrix_margins` in one batch.
+    Returns an agreement report (must be 100%).
     """
     if dimension % 2 != 0:
         raise ValueError("matrix mode needs even dimension (chirality)")
-    rng = default_rng(seed)
-    rep = build_gamma(dimension)
-    gam = chirality(rep)
-    agreements = 0
-    steep_count = 0
-    disagreements = []
-    for i in range(samples):
-        a = rng.uniform(-2.5, 2.5)
-        b = rng.uniform(-1.5, 1.5, size=dimension - 1)
-        grad = np.concatenate(([a], b))
-        m_margin = matrix_margin_constant(grad, rep, gam, u=u)
-        s_margin, oriented = scalar_margin_constant(grad, u=u)
-        m_steep = m_margin >= -tol
-        s_steep = (s_margin >= -tol) and oriented
-        if m_steep == s_steep:
-            agreements += 1
-            steep_count += int(m_steep)
-        else:
-            disagreements.append({
-                "draw": i, "gradient": grad.tolist(),
-                "matrix_margin": m_margin, "scalar_margin": s_margin,
-                "oriented": oriented,
-            })
-    return EquivalenceReport(samples, dimension, agreements,
-                             disagreements, steep_count)
+    low = np.r_[-2.5, np.full(dimension - 1, -1.5)]
+    grads = default_rng(seed).uniform(low, -low, size=(samples, dimension))
+    m_margin, _ = matrix_margins(grads.T, u, build_gamma(dimension))
+    s_margin, oriented = scalar_margins(grads.T, u)
+    m_steep = m_margin >= -tol
+    agree = m_steep == ((s_margin >= -tol) & oriented)
+    disagreements = [{"draw": int(i), "gradient": grads[i].tolist(),
+                      "matrix_margin": float(m_margin[i]),
+                      "scalar_margin": float(s_margin[i]),
+                      "oriented": bool(oriented[i])}
+                     for i in np.flatnonzero(~agree)]
+    return EquivalenceReport(samples, dimension, int(agree.sum()),
+                             disagreements, int(np.sum(m_steep & agree)))

@@ -1,0 +1,55 @@
+"""The benchmark's trace wrappers name library functions; they must exist.
+
+`perfbench/spans.py` wraps functions by dotted name and feeds some of them
+to hooks that read their leading arguments.  A rename or signature change
+in the library would leave the benchmark tracing nothing.  This module only
+reads `perfbench/`.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _resolve(dotted):
+    short, _, rest = dotted.partition(".")
+    obj = importlib.import_module("lorentzlab." + short)
+    for attr in rest.split("."):
+        obj = getattr(obj, attr)
+    return obj
+
+
+def _positional(fn):
+    return [p.name for p in inspect.signature(fn).parameters.values()
+            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+
+
+def test_every_traced_name_resolves():
+    spans = _spans()
+    for table in (spans.TRACED, spans.COUNTED):
+        for short, names in table.items():
+            if names == "*":
+                assert importlib.import_module("lorentzlab." + short)
+                continue
+            for name in names:
+                assert callable(_resolve("%s.%s" % (short, name))), name
+
+
+def test_hooks_read_arguments_the_functions_take():
+    # a hook is called as hook(tracer, *args) with the traced call's args
+    for dotted, hook in _spans().HOOKS.items():
+        takes = _positional(_resolve(dotted))
+        reads = _positional(hook)[1:]
+        assert len(reads) <= len(takes), dotted
+        for want, have in zip(reads, takes):
+            assert have in (want, "self"), (dotted, want, have)

@@ -186,28 +186,30 @@ def test_sparse_matrix_equals_dense_oracle(dim, points, boundary, u):
     assert np.array_equal(op.sparse_matrix().toarray(), op.dense_matrix())
 
 
+def _stencil_square(op):
+    """<D>^2 in stencil form, as check_temporal_axioms forms it."""
+    return dirac._elliptic_square(op.sparse_matrix(), dirac._site_blocks(
+        op.lattice, op.temporal_commutator().values))
+
+
 @pytest.mark.parametrize("dim,points,u", [
     (2, 8, "1"), (2, 6, "1 + 0.1*t"), (3, 4, "1 + 0.1*t"), (4, 3, "1"),
-    (4, 3, "1 + 0.1*t"), (3, 6, "2+sin(t)")])
+    (4, 3, "1 + 0.1*t"), (3, 6, "2+sin(t)"),
+    # a 2-site spatial axis: its +1 and -1 offsets address one column
+    pytest.param(2, (6, 2), "1 + 0.1*t", id="6x2-1 + 0.1*t"),
+    pytest.param(3, (4, 2, 3), "1", id="4x2x3-1")])
 def test_momentum_blocks_match_dense_eigenvalues(dim, points, u):
     op = flat_operator(dim, points, u=u)
     m = elliptic_square(op)
     want = np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min()
     rep = check_temporal_axioms(op, seed=0)
     assert abs(rep.elliptic_min_eigenvalue - want) <= 1e-12
-    blocks = dirac._momentum_blocks(op)
-    assert blocks.shape == (points ** (dim - 1),) + (points * op.spinor_dim,) * 2
+    pts = op.lattice.points
+    blocks = dirac._momentum_blocks(_stencil_square(op))
+    assert blocks.shape == (int(np.prod(pts[1:])),) + (pts[0] * op.spinor_dim,) * 2
     if u == "2+sin(t)":     # the failing 3-d CLI config
         assert rep.elliptic_min_eigenvalue == pytest.approx(-5.0554e-3, abs=1e-7)
         assert not rep.passed
-
-
-@pytest.mark.parametrize("dim,points,u", [(2, 6, "1 + 0.1*t"), (4, 3, "2+sin(t)")])
-def test_block_diagonal_equals_scipy_block_diag(dim, points, u):
-    op = flat_operator(dim, points, u=u)
-    first = (slice(None),) + (0,) * (dim - 1)
-    blocks = op.temporal_commutator().values[first]
-    assert np.array_equal(dirac._block_diagonal(blocks), block_diag(*blocks))
 
 
 def test_suite_compares_sparse_d_with_probe_oracle(monkeypatch):
@@ -259,14 +261,15 @@ def test_elliptic_minimum_is_the_same_in_chunks(monkeypatch, dim, points, u):
     pts, s = op.lattice.points, op.spinor_dim
     assert len(dirac._momentum_chunks(pts, s)) == 1
     whole = check_temporal_axioms(op, seed=0).elliptic_min_eigenvalue
-    blocks = dirac._momentum_blocks(op)
+    m = _stencil_square(op)
+    blocks = dirac._momentum_blocks(m)
     # the smallest limit that still admits the lattice: chunks of 1-2 momenta
     monkeypatch.setattr(dirac, "MOMENTUM_BYTES_LIMIT",
                         dirac.momentum_block_bytes(pts, s))
     chunks = dirac._momentum_chunks(pts, s)
     assert len(chunks) >= 8
     assert np.array_equal(np.concatenate(
-        [dirac._momentum_blocks(op, momenta=c) for c in chunks]), blocks)
+        [dirac._momentum_blocks(m, momenta=c) for c in chunks]), blocks)
     assert check_temporal_axioms(op, seed=0).elliptic_min_eigenvalue == whole
 
 

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from lorentzlab.filtration import (EvaluationState, FilteredElement,
-                                   ToyAlgebra, ToyFilteredElement, ToyState,
+                                   ToyAlgebra, ToyState,
                                    central_multiplicativity_check,
-                                   extend_state, extend_toy_state,
-                                   operator_norm_grading_check,
+                                   extend_state, operator_norm_grading_check,
                                    submultiplicativity_residual,
-                                   weighted_inner_product, weighted_norm,
-                                   well_definedness_check)
-from lorentzlab.lattice import Lattice, ScalarField, inner_product
+                                   weighted_norm, well_definedness_check)
+from lorentzlab.lattice import Lattice
 
 T_NORM_REF = 0.9922778767136676       # 8 / sqrt(65) on the (-8, 8) lattice
 
@@ -87,17 +85,6 @@ def test_operator_norm_grading():
     assert set(rep.estimates) == {-2, -1, 0, 1, 2}
 
 
-def test_weighted_inner_product_matches_manual():
-    lat = time_lattice()
-    psi = ScalarField.from_expression(lat, "sin(t)")
-    phi = ScalarField.from_expression(lat, "t^2")
-    assert weighted_inner_product(psi, phi, 0) == pytest.approx(
-        inner_product(psi, phi), rel=1e-14)
-    t = lat.coordinate_array(0)
-    manual = inner_product(psi, phi, weight=(1.0 + t ** 2))
-    assert weighted_inner_product(psi, phi, 1) == pytest.approx(manual, rel=1e-14)
-
-
 def test_extension_literal_value():
     elem = FilteredElement.from_expression("sin(t)*cos(x)", 2)
     got = extend_state((0.5, 0.3), elem)
@@ -154,16 +141,3 @@ def test_toy_state_is_normalized():
     ident = alg.central_element(np.ones(alg.sites))
     st = ToyState(3, (1.0, 0.0))
     assert st(ident) == 1.0
-
-
-def test_extend_toy_state_recovers_time():
-    alg = toy()
-    w = 1.0 / np.sqrt(1.0 + np.asarray(alg.t_values) ** 2)
-    blocks = np.zeros((alg.sites, 2, 2), dtype=complex)
-    for k in range(alg.sites):
-        blocks[k] = alg.t_values[k] * w[k] * np.eye(2)
-    t_elem = ToyFilteredElement(1, blocks)
-    for site in range(alg.sites):
-        st = ToyState(site, (0.6, 0.8))
-        got = extend_toy_state(st, t_elem, alg)
-        assert got == pytest.approx(alg.t_values[site], rel=1e-14, abs=1e-14)

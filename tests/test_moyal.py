@@ -3,9 +3,11 @@ import pytest
 from scipy.special import eval_genlaguerre
 
 from lorentzlab.lattice import Lattice
-from lorentzlab.moyal import (TAIL_WARN, MoyalElement, ThetaMatrix,
+from lorentzlab import moyal
+from lorentzlab.moyal import (DECAY_REFUSE, TAIL_WARN, ThetaMatrix,
                               _genlaguerre, associativity_check,
-                              basis_field, basis_values, center_time_check,
+                              basis_field, basis_stack, basis_values,
+                              center_time_check,
                               commutation_check, cross_engine_check,
                               damped_commutator_closed_form,
                               delta_algebra_check, gaussian_oracle_check,
@@ -41,16 +43,6 @@ def test_theta_commutative_time():
     assert not ThetaMatrix.plane_block(THETA, 2).commutative_time()
 
 
-def test_theta_from_upper_triangle():
-    th = ThetaMatrix.from_upper_triangle([1.0, 2.0, 3.0], 3)
-    assert th.entries[0, 1] == 1.0
-    assert th.entries[0, 2] == 2.0
-    assert th.entries[1, 2] == 3.0
-    assert th.entries[2, 1] == -3.0
-    with pytest.raises(ValueError, match="upper-triangle"):
-        ThetaMatrix.from_upper_triangle([1.0], 3)
-
-
 def test_theta_scalar_2d():
     assert ThetaMatrix.plane_block(0.5).scalar_2d() == 0.5
     with pytest.raises(ValueError):
@@ -69,11 +61,12 @@ def test_gaussian_closed_form_quadrature():
     f = lambda x, y: np.exp(-a * (x * x + y * y))
     h = lambda x, y: np.exp(-b * (x * x + y * y))
     pts = [(0.0, 0.0), (0.7, -0.2), (1.3, 0.9)]
-    got, info = star_quadrature(f, h, THETA, pts, lat)
     r2 = np.array([x * x + y * y for x, y in pts])
     want = gaussian_star_closed_form(a, b, THETA, r2)
-    assert np.max(np.abs(got - want)) <= 1e-8
-    assert info["slot"] in ("first", "second")
+    for slot in ("first", "second"):
+        got, info = star_quadrature(f, h, THETA, pts, lat, slot=slot)
+        assert np.max(np.abs(got - want)) <= 1e-8
+        assert info["boundary_fraction"] <= DECAY_REFUSE
 
 
 def test_zero_theta_is_pointwise_product():
@@ -99,8 +92,9 @@ def test_quadrature_refuses_undamped_factor():
     lat = moyal_grid(7.0, 48)
     f = lambda x, y: np.cos(x) + 0 * y
     h = lambda x, y: np.sin(y) + 0 * x
-    with pytest.raises(ValueError, match="decay"):
-        star_quadrature(f, h, THETA, [(0.0, 0.0)], lat)
+    for slot in ("first", "second"):
+        with pytest.raises(ValueError, match="decay"):
+            star_quadrature(f, h, THETA, [(0.0, 0.0)], lat, slot=slot)
 
 
 def test_quadrature_slot_needs_callable_shift():
@@ -108,8 +102,35 @@ def test_quadrature_slot_needs_callable_shift():
     x, y = lat.coordinate_array(0), lat.coordinate_array(1)
     fv = np.exp(-(x * x + y * y))         # samples only: cannot be shifted
     h = lambda x, y: np.exp(-(x * x + y * y) / 2.0)
-    with pytest.raises(ValueError, match="callable"):
+    with pytest.raises(TypeError, match="callable"):
         star_quadrature(fv, h, THETA, [(0.0, 0.0)], lat, slot="second")
+    with pytest.raises(TypeError, match="slot"):
+        star_quadrature(h, h, THETA, [(0.0, 0.0)], lat)
+    with pytest.raises(ValueError, match="slot"):
+        star_quadrature(h, h, THETA, [(0.0, 0.0)], lat, slot="auto")
+
+
+@pytest.mark.parametrize("slot", ["first", "second"])
+def test_quadrature_of_stacks_holds_every_product(slot):
+    # a stack of 2 x 3 left factors times a stack of 2 right factors gives
+    # the 2 x 3 x 2 products of single calls, point by point
+    lat = moyal_grid(7.0, 48)
+    pts = [(0.2, 0.1), (-0.5, 0.8), (1.0, -0.3)]
+
+    def left(x, y):
+        return basis_stack(3, THETA, x, y)[:2]
+
+    def right(x, y):
+        return np.stack([np.exp(-(x * x + y * y) / 2.0),
+                         y * np.exp(-(x * x + y * y) / 3.0)])
+
+    got, _ = star_quadrature(left, right, THETA, pts, lat, slot=slot)
+    assert got.shape == (2, 3, 2, 3)
+    for (i, j, k) in np.ndindex(2, 3, 2):
+        one, _ = star_quadrature(lambda x, y: left(x, y)[i, j],
+                                 lambda x, y: right(x, y)[k],
+                                 THETA, pts, lat, slot=slot)
+        assert np.max(np.abs(got[i, j, k] - one)) <= 1e-15
 
 
 def test_twisted_needs_2d_periodic():
@@ -249,6 +270,22 @@ def test_cross_engine_agreement():
     assert rep.passed
 
 
+def test_cross_engine_runs_the_quadrature_engine(monkeypatch):
+    # the basis products go through star_quadrature itself, one call for
+    # the whole evaluation point set
+    calls = []
+    engine = moyal.star_quadrature
+
+    def spy(*args, **kwargs):
+        got = engine(*args, **kwargs)
+        calls.append(got[0].shape)
+        return got
+    monkeypatch.setattr(moyal, "star_quadrature", spy)
+    rep = cross_engine_check(truncation=4, points=64)
+    assert calls == [(4, 4, 4, 4, 3)]
+    assert rep.quadrature_vs_basis <= 1e-4
+
+
 def test_cross_engine_records_nyquist_warnings():
     # the suite's twisted grid is too coarse at theta 0.25: each of the five
     # products warns, and the report keeps what the warnings said
@@ -298,25 +335,3 @@ def test_associativity():
 
 def test_involution():
     assert involution_check() <= 1e-8
-
-
-# ----------------------------------------------------------------- symbols
-
-def test_moyal_element_kinds():
-    lat = moyal_grid(5.0, 32)
-    e = MoyalElement.from_expression("exp(-(x^2 + y^2)/2)")
-    assert e.membership == "assumed"
-    assert e.to_dict()["membership"] == "assumed"
-    vals = e.sample(lat)
-    assert vals.shape == lat.shape
-
-    rng = np.random.default_rng(4)
-    coeffs = np.zeros((3, 3), dtype=complex)
-    coeffs[0, 0] = 1.0
-    ec = MoyalElement.from_coefficients(coeffs, THETA)
-    x, y = lat.coordinate_array(0), lat.coordinate_array(1)
-    assert np.max(np.abs(ec.sample(lat)
-                         - basis_values(0, 0, THETA, x, y))) <= 1e-12
-
-    fn = MoyalElement.from_callable(lambda x, y: x + y)
-    assert fn.sample(lat).shape == lat.shape

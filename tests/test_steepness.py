@@ -1,12 +1,25 @@
 import numpy as np
 import pytest
 
+from lorentzlab import steepness
 from lorentzlab.clifford import build_gamma, chirality
 from lorentzlab.dirac import flat_operator
 from lorentzlab.lattice import ScalarField
 from lorentzlab.steepness import (equivalence_scan, is_steep_matrix,
-                                  is_steep_scalar, matrix_margin_constant,
-                                  scalar_margin_constant)
+                                  is_steep_scalar, matrix_margins,
+                                  scalar_margins)
+
+
+def matrix_margin(grad, rep=None, gamma_ch=None, u=1.0):
+    """The shared margin function at one constant gradient."""
+    rep = build_gamma(len(grad)) if rep is None else rep
+    margin, _ = matrix_margins([float(g) for g in grad], u, rep, gamma_ch)
+    return float(margin)
+
+
+def scalar_margin(grad, u=1.0):
+    margin, oriented = scalar_margins([float(g) for g in grad], u)
+    return float(margin), bool(oriented)
 
 
 def clamped_op(dim=2, n=12, u=None):
@@ -36,8 +49,8 @@ def test_half_slope_not_steep():
 
 
 def test_double_slope_margin_one():
-    assert matrix_margin_constant((2.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
-    margin, oriented = scalar_margin_constant((2.0, 0.0))
+    assert matrix_margin((2.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
+    margin, oriented = scalar_margin((2.0, 0.0))
     assert oriented and margin == pytest.approx(3.0, abs=1e-12)
 
 
@@ -54,18 +67,18 @@ def test_boundary_gradient_exactly_on_cone():
     # a = sqrt(1 + b^2) sits exactly on the margin
     b = 1.5
     a = np.sqrt(1.0 + b * b)
-    assert abs(matrix_margin_constant((a, b))) <= 1e-12
-    margin, oriented = scalar_margin_constant((a, b))
+    assert abs(matrix_margin((a, b))) <= 1e-12
+    margin, oriented = scalar_margin((a, b))
     assert oriented and abs(margin) <= 1e-12
 
 
 def test_conformal_factor_raises_threshold():
     # with u = 4 the time slope must reach 2 before the cone closes
-    m1 = matrix_margin_constant((1.0, 0.0), u=4.0)
+    m1 = matrix_margin((1.0, 0.0), u=4.0)
     assert m1 < 0
-    m2 = matrix_margin_constant((2.0, 0.0), u=4.0)
+    m2 = matrix_margin((2.0, 0.0), u=4.0)
     assert abs(m2) <= 1e-12
-    s2, oriented = scalar_margin_constant((2.0, 0.0), u=4.0)
+    s2, oriented = scalar_margin((2.0, 0.0), u=4.0)
     assert oriented and abs(s2) <= 1e-12
 
 
@@ -76,8 +89,8 @@ def test_margin_independent_of_gamma_basis():
     q, _ = np.linalg.qr(m)
     rot = rep.conjugated(q)
     grad = (1.7, 0.3, -0.4, 0.2)
-    m0 = matrix_margin_constant(grad, rep, chirality(rep))
-    m1 = matrix_margin_constant(grad, rot, q @ chirality(rep) @ q.conj().T)
+    m0 = matrix_margin(grad, rep, chirality(rep))
+    m1 = matrix_margin(grad, rot, q @ chirality(rep) @ q.conj().T)
     assert m0 == pytest.approx(m1, abs=1e-10)
 
 
@@ -86,7 +99,7 @@ def test_lattice_margins_match_constant_route():
     # failing affine candidate: every site violates, so site_detail lists all
     f = ScalarField.from_expression(op.lattice, "0.8*t - 0.6*x")
     rep = is_steep_matrix(f, op, site_detail=True)
-    want = matrix_margin_constant((0.8, -0.6))
+    want = matrix_margin((0.8, -0.6))
     assert want < 0
     assert rep.worst_margin == pytest.approx(want, abs=1e-11)
     assert len(rep.site_detail) == op.lattice.site_count
@@ -109,6 +122,23 @@ def test_equivalence_scan(dim):
     assert scan.agreements == 1000
     assert scan.disagreements == []
     assert 0 < scan.steep_count < 1000
+
+
+def test_scan_and_certificate_share_the_margin_function(monkeypatch):
+    # both routes to a matrix margin run steepness.matrix_margins; the scan
+    # passes every draw in one call
+    shapes = []
+    margins = steepness.matrix_margins
+
+    def spy(grads, *args, **kwargs):
+        got = margins(grads, *args, **kwargs)
+        shapes.append(got[0].shape)
+        return got
+    monkeypatch.setattr(steepness, "matrix_margins", spy)
+    op = clamped_op()
+    assert is_steep_matrix(ScalarField.from_expression(op.lattice, "t"), op).steep
+    assert equivalence_scan(50, seed=3).agreements == 50
+    assert shapes == [op.lattice.shape, (50,)]
 
 
 def test_equivalence_scan_needs_even_dimension():
