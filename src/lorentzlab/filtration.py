@@ -252,16 +252,15 @@ class ToyAlgebra:
         return len(self.t_values)
 
     def time_element(self):
-        out = np.zeros((self.sites, 2, 2), dtype=complex)
-        for k, t in enumerate(self.t_values):
-            out[k] = t * np.eye(2)
-        return out
+        return self.central_element(self.t_values)
 
     def central_element(self, fiber_values):
-        out = np.zeros((self.sites, 2, 2), dtype=complex)
-        for k, c in enumerate(fiber_values):
-            out[k] = c * np.eye(2)
-        return out
+        """c_k times the 2x2 identity at site k; shape (sites, 2, 2)."""
+        c = np.asarray(fiber_values)
+        if c.shape != (self.sites,):
+            raise ValueError("need one fiber value per site (%d), got shape %s"
+                             % (self.sites, c.shape))
+        return np.asarray(c[:, None, None] * np.eye(2), dtype=complex)
 
     def random_element(self, rng):
         return (rng.standard_normal((self.sites, 2, 2))

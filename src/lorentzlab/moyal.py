@@ -8,10 +8,11 @@ Three independent engines for f * h:
                  the transformed one must decay.  Either may return a stack
                  of functions, and one call then gives every product.
 * twisted        full-grid product of two sampled arrays on a 2-d periodic
-                 lattice; the twist
-                 phase (theta/2)(q1 p2 - q2 p1) splits into two one-variable
-                 phase matrices, so the double frequency sum becomes three
-                 contractions against the DFT matrices; exact pointwise
+                 lattice; the twist phase (theta/2)(q1 p2 - q2 p1) splits
+                 into two one-variable phase matrices, and the double
+                 frequency sum, regrouped by (p1 + q1) mod m1, becomes
+                 length-m2 inverse FFTs, a sum over p1 and one inverse FFT
+                 over the regrouped index, O(M^3 log M); exact pointwise
                  product when Theta = 0.
 * matrix basis   expansion in the Landau-type basis
                  f_mn = 2(-1)^m sqrt(m!/n!) e^{i(n-m)phi} xi^{(n-m)/2}
@@ -34,7 +35,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.fft import fft2, fftfreq, fftn
+from numpy.fft import fft2, fftfreq, fftn, ifft
 
 from .checks import Check
 from .lattice import Lattice, ScalarField
@@ -164,12 +165,12 @@ def star_quadrature(f, h, theta, points, lat, slot):
     f and h are callables of the axis names of `lat`.  slot="second"
     samples and transforms h and shifts f by -Theta q/2; slot="first"
     transforms f and shifts h by +Theta p/2.  Both evaluate the same ordered
-    product, and the transformed factor must decay inside the box.  Either
-    factor may return a stack of functions, shape S + the shape of its
-    arguments; the values then hold every product, shape
-    S_f + S_h + (len(points),).  Returns (values, info) with a heuristic
-    error estimate from the spectral tail and the boundary decay of the
-    transformed factor, the largest over its stack.
+    product.  The transformed factor must decay inside the box: a boundary
+    fraction (largest |value| on the outer shell over the largest |value|)
+    above DECAY_REFUSE for any function of its stack is a ValueError.
+    Either factor may return a stack of functions, shape S + the shape of
+    its arguments; the values then hold every product, shape
+    S_f + S_h + (len(points),).  Returns the values array.
     """
     d = lat.dimension
     th = _theta_entries(theta, d)
@@ -196,13 +197,6 @@ def star_quadrature(f, h, theta, points, lat, slot):
     K = np.stack(np.meshgrid(*ks, indexing="ij"), axis=-1).reshape(-1, d)
     W = F.reshape(-1, len(K))
     wq = float(np.prod([k[1] - k[0] for k in ks])) / (2.0 * np.pi) ** d
-
-    # spectral tail of the transformed factor
-    kmax = np.array([np.abs(k).max() for k in ks])
-    tail_mask = np.any(np.abs(K) > 0.8 * kmax[None, :], axis=1)
-    total = np.abs(W).sum(axis=1)
-    tail = np.abs(W[:, tail_mask]).sum(axis=1) / np.where(total > 0.0, total, 1.0)
-
     shifts = sign * (K @ th.T)
     out = []
     for x in pts:
@@ -213,9 +207,7 @@ def star_quadrature(f, h, theta, points, lat, slot):
         w = W * (wq * np.exp(1j * (K @ x)))
         out.append(rows @ w.T if slot == "second" else w @ rows.T)
     shape = sv.shape[:-1] + stack if slot == "second" else stack + sv.shape[:-1]
-    info = {"tail_fraction": float(tail.max()), "boundary_fraction": bd,
-            "error_estimate": float(((tail + bd) * total).max()) * wq}
-    return np.stack(out, axis=-1).reshape(shape + (len(pts),)), info
+    return np.stack(out, axis=-1).reshape(shape + (len(pts),))
 
 
 # ----------------------------------------------------------- twisted engine
@@ -228,9 +220,12 @@ def star_twisted(f, h, lat, theta):
                   e^{2 pi i (p1 j1/m1 + p2 j2/m2 + q1 j1/m1 + q2 j2/m2)}
     with DFT coefficients F, H and physical frequencies k in the twist.  The
     twist (theta/2)(q1 p2 - q2 p1) splits into A[p2,q1] = e^{+i theta/2
-    k2[p2] k1[q1]} and B[p1,q2] = e^{-i theta/2 k1[p1] k2[q2]}, so the double
-    sum is three contractions against the inverse DFT matrices with M^3
-    intermediates.
+    k2[p2] k1[q1]} and B[p1,q2] = e^{-i theta/2 k1[p1] k2[q2]}.  With
+    s = (p1 + q1) mod m1 the two j1 waves are one, e^{2 pi i s j1/m1}: the
+    p2 and q2 sums are inverse FFTs along j2 of (m1, m1, m2) arrays indexed
+    (p1, s, .), their product is summed over p1, and one inverse FFT over s
+    gives the result.  O(M^3 log M) work, two M^3 intermediates, no DFT
+    matrix.
     Warns when either factor has significant spectral content near the
     Nyquist shell (aliasing risk).  Returns (ScalarField, info).
     """
@@ -258,47 +253,58 @@ def star_twisted(f, h, lat, theta):
                       "near Nyquist; result may be aliased" % tails,
                       RuntimeWarning, stacklevel=2)
 
-    w1 = np.exp(2j * np.pi * np.outer(np.arange(m1), np.arange(m1)) / m1)
-    w2 = np.exp(2j * np.pi * np.outer(np.arange(m2), np.arange(m2)) / m2)
-    a = np.exp(1j * half_theta * np.outer(k2, k1))
-    b = np.exp(-1j * half_theta * np.outer(k1, k2))
-    # indices: (p, r) = (p1, p2), (q, s) = (q1, q2), output site (i, j)
-    fa = np.einsum("pr,rq,rj->pqj", fr, a, w2, optimize=True)
-    hb = np.einsum("qs,ps,sj->pqj", hr, b, w2, optimize=True)
-    result = np.einsum("pi,qi,pqj->ij", w1, w1, fa * hb, optimize=True)
+    # (p1, q1) regrouped by s = (p1 + q1) mod m1: q[p1, s] = (s - p1) mod m1
+    q = (np.arange(m1)[None, :] - np.arange(m1)[:, None]) % m1
+    phase = half_theta * np.outer(k1, k2)
+    # fa[p1, s, j2] = m2^-1 sum_p2 F[p1, p2] A[p2, q1] e^{2 pi i p2 j2/m2}
+    fa = np.exp(1j * phase)[q]
+    fa *= fr[:, None, :]
+    ifft(fa, axis=-1, out=fa)
+    # hb[p1, s, j2] = m2^-1 sum_q2 H[q1, q2] B[p1, q2] e^{2 pi i q2 j2/m2}
+    hb = hr[q]
+    hb *= np.exp(-1j * phase)[:, None, :]
+    ifft(hb, axis=-1, out=hb)
+    # the sum over p1 at fixed s, then one inverse DFT over s
+    result = ifft(np.einsum("psj,psj->sj", fa, hb), axis=0) / m1
     info = {"tail_fractions": tails}
-    return ScalarField(lat, result / (m1 * m2) ** 2), info
+    return ScalarField(lat, result), info
 
 
 # ------------------------------------------------------- matrix-basis engine
 
 
-def _genlaguerre(m, k, xi):
-    """Generalized Laguerre L_m^k(xi) for integers m, k >= 0.
+def _genlaguerre(orders, k, xi):
+    """Generalized Laguerre L_m^k(xi), m = 0 .. orders-1, for integer k >= 0.
 
-    The same operations, in the same order, as scipy.special.eval_genlaguerre
-    for an integer degree: the d/p recurrence, then binom(m+k, m) by the
-    multiplication formula over min(m, k) factors, the branch scipy's binom
-    takes while min(m, k) < 20; its rescaling of products above 1e50 needs
-    m + k in the hundreds and is left out.  So the two agree bit for bit on
-    every order the basis uses.
+    One run of the d/p recurrence gives every order: the value for order m
+    is the loop's prefix up to m, times binom(m+k, m) by the multiplication
+    formula over min(m, k) factors.  These are the operations, in the same
+    order, of scipy.special.eval_genlaguerre for an integer degree (its
+    binom takes the multiplication branch while min(m, k) < 20; its
+    rescaling of products above 1e50 needs m + k in the hundreds and is left
+    out), so the two agree bit for bit on every order the basis uses.
+    Returns a list of arrays shaped like xi.
     """
-    if m == 0:
-        return np.ones_like(xi)
-    if m == 1:
-        return -xi + k + 1
+    out = [np.ones_like(xi), -xi + k + 1][:orders]
     d = -xi / (k + 1)
     p = d + 1
-    for j in range(1, m):
+    for j in range(1, orders - 1):      # p is L_m^k / binom(m+k, m), m = j+1
         c = j + k + 1.0
         d = -xi / c * p + (j / c) * d
         p = d + p
-    num = den = 1.0
-    small = min(m, k)
-    for i in range(1, small + 1):
-        num *= i + float(m + k) - small
-        den *= i
-    return num / den * p
+        m = j + 1
+        num = den = 1.0
+        small = min(m, k)
+        for i in range(1, small + 1):
+            num *= i + float(m + k) - small
+            den *= i
+        out.append(num / den * p)
+    return out
+
+
+def _radial_prefactor(m, k):
+    return 2.0 * ((-1.0) ** m) * math.sqrt(math.factorial(m)
+                                           / math.factorial(m + k))
 
 
 def basis_values(m, n, theta, x, y):
@@ -311,8 +317,8 @@ def basis_values(m, n, theta, x, y):
     y = np.asarray(y, dtype=float)
     k = n - m
     xi = 2.0 * (x * x + y * y) / theta
-    pref = 2.0 * ((-1.0) ** m) * math.sqrt(math.factorial(m) / math.factorial(n))
-    radial = pref * xi ** (k / 2.0) * _genlaguerre(m, k, xi) * np.exp(-xi / 2.0)
+    radial = (_radial_prefactor(m, k) * xi ** (k / 2.0)
+              * _genlaguerre(m + 1, k, xi)[m] * np.exp(-xi / 2.0))
     if k == 0:
         return radial.astype(complex)
     return radial * np.exp(1j * k * np.arctan2(y, x))
@@ -324,9 +330,32 @@ def basis_field(m, n, theta, lat):
 
 
 def basis_stack(n, theta, x, y):
-    """All f_mk for m, k < n at the given points; shape (n, n) + point shape."""
-    return np.stack([np.stack([basis_values(m, k, theta, x, y)
-                               for k in range(n)]) for m in range(n)])
+    """All f_mk for m, k < n at the given points; shape (n, n) + point shape.
+
+    Equal entry for entry to basis_values: the same operations in the same
+    order, with xi, the damping, the angle and each order difference's power
+    and phase computed once, and every Laguerre order of one difference from
+    one recurrence.
+    """
+    if theta <= 0:
+        raise ValueError("matrix basis needs theta > 0")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xi = 2.0 * (x * x + y * y) / theta
+    damp = np.exp(-xi / 2.0)
+    phi = np.arctan2(y, x)
+    out = np.empty((n, n) + xi.shape, dtype=complex)
+    for k in range(n):                   # f_{m, m+k}, then its conjugate
+        power = xi ** (k / 2.0)
+        phase = np.exp(1j * k * phi) if k else None
+        for m, lag in enumerate(_genlaguerre(n - k, k, xi)):
+            radial = _radial_prefactor(m, k) * power * lag * damp
+            if k == 0:
+                out[m, m] = radial
+            else:
+                np.multiply(radial, phase, out=out[m, m + k, ...])
+                np.conj(out[m, m + k], out=out[m + k, m, ...])
+    return out
 
 
 def project(values, lat, theta, truncation=TRUNCATION_DEFAULT):
@@ -415,8 +444,10 @@ def delta_algebra_check(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,
     w = lat.site_weights()
     basis = basis_stack(n, theta, lat.coordinate_array(0),
                         lat.coordinate_array(1)).reshape(n * n, -1)
-    gram = (np.conj(basis) * w.reshape(-1)[None, :]) @ basis.T \
-        / (2.0 * np.pi * theta)
+    weighted = np.conj(basis)           # weighted in place: one n^2 x grid copy
+    weighted *= w.reshape(-1)[None, :]
+    gram = weighted @ basis.T / (2.0 * np.pi * theta)
+    del weighted
     # orthonormality: gram[(m,k),(m',k')] must be the identity, so the
     # projected coefficient matrix of each sampled f_mk is the unit E_mk
     projection_residual = float(np.max(np.abs(gram - np.eye(n * n))))
@@ -486,7 +517,7 @@ def cross_engine_check(theta=THETA_DEFAULT, truncation=8, box=7.0, points=96,
         return basis_stack(n, theta, x, y)
 
     pts = np.asarray(eval_points, dtype=float)
-    got, _ = star_quadrature(basis, basis, theta, pts, lat, slot="second")
+    got = star_quadrature(basis, basis, theta, pts, lat, slot="second")
     # delta rule: f_mk * f_Kl = delta_kK f_ml
     want = np.einsum("kK,mlp->mkKlp", np.eye(n), basis(pts[:, 0], pts[:, 1]))
     worst_quad = float(np.max(np.abs(got - want)))
@@ -553,8 +584,8 @@ def commutation_check(theta=THETA_DEFAULT, sigmas=(4.0, 4.0 * math.sqrt(2.0)),
         def fy(x, y, s=sigma):
             return y * np.exp(-(x * x + y * y) / s ** 2)
 
-        ab, _ = star_quadrature(fx, fy, theta, [(0.0, 0.0)], lat, slot="second")
-        ba, _ = star_quadrature(fy, fx, theta, [(0.0, 0.0)], lat, slot="second")
+        ab = star_quadrature(fx, fy, theta, [(0.0, 0.0)], lat, slot="second")
+        ba = star_quadrature(fy, fx, theta, [(0.0, 0.0)], lat, slot="second")
         val = complex(ab[0] - ba[0])
         raws.append(val)
         e = theta ** 2 / sigma ** 4
@@ -605,8 +636,8 @@ def center_time_check(theta=THETA_DEFAULT, box=6.0, points=32, sigma=2.0):
     cases = []
     for name, th in (("zero", zero), ("spatial_block", spatial),
                      ("time_space_block", mixed)):
-        fh, _ = star_quadrature(f_time, h_gauss, th, pts, lat, slot="second")
-        hf, _ = star_quadrature(h_gauss, f_time, th, pts, lat, slot="first")
+        fh = star_quadrature(f_time, h_gauss, th, pts, lat, slot="second")
+        hf = star_quadrature(h_gauss, f_time, th, pts, lat, slot="first")
         resid = float(np.max(np.abs(fh - hf)))
         central = th.commutative_time()
         case_ok = resid <= CENTER_TOL if central else resid >= CENTER_CONTRAST

@@ -141,3 +141,16 @@ def test_toy_state_is_normalized():
     ident = alg.central_element(np.ones(alg.sites))
     st = ToyState(3, (1.0, 0.0))
     assert st(ident) == 1.0
+
+
+def test_central_element_is_a_scalar_per_site():
+    alg = toy()
+    c = np.arange(alg.sites) - 2.5j
+    a = alg.central_element(c)
+    assert a.shape == (alg.sites, 2, 2) and a.dtype == complex
+    for k in range(alg.sites):
+        assert np.array_equal(a[k], c[k] * np.eye(2))
+    assert np.array_equal(alg.time_element(),
+                          alg.central_element(np.array(alg.t_values)))
+    with pytest.raises(ValueError, match="per site"):
+        alg.central_element(np.ones(alg.sites - 1))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
@@ -5,7 +7,8 @@ from scipy.special import eval_genlaguerre
 from lorentzlab.lattice import Lattice
 from lorentzlab import moyal
 from lorentzlab.moyal import (DECAY_REFUSE, TAIL_WARN, ThetaMatrix,
-                              _genlaguerre, associativity_check,
+                              _boundary_fraction, _genlaguerre,
+                              associativity_check,
                               basis_field, basis_stack, basis_values,
                               center_time_check,
                               commutation_check, cross_engine_check,
@@ -17,6 +20,15 @@ from lorentzlab.moyal import (DECAY_REFUSE, TAIL_WARN, ThetaMatrix,
                               synthesize, trace_check)
 
 THETA = 0.5
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ------------------------------------------------------------ Theta matrix
@@ -64,9 +76,11 @@ def test_gaussian_closed_form_quadrature():
     r2 = np.array([x * x + y * y for x, y in pts])
     want = gaussian_star_closed_form(a, b, THETA, r2)
     for slot in ("first", "second"):
-        got, info = star_quadrature(f, h, THETA, pts, lat, slot=slot)
+        got = star_quadrature(f, h, THETA, pts, lat, slot=slot)
         assert np.max(np.abs(got - want)) <= 1e-8
-        assert info["boundary_fraction"] <= DECAY_REFUSE
+    for factor in (f, h):
+        values = factor(**lat.environment())
+        assert _boundary_fraction(values, lat).max() <= DECAY_REFUSE
 
 
 def test_zero_theta_is_pointwise_product():
@@ -83,8 +97,8 @@ def test_slot_mirror_consistency():
     f = lambda x, y: x * np.exp(-(x * x + y * y) / 2.0)
     h = lambda x, y: (1.0 - y) * np.exp(-(x * x + y * y) / 3.0)
     pts = [(0.2, 0.1), (-0.5, 0.8)]
-    first, _ = star_quadrature(f, h, THETA, pts, lat, slot="first")
-    second, _ = star_quadrature(f, h, THETA, pts, lat, slot="second")
+    first = star_quadrature(f, h, THETA, pts, lat, slot="first")
+    second = star_quadrature(f, h, THETA, pts, lat, slot="second")
     assert np.max(np.abs(first - second)) <= 1e-8
 
 
@@ -124,10 +138,10 @@ def test_quadrature_of_stacks_holds_every_product(slot):
         return np.stack([np.exp(-(x * x + y * y) / 2.0),
                          y * np.exp(-(x * x + y * y) / 3.0)])
 
-    got, _ = star_quadrature(left, right, THETA, pts, lat, slot=slot)
+    got = star_quadrature(left, right, THETA, pts, lat, slot=slot)
     assert got.shape == (2, 3, 2, 3)
     for (i, j, k) in np.ndindex(2, 3, 2):
-        one, _ = star_quadrature(lambda x, y: left(x, y)[i, j],
+        one = star_quadrature(lambda x, y: left(x, y)[i, j],
                                  lambda x, y: right(x, y)[k],
                                  THETA, pts, lat, slot=slot)
         assert np.max(np.abs(got[i, j, k] - one)) <= 1e-15
@@ -151,27 +165,44 @@ def test_twisted_warns_on_nyquist_content():
 
 def test_twisted_matches_defining_sum_on_rectangular_lattice():
     # unequal points and extents per axis expose any k1/k2 or m1/m2 mix-up
-    lat = Lattice(((-3.0, 4.0), (-5.0, 2.5)), (10, 14), boundary="periodic",
-                  axis_names=("x", "y"))
-    rng = np.random.default_rng(7)
-    fv = rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape)
-    hv = rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape)
-    theta = 0.7
-    with pytest.warns(RuntimeWarning, match="Nyquist"):
-        got, _ = star_twisted(fv, hv, lat, theta)
+    # (a 1/m1 for 1/m2 slip included); the odd sizes exercise the mod-m1
+    # regrouping of the frequency sum
+    for extents, points in ((((-3.0, 4.0), (-5.0, 2.5)), (10, 14)),
+                            (((-4.0, 2.0), (-2.5, 3.0)), (9, 7))):
+        lat = Lattice(extents, points, boundary="periodic",
+                      axis_names=("x", "y"))
+        rng = np.random.default_rng(7)
+        shape = lat.shape
+        fv = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        hv = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        theta = 0.7
+        with pytest.warns(RuntimeWarning, match="Nyquist"):
+            got, _ = star_twisted(fv, hv, lat, theta)
 
-    # (m1 m2)^-2 sum_{p,q} F(p) H(q) e^{i q.Theta p/2} e^{2 pi i (p+q).j/M}
-    m = np.array(lat.points)
-    idx = np.indices(lat.shape).reshape(2, -1).T
-    k = 2.0 * np.pi * np.stack(
-        [np.fft.fftfreq(m[a], lat.spacing(a))[idx[:, a]] for a in (0, 1)], 1)
-    twist = np.exp(0.5j * theta * (np.outer(k[:, 0], k[:, 1])
-                                    - np.outer(k[:, 1], k[:, 0])))
-    wave = np.exp(2j * np.pi * idx @ (idx / m).T)
-    want = np.einsum("p,q,qp,pj,qj->j", np.fft.fft2(fv).reshape(-1),
-                     np.fft.fft2(hv).reshape(-1), twist, wave, wave,
-                     optimize=True) / m.prod() ** 2
-    assert np.max(np.abs(got.values.reshape(-1) - want)) <= 1e-12
+        # (m1 m2)^-2 sum_{p,q} F(p) H(q) e^{i q.Theta p/2} e^{2 pi i (p+q).j/M}
+        m = np.array(lat.points)
+        idx = np.indices(lat.shape).reshape(2, -1).T
+        freqs = [np.fft.fftfreq(m[a], lat.spacing(a)) for a in (0, 1)]
+        k = 2.0 * np.pi * np.stack([freqs[a][idx[:, a]] for a in (0, 1)], 1)
+        twist = np.exp(0.5j * theta * (np.outer(k[:, 0], k[:, 1])
+                                        - np.outer(k[:, 1], k[:, 0])))
+        wave = np.exp(2j * np.pi * idx @ (idx / m).T)
+        want = np.einsum("p,q,qp,pj,qj->j", np.fft.fft2(fv).reshape(-1),
+                         np.fft.fft2(hv).reshape(-1), twist, wave, wave,
+                         optimize=True) / m.prod() ** 2
+        assert np.max(np.abs(got.values.reshape(-1) - want)) <= 1e-12, points
+
+
+def test_twisted_product_memory_is_three_cubes():
+    # one 64^2 product holds no more than three M^3 complex arrays plus
+    # 1 MiB of M^2 work arrays; an M x M DFT-matrix contraction with its
+    # M^3 intermediates needs more
+    lat = moyal_grid(7.0, 64)
+    x, y = lat.coordinate_array(0), lat.coordinate_array(1)
+    fv = (1.0 + x) * np.exp(-(x * x + y * y) / 3.0)
+    hv = (y - 0.5 * x) * np.exp(-(x * x + y * y) / 2.0)
+    _, peak = _traced_peak(star_twisted, fv, hv, lat, THETA)
+    assert peak <= 3 * 64 ** 3 * 16 + 2 ** 20, peak
 
 
 # ----------------------------------------------------------- matrix basis
@@ -194,21 +225,54 @@ def _laguerre_points():
 
 
 def test_genlaguerre_equals_scipy_bitwise():
-    # every (m, k) the basis reaches at the largest accepted truncation, 32
+    # every (m, k) the basis reaches at the largest accepted truncation, 32:
+    # each order of one recurrence run
     xi = _laguerre_points()
-    for m in range(33):
-        for k in range(33 - m):
-            assert np.array_equal(_genlaguerre(m, k, xi),
-                                  eval_genlaguerre(m, k, xi)), (m, k)
+    for k in range(33):
+        orders = _genlaguerre(33 - k, k, xi)
+        assert len(orders) == 33 - k
+        for m, got in enumerate(orders):
+            assert np.array_equal(got, eval_genlaguerre(m, k, xi)), (m, k)
+    assert _genlaguerre(0, 3, xi) == []
 
 
 def test_genlaguerre_high_orders_match_scipy():
     # from min(m, k) = 20 on scipy's binom leaves the multiplication formula
     xi = _laguerre_points()
     for m, k in [(33, 0), (0, 33), (7, 30), (20, 20), (24, 21), (22, 26)]:
-        np.testing.assert_allclose(_genlaguerre(m, k, xi),
+        np.testing.assert_allclose(_genlaguerre(m + 1, k, xi)[m],
                                    eval_genlaguerre(m, k, xi),
                                    rtol=1e-12, atol=0, err_msg=str((m, k)))
+
+
+def test_basis_stack_equals_basis_values_bitwise():
+    # the delta check's grid, the origin, Gaussian-tail points, and a scalar
+    # x broadcast against an array y
+    lat = moyal_grid()
+    n = 16
+    grid = (lat.coordinate_array(0), lat.coordinate_array(1))
+    tail = (np.array([0.0, 9.0, -14.0, 30.0]), np.array([0.0, -9.0, 2.0, 0.5]))
+    line = (0.3, np.linspace(-1.0, 1.5, 5))
+    for x, y in (grid, (0.0, 0.0), tail, line):
+        stack = basis_stack(n, THETA, x, y)
+        assert stack.shape == (n, n) + np.broadcast(x, y).shape
+        for m, k in np.ndindex(n, n):
+            assert np.array_equal(stack[m, k],
+                                  basis_values(m, k, THETA, x, y)), (m, k)
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.5])
+def test_basis_stack_needs_positive_theta(theta):
+    with pytest.raises(ValueError, match="theta > 0"):
+        basis_stack(3, theta, 0.0, 0.0)
+
+
+def test_basis_stack_peak_memory_is_its_result():
+    # the stack is filled in place: no per-entry arrays stacked into a copy
+    lat = moyal_grid()
+    stack, peak = _traced_peak(basis_stack, 16, THETA, lat.coordinate_array(0),
+                               lat.coordinate_array(1))
+    assert peak <= 1.1 * stack.nbytes, (peak, stack.nbytes)
 
 
 def test_basis_conjugate_symmetry():
@@ -278,7 +342,7 @@ def test_cross_engine_runs_the_quadrature_engine(monkeypatch):
 
     def spy(*args, **kwargs):
         got = engine(*args, **kwargs)
-        calls.append(got[0].shape)
+        calls.append(got.shape)
         return got
     monkeypatch.setattr(moyal, "star_quadrature", spy)
     rep = cross_engine_check(truncation=4, points=64)
