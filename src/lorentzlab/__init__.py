@@ -13,8 +13,8 @@ language (``expressions``), and a deterministic CLI (``cli``).
 from .checks import Check
 from .clifford import (GammaRep, build_gamma, check_clifford, chirality,
                        fundamental_symmetry, krein_adjoint)
-from .dirac import (DiracOperator, TemporalElement, check_temporal_axioms,
-                    elliptic_square, flat_operator)
+from .dirac import (DiracOperator, check_temporal_axioms, elliptic_square,
+                    flat_operator)
 from .distance import (CandidatePool, DistanceResult, EventPair,
                        boosted_family_distance, certify_candidates,
                        conformal_time_distance, minkowski_oracle,
@@ -37,8 +37,8 @@ __all__ = [
     "Check",
     "GammaRep", "build_gamma", "check_clifford", "chirality",
     "fundamental_symmetry", "krein_adjoint",
-    "DiracOperator", "TemporalElement", "check_temporal_axioms",
-    "elliptic_square", "flat_operator",
+    "DiracOperator", "check_temporal_axioms", "elliptic_square",
+    "flat_operator",
     "CandidatePool", "DistanceResult", "EventPair", "boosted_family_distance",
     "certify_candidates", "conformal_time_distance", "minkowski_oracle",
     "variational_distance",

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -224,7 +224,7 @@ def run_verify(cfg):
     axioms = dirac.check_temporal_axioms(_operator(cfg), seed=cfg.seed)
     checks = [c for rep in reports + [axioms] for c in rep.checks]
     payload = {"clifford": {str(rep.dimension): rep.to_dict() for rep in reports},
-               "axioms": axioms.to_dict(),
+               "axioms": asdict(axioms),
                "config": {"dimension": cfg.dimension, "points": cfg.points,
                           "boundary": cfg.boundary, "u": cfg.u,
                           "seed": cfg.seed},

@@ -55,17 +55,7 @@ ELLIPTIC_EIG_FLOOR = -1e-10
 ELLIPTIC_HERM_TOL = 1e-12
 ASSEMBLY_TOL = 0.0       # the sparse D equals the probe-built D entry for entry
 U_VARIATION_TOL = 1e-12  # spread of u up to which it counts as constant
-
-
-@dataclass(frozen=True)
-class TemporalElement:
-    """The time coordinate as an algebra element with exact gradient dT = dt."""
-
-    lattice: Lattice
-
-    @property
-    def values(self):
-        return self.lattice.coordinate_array(0)
+COMMUTE_SAMPLES = 3      # random (f, psi) draws of the "[D,T] commutes" check
 
 
 @dataclass
@@ -140,10 +130,8 @@ class DiracOperator:
         grads = [gradient(f, mu).values for mu in range(self.lattice.dimension)]
         return MatrixField(self.lattice, gradient_symbol(self.rep, grads, self.u))
 
-    def temporal_commutator(self, T: TemporalElement = None) -> MatrixField:
+    def temporal_commutator(self) -> MatrixField:
         """[D, T] at symbol level: -i gamma^0 u^{-1/2}(x), exact per site."""
-        if T is not None and T.lattice != self.lattice:
-            raise ValueError("temporal element lives on a different lattice")
         dt = [1.0] + [0.0] * (self.lattice.dimension - 1)
         return MatrixField(self.lattice, gradient_symbol(self.rep, dt, self.u))
 
@@ -416,10 +404,6 @@ class AxiomReport:
     notes: tuple = ()
     tolerances: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {**vars(self), "notes": list(self.notes),
-                "tolerances": dict(self.tolerances)}
-
     @property
     def checks(self):
         checks = [
@@ -480,11 +464,11 @@ def _elliptic_square(d, k):
     return -0.5 * (dk @ dk + kd @ kd)
 
 
-def elliptic_square(D: DiracOperator, T: TemporalElement = None):
+def elliptic_square(D: DiracOperator):
     """<D>^2 = -1/2 (D K D K + K D K D) with K = [D,T], as a dense matrix."""
     _require(_dense_error(D.dense_dim, "<D>^2"))
     return _elliptic_square(D.sparse_matrix(), _site_blocks(
-        D.lattice, D.temporal_commutator(T).values)).toarray()
+        D.lattice, D.temporal_commutator().values)).toarray()
 
 
 def _momentum_blocks(m, momenta=slice(None)):
@@ -531,8 +515,7 @@ def _min_eigenvalue(blocks):
     return float(np.linalg.eigvalsh(sym).min())
 
 
-def check_temporal_axioms(D: DiracOperator, T: TemporalElement = None,
-                          samples=3, seed=0, include_elliptic=True):
+def check_temporal_axioms(D: DiracOperator, seed=0, include_elliptic=True):
     """Run the axiom residual suite on D in stencil form (`sparse_matrix`).
 
     Up to ORACLE_LIMIT dense dimensions that D is also compared with
@@ -547,7 +530,7 @@ def check_temporal_axioms(D: DiracOperator, T: TemporalElement = None,
     periodic = lat.boundary == "periodic"
     if include_elliptic:
         _require(elliptic_size_error(lat.points, lat.boundary, s))
-    K = D.temporal_commutator(T)
+    K = D.temporal_commutator()
 
     herm = K.hermiticity_residual()
 
@@ -575,7 +558,7 @@ def check_temporal_axioms(D: DiracOperator, T: TemporalElement = None,
 
     rng = default_rng(seed)
     commute = 0.0
-    for _ in range(samples):
+    for _ in range(COMMUTE_SAMPLES):
         f = rng.standard_normal(lat.shape)
         psi = random_spinor(lat, s, rng)
         lhs = K.apply(SpinorField(lat, f[..., None] * psi.values)).values

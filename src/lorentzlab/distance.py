@@ -19,7 +19,7 @@ states), so candidates may be expressions, callables, or filtered elements.
 metrics -u(t) dt^2 + dx^2 along pure time displacements.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import default_rng
@@ -29,24 +29,26 @@ from .checks import Check
 from .dirac import flat_operator
 from .filtration import FilteredElement
 from .lattice import AXIS_NAMES, Lattice, ScalarField
-from .steepness import EIG_TOL, is_steep_matrix
+from .steepness import is_steep_matrix
 
 GOLDEN_TOL = 1e-10
+GOLDEN_MAX_ITER = 200
 V_CAP = 1.0 - 1e-12
 BOOSTED_TOL = 1e-6
 VARIATIONAL_FLOOR = -1e-9
 PAIR_EXTENT = 3.0     # distance suite: events and certification box in [-3, 3]^d
+BOOST_VELOCITIES = (0.0, 0.25, 0.5, 0.75)   # the CLI's default candidate pool
 
 
-def golden_section(fn, lo, hi, tol=GOLDEN_TOL, max_iter=200):
-    """Minimize a unimodal function on [lo, hi]; returns (x, fn(x))."""
+def golden_section(fn, lo, hi):
+    """Minimize a unimodal function on [lo, hi] to GOLDEN_TOL; returns (x, fn(x))."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(max_iter):
-        if b - a <= tol:
+    for _ in range(GOLDEN_MAX_ITER):
+        if b - a <= GOLDEN_TOL:
             break
         if fc < fd:
             b, d, fd = d, c, fc
@@ -104,9 +106,6 @@ class DistanceResult:
     rejected: list = field(default_factory=list)
     gap_vs_oracle: float = float("nan")
 
-    def to_dict(self):
-        return asdict(self)
-
 
 def minkowski_oracle(p, q=None):
     """sqrt(dt^2 - r^2) if q lies in the causal future of p, else 0."""
@@ -117,7 +116,7 @@ def minkowski_oracle(p, q=None):
     return 0.0
 
 
-def boosted_family_distance(p, q=None, tol=GOLDEN_TOL):
+def boosted_family_distance(p, q=None):
     """inf over v in [0, 1) of gamma_v (dt - v r), clipped at zero.
 
     h'(v) = gamma_v^3 (v dt - r): h is unimodal with interior minimum at
@@ -137,7 +136,7 @@ def boosted_family_distance(p, q=None, tol=GOLDEN_TOL):
     def h(v):
         return (dt - v * r) / np.sqrt(1.0 - v * v)
 
-    v_star, h_star = golden_section(h, 0.0, V_CAP, tol=tol)
+    v_star, h_star = golden_section(h, 0.0, V_CAP)
     value = min(h_star, h(0.0))        # h(0) = dt is always in the family
     return DistanceResult(max(0.0, float(value)), "boosted",
                           params={"dt": dt, "r": r, "v": float(v_star),
@@ -211,7 +210,7 @@ class CandidatePool:
     rejected: tuple
 
 
-def certify_candidates(candidates, dirac, gamma_ch=None, tol=EIG_TOL):
+def certify_candidates(candidates, dirac):
     """Certify each candidate once on the operator lattice; returns the pool.
 
     Steepness is a property of the function, not of the events, so one pool
@@ -224,7 +223,7 @@ def certify_candidates(candidates, dirac, gamma_ch=None, tol=EIG_TOL):
     rejected = []
     for cand in candidates:
         label, fld, value_at = _resolve_candidate(cand, dirac)
-        report = is_steep_matrix(fld, dirac, gamma_ch=gamma_ch, tol=tol)
+        report = is_steep_matrix(fld, dirac)
         if report.steep:
             certified.append((label, value_at, report.worst_margin))
         else:
@@ -237,7 +236,7 @@ def certify_candidates(candidates, dirac, gamma_ch=None, tol=EIG_TOL):
     return CandidatePool(dirac.lattice, tuple(certified), tuple(rejected))
 
 
-def variational_distance(p, q, pool, compare_oracle=True):
+def variational_distance(p, q, pool):
     """inf over the certified candidates f of `pool` of max(0, f(q) - f(p)).
 
     Both events must lie in the box of the lattice the pool was certified
@@ -258,21 +257,17 @@ def variational_distance(p, q, pool, compare_oracle=True):
         ((max(0.0, value_at(pair.q) - value_at(pair.p)), label, margin)
          for label, value_at, margin in pool.certified), key=lambda r: r[0])
 
-    gap = float("nan")
-    if compare_oracle:
-        gap = value - minkowski_oracle(pair)
     return DistanceResult(value, "variational",
                           params={"certified": True, "worst_margin": margin},
                           achieving=label, rejected=list(pool.rejected),
-                          gap_vs_oracle=gap)
+                          gap_vs_oracle=value - minkowski_oracle(pair))
 
 
-def boosted_candidate_expressions(velocities=(0.0, 0.25, 0.5, 0.75),
-                                  axes=("x",)):
-    """Expression strings gamma_v * (t - v*axis) for candidate pools."""
+def boosted_candidate_expressions(axes=("x",)):
+    """Expression strings gamma_v * (t - v*axis), v in BOOST_VELOCITIES."""
     out = []
     for ax in axes:
-        for v in velocities:
+        for v in BOOST_VELOCITIES:
             if v == 0.0:
                 if "t" not in out:
                     out.append("t")

@@ -10,9 +10,12 @@ Grammar (standard precedence, caret binds tightest and is right associative):
 
 Identifiers are the coordinate variables t, x, y, z and the unary functions
 sin, cos, exp, sqrt, tanh, abs.  Anything else is a parse error carrying the
-character position.  Evaluation is vectorized over numpy arrays and guards the
-partial functions (sqrt of a negative, division by ~0) with errors that name
-the first offending site.
+character position.  So is nesting deeper than MAX_DEPTH levels (parentheses,
+calls, unary minus, exponents, and the operators of the expression tree), which
+would otherwise exhaust the interpreter's stack in the recursive parser or
+evaluator.  Evaluation is vectorized over numpy arrays and guards the partial
+functions (sqrt of a negative, division by ~0) with errors that name the first
+offending site.
 """
 
 from dataclasses import dataclass
@@ -30,6 +33,7 @@ FUNCTIONS = {
 }
 
 DIV_FLOOR = 1e-300
+MAX_DEPTH = 100     # parser nesting and expression-tree depth
 
 
 class ExpressionError(ValueError):
@@ -132,6 +136,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -149,6 +154,16 @@ class _Parser:
                 position,
             )
         return self.advance()
+
+    def nested(self, parse):
+        """parse() one level deeper; nesting past MAX_DEPTH is an error."""
+        if self.depth == MAX_DEPTH:
+            raise ExpressionError("nested deeper than %d levels" % MAX_DEPTH,
+                                  self.peek()[2])
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse(self):
         node = self.expr()
@@ -181,7 +196,7 @@ class _Parser:
         kind, value, _ = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return Unary("-", self.factor())
+            return Unary("-", self.nested(self.factor))
         return self.power()
 
     def power(self):
@@ -190,7 +205,7 @@ class _Parser:
         if kind == "op" and value == "^":
             self.advance()
             # right associative; exponent may carry a unary minus
-            return Binary("^", base, self.factor())
+            return Binary("^", base, self.nested(self.factor))
         return base
 
     def atom(self):
@@ -200,7 +215,7 @@ class _Parser:
         if kind == "ident":
             if value in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg = self.nested(self.expr)
                 nkind, nval, npos = self.peek()
                 if nkind == "op" and nval == ",":
                     raise ExpressionError("function %r takes one argument" % value, npos)
@@ -210,7 +225,7 @@ class _Parser:
                 return Variable(value)
             raise ExpressionError("unknown identifier %r" % value, position)
         if kind == "op" and value == "(":
-            node = self.expr()
+            node = self.nested(self.expr)
             self.expect_op(")")
             return node
         raise ExpressionError(
@@ -219,11 +234,39 @@ class _Parser:
         )
 
 
+def _children(node):
+    if isinstance(node, Unary):
+        return (node.operand,)
+    if isinstance(node, Call):
+        return (node.arg,)
+    if isinstance(node, Binary):
+        return (node.left, node.right)
+    return ()
+
+
+def _tree_depth(node):
+    """Levels of the expression tree, counted without recursion."""
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        stack.extend((child, level + 1) for child in _children(node))
+    return deepest
+
+
 def parse_expression(text):
-    """Parse `text` into an AST.  Raises ExpressionError with a position."""
+    """Parse `text` into an AST.  Raises ExpressionError with a position.
+
+    The tree is at most MAX_DEPTH levels deep, so the recursive
+    `variables_used` and `evaluate` stay well inside the stack.
+    """
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError("empty expression")
-    return _Parser(text).parse()
+    node = _Parser(text).parse()
+    if _tree_depth(node) > MAX_DEPTH:
+        raise ExpressionError("expression tree deeper than %d levels"
+                              % MAX_DEPTH)
+    return node
 
 
 # --------------------------------------------------------------- evaluation
@@ -232,13 +275,7 @@ def parse_expression(text):
 def variables_used(node):
     if isinstance(node, Variable):
         return {node.name}
-    if isinstance(node, Unary):
-        return variables_used(node.operand)
-    if isinstance(node, Call):
-        return variables_used(node.arg)
-    if isinstance(node, Binary):
-        return variables_used(node.left) | variables_used(node.right)
-    return set()
+    return set().union(*map(variables_used, _children(node)))
 
 
 def _first_bad_site(mask, shape):

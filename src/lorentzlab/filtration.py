@@ -26,7 +26,7 @@ fixed t-values), where T is central by construction and chi(ab) =
 chi(a) chi(b) holds for central a and any pure state.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.random import default_rng
@@ -44,6 +44,11 @@ CENTRAL_TOL = 1e-13
 TIME_NORM_BOUND = 1.0        # ||T||_{-1} < 1: the time element is a contraction
 COUNTEREXAMPLE_FLOOR = 0.1   # the non-central witness must violate by more
 STATE_WEIGHT_FLOOR = 1e-300
+DECOMPOSITION_TOL = 1e-9     # relative: two decompositions of one function
+GRADING_TRIALS = 8           # random spinors per H_n, after the site delta
+GRADING_GRADES = (-2, -1, 0, 1, 2)   # the n of each H_n
+GRADING_SPINOR_DIM = 2
+CENTRAL_TRIALS = 500
 
 
 # --------------------------------------------------------------- elements
@@ -58,9 +63,9 @@ class FilteredElement:
     label: str = ""
 
     @classmethod
-    def from_expression(cls, text, degree, label=None):
+    def from_expression(cls, text, degree):
         _, fn = expressions.compile_expression(text)
-        return cls(degree, fn, label if label is not None else text)
+        return cls(degree, fn, text)
 
     @classmethod
     def time_element(cls):
@@ -109,12 +114,12 @@ def weighted_norm(elem: FilteredElement, m, lattice: Lattice):
     return float(np.max(np.abs((1.0 + t ** 2) ** (m / 2.0) * a)))
 
 
-def submultiplicativity_residual(a, b, lattice, m_a=None, m_b=None):
-    """Relative slack of ||ab||_{ma+mb} <= ||a||_ma ||b||_mb (negative = holds)."""
-    if m_a is None:
-        m_a = -a.degree
-    if m_b is None:
-        m_b = -b.degree
+def submultiplicativity_residual(a, b, lattice):
+    """Relative slack of ||ab||_{ma+mb} <= ||a||_ma ||b||_mb (negative = holds).
+
+    Each norm is the natural one of its element, m = -degree.
+    """
+    m_a, m_b = -a.degree, -b.degree
     prod = a.multiply(b)
     lhs = weighted_norm(prod, m_a + m_b, lattice)
     rhs = weighted_norm(a, m_a, lattice) * weighted_norm(b, m_b, lattice)
@@ -133,23 +138,17 @@ class GradingReport:
     bound_ok: bool
     approach_ok: bool               # estimates reach NORM_APPROACH of the sup norm
 
-    def to_dict(self):
-        return {**vars(self),
-                "estimates": {str(k): v for k, v in self.estimates.items()}}
 
-
-def operator_norm_grading_check(elem: FilteredElement, lattice: Lattice,
-                                trials=16, seed=0, n_values=(-2, -1, 0, 1, 2),
-                                m=None, spinor_dim=2):
+def operator_norm_grading_check(elem: FilteredElement, lattice: Lattice, seed=0):
     """Multiplication by `elem` as an operator H_n -> H_{n+m}, m = -degree.
 
-    The estimate on each H_n is the max Rayleigh ratio over random spinors
-    plus the site-delta at the achieving site of |(1+t^2)^{m/2} a|; it must
-    stay below the weighted sup norm (within rounding) and reach it, and be
-    independent of n.
+    The estimate on each H_n, n in GRADING_GRADES, is the max Rayleigh ratio
+    over GRADING_TRIALS random spinors plus the site-delta at the achieving
+    site of |(1+t^2)^{m/2} a|; it must stay below the weighted sup norm
+    (within rounding) and reach it, and be independent of n.
     """
-    if m is None:
-        m = -elem.degree
+    m = -elem.degree
+    shape = lattice.shape + (GRADING_SPINOR_DIM,)
     t = lattice.coordinate_array(0)
     a = elem.sample(lattice).values
     sup = weighted_norm(elem, m, lattice)
@@ -158,17 +157,16 @@ def operator_norm_grading_check(elem: FilteredElement, lattice: Lattice,
 
     rng = default_rng(seed)
     estimates = {}
-    for n in n_values:
+    for n in GRADING_GRADES:
         wn = (1.0 + t ** 2) ** float(n)
         wnm = (1.0 + t ** 2) ** float(n + m)
         best = 0.0
-        for k in range(trials + 1):
+        for k in range(GRADING_TRIALS + 1):
             if k == 0:
-                vals = np.zeros(lattice.shape + (spinor_dim,), dtype=complex)
+                vals = np.zeros(shape, dtype=complex)
                 vals[best_site + (0,)] = 1.0        # delta at the maximizer
             else:
-                vals = rng.standard_normal(lattice.shape + (spinor_dim,)) \
-                    + 1j * rng.standard_normal(lattice.shape + (spinor_dim,))
+                vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             phi = SpinorField(lattice, vals)
             aphi = SpinorField(lattice, a[..., None] * vals)
             num = inner_product(aphi, aphi, weight=wnm).real
@@ -219,7 +217,7 @@ def extend_state(state, elem: FilteredElement):
     return w ** (-elem.degree) * chi_a0
 
 
-def well_definedness_check(elem_a, elem_b, lattice, states, tol_fun=1e-9):
+def well_definedness_check(elem_a, elem_b, lattice, states):
     """Two decompositions of the same function must extend identically.
 
     Raises if the decompositions do not agree as functions on the lattice;
@@ -229,7 +227,7 @@ def well_definedness_check(elem_a, elem_b, lattice, states, tol_fun=1e-9):
     vb = elem_b.sample(lattice).values
     scale = max(float(np.max(np.abs(va))), 1e-30)
     fun_dev = float(np.max(np.abs(va - vb)))
-    if fun_dev > tol_fun * scale:
+    if fun_dev > DECOMPOSITION_TOL * scale:
         raise ValueError("decompositions differ as functions "
                          "(max deviation %.3e)" % fun_dev)
     resid = 0.0
@@ -293,19 +291,16 @@ class CentralityReport:
     counterexample_residual: float   # observed violation for non-central a
     counterexample: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {**vars(self), "counterexample": dict(self.counterexample)}
 
-
-def central_multiplicativity_check(algebra: ToyAlgebra, trials=500, seed=0):
-    """chi(ab) = chi(a) chi(b) over random central a, random b, random states.
+def central_multiplicativity_check(algebra: ToyAlgebra, seed=0):
+    """chi(ab) = chi(a) chi(b) over CENTRAL_TRIALS random central a, b, states.
 
     Also records the documented non-central counterexample (a = sigma3 fiber,
     b = sigma1, angled state), which must violate multiplicativity.
     """
     rng = default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(CENTRAL_TRIALS):
         c = rng.standard_normal(algebra.sites) + 1j * rng.standard_normal(algebra.sites)
         a = algebra.central_element(c)
         b = algebra.random_element(rng)
@@ -325,7 +320,7 @@ def central_multiplicativity_check(algebra: ToyAlgebra, trials=500, seed=0):
     ab = np.einsum("kij,kjl->kil", a, b)
     violation = abs(chi(ab) - chi(a) * chi(b))
     return CentralityReport(
-        trials=trials,
+        trials=CENTRAL_TRIALS,
         max_central_residual=worst,
         counterexample_residual=float(violation),
         counterexample={
@@ -351,7 +346,7 @@ def run_filtration_suite(seed=0):
 
     t_elem = FilteredElement.time_element()
     tnorm = weighted_norm(t_elem, -1, lat)
-    grading = operator_norm_grading_check(t_elem, lat, trials=8, seed=seed)
+    grading = operator_norm_grading_check(t_elem, lat, seed=seed)
 
     def random_element(degree):
         c = rng.uniform(-2.0, 2.0, size=3)
@@ -372,7 +367,7 @@ def run_filtration_suite(seed=0):
         worst_well = max(worst_well, well_definedness_check(a, b, lat, states))
 
     toy = ToyAlgebra(tuple(np.linspace(-3.0, 3.0, 8)))
-    central = central_multiplicativity_check(toy, trials=500, seed=seed)
+    central = central_multiplicativity_check(toy, seed=seed)
     try:
         extend_state((float("inf"), 0.0), t_elem)
         rejection_works = False
@@ -402,10 +397,10 @@ def run_filtration_suite(seed=0):
     )
     payload = {
         "time_element_norm": float(tnorm),
-        "grading": grading.to_dict(),
+        "grading": asdict(grading),
         "worst_submultiplicativity_slack": float(worst_sub),
         "worst_well_definedness": float(worst_well),
-        "central_multiplicativity": central.to_dict(),
+        "central_multiplicativity": asdict(central),
         "rejection_guard": rejection_works,
         "seed": seed,
         "passed": all(c.passed for c in checks),

@@ -32,7 +32,7 @@ declared ("assumed"), not verified; only the numerical identities are checked.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.fft import fft2, fftfreq, fftn, ifft
@@ -54,6 +54,22 @@ CENTER_TOL = 1e-10
 CENTER_CONTRAST = 1e-3
 DECAY_REFUSE = 0.05
 TAIL_WARN = 1e-6
+
+# Each check's grid, fixed here and nowhere else: (box, points) is the
+# periodic moyal_grid on [-box, box)^2 with `points` sites per axis.
+DELTA_GRID = (7.0, 96)   # projection integrands: twice one function's spectrum
+CROSS_ENGINE_GRID = (7.0, 64)
+GAUSSIAN_GRID = (7.0, 64)
+TRACE_GRID = (7.0, 64)
+ASSOCIATIVITY_GRID = (7.0, 64)
+INVOLUTION_GRID = (7.0, 64)
+COMMUTATION_POINTS = 64  # on [-5 sigma, 5 sigma)^2 for each sigma
+COMMUTATION_BOX_FACTOR = 5.0
+COMMUTATION_SIGMAS = (4.0, 4.0 * math.sqrt(2.0))
+CENTER_BOX = 6.0         # 3-d; the points per axis are center_time_check's
+CENTER_SIGMA = 2.0
+GAUSSIAN_WIDTHS = (0.5, 0.8)     # exp(-a r^2) * exp(-b r^2)
+CROSS_ENGINE_POINTS = ((0.0, 0.0), (0.3, -0.4), (1.1, 0.7))
 
 
 # ---------------------------------------------------------------- Theta
@@ -140,8 +156,9 @@ def phys_fft(values, lat):
         ks.append(k)
         shape = [1] * lat.dimension
         shape[a] = -1
-        F = F * np.exp(-1j * k * lat.extents[a][0]).reshape(shape)
-    return F * float(np.prod(lat.spacings)), ks
+        F *= np.exp(-1j * k * lat.extents[a][0]).reshape(shape)
+    F *= float(np.prod(lat.spacings))
+    return F, ks
 
 
 def _boundary_fraction(values, lat):
@@ -202,11 +219,12 @@ def star_quadrature(f, h, theta, points, lat, slot):
     for x in pts:
         sv = np.asarray(shifted(**dict(zip(lat.axis_names, (x + shifts).T))),
                         dtype=complex)
-        sv = np.broadcast_to(sv, sv.shape[:-1] + (len(K),))
-        rows = sv.reshape(-1, len(K))
+        head = sv.shape[:-1]
+        rows = np.broadcast_to(sv, head + (len(K),)).reshape(-1, len(K))
         w = W * (wq * np.exp(1j * (K @ x)))
         out.append(rows @ w.T if slot == "second" else w @ rows.T)
-    shape = sv.shape[:-1] + stack if slot == "second" else stack + sv.shape[:-1]
+        del sv, rows, w     # one point's samples at a time
+    shape = head + stack if slot == "second" else stack + head
     return np.stack(out, axis=-1).reshape(shape + (len(pts),))
 
 
@@ -426,12 +444,8 @@ class DeltaAlgebraReport:
     norm_ground_residual: float
     passed: bool
 
-    def to_dict(self):
-        return self.__dict__.copy()
 
-
-def delta_algebra_check(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,
-                        box=7.0, points=96):
+def delta_algebra_check(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT):
     """f_mn * f_kl = delta_nk f_ml through projection + matrix product.
 
     Projects every sampled basis function (should return the matrix units),
@@ -439,7 +453,7 @@ def delta_algebra_check(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,
     exact delta rule.  Also: identity truncation acts trivially, and the
     ground projector f_00 has operator norm 1.
     """
-    lat = moyal_grid(box, points)
+    lat = moyal_grid(*DELTA_GRID)
     n = truncation
     w = lat.site_weights()
     basis = basis_stack(n, theta, lat.coordinate_array(0),
@@ -481,10 +495,10 @@ def delta_algebra_check(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,
     )
 
 
-def gaussian_oracle_check(theta=THETA_DEFAULT, a=0.5, b=0.8, box=7.0,
-                          points=96):
+def gaussian_oracle_check(theta=THETA_DEFAULT):
     """Twisted-engine Gaussian product against the closed form; max residual."""
-    lat = moyal_grid(box, points)
+    a, b = GAUSSIAN_WIDTHS
+    lat = moyal_grid(*GAUSSIAN_GRID)
     r2 = lat.coordinate_array(0) ** 2 + lat.coordinate_array(1) ** 2
     fv = np.exp(-a * r2)
     hv = np.exp(-b * r2)
@@ -502,21 +516,17 @@ class CrossEngineReport:
     twisted_tail_fraction: float = 0.0   # largest Nyquist-shell fraction seen
     twisted_tail_warnings: int = 0       # twisted products above TAIL_WARN
 
-    def to_dict(self):
-        return self.__dict__.copy()
 
-
-def cross_engine_check(theta=THETA_DEFAULT, truncation=8, box=7.0, points=96,
-                       eval_points=((0.0, 0.0), (0.3, -0.4), (1.1, 0.7))):
+def cross_engine_check(theta=THETA_DEFAULT, truncation=8):
     """All basis pairs f_mn * f_kl: quadrature and twisted vs the delta rule."""
-    lat = moyal_grid(box, points)
+    lat = moyal_grid(*CROSS_ENGINE_GRID)
     n = truncation
 
     # every basis product f_mk * f_Kl at once, shape (m, k, K, l, point)
     def basis(x, y):
         return basis_stack(n, theta, x, y)
 
-    pts = np.asarray(eval_points, dtype=float)
+    pts = np.asarray(CROSS_ENGINE_POINTS, dtype=float)
     got = star_quadrature(basis, basis, theta, pts, lat, slot="second")
     # delta rule: f_mk * f_Kl = delta_kK f_ml
     want = np.einsum("kK,mlp->mkKlp", np.eye(n), basis(pts[:, 0], pts[:, 1]))
@@ -556,16 +566,13 @@ class CommutationReport:
     residual: float
     passed: bool
 
-    def to_dict(self):
-        d = self.__dict__.copy()
-        d["sigmas"] = list(self.sigmas)
-        d["raw_imag"] = list(self.raw_imag)
-        d["closed_form_residuals"] = list(self.closed_form_residuals)
-        return d
+
+def _damped(axis, sigma):
+    """(x, y) -> (x, y)[axis] exp(-r^2/sigma^2): a damped coordinate."""
+    return lambda x, y: (x, y)[axis] * np.exp(-(x * x + y * y) / sigma ** 2)
 
 
-def commutation_check(theta=THETA_DEFAULT, sigmas=(4.0, 4.0 * math.sqrt(2.0)),
-                      points=64, box_factor=5.0):
+def commutation_check(theta=THETA_DEFAULT):
     """[x, y]_* = i theta via damped coordinates and Richardson extrapolation.
 
     For g = exp(-r^2/sigma^2) the damped commutator at the origin is exactly
@@ -575,15 +582,9 @@ def commutation_check(theta=THETA_DEFAULT, sigmas=(4.0, 4.0 * math.sqrt(2.0)),
     raws = []
     eps = []
     closed = []
-    for sigma in sigmas:
-        lat = moyal_grid(box_factor * sigma, points)
-
-        def fx(x, y, s=sigma):
-            return x * np.exp(-(x * x + y * y) / s ** 2)
-
-        def fy(x, y, s=sigma):
-            return y * np.exp(-(x * x + y * y) / s ** 2)
-
+    for sigma in COMMUTATION_SIGMAS:
+        lat = moyal_grid(COMMUTATION_BOX_FACTOR * sigma, COMMUTATION_POINTS)
+        fx, fy = _damped(0, sigma), _damped(1, sigma)
         ab = star_quadrature(fx, fy, theta, [(0.0, 0.0)], lat, slot="second")
         ba = star_quadrature(fy, fx, theta, [(0.0, 0.0)], lat, slot="second")
         val = complex(ab[0] - ba[0])
@@ -595,7 +596,7 @@ def commutation_check(theta=THETA_DEFAULT, sigmas=(4.0, 4.0 * math.sqrt(2.0)),
     a1, a2 = raws
     extrap = (e1 * a2 - e2 * a1) / (e1 - e2)
     residual = abs(extrap - 1j * theta)
-    return CommutationReport(theta=float(theta), sigmas=tuple(sigmas),
+    return CommutationReport(theta=float(theta), sigmas=COMMUTATION_SIGMAS,
                              raw_imag=tuple(float(v.imag) for v in raws),
                              closed_form_residuals=tuple(float(c) for c in closed),
                              extrapolated_imag=float(extrap.imag),
@@ -608,11 +609,8 @@ class CenterTimeReport:
     cases: list
     passed: bool
 
-    def to_dict(self):
-        return {"cases": [dict(c) for c in self.cases], "passed": self.passed}
 
-
-def center_time_check(theta=THETA_DEFAULT, box=6.0, points=32, sigma=2.0):
+def center_time_check(theta=THETA_DEFAULT, points=32):
     """Time is central iff Theta has vanishing first row/column.
 
     Checks [f, h]_* for f = t exp(-t^2/sigma^2) against three Theta choices:
@@ -620,13 +618,14 @@ def center_time_check(theta=THETA_DEFAULT, box=6.0, points=32, sigma=2.0):
     at tolerance), and a t-x block (non-central, residual must exceed the
     contrast level).
     """
-    lat = moyal_grid(box, points, dimension=3)
+    lat = moyal_grid(CENTER_BOX, points, dimension=3)
+    s2 = CENTER_SIGMA ** 2
 
-    def f_time(t, x, y, s=sigma):
-        return t * np.exp(-t * t / s ** 2)
+    def f_time(t, x, y):
+        return t * np.exp(-t * t / s2)
 
-    def h_gauss(t, x, y, s=sigma):
-        return (1.0 + 0.3 * x + 0.2 * y) * np.exp(-(t * t + x * x + y * y) / s ** 2)
+    def h_gauss(t, x, y):
+        return (1.0 + 0.3 * x + 0.2 * y) * np.exp(-(t * t + x * x + y * y) / s2)
 
     pts = [(0.0, 0.0, 0.0), (0.5, -0.3, 0.2), (1.0, 0.8, -0.6)]
     zero = ThetaMatrix(np.zeros((3, 3)))
@@ -646,9 +645,9 @@ def center_time_check(theta=THETA_DEFAULT, box=6.0, points=32, sigma=2.0):
     return CenterTimeReport(cases=cases, passed=all(c["ok"] for c in cases))
 
 
-def trace_check(theta=THETA_DEFAULT, box=7.0, points=96):
+def trace_check(theta=THETA_DEFAULT):
     """int f*h = int f h; relative residual on damped polynomials."""
-    lat = moyal_grid(box, points)
+    lat = moyal_grid(*TRACE_GRID)
     x, y = lat.coordinate_array(0), lat.coordinate_array(1)
     fv = (1.0 + x) * np.exp(-(x * x + y * y) / 3.0)
     hv = (y - 0.5 * x) * np.exp(-(x * x + y * y) / 2.0)
@@ -658,9 +657,9 @@ def trace_check(theta=THETA_DEFAULT, box=7.0, points=96):
     return abs(lhs - rhs) / max(abs(rhs), 1e-30)
 
 
-def associativity_check(theta=THETA_DEFAULT, box=7.0, points=64):
+def associativity_check(theta=THETA_DEFAULT):
     """(f*g)*h vs f*(g*h) on the twisted engine; relative max residual."""
-    lat = moyal_grid(box, points)
+    lat = moyal_grid(*ASSOCIATIVITY_GRID)
     x, y = lat.coordinate_array(0), lat.coordinate_array(1)
     r2 = x * x + y * y
     fv = np.exp(-r2 / 3.0)
@@ -674,9 +673,9 @@ def associativity_check(theta=THETA_DEFAULT, box=7.0, points=64):
     return float(np.max(np.abs(left.values - right.values))) / scale
 
 
-def involution_check(theta=THETA_DEFAULT, box=7.0, points=64):
+def involution_check(theta=THETA_DEFAULT):
     """conj(f*h) = conj(h) * conj(f); max residual."""
-    lat = moyal_grid(box, points)
+    lat = moyal_grid(*INVOLUTION_GRID)
     x, y = lat.coordinate_array(0), lat.coordinate_array(1)
     r2 = x * x + y * y
     fv = (x + 1j * y) * np.exp(-r2 / 2.0)
@@ -693,14 +692,12 @@ def run_moyal_suite(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,
     The payload holds every measured quantity; its "passed" is all checks.
     """
     n = 8 if quick else truncation
-    # projection integrands have twice the single-function spectral extent,
-    # so the delta check keeps the fine grid even in quick mode
-    delta = delta_algebra_check(theta=theta, truncation=n, points=96)
-    cross = cross_engine_check(theta=theta, truncation=min(n, 8), points=64)
+    delta = delta_algebra_check(theta=theta, truncation=n)
+    cross = cross_engine_check(theta=theta, truncation=min(n, 8))
     comm = commutation_check(theta=theta)
     center = center_time_check(theta=theta, points=24 if quick else 32)
-    gauss = gaussian_oracle_check(theta=theta, points=64)
-    tr = trace_check(theta=theta, points=64)
+    gauss = gaussian_oracle_check(theta=theta)
+    tr = trace_check(theta=theta)
     assoc = associativity_check(theta=theta)
     invol = involution_check(theta=theta)
     checks = (
@@ -724,10 +721,10 @@ def run_moyal_suite(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,
     )
     return checks, {
         "theta": float(theta),
-        "delta_algebra": delta.to_dict(),
-        "cross_engine": cross.to_dict(),
-        "commutation": comm.to_dict(),
-        "center_time": center.to_dict(),
+        "delta_algebra": asdict(delta),
+        "cross_engine": asdict(cross),
+        "commutation": asdict(comm),
+        "center_time": asdict(center),
         "gaussian_oracle_residual": float(gauss),
         "trace_residual": float(tr),
         "associativity_residual": float(assoc),

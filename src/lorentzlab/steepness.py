@@ -21,7 +21,7 @@ certificates feed them the stencil gradients of a lattice function, and
 
 Margins: matrix mode reports the minimal eigenvalue of M (0 on the exactly
 steep boundary), scalar mode reports -(g(grad f, grad f) + 1).  Steep means
-margin >= -tol with, in scalar mode, the additional orientation d_t f > 0.
+margin >= -EIG_TOL with, in scalar mode, the additional orientation d_t f > 0.
 """
 
 from dataclasses import dataclass, field
@@ -46,11 +46,9 @@ class SteepnessReport:
     hermiticity_residual: float = 0.0
     orientation_ok: bool = True  # scalar mode: d_t f > 0 everywhere
     tolerance: float = EIG_TOL
-    site_detail: list = None
-    notes: tuple = ()
 
-    def to_dict(self, include_detail=False):
-        d = {
+    def to_dict(self):
+        return {
             "mode": self.mode,
             "global": self.steep,
             "sites_failed": self.sites_failed,
@@ -59,9 +57,6 @@ class SteepnessReport:
             "orientation_ok": self.orientation_ok,
             "tolerance": self.tolerance,
         }
-        if include_detail and self.site_detail is not None:
-            d["site_detail"] = self.site_detail
-        return d
 
 
 def matrix_margins(grads, u, rep, gamma_ch=None):
@@ -93,30 +88,21 @@ def _stencil_gradients(f):
     return [gradient(f, axis).values for axis in range(f.lattice.dimension)]
 
 
-def is_steep_matrix(f: ScalarField, D: DiracOperator, gamma_ch=None,
-                    tol=EIG_TOL, site_detail=False):
+def is_steep_matrix(f: ScalarField, D: DiracOperator):
     if f.lattice != D.lattice:
         raise ValueError("candidate lives on a different lattice")
-    margins, herm = matrix_margins(_stencil_gradients(f), D.u, D.rep, gamma_ch)
-    failed = int(np.count_nonzero(margins < -tol))
-    report = SteepnessReport(
+    margins, herm = matrix_margins(_stencil_gradients(f), D.u, D.rep)
+    failed = int(np.count_nonzero(margins < -EIG_TOL))
+    return SteepnessReport(
         mode="matrix",
         steep=bool(failed == 0),
         sites_failed=failed,
         worst_margin=float(margins.min()),
         hermiticity_residual=herm,
-        tolerance=tol,
     )
-    if site_detail:
-        flat = margins.reshape(-1)
-        report.site_detail = [
-            {"site": int(i), "margin": float(flat[i])}
-            for i in np.nonzero(flat < -tol)[0]
-        ]
-    return report
 
 
-def is_steep_scalar(f: ScalarField, u=None, tol=EIG_TOL, site_detail=False):
+def is_steep_scalar(f: ScalarField, u=None):
     lat = f.lattice
     if u is None:
         uv = np.ones(lat.shape)
@@ -124,24 +110,14 @@ def is_steep_scalar(f: ScalarField, u=None, tol=EIG_TOL, site_detail=False):
         uv = np.asarray(u.values if isinstance(u, ScalarField) else u, dtype=float)
         uv = np.broadcast_to(uv, lat.shape)
     margins, oriented = scalar_margins(_stencil_gradients(f), uv)
-    bad = (margins < -tol) | ~oriented
-    failed = int(np.count_nonzero(bad))
-    report = SteepnessReport(
+    failed = int(np.count_nonzero((margins < -EIG_TOL) | ~oriented))
+    return SteepnessReport(
         mode="scalar",
         steep=bool(failed == 0),
         sites_failed=failed,
         worst_margin=float(margins.min()),
         orientation_ok=bool(np.all(oriented)),
-        tolerance=tol,
     )
-    if site_detail:
-        flatm = margins.reshape(-1)
-        flato = oriented.reshape(-1)
-        report.site_detail = [
-            {"site": int(i), "margin": float(flatm[i]), "oriented": bool(flato[i])}
-            for i in np.nonzero(bad.reshape(-1))[0]
-        ]
-    return report
 
 
 @dataclass
@@ -172,7 +148,7 @@ class EquivalenceReport:
         }
 
 
-def equivalence_scan(samples, seed, dimension=2, tol=EIG_TOL, u=1.0):
+def equivalence_scan(samples, seed, dimension=2, u=1.0):
     """Matrix vs scalar verdicts on random constant-gradient linear functions.
 
     Linear f = a t + b.x + c has a site-independent gradient, so each draw is
@@ -186,8 +162,8 @@ def equivalence_scan(samples, seed, dimension=2, tol=EIG_TOL, u=1.0):
     grads = default_rng(seed).uniform(low, -low, size=(samples, dimension))
     m_margin, _ = matrix_margins(grads.T, u, build_gamma(dimension))
     s_margin, oriented = scalar_margins(grads.T, u)
-    m_steep = m_margin >= -tol
-    agree = m_steep == ((s_margin >= -tol) & oriented)
+    m_steep = m_margin >= -EIG_TOL
+    agree = m_steep == ((s_margin >= -EIG_TOL) & oriented)
     disagreements = [{"draw": int(i), "gradient": grads[i].tolist(),
                       "matrix_margin": float(m_margin[i]),
                       "scalar_margin": float(s_margin[i]),

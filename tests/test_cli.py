@@ -145,11 +145,13 @@ def test_periodic_verify_is_held_to_the_momentum_budget(tmp_path, capsys):
     ("filtration", {"out": "cfg.json/x"}),
     ("verify", {"points": 4, "out": "cfg.json"}),
     ("distance", {"candidates": [1, "t"]}),
+    ("verify", {"u": "(" * 250 + "1" + ")" * 250}),
+    ("distance", {"candidates": ["+".join(["t"] * 1500)]}),
 ], ids=["out-type", "box-inf", "theta-nan", "quick-type", "u-negative",
         "u-division-floor", "u-sqrt-negative", "pairs-bool", "theta-bool",
         "box-bool", "distance-sites", "distance-odd-dimension",
         "report-odd-dimension", "out-under-a-file", "out-is-a-file",
-        "candidate-not-a-string"])
+        "candidate-not-a-string", "u-nested-250", "candidate-sum-1500"])
 def test_bad_config_fails_before_any_work(command, config, tmp_path,
                                           monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -246,7 +248,7 @@ def test_candidate_expression_pool():
 
 def test_result_serialization():
     res = boosted_family_distance((0.0, 0.0), (2.0, 1.0))
-    d = res.to_dict()
+    d = asdict(res)
     assert set(d) == {"value", "mode", "params", "achieving", "rejected",
                       "gap_vs_oracle"}
     assert d["mode"] == "boosted"

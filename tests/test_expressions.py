@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from lorentzlab.expressions import (ExpressionError, compile_expression,
-                                    evaluate, parse_expression, variables_used)
+from lorentzlab.expressions import (MAX_DEPTH, ExpressionError,
+                                    compile_expression, evaluate,
+                                    parse_expression, variables_used)
 
 
 def ev(text, **env):
@@ -97,3 +98,25 @@ def test_negative_base_fractional_power_rejected():
         fn(t=np.asarray(-2.0))
     # integer powers of negative bases are fine
     assert ev("t^3", t=-2.0) == -8.0
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 250 + "t" + ")" * 250,
+    "+".join(["t"] * 1500),
+    "^".join(["t"] * 600),
+    "-" * 600 + "t",
+    "sin(" * 250 + "t" + ")" * 250,
+    "(" * (MAX_DEPTH + 1) + "t" + ")" * (MAX_DEPTH + 1),
+    "+".join(["t"] * (MAX_DEPTH + 1)),
+], ids=["parentheses-250", "sum-1500", "power-600", "minus-600", "calls-250",
+        "parentheses-limit", "sum-limit"])
+def test_deep_nesting_is_a_parse_error(text):
+    # nesting past MAX_DEPTH; the first five would exhaust the stack of a
+    # recursive parser or evaluator
+    with pytest.raises(ExpressionError, match="deeper than %d" % MAX_DEPTH):
+        parse_expression(text)
+
+
+def test_nesting_up_to_the_limit_evaluates():
+    assert ev("(" * MAX_DEPTH + "t" + ")" * MAX_DEPTH, t=2.0) == 2.0
+    assert ev("+".join(["t"] * MAX_DEPTH), t=1.0) == MAX_DEPTH

@@ -77,7 +77,7 @@ def test_submultiplicativity_random_pairs():
 def test_operator_norm_grading():
     lat = time_lattice()
     rep = operator_norm_grading_check(FilteredElement.time_element(), lat,
-                                      trials=8, seed=1)
+                                      seed=1)
     assert rep.bound_ok
     assert rep.approach_ok
     assert rep.spread <= 1e-10
@@ -128,7 +128,7 @@ def toy():
 
 
 def test_central_multiplicativity():
-    rep = central_multiplicativity_check(toy(), trials=500, seed=0)
+    rep = central_multiplicativity_check(toy(), seed=0)
     assert rep.trials == 500
     assert rep.max_central_residual <= 1e-13
     assert rep.counterexample_residual == pytest.approx(0.5, abs=1e-12)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from lorentzlab.moyal import (DECAY_REFUSE, TAIL_WARN, ThetaMatrix,
                               delta_algebra_check, gaussian_oracle_check,
                               gaussian_star_closed_form, involution_check,
                               moyal_grid, operator_norm, project,
-                              star_matrix_basis, star_quadrature, star_twisted,
-                              synthesize, trace_check)
+                              run_moyal_suite, star_matrix_basis,
+                              star_quadrature, star_twisted, synthesize,
+                              trace_check)
 
 THETA = 0.5
 
@@ -64,7 +66,7 @@ def test_theta_scalar_2d():
 # ----------------------------------------------------------- star engines
 
 def test_gaussian_closed_form_twisted():
-    assert gaussian_oracle_check(points=64) <= 1e-8
+    assert gaussian_oracle_check() <= 1e-8
 
 
 def test_gaussian_closed_form_quadrature():
@@ -145,6 +147,20 @@ def test_quadrature_of_stacks_holds_every_product(slot):
                                  lambda x, y: right(x, y)[k],
                                  THETA, pts, lat, slot=slot)
         assert np.max(np.abs(got[i, j, k] - one)) <= 1e-15
+
+
+@pytest.mark.parametrize("slot", ["first", "second"])
+def test_quadrature_memory_is_three_stacks(slot):
+    # the transformed stack, one point's shifted samples and their weighted
+    # copy: each point's arrays are freed before the next point's are built
+    lat = moyal_grid(7.0, 64)
+
+    def basis(x, y):
+        return basis_stack(8, THETA, x, y)
+
+    pts = [(0.0, 0.0), (0.3, -0.4), (1.1, 0.7)]
+    _, peak = _traced_peak(star_quadrature, basis, basis, THETA, pts, lat, slot)
+    assert peak <= 3.25 * 8 * 8 * 64 * 64 * 16, peak
 
 
 def test_twisted_needs_2d_periodic():
@@ -328,7 +344,7 @@ def test_synthesize_rectangular_coefficients():
 # ----------------------------------------------------------------- checks
 
 def test_cross_engine_agreement():
-    rep = cross_engine_check(truncation=8, points=64)
+    rep = cross_engine_check(truncation=8)
     assert rep.quadrature_vs_basis <= 1e-4
     assert rep.twisted_vs_basis <= 1e-4
     assert rep.passed
@@ -345,7 +361,7 @@ def test_cross_engine_runs_the_quadrature_engine(monkeypatch):
         calls.append(got.shape)
         return got
     monkeypatch.setattr(moyal, "star_quadrature", spy)
-    rep = cross_engine_check(truncation=4, points=64)
+    rep = cross_engine_check(truncation=4)
     assert calls == [(4, 4, 4, 4, 3)]
     assert rep.quadrature_vs_basis <= 1e-4
 
@@ -354,12 +370,12 @@ def test_cross_engine_records_nyquist_warnings():
     # the suite's twisted grid is too coarse at theta 0.25: each of the five
     # products warns, and the report keeps what the warnings said
     with pytest.warns(RuntimeWarning, match="Nyquist") as caught:
-        rep = cross_engine_check(theta=0.25, truncation=8, points=64)
+        rep = cross_engine_check(theta=0.25, truncation=8)
     assert len(caught) == 5
     assert rep.twisted_tail_fraction > TAIL_WARN
     assert rep.twisted_tail_warnings == 5
-    assert rep.to_dict()["twisted_tail_warnings"] == 5
-    rep = cross_engine_check(theta=0.5, truncation=8, points=64)
+    assert asdict(rep)["twisted_tail_warnings"] == 5
+    rep = cross_engine_check(theta=0.5, truncation=8)
     assert 0.0 < rep.twisted_tail_fraction <= TAIL_WARN
     assert rep.twisted_tail_warnings == 0
 
@@ -390,7 +406,7 @@ def test_center_time_verdicts():
 
 
 def test_trace_property():
-    assert trace_check(points=64) <= 1e-5
+    assert trace_check() <= 1e-5
 
 
 def test_associativity():
@@ -399,3 +415,18 @@ def test_associativity():
 
 def test_involution():
     assert involution_check() <= 1e-8
+
+
+def test_quick_suite_runs_the_library_defaults():
+    # every check fixes its own grid, so a standalone call measures what
+    # the CLI's quick suite reports
+    _, payload = run_moyal_suite(theta=THETA, quick=True)
+    assert payload["gaussian_oracle_residual"] == gaussian_oracle_check(THETA)
+    assert payload["trace_residual"] == trace_check(THETA)
+    assert payload["associativity_residual"] == associativity_check(THETA)
+    assert payload["involution_residual"] == involution_check(THETA)
+    assert payload["cross_engine"] == asdict(cross_engine_check(THETA))
+    assert payload["commutation"] == asdict(commutation_check(THETA))
+    assert payload["delta_algebra"] == asdict(
+        delta_algebra_check(THETA, truncation=8))
+    assert payload["center_time"] == asdict(center_time_check(THETA, points=24))

@@ -96,15 +96,16 @@ def test_margin_independent_of_gamma_basis():
 
 def test_lattice_margins_match_constant_route():
     op = clamped_op()
-    # failing affine candidate: every site violates, so site_detail lists all
+    # failing affine candidate: a constant gradient, so every site violates
+    # with the margin of the constant route
     f = ScalarField.from_expression(op.lattice, "0.8*t - 0.6*x")
-    rep = is_steep_matrix(f, op, site_detail=True)
+    rep = is_steep_matrix(f, op)
     want = matrix_margin((0.8, -0.6))
     assert want < 0
     assert rep.worst_margin == pytest.approx(want, abs=1e-11)
-    assert len(rep.site_detail) == op.lattice.site_count
-    margins = [d["margin"] for d in rep.site_detail]
-    assert np.ptp(margins) <= 1e-11     # constant gradient, same margin everywhere
+    assert rep.sites_failed == op.lattice.site_count
+    margins, _ = matrix_margins(steepness._stencil_gradients(f), op.u, op.rep)
+    assert np.ptp(margins) <= 1e-11     # the same margin at every site
 
 
 def test_scalar_margin_position_dependent():
@@ -157,11 +158,9 @@ def test_lattice_mismatch_rejected():
 def test_report_serialization():
     op = clamped_op()
     f = ScalarField.from_expression(op.lattice, "t")
-    rep = is_steep_matrix(f, op, site_detail=True)
+    rep = is_steep_matrix(f, op)
     d = rep.to_dict()
     assert d["global"] is True
     assert d["mode"] == "matrix"
     assert d["sites_failed"] == 0
-    assert "site_detail" not in d
-    dd = rep.to_dict(include_detail=True)
-    assert dd["site_detail"] == []      # nothing failed, detail list empty
+    assert d["worst_margin"] == rep.worst_margin
