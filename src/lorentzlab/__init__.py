@@ -20,10 +20,10 @@ from .distance import (CandidatePool, DistanceResult, EventPair,
                        conformal_time_distance, minkowski_oracle,
                        variational_distance)
 from .expressions import ExpressionError, compile_expression, parse_expression
-from .filtration import (EvaluationState, FilteredElement, ToyAlgebra,
-                         ToyState, central_multiplicativity_check,
-                         extend_state, operator_norm_grading_check,
-                         weighted_norm, well_definedness_check)
+from .filtration import (FilteredElement, ToyAlgebra, ToyState,
+                         central_multiplicativity_check, extend_state,
+                         operator_norm_grading_check, weighted_norm,
+                         well_definedness_check)
 from .lattice import Lattice, ScalarField, SpinorField, gradient, integrate
 from .moyal import (ThetaMatrix, commutation_check, delta_algebra_check,
                     moyal_grid, operator_norm, project, star_matrix_basis,
@@ -43,7 +43,7 @@ __all__ = [
     "certify_candidates", "conformal_time_distance", "minkowski_oracle",
     "variational_distance",
     "ExpressionError", "compile_expression", "parse_expression",
-    "EvaluationState", "FilteredElement", "ToyAlgebra", "ToyState",
+    "FilteredElement", "ToyAlgebra", "ToyState",
     "central_multiplicativity_check", "extend_state",
     "operator_norm_grading_check", "weighted_norm", "well_definedness_check",
     "Lattice", "ScalarField", "SpinorField", "gradient", "integrate",

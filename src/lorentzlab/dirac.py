@@ -58,22 +58,9 @@ U_VARIATION_TOL = 1e-12  # spread of u up to which it counts as constant
 COMMUTE_SAMPLES = 3      # random (f, psi) draws of the "[D,T] commutes" check
 
 
-@dataclass
-class MatrixField:
-    """A per-site matrix, e.g. a commutator symbol -i c(df)."""
-
-    lattice: Lattice
-    values: np.ndarray  # shape lattice.shape + (s, s)
-
-    def apply(self, psi):
-        out = np.einsum("...ab,...b->...a", self.values, psi.values)
-        return SpinorField(self.lattice, out)
-
-    def hermiticity_residual(self):
-        return max_abs(self.values - np.conj(np.swapaxes(self.values, -1, -2)))
-
-
 class DiracOperator:
+    """D on `lattice`; `conformal_u` is None (u = 1) or a ScalarField on it."""
+
     def __init__(self, rep: GammaRep, lattice: Lattice, conformal_u=None):
         if rep.dimension != lattice.dimension:
             raise ValueError("gamma rep is %d-dimensional but lattice is %d-dimensional"
@@ -82,10 +69,10 @@ class DiracOperator:
         self.lattice = lattice
         if conformal_u is None:
             u = np.ones(lattice.shape)
+        elif conformal_u.lattice != lattice:
+            raise ValueError("conformal factor u lives on a different lattice")
         else:
-            u = np.asarray(conformal_u.values if isinstance(conformal_u, ScalarField)
-                           else conformal_u, dtype=float)
-            u = np.broadcast_to(u, lattice.shape).copy()
+            u = np.array(conformal_u.values, dtype=float)
         if np.any(u <= 0):
             raise ValueError("conformal factor u must be strictly positive")
         for axis in range(1, lattice.dimension):
@@ -119,21 +106,25 @@ class DiracOperator:
             out += self.vielbein(mu)[..., None] * term
         return SpinorField(self.lattice, -1j * out)
 
-    def commutator_with_scalar(self, f: ScalarField) -> MatrixField:
+    def commutator_with_scalar(self, f: ScalarField):
         """Symbol of [D, f]: the per-site matrix -i sum_mu e^mu gamma^mu (d_mu f).
 
-        Uses the lattice difference stencil for df; agrees with the operator
-        route D(f psi) - f D(psi) to stencil order.
+        Returns the array of shape lattice.shape + (s, s).  Uses the lattice
+        difference stencil for df; agrees with the operator route
+        D(f psi) - f D(psi) to stencil order.
         """
         if f.lattice != self.lattice:
             raise ValueError("scalar lives on a different lattice")
         grads = [gradient(f, mu).values for mu in range(self.lattice.dimension)]
-        return MatrixField(self.lattice, gradient_symbol(self.rep, grads, self.u))
+        return gradient_symbol(self.rep, grads, self.u)
 
-    def temporal_commutator(self) -> MatrixField:
-        """[D, T] at symbol level: -i gamma^0 u^{-1/2}(x), exact per site."""
+    def temporal_commutator(self):
+        """[D, T] at symbol level: -i gamma^0 u^{-1/2}(x), exact per site.
+
+        Returns the array of shape lattice.shape + (s, s).
+        """
         dt = [1.0] + [0.0] * (self.lattice.dimension - 1)
-        return MatrixField(self.lattice, gradient_symbol(self.rep, dt, self.u))
+        return gradient_symbol(self.rep, dt, self.u)
 
     # ------------------------------------------------------------ matrices
 
@@ -468,7 +459,7 @@ def elliptic_square(D: DiracOperator):
     """<D>^2 = -1/2 (D K D K + K D K D) with K = [D,T], as a dense matrix."""
     _require(_dense_error(D.dense_dim, "<D>^2"))
     return _elliptic_square(D.sparse_matrix(), _site_blocks(
-        D.lattice, D.temporal_commutator().values)).toarray()
+        D.lattice, D.temporal_commutator())).toarray()
 
 
 def _momentum_blocks(m, momenta=slice(None)):
@@ -532,9 +523,9 @@ def check_temporal_axioms(D: DiracOperator, seed=0, include_elliptic=True):
         _require(elliptic_size_error(lat.points, lat.boundary, s))
     K = D.temporal_commutator()
 
-    herm = K.hermiticity_residual()
+    herm = max_abs(K - np.conj(np.swapaxes(K, -1, -2)))
 
-    ksq = np.einsum("...ab,...bc->...ac", K.values, K.values)
+    ksq = np.einsum("...ab,...bc->...ac", K, K)
     c = np.einsum("...aa", ksq).real / s
     eye = np.eye(s)
     dev = max_abs(ksq - c[..., None, None] * eye)
@@ -544,14 +535,13 @@ def check_temporal_axioms(D: DiracOperator, seed=0, include_elliptic=True):
     assembly = None
     if D.dense_dim <= ORACLE_LIMIT:
         assembly = max_abs(d.toarray() - D.dense_matrix())
-    k = _site_blocks(lat, K.values)
+    k = _site_blocks(lat, K)
     kd = k @ d
     skew = (D.weighted_adjoint(kd) + kd).max_abs()
 
     # Krein equivalence both ways with J = i gamma^0 (normalized symmetry):
     # J D skew-Hermitian, and D^dagger = -J D J.
-    j = _site_blocks(lat, np.broadcast_to(fundamental_symmetry(D.rep),
-                                          K.values.shape))
+    j = _site_blocks(lat, np.broadcast_to(fundamental_symmetry(D.rep), K.shape))
     jd = j @ d
     krein_skew = (D.weighted_adjoint(jd) + jd).max_abs()
     krein_equiv = (D.weighted_adjoint(d) + jd @ j).max_abs()
@@ -561,8 +551,8 @@ def check_temporal_axioms(D: DiracOperator, seed=0, include_elliptic=True):
     for _ in range(COMMUTE_SAMPLES):
         f = rng.standard_normal(lat.shape)
         psi = random_spinor(lat, s, rng)
-        lhs = K.apply(SpinorField(lat, f[..., None] * psi.values)).values
-        rhs = f[..., None] * K.apply(psi).values
+        lhs = np.einsum("...ab,...b->...a", K, f[..., None] * psi.values)
+        rhs = f[..., None] * np.einsum("...ab,...b->...a", K, psi.values)
         commute = max(commute, float(np.abs(lhs - rhs).max()))
 
     ell_herm = ell_min = None
@@ -622,16 +612,13 @@ def check_temporal_axioms(D: DiracOperator, seed=0, include_elliptic=True):
 
 
 def flat_operator(dimension, points, box=None, boundary="periodic", u=None):
-    """Convenience constructor: cubic box (default side = points, h = 1)."""
-    if box is None:
-        extents = tuple((0.0, float(p)) for p in
-                        (points if isinstance(points, (tuple, list))
-                         else [points] * dimension))
-    else:
-        extents = tuple(box)
+    """Convenience constructor: cubic box (default side = points, h = 1).
+
+    `points` is a count per axis or one count for every axis; `u` is None
+    (flat) or an expression string for the lapse.
+    """
     pts = tuple(points) if isinstance(points, (tuple, list)) else (points,) * dimension
+    extents = tuple((0.0, float(p)) for p in pts) if box is None else tuple(box)
     lat = Lattice(extents, pts, boundary)
-    rep = build_gamma(dimension)
-    ufield = None if u is None else ScalarField.from_expression(lat, u) \
-        if isinstance(u, str) else u
-    return DiracOperator(rep, lat, ufield)
+    ufield = None if u is None else ScalarField.from_expression(lat, u)
+    return DiracOperator(build_gamma(dimension), lat, ufield)

@@ -13,10 +13,12 @@ Three routes for the causal distance d(p, q):
   and rejected ones are reported.  Events outside the pool's lattice box
   are refused.
 
-Values at off-lattice events use the pure-state extension rule (evaluation
-states), so candidates may be expressions, callables, or filtered elements.
-``conformal_time_distance`` integrates sqrt(u) dt for conformally flat
-metrics -u(t) dt^2 + dx^2 along pure time displacements.
+Events are coordinate tuples.  A candidate is an expression string, a
+callable of the axis names, or a filtered element; a filtered element is
+evaluated at an event by the pure-state extension rule,
+``filtration.extend_state``.  ``conformal_time_distance`` integrates
+sqrt(u) dt, for a lapse expression u, along pure time displacements of the
+conformally flat metric -u(t) dt^2 + dx^2.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +29,7 @@ from numpy.random import default_rng
 from . import expressions
 from .checks import Check
 from .dirac import flat_operator
-from .filtration import FilteredElement
+from .filtration import FilteredElement, extend_state
 from .lattice import AXIS_NAMES, Lattice, ScalarField
 from .steepness import is_steep_matrix
 
@@ -91,9 +93,7 @@ class EventPair:
         return d / r if r > 0 else d
 
 
-def _as_pair(p, q=None):
-    if isinstance(p, EventPair):
-        return p
+def _as_pair(p, q):
     return EventPair(tuple(float(v) for v in p), tuple(float(v) for v in q))
 
 
@@ -107,7 +107,7 @@ class DistanceResult:
     gap_vs_oracle: float = float("nan")
 
 
-def minkowski_oracle(p, q=None):
+def minkowski_oracle(p, q):
     """sqrt(dt^2 - r^2) if q lies in the causal future of p, else 0."""
     pair = _as_pair(p, q)
     dt, r = pair.dt, pair.spatial_separation
@@ -116,7 +116,7 @@ def minkowski_oracle(p, q=None):
     return 0.0
 
 
-def boosted_family_distance(p, q=None):
+def boosted_family_distance(p, q):
     """inf over v in [0, 1) of gamma_v (dt - v r), clipped at zero.
 
     h'(v) = gamma_v^3 (v dt - r): h is unimodal with interior minimum at
@@ -146,14 +146,12 @@ def boosted_family_distance(p, q=None):
 def conformal_time_distance(t0, t1, u="1"):
     """Distance along a pure time displacement for ds^2 = -u(t)dt^2 + dx^2.
 
-    The steep time function is tau(t) = int sqrt(u); the distance between
-    (t0, x) and (t1, x) is tau(t1) - tau(t0) for t1 >= t0, else 0.
+    u is an expression string in t.  The steep time function is
+    tau(t) = int sqrt(u); the distance between (t0, x) and (t1, x) is
+    tau(t1) - tau(t0) for t1 >= t0, else 0.
     """
-    if callable(u):
-        u_fn = u
-    else:
-        _, compiled = expressions.compile_expression(str(u))
-        u_fn = lambda t: compiled(t=np.asarray(t, dtype=float))
+    _, compiled = expressions.compile_expression(u)
+    u_fn = lambda t: compiled(t=np.asarray(t, dtype=float))
     t0, t1 = float(t0), float(t1)
     if t1 <= t0:
         return DistanceResult(0.0, "conformal", params={"t0": t0, "t1": t1})
@@ -177,10 +175,8 @@ def _resolve_candidate(cand, dirac):
     names = lat.axis_names
 
     if isinstance(cand, FilteredElement):
-        fld = cand.sample(lat)
-        label = cand.label or "filtered"
-        value_at = lambda pt: float(np.real(cand.value_at(pt, axis_names=names)))
-        return label, fld, value_at
+        value_at = lambda pt: float(np.real(extend_state(pt, cand)))
+        return cand.label or "filtered", cand.sample(lat), value_at
 
     if isinstance(cand, str):
         label, fn = cand, expressions.compile_expression(cand)[1]
@@ -260,7 +256,7 @@ def variational_distance(p, q, pool):
     return DistanceResult(value, "variational",
                           params={"certified": True, "worst_margin": margin},
                           achieving=label, rejected=list(pool.rejected),
-                          gap_vs_oracle=value - minkowski_oracle(pair))
+                          gap_vs_oracle=value - minkowski_oracle(pair.p, pair.q))
 
 
 def boosted_candidate_expressions(axes=("x",)):

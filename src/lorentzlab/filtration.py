@@ -33,7 +33,8 @@ from numpy.random import default_rng
 
 from . import expressions
 from .checks import Check
-from .lattice import Lattice, ScalarField, SpinorField, inner_product
+from .lattice import (AXIS_NAMES, Lattice, ScalarField, SpinorField,
+                      inner_product)
 
 SUBMULT_TOL = 1e-12          # relative
 NORM_SPREAD_TOL = 1e-10      # relative, across H_n, n in -2..2
@@ -79,13 +80,6 @@ class FilteredElement:
         t = lattice.coordinate_array(0)
         vals = (1.0 + t ** 2) ** (self.degree / 2.0) * self.bounded_values(lattice)
         return ScalarField(lattice, np.array(vals))
-
-    def value_at(self, point, axis_names=None):
-        names = axis_names if axis_names is not None else ("t", "x", "y", "z")[: len(point)]
-        env = {name: np.asarray(float(v)) for name, v in zip(names, point)}
-        t = float(point[0])
-        return complex((1.0 + t ** 2) ** (self.degree / 2.0)
-                       * complex(np.asarray(self.bounded_part(**env))))
 
     def multiply(self, other):
         """Degrees add; bounded parts multiply."""
@@ -187,32 +181,19 @@ def operator_norm_grading_check(elem: FilteredElement, lattice: Lattice, seed=0)
 # ------------------------------------------------------------ state extension
 
 
-@dataclass(frozen=True)
-class EvaluationState:
-    """Pure state = evaluation at a spacetime point."""
+def extend_state(point, elem: FilteredElement):
+    """The evaluation state at `point`, a coordinate tuple, extended to `elem`.
 
-    point: tuple
-
-    def weight_value(self):
-        """chi((1+T^2)^{-1/2})."""
-        t = float(self.point[0])
-        return (1.0 + t * t) ** -0.5
-
-
-def extend_state(state, elem: FilteredElement):
-    """chi(a) = chi((1+T^2)^{-1/2})^{-degree} * chi(a0).
-
-    For evaluation states this is the literal value (1+t_p^2)^{deg/2} a0(p).
-    States with vanishing chi((1+T^2)^{-1/2}) are rejected.
+    chi(a) = chi((1+T^2)^{-1/2})^{-degree} * chi(a0), which at a point p is
+    the literal value (1+t_p^2)^{deg/2} a0(p).  States with vanishing
+    chi((1+T^2)^{-1/2}) are rejected.
     """
-    if isinstance(state, (tuple, list, np.ndarray)):
-        state = EvaluationState(tuple(float(v) for v in state))
-    w = state.weight_value()
+    t = float(point[0])
+    w = (1.0 + t * t) ** -0.5
     if not np.isfinite(w) or abs(w) < STATE_WEIGHT_FLOOR:
         raise ValueError("state has chi((1+T^2)^{-1/2}) = 0; extension "
                          "undefined (state must be ignored)")
-    names = ("t", "x", "y", "z")[: len(state.point)]
-    env = {nm: np.asarray(v) for nm, v in zip(names, state.point)}
+    env = {nm: np.asarray(float(v)) for nm, v in zip(AXIS_NAMES, point)}
     chi_a0 = complex(np.asarray(elem.bounded_part(**env)))
     return w ** (-elem.degree) * chi_a0
 

@@ -164,20 +164,18 @@ def integrate(fld):
 
 
 def inner_product(psi, phi, weight=None):
-    """<psi, phi> = sum over sites (and spinor components) of conj(psi) phi w.
+    """<psi, phi> = sum over sites and spinor components of conj(psi) phi w.
 
-    `weight` is an optional per-site real array (e.g. a metric measure or a
-    (1+t^2)^n factor) multiplying the quadrature weights.
+    psi and phi are SpinorFields on one lattice.  `weight` is an optional
+    per-site real array (e.g. a metric measure or a (1+t^2)^n factor)
+    multiplying the quadrature weights.
     """
     if psi.lattice is not phi.lattice and psi.lattice != phi.lattice:
         raise ValueError("fields live on different lattices")
     w = psi.lattice.site_weights()
     if weight is not None:
         w = w * weight
-    a, b = psi.values, phi.values
-    if isinstance(psi, SpinorField):
-        return complex(np.sum(np.conj(a) * b * w[..., None]))
-    return complex(np.sum(np.conj(a) * b * w))
+    return complex(np.sum(np.conj(psi.values) * phi.values * w[..., None]))
 
 
 def norm(psi, weight=None):

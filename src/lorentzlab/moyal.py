@@ -112,20 +112,13 @@ class ThetaMatrix:
         return bool(np.all(self.entries[0] == 0.0)
                     and np.all(self.entries[:, 0] == 0.0))
 
-    def scalar_2d(self):
-        """theta for an exact [[0, theta], [-theta, 0]] matrix."""
-        if self.dimension != 2:
-            raise ValueError("scalar_2d needs a 2x2 Theta")
-        return float(self.entries[0, 1])
-
 
 def _theta_entries(theta, dimension):
+    """Entries of a ThetaMatrix, or of the plane block of a scalar theta."""
     if isinstance(theta, ThetaMatrix):
         e = theta.entries
-    elif np.isscalar(theta):
-        e = ThetaMatrix.plane_block(float(theta), dimension).entries
     else:
-        e = ThetaMatrix(np.asarray(theta)).entries
+        e = ThetaMatrix.plane_block(float(theta), dimension).entries
     if e.shape[0] != dimension:
         raise ValueError("Theta dimension %d does not match grid dimension %d"
                          % (e.shape[0], dimension))
@@ -377,9 +370,7 @@ def basis_stack(n, theta, x, y):
 
 
 def project(values, lat, theta, truncation=TRUNCATION_DEFAULT):
-    """Coefficients c_mn = (2 pi theta)^-1 int conj(f_mn) f."""
-    if isinstance(values, ScalarField):
-        values = values.values
+    """Coefficients c_mn = (2 pi theta)^-1 int conj(f_mn) f, f an array on lat."""
     fw = np.asarray(values, dtype=complex) * lat.site_weights()
     basis = basis_stack(truncation, theta, lat.coordinate_array(0),
                         lat.coordinate_array(1))

@@ -16,8 +16,9 @@ a/u +- sqrt((1+|b|^2)/u), which makes the two criteria exactly equivalent;
 
 Each route is one function of gradient values: `matrix_margins` builds M
 and returns its margins, `scalar_margins` the scalar ones.  The
-certificates feed them the stencil gradients of a lattice function, and
-`equivalence_scan` feeds them every constant-gradient draw at once.
+certificates `is_steep_matrix(f, D)` and `is_steep_scalar(f, D)` feed them
+the stencil gradients of f and the lapse u of D, and `equivalence_scan`
+feeds them every constant-gradient draw at once, at u = 1.
 
 Margins: matrix mode reports the minimal eigenvalue of M (0 on the exactly
 steep boundary), scalar mode reports -(g(grad f, grad f) + 1).  Steep means
@@ -45,18 +46,6 @@ class SteepnessReport:
     worst_margin: float
     hermiticity_residual: float = 0.0
     orientation_ok: bool = True  # scalar mode: d_t f > 0 everywhere
-    tolerance: float = EIG_TOL
-
-    def to_dict(self):
-        return {
-            "mode": self.mode,
-            "global": self.steep,
-            "sites_failed": self.sites_failed,
-            "worst_margin": self.worst_margin,
-            "hermiticity_residual": self.hermiticity_residual,
-            "orientation_ok": self.orientation_ok,
-            "tolerance": self.tolerance,
-        }
 
 
 def matrix_margins(grads, u, rep, gamma_ch=None):
@@ -84,14 +73,15 @@ def scalar_margins(grads, u):
     return -(g + 1.0), grads[0] > 0
 
 
-def _stencil_gradients(f):
+def _stencil_gradients(f, D):
+    """Stencil gradients of f, which must live on the lattice of D."""
+    if f.lattice != D.lattice:
+        raise ValueError("candidate lives on a different lattice")
     return [gradient(f, axis).values for axis in range(f.lattice.dimension)]
 
 
 def is_steep_matrix(f: ScalarField, D: DiracOperator):
-    if f.lattice != D.lattice:
-        raise ValueError("candidate lives on a different lattice")
-    margins, herm = matrix_margins(_stencil_gradients(f), D.u, D.rep)
+    margins, herm = matrix_margins(_stencil_gradients(f, D), D.u, D.rep)
     failed = int(np.count_nonzero(margins < -EIG_TOL))
     return SteepnessReport(
         mode="matrix",
@@ -102,14 +92,8 @@ def is_steep_matrix(f: ScalarField, D: DiracOperator):
     )
 
 
-def is_steep_scalar(f: ScalarField, u=None):
-    lat = f.lattice
-    if u is None:
-        uv = np.ones(lat.shape)
-    else:
-        uv = np.asarray(u.values if isinstance(u, ScalarField) else u, dtype=float)
-        uv = np.broadcast_to(uv, lat.shape)
-    margins, oriented = scalar_margins(_stencil_gradients(f), uv)
+def is_steep_scalar(f: ScalarField, D: DiracOperator):
+    margins, oriented = scalar_margins(_stencil_gradients(f, D), D.u)
     failed = int(np.count_nonzero((margins < -EIG_TOL) | ~oriented))
     return SteepnessReport(
         mode="scalar",
@@ -148,7 +132,7 @@ class EquivalenceReport:
         }
 
 
-def equivalence_scan(samples, seed, dimension=2, u=1.0):
+def equivalence_scan(samples, seed, dimension=2):
     """Matrix vs scalar verdicts on random constant-gradient linear functions.
 
     Linear f = a t + b.x + c has a site-independent gradient, so each draw is
@@ -160,8 +144,8 @@ def equivalence_scan(samples, seed, dimension=2, u=1.0):
         raise ValueError("matrix mode needs even dimension (chirality)")
     low = np.r_[-2.5, np.full(dimension - 1, -1.5)]
     grads = default_rng(seed).uniform(low, -low, size=(samples, dimension))
-    m_margin, _ = matrix_margins(grads.T, u, build_gamma(dimension))
-    s_margin, oriented = scalar_margins(grads.T, u)
+    m_margin, _ = matrix_margins(grads.T, 1.0, build_gamma(dimension))
+    s_margin, oriented = scalar_margins(grads.T, 1.0)
     m_steep = m_margin >= -EIG_TOL
     agree = m_steep == ((s_margin >= -EIG_TOL) & oriented)
     disagreements = [{"draw": int(i), "gradient": grads[i].tolist(),

@@ -122,9 +122,9 @@ def test_conformal_frozen_value():
     assert abs(res.value - closed) <= 1e-10
 
 
-def test_conformal_callable_and_scaling():
+def test_conformal_constant_u_scaling():
     # u = 4: time axis stretched by 2
-    res = conformal_time_distance(0.0, 1.0, u=lambda t: 4.0)
+    res = conformal_time_distance(0.0, 1.0, u="4")
     assert abs(res.value - 2.0) <= 1e-12
 
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from lorentzlab.filtration import (EvaluationState, FilteredElement,
-                                   ToyAlgebra, ToyState,
+from lorentzlab.filtration import (FilteredElement, ToyAlgebra, ToyState,
                                    central_multiplicativity_check,
                                    extend_state, operator_norm_grading_check,
                                    submultiplicativity_residual,
@@ -50,7 +49,7 @@ def test_to_degree_preserves_function():
     dev = np.abs(base.sample(lat).values - shifted.sample(lat).values)
     assert np.max(dev) <= 1e-12
     p = (0.7, -1.1)
-    assert abs(base.value_at(p) - shifted.value_at(p)) <= 1e-12
+    assert abs(extend_state(p, base) - extend_state(p, shifted)) <= 1e-12
 
 
 def test_weighted_norm_values():
@@ -94,8 +93,10 @@ def test_extension_literal_value():
 
 
 def test_evaluation_state_weight():
-    st = EvaluationState((2.0, 0.0))
-    assert st.weight_value() == pytest.approx(1.0 / np.sqrt(5.0), rel=1e-15)
+    # chi((1+T^2)^{-1/2}) is the extension of the degree -1 element 1
+    weight = FilteredElement.from_expression("1", -1)
+    assert extend_state((2.0, 0.0), weight) == pytest.approx(1.0 / np.sqrt(5.0),
+                                                             rel=1e-15)
 
 
 def test_extension_rejects_degenerate_state():

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -19,3 +20,17 @@ def test_import_loads_no_deferred_scipy_subpackage():
     loaded = set(done.stdout.split())
     assert "lorentzlab.cli" in loaded and "numpy" in loaded
     assert sorted(name for name in loaded if name.split(".")[0] == "scipy") == []
+
+
+def test_all_lists_exactly_the_public_imports():
+    # every exported name resolves, and every public name __init__ imports
+    # is exported
+    for name in lorentzlab.__all__:
+        assert hasattr(lorentzlab, name), name
+    with open(lorentzlab.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    public = {name for name in imported if not name.startswith("_")}
+    assert public <= set(lorentzlab.__all__)
+    assert len(lorentzlab.__all__) == len(set(lorentzlab.__all__))

@@ -57,12 +57,6 @@ def test_theta_commutative_time():
     assert not ThetaMatrix.plane_block(THETA, 2).commutative_time()
 
 
-def test_theta_scalar_2d():
-    assert ThetaMatrix.plane_block(0.5).scalar_2d() == 0.5
-    with pytest.raises(ValueError):
-        ThetaMatrix(np.zeros((3, 3))).scalar_2d()
-
-
 # ----------------------------------------------------------- star engines
 
 def test_gaussian_closed_form_twisted():

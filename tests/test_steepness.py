@@ -34,7 +34,7 @@ def test_time_function_is_marginally_steep():
     assert rep.steep
     assert abs(rep.worst_margin) <= 1e-12
     assert rep.hermiticity_residual <= 1e-13
-    srep = is_steep_scalar(f)
+    srep = is_steep_scalar(f, op)
     assert srep.steep
     assert abs(srep.worst_margin) <= 1e-12
 
@@ -45,7 +45,7 @@ def test_half_slope_not_steep():
     rep = is_steep_matrix(f, op)
     assert not rep.steep
     assert rep.sites_failed == op.lattice.site_count
-    assert not is_steep_scalar(f).steep
+    assert not is_steep_scalar(f, op).steep
 
 
 def test_double_slope_margin_one():
@@ -58,7 +58,7 @@ def test_wrong_orientation_rejected():
     op = clamped_op()
     f = ScalarField.from_expression(op.lattice, "0 - 2*t")
     assert not is_steep_matrix(f, op).steep
-    srep = is_steep_scalar(f)
+    srep = is_steep_scalar(f, op)
     assert not srep.steep
     assert not srep.orientation_ok
 
@@ -104,7 +104,7 @@ def test_lattice_margins_match_constant_route():
     assert want < 0
     assert rep.worst_margin == pytest.approx(want, abs=1e-11)
     assert rep.sites_failed == op.lattice.site_count
-    margins, _ = matrix_margins(steepness._stencil_gradients(f), op.u, op.rep)
+    margins, _ = matrix_margins(steepness._stencil_gradients(f, op), op.u, op.rep)
     assert np.ptp(margins) <= 1e-11     # the same margin at every site
 
 
@@ -112,8 +112,24 @@ def test_scalar_margin_position_dependent():
     op = clamped_op()
     f = ScalarField.from_expression(op.lattice, "t + 0.05*t^2")
     mrep = is_steep_matrix(f, op)
-    srep = is_steep_scalar(f)
+    srep = is_steep_scalar(f, op)
     assert mrep.steep == srep.steep
+
+
+@pytest.mark.parametrize("expr,steep,matrix_worst,scalar_worst", [
+    ("2*t", True, 0.0, 0.0),
+    ("1.9*t", False, -0.025, -0.0975),
+    ("0.6*t", False, -0.35, -0.91)])
+def test_scalar_route_takes_the_lapse_of_the_operator(expr, steep, matrix_worst,
+                                                      scalar_worst):
+    # with u = 4 steepness needs (d_t f)^2 / u >= 1, so d_t f >= 2
+    op = clamped_op(u="4")
+    f = ScalarField.from_expression(op.lattice, expr)
+    mrep = is_steep_matrix(f, op)
+    srep = is_steep_scalar(f, op)
+    assert mrep.steep == srep.steep == steep
+    assert mrep.worst_margin == pytest.approx(matrix_worst, abs=1e-12)
+    assert srep.worst_margin == pytest.approx(scalar_worst, abs=1e-12)
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -153,14 +169,15 @@ def test_lattice_mismatch_rejected():
     f = ScalarField.from_expression(other.lattice, "t")
     with pytest.raises(ValueError):
         is_steep_matrix(f, op)
+    with pytest.raises(ValueError):
+        is_steep_scalar(f, op)
 
 
 def test_report_serialization():
     op = clamped_op()
     f = ScalarField.from_expression(op.lattice, "t")
     rep = is_steep_matrix(f, op)
-    d = rep.to_dict()
-    assert d["global"] is True
-    assert d["mode"] == "matrix"
-    assert d["sites_failed"] == 0
-    assert d["worst_margin"] == rep.worst_margin
+    assert rep.steep is True
+    assert rep.mode == "matrix"
+    assert rep.sites_failed == 0
+    assert isinstance(rep.worst_margin, float)
