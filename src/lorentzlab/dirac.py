@@ -16,6 +16,10 @@ of `lattice.gradient` and the gamma matrices.  The products, adjoints and
 residuals of the suite are array operations on those diagonals.  The
 probe-built `dense_matrix` is the independent route D is checked against:
 by the tests, and by the suite itself up to ORACLE_LIMIT dense dimensions.
+It pushes a block of unit probes at a time through the `gradient` stencils,
+gamma contraction and vielbein of `apply`, stacked on an axis between the
+lattice axes and the spinor axis, so every column equals `apply` on its
+probe without one `apply` call per column.
 On a periodic lattice D commutes with spatial translations (u depends on t
 only), so the spectrum of the stencil <D>^2 is computed one spatial
 momentum at a time, from the spatial Fourier transform of its diagonals.
@@ -99,12 +103,24 @@ class DiracOperator:
     def apply(self, psi: SpinorField) -> SpinorField:
         if psi.lattice != self.lattice:
             raise ValueError("spinor lives on a different lattice")
-        out = np.zeros_like(psi.values)
-        for mu in range(self.lattice.dimension):
-            dpsi = gradient(psi, mu).values
+        return SpinorField(self.lattice, self._apply_values(psi.values))
+
+    def _apply_values(self, values):
+        """D on an array of shape lattice.shape + (..., s).
+
+        Axes between the lattice axes and the spinor axis stack independent
+        spinor fields (the probes of `dense_matrix`).  `gradient` sees them
+        folded into the spinor axis, so its axes are the lattice's.
+        """
+        lat = self.lattice
+        folded = SpinorField(lat, values.reshape(lat.shape + (-1,)))
+        stacked = (Ellipsis,) + (None,) * (values.ndim - lat.dimension)
+        out = np.zeros_like(values)
+        for mu in range(lat.dimension):
+            dpsi = gradient(folded, mu).values.reshape(values.shape)
             term = np.einsum("ab,...b->...a", self.rep.matrices[mu], dpsi)
-            out += self.vielbein(mu)[..., None] * term
-        return SpinorField(self.lattice, -1j * out)
+            out += self.vielbein(mu)[stacked] * term
+        return -1j * out
 
     def commutator_with_scalar(self, f: ScalarField):
         """Symbol of [D, f]: the per-site matrix -i sum_mu e^mu gamma^mu (d_mu f).
@@ -149,17 +165,27 @@ class DiracOperator:
         return StencilOperator(lat, s, {o: -1j * v for o, v in diagonals.items()})
 
     def dense_matrix(self):
-        """Dense matrix of D in row-major (site, spinor) order."""
+        """Dense matrix of D in row-major (site, spinor) order.
+
+        Column j is D applied to the j-th unit probe, through the same
+        `gradient` stencils, gamma contraction and vielbein as `apply`, so
+        each column equals `apply` on its probe entry for entry.  The probes
+        go through a block of columns at a time (`_probe_blocks`), stacked
+        between the lattice axes and the spinor axis.  The diagonal assembly
+        of `sparse_matrix` is not used: this is the route it is checked
+        against.
+        """
         n = self.dense_dim
         _require(_dense_error(n, "dense matrix"))
-        s = self.spinor_dim
-        out = np.zeros((n, n), dtype=complex)
-        basis = np.zeros(self.lattice.shape + (s,), dtype=complex)
-        flat = basis.reshape(-1)
-        for col in range(n):
-            flat[col] = 1.0
-            out[:, col] = self.apply(SpinorField(self.lattice, basis)).values.reshape(-1)
-            flat[col] = 0.0
+        lat, s = self.lattice, self.spinor_dim
+        out = np.empty((n, n), dtype=complex)
+        rows = out.reshape(lat.site_count, s, n)
+        for cols in _probe_blocks(n):
+            col = np.arange(cols.start, cols.stop)
+            probes = np.zeros((lat.site_count, len(col), s), dtype=complex)
+            probes[col // s, np.arange(len(col)), col % s] = 1.0
+            image = self._apply_values(probes.reshape(lat.shape + probes.shape[1:]))
+            rows[:, :, cols] = image.reshape(probes.shape).swapaxes(1, 2)
         return out
 
     def measure_weights(self):
@@ -185,6 +211,17 @@ def gradient_symbol(rep, grads, u):
     for df, g in zip(comps, rep.matrices):
         out += df[..., None, None] * g
     return -1j * out
+
+
+def _probe_blocks(n):
+    """Slices of the n columns of `dense_matrix`, at most n // 8 wide.
+
+    A block's probes, image and the temporaries of `_apply_values` are about
+    six probe-sized arrays, so with eight blocks they stay within the size
+    of the dense result.
+    """
+    step = max(1, n // 8)
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 def _dense_error(n, what):
@@ -269,15 +306,26 @@ def _shift(values, sites, k=0):
     return values
 
 
+def _site_key(lattice, sites):
+    """A site offset as diagonals are keyed: mod n on a periodic lattice.
+
+    On a clamped lattice an offset of n or more addresses no entry: None.
+    """
+    if lattice.boundary == "periodic":
+        return tuple(o % n for o, n in zip(sites, lattice.points))
+    if any(abs(o) >= n for o, n in zip(sites, lattice.points)):
+        return None
+    return sites
+
+
 def _accumulate(diagonals, lattice, sites, k, values):
     """Add values to the diagonal (sites, k), with sites reduced on `lattice`.
 
     Site offsets are taken mod n on a periodic lattice; on a clamped one an
     offset of n or more addresses no entry and is dropped.
     """
-    if lattice.boundary == "periodic":
-        sites = tuple(o % n for o, n in zip(sites, lattice.points))
-    elif any(abs(o) >= n for o, n in zip(sites, lattice.points)):
+    sites = _site_key(lattice, sites)
+    if sites is None:
         return
     key = (sites, k)
     diagonals[key] = diagonals[key] + values if key in diagonals else values
@@ -345,6 +393,24 @@ class StencilOperator:
                 w = w * _shift(weights, back)[..., None] / weights[..., None]
             _accumulate(out, self.lattice, back, k, w)
         return self._like(out)
+
+    def hermiticity_residual(self):
+        """Largest |entry| of A - A^H, as `(a - a.adjoint()).max_abs()`.
+
+        Taken one diagonal at a time, so neither A^H nor the difference is
+        ever held: A^H on the diagonal (-o, k) is the conjugate of A's (o, k)
+        shifted back, and there it meets A's own (-o, k), if A has one.  A
+        diagonal of A with no such partner is met by none either, and its
+        largest |entry| is that of its conjugate.
+        """
+        worst = 0.0
+        for (o, k), v in self.diagonals.items():
+            back = tuple(-a for a in o)
+            h = np.conj(_shift(v, back, k))
+            mirror = self.diagonals.get((_site_key(self.lattice, back), k))
+            diff = h if mirror is None else mirror - h
+            worst = max(worst, float(np.abs(diff).max()))
+        return worst
 
     def max_abs(self):
         """Largest |entry|, as `clifford.max_abs` of the dense matrix."""
@@ -558,7 +624,7 @@ def check_temporal_axioms(D: DiracOperator, seed=0, include_elliptic=True):
     ell_herm = ell_min = None
     if include_elliptic:
         m = _elliptic_square(d, k)
-        ell_herm = (m - m.adjoint()).max_abs()
+        ell_herm = m.hermiticity_residual()
         if periodic:
             ell_min = min(_min_eigenvalue(_momentum_blocks(m, chunk))
                           for chunk in _momentum_chunks(lat.points, s))

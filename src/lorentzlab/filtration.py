@@ -24,6 +24,11 @@ point p this is literally (1+t_p^2)^{n/2} a0(p).  The noncommutative side is
 exercised on the toy algebra C^K (x) M2 (block matrices over K sites with
 fixed t-values), where T is central by construction and chi(ab) =
 chi(a) chi(b) holds for central a and any pure state.
+
+The random trials of the checks are array operations: the grading spinors
+of every grade come from one draw, in the order per-trial draws would take
+them, and the centrality trials are one bulk panel evaluated by batched
+products.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -33,8 +38,8 @@ from numpy.random import default_rng
 
 from . import expressions
 from .checks import Check
-from .lattice import (AXIS_NAMES, Lattice, ScalarField, SpinorField,
-                      inner_product)
+from .expressions import Binary, Call, Constant, Variable
+from .lattice import AXIS_NAMES, Lattice, ScalarField
 
 SUBMULT_TOL = 1e-12          # relative
 NORM_SPREAD_TOL = 1e-10      # relative, across H_n, n in -2..2
@@ -139,7 +144,9 @@ def operator_norm_grading_check(elem: FilteredElement, lattice: Lattice, seed=0)
     The estimate on each H_n, n in GRADING_GRADES, is the max Rayleigh ratio
     over GRADING_TRIALS random spinors plus the site-delta at the achieving
     site of |(1+t^2)^{m/2} a|; it must stay below the weighted sup norm
-    (within rounding) and reach it, and be independent of n.
+    (within rounding) and reach it, and be independent of n.  The spinors of
+    all grades are one draw, the same stream as one draw per trial, and each
+    grade's ratios are reductions over the lattice and spinor axes.
     """
     m = -elem.degree
     shape = lattice.shape + (GRADING_SPINOR_DIM,)
@@ -149,24 +156,25 @@ def operator_norm_grading_check(elem: FilteredElement, lattice: Lattice, seed=0)
     target = np.abs((1.0 + t ** 2) ** (m / 2.0) * a)
     best_site = np.unravel_index(int(np.argmax(target)), lattice.shape)
 
+    # one draw for every grade and trial, in the order of per-trial draws
+    # (real part, then imaginary part, of each spinor)
     rng = default_rng(seed)
+    draws = rng.standard_normal(
+        (len(GRADING_GRADES), GRADING_TRIALS, 2) + shape)
+    probes = np.zeros((len(GRADING_GRADES), GRADING_TRIALS + 1) + shape,
+                      dtype=complex)
+    probes[(slice(None), 0) + best_site + (0,)] = 1.0  # delta at the maximizer
+    probes[:, 1:] = draws[:, :, 0] + 1j * draws[:, :, 1]
+    aprobes = a[..., None] * probes
+    axes = tuple(range(1, probes.ndim - 1))     # lattice and spinor axes
+    w = lattice.site_weights()
     estimates = {}
-    for n in GRADING_GRADES:
-        wn = (1.0 + t ** 2) ** float(n)
-        wnm = (1.0 + t ** 2) ** float(n + m)
-        best = 0.0
-        for k in range(GRADING_TRIALS + 1):
-            if k == 0:
-                vals = np.zeros(shape, dtype=complex)
-                vals[best_site + (0,)] = 1.0        # delta at the maximizer
-            else:
-                vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            phi = SpinorField(lattice, vals)
-            aphi = SpinorField(lattice, a[..., None] * vals)
-            num = inner_product(aphi, aphi, weight=wnm).real
-            den = inner_product(phi, phi, weight=wn).real
-            best = max(best, np.sqrt(num / den))
-        estimates[int(n)] = float(best)
+    for n, phi, aphi in zip(GRADING_GRADES, probes, aprobes):
+        wn = w * (1.0 + t ** 2) ** float(n)
+        wnm = w * (1.0 + t ** 2) ** float(n + m)
+        num = np.sum(np.conj(aphi) * aphi * wnm[..., None], axis=axes).real
+        den = np.sum(np.conj(phi) * phi * wn[..., None], axis=axes).real
+        estimates[int(n)] = float(np.sqrt(num / den).max())
     vals = np.array(list(estimates.values()))
     spread = float((vals.max() - vals.min()) / max(vals.max(), 1e-300))
     return GradingReport(
@@ -241,10 +249,6 @@ class ToyAlgebra:
                              % (self.sites, c.shape))
         return np.asarray(c[:, None, None] * np.eye(2), dtype=complex)
 
-    def random_element(self, rng):
-        return (rng.standard_normal((self.sites, 2, 2))
-                + 1j * rng.standard_normal((self.sites, 2, 2)))
-
 
 @dataclass(frozen=True)
 class ToyState:
@@ -258,11 +262,21 @@ class ToyState:
         return complex(v.conj() @ np.asarray(element)[self.site] @ v)
 
 
-def random_toy_state(algebra, rng):
-    site = int(rng.integers(algebra.sites))
-    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    v = v / np.linalg.norm(v)
-    return ToyState(site, tuple(v))
+def _central_panel(algebra, rng):
+    """CENTRAL_TRIALS random (central a, any b, pure state) draws, in bulk.
+
+    One draw per kind, real then imaginary part: the central fibers c of a,
+    shape (N, K); b, shape (N, K, 2, 2); the sites of the states, shape (N,);
+    and their vectors, shape (N, 2), normalised.
+    """
+    n, k = CENTRAL_TRIALS, algebra.sites
+    c = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    b = (rng.standard_normal((n, k, 2, 2))
+         + 1j * rng.standard_normal((n, k, 2, 2)))
+    sites = rng.integers(k, size=n)
+    v = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return c, b, sites, v
 
 
 @dataclass
@@ -276,18 +290,23 @@ class CentralityReport:
 def central_multiplicativity_check(algebra: ToyAlgebra, seed=0):
     """chi(ab) = chi(a) chi(b) over CENTRAL_TRIALS random central a, b, states.
 
+    The trials are one bulk panel (`_central_panel`); a state reads only its
+    own site, so a, b and ab are taken there, and every chi is one batched
+    product conj(v) x v.
+
     Also records the documented non-central counterexample (a = sigma3 fiber,
     b = sigma1, angled state), which must violate multiplicativity.
     """
-    rng = default_rng(seed)
-    worst = 0.0
-    for _ in range(CENTRAL_TRIALS):
-        c = rng.standard_normal(algebra.sites) + 1j * rng.standard_normal(algebra.sites)
-        a = algebra.central_element(c)
-        b = algebra.random_element(rng)
-        chi = random_toy_state(algebra, rng)
-        ab = np.einsum("kij,kjl->kil", a, b)
-        worst = max(worst, abs(chi(ab) - chi(a) * chi(b)))
+    c, b, sites, v = _central_panel(algebra, default_rng(seed))
+    trial = np.arange(CENTRAL_TRIALS)
+    a = c[trial, sites, None, None] * np.eye(2)     # each a at its state's site
+    b = b[trial, sites]
+    ab = np.einsum("nij,njl->nil", a, b)
+
+    def chi(x):             # ToyState's conj(v) x v, for every trial at once
+        return (v.conj()[:, None, :] @ x @ v[:, :, None])[:, 0, 0]
+
+    worst = float(np.max(np.abs(chi(ab) - chi(a) * chi(b))))
 
     # explicit non-central witness
     sigma3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -317,6 +336,21 @@ def central_multiplicativity_check(algebra: ToyAlgebra, seed=0):
 # ----------------------------------------------------------------- suite
 
 
+def _random_element(rng, degree):
+    """c0*sin(t) + c1*cos(x) + c2 with c uniform in [-2, 2), at `degree`.
+
+    Compiled from its expression tree, not parsed.  The label is the
+    expression text; `%r` round-trips the floats, so it parses to a tree that
+    evaluates to the same values.
+    """
+    c = tuple(float(v) for v in rng.uniform(-2.0, 2.0, size=3))
+    term = [Binary("*", Constant(v), Call(func, Variable(axis)))
+            for v, func, axis in zip(c, ("sin", "cos"), ("t", "x"))]
+    tree = Binary("+", Binary("+", *term), Constant(c[2]))
+    _, fn = expressions.compile_expression(tree)
+    return FilteredElement(degree, fn, "%r*sin(t) + %r*cos(x) + %r" % c)
+
+
 def run_filtration_suite(seed=0):
     """All filtered-algebra checks; returns (checks, payload).
 
@@ -329,21 +363,16 @@ def run_filtration_suite(seed=0):
     tnorm = weighted_norm(t_elem, -1, lat)
     grading = operator_norm_grading_check(t_elem, lat, seed=seed)
 
-    def random_element(degree):
-        c = rng.uniform(-2.0, 2.0, size=3)
-        text = "%r*sin(t) + %r*cos(x) + %r" % tuple(float(v) for v in c)
-        return FilteredElement.from_expression(text, degree)
-
     worst_sub = -np.inf
     for _ in range(20):
-        a = random_element(int(rng.integers(-2, 3)))
-        b = random_element(int(rng.integers(-2, 3)))
+        a = _random_element(rng, int(rng.integers(-2, 3)))
+        b = _random_element(rng, int(rng.integers(-2, 3)))
         worst_sub = max(worst_sub, submultiplicativity_residual(a, b, lat))
 
     worst_well = 0.0
     states = [tuple(rng.uniform(-5.0, 5.0, size=2)) for _ in range(6)]
     for _ in range(20):
-        a = random_element(int(rng.integers(-1, 3)))
+        a = _random_element(rng, int(rng.integers(-1, 3)))
         b = a.to_degree(a.degree - int(rng.integers(1, 3)))
         worst_well = max(worst_well, well_definedness_check(a, b, lat, states))
 

@@ -13,6 +13,7 @@ Site ordering for flattening is row major (C order).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,19 +64,31 @@ class Lattice:
     def spacings(self):
         return tuple(self.spacing(a) for a in range(self.dimension))
 
+    @cached_property
+    def _coordinates(self):
+        """Per axis: its coordinates, and them broadcast to lattice shape.
+
+        Computed once per lattice; every array is read-only, so callers
+        share them.
+        """
+        out = []
+        for axis, ((lo, hi), n) in enumerate(zip(self.extents, self.points)):
+            if self.boundary == "periodic":
+                c = lo + self.spacing(axis) * np.arange(n)
+            else:
+                c = np.linspace(lo, hi, n)
+            c.flags.writeable = False
+            shape = [1] * self.dimension
+            shape[axis] = n
+            out.append((c, np.broadcast_to(c.reshape(shape), self.shape)))
+        return tuple(out)
+
     def axis_coordinates(self, axis):
-        lo, hi = self.extents[axis]
-        n = self.points[axis]
-        if self.boundary == "periodic":
-            return lo + self.spacing(axis) * np.arange(n)
-        return np.linspace(lo, hi, n)
+        return self._coordinates[axis][0]
 
     def coordinate_array(self, axis):
         """Coordinate of every site along `axis`, broadcast to lattice shape."""
-        c = self.axis_coordinates(axis)
-        shape = [1] * self.dimension
-        shape[axis] = self.points[axis]
-        return np.broadcast_to(c.reshape(shape), self.shape)
+        return self._coordinates[axis][1]
 
     def axis_weights(self, axis):
         h = self.spacing(axis)

@@ -70,6 +70,9 @@ CENTER_BOX = 6.0         # 3-d; the points per axis are center_time_check's
 CENTER_SIGMA = 2.0
 GAUSSIAN_WIDTHS = (0.5, 0.8)     # exp(-a r^2) * exp(-b r^2)
 CROSS_ENGINE_POINTS = ((0.0, 0.0), (0.3, -0.4), (1.1, 0.7))
+# the (f_mn, f_kl) pairs the twisted engine multiplies on the full grid
+TWISTED_PAIRS = (((0, 0), (0, 0)), ((0, 1), (1, 0)), ((0, 1), (1, 2)),
+                 ((2, 1), (1, 3)), ((0, 1), (2, 2)))
 
 
 # ---------------------------------------------------------------- Theta
@@ -268,12 +271,13 @@ def star_twisted(f, h, lat, theta):
     q = (np.arange(m1)[None, :] - np.arange(m1)[:, None]) % m1
     phase = half_theta * np.outer(k1, k2)
     # fa[p1, s, j2] = m2^-1 sum_p2 F[p1, p2] A[p2, q1] e^{2 pi i p2 j2/m2}
-    fa = np.exp(1j * phase)[q]
+    twist = np.exp(1j * phase)          # A; B is its conjugate
+    fa = twist[q]
     fa *= fr[:, None, :]
     ifft(fa, axis=-1, out=fa)
     # hb[p1, s, j2] = m2^-1 sum_q2 H[q1, q2] B[p1, q2] e^{2 pi i q2 j2/m2}
     hb = hr[q]
-    hb *= np.exp(-1j * phase)[:, None, :]
+    hb *= np.conj(twist)[:, None, :]
     ifft(hb, axis=-1, out=hb)
     # the sum over p1 at fixed s, then one inverse DFT over s
     result = ifft(np.einsum("psj,psj->sj", fa, hb), axis=0) / m1
@@ -333,11 +337,6 @@ def basis_values(m, n, theta, x, y):
     if k == 0:
         return radial.astype(complex)
     return radial * np.exp(1j * k * np.arctan2(y, x))
-
-
-def basis_field(m, n, theta, lat):
-    return basis_values(m, n, theta, lat.coordinate_array(0),
-                        lat.coordinate_array(1))
 
 
 def basis_stack(n, theta, x, y):
@@ -523,19 +522,17 @@ def cross_engine_check(theta=THETA_DEFAULT, truncation=8):
     want = np.einsum("kK,mlp->mkKlp", np.eye(n), basis(pts[:, 0], pts[:, 1]))
     worst_quad = float(np.max(np.abs(got - want)))
 
-    # twisted engine on a few representative pairs, full grid
+    # twisted engine on a few representative pairs, full grid: operands and
+    # expected products from one basis stack
+    size = 1 + max(max(pair) for pairs in TWISTED_PAIRS for pair in pairs)
+    grid = basis_stack(size, theta, lat.coordinate_array(0),
+                       lat.coordinate_array(1))
     worst_tw = 0.0
     tails = []
-    for (mn, kl) in (((0, 0), (0, 0)), ((0, 1), (1, 0)), ((0, 1), (1, 2)),
-                     ((2, 1), (1, 3)), ((0, 1), (2, 2))):
-        fv = basis_field(*mn, theta, lat)
-        hv = basis_field(*kl, theta, lat)
-        got, info = star_twisted(fv, hv, lat, theta)
+    for (m, k), (K, l) in TWISTED_PAIRS:
+        got, info = star_twisted(grid[m, k], grid[K, l], lat, theta)
         tails.append(max(info["tail_fractions"]))
-        if mn[1] == kl[0]:
-            want = basis_field(mn[0], kl[1], theta, lat)
-        else:
-            want = np.zeros(lat.shape, dtype=complex)
+        want = grid[m, l] if k == K else 0.0
         worst_tw = max(worst_tw, float(np.max(np.abs(got.values - want))))
 
     return CrossEngineReport(truncation=n,

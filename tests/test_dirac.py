@@ -12,7 +12,7 @@ from lorentzlab.dirac import (DENSE_LIMIT, ORACLE_LIMIT, RECIPROCAL_TOL,
                               AxiomReport, DiracOperator,
                               check_temporal_axioms, elliptic_square,
                               flat_operator)
-from lorentzlab.lattice import Lattice, ScalarField, SpinorField
+from lorentzlab.lattice import Lattice, ScalarField, SpinorField, gradient
 
 
 def test_plane_wave_symbol():
@@ -348,3 +348,82 @@ def test_dense_matrix_matches_apply():
     via_apply = op.apply(psi).values.reshape(-1)
     via_dense = op.dense_matrix() @ psi.values.reshape(-1)
     assert np.max(np.abs(via_apply - via_dense)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim,points,boundary,u", [
+    (2, 8, "periodic", None), (3, 4, "clamped", "1+0.1*t"),
+    (4, 3, "periodic", None)])
+def test_dense_columns_are_apply_on_unit_probes(dim, points, boundary, u):
+    op = flat_operator(dim, points, boundary=boundary, u=u)
+    n = op.dense_dim
+    assert len(dirac._probe_blocks(n)) > 1       # several column blocks
+    dense = op.dense_matrix()
+    probe = np.zeros(n, dtype=complex)
+    for col in range(n):
+        probe[col] = 1.0
+        psi = SpinorField(op.lattice, probe.reshape(op.lattice.shape + (-1,)))
+        assert np.array_equal(dense[:, col], op.apply(psi).values.reshape(-1)), col
+        probe[col] = 0.0
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 288, 2049])
+def test_probe_blocks_cover_every_column_once(n):
+    blocks = dirac._probe_blocks(n)
+    assert np.array_equal(np.concatenate([np.arange(n)[b] for b in blocks]),
+                          np.arange(n))
+    assert max(b.stop - b.start for b in blocks) <= max(1, n // 8)
+
+
+def test_dense_matrix_holds_little_beside_its_result():
+    import tracemalloc
+    op = flat_operator(2, 32, u="1+0.1*t")
+    assert op.dense_dim == 2048
+    tracemalloc.start()
+    try:
+        dense = op.dense_matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * dense.nbytes
+
+
+def test_dense_matrix_differentiates_per_block_not_per_column(monkeypatch):
+    op = flat_operator(2, 12)
+    calls = []
+
+    def counted(fld, axis):
+        calls.append(axis)
+        return gradient(fld, axis)
+    monkeypatch.setattr(dirac, "gradient", counted)
+    blocks = len(dirac._probe_blocks(op.dense_dim))
+    op.dense_matrix()
+    assert 0 < len(calls) <= op.lattice.dimension * blocks
+    assert len(calls) < op.dense_dim        # a per-column loop makes 2 * 288
+
+
+@pytest.mark.parametrize("dim,points,boundary,u", [
+    (2, 8, "periodic", None), (2, 6, "periodic", "2+sin(t)"),
+    (2, 7, "clamped", "1+0.1*t"), (3, (4, 2, 3), "periodic", "1+0.1*t"),
+    (3, 4, "clamped", None), (4, 3, "periodic", None)])
+def test_hermiticity_residual_is_the_difference_with_the_adjoint(
+        dim, points, boundary, u):
+    op = flat_operator(dim, points, boundary=boundary, u=u)
+    d = op.sparse_matrix()
+    k = dirac._site_blocks(op.lattice, op.temporal_commutator())
+    for a in (d, k @ d, d + k, _stencil_square(op)):
+        assert a.hermiticity_residual() == (a - a.adjoint()).max_abs()
+
+
+def test_hermiticity_residual_holds_two_diagonals_at_a_time():
+    import tracemalloc
+    m = _stencil_square(flat_operator(4, 6))
+    largest = max(v.nbytes for v in m.diagonals.values())
+    tracemalloc.start()
+    try:
+        m.hermiticity_residual()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a few temporaries of one diagonal pair, never A^H or A - A^H
+    assert len(m.diagonals) >= 30
+    assert peak <= 6 * largest

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from lorentzlab.filtration import (FilteredElement, ToyAlgebra, ToyState,
+from lorentzlab import filtration
+from lorentzlab.filtration import (GRADING_GRADES, GRADING_SPINOR_DIM,
+                                   GRADING_TRIALS, FilteredElement,
+                                   ToyAlgebra, ToyState,
                                    central_multiplicativity_check,
                                    extend_state, operator_norm_grading_check,
+                                   run_filtration_suite,
                                    submultiplicativity_residual,
                                    weighted_norm, well_definedness_check)
-from lorentzlab.lattice import Lattice
+from lorentzlab.lattice import Lattice, SpinorField, inner_product
 
 T_NORM_REF = 0.9922778767136676       # 8 / sqrt(65) on the (-8, 8) lattice
 
@@ -155,3 +159,74 @@ def test_central_element_is_a_scalar_per_site():
                           alg.central_element(np.array(alg.t_values)))
     with pytest.raises(ValueError, match="per site"):
         alg.central_element(np.ones(alg.sites - 1))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42])
+def test_central_residual_is_the_per_trial_loop_over_the_panel(seed):
+    alg = toy()
+    c, b, sites, v = filtration._central_panel(alg, np.random.default_rng(seed))
+    assert c.shape == (500, alg.sites) and b.shape == (500, alg.sites, 2, 2)
+    assert np.allclose(np.linalg.norm(v, axis=1), 1.0, rtol=0, atol=1e-15)
+    chi_ab, chi_a, chi_b = np.empty((3, 500), dtype=complex)
+    for i in range(500):
+        a = alg.central_element(c[i])
+        chi = ToyState(int(sites[i]), tuple(v[i]))
+        chi_ab[i] = chi(np.einsum("kij,kjl->kil", a, b[i]))
+        chi_a[i], chi_b[i] = chi(a), chi(b[i])
+    want = float(np.max(np.abs(chi_ab - chi_a * chi_b)))
+    assert central_multiplicativity_check(alg, seed=seed).max_central_residual == want
+
+
+def test_suite_passes_on_twenty_seeds():
+    for seed in range(20):
+        checks, payload = run_filtration_suite(seed)
+        assert payload["passed"], (seed, [c for c in checks if not c.passed])
+
+
+@pytest.mark.parametrize("elem", [FilteredElement.time_element(),
+                                  FilteredElement.from_expression("sin(t) + 0.3", 2)],
+                         ids=["T", "degree-2"])
+@pytest.mark.parametrize("lattice", [time_lattice, plane_lattice])
+def test_grading_bulk_draw_is_the_per_trial_draws(elem, lattice):
+    # the loop the check replaced: one draw pair per trial, inner products
+    lat = lattice()
+    shape = lat.shape + (GRADING_SPINOR_DIM,)
+    bulk = np.random.default_rng(5).standard_normal(
+        (len(GRADING_GRADES), GRADING_TRIALS, 2) + shape)
+    rng = np.random.default_rng(5)
+    m = -elem.degree
+    t = lat.coordinate_array(0)
+    a = elem.sample(lat).values
+    best_site = np.unravel_index(
+        int(np.argmax(np.abs((1.0 + t ** 2) ** (m / 2.0) * a))), lat.shape)
+    want = {}
+    for g, n in enumerate(GRADING_GRADES):
+        best = 0.0
+        for k in range(GRADING_TRIALS + 1):
+            if k == 0:
+                vals = np.zeros(shape, dtype=complex)
+                vals[best_site + (0,)] = 1.0
+            else:
+                re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+                assert np.array_equal(bulk[g, k - 1, 0], re)
+                assert np.array_equal(bulk[g, k - 1, 1], im)
+                vals = re + 1j * im
+            num = inner_product(SpinorField(lat, a[..., None] * vals),
+                                SpinorField(lat, a[..., None] * vals),
+                                weight=(1.0 + t ** 2) ** float(n + m)).real
+            den = inner_product(SpinorField(lat, vals), SpinorField(lat, vals),
+                                weight=(1.0 + t ** 2) ** float(n)).real
+            best = max(best, np.sqrt(num / den))
+        want[n] = float(best)
+    assert operator_norm_grading_check(elem, lat, seed=5).estimates == want
+
+
+def test_random_elements_evaluate_as_their_parsed_labels():
+    lat = plane_lattice()
+    rng = np.random.default_rng(3)
+    for degree in (-2, 0, 1, 2):
+        for _ in range(5):
+            elem = filtration._random_element(rng, degree)
+            parsed = FilteredElement.from_expression(elem.label, degree)
+            assert np.array_equal(elem.sample(lat).values,
+                                  parsed.sample(lat).values), elem.label

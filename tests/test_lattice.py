@@ -26,6 +26,28 @@ def test_axis_coordinates():
     assert np.array_equal(cl.axis_coordinates(0), [0.0, 1.0, 2.0, 3.0, 4.0])
 
 
+@pytest.mark.parametrize("boundary", ["periodic", "clamped"])
+def test_coordinates_are_cached_and_read_only(boundary):
+    lat = Lattice(((-1.0, 2.0), (0.0, 4.0), (1.0, 3.0)), (4, 5, 3), boundary)
+    for axis in range(3):
+        c = lat.coordinate_array(axis)
+        assert c is lat.coordinate_array(axis)
+        assert lat.axis_coordinates(axis) is lat.axis_coordinates(axis)
+        assert c.shape == lat.shape
+        for arr in (c, lat.axis_coordinates(axis)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 7.0
+        assert np.array_equal(np.moveaxis(c, axis, 0)[:, 0, 0],
+                              lat.axis_coordinates(axis))
+    assert np.allclose(lat.axis_coordinates(1), [0.0, 1.0, 2.0, 3.0, 4.0]
+                       if boundary == "clamped" else [0.0, 0.8, 1.6, 2.4, 3.2],
+                       rtol=0, atol=1e-15)
+    # the cache is no field: equal lattices stay equal and hash alike
+    fresh = Lattice(((-1.0, 2.0), (0.0, 4.0), (1.0, 3.0)), (4, 5, 3), boundary)
+    assert fresh == lat and hash(fresh) == hash(lat)
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         Lattice(((1.0, 1.0),), (8,))

@@ -10,7 +10,7 @@ from lorentzlab import moyal
 from lorentzlab.moyal import (DECAY_REFUSE, TAIL_WARN, ThetaMatrix,
                               _boundary_fraction, _genlaguerre,
                               associativity_check,
-                              basis_field, basis_stack, basis_values,
+                              basis_stack, basis_values,
                               center_time_check,
                               commutation_check, cross_engine_check,
                               damped_commutator_closed_form,
@@ -304,7 +304,9 @@ def test_delta_algebra():
 
 def test_ground_projector_idempotent():
     lat = moyal_grid(7.0, 96)
-    c = project(basis_field(0, 0, THETA, lat), lat, THETA, truncation=6)
+    f00 = basis_values(0, 0, THETA, lat.coordinate_array(0),
+                       lat.coordinate_array(1))
+    c = project(f00, lat, THETA, truncation=6)
     e00 = np.zeros((6, 6), dtype=complex)
     e00[0, 0] = 1.0
     assert np.max(np.abs(c - e00)) <= 1e-10
