@@ -1,12 +1,33 @@
-"""The verdict record every check suite returns and the CLI renders."""
+"""The verdict record every check suite returns, and its artifact form.
 
+A check holds one measured value to one bound by one relation; its verdict
+is derived from those three, and the CLI line and the JSON record of a check
+both render from it.
+"""
+
+import operator
 from dataclasses import dataclass
+
+RELATIONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
+             ">": operator.gt}
 
 
 @dataclass(frozen=True)
 class Check:
-    """One named verdict with a human-readable measurement."""
+    """`name` holds when `value relation bound`; a NaN value never holds."""
 
     name: str
-    passed: bool
-    detail: str = ""
+    value: float
+    relation: str      # a key of RELATIONS
+    bound: float
+
+    @property
+    def passed(self):
+        return bool(RELATIONS[self.relation](self.value, self.bound))
+
+
+def verdict(checks):
+    """The artifact fragment of a sequence of checks: every record and all()."""
+    records = [{"name": c.name, "value": c.value, "relation": c.relation,
+                "bound": c.bound, "passed": c.passed} for c in checks]
+    return {"checks": records, "passed": all(r["passed"] for r in records)}

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import clifford, dirac, distance, filtration, moyal, steepness
+from .checks import verdict
 from .expressions import ExpressionError, parse_expression, variables_used
 from .lattice import AXIS_NAMES, Lattice, ScalarField
 
@@ -191,8 +192,9 @@ def write_json(path, obj):
 
 def _line(check):
     """The PASS/FAIL line printed for one Check."""
-    tag = "PASS" if check.passed else "FAIL"
-    return ("%s %-36s %s" % (tag, check.name, check.detail)).rstrip()
+    return "%s %-40s %11.4g %-2s %.4g" % ("PASS" if check.passed else "FAIL",
+                                          check.name, check.value,
+                                          check.relation, check.bound)
 
 
 def _outdir(cfg):
@@ -228,7 +230,7 @@ def run_verify(cfg):
                "config": {"dimension": cfg.dimension, "points": cfg.points,
                           "boundary": cfg.boundary, "u": cfg.u,
                           "seed": cfg.seed},
-               "passed": all(c.passed for c in checks)}
+               **verdict(checks)}
     return checks, payload
 
 
@@ -269,7 +271,7 @@ def run_report(cfg):
         "moyal": moyal_payload,
         "filtration": filt_payload,
         "steepness_equivalence": scan.to_dict(),
-        "passed": all(c.passed for c in checks),
+        **verdict(checks),
     }
     return checks, payload, rows
 

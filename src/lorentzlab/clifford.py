@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import Check
+from .checks import Check, verdict
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -95,13 +95,12 @@ class CliffordReport:
 
     @property
     def checks(self):
-        return (Check("clifford n=%d" % self.dimension,
-                      self.max_residual <= CLIFFORD_TOL,
-                      "max residual %.3e" % self.max_residual),)
+        return (Check("clifford n=%d" % self.dimension, self.max_residual,
+                      "<=", CLIFFORD_TOL),)
 
     @property
     def passed(self):
-        return all(c.passed for c in self.checks)
+        return verdict(self.checks)["passed"]
 
     def to_dict(self):
         return {

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from . import expressions
-from .checks import Check
+from .checks import Check, verdict
 from .dirac import flat_operator
 from .filtration import FilteredElement, extend_state
 from .lattice import AXIS_NAMES, Lattice, ScalarField
@@ -304,11 +304,9 @@ def run_distance_suite(pairs, dimension, points, seed, candidates=None):
         rows.append((i, pair.dt, pair.spatial_separation, oracle,
                      boosted.value, vres.value, vres.achieving))
     checks = (
-        Check("boosted family matches oracle", worst_boosted <= BOOSTED_TOL,
-              "max |error| %.3e over %d pairs" % (worst_boosted, pairs)),
-        Check("variational bound above oracle",
-              worst_gap_low >= VARIATIONAL_FLOOR,
-              "min gap %.3e, max gap %.3e" % (worst_gap_low, worst_gap_high)),
+        Check("boosted family matches oracle", worst_boosted, "<=", BOOSTED_TOL),
+        Check("variational bound above oracle", worst_gap_low, ">=",
+              VARIATIONAL_FLOOR),
     )
     payload = {
         "pairs": pairs,
@@ -318,6 +316,6 @@ def run_distance_suite(pairs, dimension, points, seed, candidates=None):
         "max_boosted_error": float(worst_boosted),
         "min_variational_gap": float(worst_gap_low),
         "max_variational_gap": float(worst_gap_high),
-        "passed": all(c.passed for c in checks),
+        **verdict(checks),
     }
     return checks, payload, rows

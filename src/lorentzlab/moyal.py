@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.fft import fft2, fftfreq, fftn, ifft
 
-from .checks import Check
+from .checks import Check, verdict
 from .lattice import Lattice, ScalarField
 
 THETA_DEFAULT = 0.5
@@ -432,7 +432,6 @@ class DeltaAlgebraReport:
     product_residual: float
     identity_residual: float
     norm_ground_residual: float
-    passed: bool
 
 
 def delta_algebra_check(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT):
@@ -478,10 +477,6 @@ def delta_algebra_check(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT):
         product_residual=product_residual,
         identity_residual=identity_residual,
         norm_ground_residual=float(norm_residual),
-        passed=bool(projection_residual <= DELTA_TOL
-                    and product_residual <= DELTA_TOL
-                    and identity_residual <= DELTA_TOL
-                    and norm_residual <= NORM_TOL),
     )
 
 
@@ -502,7 +497,6 @@ class CrossEngineReport:
     truncation: int
     quadrature_vs_basis: float
     twisted_vs_basis: float
-    passed: bool
     twisted_tail_fraction: float = 0.0   # largest Nyquist-shell fraction seen
     twisted_tail_warnings: int = 0       # twisted products above TAIL_WARN
 
@@ -538,8 +532,6 @@ def cross_engine_check(theta=THETA_DEFAULT, truncation=8):
     return CrossEngineReport(truncation=n,
                              quadrature_vs_basis=worst_quad,
                              twisted_vs_basis=worst_tw,
-                             passed=bool(worst_quad <= CROSS_ENGINE_TOL
-                                         and worst_tw <= CROSS_ENGINE_TOL),
                              twisted_tail_fraction=max(tails),
                              twisted_tail_warnings=sum(t > TAIL_WARN for t in tails))
 
@@ -552,7 +544,6 @@ class CommutationReport:
     closed_form_residuals: tuple
     extrapolated_imag: float
     residual: float
-    passed: bool
 
 
 def _damped(axis, sigma):
@@ -588,14 +579,12 @@ def commutation_check(theta=THETA_DEFAULT):
                              raw_imag=tuple(float(v.imag) for v in raws),
                              closed_form_residuals=tuple(float(c) for c in closed),
                              extrapolated_imag=float(extrap.imag),
-                             residual=float(residual),
-                             passed=bool(residual <= COMMUTATION_TOL))
+                             residual=float(residual))
 
 
 @dataclass
 class CenterTimeReport:
     cases: list
-    passed: bool
 
 
 def center_time_check(theta=THETA_DEFAULT, points=32):
@@ -626,11 +615,10 @@ def center_time_check(theta=THETA_DEFAULT, points=32):
         fh = star_quadrature(f_time, h_gauss, th, pts, lat, slot="second")
         hf = star_quadrature(h_gauss, f_time, th, pts, lat, slot="first")
         resid = float(np.max(np.abs(fh - hf)))
-        central = th.commutative_time()
-        case_ok = resid <= CENTER_TOL if central else resid >= CENTER_CONTRAST
-        cases.append({"theta_case": name, "commutative_time": central,
-                      "commutator_residual": resid, "ok": bool(case_ok)})
-    return CenterTimeReport(cases=cases, passed=all(c["ok"] for c in cases))
+        cases.append({"theta_case": name,
+                      "commutative_time": th.commutative_time(),
+                      "commutator_residual": resid})
+    return CenterTimeReport(cases=cases)
 
 
 def trace_check(theta=THETA_DEFAULT):
@@ -688,24 +676,29 @@ def run_moyal_suite(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,
     tr = trace_check(theta=theta)
     assoc = associativity_check(theta=theta)
     invol = involution_check(theta=theta)
+    central = [c["commutator_residual"] for c in center.cases
+               if c["commutative_time"]]
+    mixed = [c["commutator_residual"] for c in center.cases
+             if not c["commutative_time"]]
     checks = (
-        Check("matrix basis delta algebra", delta.passed,
-              "projection %.3e, product %.3e"
-              % (delta.projection_residual, delta.product_residual)),
-        Check("engines agree on basis products", cross.passed,
-              "quadrature %.3e, twisted %.3e"
-              % (cross.quadrature_vs_basis, cross.twisted_vs_basis)),
-        Check("[x,y]_* = i theta (extrapolated)", comm.passed,
-              "residual %.3e" % comm.residual),
-        Check("time central iff Theta row 0 = 0", center.passed,
-              "; ".join("%s %.1e" % (c["theta_case"], c["commutator_residual"])
-                        for c in center.cases)),
-        Check("gaussian closed form", gauss <= GAUSSIAN_TOL,
-              "residual %.3e" % gauss),
-        Check("trace property", tr <= TRACE_TOL, "residual %.3e" % tr),
-        Check("associativity", assoc <= ASSOCIATIVITY_TOL,
-              "residual %.3e" % assoc),
-        Check("involution", invol <= INVOLUTION_TOL, "residual %.3e" % invol),
+        Check("matrix basis delta algebra",
+              np.max([delta.projection_residual, delta.product_residual,
+                      delta.identity_residual]), "<=", DELTA_TOL),
+        Check("ground projector has norm 1", delta.norm_ground_residual, "<=",
+              NORM_TOL),
+        Check("engines agree on basis products",
+              np.max([cross.quadrature_vs_basis, cross.twisted_vs_basis]), "<=",
+              CROSS_ENGINE_TOL),
+        Check("[x,y]_* = i theta (extrapolated)", comm.residual, "<=",
+              COMMUTATION_TOL),
+        Check("time central if Theta row 0 = 0", np.max(central), "<=",
+              CENTER_TOL),
+        Check("time not central if Theta row 0 != 0", np.min(mixed), ">=",
+              CENTER_CONTRAST),
+        Check("gaussian closed form", gauss, "<=", GAUSSIAN_TOL),
+        Check("trace property", tr, "<=", TRACE_TOL),
+        Check("associativity", assoc, "<=", ASSOCIATIVITY_TOL),
+        Check("involution", invol, "<=", INVOLUTION_TOL),
     )
     return checks, {
         "theta": float(theta),
@@ -718,5 +711,5 @@ def run_moyal_suite(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,
         "associativity_residual": float(assoc),
         "involution_residual": float(invol),
         "membership": "assumed",
-        "passed": all(c.passed for c in checks),
+        **verdict(checks),
     }

@@ -22,7 +22,8 @@ feeds them every constant-gradient draw at once, at u = 1.
 
 Margins: matrix mode reports the minimal eigenvalue of M (0 on the exactly
 steep boundary), scalar mode reports -(g(grad f, grad f) + 1).  Steep means
-margin >= -EIG_TOL with, in scalar mode, the additional orientation d_t f > 0.
+margin >= -EIG_TOL with, in scalar mode, the additional orientation d_t f > 0;
+a site whose margin is NaN fails.
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import default_rng
 
-from .checks import Check
+from .checks import Check, verdict
 from .clifford import build_gamma, chirality
 from .dirac import DiracOperator, gradient_symbol
 from .lattice import ScalarField, gradient
@@ -82,7 +83,7 @@ def _stencil_gradients(f, D):
 
 def is_steep_matrix(f: ScalarField, D: DiracOperator):
     margins, herm = matrix_margins(_stencil_gradients(f, D), D.u, D.rep)
-    failed = int(np.count_nonzero(margins < -EIG_TOL))
+    failed = int(np.count_nonzero(~(margins >= -EIG_TOL)))
     return SteepnessReport(
         mode="matrix",
         steep=bool(failed == 0),
@@ -94,7 +95,7 @@ def is_steep_matrix(f: ScalarField, D: DiracOperator):
 
 def is_steep_scalar(f: ScalarField, D: DiracOperator):
     margins, oriented = scalar_margins(_stencil_gradients(f, D), D.u)
-    failed = int(np.count_nonzero((margins < -EIG_TOL) | ~oriented))
+    failed = int(np.count_nonzero(~((margins >= -EIG_TOL) & oriented)))
     return SteepnessReport(
         mode="scalar",
         steep=bool(failed == 0),
@@ -118,8 +119,8 @@ class EquivalenceReport:
 
     @property
     def checks(self):
-        return (Check("steepness routes agree", not self.disagreements,
-                      "%d/%d agree" % (self.agreements, self.samples)),)
+        return (Check("steepness routes agree", len(self.disagreements), "<=",
+                      0),)
 
     def to_dict(self):
         return {
@@ -129,6 +130,7 @@ class EquivalenceReport:
             "agreement_rate": self.agreement_rate,
             "steep_count": self.steep_count,
             "disagreements": self.disagreements,
+            **verdict(self.checks),
         }
 
 

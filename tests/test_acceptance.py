@@ -92,7 +92,7 @@ def test_temporal_axiom_suite_4d(monkeypatch):
     _criterion("temporal axiom suite (4-d, 5^4 sites)", not failed,
                "min <D>^2 eigenvalue %.3e, %.2fs"
                % (rep.elliptic_min_eigenvalue, elapsed))
-    assert len(rep.checks) == 7
+    assert len(rep.checks) == 9
     assert elapsed < 1.0
 
 
@@ -179,7 +179,8 @@ def test_star_product_suite():
     assert suite["associativity_residual"] <= 1e-5
     assert suite["trace_residual"] <= 1e-5
     cases = suite["center_time"]["cases"]
-    assert [c["ok"] for c in cases] == [True, True, True]
+    assert [c["commutator_residual"] <= 1e-10 if c["commutative_time"]
+            else c["commutator_residual"] >= 1e-3 for c in cases] == [True] * 3
     assert [c["commutative_time"] for c in cases] == [True, True, False]
     elapsed = time.perf_counter() - start
     _criterion("star product suite (theta = 0.5)", suite["passed"],
@@ -198,7 +199,9 @@ def test_filtered_algebra_suite():
 
     grading = operator_norm_grading_check(t_elem, lat, seed=42)
     assert grading.spread <= 1e-10
-    assert grading.bound_ok and grading.approach_ok
+    estimates = np.array(list(grading.estimates.values()))
+    assert np.all(estimates <= grading.weighted_norm * (1.0 + 1e-12))
+    assert estimates.min() >= 0.95 * grading.weighted_norm
 
     rng = np.random.default_rng(42)
     worst_slack = -np.inf

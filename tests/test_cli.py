@@ -1,9 +1,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from lorentzlab import cli
+from lorentzlab.checks import verdict
 from lorentzlab.clifford import build_gamma, check_clifford
 from lorentzlab.dirac import check_temporal_axioms, flat_operator
 from lorentzlab.distance import run_distance_suite
@@ -195,8 +197,17 @@ def test_cli_prints_exactly_the_suite_checks(argv, expected, tmp_path, capsys):
     assert out == "".join(cli._line(c) + "\n" for c in checks)
     passed = all(c.passed for c in checks)
     payload = json.loads((tmp_path / (argv[0] + ".json")).read_text())
+    assert payload["checks"] == cli._plain(verdict(checks)["checks"])
     assert payload["passed"] is passed
     assert code == (cli.EXIT_OK if passed else cli.EXIT_CHECK_FAILED)
+
+
+def test_candidate_with_nan_gradients_is_refused(tmp_path, capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(["distance", "--candidates", "t+1e308*x"], tmp_path) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "no steep candidates" in err
 
 
 def test_distance_candidates_are_certified_where_the_events_lie(tmp_path, capsys):

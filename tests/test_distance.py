@@ -168,6 +168,17 @@ def test_variational_no_steep_candidate_raises():
         pool_of(["0.5*t"])
 
 
+def test_pool_rejects_a_candidate_whose_gradients_overflow():
+    # the field overflows to inf and its stencil gradients to NaN
+    op = flat_operator(2, 16, box=((-3.0, 3.0), (-3.0, 3.0)), boundary="clamped")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="no steep candidates"):
+            certify_candidates(["t+1e308*x"], op)
+        pool = certify_candidates(["t+1e308*x", "t"], op)
+    assert [label for label, _, _ in pool.certified] == ["t"]
+    assert [r["candidate"] for r in pool.rejected] == ["t+1e308*x"]
+
+
 def test_variational_dimension_mismatch():
     pool = pool_of(["t"], dim=2)
     with pytest.raises(ValueError, match="dimension"):

@@ -54,6 +54,14 @@ def test_double_slope_margin_one():
     assert oriented and margin == pytest.approx(3.0, abs=1e-12)
 
 
+def test_nan_margins_fail_both_routes():
+    op = flat_operator(2, 16, box=((-3.0, 3.0), (-3.0, 3.0)), boundary="clamped")
+    f = ScalarField(op.lattice, np.full(op.lattice.shape, np.nan))
+    for rep in (is_steep_matrix(f, op), is_steep_scalar(f, op)):
+        assert not rep.steep
+        assert rep.sites_failed == op.lattice.site_count
+
+
 def test_wrong_orientation_rejected():
     op = clamped_op()
     f = ScalarField.from_expression(op.lattice, "0 - 2*t")
