@@ -15,10 +15,9 @@ from .clifford import (GammaRep, build_gamma, check_clifford, chirality,
                        fundamental_symmetry, krein_adjoint)
 from .dirac import (DiracOperator, check_temporal_axioms, elliptic_square,
                     flat_operator)
-from .distance import (CandidatePool, DistanceResult, EventPair,
-                       boosted_family_distance, certify_candidates,
-                       conformal_time_distance, minkowski_oracle,
-                       variational_distance)
+from .distance import (CandidatePool, boosted_family_distance,
+                       certify_candidates, conformal_time_distance,
+                       minkowski_oracle, variational_distance)
 from .expressions import ExpressionError, compile_expression, parse_expression
 from .filtration import (FilteredElement, ToyAlgebra, ToyState,
                          central_multiplicativity_check, extend_state,
@@ -39,9 +38,8 @@ __all__ = [
     "fundamental_symmetry", "krein_adjoint",
     "DiracOperator", "check_temporal_axioms", "elliptic_square",
     "flat_operator",
-    "CandidatePool", "DistanceResult", "EventPair", "boosted_family_distance",
-    "certify_candidates", "conformal_time_distance", "minkowski_oracle",
-    "variational_distance",
+    "CandidatePool", "boosted_family_distance", "certify_candidates",
+    "conformal_time_distance", "minkowski_oracle", "variational_distance",
     "ExpressionError", "compile_expression", "parse_expression",
     "FilteredElement", "ToyAlgebra", "ToyState",
     "central_multiplicativity_check", "extend_state",

@@ -13,15 +13,18 @@ Three routes for the causal distance d(p, q):
   and rejected ones are reported.  Events outside the pool's lattice box
   are refused.
 
-Events are coordinate tuples.  A candidate is an expression string, a
-callable of the axis names, or a filtered element; a filtered element is
-evaluated at an event by the pure-state extension rule,
-``filtration.extend_state``.  ``conformal_time_distance`` integrates
-sqrt(u) dt, for a lapse expression u, along pure time displacements of the
-conformally flat metric -u(t) dt^2 + dx^2.
+An event is a float array with its coordinates (t, x, ...) on the last
+axis; ``minkowski_oracle`` and ``variational_distance`` take one event or a
+stack of them for each of p and q and return one value per pair.  The
+boosted family is a scalar golden section per pair, the route the oracle is
+checked against.  A candidate is an expression string or a filtered
+element; a filtered element is evaluated at events by the pure-state
+extension rule, ``filtration.extend_state``.  ``conformal_time_distance``
+integrates sqrt(u) dt, for a lapse expression u, along pure time
+displacements of the conformally flat metric -u(t) dt^2 + dx^2.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import default_rng
@@ -64,56 +67,43 @@ def golden_section(fn, lo, hi):
     return x, fn(x)
 
 
-@dataclass(frozen=True)
-class EventPair:
-    p: tuple
-    q: tuple
+def _events(p, q, lattice=None):
+    """p and q as float arrays of one shape, coordinates on the last axis.
 
-    def __post_init__(self):
-        if len(self.p) != len(self.q):
-            raise ValueError("events have different dimensions: %d vs %d"
-                             % (len(self.p), len(self.q)))
-        if len(self.p) < 1:
-            raise ValueError("events need at least a time coordinate")
-
-    @property
-    def dt(self):
-        return float(self.q[0] - self.p[0])
-
-    @property
-    def spatial_separation(self):
-        d = np.asarray(self.q[1:], dtype=float) - np.asarray(self.p[1:], dtype=float)
-        return float(np.linalg.norm(d))
-
-    @property
-    def direction(self):
-        """Unit vector along the spatial displacement (zeros if coincident)."""
-        d = np.asarray(self.q[1:], dtype=float) - np.asarray(self.p[1:], dtype=float)
-        r = np.linalg.norm(d)
-        return d / r if r > 0 else d
-
-
-def _as_pair(p, q):
-    return EventPair(tuple(float(v) for v in p), tuple(float(v) for v in q))
+    With a lattice, every event must have its dimension and lie in its box:
+    outside it, nothing is known about the candidates' gradients.
+    """
+    p, q = (np.atleast_1d(np.asarray(e, dtype=float)) for e in (p, q))
+    if p.shape[-1] != q.shape[-1]:
+        raise ValueError("events have different dimensions: %d vs %d"
+                         % (p.shape[-1], q.shape[-1]))
+    if p.shape[-1] < 1:
+        raise ValueError("events need at least a time coordinate")
+    p, q = np.broadcast_arrays(p, q)
+    if lattice is None:
+        return p, q
+    if p.shape[-1] != lattice.dimension:
+        raise ValueError("event dimension %d does not match operator "
+                         "dimension %d" % (p.shape[-1], lattice.dimension))
+    lo, hi = np.transpose(lattice.extents)
+    for events in (p, q):
+        outside = ~np.all((lo <= events) & (events <= hi), axis=-1)
+        if outside.any():
+            raise ValueError("event %r lies outside the certified box %r"
+                             % (tuple(events[outside][0].tolist()),
+                                lattice.extents))
+    return p, q
 
 
-@dataclass
-class DistanceResult:
-    value: float
-    mode: str
-    params: dict = field(default_factory=dict)
-    achieving: str = ""
-    rejected: list = field(default_factory=list)
-    gap_vs_oracle: float = float("nan")
+def _separation(p, q):
+    """Time separation dt and spatial separation r of each pair."""
+    return q[..., 0] - p[..., 0], np.linalg.norm(q[..., 1:] - p[..., 1:], axis=-1)
 
 
 def minkowski_oracle(p, q):
-    """sqrt(dt^2 - r^2) if q lies in the causal future of p, else 0."""
-    pair = _as_pair(p, q)
-    dt, r = pair.dt, pair.spatial_separation
-    if dt >= r:
-        return float(np.sqrt(max(dt * dt - r * r, 0.0)))
-    return 0.0
+    """sqrt(dt^2 - r^2) where q lies in the causal future of p, else 0."""
+    dt, r = _separation(*_events(p, q))
+    return np.where(dt >= r, np.sqrt(np.maximum(dt * dt - r * r, 0.0)), 0.0)[()]
 
 
 def boosted_family_distance(p, q):
@@ -122,25 +112,19 @@ def boosted_family_distance(p, q):
     h'(v) = gamma_v^3 (v dt - r): h is unimodal with interior minimum at
     v* = r/dt for timelike pairs; for spacelike or past pairs the infimum
     over the closed-up family is <= 0 and the distance is exactly 0.
+    p and q are single events; returns a float.
     """
-    pair = _as_pair(p, q)
-    dt, r = pair.dt, pair.spatial_separation
-
+    dt, r = map(float, _separation(*_events(p, q)))
     if dt <= 0.0 or dt < r:
-        # family can be driven to a non-positive value: exact zero
-        return DistanceResult(0.0, "boosted",
-                              params={"dt": dt, "r": r, "v": float("nan")})
+        return 0.0      # family can be driven to a non-positive value
     if r == 0.0:
-        return DistanceResult(dt, "boosted", params={"dt": dt, "r": r, "v": 0.0})
+        return dt
 
     def h(v):
         return (dt - v * r) / np.sqrt(1.0 - v * v)
 
-    v_star, h_star = golden_section(h, 0.0, V_CAP)
-    value = min(h_star, h(0.0))        # h(0) = dt is always in the family
-    return DistanceResult(max(0.0, float(value)), "boosted",
-                          params={"dt": dt, "r": r, "v": float(v_star),
-                                  "direction": pair.direction.tolist()})
+    _, h_star = golden_section(h, 0.0, V_CAP)
+    return max(0.0, float(min(h_star, h(0.0))))   # h(0) = dt is in the family
 
 
 def conformal_time_distance(t0, t1, u="1"):
@@ -154,52 +138,41 @@ def conformal_time_distance(t0, t1, u="1"):
     u_fn = lambda t: compiled(t=np.asarray(t, dtype=float))
     t0, t1 = float(t0), float(t1)
     if t1 <= t0:
-        return DistanceResult(0.0, "conformal", params={"t0": t0, "t1": t1})
+        return 0.0
     for ts in np.linspace(t0, t1, 7):
         if not float(u_fn(ts)) > 0.0:
             raise ValueError("u(t) must be positive on [t0, t1]; "
                              "u(%r) = %r" % (ts, float(u_fn(ts))))
     from scipy.integrate import quad    # deferred: it also loads scipy.optimize
-    val, err = quad(lambda s: np.sqrt(float(u_fn(s))), t0, t1,
-                    epsabs=1e-12, epsrel=1e-12, limit=200)
-    return DistanceResult(float(val), "conformal",
-                          params={"t0": t0, "t1": t1, "quad_error": float(err)})
+    val, _ = quad(lambda s: np.sqrt(float(u_fn(s))), t0, t1,
+                  epsabs=1e-12, epsrel=1e-12, limit=200)
+    return float(val)
 
 
 # ------------------------------------------------------------- variational
 
 
-def _resolve_candidate(cand, dirac):
-    """Returns (label, ScalarField on the operator lattice, value_at(point))."""
-    lat = dirac.lattice
-    names = lat.axis_names
-
+def _resolve_candidate(cand, lattice):
+    """Returns (label, ScalarField on `lattice`, values at a stack of events)."""
     if isinstance(cand, FilteredElement):
-        value_at = lambda pt: float(np.real(extend_state(pt, cand)))
-        return cand.label or "filtered", cand.sample(lat), value_at
-
-    if isinstance(cand, str):
-        label, fn = cand, expressions.compile_expression(cand)[1]
-        fld = ScalarField.from_expression(lat, cand)
-    elif callable(cand):
-        label, fn = getattr(cand, "__name__", "callable"), cand
-        fld = ScalarField.from_callable(lat, cand)
-    else:
+        return (cand.label or "filtered", cand.sample(lattice),
+                lambda events: np.real(extend_state(events, cand)))
+    if not isinstance(cand, str):
         raise TypeError("unsupported candidate type: %r"
                         % (type(cand).__name__,))
-
-    def value_at(pt):
-        env = {nm: np.asarray(float(v)) for nm, v in zip(names, pt)}
-        return float(np.asarray(fn(**env)))
-    return label, fld, value_at
+    fn = expressions.compile_expression(cand)[1]
+    names = lattice.axis_names
+    return (cand, ScalarField.from_expression(lattice, cand),
+            lambda events: fn(**dict(zip(names, np.moveaxis(events, -1, 0)))))
 
 
 @dataclass(frozen=True)
 class CandidatePool:
     """Candidates certified steep on one operator lattice.
 
-    `certified` holds (label, value_at, worst_margin) per steep candidate in
-    input order; `rejected` holds one record per candidate that failed.
+    `certified` holds (label, value_at) per steep candidate in input order;
+    `rejected` holds one {candidate, worst_margin} record per candidate that
+    failed.
     """
     lattice: Lattice
     certified: tuple
@@ -213,19 +186,21 @@ def certify_candidates(candidates, dirac):
     serves every pair.  Certification differentiates candidates with the
     lattice stencil, so non-periodic candidates (t, boosts, ...) need an
     operator on a clamped lattice; a periodic wrap would corrupt their
-    boundary gradients.  Raises when no candidate is certified.
+    boundary gradients.  A candidate that overflows on the lattice has NaN
+    margins, which fail its sites, so its floating-point warnings are not
+    raised.  Raises when no candidate is certified.
     """
     certified = []
     rejected = []
     for cand in candidates:
-        label, fld, value_at = _resolve_candidate(cand, dirac)
-        report = is_steep_matrix(fld, dirac)
+        with np.errstate(over="ignore", invalid="ignore"):
+            label, fld, value_at = _resolve_candidate(cand, dirac.lattice)
+            report = is_steep_matrix(fld, dirac)
         if report.steep:
-            certified.append((label, value_at, report.worst_margin))
+            certified.append((label, value_at))
         else:
             rejected.append({"candidate": label,
-                             "worst_margin": report.worst_margin,
-                             "orientation_ok": report.orientation_ok})
+                             "worst_margin": report.worst_margin})
     if not certified:
         raise ValueError("no steep candidates: all %d candidate(s) failed "
                          "certification" % len(rejected))
@@ -235,28 +210,21 @@ def certify_candidates(candidates, dirac):
 def variational_distance(p, q, pool):
     """inf over the certified candidates f of `pool` of max(0, f(q) - f(p)).
 
-    Both events must lie in the box of the lattice the pool was certified
-    on: outside it, nothing is known about the candidates' gradients.
+    p and q are single events or stacks; every event must lie in the box of
+    the lattice the pool was certified on.  Each candidate is evaluated once
+    on all events.  Returns (distances, achieving labels), one per pair;
+    of equal values the first candidate wins.
     """
-    pair = _as_pair(p, q)
-    lat = pool.lattice
-    if len(pair.p) != lat.dimension:
-        raise ValueError("event dimension %d does not match operator "
-                         "dimension %d" % (len(pair.p), lat.dimension))
-    for event in (pair.p, pair.q):
-        if not all(lo <= x <= hi for x, (lo, hi) in zip(event, lat.extents)):
-            raise ValueError("event %r lies outside the certified box %r"
-                             % (event, lat.extents))
-
-    # min keeps the first of equal values: a later candidate must be smaller
-    value, label, margin = min(
-        ((max(0.0, value_at(pair.q) - value_at(pair.p)), label, margin)
-         for label, value_at, margin in pool.certified), key=lambda r: r[0])
-
-    return DistanceResult(value, "variational",
-                          params={"certified": True, "worst_margin": margin},
-                          achieving=label, rejected=list(pool.rejected),
-                          gap_vs_oracle=value - minkowski_oracle(pair.p, pair.q))
+    p, q = _events(p, q, pool.lattice)
+    events = np.stack((p, q))
+    gaps = []
+    for _, value_at in pool.certified:
+        values = value_at(events)
+        gap = values[1] - values[0]
+        gaps.append(np.where(gap > 0.0, gap, 0.0))      # max(0, gap)
+    best = np.argmin(gaps, axis=0)
+    labels = np.array([label for label, _ in pool.certified], dtype=object)
+    return np.min(gaps, axis=0)[()], labels[best]
 
 
 def boosted_candidate_expressions(axes=("x",)):
@@ -278,31 +246,26 @@ def run_distance_suite(pairs, dimension, points, seed, candidates=None):
 
     The candidates are certified once, on a clamped lattice (steep candidates
     are not periodic) over the box [-PAIR_EXTENT, PAIR_EXTENT]^d the events
-    are drawn from.
+    are drawn from.  All pairs come from one draw, p then q for each pair.
     """
-    rng = default_rng(seed)
     box = ((-PAIR_EXTENT, PAIR_EXTENT),) * dimension
     op = flat_operator(dimension, points, box=box, boundary="clamped")
     cands = list(candidates) if candidates else \
         boosted_candidate_expressions(axes=AXIS_NAMES[1:dimension])
     pool = certify_candidates(cands, op)
 
-    rows = []
-    worst_boosted = 0.0
-    worst_gap_low = 0.0
-    worst_gap_high = 0.0
-    for i in range(pairs):
-        p = tuple(rng.uniform(-PAIR_EXTENT, PAIR_EXTENT, size=dimension))
-        q = tuple(rng.uniform(-PAIR_EXTENT, PAIR_EXTENT, size=dimension))
-        oracle = minkowski_oracle(p, q)
-        boosted = boosted_family_distance(p, q)
-        vres = variational_distance(p, q, pool)
-        worst_boosted = max(worst_boosted, abs(boosted.value - oracle))
-        worst_gap_low = min(worst_gap_low, vres.value - oracle)
-        worst_gap_high = max(worst_gap_high, vres.value - oracle)
-        pair = EventPair(p, q)
-        rows.append((i, pair.dt, pair.spatial_separation, oracle,
-                     boosted.value, vres.value, vres.achieving))
+    events = default_rng(seed).uniform(-PAIR_EXTENT, PAIR_EXTENT,
+                                       size=(pairs, 2, dimension))
+    p, q = events[:, 0], events[:, 1]
+    oracle = minkowski_oracle(p, q)
+    boosted = np.array([boosted_family_distance(a, b) for a, b in zip(p, q)])
+    variational, achieving = variational_distance(p, q, pool)
+    gap = variational - oracle
+    worst_boosted = float(np.max(np.abs(boosted - oracle), initial=0.0))
+    worst_gap_low = float(np.min(gap, initial=0.0))
+    worst_gap_high = float(np.max(gap, initial=0.0))
+    rows = list(zip(range(pairs), *_separation(p, q), oracle, boosted,
+                    variational, achieving))
     checks = (
         Check("boosted family matches oracle", worst_boosted, "<=", BOOSTED_TOL),
         Check("variational bound above oracle", worst_gap_low, ">=",
@@ -313,9 +276,10 @@ def run_distance_suite(pairs, dimension, points, seed, candidates=None):
         "dimension": dimension,
         "seed": seed,
         "candidates": [str(c) for c in cands],
-        "max_boosted_error": float(worst_boosted),
-        "min_variational_gap": float(worst_gap_low),
-        "max_variational_gap": float(worst_gap_high),
+        "rejected": list(pool.rejected),
+        "max_boosted_error": worst_boosted,
+        "min_variational_gap": worst_gap_low,
+        "max_variational_gap": worst_gap_high,
         **verdict(checks),
     }
     return checks, payload, rows

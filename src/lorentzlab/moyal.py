@@ -38,7 +38,7 @@ import numpy as np
 from numpy.fft import fft2, fftfreq, fftn, ifft
 
 from .checks import Check, verdict
-from .lattice import Lattice, ScalarField
+from .lattice import Lattice
 
 THETA_DEFAULT = 0.5
 TRUNCATION_DEFAULT = 16
@@ -241,7 +241,8 @@ def star_twisted(f, h, lat, theta):
     gives the result.  O(M^3 log M) work, two M^3 intermediates, no DFT
     matrix.
     Warns when either factor has significant spectral content near the
-    Nyquist shell (aliasing risk).  Returns (ScalarField, info).
+    Nyquist shell (aliasing risk).  Returns (values, tails): the product on
+    the grid and the two factors' spectral tail fractions.
     """
     if lat.dimension != 2 or lat.boundary != "periodic":
         raise ValueError("twisted engine needs a 2-d periodic lattice")
@@ -280,9 +281,7 @@ def star_twisted(f, h, lat, theta):
     hb *= np.conj(twist)[:, None, :]
     ifft(hb, axis=-1, out=hb)
     # the sum over p1 at fixed s, then one inverse DFT over s
-    result = ifft(np.einsum("psj,psj->sj", fa, hb), axis=0) / m1
-    info = {"tail_fractions": tails}
-    return ScalarField(lat, result), info
+    return ifft(np.einsum("psj,psj->sj", fa, hb), axis=0) / m1, tails
 
 
 # ------------------------------------------------------- matrix-basis engine
@@ -489,7 +488,7 @@ def gaussian_oracle_check(theta=THETA_DEFAULT):
     hv = np.exp(-b * r2)
     got, _ = star_twisted(fv, hv, lat, theta)
     want = gaussian_star_closed_form(a, b, theta, r2)
-    return float(np.max(np.abs(got.values - want)))
+    return float(np.max(np.abs(got - want)))
 
 
 @dataclass
@@ -524,10 +523,10 @@ def cross_engine_check(theta=THETA_DEFAULT, truncation=8):
     worst_tw = 0.0
     tails = []
     for (m, k), (K, l) in TWISTED_PAIRS:
-        got, info = star_twisted(grid[m, k], grid[K, l], lat, theta)
-        tails.append(max(info["tail_fractions"]))
+        got, tail = star_twisted(grid[m, k], grid[K, l], lat, theta)
+        tails.append(max(tail))
         want = grid[m, l] if k == K else 0.0
-        worst_tw = max(worst_tw, float(np.max(np.abs(got.values - want))))
+        worst_tw = max(worst_tw, float(np.max(np.abs(got - want))))
 
     return CrossEngineReport(truncation=n,
                              quadrature_vs_basis=worst_quad,
@@ -628,7 +627,7 @@ def trace_check(theta=THETA_DEFAULT):
     fv = (1.0 + x) * np.exp(-(x * x + y * y) / 3.0)
     hv = (y - 0.5 * x) * np.exp(-(x * x + y * y) / 2.0)
     got, _ = star_twisted(fv, hv, lat, theta)
-    lhs = complex(np.sum(got.values * lat.site_weights()))
+    lhs = complex(np.sum(got * lat.site_weights()))
     rhs = complex(np.sum(fv * hv * lat.site_weights()))
     return abs(lhs - rhs) / max(abs(rhs), 1e-30)
 
@@ -642,11 +641,11 @@ def associativity_check(theta=THETA_DEFAULT):
     gv = x * np.exp(-r2 / 2.5)
     hv = (x + y) * np.exp(-r2 / 2.0)
     fg, _ = star_twisted(fv, gv, lat, theta)
-    left, _ = star_twisted(fg.values, hv, lat, theta)
+    left, _ = star_twisted(fg, hv, lat, theta)
     gh, _ = star_twisted(gv, hv, lat, theta)
-    right, _ = star_twisted(fv, gh.values, lat, theta)
-    scale = max(float(np.max(np.abs(right.values))), 1e-30)
-    return float(np.max(np.abs(left.values - right.values))) / scale
+    right, _ = star_twisted(fv, gh, lat, theta)
+    scale = max(float(np.max(np.abs(right))), 1e-30)
+    return float(np.max(np.abs(left - right))) / scale
 
 
 def involution_check(theta=THETA_DEFAULT):
@@ -658,7 +657,7 @@ def involution_check(theta=THETA_DEFAULT):
     hv = (1.0 - 1j * x) * np.exp(-r2 / 1.5)
     fh, _ = star_twisted(fv, hv, lat, theta)
     rev, _ = star_twisted(np.conj(hv), np.conj(fv), lat, theta)
-    return float(np.max(np.abs(np.conj(fh.values) - rev.values)))
+    return float(np.max(np.abs(np.conj(fh) - rev)))
 
 
 def run_moyal_suite(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,

@@ -1,7 +1,9 @@
 import json
+import math
 import os
+import subprocess
+import sys
 
-import numpy as np
 import pytest
 
 from lorentzlab import cli
@@ -203,11 +205,35 @@ def test_cli_prints_exactly_the_suite_checks(argv, expected, tmp_path, capsys):
 
 
 def test_candidate_with_nan_gradients_is_refused(tmp_path, capsys):
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run(["distance", "--candidates", "t+1e308*x"], tmp_path) == 2
+    assert run(["distance", "--candidates", "t+1e308*x"], tmp_path) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert "no steep candidates" in err
+
+
+def _cli_process(argv, tmp_path):
+    # a fresh interpreter, whose stderr shows any warning as printed text
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "lorentzlab.cli", *argv,
+                           "--out", str(tmp_path)], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_overflowing_candidate_leaves_stderr_clean(tmp_path):
+    alone = _cli_process(["distance", "--candidates", "t+1e308*x"], tmp_path)
+    assert alone.returncode == 2
+    assert alone.stderr.splitlines() == [
+        "config error: no steep candidates: all 1 candidate(s) failed "
+        "certification"]
+    mixed = _cli_process(["distance", "--candidates", "t+1e308*x", "t"],
+                         tmp_path)
+    assert mixed.returncode == 0 and mixed.stderr == ""
+    payload = json.loads((tmp_path / "distance.json").read_text())
+    (record,) = payload["rejected"]
+    assert record["candidate"] == "t+1e308*x"
+    assert math.isnan(record["worst_margin"])
 
 
 def test_distance_candidates_are_certified_where_the_events_lie(tmp_path, capsys):
@@ -218,3 +244,6 @@ def test_distance_candidates_are_certified_where_the_events_lie(tmp_path, capsys
     assert "FAIL" not in capsys.readouterr().out
     rows = (tmp_path / "distance.csv").read_text().splitlines()[1:]
     assert rows and all(row.endswith(",t") for row in rows)
+    payload = json.loads((tmp_path / "distance.json").read_text())
+    (record,) = payload["rejected"]
+    assert record["candidate"] == "2*abs(t)" and record["worst_margin"] < 0

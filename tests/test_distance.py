@@ -1,11 +1,10 @@
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 
 from lorentzlab import distance
 from lorentzlab.dirac import flat_operator
-from lorentzlab.distance import (EventPair, boosted_candidate_expressions,
+from lorentzlab.distance import (PAIR_EXTENT, V_CAP,
+                                 boosted_candidate_expressions,
                                  boosted_family_distance, certify_candidates,
                                  conformal_time_distance, golden_section,
                                  minkowski_oracle, run_distance_suite,
@@ -32,9 +31,10 @@ def test_golden_section_quadratic():
 
 
 def test_boosted_matches_frozen_root3():
-    res = boosted_family_distance((0.0, 0.0), (2.0, 1.0))
-    assert abs(res.value - ROOT3) <= 1e-9
-    assert abs(res.params["v"] - 0.5) <= 1e-5     # minimiser at v = r/dt
+    assert abs(boosted_family_distance((0.0, 0.0), (2.0, 1.0)) - ROOT3) <= 1e-9
+    # the family's minimiser sits at v = r/dt
+    v, _ = golden_section(lambda v: (2.0 - v) / np.sqrt(1.0 - v * v), 0.0, V_CAP)
+    assert abs(v - 0.5) <= 1e-5
 
 
 def test_boosted_matches_oracle_random_pairs():
@@ -43,29 +43,26 @@ def test_boosted_matches_oracle_random_pairs():
         for _ in range(100):
             p = rng.uniform(-3, 3, size=dim)
             q = rng.uniform(-3, 3, size=dim)
-            got = boosted_family_distance(p, q).value
+            got = boosted_family_distance(p, q)
             want = minkowski_oracle(p, q)
             assert abs(got - want) <= 1e-6
 
 
 def test_spacelike_and_reverse_are_exact_zero():
-    assert boosted_family_distance((0.0, 0.0), (1.0, 2.0)).value == 0.0
-    assert boosted_family_distance((1.0, 0.0), (0.0, 0.5)).value == 0.0
+    assert boosted_family_distance((0.0, 0.0), (1.0, 2.0)) == 0.0
+    assert boosted_family_distance((1.0, 0.0), (0.0, 0.5)) == 0.0
     assert minkowski_oracle((0.0, 0.0), (1.0, 2.0)) == 0.0
 
 
 def test_lightlike_collapses():
     # infimum 0 approached as v -> 1; stopping interval ~1e-10 leaves
     # a residual of order sqrt(1 - v) ~ 5e-6
-    res = boosted_family_distance((0.0, 0.0), (1.0, 1.0))
-    assert 0.0 <= res.value <= 1e-5
+    assert 0.0 <= boosted_family_distance((0.0, 0.0), (1.0, 1.0)) <= 1e-5
     assert minkowski_oracle((0.0, 0.0), (1.0, 1.0)) == 0.0
 
 
 def test_pure_time_pair():
-    res = boosted_family_distance((0.5, 1.0), (2.5, 1.0))
-    assert res.value == 2.0
-    assert res.params["v"] == 0.0
+    assert boosted_family_distance((0.5, 1.0), (2.5, 1.0)) == 2.0
 
 
 def test_boost_invariance():
@@ -78,8 +75,8 @@ def test_boost_invariance():
     for _ in range(50):
         p = rng.uniform(-2, 2, size=3)
         q = p + np.array([rng.uniform(0.5, 2.0), *rng.uniform(-0.3, 0.3, 2)])
-        d0 = boosted_family_distance(p, q).value
-        d1 = boosted_family_distance(lam @ p, lam @ q).value
+        d0 = boosted_family_distance(p, q)
+        d1 = boosted_family_distance(lam @ p, lam @ q)
         assert abs(d0 - d1) <= 1e-9
 
 
@@ -88,8 +85,8 @@ def test_antisymmetry():
     for _ in range(50):
         p = rng.uniform(-3, 3, size=2)
         q = rng.uniform(-3, 3, size=2)
-        fwd = boosted_family_distance(p, q).value
-        back = boosted_family_distance(q, p).value
+        fwd = boosted_family_distance(p, q)
+        back = boosted_family_distance(q, p)
         if fwd > 0:
             assert back == 0.0
 
@@ -102,30 +99,28 @@ def test_reverse_triangle_inequality():
         step2 = np.array([rng.uniform(0.6, 1.5), *rng.uniform(-0.3, 0.3, 2)])
         m = p + step1
         q = m + step2
-        d_pq = boosted_family_distance(p, q).value
-        d_pm = boosted_family_distance(p, m).value
-        d_mq = boosted_family_distance(m, q).value
+        d_pq = boosted_family_distance(p, q)
+        d_pm = boosted_family_distance(p, m)
+        d_mq = boosted_family_distance(m, q)
         assert d_pq >= d_pm + d_mq - 1e-9
 
 
 def test_conformal_flat_is_dt():
-    res = conformal_time_distance(0.25, 1.75, u="1")
-    assert abs(res.value - 1.5) <= 1e-12
-    assert conformal_time_distance(1.0, 0.0).value == 0.0
+    assert abs(conformal_time_distance(0.25, 1.75, u="1") - 1.5) <= 1e-12
+    assert conformal_time_distance(1.0, 0.0) == 0.0
 
 
 def test_conformal_frozen_value():
     # int_0^1 sqrt(1 + t^2) dt = (sqrt(2) + asinh(1)) / 2
-    res = conformal_time_distance(0.0, 1.0, u="1 + t^2")
-    assert abs(res.value - CONFORMAL_REF) <= 1e-10
+    value = conformal_time_distance(0.0, 1.0, u="1 + t^2")
+    assert abs(value - CONFORMAL_REF) <= 1e-10
     closed = 0.5 * (np.sqrt(2.0) + np.arcsinh(1.0))
-    assert abs(res.value - closed) <= 1e-10
+    assert abs(value - closed) <= 1e-10
 
 
 def test_conformal_constant_u_scaling():
     # u = 4: time axis stretched by 2
-    res = conformal_time_distance(0.0, 1.0, u="4")
-    assert abs(res.value - 2.0) <= 1e-12
+    assert abs(conformal_time_distance(0.0, 1.0, u="4") - 2.0) <= 1e-12
 
 
 def test_conformal_rejects_nonpositive_u():
@@ -139,28 +134,29 @@ def pool_of(candidates, dim=2):
 
 def test_variational_meets_oracle():
     pool = pool_of(boosted_candidate_expressions(axes=("x",)))
-    res = variational_distance((0.0, 0.0), (2.0, 1.0), pool)
+    value, label = variational_distance((0.0, 0.0), (2.0, 1.0), pool)
     oracle = minkowski_oracle((0.0, 0.0), (2.0, 1.0))
-    assert res.value >= oracle - 1e-9
-    assert "0.5" in res.achieving     # v = 0.5 boost achieves sqrt(3)
-    assert abs(res.value - ROOT3) <= 1e-9
-    assert res.rejected == []
+    assert value >= oracle - 1e-9
+    assert "0.5" in label             # v = 0.5 boost achieves sqrt(3)
+    assert abs(value - ROOT3) <= 1e-9
+    assert pool.rejected == ()
 
 
 def test_variational_time_candidate_exact():
-    res = variational_distance((0.25, 0.5), (1.75, -0.5), pool_of(["t"]))
-    assert res.value == 1.5            # plain subtraction, no rounding
-    assert res.achieving == "t"
+    value, label = variational_distance((0.25, 0.5), (1.75, -0.5),
+                                        pool_of(["t"]))
+    assert value == 1.5                # plain subtraction, no rounding
+    assert label == "t"
 
 
 def test_variational_records_rejections():
     pool = pool_of(["0.5*t", "t"])
     assert [c[0] for c in pool.certified] == ["t"]
-    res = variational_distance((0.0, 0.0), (1.5, 0.0), pool)
-    assert res.value == 1.5
-    assert len(res.rejected) == 1
-    assert res.rejected[0]["candidate"] == "0.5*t"
-    assert res.rejected[0]["worst_margin"] < 0
+    assert variational_distance((0.0, 0.0), (1.5, 0.0), pool)[0] == 1.5
+    (record,) = pool.rejected
+    assert set(record) == {"candidate", "worst_margin"}
+    assert record["candidate"] == "0.5*t"
+    assert record["worst_margin"] < 0
 
 
 def test_variational_no_steep_candidate_raises():
@@ -171,12 +167,12 @@ def test_variational_no_steep_candidate_raises():
 def test_pool_rejects_a_candidate_whose_gradients_overflow():
     # the field overflows to inf and its stencil gradients to NaN
     op = flat_operator(2, 16, box=((-3.0, 3.0), (-3.0, 3.0)), boundary="clamped")
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="no steep candidates"):
-            certify_candidates(["t+1e308*x"], op)
-        pool = certify_candidates(["t+1e308*x", "t"], op)
-    assert [label for label, _, _ in pool.certified] == ["t"]
+    with pytest.raises(ValueError, match="no steep candidates"):
+        certify_candidates(["t+1e308*x"], op)
+    pool = certify_candidates(["t+1e308*x", "t"], op)
+    assert [label for label, _ in pool.certified] == ["t"]
     assert [r["candidate"] for r in pool.rejected] == ["t+1e308*x"]
+    assert np.isnan(pool.rejected[0]["worst_margin"])
 
 
 def test_variational_dimension_mismatch():
@@ -187,25 +183,25 @@ def test_variational_dimension_mismatch():
 
 def test_variational_filtered_element_candidate():
     pool = pool_of([FilteredElement.time_element()])
-    res = variational_distance((0.0, 0.0), (2.0, 0.5), pool)
-    assert abs(res.value - 2.0) <= 1e-12
-    assert res.achieving == "T"
+    value, label = variational_distance((0.0, 0.0), (2.0, 0.5), pool)
+    assert abs(value - 2.0) <= 1e-12
+    assert label == "T"
 
 
 def test_variational_spacelike_clips_to_zero():
-    res = variational_distance((0.0, 0.0), (-1.0, 0.0), pool_of(["t"]))
-    assert res.value == 0.0
+    value, _ = variational_distance((0.0, 0.0), (-1.0, 0.0), pool_of(["t"]))
+    assert value == 0.0
 
 
 def test_variational_ties_keep_the_first_candidate():
     # both candidates give dt on a pure time displacement
     pool = pool_of(["t", "t + 0*x"])
-    assert variational_distance((0.0, 0.0), (1.0, 0.0), pool).achieving == "t"
+    assert variational_distance((0.0, 0.0), (1.0, 0.0), pool)[1] == "t"
 
 
 def test_variational_refuses_events_outside_the_certified_box():
     pool = pool_of(["t"])              # certified on [-4, 4]^2
-    assert variational_distance((-4.0, 4.0), (4.0, -4.0), pool).value == 8.0
+    assert variational_distance((-4.0, 4.0), (4.0, -4.0), pool)[0] == 8.0
     for p, q in (((0.0, 0.0), (4.5, 0.0)), ((-4.1, 0.0), (0.0, 0.0)),
                  ((0.0, 0.0), (1.0, -5.0))):
         with pytest.raises(ValueError, match="outside the certified box"):
@@ -233,17 +229,70 @@ def test_distance_suite_certifies_on_the_sampled_box():
                                                candidates=["2*abs(t)", "t"])
     assert payload["passed"]
     assert {row[-1] for row in rows} == {"t"}
+    assert [r["candidate"] for r in payload["rejected"]] == ["2*abs(t)"]
 
 
-def test_event_pair_validation():
-    with pytest.raises(ValueError):
-        EventPair((0.0, 0.0), (1.0,))
-    with pytest.raises(ValueError):
-        EventPair((), ())
-    pair = EventPair((0.0, 0.0, 0.0), (2.0, 3.0, 4.0))
-    assert pair.dt == 2.0
-    assert pair.spatial_separation == 5.0
-    assert np.allclose(pair.direction, [0.6, 0.8])
+def test_mismatched_or_empty_events_raise():
+    pool = pool_of(["t"])
+    for route in (minkowski_oracle, boosted_family_distance,
+                  lambda p, q: variational_distance(p, q, pool)):
+        with pytest.raises(ValueError, match="different dimensions"):
+            route((0.0, 0.0), (1.0,))
+        with pytest.raises(ValueError, match="at least a time coordinate"):
+            route((), ())
+        with pytest.raises(ValueError, match="broadcast"):
+            route(np.zeros((2, 2)), np.zeros((3, 2)))
+    assert minkowski_oracle((0.0, 0.0, 0.0), (13.0, 3.0, 4.0)) == 12.0
+
+
+def test_a_stack_with_one_event_outside_the_box_names_it():
+    pool = pool_of(["t"])              # certified on [-4, 4]^2
+    p = np.zeros((5, 2))
+    q = np.tile([1.0, 0.5], (5, 1))
+    q[3] = (2.0, -4.25)
+    with pytest.raises(ValueError, match=r"event \(2\.0, -4\.25\) lies "
+                                         "outside the certified box"):
+        variational_distance(p, q, pool)
+
+
+@pytest.mark.parametrize("candidates", [
+    boosted_candidate_expressions(axes=("x",)) + ["t + 0*x", "2*abs(t)"],
+    [FilteredElement.time_element(), "t"],
+], ids=["expressions", "filtered"])
+def test_variational_on_a_stack_is_each_pair_alone(candidates):
+    pool = pool_of(candidates)
+    rng = np.random.default_rng(8)
+    p = rng.uniform(-4.0, 4.0, size=(40, 2))
+    q = rng.uniform(-4.0, 4.0, size=(40, 2))
+    q[:5] = p[:5] + (1.0, 0.0)         # pure time steps: ties between t's
+    values, labels = variational_distance(p, q, pool)
+    assert values.shape == labels.shape == (40,)
+    alone = [variational_distance(a, b, pool) for a, b in zip(p, q)]
+    assert [float(v) for v, _ in alone] == values.tolist()
+    assert [label for _, label in alone] == labels.tolist()
+    pairs = np.stack((p, q), axis=1).reshape(4, 10, 2, 2)
+    values, labels = variational_distance(pairs[..., 0, :], pairs[..., 1, :],
+                                          pool)
+    assert values.shape == labels.shape == (4, 10)
+    assert [float(v) for v, _ in alone] == values.ravel().tolist()
+    assert [label for _, label in alone] == labels.ravel().tolist()
+
+
+def test_suite_draws_p_then_q_for_each_pair():
+    rng = np.random.default_rng(5)
+    drawn = np.array([(rng.uniform(-PAIR_EXTENT, PAIR_EXTENT, size=2),
+                       rng.uniform(-PAIR_EXTENT, PAIR_EXTENT, size=2))
+                      for _ in range(12)])
+    one_draw = np.random.default_rng(5).uniform(-PAIR_EXTENT, PAIR_EXTENT,
+                                                size=(12, 2, 2))
+    assert np.array_equal(one_draw, drawn)
+    _, _, rows = run_distance_suite(12, 2, 8, 5)
+    p, q = drawn[:, 0], drawn[:, 1]
+    assert np.array_equal([row[1] for row in rows], q[:, 0] - p[:, 0])
+    assert np.array_equal([row[3] for row in rows],
+                          [minkowski_oracle(a, b) for a, b in zip(p, q)])
+    assert np.array_equal([row[4] for row in rows],
+                          [boosted_family_distance(a, b) for a, b in zip(p, q)])
 
 
 def test_candidate_expression_pool():
@@ -257,9 +306,11 @@ def test_candidate_expression_pool():
             assert "* (t -" in s
 
 
-def test_result_serialization():
-    res = boosted_family_distance((0.0, 0.0), (2.0, 1.0))
-    d = asdict(res)
-    assert set(d) == {"value", "mode", "params", "achieving", "rejected",
-                      "gap_vs_oracle"}
-    assert d["mode"] == "boosted"
+def test_routes_return_plain_values():
+    assert type(boosted_family_distance((0.0, 0.0), (2.0, 1.0))) is float
+    assert type(boosted_family_distance((0.0, 0.0), (1.0, 2.0))) is float
+    assert type(conformal_time_distance(0.0, 1.0, u="4")) is float
+    assert type(conformal_time_distance(1.0, 0.0)) is float
+    assert np.ndim(minkowski_oracle((0.0, 0.0), (2.0, 1.0))) == 0
+    value, label = variational_distance((0.0, 0.0), (2.0, 1.0), pool_of(["t"]))
+    assert np.ndim(value) == 0 and type(label) is str
