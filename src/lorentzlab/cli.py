@@ -166,13 +166,17 @@ def validate_config(cfg, command):
 
 
 def _plain(obj):
-    """Recursively convert numpy scalars/arrays so json stays deterministic."""
+    """Recursively convert numpy scalars/arrays so json stays deterministic.
+
+    A NaN or infinite float becomes None (JSON null): NaN and Infinity are
+    not JSON, and strict parsers refuse them.
+    """
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -180,13 +184,13 @@ def _plain(obj):
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+        return {"re": _plain(obj.real), "im": _plain(obj.imag)}
     return obj
 
 
 def write_json(path, obj):
     with open(path, "w", newline="\n") as fh:
-        json.dump(_plain(obj), fh, sort_keys=True, indent=2)
+        json.dump(_plain(obj), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -35,7 +35,7 @@ import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from numpy.fft import fft2, fftfreq, fftn, ifft
+from numpy.fft import fft, fft2, fftfreq, ifft
 
 from .checks import Check, verdict
 from .lattice import Lattice
@@ -54,6 +54,7 @@ CENTER_TOL = 1e-10
 CENTER_CONTRAST = 1e-3
 DECAY_REFUSE = 0.05
 TAIL_WARN = 1e-6
+BLOCK_BYTES = 2 ** 20    # one block of a streamed grid-sized intermediate
 
 # Each check's grid, fixed here and nowhere else: (box, points) is the
 # periodic moyal_grid on [-box, box)^2 with `points` sites per axis.
@@ -139,13 +140,26 @@ def moyal_grid(box=7.0, points=96, dimension=2):
                    boundary="periodic", axis_names=names)
 
 
+def _blocks(count, item_bytes):
+    """Slices of range(count), each of at most BLOCK_BYTES // item_bytes items.
+
+    A block holds at least one item, so one item larger than BLOCK_BYTES is
+    its own block.
+    """
+    step = max(1, BLOCK_BYTES // item_bytes)
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
 def phys_fft(values, lat):
     """Continuum-normalized FFT: F(k) = sum f(x) e^{-ikx} dx; returns (F, axes).
 
     Transforms the trailing lat.dimension axes, so a stack of fields works.
+    The result is the only stack-sized array made: one complex copy of
+    `values`, transformed in place axis by axis in fftn's order.
     """
-    F = fftn(np.asarray(values, dtype=complex),
-             axes=tuple(range(-lat.dimension, 0)))
+    F = np.array(values, dtype=complex)
+    for a in range(-1, -lat.dimension - 1, -1):
+        fft(F, axis=a, out=F)
     ks = []
     for a in range(lat.dimension):
         k = 2.0 * np.pi * fftfreq(lat.points[a], lat.spacing(a))
@@ -184,6 +198,10 @@ def star_quadrature(f, h, theta, points, lat, slot):
     Either factor may return a stack of functions, shape S + the shape of
     its arguments; the values then hold every product, shape
     S_f + S_h + (len(points),).  Returns the values array.
+    Each point's phase e^{ik.x} goes into blocks of its shifted samples of
+    at most BLOCK_BYTES, so beside the transformed stack one point holds its
+    samples and one block: about two stacks, where a phased copy of the
+    transformed stack would make three.
     """
     d = lat.dimension
     th = _theta_entries(theta, d)
@@ -197,7 +215,7 @@ def star_quadrature(f, h, theta, points, lat, slot):
     else:
         raise ValueError("slot must be 'first' or 'second', got %r" % (slot,))
 
-    vals = np.asarray(transformed(**lat.environment()), dtype=complex)
+    vals = np.asarray(transformed(**lat.environment()))
     stack = vals.shape[:vals.ndim - d]
     bd = float(_boundary_fraction(vals, lat).max())
     if bd > DECAY_REFUSE:
@@ -213,13 +231,15 @@ def star_quadrature(f, h, theta, points, lat, slot):
     shifts = sign * (K @ th.T)
     out = []
     for x in pts:
-        sv = np.asarray(shifted(**dict(zip(lat.axis_names, (x + shifts).T))),
-                        dtype=complex)
+        sv = np.asarray(shifted(**dict(zip(lat.axis_names, (x + shifts).T))))
         head = sv.shape[:-1]
         rows = np.broadcast_to(sv, head + (len(K),)).reshape(-1, len(K))
-        w = W * (wq * np.exp(1j * (K @ x)))
-        out.append(rows @ w.T if slot == "second" else w @ rows.T)
-        del sv, rows, w     # one point's samples at a time
+        phase = wq * np.exp(1j * (K @ x))
+        got = np.zeros((len(rows), len(W)), dtype=complex)
+        for b in _blocks(len(K), 16 * len(rows)):
+            got += (rows[:, b] * phase[b]) @ W[:, b].T
+        out.append(got if slot == "second" else got.T)
+        del sv, rows        # one point's samples at a time
     shape = head + stack if slot == "second" else stack + head
     return np.stack(out, axis=-1).reshape(shape + (len(pts),))
 
@@ -236,10 +256,11 @@ def star_twisted(f, h, lat, theta):
     twist (theta/2)(q1 p2 - q2 p1) splits into A[p2,q1] = e^{+i theta/2
     k2[p2] k1[q1]} and B[p1,q2] = e^{-i theta/2 k1[p1] k2[q2]}.  With
     s = (p1 + q1) mod m1 the two j1 waves are one, e^{2 pi i s j1/m1}: the
-    p2 and q2 sums are inverse FFTs along j2 of (m1, m1, m2) arrays indexed
-    (p1, s, .), their product is summed over p1, and one inverse FFT over s
-    gives the result.  O(M^3 log M) work, two M^3 intermediates, no DFT
-    matrix.
+    p2 and q2 sums are inverse FFTs along j2 of (m1, C, m2) arrays indexed
+    (p1, s, .) for a block of C rows s, their product is summed over p1,
+    and one inverse FFT over s gives the result.  O(M^3 log M) work, no DFT
+    matrix; C = BLOCK_BYTES // (16 m1 m2), at least 1, so the two block
+    intermediates hold about 2 BLOCK_BYTES whatever the grid.
     Warns when either factor has significant spectral content near the
     Nyquist shell (aliasing risk).  Returns (values, tails): the product on
     the grid and the two factors' spectral tail fractions.
@@ -271,17 +292,23 @@ def star_twisted(f, h, lat, theta):
     # (p1, q1) regrouped by s = (p1 + q1) mod m1: q[p1, s] = (s - p1) mod m1
     q = (np.arange(m1)[None, :] - np.arange(m1)[:, None]) % m1
     phase = half_theta * np.outer(k1, k2)
-    # fa[p1, s, j2] = m2^-1 sum_p2 F[p1, p2] A[p2, q1] e^{2 pi i p2 j2/m2}
     twist = np.exp(1j * phase)          # A; B is its conjugate
-    fa = twist[q]
-    fa *= fr[:, None, :]
-    ifft(fa, axis=-1, out=fa)
-    # hb[p1, s, j2] = m2^-1 sum_q2 H[q1, q2] B[p1, q2] e^{2 pi i q2 j2/m2}
-    hb = hr[q]
-    hb *= np.conj(twist)[:, None, :]
-    ifft(hb, axis=-1, out=hb)
-    # the sum over p1 at fixed s, then one inverse DFT over s
-    return ifft(np.einsum("psj,psj->sj", fa, hb), axis=0) / m1, tails
+    untwist = np.conj(twist)[:, None, :]
+    rows = np.empty((m1, m2), dtype=complex)
+    for s in _blocks(m1, 16 * m1 * m2):
+        # fa[p1, s, j2] = m2^-1 sum_p2 F[p1, p2] A[p2, q1] e^{2 pi i p2 j2/m2}
+        fa = twist[q[:, s]]
+        fa *= fr[:, None, :]
+        ifft(fa, axis=-1, out=fa)
+        # hb[p1, s, j2] = m2^-1 sum_q2 H[q1, q2] B[p1, q2] e^{2 pi i q2 j2/m2}
+        hb = hr[q[:, s]]
+        hb *= untwist
+        ifft(hb, axis=-1, out=hb)
+        # the sum over p1 at fixed s
+        rows[s] = np.einsum("psj,psj->sj", fa, hb)
+        del fa, hb          # freed before the next block's are built
+    # one inverse DFT over s
+    return ifft(rows, axis=0) / m1, tails
 
 
 # ------------------------------------------------------- matrix-basis engine
@@ -367,12 +394,28 @@ def basis_stack(n, theta, x, y):
     return out
 
 
+def _basis_blocks(n, theta, lat):
+    """basis_stack(n) over the sites of a 2-d `lat`, in blocks of sites.
+
+    Yields (sites, basis): a slice of the flattened sites and the basis on
+    them, shape (n*n, block), at most BLOCK_BYTES, so no n^2 x grid array
+    is ever held.
+    """
+    x = lat.coordinate_array(0).reshape(-1)
+    y = lat.coordinate_array(1).reshape(-1)
+    for sites in _blocks(x.size, 16 * n * n):
+        yield sites, basis_stack(n, theta, x[sites], y[sites]).reshape(n * n, -1)
+
+
 def project(values, lat, theta, truncation=TRUNCATION_DEFAULT):
-    """Coefficients c_mn = (2 pi theta)^-1 int conj(f_mn) f, f an array on lat."""
-    fw = np.asarray(values, dtype=complex) * lat.site_weights()
-    basis = basis_stack(truncation, theta, lat.coordinate_array(0),
-                        lat.coordinate_array(1))
-    c = np.conj(basis).reshape(truncation ** 2, -1) @ fw.reshape(-1)
+    """Coefficients c_mn = (2 pi theta)^-1 int conj(f_mn) f, f an array on lat.
+
+    The basis is streamed over blocks of sites (_basis_blocks).
+    """
+    fw = (np.asarray(values, dtype=complex) * lat.site_weights()).reshape(-1)
+    c = np.zeros(truncation ** 2, dtype=complex)
+    for sites, basis in _basis_blocks(truncation, theta, lat):
+        c += np.conj(basis) @ fw[sites]
     return c.reshape(truncation, truncation) / (2.0 * np.pi * theta)
 
 
@@ -433,23 +476,37 @@ class DeltaAlgebraReport:
     norm_ground_residual: float
 
 
+def _gram(n, theta, lat):
+    """gram[(m,k),(m',k')] = (2 pi theta)^-1 int conj(f_mk) f_m'k' on `lat`.
+
+    Row (m,k) is the projection of the sampled f_m'k' onto f_mk, so column
+    (m',k') holds the projected coefficients of f_m'k'.  Summed over blocks
+    of sites (_basis_blocks): each block's weighted conjugate is one more
+    block, never an n^2 x grid copy.
+    """
+    w = lat.site_weights().reshape(-1)
+    gram = np.zeros((n * n, n * n), dtype=complex)
+    for sites, basis in _basis_blocks(n, theta, lat):
+        weighted = np.conj(basis)
+        weighted *= w[sites]
+        gram += weighted @ basis.T
+    return gram / (2.0 * np.pi * theta)
+
+
 def delta_algebra_check(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT):
     """f_mn * f_kl = delta_nk f_ml through projection + matrix product.
 
     Projects every sampled basis function (should return the matrix units),
     multiplies projected coefficients pairwise, and compares against the
     exact delta rule.  Also: identity truncation acts trivially, and the
-    ground projector f_00 has operator norm 1.
+    ground projector f_00 has operator norm 1.  The projections are one
+    Gram matrix streamed over blocks of the grid (_gram), so the memory
+    held is the n^2 x n^2 Gram matrix and its copies, not the n^2 sampled
+    basis functions.
     """
     lat = moyal_grid(*DELTA_GRID)
     n = truncation
-    w = lat.site_weights()
-    basis = basis_stack(n, theta, lat.coordinate_array(0),
-                        lat.coordinate_array(1)).reshape(n * n, -1)
-    weighted = np.conj(basis)           # weighted in place: one n^2 x grid copy
-    weighted *= w.reshape(-1)[None, :]
-    gram = weighted @ basis.T / (2.0 * np.pi * theta)
-    del weighted
+    gram = _gram(n, theta, lat)
     # orthonormality: gram[(m,k),(m',k')] must be the identity, so the
     # projected coefficient matrix of each sampled f_mk is the unit E_mk
     projection_residual = float(np.max(np.abs(gram - np.eye(n * n))))

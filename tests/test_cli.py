@@ -1,9 +1,9 @@
 import json
-import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from lorentzlab import cli
@@ -230,10 +230,35 @@ def test_overflowing_candidate_leaves_stderr_clean(tmp_path):
     mixed = _cli_process(["distance", "--candidates", "t+1e308*x", "t"],
                          tmp_path)
     assert mixed.returncode == 0 and mixed.stderr == ""
-    payload = json.loads((tmp_path / "distance.json").read_text())
+    payload = json.loads((tmp_path / "distance.json").read_text(),
+                         parse_constant=_refuse_constant)
     (record,) = payload["rejected"]
     assert record["candidate"] == "t+1e308*x"
-    assert math.isnan(record["worst_margin"])
+    assert record["worst_margin"] is None     # a NaN margin, written as null
+
+
+def _refuse_constant(name):
+    raise ValueError("artifact holds %s, which is not JSON" % name)
+
+
+def test_non_finite_floats_are_written_as_null(tmp_path):
+    payload = {"nan": float("nan"), "inf": np.float64(np.inf),
+               "stack": np.array([1.5, -np.inf]),
+               "z": complex(np.nan, 2.0), "finite": np.float64(0.1)}
+    assert cli._plain(payload) == {"nan": None, "inf": None,
+                                   "stack": [1.5, None],
+                                   "z": {"re": None, "im": 2.0},
+                                   "finite": 0.1}
+    cli.write_json(tmp_path / "a.json", payload)
+    text = (tmp_path / "a.json").read_text()
+    assert json.loads(text, parse_constant=_refuse_constant)["nan"] is None
+
+
+def test_write_json_refuses_nan(tmp_path, monkeypatch):
+    # behind _plain, json.dump itself refuses a NaN instead of writing one
+    monkeypatch.setattr(cli, "_plain", lambda obj: obj)
+    with pytest.raises(ValueError):
+        cli.write_json(tmp_path / "a.json", {"raw": float("nan")})
 
 
 def test_distance_candidates_are_certified_where_the_events_lie(tmp_path, capsys):

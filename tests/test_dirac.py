@@ -361,16 +361,10 @@ def test_probe_blocks_cover_every_column_once(n):
     assert max(b.stop - b.start for b in blocks) <= max(1, n // 8)
 
 
-def test_dense_matrix_holds_little_beside_its_result():
-    import tracemalloc
+def test_dense_matrix_holds_little_beside_its_result(traced_peak):
     op = flat_operator(2, 32, u="1+0.1*t")
     assert op.dense_dim == 2048
-    tracemalloc.start()
-    try:
-        dense = op.dense_matrix()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    dense, peak = traced_peak(op.dense_matrix)
     assert peak <= 2.5 * dense.nbytes
 
 
@@ -401,16 +395,10 @@ def test_hermiticity_residual_is_the_difference_with_the_adjoint(
         assert a.hermiticity_residual() == (a - a.adjoint()).max_abs()
 
 
-def test_hermiticity_residual_holds_two_diagonals_at_a_time():
-    import tracemalloc
+def test_hermiticity_residual_holds_two_diagonals_at_a_time(traced_peak):
     m = _stencil_square(flat_operator(4, 6))
     largest = max(v.nbytes for v in m.diagonals.values())
-    tracemalloc.start()
-    try:
-        m.hermiticity_residual()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(m.hermiticity_residual)
     # a few temporaries of one diagonal pair, never A^H or A - A^H
     assert len(m.diagonals) >= 30
     assert peak <= 6 * largest

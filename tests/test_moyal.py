@@ -1,4 +1,4 @@
-import tracemalloc
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -22,15 +22,6 @@ from lorentzlab.moyal import (DECAY_REFUSE, TAIL_WARN, ThetaMatrix,
                               trace_check)
 
 THETA = 0.5
-
-
-def _traced_peak(fn, *args):
-    """fn(*args) and the peak bytes tracemalloc saw while it ran."""
-    tracemalloc.start()
-    try:
-        return fn(*args), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 # ------------------------------------------------------------ Theta matrix
@@ -144,17 +135,18 @@ def test_quadrature_of_stacks_holds_every_product(slot):
 
 
 @pytest.mark.parametrize("slot", ["first", "second"])
-def test_quadrature_memory_is_three_stacks(slot):
-    # the transformed stack, one point's shifted samples and their weighted
-    # copy: each point's arrays are freed before the next point's are built
+def test_quadrature_memory_is_two_stacks_and_a_block(slot, traced_peak):
+    # the transformed stack, one point's shifted samples and one phased
+    # block of them (a quarter stack here): no phased copy of the stack,
+    # and each point's samples are freed before the next point's are built
     lat = moyal_grid(7.0, 64)
 
     def basis(x, y):
         return basis_stack(8, THETA, x, y)
 
     pts = [(0.0, 0.0), (0.3, -0.4), (1.1, 0.7)]
-    _, peak = _traced_peak(star_quadrature, basis, basis, THETA, pts, lat, slot)
-    assert peak <= 3.25 * 8 * 8 * 64 * 64 * 16, peak
+    _, peak = traced_peak(star_quadrature, basis, basis, THETA, pts, lat, slot)
+    assert peak <= 2.5 * 8 * 8 * 64 * 64 * 16, peak
 
 
 def test_twisted_needs_2d_periodic():
@@ -203,16 +195,52 @@ def test_twisted_matches_defining_sum_on_rectangular_lattice():
         assert np.max(np.abs(got.reshape(-1) - want)) <= 1e-12, points
 
 
-def test_twisted_product_memory_is_three_cubes():
-    # one 64^2 product holds no more than three M^3 complex arrays plus
-    # 1 MiB of M^2 work arrays; an M x M DFT-matrix contraction with its
-    # M^3 intermediates needs more
+def test_twisted_product_memory_is_below_one_cube(traced_peak):
+    # one 64^2 product holds its two BLOCK_BYTES blocks of regrouped rows
+    # and a few M^2 arrays, less than one M^3 complex array; the unblocked
+    # engine held two or three M^3 arrays
     lat = moyal_grid(7.0, 64)
     x, y = lat.coordinate_array(0), lat.coordinate_array(1)
     fv = (1.0 + x) * np.exp(-(x * x + y * y) / 3.0)
     hv = (y - 0.5 * x) * np.exp(-(x * x + y * y) / 2.0)
-    _, peak = _traced_peak(star_twisted, fv, hv, lat, THETA)
-    assert peak <= 3 * 64 ** 3 * 16 + 2 ** 20, peak
+    _, peak = traced_peak(star_twisted, fv, hv, lat, THETA)
+    assert peak <= 64 ** 3 * 16, peak
+
+
+def _twisted_unblocked(f, h, lat, theta):
+    """star_twisted's values as one (m1, m1, m2) regrouping: the reference."""
+    half_theta = 0.5 * theta
+    m1, m2 = lat.points
+    fr = np.fft.fft2(np.asarray(f, dtype=complex))
+    hr = np.fft.fft2(np.asarray(h, dtype=complex))
+    k1 = 2.0 * np.pi * np.fft.fftfreq(m1, lat.spacing(0))
+    k2 = 2.0 * np.pi * np.fft.fftfreq(m2, lat.spacing(1))
+    q = (np.arange(m1)[None, :] - np.arange(m1)[:, None]) % m1
+    twist = np.exp(1j * half_theta * np.outer(k1, k2))
+    fa = twist[q]
+    fa *= fr[:, None, :]
+    np.fft.ifft(fa, axis=-1, out=fa)
+    hb = hr[q]
+    hb *= np.conj(twist)[:, None, :]
+    np.fft.ifft(hb, axis=-1, out=hb)
+    return np.fft.ifft(np.einsum("psj,psj->sj", fa, hb), axis=0) / m1
+
+
+@pytest.mark.parametrize("points,rows", [((64, 64), 5), ((64, 64), 1),
+                                         ((64, 64), 64), ((9, 7), 4)])
+def test_blocked_twisted_equals_unblocked_bitwise(points, rows, monkeypatch):
+    # blocks of `rows` regrouped rows; 64 = 12 * 5 + 4 and 9 = 2 * 4 + 1
+    # end in a partial block, 64 rows is the whole grid in one block
+    monkeypatch.setattr(moyal, "BLOCK_BYTES", rows * 16 * points[0] * points[1])
+    lat = Lattice(((-7.0, 7.0), (-6.0, 6.5)), points, boundary="periodic",
+                  axis_names=("x", "y"))
+    x, y = lat.coordinate_array(0), lat.coordinate_array(1)
+    fv = (1.0 + x + 0.5j * y) * np.exp(-(x * x + y * y) / 3.0)
+    hv = (y - 0.5 * x) * np.exp(-(x * x + y * y) / 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # 9 x 7 is coarse
+        got, _ = star_twisted(fv, hv, lat, THETA)
+    assert np.array_equal(got, _twisted_unblocked(fv, hv, lat, THETA))
 
 
 # ----------------------------------------------------------- matrix basis
@@ -277,11 +305,11 @@ def test_basis_stack_needs_positive_theta(theta):
         basis_stack(3, theta, 0.0, 0.0)
 
 
-def test_basis_stack_peak_memory_is_its_result():
+def test_basis_stack_peak_memory_is_its_result(traced_peak):
     # the stack is filled in place: no per-entry arrays stacked into a copy
     lat = moyal_grid()
-    stack, peak = _traced_peak(basis_stack, 16, THETA, lat.coordinate_array(0),
-                               lat.coordinate_array(1))
+    stack, peak = traced_peak(basis_stack, 16, THETA, lat.coordinate_array(0),
+                              lat.coordinate_array(1))
     assert peak <= 1.1 * stack.nbytes, (peak, stack.nbytes)
 
 
@@ -299,6 +327,43 @@ def test_delta_algebra():
     assert rep.product_residual <= 1e-10
     assert rep.identity_residual <= 1e-10
     assert rep.norm_ground_residual <= 1e-6
+
+
+def test_delta_check_memory_is_its_gram_matrices(traced_peak):
+    # the basis streams over blocks of the 96^2 grid: the check holds the
+    # 256 x 256 Gram matrix, its copies and one block, 5 MB at truncation
+    # 16, where the 256 sampled basis functions alone take 38 MB
+    rep, peak = traced_peak(delta_algebra_check, THETA, 16)
+    assert rep.projection_residual <= 1e-10
+    assert peak <= 8 * 10 ** 6, peak
+
+
+def _dense_basis(n, lat):
+    return basis_stack(n, THETA, lat.coordinate_array(0),
+                       lat.coordinate_array(1)).reshape(n * n, -1)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_streamed_gram_matches_dense(n):
+    lat = moyal_grid(*moyal.DELTA_GRID)
+    basis = _dense_basis(n, lat)
+    weighted = np.conj(basis) * lat.site_weights().reshape(-1)
+    want = weighted @ basis.T / (2.0 * np.pi * THETA)
+    assert np.max(np.abs(moyal._gram(n, THETA, lat) - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_streamed_projection_matches_dense(n):
+    # relative to the largest coefficient: the block sums round differently
+    lat = moyal_grid(*moyal.DELTA_GRID)
+    rng = np.random.default_rng(4)
+    coeffs = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    values = synthesize(coeffs, THETA)(lat.coordinate_array(0),
+                                       lat.coordinate_array(1))
+    fw = (values * lat.site_weights()).reshape(-1)
+    want = np.conj(_dense_basis(n, lat)) @ fw / (2.0 * np.pi * THETA)
+    got = project(values, lat, THETA, truncation=n).reshape(-1)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_ground_projector_idempotent():
