@@ -25,8 +25,8 @@ from .filtration import (FilteredElement, ToyAlgebra, ToyState,
                          well_definedness_check)
 from .lattice import Lattice, ScalarField, SpinorField, gradient, integrate
 from .moyal import (ThetaMatrix, commutation_check, delta_algebra_check,
-                    moyal_grid, operator_norm, project, star_matrix_basis,
-                    star_quadrature, star_twisted, synthesize)
+                    moyal_grid, operator_norm, project, star_quadrature,
+                    star_twisted, synthesize)
 from .steepness import (equivalence_scan, is_steep_matrix, is_steep_scalar,
                         matrix_margins, scalar_margins)
 
@@ -46,8 +46,8 @@ __all__ = [
     "operator_norm_grading_check", "weighted_norm", "well_definedness_check",
     "Lattice", "ScalarField", "SpinorField", "gradient", "integrate",
     "ThetaMatrix", "commutation_check", "delta_algebra_check",
-    "moyal_grid", "operator_norm", "project", "star_matrix_basis",
-    "star_quadrature", "star_twisted", "synthesize",
+    "moyal_grid", "operator_norm", "project", "star_quadrature",
+    "star_twisted", "synthesize",
     "equivalence_scan", "is_steep_matrix", "is_steep_scalar",
     "matrix_margins", "scalar_margins",
     "__version__",

@@ -69,11 +69,6 @@ class FilteredElement:
     label: str = ""
 
     @classmethod
-    def from_expression(cls, text, degree):
-        _, fn = expressions.compile_expression(text)
-        return cls(degree, fn, text)
-
-    @classmethod
     def time_element(cls):
         return cls(1, lambda **c: c["t"] / np.sqrt(1.0 + c["t"] ** 2), "T")
 

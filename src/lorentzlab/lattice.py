@@ -189,7 +189,3 @@ def inner_product(psi, phi, weight=None):
     if weight is not None:
         w = w * weight
     return complex(np.sum(np.conj(psi.values) * phi.values * w[..., None]))
-
-
-def norm(psi, weight=None):
-    return float(np.sqrt(inner_product(psi, psi, weight).real))

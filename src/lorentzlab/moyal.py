@@ -42,7 +42,7 @@ from .lattice import Lattice
 
 THETA_DEFAULT = 0.5
 TRUNCATION_DEFAULT = 16
-DELTA_TOL = 1e-10
+DELTA_TOL = 5e-11
 CROSS_ENGINE_TOL = 1e-4
 COMMUTATION_TOL = 1e-6
 TRACE_TOL = 1e-5
@@ -434,15 +434,6 @@ def synthesize(coeffs, theta):
     return fn
 
 
-def star_matrix_basis(ca, cb):
-    """Star product in the basis = matrix product of coefficient matrices."""
-    ca = np.asarray(ca, dtype=complex)
-    cb = np.asarray(cb, dtype=complex)
-    if ca.shape != cb.shape:
-        raise ValueError("coefficient matrices must share a truncation size")
-    return ca @ cb
-
-
 def operator_norm(coeffs):
     """Operator norm of the symbol = largest singular value of c."""
     return float(np.linalg.svd(np.asarray(coeffs, dtype=complex),
@@ -471,8 +462,6 @@ def damped_commutator_closed_form(theta, sigma):
 class DeltaAlgebraReport:
     truncation: int
     projection_residual: float
-    product_residual: float
-    identity_residual: float
     norm_ground_residual: float
 
 
@@ -494,44 +483,25 @@ def _gram(n, theta, lat):
 
 
 def delta_algebra_check(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT):
-    """f_mn * f_kl = delta_nk f_ml through projection + matrix product.
+    """Projected basis functions are the matrix units: max|gram - I|.
 
-    Projects every sampled basis function (should return the matrix units),
-    multiplies projected coefficients pairwise, and compares against the
-    exact delta rule.  Also: identity truncation acts trivially, and the
-    ground projector f_00 has operator norm 1.  The projections are one
-    Gram matrix streamed over blocks of the grid (_gram), so the memory
-    held is the n^2 x n^2 Gram matrix and its copies, not the n^2 sampled
-    basis functions.
+    Projects every sampled basis function f_mk onto the truncated basis; the
+    coefficients must be the unit E_mk, so the Gram matrix must be the
+    identity.  In the basis the star product is the matrix product, so the
+    projected f_mn * f_kl meets delta_nk f_ml to about twice this residual;
+    the engines' own delta rule is cross_engine_check's.  Also: the ground
+    projector f_00 has operator norm 1.  The Gram matrix is streamed over
+    blocks of the grid (_gram), so the memory held is the n^2 x n^2 Gram
+    matrix and its residual, not the n^2 sampled basis functions.
     """
-    lat = moyal_grid(*DELTA_GRID)
     n = truncation
-    gram = _gram(n, theta, lat)
-    # orthonormality: gram[(m,k),(m',k')] must be the identity, so the
-    # projected coefficient matrix of each sampled f_mk is the unit E_mk
+    gram = _gram(n, theta, moyal_grid(*DELTA_GRID))
+    # column (m,k) holds the projected coefficients of f_mk
     projection_residual = float(np.max(np.abs(gram - np.eye(n * n))))
-    cs = np.ascontiguousarray(gram.T).reshape(n * n, n, n)
-
-    # (c_mk c_Kl)_ij must be delta_mi delta_kK delta_lj; one left factor
-    # c_mk at a time holds n^4 products, where all at once would hold n^6
-    right = cs.transpose(1, 0, 2).reshape(n, -1)          # [r, (K, l, j)]
-    eye = np.eye(n)
-    product_residual = 0.0
-    for a, left in enumerate(cs):                          # left = c_mk [i, r]
-        m, k = divmod(a, n)
-        got = (left @ right).reshape((n,) * 4)             # [i, K, l, j]
-        got[m, k] -= eye
-        product_residual = max(product_residual, float(np.max(np.abs(got))))
-
-    ident = np.eye(n, dtype=complex)
-    some = cs[1]
-    identity_residual = float(np.max(np.abs(star_matrix_basis(ident, some) - some)))
-    norm_residual = abs(operator_norm(cs[0]) - 1.0)
+    norm_residual = abs(operator_norm(gram[:, 0].reshape(n, n)) - 1.0)
     return DeltaAlgebraReport(
         truncation=n,
         projection_residual=projection_residual,
-        product_residual=product_residual,
-        identity_residual=identity_residual,
         norm_ground_residual=float(norm_residual),
     )
 
@@ -737,9 +707,8 @@ def run_moyal_suite(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,
     mixed = [c["commutator_residual"] for c in center.cases
              if not c["commutative_time"]]
     checks = (
-        Check("matrix basis delta algebra",
-              np.max([delta.projection_residual, delta.product_residual,
-                      delta.identity_residual]), "<=", DELTA_TOL),
+        Check("matrix basis delta algebra", delta.projection_residual, "<=",
+              DELTA_TOL),
         Check("ground projector has norm 1", delta.norm_ground_residual, "<=",
               NORM_TOL),
         Check("engines agree on basis products",

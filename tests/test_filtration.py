@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lorentzlab import filtration
+from lorentzlab.expressions import compile_expression
 from lorentzlab.filtration import (GRADING_GRADES, GRADING_SPINOR_DIM,
                                    GRADING_TRIALS, FilteredElement,
                                    ToyAlgebra, ToyState,
@@ -13,6 +14,11 @@ from lorentzlab.filtration import (GRADING_GRADES, GRADING_SPINOR_DIM,
 from lorentzlab.lattice import Lattice, SpinorField, inner_product
 
 T_NORM_REF = 0.9922778767136676       # 8 / sqrt(65) on the (-8, 8) lattice
+
+
+def element(text, degree):
+    """The filtered element (1+T^2)^{degree/2} * text, labelled by text."""
+    return FilteredElement(degree, compile_expression(text)[1], text)
 
 
 def time_lattice():
@@ -47,7 +53,7 @@ def test_degrees_add_on_multiply():
 
 def test_to_degree_preserves_function():
     lat = plane_lattice()
-    base = FilteredElement.from_expression("sin(t) + 0.2*cos(x)", 1)
+    base = element("sin(t) + 0.2*cos(x)", 1)
     shifted = base.to_degree(3)
     assert shifted.degree == 3
     dev = np.abs(base.sample(lat).values - shifted.sample(lat).values)
@@ -58,7 +64,7 @@ def test_to_degree_preserves_function():
 
 def test_weighted_norm_values():
     lat = time_lattice()
-    one = FilteredElement.from_expression("1", 0)
+    one = element("1", 0)
     assert weighted_norm(one, 0, lat) == 1.0
     assert weighted_norm(one, 2, lat) == 65.0     # max of 1 + t^2 at t = 8
 
@@ -70,10 +76,8 @@ def test_submultiplicativity_random_pairs():
         da, db = rng.integers(0, 3, size=2)
         ca = tuple(float(v) for v in rng.uniform(-2, 2, size=3))
         cb = tuple(float(v) for v in rng.uniform(-2, 2, size=3))
-        a = FilteredElement.from_expression(
-            "%r*sin(t) + %r*cos(x) + %r" % ca, int(da))
-        b = FilteredElement.from_expression(
-            "%r*cos(t) + %r*sin(x) + %r" % cb, int(db))
+        a = element("%r*sin(t) + %r*cos(x) + %r" % ca, int(da))
+        b = element("%r*cos(t) + %r*sin(x) + %r" % cb, int(db))
         assert submultiplicativity_residual(a, b, lat) <= 1e-12
 
 
@@ -90,7 +94,7 @@ def test_operator_norm_grading():
 
 
 def test_extension_literal_value():
-    elem = FilteredElement.from_expression("sin(t)*cos(x)", 2)
+    elem = element("sin(t)*cos(x)", 2)
     got = extend_state((0.5, 0.3), elem)
     want = 1.25 * np.sin(0.5) * np.cos(0.3)
     assert got == pytest.approx(want, rel=1e-14)
@@ -99,7 +103,7 @@ def test_extension_literal_value():
 
 def test_evaluation_state_weight():
     # chi((1+T^2)^{-1/2}) is the extension of the degree -1 element 1
-    weight = FilteredElement.from_expression("1", -1)
+    weight = element("1", -1)
     assert extend_state((2.0, 0.0), weight) == pytest.approx(1.0 / np.sqrt(5.0),
                                                              rel=1e-15)
 
@@ -110,7 +114,7 @@ def test_extension_rejects_degenerate_state():
 
 
 def test_extension_of_a_stack_is_the_extension_of_each_point():
-    elem = FilteredElement.from_expression("sin(t)*cos(x) + 0.5", 2)
+    elem = element("sin(t)*cos(x) + 0.5", 2)
     points = np.random.default_rng(3).uniform(-5.0, 5.0, size=(2, 3, 2))
     got = extend_state(points, elem)
     assert got.shape == (2, 3)
@@ -134,7 +138,7 @@ def test_well_definedness_extends_each_decomposition_once(monkeypatch):
         calls.append(np.shape(points))
         return extend_state(points, elem)
     monkeypatch.setattr(filtration, "extend_state", spy)
-    base = FilteredElement.from_expression("sin(t) + 0.5*cos(x)", 1)
+    base = element("sin(t) + 0.5*cos(x)", 1)
     states = np.random.default_rng(4).uniform(-3.0, 3.0, size=(6, 2))
     well_definedness_check(base, base.to_degree(2), plane_lattice(), states)
     assert calls == [(6, 2), (6, 2)]
@@ -142,7 +146,7 @@ def test_well_definedness_extends_each_decomposition_once(monkeypatch):
 
 def test_well_definedness_across_degrees():
     lat = plane_lattice()
-    base = FilteredElement.from_expression("sin(t) + 0.5*cos(x)", 1)
+    base = element("sin(t) + 0.5*cos(x)", 1)
     other = base.to_degree(3)
     rng = np.random.default_rng(21)
     states = [tuple(rng.uniform(-3, 3, size=2)) for _ in range(20)]
@@ -152,8 +156,8 @@ def test_well_definedness_across_degrees():
 
 def test_well_definedness_rejects_mismatch():
     lat = plane_lattice()
-    a = FilteredElement.from_expression("sin(t)", 1)
-    b = FilteredElement.from_expression("cos(t)", 1)
+    a = element("sin(t)", 1)
+    b = element("cos(t)", 1)
     with pytest.raises(ValueError, match="differ as functions"):
         well_definedness_check(a, b, lat, [(0.0, 0.0)])
 
@@ -216,7 +220,7 @@ def test_suite_passes_on_twenty_seeds():
 
 
 @pytest.mark.parametrize("elem", [FilteredElement.time_element(),
-                                  FilteredElement.from_expression("sin(t) + 0.3", 2)],
+                                  element("sin(t) + 0.3", 2)],
                          ids=["T", "degree-2"])
 @pytest.mark.parametrize("lattice", [time_lattice, plane_lattice])
 def test_grading_bulk_draw_is_the_per_trial_draws(elem, lattice):
@@ -259,6 +263,6 @@ def test_random_elements_evaluate_as_their_parsed_labels():
     for degree in (-2, 0, 1, 2):
         for _ in range(5):
             elem = filtration._random_element(rng, degree)
-            parsed = FilteredElement.from_expression(elem.label, degree)
+            parsed = element(elem.label, degree)
             assert np.array_equal(elem.sample(lat).values,
                                   parsed.sample(lat).values), elem.label

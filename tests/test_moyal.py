@@ -7,7 +7,7 @@ from scipy.special import eval_genlaguerre
 
 from lorentzlab.lattice import Lattice
 from lorentzlab import moyal
-from lorentzlab.moyal import (DECAY_REFUSE, TAIL_WARN, ThetaMatrix,
+from lorentzlab.moyal import (DECAY_REFUSE, DELTA_TOL, TAIL_WARN, ThetaMatrix,
                               _boundary_fraction, _genlaguerre,
                               associativity_check,
                               basis_stack, basis_values,
@@ -17,9 +17,8 @@ from lorentzlab.moyal import (DECAY_REFUSE, TAIL_WARN, ThetaMatrix,
                               delta_algebra_check, gaussian_oracle_check,
                               gaussian_star_closed_form, involution_check,
                               moyal_grid, operator_norm, project,
-                              run_moyal_suite, star_matrix_basis,
-                              star_quadrature, star_twisted, synthesize,
-                              trace_check)
+                              run_moyal_suite, star_quadrature, star_twisted,
+                              synthesize, trace_check)
 
 THETA = 0.5
 
@@ -323,10 +322,27 @@ def test_basis_conjugate_symmetry():
 
 def test_delta_algebra():
     rep = delta_algebra_check(truncation=8)
-    assert rep.projection_residual <= 1e-10
-    assert rep.product_residual <= 1e-10
-    assert rep.identity_residual <= 1e-10
+    assert list(asdict(rep)) == ["truncation", "projection_residual",
+                                 "norm_ground_residual"]
+    assert rep.projection_residual <= 5e-11
     assert rep.norm_ground_residual <= 1e-6
+
+
+@pytest.mark.parametrize("theta, truncation, passed, residual", [
+    (0.5, 8, True, 6.661e-16), (0.5, 16, True, 9.104e-15),
+    (1.0, 16, False, 1.195e-10), (0.25, 16, False, 0.1065)])
+def test_delta_record_is_the_gram_residual(theta, truncation, passed,
+                                           residual):
+    # the old record, max(p, ~2p + n p^2, 0) <= 1e-10, gave these verdicts;
+    # the Gram residual p under the halved bound keeps each one
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # theta 0.25 aliases
+        checks, payload = run_moyal_suite(theta=theta, truncation=truncation)
+    record, = [c for c in checks if c.name == "matrix basis delta algebra"]
+    assert record.value == payload["delta_algebra"]["projection_residual"]
+    assert (record.relation, record.bound) == ("<=", DELTA_TOL)
+    assert record.passed is passed
+    assert record.value == pytest.approx(residual, rel=1e-3)
 
 
 def test_delta_check_memory_is_its_gram_matrices(traced_peak):
@@ -336,6 +352,14 @@ def test_delta_check_memory_is_its_gram_matrices(traced_peak):
     rep, peak = traced_peak(delta_algebra_check, THETA, 16)
     assert rep.projection_residual <= 1e-10
     assert peak <= 8 * 10 ** 6, peak
+
+
+def test_delta_check_memory_is_three_gram_matrices(traced_peak):
+    # no product loop beside the Gram matrix: at truncation 24 the check
+    # holds at most three 576 x 576 complex matrices, 15.9 MB
+    rep, peak = traced_peak(delta_algebra_check, THETA, 24)
+    assert rep.truncation == 24
+    assert peak <= 3 * 16 * 24 ** 4, peak
 
 
 def _dense_basis(n, lat):
@@ -374,8 +398,7 @@ def test_ground_projector_idempotent():
     e00 = np.zeros((6, 6), dtype=complex)
     e00[0, 0] = 1.0
     assert np.max(np.abs(c - e00)) <= 1e-10
-    sq = star_matrix_basis(c, c)
-    assert np.max(np.abs(sq - c)) <= 1e-10
+    assert np.max(np.abs(c @ c - c)) <= 1e-10
     assert abs(operator_norm(c) - 1.0) <= 1e-10
 
 
