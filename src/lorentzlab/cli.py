@@ -19,8 +19,9 @@ import numpy as np
 
 from . import clifford, dirac, distance, filtration, moyal, steepness
 from .checks import verdict
-from .expressions import ExpressionError, parse_expression, variables_used
-from .lattice import AXIS_NAMES, Lattice, ScalarField
+from .expressions import (AXIS_NAMES, ExpressionError, parse_expression,
+                          variables_used)
+from .lattice import Lattice, ScalarField
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -36,8 +37,8 @@ class RunConfig:
     box: float = None            # side length; default = points (unit spacing)
     boundary: str = "periodic"
     u: str = "1"
-    theta: float = 0.5
-    truncation: int = 16
+    theta: float = moyal.THETA_DEFAULT
+    truncation: int = moyal.TRUNCATION_DEFAULT
     pairs: int = 24
     candidates: list = None
     out: str = None
@@ -213,12 +214,6 @@ def _lattice(cfg):
     return Lattice(extents, (cfg.points,) * cfg.dimension, cfg.boundary)
 
 
-def _operator(cfg):
-    lat = _lattice(cfg)
-    ufield = ScalarField.from_expression(lat, cfg.u)
-    return dirac.DiracOperator(clifford.build_gamma(cfg.dimension), lat, ufield)
-
-
 # ------------------------------------------------------------- subcommands
 # Each returns (checks, payload) or (checks, payload, csv rows); the suites
 # decide every verdict and main only renders and writes them.
@@ -227,7 +222,9 @@ def _operator(cfg):
 def run_verify(cfg):
     reports = [clifford.check_clifford(clifford.build_gamma(n))
                for n in (2, 3, 4, 6)]
-    axioms = dirac.check_temporal_axioms(_operator(cfg), seed=cfg.seed)
+    op = dirac.flat_operator(cfg.dimension, cfg.points, _lattice(cfg).extents,
+                             cfg.boundary, cfg.u)
+    axioms = dirac.check_temporal_axioms(op, seed=cfg.seed)
     checks = [c for rep in reports + [axioms] for c in rep.checks]
     payload = {"clifford": {str(rep.dimension): rep.to_dict() for rep in reports},
                "axioms": asdict(axioms),

@@ -454,8 +454,8 @@ class AxiomReport:
     krein_skew_residual: float     # || (J D)^+ + J D ||
     krein_equiv_residual: float    # || D^+ + J D J ||
     commute_residual: float
-    elliptic_hermiticity: float = None
-    elliptic_min_eigenvalue: float = None
+    elliptic_hermiticity: float
+    elliptic_min_eigenvalue: float
     assembly_residual: float = None  # max |sparse D - probe-built D|
     adjoints_exact: bool = True    # False on clamped lattices
     notes: tuple = ()
@@ -475,12 +475,11 @@ class AxiomReport:
                   "<=", KREIN_TOL),
             Check("[D,T] commutes with functions", self.commute_residual, "<=",
                   COMMUTE_TOL),
+            Check("<D>^2 hermitian", self.elliptic_hermiticity, "<=",
+                  ELLIPTIC_HERM_TOL),
+            Check("<D>^2 non-negative", self.elliptic_min_eigenvalue, ">=",
+                  ELLIPTIC_EIG_FLOOR),
         ]
-        if self.elliptic_min_eigenvalue is not None:
-            checks += [Check("<D>^2 hermitian", self.elliptic_hermiticity, "<=",
-                             ELLIPTIC_HERM_TOL),
-                       Check("<D>^2 non-negative", self.elliptic_min_eigenvalue,
-                             ">=", ELLIPTIC_EIG_FLOOR)]
         if self.assembly_residual is not None:
             checks.append(Check("sparse D equals probe-built D",
                                 self.assembly_residual, "<=", ASSEMBLY_TOL))
@@ -561,7 +560,7 @@ def _min_eigenvalue(blocks):
     return float(np.linalg.eigvalsh(sym).min())
 
 
-def check_temporal_axioms(D: DiracOperator, seed=0, include_elliptic=True):
+def check_temporal_axioms(D: DiracOperator, seed=0):
     """Run the axiom residual suite on D in stencil form (`sparse_matrix`).
 
     Up to ORACLE_LIMIT dense dimensions that D is also compared with
@@ -574,8 +573,7 @@ def check_temporal_axioms(D: DiracOperator, seed=0, include_elliptic=True):
     lat = D.lattice
     s = D.spinor_dim
     periodic = lat.boundary == "periodic"
-    if include_elliptic:
-        _require(elliptic_size_error(lat.points, lat.boundary, s))
+    _require(elliptic_size_error(lat.points, lat.boundary, s))
     K = D.temporal_commutator()
 
     herm = max_abs(K - np.conj(np.swapaxes(K, -1, -2)))
@@ -610,16 +608,14 @@ def check_temporal_axioms(D: DiracOperator, seed=0, include_elliptic=True):
         rhs = f[..., None] * np.einsum("...ab,...b->...a", K, psi.values)
         commute = max(commute, float(np.abs(lhs - rhs).max()))
 
-    ell_herm = ell_min = None
-    if include_elliptic:
-        m = _elliptic_square(d, k)
-        ell_herm = m.hermiticity_residual()
-        if periodic:
-            ell_min = min(_min_eigenvalue(_momentum_blocks(m, chunk))
-                          for chunk in _momentum_chunks(lat.points, s))
-        else:
-            ell_min = float(np.linalg.eigvalsh(
-                (0.5 * (m + m.adjoint())).toarray()).min())
+    m = _elliptic_square(d, k)
+    ell_herm = m.hermiticity_residual()
+    if periodic:
+        ell_min = min(_min_eigenvalue(_momentum_blocks(m, chunk))
+                      for chunk in _momentum_chunks(lat.points, s))
+    else:
+        ell_min = float(np.linalg.eigvalsh(
+            (0.5 * (m + m.adjoint())).toarray()).min())
 
     notes = []
     if not periodic:

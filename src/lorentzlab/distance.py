@@ -32,8 +32,9 @@ from numpy.random import default_rng
 from . import expressions
 from .checks import Check, verdict
 from .dirac import flat_operator
+from .expressions import AXIS_NAMES
 from .filtration import FilteredElement, extend_state
-from .lattice import AXIS_NAMES, Lattice, ScalarField
+from .lattice import Lattice, ScalarField
 from .steepness import is_steep_matrix
 
 GOLDEN_TOL = 1e-10

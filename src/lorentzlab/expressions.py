@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-VARIABLES = ("t", "x", "y", "z")
+AXIS_NAMES = ("t", "x", "y", "z")      # also the lattice axes, in order
 FUNCTIONS = {
     "sin": np.sin,
     "cos": np.cos,
@@ -221,7 +221,7 @@ class _Parser:
                     raise ExpressionError("function %r takes one argument" % value, npos)
                 self.expect_op(")")
                 return Call(value, arg)
-            if value in VARIABLES:
+            if value in AXIS_NAMES:
                 return Variable(value)
             raise ExpressionError("unknown identifier %r" % value, position)
         if kind == "op" and value == "(":

@@ -38,8 +38,8 @@ from numpy.random import default_rng
 
 from . import expressions
 from .checks import Check, verdict
-from .expressions import Binary, Call, Constant, Variable
-from .lattice import AXIS_NAMES, Lattice, ScalarField
+from .expressions import AXIS_NAMES, Binary, Call, Constant, Variable
+from .lattice import Lattice, ScalarField
 
 SUBMULT_TOL = 1e-12          # relative
 NORM_SPREAD_TOL = 1e-10      # relative, across H_n, n in -2..2

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-AXIS_NAMES = ("t", "x", "y", "z")
+from . import expressions
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,8 @@ class Lattice:
             if n < (2 if self.boundary == "periodic" else 3):
                 raise ValueError("too few points per axis: %d" % n)
         if self.axis_names is None:
-            object.__setattr__(self, "axis_names", AXIS_NAMES[: self.dimension])
+            object.__setattr__(self, "axis_names",
+                               expressions.AXIS_NAMES[: self.dimension])
         object.__setattr__(self, "extents", tuple((float(a), float(b)) for a, b in self.extents))
         object.__setattr__(self, "points", tuple(int(n) for n in self.points))
 
@@ -126,7 +127,6 @@ class ScalarField:
 
     @classmethod
     def from_expression(cls, lattice, ast_or_text):
-        from . import expressions
         ast, fn = expressions.compile_expression(ast_or_text)
         used = expressions.variables_used(ast)
         unknown = used - set(lattice.axis_names)

@@ -38,6 +38,7 @@ import numpy as np
 from numpy.fft import fft, fft2, fftfreq, ifft
 
 from .checks import Check, verdict
+from .expressions import AXIS_NAMES
 from .lattice import Lattice
 
 THETA_DEFAULT = 0.5
@@ -59,11 +60,8 @@ BLOCK_BYTES = 2 ** 20    # one block of a streamed grid-sized intermediate
 # Each check's grid, fixed here and nowhere else: (box, points) is the
 # periodic moyal_grid on [-box, box)^2 with `points` sites per axis.
 DELTA_GRID = (7.0, 96)   # projection integrands: twice one function's spectrum
-CROSS_ENGINE_GRID = (7.0, 64)
-GAUSSIAN_GRID = (7.0, 64)
-TRACE_GRID = (7.0, 64)
-ASSOCIATIVITY_GRID = (7.0, 64)
-INVOLUTION_GRID = (7.0, 64)
+CROSS_ENGINE_GRID = (7.0, 64)   # basis functions: they scale with theta and n
+IDENTITY_GRID = (7.0, 64)       # fixed-width Gaussians, whatever theta and n
 COMMUTATION_POINTS = 64  # on [-5 sigma, 5 sigma)^2 for each sigma
 COMMUTATION_BOX_FACTOR = 5.0
 COMMUTATION_SIGMAS = (4.0, 4.0 * math.sqrt(2.0))
@@ -132,9 +130,9 @@ def _theta_entries(theta, dimension):
 # ----------------------------------------------------------------- grids
 
 
-def moyal_grid(box=7.0, points=96, dimension=2):
+def moyal_grid(box, points, dimension=2):
     """Periodic lattice on [-box, box)^d; axes (x,y) in 2-d, (t,x,y) above."""
-    names = ("x", "y") if dimension == 2 else ("t", "x", "y", "z")[:dimension]
+    names = AXIS_NAMES[1:3] if dimension == 2 else AXIS_NAMES[:dimension]
     return Lattice(tuple((-float(box), float(box)) for _ in range(dimension)),
                    tuple(int(points) for _ in range(dimension)),
                    boundary="periodic", axis_names=names)
@@ -252,7 +250,8 @@ def star_twisted(f, h, lat, theta):
 
     result(x_j) = (m1 m2)^-2 sum_{p,q} F(p) H(q) e^{i q.Theta p/2}
                   e^{2 pi i (p1 j1/m1 + p2 j2/m2 + q1 j1/m1 + q2 j2/m2)}
-    with DFT coefficients F, H and physical frequencies k in the twist.  The
+    with DFT coefficients F, H and physical frequencies k in the twist;
+    theta is the float of Theta = [[0, theta], [-theta, 0]].  The
     twist (theta/2)(q1 p2 - q2 p1) splits into A[p2,q1] = e^{+i theta/2
     k2[p2] k1[q1]} and B[p1,q2] = e^{-i theta/2 k1[p1] k2[q2]}.  With
     s = (p1 + q1) mod m1 the two j1 waves are one, e^{2 pi i s j1/m1}: the
@@ -267,7 +266,7 @@ def star_twisted(f, h, lat, theta):
     """
     if lat.dimension != 2 or lat.boundary != "periodic":
         raise ValueError("twisted engine needs a 2-d periodic lattice")
-    half_theta = 0.5 * _theta_entries(theta, 2)[0, 1]
+    half_theta = 0.5 * float(theta)
     m1, m2 = lat.points
     fr = fft2(np.asarray(f, dtype=complex))
     hr = fft2(np.asarray(h, dtype=complex))
@@ -506,18 +505,6 @@ def delta_algebra_check(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT):
     )
 
 
-def gaussian_oracle_check(theta=THETA_DEFAULT):
-    """Twisted-engine Gaussian product against the closed form; max residual."""
-    a, b = GAUSSIAN_WIDTHS
-    lat = moyal_grid(*GAUSSIAN_GRID)
-    r2 = lat.coordinate_array(0) ** 2 + lat.coordinate_array(1) ** 2
-    fv = np.exp(-a * r2)
-    hv = np.exp(-b * r2)
-    got, _ = star_twisted(fv, hv, lat, theta)
-    want = gaussian_star_closed_form(a, b, theta, r2)
-    return float(np.max(np.abs(got - want)))
-
-
 @dataclass
 class CrossEngineReport:
     truncation: int
@@ -608,18 +595,13 @@ def commutation_check(theta=THETA_DEFAULT):
                              residual=float(residual))
 
 
-@dataclass
-class CenterTimeReport:
-    cases: list
-
-
 def center_time_check(theta=THETA_DEFAULT, points=32):
     """Time is central iff Theta has vanishing first row/column.
 
     Checks [f, h]_* for f = t exp(-t^2/sigma^2) against three Theta choices:
     the zero matrix, a purely spatial block (both commutative time, residual
     at tolerance), and a t-x block (non-central, residual must exceed the
-    contrast level).
+    contrast level).  Returns one case record per Theta.
     """
     lat = moyal_grid(CENTER_BOX, points, dimension=3)
     s2 = CENTER_SIGMA ** 2
@@ -644,26 +626,34 @@ def center_time_check(theta=THETA_DEFAULT, points=32):
         cases.append({"theta_case": name,
                       "commutative_time": th.commutative_time(),
                       "commutator_residual": resid})
-    return CenterTimeReport(cases=cases)
+    return cases
 
 
-def trace_check(theta=THETA_DEFAULT):
-    """int f*h = int f h; relative residual on damped polynomials."""
-    lat = moyal_grid(*TRACE_GRID)
-    x, y = lat.coordinate_array(0), lat.coordinate_array(1)
-    fv = (1.0 + x) * np.exp(-(x * x + y * y) / 3.0)
-    hv = (y - 0.5 * x) * np.exp(-(x * x + y * y) / 2.0)
-    got, _ = star_twisted(fv, hv, lat, theta)
-    lhs = complex(np.sum(got * lat.site_weights()))
-    rhs = complex(np.sum(fv * hv * lat.site_weights()))
-    return abs(lhs - rhs) / max(abs(rhs), 1e-30)
+def twisted_identities_check(theta):
+    """The twisted engine against four identities, all on one grid.
 
-
-def associativity_check(theta=THETA_DEFAULT):
-    """(f*g)*h vs f*(g*h) on the twisted engine; relative max residual."""
-    lat = moyal_grid(*ASSOCIATIVITY_GRID)
+    Returns the residuals (gaussian, trace, associativity, involution):
+    exp(-a r^2) * exp(-b r^2) against its closed form, max; int f*h =
+    int f h on damped polynomials, relative; (f*g)*h vs f*(g*h), relative
+    max; conj(f*h) = conj(h) * conj(f), max.
+    """
+    lat = moyal_grid(*IDENTITY_GRID)
     x, y = lat.coordinate_array(0), lat.coordinate_array(1)
     r2 = x * x + y * y
+    weights = lat.site_weights()
+
+    a, b = GAUSSIAN_WIDTHS
+    got, _ = star_twisted(np.exp(-a * r2), np.exp(-b * r2), lat, theta)
+    want = gaussian_star_closed_form(a, b, theta, r2)
+    gaussian = float(np.max(np.abs(got - want)))
+
+    fv = (1.0 + x) * np.exp(-r2 / 3.0)
+    hv = (y - 0.5 * x) * np.exp(-r2 / 2.0)
+    got, _ = star_twisted(fv, hv, lat, theta)
+    lhs = complex(np.sum(got * weights))
+    rhs = complex(np.sum(fv * hv * weights))
+    trace = abs(lhs - rhs) / max(abs(rhs), 1e-30)
+
     fv = np.exp(-r2 / 3.0)
     gv = x * np.exp(-r2 / 2.5)
     hv = (x + y) * np.exp(-r2 / 2.0)
@@ -672,19 +662,14 @@ def associativity_check(theta=THETA_DEFAULT):
     gh, _ = star_twisted(gv, hv, lat, theta)
     right, _ = star_twisted(fv, gh, lat, theta)
     scale = max(float(np.max(np.abs(right))), 1e-30)
-    return float(np.max(np.abs(left - right))) / scale
+    associativity = float(np.max(np.abs(left - right))) / scale
 
-
-def involution_check(theta=THETA_DEFAULT):
-    """conj(f*h) = conj(h) * conj(f); max residual."""
-    lat = moyal_grid(*INVOLUTION_GRID)
-    x, y = lat.coordinate_array(0), lat.coordinate_array(1)
-    r2 = x * x + y * y
     fv = (x + 1j * y) * np.exp(-r2 / 2.0)
     hv = (1.0 - 1j * x) * np.exp(-r2 / 1.5)
     fh, _ = star_twisted(fv, hv, lat, theta)
     rev, _ = star_twisted(np.conj(hv), np.conj(fv), lat, theta)
-    return float(np.max(np.abs(np.conj(fh) - rev)))
+    involution = float(np.max(np.abs(np.conj(fh) - rev)))
+    return gaussian, trace, associativity, involution
 
 
 def run_moyal_suite(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,
@@ -698,13 +683,10 @@ def run_moyal_suite(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,
     cross = cross_engine_check(theta=theta, truncation=min(n, 8))
     comm = commutation_check(theta=theta)
     center = center_time_check(theta=theta, points=24 if quick else 32)
-    gauss = gaussian_oracle_check(theta=theta)
-    tr = trace_check(theta=theta)
-    assoc = associativity_check(theta=theta)
-    invol = involution_check(theta=theta)
-    central = [c["commutator_residual"] for c in center.cases
+    gauss, tr, assoc, invol = twisted_identities_check(theta)
+    central = [c["commutator_residual"] for c in center
                if c["commutative_time"]]
-    mixed = [c["commutator_residual"] for c in center.cases
+    mixed = [c["commutator_residual"] for c in center
              if not c["commutative_time"]]
     checks = (
         Check("matrix basis delta algebra", delta.projection_residual, "<=",
@@ -730,11 +712,11 @@ def run_moyal_suite(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,
         "delta_algebra": asdict(delta),
         "cross_engine": asdict(cross),
         "commutation": asdict(comm),
-        "center_time": asdict(center),
-        "gaussian_oracle_residual": float(gauss),
-        "trace_residual": float(tr),
-        "associativity_residual": float(assoc),
-        "involution_residual": float(invol),
+        "center_time": {"cases": center},
+        "gaussian_oracle_residual": gauss,
+        "trace_residual": tr,
+        "associativity_residual": assoc,
+        "involution_residual": invol,
         "membership": "assumed",
         **verdict(checks),
     }

@@ -49,18 +49,17 @@ class SteepnessReport:
     orientation_ok: bool = True  # scalar mode: d_t f > 0 everywhere
 
 
-def matrix_margins(grads, u, rep, gamma_ch=None):
+def matrix_margins(grads, u, rep):
     """Minimal eigenvalue of M at each point, and the Hermiticity residual of M.
 
     M = [D,T] (-i c(df) + i gamma_ch) is built from gradient values: grads
     holds one array of d_mu f per axis and u the lapse, broadcast together;
-    [D,T] is the symbol of the exact gradient dT = dt.
+    [D,T] is the symbol of the exact gradient dT = dt, and gamma_ch is
+    chirality(rep).
     """
-    if gamma_ch is None:
-        gamma_ch = chirality(rep)
     k = gradient_symbol(rep, [1.0] + [0.0] * (len(grads) - 1), u)
     m = np.einsum("...ab,...bc->...ac", k,
-                  gradient_symbol(rep, grads, u) + 1j * gamma_ch)
+                  gradient_symbol(rep, grads, u) + 1j * chirality(rep))
     mh = np.conj(np.swapaxes(m, -1, -2))
     herm = float(np.abs(m - mh).max(initial=0.0))
     return np.linalg.eigvalsh(0.5 * (m + mh))[..., 0], herm

@@ -94,7 +94,7 @@ def test_axiom_suite_constant_u():
 def test_varying_u_reports_honest_defect():
     op = flat_operator(2, 16, box=((-4.0, 4.0), (-4.0, 4.0)),
                        boundary="clamped", u="1 + 0.25*t*t")
-    rep = check_temporal_axioms(op, seed=0, include_elliptic=False)
+    rep = check_temporal_axioms(op, seed=0)
     # the continuum defect ~ d(u^{-1/2}) is bounded but nonzero
     assert rep.skew_residual > 1e-6
     assert not rep.adjoints_exact
@@ -231,7 +231,7 @@ def test_suite_compares_sparse_d_with_probe_oracle(monkeypatch):
         ["sparse D equals probe-built D"]
     big = flat_operator(2, 20)
     assert big.dense_dim > ORACLE_LIMIT
-    rep = check_temporal_axioms(big, seed=0, include_elliptic=False)
+    rep = check_temporal_axioms(big, seed=0)
     assert rep.assembly_residual is None
     assert "sparse D equals probe-built D" not in [c.name for c in rep.checks]
 
@@ -243,8 +243,6 @@ def test_clamped_elliptic_check_keeps_dense_limit():
         check_temporal_axioms(op)
     with pytest.raises(ValueError, match="limit"):
         elliptic_square(op)
-    rep = check_temporal_axioms(op, include_elliptic=False)
-    assert rep.elliptic_min_eigenvalue is None
 
 
 def test_periodic_elliptic_check_keeps_momentum_budget():
@@ -253,8 +251,6 @@ def test_periodic_elliptic_check_keeps_momentum_budget():
     assert dirac.momentum_block_bytes((80, 80), 2) <= dirac.MOMENTUM_BYTES_LIMIT
     with pytest.raises(ValueError, match="momentum"):
         check_temporal_axioms(op)
-    rep = check_temporal_axioms(op, include_elliptic=False)
-    assert rep.passed and rep.elliptic_min_eigenvalue is None
 
 
 @pytest.mark.parametrize("dim,points,u", [(2, 8, "1 + 0.1*t"), (3, 4, "2+sin(t)")])

@@ -34,3 +34,26 @@ def test_all_lists_exactly_the_public_imports():
     public = {name for name in imported if not name.startswith("_")}
     assert public <= set(lorentzlab.__all__)
     assert len(lorentzlab.__all__) == len(set(lorentzlab.__all__))
+
+
+def test_every_module_constant_is_read_in_src():
+    # a setting that no library code reads is a leftover, not a setting
+    package = os.path.dirname(os.path.abspath(lorentzlab.__file__))
+    trees = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                trees[name] = ast.parse(fh.read())
+    reads = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+    constants = {(module, target.id) for module, tree in trees.items()
+                 for node in tree.body if isinstance(node, ast.Assign)
+                 for target in node.targets if isinstance(target, ast.Name)
+                 and target.id.isupper()}
+    assert constants
+    assert sorted(c for c in constants if c[1] not in reads) == []

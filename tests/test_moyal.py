@@ -9,16 +9,14 @@ from lorentzlab.lattice import Lattice
 from lorentzlab import moyal
 from lorentzlab.moyal import (DECAY_REFUSE, DELTA_TOL, TAIL_WARN, ThetaMatrix,
                               _boundary_fraction, _genlaguerre,
-                              associativity_check,
                               basis_stack, basis_values,
                               center_time_check,
                               commutation_check, cross_engine_check,
                               damped_commutator_closed_form,
-                              delta_algebra_check, gaussian_oracle_check,
-                              gaussian_star_closed_form, involution_check,
+                              delta_algebra_check, gaussian_star_closed_form,
                               moyal_grid, operator_norm, project,
                               run_moyal_suite, star_quadrature, star_twisted,
-                              synthesize, trace_check)
+                              synthesize, twisted_identities_check)
 
 THETA = 0.5
 
@@ -48,10 +46,6 @@ def test_theta_commutative_time():
 
 
 # ----------------------------------------------------------- star engines
-
-def test_gaussian_closed_form_twisted():
-    assert gaussian_oracle_check() <= 1e-8
-
 
 def test_gaussian_closed_form_quadrature():
     lat = moyal_grid(7.0, 96)
@@ -255,7 +249,7 @@ def test_ground_state_profile():
 def _laguerre_points():
     # xi = 2 r^2 / theta on the delta check's grid (box 7, 96^2 sites), plus
     # the origin and points far out in the Gaussian tail
-    lat = moyal_grid()
+    lat = moyal_grid(*moyal.DELTA_GRID)
     x, y = lat.coordinate_array(0), lat.coordinate_array(1)
     xi = 2.0 * (x * x + y * y) / THETA
     return np.concatenate([xi.reshape(-1), [0.0, 250.0, 1e3, 1e4]])
@@ -285,7 +279,7 @@ def test_genlaguerre_high_orders_match_scipy():
 def test_basis_stack_equals_basis_values_bitwise():
     # the delta check's grid, the origin, Gaussian-tail points, and a scalar
     # x broadcast against an array y
-    lat = moyal_grid()
+    lat = moyal_grid(*moyal.DELTA_GRID)
     n = 16
     grid = (lat.coordinate_array(0), lat.coordinate_array(1))
     tail = (np.array([0.0, 9.0, -14.0, 30.0]), np.array([0.0, -9.0, 2.0, 0.5]))
@@ -306,7 +300,7 @@ def test_basis_stack_needs_positive_theta(theta):
 
 def test_basis_stack_peak_memory_is_its_result(traced_peak):
     # the stack is filled in place: no per-entry arrays stacked into a copy
-    lat = moyal_grid()
+    lat = moyal_grid(*moyal.DELTA_GRID)
     stack, peak = traced_peak(basis_stack, 16, THETA, lat.coordinate_array(0),
                               lat.coordinate_array(1))
     assert peak <= 1.1 * stack.nbytes, (peak, stack.nbytes)
@@ -474,39 +468,35 @@ def test_coordinate_commutator():
 
 
 def test_center_time_verdicts():
-    rep = center_time_check(points=24)
-    names = [c["theta_case"] for c in rep.cases]
+    cases = center_time_check(points=24)
+    names = [c["theta_case"] for c in cases]
     assert names == ["zero", "spatial_block", "time_space_block"]
-    assert rep.cases[0]["commutative_time"]
-    assert rep.cases[1]["commutative_time"]
-    assert not rep.cases[2]["commutative_time"]
-    assert rep.cases[0]["commutator_residual"] <= 1e-10
-    assert rep.cases[1]["commutator_residual"] <= 1e-10
-    assert rep.cases[2]["commutator_residual"] >= 1e-3
+    assert cases[0]["commutative_time"]
+    assert cases[1]["commutative_time"]
+    assert not cases[2]["commutative_time"]
+    assert cases[0]["commutator_residual"] <= 1e-10
+    assert cases[1]["commutator_residual"] <= 1e-10
+    assert cases[2]["commutator_residual"] >= 1e-3
 
 
-def test_trace_property():
-    assert trace_check() <= 1e-5
-
-
-def test_associativity():
-    assert associativity_check() <= 1e-5
-
-
-def test_involution():
-    assert involution_check() <= 1e-8
+def test_twisted_identities():
+    # Gaussian closed form, trace property, associativity and involution
+    gaussian, trace, assoc, invol = twisted_identities_check(THETA)
+    assert gaussian <= moyal.GAUSSIAN_TOL
+    assert trace <= moyal.TRACE_TOL
+    assert assoc <= moyal.ASSOCIATIVITY_TOL
+    assert invol <= moyal.INVOLUTION_TOL
 
 
 def test_quick_suite_runs_the_library_defaults():
     # every check fixes its own grid, so a standalone call measures what
     # the CLI's quick suite reports
     _, payload = run_moyal_suite(theta=THETA, quick=True)
-    assert payload["gaussian_oracle_residual"] == gaussian_oracle_check(THETA)
-    assert payload["trace_residual"] == trace_check(THETA)
-    assert payload["associativity_residual"] == associativity_check(THETA)
-    assert payload["involution_residual"] == involution_check(THETA)
+    assert (payload["gaussian_oracle_residual"], payload["trace_residual"],
+            payload["associativity_residual"],
+            payload["involution_residual"]) == twisted_identities_check(THETA)
     assert payload["cross_engine"] == asdict(cross_engine_check(THETA))
     assert payload["commutation"] == asdict(commutation_check(THETA))
     assert payload["delta_algebra"] == asdict(
         delta_algebra_check(THETA, truncation=8))
-    assert payload["center_time"] == asdict(center_time_check(THETA, points=24))
+    assert payload["center_time"] == {"cases": center_time_check(THETA, points=24)}

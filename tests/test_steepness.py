@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lorentzlab import steepness
-from lorentzlab.clifford import build_gamma, chirality
+from lorentzlab.clifford import build_gamma
 from lorentzlab.dirac import flat_operator
 from lorentzlab.lattice import ScalarField
 from lorentzlab.steepness import (equivalence_scan, is_steep_matrix,
@@ -10,10 +10,10 @@ from lorentzlab.steepness import (equivalence_scan, is_steep_matrix,
                                   scalar_margins)
 
 
-def matrix_margin(grad, rep=None, gamma_ch=None, u=1.0):
+def matrix_margin(grad, rep=None, u=1.0):
     """The shared margin function at one constant gradient."""
     rep = build_gamma(len(grad)) if rep is None else rep
-    margin, _ = matrix_margins([float(g) for g in grad], u, rep, gamma_ch)
+    margin, _ = matrix_margins([float(g) for g in grad], u, rep)
     return float(margin)
 
 
@@ -97,8 +97,8 @@ def test_margin_independent_of_gamma_basis():
     q, _ = np.linalg.qr(m)
     rot = rep.conjugated(q)
     grad = (1.7, 0.3, -0.4, 0.2)
-    m0 = matrix_margin(grad, rep, chirality(rep))
-    m1 = matrix_margin(grad, rot, q @ chirality(rep) @ q.conj().T)
+    m0 = matrix_margin(grad, rep)
+    m1 = matrix_margin(grad, rot)
     assert m0 == pytest.approx(m1, abs=1e-10)
 
 
