@@ -139,6 +139,16 @@ def validate_config(cfg, command):
                                                sorted(allowed)))
             except ExpressionError as exc:
                 errors.append("candidate %r does not parse: %s" % (cand, exc))
+    if {"box", "points", "dimension", "boundary"} <= valid:
+        # sites weigh h^d in every integral and <D>^2 scales as 1/h^2
+        h = np.float64(_lattice(cfg).spacing(0))
+        with np.errstate(all="ignore"):
+            weight, inverse = h ** cfg.dimension, 1.0 / h ** 2
+        if not (0.0 < weight < math.inf and inverse < math.inf):
+            errors.append("box %r gives spacing h = %r, whose cell weight "
+                          "h^%d = %r and 1/h^2 = %r must be finite and "
+                          "non-zero" % (cfg.box, float(h), cfg.dimension,
+                                        float(weight), float(inverse)))
     if command in EVEN_COMMANDS and "dimension" in valid and cfg.dimension % 2:
         errors.append("%s needs an even dimension (chirality), got %d"
                       % (command, cfg.dimension))

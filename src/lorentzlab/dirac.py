@@ -503,10 +503,24 @@ def _site_blocks(lattice, blocks):
 
 
 def _elliptic_square(d, k):
-    """-1/2 (D K D K + K D K D) from the matrices of D and K = [D,T]."""
+    """-1/2 (D K D K + K D K D) from the matrices of D and K = [D,T].
+
+    K D K D is added into the diagonals of D K D K, which are then scaled,
+    in place: no sum is held beside the two products.  Each entry is the
+    same sum and product as -0.5 * (dk @ dk + kd @ kd).
+    """
     dk = d @ k
+    m = dk @ dk
+    del dk
     kd = k @ d
-    return -0.5 * (dk @ dk + kd @ kd)
+    for key, v in (kd @ kd).diagonals.items():
+        if key in m.diagonals:
+            m.diagonals[key] += v
+        else:
+            m.diagonals[key] = v
+    for v in m.diagonals.values():
+        v *= -0.5
+    return m
 
 
 def elliptic_square(D: DiracOperator):

@@ -31,6 +31,7 @@ declared ("assumed"), not verified; only the numerical identities are checked.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -152,10 +153,10 @@ def phys_fft(values, lat):
     """Continuum-normalized FFT: F(k) = sum f(x) e^{-ikx} dx; returns (F, axes).
 
     Transforms the trailing lat.dimension axes, so a stack of fields works.
-    The result is the only stack-sized array made: one complex copy of
-    `values`, transformed in place axis by axis in fftn's order.
+    `values` must be a complex array: it is transformed in place, axis by
+    axis in fftn's order, and returned as F, so no stack-sized copy is made.
     """
-    F = np.array(values, dtype=complex)
+    F = values
     for a in range(-1, -lat.dimension - 1, -1):
         fft(F, axis=a, out=F)
     ks = []
@@ -181,25 +182,33 @@ def _boundary_fraction(values, lat):
     return edge / np.where(top > 0.0, top, 1.0)
 
 
+def _stack_rows(values, head, count):
+    """values broadcast to head + (count,), as (prod(head), count) rows."""
+    return np.broadcast_to(values, head + (count,)).reshape(-1, count)
+
+
 # -------------------------------------------------------- quadrature engine
 
 
 def star_quadrature(f, h, theta, points, lat, slot):
     """Pointwise f * h at the given points on any-dimensional grids.
 
-    f and h are callables of the axis names of `lat`.  slot="second"
-    samples and transforms h and shifts f by -Theta q/2; slot="first"
-    transforms f and shifts h by +Theta p/2.  Both evaluate the same ordered
-    product.  The transformed factor must decay inside the box: a boundary
-    fraction (largest |value| on the outer shell over the largest |value|)
-    above DECAY_REFUSE for any function of its stack is a ValueError.
-    Either factor may return a stack of functions, shape S + the shape of
-    its arguments; the values then hold every product, shape
-    S_f + S_h + (len(points),).  Returns the values array.
-    Each point's phase e^{ik.x} goes into blocks of its shifted samples of
-    at most BLOCK_BYTES, so beside the transformed stack one point holds its
-    samples and one block: about two stacks, where a phased copy of the
-    transformed stack would make three.
+    f and h are callables of the axis names of `lat`, evaluated pointwise on
+    1-d arrays of points.  slot="second" samples and transforms h and shifts
+    f by -Theta q/2; slot="first" transforms f and shifts h by +Theta p/2.
+    Both evaluate the same ordered product.  The transformed factor must
+    decay inside the box: a boundary fraction (largest |value| on the outer
+    shell over the largest |value|) above DECAY_REFUSE for any function of
+    its stack is a ValueError.  Either factor may return a stack of
+    functions, shape S + the shape of its arguments; the values then hold
+    every product, shape S_f + S_h + (len(points),).  Returns the values
+    array.
+    The engine owns one complex spectrum buffer of the transformed stack,
+    filled from blocks of sites and transformed in place (phys_fft).  Each
+    point evaluates the shifted factor one block of at most BLOCK_BYTES at a
+    time and folds its phase e^{ik.x} into that block, in place when nothing
+    else holds the block, so beside the spectrum one block is held: about
+    one stack in all.
     """
     d = lat.dimension
     th = _theta_entries(theta, d)
@@ -213,31 +222,58 @@ def star_quadrature(f, h, theta, points, lat, slot):
     else:
         raise ValueError("slot must be 'first' or 'second', got %r" % (slot,))
 
-    vals = np.asarray(transformed(**lat.environment()))
-    stack = vals.shape[:vals.ndim - d]
-    bd = float(_boundary_fraction(vals, lat).max())
+    def at(fn, coords):
+        """fn at the points whose coordinates per axis are `coords`."""
+        return np.asarray(fn(**dict(zip(lat.axis_names, coords))))
+
+    # the transformed stack: sampled on blocks of sites into the spectrum
+    # buffer, with each function's max |f| and its max on the outer shell
+    axes = [c.reshape(-1) for c in lat.environment().values()]
+    idx = np.indices(lat.shape).reshape(d, -1)
+    shell = np.any((idx == 0) | (idx == np.array(lat.points)[:, None] - 1), 0)
+    stack = at(transformed, [c[:1] for c in axes]).shape[:-1]
+    F = np.empty(stack + lat.shape, dtype=complex)
+    W = F.reshape(-1, lat.site_count)
+    top = np.zeros(len(W))
+    edge = np.zeros(len(W))
+    for s in _blocks(lat.site_count, 16 * len(W)):
+        block = [c[s] for c in axes]
+        W[:, s] = _stack_rows(at(transformed, block), stack, len(block[0]))
+        v = np.abs(W[:, s])
+        np.maximum(top, v.max(axis=1), out=top)
+        np.maximum(edge, v[:, shell[s]].max(axis=1, initial=0.0), out=edge)
+        del v
+    bd = float((edge / np.where(top > 0.0, top, 1.0)).max())
     if bd > DECAY_REFUSE:
         raise ValueError("transformed factor does not decay inside the box "
                          "(boundary fraction %.3e for slot %r); enlarge the "
                          "box" % (bd, slot))
-    F, ks = phys_fft(vals, lat)
-    del vals        # each point below holds shifted samples of the same size
+    F, ks = phys_fft(F, lat)
 
     K = np.stack(np.meshgrid(*ks, indexing="ij"), axis=-1).reshape(-1, d)
-    W = F.reshape(-1, len(K))
     wq = float(np.prod([k[1] - k[0] for k in ks])) / (2.0 * np.pi) ** d
     shifts = sign * (K @ th.T)
+    head = at(shifted, pts[:1].T).shape[:-1]
+    count = int(np.prod(head))
     out = []
     for x in pts:
-        sv = np.asarray(shifted(**dict(zip(lat.axis_names, (x + shifts).T))))
-        head = sv.shape[:-1]
-        rows = np.broadcast_to(sv, head + (len(K),)).reshape(-1, len(K))
         phase = wq * np.exp(1j * (K @ x))
-        got = np.zeros((len(rows), len(W)), dtype=complex)
-        for b in _blocks(len(K), 16 * len(rows)):
-            got += (rows[:, b] * phase[b]) @ W[:, b].T
+        got = np.zeros((count, len(W)), dtype=complex)
+        for b in _blocks(len(K), 16 * count):
+            rows = at(shifted, (x + shifts[b]).T)
+            size = len(shifts[b])
+            # fold the phase into the samples only when no one else can see
+            # them: a complex array of the block's own shape, owning its
+            # memory, with no reference but this one
+            if (rows.dtype == complex and rows.shape == head + (size,)
+                    and rows.base is None and sys.getrefcount(rows) <= 2):
+                rows = rows.reshape(count, size)
+                rows *= phase[b]
+            else:
+                rows = _stack_rows(rows, head, size) * phase[b]
+            got += rows @ W[:, b].T
+            del rows        # one block of samples at a time
         out.append(got if slot == "second" else got.T)
-        del sv, rows        # one point's samples at a time
     shape = head + stack if slot == "second" else stack + head
     return np.stack(out, axis=-1).reshape(shape + (len(pts),))
 

@@ -151,11 +151,14 @@ def test_periodic_verify_is_held_to_the_momentum_budget(tmp_path, capsys):
     ("distance", {"candidates": [1, "t"]}),
     ("verify", {"u": "(" * 250 + "1" + ")" * 250}),
     ("distance", {"candidates": ["+".join(["t"] * 1500)]}),
+    ("verify", {"box": 1e-160}),
+    ("verify", {"box": 1e200}),
 ], ids=["out-type", "box-inf", "theta-nan", "quick-type", "u-negative",
         "u-division-floor", "u-sqrt-negative", "pairs-bool", "theta-bool",
         "box-bool", "distance-sites", "distance-odd-dimension",
         "report-odd-dimension", "out-under-a-file", "out-is-a-file",
-        "candidate-not-a-string", "u-nested-250", "candidate-sum-1500"])
+        "candidate-not-a-string", "u-nested-250", "candidate-sum-1500",
+        "box-underflow", "box-overflow"])
 def test_bad_config_fails_before_any_work(command, config, tmp_path,
                                           monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -166,6 +169,17 @@ def test_bad_config_fails_before_any_work(command, config, tmp_path,
     assert out == ""
     assert "config error:" in err
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("box", [1e-160, 1e200],
+                         ids=["box-underflow", "box-overflow"])
+def test_box_must_give_finite_cell_weights(box):
+    # h = box / 16: h^2 underflows to a subnormal with 1/h^2 = inf, or
+    # overflows to inf; either would surface only after the suite ran
+    errors = cli.validate_config(cli.RunConfig(box=box), "verify")
+    assert len(errors) == 1 and "cell weight" in errors[0], errors
+    for fine in (1e-3, 1e6):
+        assert not cli.validate_config(cli.RunConfig(box=fine), "verify")
 
 
 def _verify_checks(points, u="1", boundary="periodic"):

@@ -398,3 +398,30 @@ def test_hermiticity_residual_holds_two_diagonals_at_a_time(traced_peak):
     # a few temporaries of one diagonal pair, never A^H or A - A^H
     assert len(m.diagonals) >= 30
     assert peak <= 6 * largest
+
+
+@pytest.mark.parametrize("dim,points,boundary,u", [
+    (4, 3, "periodic", None), (2, 8, "periodic", "1 + 0.1*t"),
+    (2, 7, "clamped", "1+0.1*t"), (3, 6, "periodic", "2+sin(t)")])
+def test_elliptic_square_in_place_equals_the_formula(dim, points, boundary,
+                                                     u):
+    # same diagonals, in the same order, bit for bit
+    op = flat_operator(dim, points, boundary=boundary, u=u)
+    d = op.sparse_matrix()
+    k = dirac._site_blocks(op.lattice, op.temporal_commutator())
+    dk, kd = d @ k, k @ d
+    want = -0.5 * (dk @ dk + kd @ kd)
+    got = dirac._elliptic_square(d, k)
+    assert list(got.diagonals) == list(want.diagonals)
+    for key, v in want.diagonals.items():
+        assert np.array_equal(got.diagonals[key], v), key
+
+
+def test_elliptic_square_holds_little_beside_its_result(traced_peak):
+    # D K D K takes the sum and the scaling in place: no third product
+    # beside it and K D K D (3.54 results when their sum was a new one)
+    op = flat_operator(4, 6)
+    d = op.sparse_matrix()
+    k = dirac._site_blocks(op.lattice, op.temporal_commutator())
+    m, peak = traced_peak(dirac._elliptic_square, d, k)
+    assert peak <= 2.5 * sum(v.nbytes for v in m.diagonals.values()), peak

@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import asdict
 
@@ -7,7 +8,7 @@ from scipy.special import eval_genlaguerre
 
 from lorentzlab.lattice import Lattice
 from lorentzlab import moyal
-from lorentzlab.moyal import (DECAY_REFUSE, DELTA_TOL, TAIL_WARN, ThetaMatrix,
+from lorentzlab.moyal import (CROSS_ENGINE_POINTS, DECAY_REFUSE, DELTA_TOL, TAIL_WARN, ThetaMatrix,
                               _boundary_fraction, _genlaguerre,
                               basis_stack, basis_values,
                               center_time_check,
@@ -140,10 +141,10 @@ def test_quadrature_of_stacks_holds_every_product(slot):
 
 
 @pytest.mark.parametrize("slot", ["first", "second"])
-def test_quadrature_memory_is_two_stacks_and_a_block(slot, traced_peak):
-    # the transformed stack, one point's shifted samples and one phased
-    # block of them (a quarter stack here): no phased copy of the stack,
-    # and each point's samples are freed before the next point's are built
+def test_quadrature_memory_is_one_stack_and_a_block(slot, traced_peak):
+    # the owned spectrum buffer and one block of shifted samples (a quarter
+    # stack here), phased in place: no sampled copy of the transformed
+    # stack beside its spectrum, and no point's whole shifted stack
     lat = moyal_grid(7.0, 64)
 
     def basis(x, y):
@@ -151,7 +152,128 @@ def test_quadrature_memory_is_two_stacks_and_a_block(slot, traced_peak):
 
     pts = [(0.0, 0.0), (0.3, -0.4), (1.1, 0.7)]
     _, peak = traced_peak(star_quadrature, basis, basis, THETA, pts, lat, slot)
-    assert peak <= 2.5 * 8 * 8 * 64 * 64 * 16, peak
+    assert peak <= 1.5 * 8 * 8 * 64 * 64 * 16, peak
+
+
+def _quadrature_unstreamed(f, h, theta, points, lat, slot):
+    """star_quadrature's values from whole samples: the reference.
+
+    The transformed stack sampled on the whole grid, its FFT copy, and each
+    point's shifted stack on every frequency at once; the frequency sums
+    run over the engine's blocks, so the two must agree bit for bit.
+    """
+    d = lat.dimension
+    th = moyal._theta_entries(theta, d)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    transformed, shifted, sign = ((f, h, 0.5) if slot == "first"
+                                  else (h, f, -0.5))
+    vals = np.asarray(transformed(**lat.environment()))
+    stack = vals.shape[:vals.ndim - d]
+    F, ks = moyal.phys_fft(np.array(vals, dtype=complex), lat)
+    K = np.stack(np.meshgrid(*ks, indexing="ij"), axis=-1).reshape(-1, d)
+    W = F.reshape(-1, len(K))
+    wq = float(np.prod([k[1] - k[0] for k in ks])) / (2.0 * np.pi) ** d
+    shifts = sign * (K @ th.T)
+    out = []
+    for x in pts:
+        sv = np.asarray(shifted(**dict(zip(lat.axis_names, (x + shifts).T))))
+        head = sv.shape[:-1]
+        rows = np.broadcast_to(sv, head + (len(K),)).reshape(-1, len(K))
+        phase = wq * np.exp(1j * (K @ x))
+        got = np.zeros((len(rows), len(W)), dtype=complex)
+        for b in moyal._blocks(len(K), 16 * len(rows)):
+            got += (rows[:, b] * phase[b]) @ W[:, b].T
+        out.append(got if slot == "second" else got.T)
+    shape = head + stack if slot == "second" else stack + head
+    return np.stack(out, axis=-1).reshape(shape + (len(pts),))
+
+
+def _basis8(x, y):
+    return basis_stack(8, THETA, x, y)
+
+
+def _pair_stack(x, y):
+    return np.stack([np.exp(-(x * x + y * y) / 2.0),
+                     y * np.exp(-(x * x + y * y) / 3.0)])
+
+
+# (transformed, shifted, grid, block bytes or None for BLOCK_BYTES)
+STREAMED_CASES = {
+    "basis-stacks": (_basis8, _basis8, (7.0, 64), None),
+    "scalar-shift": (_basis8, moyal._damped(0, 4.0), (20.0, 64), None),
+    "constant-shift": (moyal._damped(1, 4.0), lambda x, y: 2.0 - 0.5j,
+                       (20.0, 48), None),
+    # 48^2 = 2304 sites: site blocks of 700 for the six transformed
+    # functions, frequency blocks of 2100 for the two shifted ones
+    "partial-blocks": (lambda x, y: basis_stack(3, THETA, x, y)[:2],
+                       _pair_stack, (7.0, 48), 96 * 700),
+}
+
+
+@pytest.mark.parametrize("slot", ["first", "second"])
+@pytest.mark.parametrize("case", list(STREAMED_CASES))
+def test_streamed_quadrature_equals_unstreamed_bitwise(case, slot,
+                                                       monkeypatch):
+    transformed, shifted, grid, block = STREAMED_CASES[case]
+    if block is not None:
+        monkeypatch.setattr(moyal, "BLOCK_BYTES", block)
+    f, h = (transformed, shifted) if slot == "first" else (shifted, transformed)
+    lat = moyal_grid(*grid)
+    pts = CROSS_ENGINE_POINTS
+    got = star_quadrature(f, h, THETA, pts, lat, slot)
+    assert np.array_equal(got, _quadrature_unstreamed(f, h, THETA, pts, lat,
+                                                      slot))
+
+
+@pytest.mark.parametrize("slot", ["first", "second"])
+def test_quadrature_leaves_returned_arrays_alone(slot):
+    # a callable may keep the arrays it returns: the engine writes only
+    # into arrays of its own
+    kept = []
+
+    def keeping(x, y):
+        values = basis_stack(2, THETA, x, y)
+        kept.append((np.copy(x), np.copy(y), values))
+        return values
+
+    star_quadrature(keeping, keeping, THETA, CROSS_ENGINE_POINTS,
+                    moyal_grid(7.0, 32), slot)
+    assert len(kept) > 2
+    for x, y, values in kept:
+        assert np.array_equal(values, basis_stack(2, THETA, x, y))
+
+
+def _last_site_bump(lat):
+    """(x, y) -> a Gaussian plus 0.5 at the last site of `lat` only."""
+    x_last, y_last = (lat.coordinate_array(a).reshape(-1)[-1] for a in (0, 1))
+
+    def field(x, y):
+        return (np.exp(-(x * x + y * y))
+                + 0.5 * ((x == x_last) & (y == y_last)))
+    return field
+
+
+@pytest.mark.parametrize("slot", ["first", "second"])
+@pytest.mark.parametrize("case", ["last-function", "last-site-block"])
+def test_streamed_decay_refusal_sees_every_block(case, slot, monkeypatch):
+    # 48^2 sites in blocks of 700: the refusal must see the last function
+    # of the stack and the last, partial block of sites
+    lat = moyal_grid(7.0, 48)
+    if case == "last-function":
+        def factor(x, y):
+            r2 = x * x + y * y
+            return np.stack([np.exp(-r2), np.exp(-r2 / 2.0), np.cos(x) + 0 * y])
+        monkeypatch.setattr(moyal, "BLOCK_BYTES", 48 * 700)
+    else:
+        factor = _last_site_bump(lat)
+        monkeypatch.setattr(moyal, "BLOCK_BYTES", 16 * 700)
+    want = _boundary_fraction(factor(**lat.environment()), lat)
+    assert want.max() > DECAY_REFUSE and np.argmax(want) == len(want) - 1
+    gauss = lambda x, y: np.exp(-(x * x + y * y) / 2.0)
+    f, h = (factor, gauss) if slot == "first" else (gauss, factor)
+    with pytest.raises(ValueError, match=re.escape(
+            "boundary fraction %.3e for slot %r" % (want.max(), slot))):
+        star_quadrature(f, h, THETA, [(0.0, 0.0)], lat, slot)
 
 
 def test_twisted_needs_2d_periodic():
