@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -163,16 +163,19 @@ def validate_config(cfg, command):
         if error:
             errors.append("%d^%d lattice: %s" % (cfg.points, cfg.dimension, error))
     if axioms and not errors:
+        lat = _lattice(cfg)
         try:
             with np.errstate(all="ignore"):
-                u = ScalarField.from_expression(_lattice(cfg), cfg.u).values
+                u = ScalarField.from_expression(lat, cfg.u).values
+                # the time part of <D>^2 scales as 1/(h^2 u^2)
+                scale = 1.0 / (lat.spacing(0) * np.min(u)) ** 2
         except ExpressionError as exc:
             errors.append("u cannot be evaluated on the lattice: %s" % exc)
         else:
-            if not np.all(np.isfinite(u) & (u > 0)):
+            if not (np.all(np.isfinite(u) & (u > 0)) and scale < math.inf):
                 errors.append("u = %r must be positive and finite at every "
-                              "site of the %d^%d lattice"
-                              % (cfg.u, cfg.points, cfg.dimension))
+                              "site of the %d^%d lattice, and 1/(h^2 min(u)^2) "
+                              "finite" % (cfg.u, cfg.points, cfg.dimension))
     return errors
 
 
@@ -234,10 +237,10 @@ def run_verify(cfg):
                for n in (2, 3, 4, 6)]
     op = dirac.flat_operator(cfg.dimension, cfg.points, _lattice(cfg).extents,
                              cfg.boundary, cfg.u)
-    axioms = dirac.check_temporal_axioms(op, seed=cfg.seed)
-    checks = [c for rep in reports + [axioms] for c in rep.checks]
+    axiom_checks, axioms = dirac.check_temporal_axioms(op, seed=cfg.seed)
+    checks = [c for rep in reports for c in rep.checks] + axiom_checks
     payload = {"clifford": {str(rep.dimension): rep.to_dict() for rep in reports},
-               "axioms": asdict(axioms),
+               "axioms": axioms,
                "config": {"dimension": cfg.dimension, "points": cfg.points,
                           "boundary": cfg.boundary, "u": cfg.u,
                           "seed": cfg.seed},
@@ -273,15 +276,16 @@ def run_report(cfg):
     dist_checks, dist_payload, rows = run_distance(cfg)
     moyal_checks, moyal_payload = run_moyal(replace(cfg, quick=True))
     filt_checks, filt_payload = run_filtration(cfg)
-    scan = steepness.equivalence_scan(500, cfg.seed, dimension=2)
+    scan_checks, scan_payload = steepness.equivalence_scan(500, cfg.seed,
+                                                           dimension=2)
     checks = [*verify_checks, *dist_checks, *moyal_checks, *filt_checks,
-              *scan.checks]
+              *scan_checks]
     payload = {
         "verify": verify_payload,
         "distance": dist_payload,
         "moyal": moyal_payload,
         "filtration": filt_payload,
-        "steepness_equivalence": scan.to_dict(),
+        "steepness_equivalence": scan_payload,
         **verdict(checks),
     }
     return checks, payload, rows

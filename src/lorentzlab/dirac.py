@@ -16,10 +16,9 @@ of `lattice.gradient` and the gamma matrices.  The products, adjoints and
 residuals of the suite are array operations on those diagonals.  The
 probe-built `dense_matrix` is the independent route D is checked against:
 by the tests, and by the suite itself up to ORACLE_LIMIT dense dimensions.
-It pushes a block of unit probes at a time through the `gradient` stencils,
-gamma contraction and vielbein of `apply`, stacked on an axis between the
-lattice axes and the spinor axis, so every column equals `apply` on its
-probe without one `apply` call per column.
+It pushes a block of unit probes at a time through `apply`, as one stack
+of spinor fields, so every column equals `apply` on its probe without one
+`apply` call per column.
 On a periodic lattice D commutes with spatial translations (u depends on t
 only), so the spectrum of the stencil <D>^2 is computed one spatial
 momentum at a time, from the spatial Fourier transform of its diagonals.
@@ -31,16 +30,14 @@ dT = dt: its commutator symbol [D,T](x) = -i gamma^0 u^{-1/2}(x) is exact per
 site.  (Routing T through the difference stencil instead would smear the
 commutator into an averaging operator and, on a periodic lattice, corrupt the
 wrap rows, since t itself is not periodic.)  The axiom quantity is
-u_ax = [D,T]^2 = 1/u per site; reports carry u_ax, u and the reciprocal
+u_ax = [D,T]^2 = 1/u per site; the suite carries u_ax, u and the reciprocal
 residual so both conventions stay visible.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import default_rng
 
-from .checks import Check, verdict
+from .checks import Check
 from .clifford import GammaRep, build_gamma, fundamental_symmetry, max_abs
 from .lattice import Lattice, ScalarField, SpinorField, gradient
 
@@ -77,8 +74,9 @@ class DiracOperator:
             raise ValueError("conformal factor u lives on a different lattice")
         else:
             u = np.array(conformal_u.values, dtype=float)
-        if np.any(u <= 0):
-            raise ValueError("conformal factor u must be strictly positive")
+        if not np.all(np.isfinite(u) & (u > 0)):
+            raise ValueError("conformal factor u must be finite and strictly "
+                             "positive")
         for axis in range(1, lattice.dimension):
             spread = np.max(np.ptp(u, axis=axis))
             if spread > U_VARIATION_TOL * max(1.0, np.max(np.abs(u))):
@@ -101,26 +99,18 @@ class DiracOperator:
         return np.ones(self.lattice.shape)
 
     def apply(self, psi: SpinorField) -> SpinorField:
-        if psi.lattice != self.lattice:
-            raise ValueError("spinor lives on a different lattice")
-        return SpinorField(self.lattice, self._apply_values(psi.values))
-
-    def _apply_values(self, values):
-        """D on an array of shape lattice.shape + (..., s).
-
-        Axes between the lattice axes and the spinor axis stack independent
-        spinor fields (the probes of `dense_matrix`).  `gradient` sees them
-        folded into the spinor axis, so its axes are the lattice's.
-        """
+        """D on a spinor field, or a stack of them (`dense_matrix` probes):
+        `gradient` differences along the lattice axes only."""
         lat = self.lattice
-        folded = SpinorField(lat, values.reshape(lat.shape + (-1,)))
-        stacked = (Ellipsis,) + (None,) * (values.ndim - lat.dimension)
-        out = np.zeros_like(values)
+        if psi.lattice != lat:
+            raise ValueError("spinor lives on a different lattice")
+        stacked = (Ellipsis,) + (None,) * (psi.values.ndim - lat.dimension)
+        out = np.zeros_like(psi.values)
         for mu in range(lat.dimension):
-            dpsi = gradient(folded, mu).values.reshape(values.shape)
-            term = np.einsum("ab,...b->...a", self.rep.matrices[mu], dpsi)
+            term = np.einsum("ab,...b->...a", self.rep.matrices[mu],
+                             gradient(psi, mu).values)
             out += self.vielbein(mu)[stacked] * term
-        return -1j * out
+        return SpinorField(lat, -1j * out)
 
     def commutator_with_scalar(self, f: ScalarField):
         """Symbol of [D, f]: the per-site matrix -i sum_mu e^mu gamma^mu (d_mu f).
@@ -167,13 +157,10 @@ class DiracOperator:
     def dense_matrix(self):
         """Dense matrix of D in row-major (site, spinor) order.
 
-        Column j is D applied to the j-th unit probe, through the same
-        `gradient` stencils, gamma contraction and vielbein as `apply`, so
-        each column equals `apply` on its probe entry for entry.  The probes
-        go through a block of columns at a time (`_probe_blocks`), stacked
-        between the lattice axes and the spinor axis.  The diagonal assembly
-        of `sparse_matrix` is not used: this is the route it is checked
-        against.
+        Column j is `apply` on the j-th unit probe.  The probes go through
+        a block of columns at a time (`_probe_blocks`), as one stacked
+        spinor field per block.  The diagonal assembly of `sparse_matrix` is
+        not used: this is the route it is checked against.
         """
         n = self.dense_dim
         _require(_dense_error(n, "dense matrix"))
@@ -184,7 +171,8 @@ class DiracOperator:
             col = np.arange(cols.start, cols.stop)
             probes = np.zeros((lat.site_count, len(col), s), dtype=complex)
             probes[col // s, np.arange(len(col)), col % s] = 1.0
-            image = self._apply_values(probes.reshape(lat.shape + probes.shape[1:]))
+            stack = SpinorField(lat, probes.reshape(lat.shape + probes.shape[1:]))
+            image = self.apply(stack).values
             rows[:, :, cols] = image.reshape(probes.shape).swapaxes(1, 2)
         return out
 
@@ -216,7 +204,7 @@ def gradient_symbol(rep, grads, u):
 def _probe_blocks(n):
     """Slices of the n columns of `dense_matrix`, at most n // 8 wide.
 
-    A block's probes, image and the temporaries of `_apply_values` are about
+    A block's probes, image and the temporaries of `apply` are about
     six probe-sized arrays, so with eight blocks they stay within the size
     of the dense result.
     """
@@ -441,55 +429,6 @@ def random_spinor(lattice, spinor_dim, rng):
     return SpinorField(lattice, v)
 
 
-@dataclass
-class AxiomReport:
-    hermiticity_residual: float
-    u_square_deviation: float      # max per-site distance of [D,T]^2 from c(x) 1
-    u_ax_min: float
-    u_ax_max: float
-    u_metric_min: float
-    u_metric_max: float
-    reciprocal_residual: float     # max |u_ax * u_metric - 1|
-    skew_residual: float
-    krein_skew_residual: float     # || (J D)^+ + J D ||
-    krein_equiv_residual: float    # || D^+ + J D J ||
-    commute_residual: float
-    elliptic_hermiticity: float
-    elliptic_min_eigenvalue: float
-    assembly_residual: float = None  # max |sparse D - probe-built D|
-    adjoints_exact: bool = True    # False on clamped lattices
-    notes: tuple = ()
-
-    @property
-    def checks(self):
-        checks = [
-            Check("temporal commutator hermitian", self.hermiticity_residual,
-                  "<=", HERMITICITY_TOL),
-            Check("[D,T]^2 scalar", self.u_square_deviation, "<=", U_SQUARE_TOL),
-            Check("[D,T]^2 positive", self.u_ax_min, ">", 0.0),
-            Check("u_ax * u_metric = 1", self.reciprocal_residual, "<=",
-                  RECIPROCAL_TOL),
-            Check("[D,T] D skew-adjoint", self.skew_residual, "<=", SKEW_TOL),
-            Check("Krein skewness (both forms)",
-                  np.max([self.krein_skew_residual, self.krein_equiv_residual]),
-                  "<=", KREIN_TOL),
-            Check("[D,T] commutes with functions", self.commute_residual, "<=",
-                  COMMUTE_TOL),
-            Check("<D>^2 hermitian", self.elliptic_hermiticity, "<=",
-                  ELLIPTIC_HERM_TOL),
-            Check("<D>^2 non-negative", self.elliptic_min_eigenvalue, ">=",
-                  ELLIPTIC_EIG_FLOOR),
-        ]
-        if self.assembly_residual is not None:
-            checks.append(Check("sparse D equals probe-built D",
-                                self.assembly_residual, "<=", ASSEMBLY_TOL))
-        return tuple(checks)
-
-    @property
-    def passed(self):
-        return verdict(self.checks)["passed"]
-
-
 def _site_blocks(lattice, blocks):
     """StencilOperator of per-site (s, s) blocks, shape lattice.shape + (s, s).
 
@@ -502,8 +441,8 @@ def _site_blocks(lattice, blocks):
                            {(zero, k): v for k, v in _diagonals(blocks)})
 
 
-def _elliptic_square(d, k):
-    """-1/2 (D K D K + K D K D) from the matrices of D and K = [D,T].
+def _elliptic_square(d, k, kd):
+    """-1/2 (D K D K + K D K D) from the matrices of D, K = [D,T] and K D.
 
     K D K D is added into the diagonals of D K D K, which are then scaled,
     in place: no sum is held beside the two products.  Each entry is the
@@ -512,7 +451,6 @@ def _elliptic_square(d, k):
     dk = d @ k
     m = dk @ dk
     del dk
-    kd = k @ d
     for key, v in (kd @ kd).diagonals.items():
         if key in m.diagonals:
             m.diagonals[key] += v
@@ -526,8 +464,9 @@ def _elliptic_square(d, k):
 def elliptic_square(D: DiracOperator):
     """<D>^2 = -1/2 (D K D K + K D K D) with K = [D,T], as a dense matrix."""
     _require(_dense_error(D.dense_dim, "<D>^2"))
-    return _elliptic_square(D.sparse_matrix(), _site_blocks(
-        D.lattice, D.temporal_commutator())).toarray()
+    d = D.sparse_matrix()
+    k = _site_blocks(D.lattice, D.temporal_commutator())
+    return _elliptic_square(d, k, k @ d).toarray()
 
 
 def _momentum_blocks(m, momenta=slice(None)):
@@ -583,6 +522,8 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
     checked, on a periodic lattice, built and diagonalised in chunks of
     momenta (`_momentum_chunks`); on a clamped lattice it needs a dense
     eigvalsh.  `elliptic_size_error` holds both to their limits.
+
+    Returns (checks, payload), the payload every measured value and note.
     """
     lat = D.lattice
     s = D.spinor_dim
@@ -622,7 +563,7 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
         rhs = f[..., None] * np.einsum("...ab,...b->...a", K, psi.values)
         commute = max(commute, float(np.abs(lhs - rhs).max()))
 
-    m = _elliptic_square(d, k)
+    m = _elliptic_square(d, k, kd)
     ell_herm = m.hermiticity_residual()
     if periodic:
         ell_min = min(_min_eigenvalue(_momentum_blocks(m, chunk))
@@ -645,24 +586,39 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
                      "probe-built dense_matrix" % (D.dense_dim, ORACLE_LIMIT))
     notes.append("u_ax = [D,T]^2 = -g^00 = 1/u_metric; both conventions reported")
 
-    return AxiomReport(
-        hermiticity_residual=herm,
-        u_square_deviation=dev,
-        u_ax_min=float(c.min()),
-        u_ax_max=float(c.max()),
-        u_metric_min=float(D.u.min()),
-        u_metric_max=float(D.u.max()),
-        reciprocal_residual=recip,
-        skew_residual=skew,
-        krein_skew_residual=krein_skew,
-        krein_equiv_residual=krein_equiv,
-        commute_residual=commute,
-        elliptic_hermiticity=ell_herm,
-        elliptic_min_eigenvalue=ell_min,
-        assembly_residual=assembly,
-        adjoints_exact=(periodic and uvar <= U_VARIATION_TOL),
-        notes=tuple(notes),
-    )
+    checks = [
+        Check("temporal commutator hermitian", herm, "<=", HERMITICITY_TOL),
+        Check("[D,T]^2 scalar", dev, "<=", U_SQUARE_TOL),
+        Check("[D,T]^2 positive", float(c.min()), ">", 0.0),
+        Check("u_ax * u_metric = 1", recip, "<=", RECIPROCAL_TOL),
+        Check("[D,T] D skew-adjoint", skew, "<=", SKEW_TOL),
+        Check("Krein skewness (both forms)", np.max([krein_skew, krein_equiv]),
+              "<=", KREIN_TOL),
+        Check("[D,T] commutes with functions", commute, "<=", COMMUTE_TOL),
+        Check("<D>^2 hermitian", ell_herm, "<=", ELLIPTIC_HERM_TOL),
+        Check("<D>^2 non-negative", ell_min, ">=", ELLIPTIC_EIG_FLOOR),
+    ]
+    if assembly is not None:
+        checks.append(Check("sparse D equals probe-built D", assembly, "<=",
+                            ASSEMBLY_TOL))
+    return checks, {
+        "hermiticity_residual": herm,
+        "u_square_deviation": dev,     # max per-site distance of [D,T]^2 from c 1
+        "u_ax_min": float(c.min()),
+        "u_ax_max": float(c.max()),
+        "u_metric_min": float(D.u.min()),
+        "u_metric_max": float(D.u.max()),
+        "reciprocal_residual": recip,  # max |u_ax * u_metric - 1|
+        "skew_residual": skew,
+        "krein_skew_residual": krein_skew,     # || (J D)^+ + J D ||
+        "krein_equiv_residual": krein_equiv,   # || D^+ + J D J ||
+        "commute_residual": commute,
+        "elliptic_hermiticity": ell_herm,
+        "elliptic_min_eigenvalue": ell_min,
+        "assembly_residual": assembly,  # max |sparse D - probe-built D|, or None
+        "adjoints_exact": periodic and uvar <= U_VARIATION_TOL,
+        "notes": notes,
+    }
 
 
 def flat_operator(dimension, points, box=None, boundary="periodic", u=None):

@@ -31,7 +31,7 @@ them, and the centrality trials are one bulk panel evaluated by batched
 products.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import default_rng
@@ -124,13 +124,6 @@ def submultiplicativity_residual(a, b, lattice):
 # ------------------------------------------------------ operator-norm grading
 
 
-@dataclass
-class GradingReport:
-    weighted_norm: float
-    estimates: dict                 # n -> operator norm estimate on H_n
-    spread: float                   # relative spread of estimates across n
-
-
 def operator_norm_grading_check(elem: FilteredElement, lattice: Lattice, seed=0):
     """Multiplication by `elem` as an operator H_n -> H_{n+m}, m = -degree.
 
@@ -170,11 +163,7 @@ def operator_norm_grading_check(elem: FilteredElement, lattice: Lattice, seed=0)
         estimates[int(n)] = float(np.sqrt(num / den).max())
     vals = np.array(list(estimates.values()))
     spread = float((vals.max() - vals.min()) / max(vals.max(), 1e-300))
-    return GradingReport(
-        weighted_norm=sup,
-        estimates=estimates,
-        spread=spread,
-    )
+    return {"weighted_norm": sup, "estimates": estimates, "spread": spread}
 
 
 # ------------------------------------------------------------ state extension
@@ -270,14 +259,6 @@ def _central_panel(algebra, rng):
     return c, b, sites, v
 
 
-@dataclass
-class CentralityReport:
-    trials: int
-    max_central_residual: float
-    counterexample_residual: float   # observed violation for non-central a
-    counterexample: dict = field(default_factory=dict)
-
-
 def central_multiplicativity_check(algebra: ToyAlgebra, seed=0):
     """chi(ab) = chi(a) chi(b) over CENTRAL_TRIALS random central a, b, states.
 
@@ -310,18 +291,18 @@ def central_multiplicativity_check(algebra: ToyAlgebra, seed=0):
     chi = ToyState(0, (np.cos(alpha), np.sin(alpha)))
     ab = np.einsum("kij,kjl->kil", a, b)
     violation = abs(chi(ab) - chi(a) * chi(b))
-    return CentralityReport(
-        trials=CENTRAL_TRIALS,
-        max_central_residual=worst,
-        counterexample_residual=float(violation),
-        counterexample={
+    return {
+        "trials": CENTRAL_TRIALS,
+        "max_central_residual": worst,
+        "counterexample_residual": float(violation),  # for non-central a
+        "counterexample": {
             "a": "sigma3 fiber (non-central)",
             "b": "sigma1 fiber",
             "state": "site 0, vector (cos pi/8, sin pi/8)",
             "chi_ab": 0.0,
             "chi_a_chi_b": float((np.cos(2 * alpha) * np.sin(2 * alpha)).real),
         },
-    )
+    }
 
 
 # ----------------------------------------------------------------- suite
@@ -375,31 +356,31 @@ def run_filtration_suite(seed=0):
     except ValueError:
         unrejected = 0
 
-    estimates = list(grading.estimates.values())
+    estimates = list(grading["estimates"].values())
     checks = (
         Check("time element is a contraction", tnorm, "<", TIME_NORM_BOUND),
-        Check("operator norm independent of grade", grading.spread, "<=",
+        Check("operator norm independent of grade", grading["spread"], "<=",
               NORM_SPREAD_TOL),
         Check("operator norm estimates below sup norm",
-              np.max(estimates) / grading.weighted_norm - 1.0, "<=",
+              np.max(estimates) / grading["weighted_norm"] - 1.0, "<=",
               NORM_BOUND_TOL),
         Check("operator norm estimates reach sup norm",
-              np.min(estimates) / grading.weighted_norm, ">=", NORM_APPROACH),
+              np.min(estimates) / grading["weighted_norm"], ">=", NORM_APPROACH),
         Check("weighted norms submultiplicative", worst_sub, "<=", SUBMULT_TOL),
         Check("state extension well defined", worst_well, "<=",
               WELL_DEFINED_TOL),
         Check("multiplicative on central elements",
-              central.max_central_residual, "<=", CENTRAL_TOL),
+              central["max_central_residual"], "<=", CENTRAL_TOL),
         Check("non-central counterexample violates",
-              central.counterexample_residual, ">", COUNTEREXAMPLE_FLOOR),
+              central["counterexample_residual"], ">", COUNTEREXAMPLE_FLOOR),
         Check("degenerate state rejected", unrejected, "<=", 0),
     )
     payload = {
         "time_element_norm": float(tnorm),
-        "grading": asdict(grading),
+        "grading": grading,
         "worst_submultiplicativity_slack": float(worst_sub),
         "worst_well_definedness": float(worst_well),
-        "central_multiplicativity": asdict(central),
+        "central_multiplicativity": central,
         "seed": seed,
         **verdict(checks),
     }

@@ -145,11 +145,12 @@ class ScalarField:
 @dataclass
 class SpinorField:
     lattice: Lattice
-    values: np.ndarray   # shape lattice.shape + (spinor_dim,)
+    values: np.ndarray   # lattice.shape + (..., s): one field, or a stack
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape[:-1] != self.lattice.shape:
+        d = self.lattice.dimension
+        if self.values.ndim <= d or self.values.shape[:d] != self.lattice.shape:
             raise ValueError("spinor field shape %s does not match lattice %s"
                              % (self.values.shape, self.lattice.shape))
 

@@ -33,7 +33,7 @@ declared ("assumed"), not verified; only the numerical identities are checked.
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import fft, fft2, fftfreq, ifft
@@ -493,13 +493,6 @@ def damped_commutator_closed_form(theta, sigma):
 # ------------------------------------------------------------------ checks
 
 
-@dataclass
-class DeltaAlgebraReport:
-    truncation: int
-    projection_residual: float
-    norm_ground_residual: float
-
-
 def _gram(n, theta, lat):
     """gram[(m,k),(m',k')] = (2 pi theta)^-1 int conj(f_mk) f_m'k' on `lat`.
 
@@ -534,20 +527,8 @@ def delta_algebra_check(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT):
     # column (m,k) holds the projected coefficients of f_mk
     projection_residual = float(np.max(np.abs(gram - np.eye(n * n))))
     norm_residual = abs(operator_norm(gram[:, 0].reshape(n, n)) - 1.0)
-    return DeltaAlgebraReport(
-        truncation=n,
-        projection_residual=projection_residual,
-        norm_ground_residual=float(norm_residual),
-    )
-
-
-@dataclass
-class CrossEngineReport:
-    truncation: int
-    quadrature_vs_basis: float
-    twisted_vs_basis: float
-    twisted_tail_fraction: float = 0.0   # largest Nyquist-shell fraction seen
-    twisted_tail_warnings: int = 0       # twisted products above TAIL_WARN
+    return {"truncation": n, "projection_residual": projection_residual,
+            "norm_ground_residual": float(norm_residual)}
 
 
 def cross_engine_check(theta=THETA_DEFAULT, truncation=8):
@@ -578,21 +559,11 @@ def cross_engine_check(theta=THETA_DEFAULT, truncation=8):
         want = grid[m, l] if k == K else 0.0
         worst_tw = max(worst_tw, float(np.max(np.abs(got - want))))
 
-    return CrossEngineReport(truncation=n,
-                             quadrature_vs_basis=worst_quad,
-                             twisted_vs_basis=worst_tw,
-                             twisted_tail_fraction=max(tails),
-                             twisted_tail_warnings=sum(t > TAIL_WARN for t in tails))
-
-
-@dataclass
-class CommutationReport:
-    theta: float
-    sigmas: tuple
-    raw_imag: tuple
-    closed_form_residuals: tuple
-    extrapolated_imag: float
-    residual: float
+    return {"truncation": n,
+            "quadrature_vs_basis": worst_quad,
+            "twisted_vs_basis": worst_tw,
+            "twisted_tail_fraction": max(tails),   # largest Nyquist-shell share
+            "twisted_tail_warnings": sum(t > TAIL_WARN for t in tails)}
 
 
 def _damped(axis, sigma):
@@ -624,11 +595,11 @@ def commutation_check(theta=THETA_DEFAULT):
     a1, a2 = raws
     extrap = (e1 * a2 - e2 * a1) / (e1 - e2)
     residual = abs(extrap - 1j * theta)
-    return CommutationReport(theta=float(theta), sigmas=COMMUTATION_SIGMAS,
-                             raw_imag=tuple(float(v.imag) for v in raws),
-                             closed_form_residuals=tuple(float(c) for c in closed),
-                             extrapolated_imag=float(extrap.imag),
-                             residual=float(residual))
+    return {"theta": float(theta), "sigmas": COMMUTATION_SIGMAS,
+            "raw_imag": tuple(float(v.imag) for v in raws),
+            "closed_form_residuals": tuple(float(c) for c in closed),
+            "extrapolated_imag": float(extrap.imag),
+            "residual": float(residual)}
 
 
 def center_time_check(theta=THETA_DEFAULT, points=32):
@@ -725,14 +696,14 @@ def run_moyal_suite(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,
     mixed = [c["commutator_residual"] for c in center
              if not c["commutative_time"]]
     checks = (
-        Check("matrix basis delta algebra", delta.projection_residual, "<=",
+        Check("matrix basis delta algebra", delta["projection_residual"], "<=",
               DELTA_TOL),
-        Check("ground projector has norm 1", delta.norm_ground_residual, "<=",
+        Check("ground projector has norm 1", delta["norm_ground_residual"], "<=",
               NORM_TOL),
         Check("engines agree on basis products",
-              np.max([cross.quadrature_vs_basis, cross.twisted_vs_basis]), "<=",
-              CROSS_ENGINE_TOL),
-        Check("[x,y]_* = i theta (extrapolated)", comm.residual, "<=",
+              np.max([cross["quadrature_vs_basis"], cross["twisted_vs_basis"]]),
+              "<=", CROSS_ENGINE_TOL),
+        Check("[x,y]_* = i theta (extrapolated)", comm["residual"], "<=",
               COMMUTATION_TOL),
         Check("time central if Theta row 0 = 0", np.max(central), "<=",
               CENTER_TOL),
@@ -745,9 +716,9 @@ def run_moyal_suite(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,
     )
     return checks, {
         "theta": float(theta),
-        "delta_algebra": asdict(delta),
-        "cross_engine": asdict(cross),
-        "commutation": asdict(comm),
+        "delta_algebra": delta,
+        "cross_engine": cross,
+        "commutation": comm,
         "center_time": {"cases": center},
         "gaussian_oracle_residual": gauss,
         "trace_residual": tr,

@@ -26,7 +26,7 @@ margin >= -EIG_TOL with, in scalar mode, the additional orientation d_t f > 0;
 a site whose margin is NaN fails.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import default_rng
@@ -104,42 +104,14 @@ def is_steep_scalar(f: ScalarField, D: DiracOperator):
     )
 
 
-@dataclass
-class EquivalenceReport:
-    samples: int
-    dimension: int
-    agreements: int
-    disagreements: list = field(default_factory=list)
-    steep_count: int = 0
-
-    @property
-    def agreement_rate(self):
-        return self.agreements / self.samples if self.samples else 1.0
-
-    @property
-    def checks(self):
-        return (Check("steepness routes agree", len(self.disagreements), "<=",
-                      0),)
-
-    def to_dict(self):
-        return {
-            "samples": self.samples,
-            "dimension": self.dimension,
-            "agreements": self.agreements,
-            "agreement_rate": self.agreement_rate,
-            "steep_count": self.steep_count,
-            "disagreements": self.disagreements,
-            **verdict(self.checks),
-        }
-
-
 def equivalence_scan(samples, seed, dimension=2):
     """Matrix vs scalar verdicts on random constant-gradient linear functions.
 
     Linear f = a t + b.x + c has a site-independent gradient, so each draw is
     decided by one constraint matrix and one scalar inequality, evaluated
     independently; all draws go through `matrix_margins` in one batch.
-    Returns an agreement report (must be 100%).
+    Returns (checks, payload): every draw must agree, and the payload lists
+    the draws that do not.
     """
     if dimension % 2 != 0:
         raise ValueError("matrix mode needs even dimension (chirality)")
@@ -154,5 +126,14 @@ def equivalence_scan(samples, seed, dimension=2):
                       "scalar_margin": float(s_margin[i]),
                       "oriented": bool(oriented[i])}
                      for i in np.flatnonzero(~agree)]
-    return EquivalenceReport(samples, dimension, int(agree.sum()),
-                             disagreements, int(np.sum(m_steep & agree)))
+    agreements = int(agree.sum())
+    checks = (Check("steepness routes agree", len(disagreements), "<=", 0),)
+    return checks, {
+        "samples": samples,
+        "dimension": dimension,
+        "agreements": agreements,
+        "agreement_rate": agreements / samples if samples else 1.0,
+        "steep_count": int(np.sum(m_steep & agree)),
+        "disagreements": disagreements,
+        **verdict(checks),
+    }

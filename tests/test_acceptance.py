@@ -58,22 +58,23 @@ def test_gamma_algebra_exact():
 
 def test_temporal_axiom_suite():
     start = time.perf_counter()
-    flat = check_temporal_axioms(flat_operator(2, 16), seed=0)
-    scaled = check_temporal_axioms(flat_operator(2, 16, u="4"), seed=0)
-    for rep in (flat, scaled):
-        assert rep.hermiticity_residual <= 1e-12
-        assert rep.u_square_deviation <= 1e-13
-        assert rep.skew_residual <= 1e-12
-        assert rep.krein_skew_residual <= 1e-12
-        assert rep.krein_equiv_residual <= 1e-12
-        assert rep.commute_residual <= 1e-12
-        assert rep.elliptic_min_eigenvalue >= -1e-10
-        assert rep.passed
+    flat_checks, flat = check_temporal_axioms(flat_operator(2, 16), seed=0)
+    scaled_checks, scaled = check_temporal_axioms(flat_operator(2, 16, u="4"),
+                                                  seed=0)
+    for checks, rep in ((flat_checks, flat), (scaled_checks, scaled)):
+        assert rep["hermiticity_residual"] <= 1e-12
+        assert rep["u_square_deviation"] <= 1e-13
+        assert rep["skew_residual"] <= 1e-12
+        assert rep["krein_skew_residual"] <= 1e-12
+        assert rep["krein_equiv_residual"] <= 1e-12
+        assert rep["commute_residual"] <= 1e-12
+        assert rep["elliptic_min_eigenvalue"] >= -1e-10
+        assert all(c.passed for c in checks)
     # u = 4 halves the commutator: [D, T]^2 = I/4 on the nose
-    assert scaled.u_ax_min == 0.25
-    assert scaled.u_ax_max == 0.25
+    assert scaled["u_ax_min"] == 0.25
+    assert scaled["u_ax_max"] == 0.25
     elapsed = time.perf_counter() - start
-    worst = max(flat.u_square_deviation, scaled.u_square_deviation)
+    worst = max(flat["u_square_deviation"], scaled["u_square_deviation"])
     _criterion("temporal axiom suite (16x16, u = 1 and 4)", True,
                "[D,T]^2 deviation %.3e, %.2fs" % (worst, elapsed))
     assert elapsed < 10.0
@@ -87,13 +88,13 @@ def test_temporal_axiom_suite_4d(monkeypatch):
         raise AssertionError("dense_matrix called")
     monkeypatch.setattr(DiracOperator, "dense_matrix", refuse)
     start = time.perf_counter()
-    rep = check_temporal_axioms(flat_operator(4, 5), seed=0)
+    checks, rep = check_temporal_axioms(flat_operator(4, 5), seed=0)
     elapsed = time.perf_counter() - start
-    failed = [c.name for c in rep.checks if not c.passed]
+    failed = [c.name for c in checks if not c.passed]
     _criterion("temporal axiom suite (4-d, 5^4 sites)", not failed,
                "min <D>^2 eigenvalue %.3e, %.2fs"
-               % (rep.elliptic_min_eigenvalue, elapsed))
-    assert len(rep.checks) == 9
+               % (rep["elliptic_min_eigenvalue"], elapsed))
+    assert len(checks) == 9
     assert elapsed < 1.0
 
 
@@ -101,10 +102,10 @@ def test_steepness_route_equivalence():
     start = time.perf_counter()
     total_disagree = 0
     for dim in (2, 4):
-        scan = equivalence_scan(1000, seed=42, dimension=dim)
-        total_disagree += len(scan.disagreements)
-        assert scan.agreements == 1000
-        assert 0 < scan.steep_count < 1000
+        _, scan = equivalence_scan(1000, seed=42, dimension=dim)
+        total_disagree += len(scan["disagreements"])
+        assert scan["agreements"] == 1000
+        assert 0 < scan["steep_count"] < 1000
     elapsed = time.perf_counter() - start
     _criterion("steepness routes agree (1000 draws x 2 dims)",
                total_disagree == 0,
@@ -197,10 +198,10 @@ def test_filtered_algebra_suite():
     assert abs(t_norm - 8.0 / np.sqrt(65.0)) <= 1e-15
 
     grading = operator_norm_grading_check(t_elem, lat, seed=42)
-    assert grading.spread <= 1e-10
-    estimates = np.array(list(grading.estimates.values()))
-    assert np.all(estimates <= grading.weighted_norm * (1.0 + 1e-12))
-    assert estimates.min() >= 0.95 * grading.weighted_norm
+    assert grading["spread"] <= 1e-10
+    estimates = np.array(list(grading["estimates"].values()))
+    assert np.all(estimates <= grading["weighted_norm"] * (1.0 + 1e-12))
+    assert estimates.min() >= 0.95 * grading["weighted_norm"]
 
     rng = np.random.default_rng(42)
     worst_slack = -np.inf
@@ -222,12 +223,12 @@ def test_filtered_algebra_suite():
 
     toy = ToyAlgebra(tuple(np.linspace(-3.0, 3.0, 8)))
     cent = central_multiplicativity_check(toy, seed=42)
-    assert cent.max_central_residual <= 1e-13
-    assert abs(cent.counterexample_residual - 0.5) <= 1e-12
+    assert cent["max_central_residual"] <= 1e-13
+    assert abs(cent["counterexample_residual"] - 0.5) <= 1e-12
     elapsed = time.perf_counter() - start
     _criterion("filtered algebra suite", True,
                "submult slack %.3e, central %.3e, %.2fs"
-               % (worst_slack, cent.max_central_residual, elapsed))
+               % (worst_slack, cent["max_central_residual"], elapsed))
     assert elapsed < 5.0
 
 

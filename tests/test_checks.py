@@ -39,11 +39,11 @@ GUARDS = {"U_VARIATION_TOL", "GOLDEN_TOL", "DECOMPOSITION_TOL",
 # the checks of each suite, from the module that holds its thresholds
 SUITES = {
     clifford: lambda: clifford.check_clifford(clifford.build_gamma(4)).checks,
-    dirac: lambda: dirac.check_temporal_axioms(dirac.flat_operator(2, 4)).checks,
+    dirac: lambda: dirac.check_temporal_axioms(dirac.flat_operator(2, 4))[0],
     distance: lambda: distance.run_distance_suite(3, 2, 8, 0)[0],
     moyal: lambda: moyal.run_moyal_suite(quick=True)[0],
     filtration: lambda: filtration.run_filtration_suite()[0],
-    steepness: lambda: steepness.equivalence_scan(50, 0).checks,
+    steepness: lambda: steepness.equivalence_scan(50, 0)[0],
 }
 
 

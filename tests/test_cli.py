@@ -153,12 +153,13 @@ def test_periodic_verify_is_held_to_the_momentum_budget(tmp_path, capsys):
     ("distance", {"candidates": ["+".join(["t"] * 1500)]}),
     ("verify", {"box": 1e-160}),
     ("verify", {"box": 1e200}),
+    ("verify", {"u": "1e-160"}),
 ], ids=["out-type", "box-inf", "theta-nan", "quick-type", "u-negative",
         "u-division-floor", "u-sqrt-negative", "pairs-bool", "theta-bool",
         "box-bool", "distance-sites", "distance-odd-dimension",
         "report-odd-dimension", "out-under-a-file", "out-is-a-file",
         "candidate-not-a-string", "u-nested-250", "candidate-sum-1500",
-        "box-underflow", "box-overflow"])
+        "box-underflow", "box-overflow", "u-underflow"])
 def test_bad_config_fails_before_any_work(command, config, tmp_path,
                                           monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -182,17 +183,25 @@ def test_box_must_give_finite_cell_weights(box):
         assert not cli.validate_config(cli.RunConfig(box=fine), "verify")
 
 
+def test_u_must_keep_the_elliptic_time_part_finite():
+    # the time part of <D>^2 scales as 1/(h^2 u^2): at h = 1, u = 1e-155
+    # squares to a subnormal whose reciprocal overflows, u = 1e-154 does not
+    errors = cli.validate_config(cli.RunConfig(u="1e-155"), "verify")
+    assert len(errors) == 1 and "min(u)^2" in errors[0], errors
+    assert not cli.validate_config(cli.RunConfig(u="1e-154"), "verify")
+
+
 def _verify_checks(points, u="1", boundary="periodic"):
     checks = [c for n in (2, 3, 4, 6) for c in check_clifford(build_gamma(n)).checks]
     op = flat_operator(2, points, boundary=boundary, u=u)
-    return checks + list(check_temporal_axioms(op, seed=42).checks)
+    return checks + list(check_temporal_axioms(op, seed=42)[0])
 
 
 def _report_checks():
     return (_verify_checks(12) + list(run_distance_suite(10, 2, 12, 42)[0])
             + list(run_moyal_suite(quick=True)[0])
             + list(run_filtration_suite(seed=42)[0])
-            + list(equivalence_scan(500, 42, dimension=2).checks))
+            + list(equivalence_scan(500, 42, dimension=2)[0]))
 
 
 @pytest.mark.parametrize("argv, expected", [

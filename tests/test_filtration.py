@@ -85,12 +85,12 @@ def test_operator_norm_grading():
     lat = time_lattice()
     rep = operator_norm_grading_check(FilteredElement.time_element(), lat,
                                       seed=1)
-    estimates = np.array(list(rep.estimates.values()))
-    assert np.all(estimates <= rep.weighted_norm * (1.0 + 1e-12))
-    assert estimates.min() >= 0.95 * rep.weighted_norm
-    assert rep.spread <= 1e-10
-    assert rep.weighted_norm == pytest.approx(T_NORM_REF, abs=1e-15)
-    assert set(rep.estimates) == {-2, -1, 0, 1, 2}
+    estimates = np.array(list(rep["estimates"].values()))
+    assert np.all(estimates <= rep["weighted_norm"] * (1.0 + 1e-12))
+    assert estimates.min() >= 0.95 * rep["weighted_norm"]
+    assert rep["spread"] <= 1e-10
+    assert rep["weighted_norm"] == pytest.approx(T_NORM_REF, abs=1e-15)
+    assert set(rep["estimates"]) == {-2, -1, 0, 1, 2}
 
 
 def test_extension_literal_value():
@@ -170,11 +170,11 @@ def toy():
 
 def test_central_multiplicativity():
     rep = central_multiplicativity_check(toy(), seed=0)
-    assert rep.trials == 500
-    assert rep.max_central_residual <= 1e-13
-    assert rep.counterexample_residual == pytest.approx(0.5, abs=1e-12)
-    assert rep.counterexample["chi_ab"] == 0.0
-    assert rep.counterexample["chi_a_chi_b"] == pytest.approx(0.5, abs=1e-12)
+    assert rep["trials"] == 500
+    assert rep["max_central_residual"] <= 1e-13
+    assert rep["counterexample_residual"] == pytest.approx(0.5, abs=1e-12)
+    assert rep["counterexample"]["chi_ab"] == 0.0
+    assert rep["counterexample"]["chi_a_chi_b"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_toy_state_is_normalized():
@@ -210,7 +210,8 @@ def test_central_residual_is_the_per_trial_loop_over_the_panel(seed):
         chi_ab[i] = chi(np.einsum("kij,kjl->kil", a, b[i]))
         chi_a[i], chi_b[i] = chi(a), chi(b[i])
     want = float(np.max(np.abs(chi_ab - chi_a * chi_b)))
-    assert central_multiplicativity_check(alg, seed=seed).max_central_residual == want
+    assert central_multiplicativity_check(alg, seed=seed)[
+        "max_central_residual"] == want
 
 
 def test_suite_passes_on_twenty_seeds():
@@ -254,7 +255,7 @@ def test_grading_bulk_draw_is_the_per_trial_draws(elem, lattice):
                                 weight=(1.0 + t ** 2) ** float(n)).real
             best = max(best, np.sqrt(num / den))
         want[n] = float(best)
-    assert operator_norm_grading_check(elem, lat, seed=5).estimates == want
+    assert operator_norm_grading_check(elem, lat, seed=5)["estimates"] == want
 
 
 def test_random_elements_evaluate_as_their_parsed_labels():

@@ -1,9 +1,33 @@
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import lorentzlab
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+# public functions and methods that no library code calls and the benchmark
+# does not name, each with the reason it stays
+TEST_ONLY = {
+    "clifford.GammaRep.conjugated":
+        "test oracle: a unitarily conjugated rep passes check_clifford",
+    "clifford.krein_adjoint":
+        "test oracle: J A^+ J, against which the Krein forms are checked",
+    "lattice.Lattice.axis_coordinates":
+        "test oracle: the 1-d coordinates behind coordinate_array",
+    "lattice.integrate": "test oracle: the quadrature weights",
+    "lattice.inner_product":
+        "test oracle: the per-trial inner products of the grading check",
+    "moyal.project": "the Moyal-triple item projects its derivatives back",
+    "moyal.synthesize": "the Moyal-triple item's ladder-derivative oracle",
+    "steepness.is_steep_scalar":
+        "the doubler-free certificate item feeds it upwind gradients",
+    "distance.conformal_time_distance":
+        "the non-flat lapse item's tau oracle",
+}
 
 
 def test_import_loads_no_deferred_scipy_subpackage():
@@ -36,14 +60,19 @@ def test_all_lists_exactly_the_public_imports():
     assert len(lorentzlab.__all__) == len(set(lorentzlab.__all__))
 
 
-def test_every_module_constant_is_read_in_src():
-    # a setting that no library code reads is a leftover, not a setting
+def _src_trees():
+    """Each module of the package, by name, parsed."""
     package = os.path.dirname(os.path.abspath(lorentzlab.__file__))
     trees = {}
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name)) as fh:
-                trees[name] = ast.parse(fh.read())
+                trees[name[:-3]] = ast.parse(fh.read())
+    return trees
+
+
+def _loaded_names(trees):
+    """Every name and attribute the package's code reads."""
     reads = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -51,9 +80,44 @@ def test_every_module_constant_is_read_in_src():
                 reads.add(node.id)
             elif isinstance(node, ast.Attribute):
                 reads.add(node.attr)
+    return reads
+
+
+def test_every_module_constant_is_read_in_src():
+    # a setting that no library code reads is a leftover, not a setting
+    trees = _src_trees()
+    reads = _loaded_names(trees)
     constants = {(module, target.id) for module, tree in trees.items()
                  for node in tree.body if isinstance(node, ast.Assign)
                  for target in node.targets if isinstance(target, ast.Name)
                  and target.id.isupper()}
     assert constants
     assert sorted(c for c in constants if c[1] not in reads) == []
+
+
+def test_every_public_function_has_a_caller_or_a_reason():
+    # a public function that only tests call is either an oracle or waits
+    # for the roadmap item that adopts it; anything else is a leftover
+    trees = _src_trees()
+    reads = _loaded_names(trees)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    traced = {"%s.%s" % (module, name)
+              for table in (spans.TRACED, spans.COUNTED)
+              for module, names in table.items() if names != "*"
+              for name in names}
+    public = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            members = [("", node)]
+            if isinstance(node, ast.ClassDef):
+                members = [(node.name + ".", item) for item in node.body]
+            for owner, item in members:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    public[module + "." + owner + item.name] = item.name
+    assert set(TEST_ONLY) <= set(public)
+    unused = sorted(dotted for dotted, name in public.items()
+                    if name not in reads and dotted not in traced)
+    assert unused == sorted(TEST_ONLY)

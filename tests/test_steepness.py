@@ -142,11 +142,12 @@ def test_scalar_route_takes_the_lapse_of_the_operator(expr, steep, matrix_worst,
 
 @pytest.mark.parametrize("dim", [2, 4])
 def test_equivalence_scan(dim):
-    scan = equivalence_scan(1000, seed=7, dimension=dim)
-    assert scan.samples == 1000
-    assert scan.agreements == 1000
-    assert scan.disagreements == []
-    assert 0 < scan.steep_count < 1000
+    checks, scan = equivalence_scan(1000, seed=7, dimension=dim)
+    assert all(c.passed for c in checks)
+    assert scan["samples"] == 1000
+    assert scan["agreements"] == 1000
+    assert scan["disagreements"] == []
+    assert 0 < scan["steep_count"] < 1000
 
 
 def test_scan_and_certificate_share_the_margin_function(monkeypatch):
@@ -162,7 +163,7 @@ def test_scan_and_certificate_share_the_margin_function(monkeypatch):
     monkeypatch.setattr(steepness, "matrix_margins", spy)
     op = clamped_op()
     assert is_steep_matrix(ScalarField.from_expression(op.lattice, "t"), op).steep
-    assert equivalence_scan(50, seed=3).agreements == 50
+    assert equivalence_scan(50, seed=3)[1]["agreements"] == 50
     assert shapes == [op.lattice.shape, (50,)]
 
 
