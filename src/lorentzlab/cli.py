@@ -101,6 +101,7 @@ def _has_type(value, kind):
 # dimensions)
 AXIOM_COMMANDS = ("verify", "report")
 EVEN_COMMANDS = ("distance", "report")
+MOYAL_COMMANDS = ("moyal", "report")    # held to moyal.basis_overflow_error
 
 
 def validate_config(cfg, command):
@@ -152,6 +153,12 @@ def validate_config(cfg, command):
     if command in EVEN_COMMANDS and "dimension" in valid and cfg.dimension % 2:
         errors.append("%s needs an even dimension (chirality), got %d"
                       % (command, cfg.dimension))
+    if command in MOYAL_COMMANDS and {"theta", "truncation", "quick"} <= valid:
+        # report runs the quick suite
+        n = 8 if cfg.quick or command == "report" else cfg.truncation
+        error = moyal.basis_overflow_error(n, float(cfg.theta))
+        if error:
+            errors.append(error)
     axioms = command in AXIOM_COMMANDS
     if not errors and cfg.points ** cfg.dimension > dirac.SITE_LIMIT:
         errors.append("lattice too large: %d^%d sites > %d"

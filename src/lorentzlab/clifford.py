@@ -130,7 +130,7 @@ def check_clifford(rep):
             herm.append(max_abs(g + g.conj().T))   # anti-Hermitian
         else:
             herm.append(max_abs(g - g.conj().T))   # Hermitian
-    worst = max(max(anti.values()), max(herm))
+    worst = float(np.max([*anti.values(), *herm]))   # a NaN residual stays NaN
     return CliffordReport(
         dimension=n,
         anticommutator_residuals=anti,

@@ -345,13 +345,27 @@ class StencilOperator:
     def _like(self, diagonals):
         return StencilOperator(self.lattice, self.spinor_dim, diagonals)
 
-    def __matmul__(self, other):
-        out = {}
+    def product_diagonals(self, other):
+        """Yield (key, array) per diagonal of self @ other, formed when yielded.
+
+        Keys come in first-appearance order, and each diagonal sums the same
+        pair products in the same pair order as one pass over all pairs.
+        """
+        terms = {}
         for (oa, ka), va in self.diagonals.items():
             for (ob, kb), vb in other.diagonals.items():
-                _accumulate(out, self.lattice, tuple(a + b for a, b in zip(oa, ob)),
-                            ka ^ kb, va * _shift(vb, oa, ka))
-        return self._like(out)
+                sites = _site_key(self.lattice, tuple(a + b for a, b in zip(oa, ob)))
+                if sites is not None:
+                    terms.setdefault((sites, ka ^ kb), []).append((va, vb, oa, ka))
+        for key, pairs in terms.items():
+            total = None
+            for va, vb, oa, ka in pairs:
+                term = va * _shift(vb, oa, ka)
+                total = term if total is None else total + term
+            yield key, total
+
+    def __matmul__(self, other):
+        return self._like(dict(self.product_diagonals(other)))
 
     def __add__(self, other):
         out = dict(self.diagonals)
@@ -397,13 +411,14 @@ class StencilOperator:
             h = np.conj(_shift(v, back, k))
             mirror = self.diagonals.get((_site_key(self.lattice, back), k))
             diff = h if mirror is None else mirror - h
-            worst = max(worst, float(np.abs(diff).max()))
-        return worst
+            worst = np.maximum(worst, np.abs(diff).max())
+        return float(worst)
 
     def max_abs(self):
-        """Largest |entry|, as `clifford.max_abs` of the dense matrix."""
-        return max((float(np.abs(v).max()) for v in self.diagonals.values()),
-                   default=0.0)
+        """Largest |entry|, NaN if any, as `clifford.max_abs` of the dense
+        matrix."""
+        return float(np.max([np.abs(v).max() for v in self.diagonals.values()],
+                            initial=0.0))
 
     def toarray(self):
         """The dense matrix in row-major (site, spinor) order."""
@@ -444,14 +459,15 @@ def _site_blocks(lattice, blocks):
 def _elliptic_square(d, k, kd):
     """-1/2 (D K D K + K D K D) from the matrices of D, K = [D,T] and K D.
 
-    K D K D is added into the diagonals of D K D K, which are then scaled,
-    in place: no sum is held beside the two products.  Each entry is the
-    same sum and product as -0.5 * (dk @ dk + kd @ kd).
+    Each diagonal of K D K D is added into the diagonals of D K D K as soon
+    as it is formed, and the sum is then scaled in place: K D K D is never
+    held whole, and no sum beside the products.  Each entry is the same sum
+    and product as -0.5 * (dk @ dk + kd @ kd).
     """
     dk = d @ k
     m = dk @ dk
     del dk
-    for key, v in (kd @ kd).diagonals.items():
+    for key, v in kd.product_diagonals(kd):
         if key in m.diagonals:
             m.diagonals[key] += v
         else:
@@ -497,9 +513,9 @@ def _momentum_blocks(m, momenta=slice(None)):
 def _momentum_chunks(points, spinor_dim):
     """Slices of momenta whose blocks take at most MOMENTUM_BYTES_LIMIT / 8.
 
-    The blocks, their symmetrised copy with its temporaries and the copy
-    eigvalsh works on hold about four block-sized arrays at once, so a
-    chunk's working set stays within half the limit.
+    The blocks, symmetrised in place, the conjugate transpose added into
+    them and the copy eigvalsh works on hold about three block-sized arrays
+    at once, so a chunk's working set stays within half the limit.
     """
     momenta = int(np.prod(points[1:]))
     block = momentum_block_bytes(points, spinor_dim) // momenta
@@ -508,9 +524,10 @@ def _momentum_chunks(points, spinor_dim):
 
 
 def _min_eigenvalue(blocks):
-    """Smallest eigenvalue of the Hermitian parts of a stack of blocks."""
-    sym = 0.5 * (blocks + np.conj(np.swapaxes(blocks, -1, -2)))
-    return float(np.linalg.eigvalsh(sym).min())
+    """Smallest eigenvalue of the Hermitian parts of blocks it overwrites."""
+    blocks += np.conj(np.swapaxes(blocks, -1, -2))
+    blocks *= 0.5
+    return float(np.linalg.eigvalsh(blocks).min())
 
 
 def check_temporal_axioms(D: DiracOperator, seed=0):
@@ -529,6 +546,8 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
     s = D.spinor_dim
     periodic = lat.boundary == "periodic"
     _require(elliptic_size_error(lat.points, lat.boundary, s))
+    # each operator is deleted after its last read: <D>^2 is formed beside D,
+    # K and K D alone
     K = D.temporal_commutator()
 
     herm = max_abs(K - np.conj(np.swapaxes(K, -1, -2)))
@@ -542,7 +561,10 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
     d = D.sparse_matrix()
     assembly = None
     if D.dense_dim <= ORACLE_LIMIT:
-        assembly = max_abs(d.toarray() - D.dense_matrix())
+        dense = D.dense_matrix()
+        dense -= d.toarray()
+        assembly = max_abs(dense)
+        del dense
     k = _site_blocks(lat, K)
     kd = k @ d
     skew = (D.weighted_adjoint(kd) + kd).max_abs()
@@ -553,6 +575,7 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
     jd = j @ d
     krein_skew = (D.weighted_adjoint(jd) + jd).max_abs()
     krein_equiv = (D.weighted_adjoint(d) + jd @ j).max_abs()
+    del j, jd
 
     rng = default_rng(seed)
     commute = 0.0
@@ -561,9 +584,12 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
         psi = random_spinor(lat, s, rng)
         lhs = np.einsum("...ab,...b->...a", K, f[..., None] * psi.values)
         rhs = f[..., None] * np.einsum("...ab,...b->...a", K, psi.values)
-        commute = max(commute, float(np.abs(lhs - rhs).max()))
+        commute = np.maximum(commute, np.abs(lhs - rhs).max())
+    commute = float(commute)
+    del K, ksq, f, psi, lhs, rhs
 
     m = _elliptic_square(d, k, kd)
+    del d, k, kd
     ell_herm = m.hermiticity_residual()
     if periodic:
         ell_min = min(_min_eigenvalue(_momentum_blocks(m, chunk))

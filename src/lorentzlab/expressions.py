@@ -278,9 +278,11 @@ def variables_used(node):
     return set().union(*map(variables_used, _children(node)))
 
 
-def _first_bad_site(mask, shape):
+def _first_bad_site(mask):
+    """'site 128 (8, 0)': the first True of mask, flat and as an index."""
     flat = int(np.argmax(mask))
-    return flat, np.unravel_index(flat, shape) if shape else ()
+    index = np.unravel_index(flat, mask.shape) if mask.ndim else ()
+    return "site %d (%s)" % (flat, ", ".join(str(int(i)) for i in index))
 
 
 def evaluate(node, env):
@@ -302,9 +304,8 @@ def evaluate(node, env):
         if node.func == "sqrt":
             bad = np.asarray(arg) < 0
             if np.any(bad):
-                flat, idx = _first_bad_site(bad, np.asarray(arg).shape)
-                raise ExpressionError(
-                    "sqrt of negative value at site %d %s" % (flat, (idx,)))
+                raise ExpressionError("sqrt of negative value at %s"
+                                      % _first_bad_site(bad))
         return FUNCTIONS[node.func](arg)
     if isinstance(node, Binary):
         left = evaluate(node.left, env)
@@ -318,9 +319,8 @@ def evaluate(node, env):
         if node.op == "/":
             bad = np.abs(np.asarray(right, dtype=float)) < DIV_FLOOR
             if np.any(bad):
-                flat, idx = _first_bad_site(bad, np.asarray(right).shape)
-                raise ExpressionError(
-                    "division by zero at site %d %s" % (flat, (idx,)))
+                raise ExpressionError("division by zero at %s"
+                                      % _first_bad_site(bad))
             return left / right
         if node.op == "^":
             base = np.asarray(left, dtype=float)
@@ -328,10 +328,9 @@ def evaluate(node, env):
                 # only integer exponents are defined for negative bases
                 if not (isinstance(node.right, Constant)
                         and float(node.right.value).is_integer()):
-                    flat, idx = _first_bad_site(base < 0, base.shape)
                     raise ExpressionError(
-                        "non-integer power of negative value at site %d %s"
-                        % (flat, (idx,)))
+                        "non-integer power of negative value at %s"
+                        % _first_bad_site(base < 0))
             return left ** right
     raise TypeError("not an AST node: %r" % (node,))
 

@@ -429,6 +429,24 @@ def basis_stack(n, theta, x, y):
     return out
 
 
+def basis_overflow_error(n, theta):
+    """Why the Landau basis of n orders is not finite on the check grids, or None.
+
+    Its largest xi is at the corner (-box, -box) of DELTA_GRID, which
+    CROSS_ENGINE_GRID shares.  There a small theta or many orders make the
+    polynomial part in xi overflow while the damping exp(-xi/2) underflows,
+    and the basis value is inf * 0.
+    """
+    corner = -DELTA_GRID[0]
+    with np.errstate(all="ignore"):
+        finite = np.all(np.isfinite(basis_stack(n, theta, corner, corner)))
+    if finite:
+        return None
+    return ("the Landau basis of %d orders is not finite at (%g, %g) for "
+            "theta %r (use a larger theta or a smaller truncation)"
+            % (n, corner, corner, theta))
+
+
 def _basis_blocks(n, theta, lat):
     """basis_stack(n) over the sites of a 2-d `lat`, in blocks of sites.
 
@@ -557,11 +575,11 @@ def cross_engine_check(theta=THETA_DEFAULT, truncation=8):
         got, tail = star_twisted(grid[m, k], grid[K, l], lat, theta)
         tails.append(max(tail))
         want = grid[m, l] if k == K else 0.0
-        worst_tw = max(worst_tw, float(np.max(np.abs(got - want))))
+        worst_tw = np.maximum(worst_tw, np.max(np.abs(got - want)))
 
     return {"truncation": n,
             "quadrature_vs_basis": worst_quad,
-            "twisted_vs_basis": worst_tw,
+            "twisted_vs_basis": float(worst_tw),
             "twisted_tail_fraction": max(tails),   # largest Nyquist-shell share
             "twisted_tail_warnings": sum(t > TAIL_WARN for t in tails)}
 

@@ -154,12 +154,15 @@ def test_periodic_verify_is_held_to_the_momentum_budget(tmp_path, capsys):
     ("verify", {"box": 1e-160}),
     ("verify", {"box": 1e200}),
     ("verify", {"u": "1e-160"}),
+    ("moyal", {"theta": 1e-20}),
+    ("report", {"theta": 1e-100}),
 ], ids=["out-type", "box-inf", "theta-nan", "quick-type", "u-negative",
         "u-division-floor", "u-sqrt-negative", "pairs-bool", "theta-bool",
         "box-bool", "distance-sites", "distance-odd-dimension",
         "report-odd-dimension", "out-under-a-file", "out-is-a-file",
         "candidate-not-a-string", "u-nested-250", "candidate-sum-1500",
-        "box-underflow", "box-overflow", "u-underflow"])
+        "box-underflow", "box-overflow", "u-underflow", "basis-overflow",
+        "report-basis-overflow"])
 def test_bad_config_fails_before_any_work(command, config, tmp_path,
                                           monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -181,6 +184,27 @@ def test_box_must_give_finite_cell_weights(box):
     assert len(errors) == 1 and "cell weight" in errors[0], errors
     for fine in (1e-3, 1e6):
         assert not cli.validate_config(cli.RunConfig(box=fine), "verify")
+
+
+@pytest.mark.parametrize("command, config, refused", [
+    ("moyal", {"theta": 1e-20}, True),
+    ("moyal", {"theta": 1e-20, "quick": True}, False),
+    ("moyal", {"theta": 1e-15}, False),
+    ("moyal", {"theta": 1e-12, "truncation": 32}, True),
+    ("moyal", {"theta": 0.1, "truncation": 32}, False),
+    ("report", {"theta": 1e-20, "truncation": 32}, False),
+    ("report", {"theta": 1e-100}, True),
+    ("verify", {"theta": 1e-100}, False),
+])
+def test_theta_must_keep_the_landau_basis_finite(command, config, refused):
+    # at the corner of the delta grid the basis is inf * 0 for a small
+    # theta and many orders; moyal runs truncation orders (8 with --quick),
+    # report 8, and verify none
+    errors = cli.validate_config(cli.RunConfig(**config), command)
+    if refused:
+        assert len(errors) == 1 and "Landau basis" in errors[0], errors
+    else:
+        assert errors == []
 
 
 def test_u_must_keep_the_elliptic_time_part_finite():

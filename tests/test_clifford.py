@@ -118,6 +118,16 @@ def test_check_clifford_rejects_two_time_directions():
     assert report.hermiticity_residuals[1] == pytest.approx(2.0)
 
 
+def test_check_clifford_rejects_a_nan_entry():
+    # max() drops a NaN that does not come first: this rep read 0.0
+    rep = build_gamma(2)
+    g1 = np.array(rep.matrices[1])
+    g1[0, 1] = np.nan
+    report = check_clifford(GammaRep(2, (rep.matrices[0], g1), rep.metric_signs))
+    assert np.isnan(report.max_residual)
+    assert not report.passed
+
+
 def test_check_clifford_rejects_random_matrices():
     rng = np.random.RandomState(3)
     mats = tuple(rng.randn(4, 4) + 1j * rng.randn(4, 4) for _ in range(3))

@@ -4,6 +4,7 @@ import pytest
 from lorentzlab.expressions import (MAX_DEPTH, ExpressionError,
                                     compile_expression, evaluate,
                                     parse_expression, variables_used)
+from lorentzlab.lattice import Lattice, ScalarField
 
 
 def ev(text, **env):
@@ -84,6 +85,24 @@ def test_sqrt_of_negative_names_site():
     with pytest.raises(ExpressionError) as err:
         fn(t=np.array([1.0, -4.0, 9.0]))
     assert "site 1" in str(err.value)
+
+
+@pytest.mark.parametrize("text, site", [
+    ("1/(t-8)", "division by zero at site 128 (8, 0)"),
+    ("sqrt(7-t-x)", "sqrt of negative value at site 8 (0, 8)"),
+    ("(10-t)^1.5", "non-integer power of negative value at site 176 (11, 0)"),
+], ids=["division", "sqrt", "power"])
+def test_errors_name_the_site_in_plain_integers(text, site):
+    lat = Lattice(((0.0, 16.0), (0.0, 16.0)), (16, 16))
+    with pytest.raises(ExpressionError) as err:
+        ScalarField.from_expression(lat, text)
+    assert str(err.value).endswith(site), str(err.value)
+
+
+def test_a_scalar_argument_names_site_zero():
+    _, fn = compile_expression("sqrt(t)")
+    with pytest.raises(ExpressionError, match=r"at site 0 \(\)$"):
+        fn(t=np.float64(-1.0))
 
 
 def test_division_floor_guard():

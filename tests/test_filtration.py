@@ -214,6 +214,25 @@ def test_central_residual_is_the_per_trial_loop_over_the_panel(seed):
         "max_central_residual"] == want
 
 
+@pytest.mark.parametrize("function, check, key", [
+    ("submultiplicativity_residual", "weighted norms submultiplicative",
+     "worst_submultiplicativity_slack"),
+    ("well_definedness_check", "state extension well defined",
+     "worst_well_definedness")])
+def test_a_nan_residual_fails_its_check(function, check, key, monkeypatch):
+    # NaN on the second of twenty trials: a running max() kept the others
+    calls = []
+    real = getattr(filtration, function)
+
+    def residual(*args):
+        calls.append(1)
+        return float("nan") if len(calls) == 2 else real(*args)
+    monkeypatch.setattr(filtration, function, residual)
+    checks, payload = run_filtration_suite(0)
+    assert [c.name for c in checks if not c.passed] == [check]
+    assert np.isnan(payload[key])
+
+
 def test_suite_passes_on_twenty_seeds():
     for seed in range(20):
         checks, payload = run_filtration_suite(seed)

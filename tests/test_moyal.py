@@ -575,6 +575,21 @@ def test_cross_engine_runs_the_quadrature_engine(monkeypatch):
     assert rep["quadrature_vs_basis"] <= 1e-4
 
 
+def test_cross_engine_keeps_a_nan_twisted_residual(monkeypatch):
+    # NaN from the second of the twisted products: a running max() kept
+    # the others
+    calls = []
+    engine = moyal.star_twisted
+
+    def twisted(*args):
+        got, tail = engine(*args)
+        calls.append(1)
+        return (got * np.nan if len(calls) == 2 else got), tail
+    monkeypatch.setattr(moyal, "star_twisted", twisted)
+    rep = cross_engine_check(truncation=4)
+    assert np.isnan(rep["twisted_vs_basis"])
+
+
 def test_cross_engine_records_nyquist_warnings():
     # the suite's twisted grid is too coarse at theta 0.25: each of the five
     # products warns, and the report keeps what the warnings said
