@@ -12,7 +12,7 @@ language (``expressions``), and a deterministic CLI (``cli``).
 
 from .checks import Check
 from .clifford import (GammaRep, build_gamma, check_clifford, chirality,
-                       fundamental_symmetry, krein_adjoint)
+                       fundamental_symmetry)
 from .dirac import (DiracOperator, check_temporal_axioms, elliptic_square,
                     flat_operator)
 from .distance import (CandidatePool, boosted_family_distance,
@@ -23,7 +23,7 @@ from .filtration import (FilteredElement, ToyAlgebra, ToyState,
                          central_multiplicativity_check, extend_state,
                          operator_norm_grading_check, weighted_norm,
                          well_definedness_check)
-from .lattice import Lattice, ScalarField, SpinorField, gradient, integrate
+from .lattice import Lattice, ScalarField, SpinorField, gradient
 from .moyal import (ThetaMatrix, commutation_check, delta_algebra_check,
                     moyal_grid, operator_norm, project, star_quadrature,
                     star_twisted, synthesize)
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Check",
     "GammaRep", "build_gamma", "check_clifford", "chirality",
-    "fundamental_symmetry", "krein_adjoint",
+    "fundamental_symmetry",
     "DiracOperator", "check_temporal_axioms", "elliptic_square",
     "flat_operator",
     "CandidatePool", "boosted_family_distance", "certify_candidates",
@@ -44,7 +44,7 @@ __all__ = [
     "FilteredElement", "ToyAlgebra", "ToyState",
     "central_multiplicativity_check", "extend_state",
     "operator_norm_grading_check", "weighted_norm", "well_definedness_check",
-    "Lattice", "ScalarField", "SpinorField", "gradient", "integrate",
+    "Lattice", "ScalarField", "SpinorField", "gradient",
     "ThetaMatrix", "commutation_check", "delta_algebra_check",
     "moyal_grid", "operator_norm", "project", "star_quadrature",
     "star_twisted", "synthesize",

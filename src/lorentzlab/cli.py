@@ -155,7 +155,8 @@ def validate_config(cfg, command):
                       % (command, cfg.dimension))
     if command in MOYAL_COMMANDS and {"theta", "truncation", "quick"} <= valid:
         # report runs the quick suite
-        n = 8 if cfg.quick or command == "report" else cfg.truncation
+        n = (moyal.QUICK_TRUNCATION if cfg.quick or command == "report"
+             else cfg.truncation)
         error = moyal.basis_overflow_error(n, float(cfg.theta))
         if error:
             errors.append(error)
@@ -240,13 +241,13 @@ def _lattice(cfg):
 
 
 def run_verify(cfg):
-    reports = [clifford.check_clifford(clifford.build_gamma(n))
-               for n in (2, 3, 4, 6)]
+    gammas = [clifford.check_clifford(clifford.build_gamma(n))
+              for n in (2, 3, 4, 6)]
     op = dirac.flat_operator(cfg.dimension, cfg.points, _lattice(cfg).extents,
                              cfg.boundary, cfg.u)
     axiom_checks, axioms = dirac.check_temporal_axioms(op, seed=cfg.seed)
-    checks = [c for rep in reports for c in rep.checks] + axiom_checks
-    payload = {"clifford": {str(rep.dimension): rep.to_dict() for rep in reports},
+    checks = [c for gamma_checks, _ in gammas for c in gamma_checks] + axiom_checks
+    payload = {"clifford": {str(gamma["dimension"]): gamma for _, gamma in gammas},
                "axioms": axioms,
                "config": {"dimension": cfg.dimension, "points": cfg.points,
                           "boundary": cfg.boundary, "u": cfg.u,

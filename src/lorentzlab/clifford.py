@@ -18,7 +18,7 @@ gamma^0 = i G_1.  Matrix size is 2^floor(n/2).  Everything is deterministic.
 Residuals on matrix identities are entrywise max-abs norms.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,12 +55,6 @@ class GammaRep:
     def matrix_size(self):
         return self.matrices[0].shape[0]
 
-    def conjugated(self, unitary):
-        """Return the rep with every matrix replaced by U g U^dagger."""
-        u = np.asarray(unitary, dtype=complex)
-        mats = tuple(u @ g @ u.conj().T for g in self.matrices)
-        return GammaRep(self.dimension, mats, self.metric_signs)
-
 
 def _euclidean_generators(n):
     m = n // 2
@@ -86,43 +80,22 @@ def build_gamma(n):
     return GammaRep(n, tuple(mats), tuple([-1] + [1] * (n - 1)))
 
 
-@dataclass
-class CliffordReport:
-    dimension: int
-    anticommutator_residuals: dict = field(default_factory=dict)  # (mu,nu) -> float
-    hermiticity_residuals: tuple = ()
-    max_residual: float = 0.0
-
-    @property
-    def checks(self):
-        return (Check("clifford n=%d" % self.dimension, self.max_residual,
-                      "<=", CLIFFORD_TOL),)
-
-    @property
-    def passed(self):
-        return verdict(self.checks)["passed"]
-
-    def to_dict(self):
-        return {
-            "dimension": self.dimension,
-            "max_anticommutator_residual": max(self.anticommutator_residuals.values()),
-            "max_hermiticity_residual": max(self.hermiticity_residuals),
-            "max_residual": self.max_residual,
-            "passed": self.passed,
-        }
-
-
 def check_clifford(rep):
-    """Verify anticommutators and the Hermiticity pattern of a GammaRep."""
+    """Anticommutators and Hermiticity pattern of a GammaRep.
+
+    Returns (checks, payload): one check held to CLIFFORD_TOL, and the
+    dimension, the largest anticommutator and Hermiticity residuals, their
+    max and the verdict.  Every max is np.max, so a NaN residual stays NaN.
+    """
     n = rep.dimension
     size = rep.matrix_size
     eye = np.eye(size)
-    anti = {}
+    anti = []
     for mu in range(n):
         for nu in range(mu, n):
             target = 2.0 * rep.metric_signs[mu] * eye if mu == nu else 0.0
             res = rep.matrices[mu] @ rep.matrices[nu] + rep.matrices[nu] @ rep.matrices[mu] - target
-            anti[(mu, nu)] = max_abs(res)
+            anti.append(max_abs(res))
     herm = []
     for mu in range(n):
         g = rep.matrices[mu]
@@ -130,22 +103,23 @@ def check_clifford(rep):
             herm.append(max_abs(g + g.conj().T))   # anti-Hermitian
         else:
             herm.append(max_abs(g - g.conj().T))   # Hermitian
-    worst = float(np.max([*anti.values(), *herm]))   # a NaN residual stays NaN
-    return CliffordReport(
-        dimension=n,
-        anticommutator_residuals=anti,
-        hermiticity_residuals=tuple(herm),
-        max_residual=worst,
-    )
+    worst = float(np.max([*anti, *herm]))
+    checks = (Check("clifford n=%d" % n, worst, "<=", CLIFFORD_TOL),)
+    return checks, {
+        "dimension": n,
+        "max_anticommutator_residual": float(np.max(anti)),
+        "max_hermiticity_residual": float(np.max(herm)),
+        "max_residual": worst,
+        "passed": verdict(checks)["passed"],
+    }
 
 
 def _require_valid(rep):
-    report = check_clifford(rep)
-    if not report.passed:
+    _, payload = check_clifford(rep)
+    if not payload["passed"]:
         raise ValueError(
             "gamma representation fails the Clifford relations "
-            "(max residual %.3e)" % report.max_residual)
-    return report
+            "(max residual %.3e)" % payload["max_residual"])
 
 
 def fundamental_symmetry(rep):
@@ -154,11 +128,6 @@ def fundamental_symmetry(rep):
     j = 1j * rep.matrices[0]
     j.setflags(write=False)
     return j
-
-
-def krein_adjoint(a, j):
-    """A+ = J A* J with A* the conjugate transpose."""
-    return j @ a.conj().T @ j
 
 
 def chirality(rep):

@@ -181,11 +181,8 @@ class DiracOperator:
         return self.lattice.site_weights() * np.sqrt(self.u)
 
     def weighted_adjoint(self, a):
-        """Adjoint of a dense matrix or StencilOperator w.r.t. the metric measure."""
-        if isinstance(a, StencilOperator):
-            return a.adjoint(self.measure_weights())
-        w = np.repeat(self.measure_weights().reshape(-1), self.spinor_dim)
-        return (a.conj().T * w[None, :]) / w[:, None]
+        """Adjoint of a StencilOperator w.r.t. the metric measure."""
+        return a.adjoint(self.measure_weights())
 
 
 def gradient_symbol(rep, grads, u):
@@ -384,8 +381,8 @@ class StencilOperator:
     def adjoint(self, weights=None):
         """Conjugate transpose; with per-site weights w, W^-1 A^H W.
 
-        Entry by entry as the dense `weighted_adjoint`: the conjugated entry
-        times w of its new column, divided by w of its new row.
+        Entry by entry: the conjugated entry times w of its new column,
+        divided by w of its new row.
         """
         out = {}
         for (o, k), v in self.diagonals.items():

@@ -218,17 +218,6 @@ class ToyAlgebra:
     def sites(self):
         return len(self.t_values)
 
-    def time_element(self):
-        return self.central_element(self.t_values)
-
-    def central_element(self, fiber_values):
-        """c_k times the 2x2 identity at site k; shape (sites, 2, 2)."""
-        c = np.asarray(fiber_values)
-        if c.shape != (self.sites,):
-            raise ValueError("need one fiber value per site (%d), got shape %s"
-                             % (self.sites, c.shape))
-        return np.asarray(c[:, None, None] * np.eye(2), dtype=complex)
-
 
 @dataclass(frozen=True)
 class ToyState:

@@ -67,7 +67,7 @@ class Lattice:
 
     @cached_property
     def _coordinates(self):
-        """Per axis: its coordinates, and them broadcast to lattice shape.
+        """Per axis: its coordinates, broadcast to lattice shape.
 
         Computed once per lattice; every array is read-only, so callers
         share them.
@@ -78,18 +78,14 @@ class Lattice:
                 c = lo + self.spacing(axis) * np.arange(n)
             else:
                 c = np.linspace(lo, hi, n)
-            c.flags.writeable = False
             shape = [1] * self.dimension
             shape[axis] = n
-            out.append((c, np.broadcast_to(c.reshape(shape), self.shape)))
+            out.append(np.broadcast_to(c.reshape(shape), self.shape))
         return tuple(out)
-
-    def axis_coordinates(self, axis):
-        return self._coordinates[axis][0]
 
     def coordinate_array(self, axis):
         """Coordinate of every site along `axis`, broadcast to lattice shape."""
-        return self._coordinates[axis][1]
+        return self._coordinates[axis]
 
     def axis_weights(self, axis):
         h = self.spacing(axis)
@@ -170,23 +166,3 @@ def gradient(fld, axis):
     h = lat.spacing(axis)
     out = _central_diff(fld.values, axis, h, lat.boundary)
     return type(fld)(lat, out)
-
-
-def integrate(fld):
-    """Quadrature of a scalar field over the box."""
-    return complex(np.sum(fld.lattice.site_weights() * fld.values))
-
-
-def inner_product(psi, phi, weight=None):
-    """<psi, phi> = sum over sites and spinor components of conj(psi) phi w.
-
-    psi and phi are SpinorFields on one lattice.  `weight` is an optional
-    per-site real array (e.g. a metric measure or a (1+t^2)^n factor)
-    multiplying the quadrature weights.
-    """
-    if psi.lattice is not phi.lattice and psi.lattice != phi.lattice:
-        raise ValueError("fields live on different lattices")
-    w = psi.lattice.site_weights()
-    if weight is not None:
-        w = w * weight
-    return complex(np.sum(np.conj(psi.values) * phi.values * w[..., None]))

@@ -44,6 +44,7 @@ from .lattice import Lattice
 
 THETA_DEFAULT = 0.5
 TRUNCATION_DEFAULT = 16
+QUICK_TRUNCATION = 8     # the truncation of moyal --quick and report
 DELTA_TOL = 5e-11
 CROSS_ENGINE_TOL = 1e-4
 COMMUTATION_TOL = 1e-6
@@ -106,10 +107,6 @@ class ThetaMatrix:
         e[j, i] = -theta
         return cls(e)
 
-    @property
-    def dimension(self):
-        return self.entries.shape[0]
-
     def commutative_time(self):
         """Time central iff the first row and column vanish identically."""
         return bool(np.all(self.entries[0] == 0.0)
@@ -168,18 +165,6 @@ def phys_fft(values, lat):
         F *= np.exp(-1j * k * lat.extents[a][0]).reshape(shape)
     F *= float(np.prod(lat.spacings))
     return F, ks
-
-
-def _boundary_fraction(values, lat):
-    """For each field of a stack: max |f| on the outer shell of `lat` / max |f|."""
-    v = np.abs(values).reshape((-1,) + lat.shape)
-    top = v.max(axis=tuple(range(1, v.ndim)))
-    edge = np.zeros_like(top)
-    for a in range(1, v.ndim):
-        for end in (0, -1):
-            shell = np.take(v, end, axis=a)
-            edge = np.maximum(edge, shell.max(axis=tuple(range(1, shell.ndim))))
-    return edge / np.where(top > 0.0, top, 1.0)
 
 
 def _stack_rows(values, head, count):
@@ -703,7 +688,7 @@ def run_moyal_suite(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,
 
     The payload holds every measured quantity; its "passed" is all checks.
     """
-    n = 8 if quick else truncation
+    n = QUICK_TRUNCATION if quick else truncation
     delta = delta_algebra_check(theta=theta, truncation=n)
     cross = cross_engine_check(theta=theta, truncation=min(n, 8))
     comm = commutation_check(theta=theta)

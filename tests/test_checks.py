@@ -38,7 +38,7 @@ GUARDS = {"U_VARIATION_TOL", "GOLDEN_TOL", "DECOMPOSITION_TOL",
 
 # the checks of each suite, from the module that holds its thresholds
 SUITES = {
-    clifford: lambda: clifford.check_clifford(clifford.build_gamma(4)).checks,
+    clifford: lambda: clifford.check_clifford(clifford.build_gamma(4))[0],
     dirac: lambda: dirac.check_temporal_axioms(dirac.flat_operator(2, 4))[0],
     distance: lambda: distance.run_distance_suite(3, 2, 8, 0)[0],
     moyal: lambda: moyal.run_moyal_suite(quick=True)[0],

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from lorentzlab import cli
+from lorentzlab import cli, moyal
 from lorentzlab.checks import verdict
 from lorentzlab.clifford import build_gamma, check_clifford
 from lorentzlab.dirac import check_temporal_axioms, flat_operator
@@ -14,10 +14,28 @@ from lorentzlab.distance import run_distance_suite
 from lorentzlab.filtration import run_filtration_suite
 from lorentzlab.moyal import run_moyal_suite
 from lorentzlab.steepness import equivalence_scan
+from oracles import clifford_residuals
 
 
 def run(argv, tmp_path, extra=()):
     return cli.main(list(argv) + ["--out", str(tmp_path)] + list(extra))
+
+
+def test_verify_artifact_clifford_sections(tmp_path):
+    # the five keys of each gamma algebra's section, its maxima np.max over
+    # the residuals rebuilt from their definitions
+    assert run(["verify"], tmp_path) == 0
+    sections = json.loads((tmp_path / "verify.json").read_text())["clifford"]
+    assert sorted(sections) == ["2", "3", "4", "6"]
+    for key, section in sections.items():
+        anti, herm = clifford_residuals(build_gamma(int(key)))
+        assert section == {
+            "dimension": int(key),
+            "max_anticommutator_residual": float(np.max(list(anti.values()))),
+            "max_hermiticity_residual": float(np.max(herm)),
+            "max_residual": float(np.max([*anti.values(), *herm])),
+            "passed": True,
+        }
 
 
 def test_verify_succeeds_and_writes_artifact(tmp_path, capsys):
@@ -207,6 +225,20 @@ def test_theta_must_keep_the_landau_basis_finite(command, config, refused):
         assert errors == []
 
 
+def test_quick_truncation_is_the_one_the_guard_checks(monkeypatch):
+    # moyal --quick and report run the quick suite: the overflow guard must
+    # hold the truncation that suite runs
+    monkeypatch.setattr(moyal, "QUICK_TRUNCATION", 6)
+    guarded = []
+    monkeypatch.setattr(moyal, "basis_overflow_error",
+                        lambda n, theta: guarded.append(n))
+    assert cli.validate_config(cli.RunConfig(quick=True), "moyal") == []
+    assert cli.validate_config(cli.RunConfig(), "report") == []
+    assert guarded == [6, 6]
+    _, payload = run_moyal_suite(quick=True)
+    assert payload["delta_algebra"]["truncation"] == 6
+
+
 def test_u_must_keep_the_elliptic_time_part_finite():
     # the time part of <D>^2 scales as 1/(h^2 u^2): at h = 1, u = 1e-155
     # squares to a subnormal whose reciprocal overflows, u = 1e-154 does not
@@ -216,7 +248,7 @@ def test_u_must_keep_the_elliptic_time_part_finite():
 
 
 def _verify_checks(points, u="1", boundary="periodic"):
-    checks = [c for n in (2, 3, 4, 6) for c in check_clifford(build_gamma(n)).checks]
+    checks = [c for n in (2, 3, 4, 6) for c in check_clifford(build_gamma(n))[0]]
     op = flat_operator(2, points, boundary=boundary, u=u)
     return checks + list(check_temporal_axioms(op, seed=42)[0])
 

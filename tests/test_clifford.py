@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
+from lorentzlab.checks import verdict
 from lorentzlab.clifford import (GammaRep, build_gamma, check_clifford,
-                                 chirality, fundamental_symmetry,
-                                 krein_adjoint, max_abs)
+                                 chirality, fundamental_symmetry, max_abs)
+from oracles import clifford_residuals, conjugated, krein_adjoint
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_anticommutators_exact(n):
     rep = build_gamma(n)
-    report = check_clifford(rep)
-    assert report.passed
-    assert report.max_residual <= 1e-12
+    checks, report = check_clifford(rep)
+    assert report["passed"] and verdict(checks)["passed"]
+    assert report["max_residual"] <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
@@ -86,9 +87,9 @@ def test_conjugated_rep_still_passes():
     rng = np.random.RandomState(5)
     m = rng.randn(4, 4) + 1j * rng.randn(4, 4)
     q, _ = np.linalg.qr(m)
-    rot = rep.conjugated(q)
-    report = check_clifford(rot)
-    assert report.passed
+    rot = conjugated(rep, q)
+    _, report = check_clifford(rot)
+    assert report["passed"]
 
 
 def test_perturbation_oracle():
@@ -101,39 +102,48 @@ def test_perturbation_oracle():
         matrices=(rep.matrices[0] + eps * rep.matrices[1], rep.matrices[1]),
         metric_signs=rep.metric_signs,
     )
-    report = check_clifford(bad)
-    assert not report.passed
-    assert report.max_residual == pytest.approx(2e-3, rel=1e-10)
+    _, report = check_clifford(bad)
+    assert not report["passed"]
+    assert report["max_residual"] == pytest.approx(2e-3, rel=1e-10)
 
 
 def test_check_clifford_rejects_two_time_directions():
     rep = build_gamma(4)
     mats = list(rep.matrices)
     mats[1] = 1j * mats[1]          # second square becomes -1
-    report = check_clifford(GammaRep(4, tuple(mats), rep.metric_signs))
-    assert not report.passed
+    bad = GammaRep(4, tuple(mats), rep.metric_signs)
+    _, report = check_clifford(bad)
+    assert not report["passed"]
     # {gamma^1, gamma^1} = -2 against the canonical +2, and gamma^1 is
-    # anti-Hermitian where a spatial generator must be Hermitian
-    assert report.anticommutator_residuals[(1, 1)] == pytest.approx(4.0)
-    assert report.hermiticity_residuals[1] == pytest.approx(2.0)
+    # anti-Hermitian where a spatial generator must be Hermitian; both are
+    # the largest residuals of their kind
+    anti, herm = clifford_residuals(bad)
+    assert anti[(1, 1)] == pytest.approx(4.0)
+    assert herm[1] == pytest.approx(2.0)
+    assert report["max_anticommutator_residual"] == pytest.approx(4.0)
+    assert report["max_hermiticity_residual"] == pytest.approx(2.0)
 
 
 def test_check_clifford_rejects_a_nan_entry():
-    # max() drops a NaN that does not come first: this rep read 0.0
+    # max() drops a NaN that does not come first: this rep read 0.0, and
+    # so did both payload maxima
     rep = build_gamma(2)
     g1 = np.array(rep.matrices[1])
     g1[0, 1] = np.nan
-    report = check_clifford(GammaRep(2, (rep.matrices[0], g1), rep.metric_signs))
-    assert np.isnan(report.max_residual)
-    assert not report.passed
+    checks, report = check_clifford(GammaRep(2, (rep.matrices[0], g1),
+                                             rep.metric_signs))
+    assert np.isnan(report["max_residual"])
+    assert np.isnan(report["max_anticommutator_residual"])
+    assert np.isnan(report["max_hermiticity_residual"])
+    assert not report["passed"] and not verdict(checks)["passed"]
 
 
 def test_check_clifford_rejects_random_matrices():
     rng = np.random.RandomState(3)
     mats = tuple(rng.randn(4, 4) + 1j * rng.randn(4, 4) for _ in range(3))
-    report = check_clifford(GammaRep(3, mats, (-1, 1, 1)))
-    assert not report.passed
-    assert report.max_residual > 1.0
+    _, report = check_clifford(GammaRep(3, mats, (-1, 1, 1)))
+    assert not report["passed"]
+    assert report["max_residual"] > 1.0
 
 
 def test_build_gamma_rejects_bad_dimension():

@@ -11,7 +11,8 @@ from lorentzlab.filtration import (GRADING_GRADES, GRADING_SPINOR_DIM,
                                    run_filtration_suite,
                                    submultiplicativity_residual,
                                    weighted_norm, well_definedness_check)
-from lorentzlab.lattice import Lattice, SpinorField, inner_product
+from lorentzlab.lattice import Lattice, SpinorField
+from oracles import inner_product
 
 T_NORM_REF = 0.9922778767136676       # 8 / sqrt(65) on the (-8, 8) lattice
 
@@ -168,6 +169,19 @@ def toy():
     return ToyAlgebra(tuple(np.linspace(-3.0, 3.0, 8)))
 
 
+def central_element(alg, fiber_values):
+    """c_k times the 2x2 identity at site k; shape (sites, 2, 2)."""
+    c = np.asarray(fiber_values)
+    if c.shape != (alg.sites,):
+        raise ValueError("need one fiber value per site (%d), got shape %s"
+                         % (alg.sites, c.shape))
+    return np.asarray(c[:, None, None] * np.eye(2), dtype=complex)
+
+
+def time_element(alg):
+    return central_element(alg, alg.t_values)
+
+
 def test_central_multiplicativity():
     rep = central_multiplicativity_check(toy(), seed=0)
     assert rep["trials"] == 500
@@ -179,7 +193,7 @@ def test_central_multiplicativity():
 
 def test_toy_state_is_normalized():
     alg = toy()
-    ident = alg.central_element(np.ones(alg.sites))
+    ident = central_element(alg, np.ones(alg.sites))
     st = ToyState(3, (1.0, 0.0))
     assert st(ident) == 1.0
 
@@ -187,14 +201,14 @@ def test_toy_state_is_normalized():
 def test_central_element_is_a_scalar_per_site():
     alg = toy()
     c = np.arange(alg.sites) - 2.5j
-    a = alg.central_element(c)
+    a = central_element(alg, c)
     assert a.shape == (alg.sites, 2, 2) and a.dtype == complex
     for k in range(alg.sites):
         assert np.array_equal(a[k], c[k] * np.eye(2))
-    assert np.array_equal(alg.time_element(),
-                          alg.central_element(np.array(alg.t_values)))
+    assert np.array_equal(time_element(alg),
+                          central_element(alg, np.array(alg.t_values)))
     with pytest.raises(ValueError, match="per site"):
-        alg.central_element(np.ones(alg.sites - 1))
+        central_element(alg, np.ones(alg.sites - 1))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42])
@@ -205,7 +219,7 @@ def test_central_residual_is_the_per_trial_loop_over_the_panel(seed):
     assert np.allclose(np.linalg.norm(v, axis=1), 1.0, rtol=0, atol=1e-15)
     chi_ab, chi_a, chi_b = np.empty((3, 500), dtype=complex)
     for i in range(500):
-        a = alg.central_element(c[i])
+        a = central_element(alg, c[i])
         chi = ToyState(int(sites[i]), tuple(v[i]))
         chi_ab[i] = chi(np.einsum("kij,kjl->kil", a, b[i]))
         chi_a[i], chi_b[i] = chi(a), chi(b[i])

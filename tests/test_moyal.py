@@ -8,7 +8,7 @@ from scipy.special import eval_genlaguerre
 from lorentzlab.lattice import Lattice
 from lorentzlab import moyal
 from lorentzlab.moyal import (CROSS_ENGINE_POINTS, DECAY_REFUSE, DELTA_TOL, TAIL_WARN, ThetaMatrix,
-                              _boundary_fraction, _genlaguerre,
+                              _genlaguerre,
                               basis_stack, basis_values,
                               center_time_check,
                               commutation_check, cross_engine_check,
@@ -19,6 +19,18 @@ from lorentzlab.moyal import (CROSS_ENGINE_POINTS, DECAY_REFUSE, DELTA_TOL, TAIL
                               synthesize, twisted_identities_check)
 
 THETA = 0.5
+
+
+def _boundary_fraction(values, lat):
+    """For each field of a stack: max |f| on the outer shell of `lat` / max |f|."""
+    v = np.abs(values).reshape((-1,) + lat.shape)
+    top = v.max(axis=tuple(range(1, v.ndim)))
+    edge = np.zeros_like(top)
+    for a in range(1, v.ndim):
+        for end in (0, -1):
+            shell = np.take(v, end, axis=a)
+            edge = np.maximum(edge, shell.max(axis=tuple(range(1, shell.ndim))))
+    return edge / np.where(top > 0.0, top, 1.0)
 
 
 # ------------------------------------------------------------ Theta matrix

@@ -8,6 +8,7 @@ from lorentzlab.lattice import ScalarField
 from lorentzlab.steepness import (equivalence_scan, is_steep_matrix,
                                   is_steep_scalar, matrix_margins,
                                   scalar_margins)
+from oracles import conjugated
 
 
 def matrix_margin(grad, rep=None, u=1.0):
@@ -95,7 +96,7 @@ def test_margin_independent_of_gamma_basis():
     rng = np.random.RandomState(8)
     m = rng.randn(4, 4) + 1j * rng.randn(4, 4)
     q, _ = np.linalg.qr(m)
-    rot = rep.conjugated(q)
+    rot = conjugated(rep, q)
     grad = (1.7, 0.3, -0.4, 0.2)
     m0 = matrix_margin(grad, rep)
     m1 = matrix_margin(grad, rot)
