@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -363,8 +364,19 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; the warnings it raises go to stderr as one
+    `warning: <message>` line each, with no library path or source line."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return _run(args)
+        finally:
+            for w in caught:
+                print("warning: %s" % w.message, file=sys.stderr)
+
+
+def _run(args):
     overrides = {k: v for k, v in vars(args).items()
                  if k in CONFIG_KEYS and v is not None}
     cfg, errors = load_config(getattr(args, "config", None), overrides)

@@ -13,7 +13,14 @@ The axiom suite works on D in stencil form (`StencilOperator`, numpy
 only): one array of coefficients per diagonal, a site offset together with
 a spinor diagonal a -> a XOR k, assembled from the one-dimensional stencils
 of `lattice.gradient` and the gamma matrices.  The products, adjoints and
-residuals of the suite are array operations on those diagonals.  The
+residuals of the suite are array operations on those diagonals.
+`DiracOperator` picks the shape of those arrays when it is built.  On a
+periodic lattice whose lapse has no spatial variation at all, D commutes
+with spatial translations and every per-site array (lapse, weights,
+diagonals) is stored once per time slice, with shape (N_t, 1, ..., 1) and
+numpy broadcasting over space; a clamped lattice, or a lapse with any
+spatial spread, keeps one value per site.  Both shapes give the same
+entries, so every residual is the same.  The
 probe-built `dense_matrix` is the independent route D is checked against:
 by the tests, and by the suite itself up to ORACLE_LIMIT dense dimensions.
 It pushes a block of unit probes at a time through `apply`, as one stack
@@ -44,7 +51,7 @@ from .lattice import Lattice, ScalarField, SpinorField, gradient
 DENSE_LIMIT = 4096       # dense_dim of the clamped eigvalsh and elliptic_square
 ORACLE_LIMIT = 512       # dense_dim up to which the suite probes dense_matrix
 SITE_LIMIT = 65536       # lattice sites any command may allocate fields on
-MOMENTUM_BYTES_LIMIT = 2 ** 25   # the periodic <D>^2 blocks, momentum_block_bytes
+MOMENTUM_BYTES_LIMIT = 2 ** 25   # one chunk of periodic <D>^2 momentum blocks
 
 HERMITICITY_TOL = 1e-12
 U_SQUARE_TOL = 1e-13
@@ -60,7 +67,11 @@ COMMUTE_SAMPLES = 3      # random (f, psi) draws of the "[D,T] commutes" check
 
 
 class DiracOperator:
-    """D on `lattice`; `conformal_u` is None (u = 1) or a ScalarField on it."""
+    """D on `lattice`; `conformal_u` is None (u = 1) or a ScalarField on it.
+
+    Its per-site arrays live on the sites `_stored_sites` picks: one per
+    time slice when D commutes with spatial translations, else every site.
+    """
 
     def __init__(self, rep: GammaRep, lattice: Lattice, conformal_u=None):
         if rep.dimension != lattice.dimension:
@@ -82,7 +93,9 @@ class DiracOperator:
             if spread > U_VARIATION_TOL * max(1.0, np.max(np.abs(u))):
                 raise ValueError("conformal factor u must depend on t only "
                                  "(axis %d spread %.3e)" % (axis, spread))
-        self.u = u
+        self._stored = _stored_sites(lattice, u)
+        self._u = np.ascontiguousarray(u[self._stored])
+        self.u = np.broadcast_to(self._u, lattice.shape)   # read-only
 
     @property
     def spinor_dim(self):
@@ -93,10 +106,11 @@ class DiracOperator:
         return self.lattice.site_count * self.spinor_dim
 
     def vielbein(self, axis):
-        """e^mu diagonal factor: u^{-1/2} for time, 1 for space."""
+        """e^mu diagonal factor: u^{-1/2} for time, 1 for space, on the
+        stored sites (it broadcasts against lattice-shaped fields)."""
         if axis == 0:
-            return 1.0 / np.sqrt(self.u)
-        return np.ones(self.lattice.shape)
+            return 1.0 / np.sqrt(self._u)
+        return np.ones(self._u.shape)
 
     def apply(self, psi: SpinorField) -> SpinorField:
         """D on a spinor field, or a stack of them (`dense_matrix` probes):
@@ -122,15 +136,17 @@ class DiracOperator:
         if f.lattice != self.lattice:
             raise ValueError("scalar lives on a different lattice")
         grads = [gradient(f, mu).values for mu in range(self.lattice.dimension)]
-        return gradient_symbol(self.rep, grads, self.u)
+        return gradient_symbol(self.rep, grads, self._u)
 
     def temporal_commutator(self):
         """[D, T] at symbol level: -i gamma^0 u^{-1/2}(x), exact per site.
 
-        Returns the array of shape lattice.shape + (s, s).
+        Returns an array of shape lattice.shape + (s, s), a read-only
+        broadcast of the stored sites.
         """
         dt = [1.0] + [0.0] * (self.lattice.dimension - 1)
-        return gradient_symbol(self.rep, dt, self.u)
+        k = gradient_symbol(self.rep, dt, self._u)
+        return np.broadcast_to(k, self.lattice.shape + k.shape[-2:])
 
     # ------------------------------------------------------------ matrices
 
@@ -139,17 +155,20 @@ class DiracOperator:
 
         Each axis contributes its `gradient` stencil times gamma^mu, scaled
         by e^mu, summed in axis order as `apply` sums them; the result
-        equals `dense_matrix()` entry for entry.
+        equals `dense_matrix()` entry for entry.  Its diagonals have the
+        shape of the stored sites: a periodic stencil has the same
+        coefficient in every row, so an axis stored once keeps one.
         """
         lat, s = self.lattice, self.spinor_dim
+        shape = self._u.shape
         diagonals = {}
         for mu in range(lat.dimension):
             e = self.vielbein(mu)[..., None]
             along = [1] * (lat.dimension + 1)
-            along[mu] = lat.points[mu]
+            along[mu] = shape[mu]
             for step, coeff in _stencil(lat.points[mu], lat.spacing(mu), lat.boundary):
                 sites = tuple(step if a == mu else 0 for a in range(lat.dimension))
-                c = coeff.reshape(along)
+                c = coeff[:shape[mu]].reshape(along)
                 for k, g in _diagonals(self.rep.matrices[mu]):
                     _accumulate(diagonals, lat, sites, k, e * (c * g))
         return StencilOperator(lat, s, {o: -1j * v for o, v in diagonals.items()})
@@ -177,12 +196,24 @@ class DiracOperator:
         return out
 
     def measure_weights(self):
-        """Per-site metric measure sqrt(u) * quadrature weight."""
-        return self.lattice.site_weights() * np.sqrt(self.u)
+        """Per-site metric measure sqrt(u) * quadrature weight, on the stored
+        sites as `vielbein`."""
+        return self.lattice.site_weights()[self._stored] * np.sqrt(self._u)
 
     def weighted_adjoint(self, a):
         """Adjoint of a StencilOperator w.r.t. the metric measure."""
         return a.adjoint(self.measure_weights())
+
+
+def _stored_sites(lattice, u):
+    """The index of the sites per-site arrays keep: x = 0 of every time
+    slice where D commutes with spatial translations (a periodic lattice
+    and a lapse with no spatial variation at all), else every site."""
+    per_slice = (slice(None),) + (slice(0, 1),) * (lattice.dimension - 1)
+    if lattice.boundary == "periodic" and np.array_equal(
+            u, np.broadcast_to(u[per_slice], u.shape)):
+        return per_slice
+    return (slice(None),) * lattice.dimension
 
 
 def gradient_symbol(rep, grads, u):
@@ -222,22 +253,27 @@ def _require(error):
 
 
 def momentum_block_bytes(points, spinor_dim):
-    """Bytes of the periodic <D>^2 blocks: momenta x (N_t s)^2 complex entries."""
-    return int(np.prod(points[1:])) * (points[0] * spinor_dim) ** 2 * 16
+    """Bytes of one periodic <D>^2 momentum block: (N_t s)^2 complex entries."""
+    return (points[0] * spinor_dim) ** 2 * 16
 
 
 def elliptic_size_error(points, boundary, spinor_dim):
     """Why the suite cannot take the <D>^2 spectrum on this lattice, or None.
 
-    A periodic lattice holds its momentum blocks to MOMENTUM_BYTES_LIMIT; a
-    clamped one needs a dense eigvalsh, held to DENSE_LIMIT dimensions.
+    A periodic lattice holds one `_momentum_chunks` chunk of momentum blocks
+    at a time, and that chunk's working set, about three times its blocks,
+    is held to MOMENTUM_BYTES_LIMIT.  A chunk of several momenta takes at
+    most an eighth of the limit, so only a chunk of one block can overfill
+    it.  A clamped lattice needs a dense eigvalsh, held to DENSE_LIMIT
+    dimensions.
     """
     if boundary != "periodic":
         return _dense_error(int(np.prod(points)) * spinor_dim, "dense eigvalsh")
-    n = momentum_block_bytes(points, spinor_dim)
+    n = 3 * momentum_block_bytes(points, spinor_dim)
     if n > MOMENTUM_BYTES_LIMIT:
-        return ("<D>^2 momentum blocks would take %d bytes; limit is %d "
-                "(use a coarser lattice)" % (n, MOMENTUM_BYTES_LIMIT))
+        return ("one <D>^2 momentum block would need about %d bytes of "
+                "working set; limit is %d (use a coarser lattice)"
+                % (n, MOMENTUM_BYTES_LIMIT))
     return None
 
 
@@ -323,6 +359,12 @@ class StencilOperator:
     V of shape lattice.shape + (s,), and
 
         (A psi)[x, a] = sum_(o, k) V[x, a] psi[x + o, a XOR k].
+
+    V may also have shape (N_t, 1, ..., 1, s), one row per time slice, as
+    the operators of a `DiracOperator` that commutes with spatial
+    translations have: numpy broadcasting spreads it over space, and a
+    shift along a size-1 axis is the identity, so products, adjoints and
+    reductions need no second code path.
 
     Offsets are reduced mod n on a periodic lattice, so offsets that alias
     share one array and every matrix entry lives in exactly one diagonal.
@@ -424,6 +466,7 @@ class StencilOperator:
         sites = np.indices(lat.shape)
         spin = np.arange(s)
         for (o, k), v in self.diagonals.items():
+            v = np.broadcast_to(v, lat.shape + (s,))
             target = [i + a for i, a in zip(sites, o)]
             inside = np.ones(lat.shape, dtype=bool)
             if lat.boundary != "periodic":
@@ -508,14 +551,16 @@ def _momentum_blocks(m, momenta=slice(None)):
 
 
 def _momentum_chunks(points, spinor_dim):
-    """Slices of momenta whose blocks take at most MOMENTUM_BYTES_LIMIT / 8.
+    """Slices of momenta whose blocks take at most MOMENTUM_BYTES_LIMIT / 8,
+    or one momentum each where a block alone is larger.
 
     The blocks, symmetrised in place, the conjugate transpose added into
     them and the copy eigvalsh works on hold about three block-sized arrays
-    at once, so a chunk's working set stays within half the limit.
+    at once, so a chunk's working set stays within half the limit, or
+    within the limit where `elliptic_size_error` admits one larger block.
     """
     momenta = int(np.prod(points[1:]))
-    block = momentum_block_bytes(points, spinor_dim) // momenta
+    block = momentum_block_bytes(points, spinor_dim)
     step = max(1, MOMENTUM_BYTES_LIMIT // (8 * block))
     return [slice(i, i + step) for i in range(0, momenta, step)]
 
@@ -544,8 +589,8 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
     periodic = lat.boundary == "periodic"
     _require(elliptic_size_error(lat.points, lat.boundary, s))
     # each operator is deleted after its last read: <D>^2 is formed beside D,
-    # K and K D alone
-    K = D.temporal_commutator()
+    # K and K D alone.  Every per-site array is taken on the stored sites.
+    K = D.temporal_commutator()[D._stored]
 
     herm = max_abs(K - np.conj(np.swapaxes(K, -1, -2)))
 
@@ -553,7 +598,7 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
     c = np.einsum("...aa", ksq).real / s
     eye = np.eye(s)
     dev = max_abs(ksq - c[..., None, None] * eye)
-    recip = float(np.max(np.abs(c * D.u - 1.0)))
+    recip = float(np.max(np.abs(c * D._u - 1.0)))
 
     d = D.sparse_matrix()
     assembly = None
@@ -599,7 +644,7 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
     if not periodic:
         notes.append("clamped lattice: difference adjoints hold only up to "
                      "boundary terms; skew residuals are approximate")
-    uvar = float(np.ptp(D.u))
+    uvar = float(np.ptp(D._u))
     if uvar > U_VARIATION_TOL:
         notes.append("non-constant u(t): continuum skew-self-adjointness of "
                      "[D,T]D acquires a bounded defect ~ d(u^{-1/2}); residual "
@@ -629,8 +674,8 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
         "u_square_deviation": dev,     # max per-site distance of [D,T]^2 from c 1
         "u_ax_min": float(c.min()),
         "u_ax_max": float(c.max()),
-        "u_metric_min": float(D.u.min()),
-        "u_metric_max": float(D.u.max()),
+        "u_metric_min": float(D._u.min()),
+        "u_metric_max": float(D._u.max()),
         "reciprocal_residual": recip,  # max |u_ax * u_metric - 1|
         "skew_residual": skew,
         "krein_skew_residual": krein_skew,     # || (J D)^+ + J D ||

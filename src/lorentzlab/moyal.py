@@ -63,6 +63,7 @@ BLOCK_BYTES = 2 ** 20    # one block of a streamed grid-sized intermediate
 # periodic moyal_grid on [-box, box)^2 with `points` sites per axis.
 DELTA_GRID = (7.0, 96)   # projection integrands: twice one function's spectrum
 CROSS_ENGINE_GRID = (7.0, 64)   # basis functions: they scale with theta and n
+CROSS_ENGINE_TRUNCATION = 8     # orders of the cross-engine check, at most
 IDENTITY_GRID = (7.0, 64)       # fixed-width Gaussians, whatever theta and n
 COMMUTATION_POINTS = 64  # on [-5 sigma, 5 sigma)^2 for each sigma
 COMMUTATION_BOX_FACTOR = 5.0
@@ -534,7 +535,7 @@ def delta_algebra_check(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT):
             "norm_ground_residual": float(norm_residual)}
 
 
-def cross_engine_check(theta=THETA_DEFAULT, truncation=8):
+def cross_engine_check(theta=THETA_DEFAULT, truncation=CROSS_ENGINE_TRUNCATION):
     """All basis pairs f_mn * f_kl: quadrature and twisted vs the delta rule."""
     lat = moyal_grid(*CROSS_ENGINE_GRID)
     n = truncation
@@ -690,7 +691,8 @@ def run_moyal_suite(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,
     """
     n = QUICK_TRUNCATION if quick else truncation
     delta = delta_algebra_check(theta=theta, truncation=n)
-    cross = cross_engine_check(theta=theta, truncation=min(n, 8))
+    cross = cross_engine_check(theta=theta,
+                               truncation=min(n, CROSS_ENGINE_TRUNCATION))
     comm = commutation_check(theta=theta)
     center = center_time_check(theta=theta, points=24 if quick else 32)
     gauss, tr, assoc, invol = twisted_identities_check(theta)

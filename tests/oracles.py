@@ -49,3 +49,34 @@ def inner_product(psi, phi, weight=None):
     if weight is not None:
         w = w * weight
     return complex(np.sum(np.conj(psi.values) * phi.values * w[..., None]))
+
+
+def flat_spectrum(points, spacings, spinor_dim):
+    """Eigenvalues of the flat (u = 1) periodic <D>^2, per spatial momentum.
+
+    On the plane wave exp(i k.x) eta with k_mu = 2 pi n_mu / (N_mu h_mu),
+    the central difference d_mu is i a_mu, a_mu = sin(2 pi n_mu / N_mu) / h_mu,
+    so D = -i gamma^mu d_mu acts as gamma^0 a_0 + S with S = gamma^i a_i.
+    With K = [D,T] = -i gamma^0, (gamma^0)^2 = -1, (gamma^i)^2 = 1, and
+    gamma^0 anticommuting with every gamma^i (so gamma^0 S = -S gamma^0 and
+    (S gamma^0)^2 = -S^2 (gamma^0)^2 = S^2 = sum_i a_i^2, the cross terms
+    of S^2 cancelling):
+
+        D K = i a_0 - i S gamma^0,        K D = i a_0 + i S gamma^0,
+        (D K)^2 = -a_0^2 + 2 a_0 S gamma^0 - S^2,
+        (K D)^2 = -a_0^2 - 2 a_0 S gamma^0 - S^2,
+
+    and <D>^2 = -1/2 ((D K)^2 + (K D)^2) = sum_mu a_mu^2 times the identity:
+    the cross terms a_0 S gamma^0 cancel.  Each value thus appears
+    spinor_dim times.  Returns shape (prod(points[1:]), points[0] *
+    spinor_dim): one row per spatial momentum, in row-major order over the
+    spatial axes, each row sorted; a row is the spectrum of the momentum
+    block of that spatial momentum, whose time momenta n_0 run over the row.
+    """
+    terms = [np.sin(2.0 * np.pi * np.arange(n) / n) ** 2 / h ** 2
+             for n, h in zip(points, spacings)]
+    space = np.zeros(())
+    for term in terms[1:]:
+        space = np.add.outer(space, term)
+    values = np.add.outer(space.reshape(-1), terms[0])
+    return np.sort(np.repeat(values, spinor_dim, axis=1), axis=1)

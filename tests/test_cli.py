@@ -1,12 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from lorentzlab import cli, moyal
+from lorentzlab import cli, dirac, moyal
 from lorentzlab.checks import verdict
 from lorentzlab.clifford import build_gamma, check_clifford
 from lorentzlab.dirac import check_temporal_axioms, flat_operator
@@ -14,7 +17,7 @@ from lorentzlab.distance import run_distance_suite
 from lorentzlab.filtration import run_filtration_suite
 from lorentzlab.moyal import run_moyal_suite
 from lorentzlab.steepness import equivalence_scan
-from oracles import clifford_residuals
+from oracles import clifford_residuals, flat_spectrum
 
 
 def run(argv, tmp_path, extra=()):
@@ -137,17 +140,69 @@ def test_dense_limit_guard(tmp_path, capsys):
     assert "dense" in capsys.readouterr().err.lower()
 
 
-def test_periodic_verify_is_held_to_the_momentum_budget(tmp_path, capsys):
-    # a periodic suite does no dense work: 80^2 runs (32768000 bytes of
-    # momentum blocks), 81^2 and 4-d 11^4 exceed MOMENTUM_BYTES_LIMIT
-    assert run(["verify", "--points", "80"], tmp_path) == 0
-    assert "FAIL" not in capsys.readouterr().out
+def test_periodic_verify_is_held_to_the_momentum_budget(tmp_path, capsys,
+                                                        monkeypatch):
+    # a periodic suite does no dense work and holds one chunk of momentum
+    # blocks at a time: 81^2 and 4-d 11^4, whose blocks total more than
+    # MOMENTUM_BYTES_LIMIT, run.  No cubic lattice within SITE_LIMIT has a
+    # block too large alone, so the refusal is shown under a limit one
+    # block of 81^2 overfills: before any work, with nothing on stdout
     for argv in (["--points", "81"], ["--dimension", "4", "--points", "11"]):
-        assert run(["verify", *argv], tmp_path) == 2
-        captured = capsys.readouterr()
-        assert "momentum" in captured.err and captured.out == ""
+        assert run(["verify", *argv], tmp_path) == 0
+        assert "FAIL" not in capsys.readouterr().out
+    monkeypatch.setattr(dirac, "MOMENTUM_BYTES_LIMIT",
+                        dirac.momentum_block_bytes((81, 81), 2) - 1)
+    assert run(["verify", "--points", "81"], tmp_path) == 2
+    captured = capsys.readouterr()
+    assert "momentum block" in captured.err and captured.out == ""
     errors = cli.validate_config(cli.RunConfig(points=81), "verify")
-    assert len(errors) == 1 and "momentum" in errors[0]
+    assert len(errors) == 1 and "momentum block" in errors[0]
+
+
+@pytest.fixture(scope="module", params=[(2, 16), (4, 5), (4, 16)],
+                ids=["2d-16", "4d-5", "4d-16"])
+def verified(request, tmp_path_factory):
+    """`verify` on one flat periodic lattice, run once for the module.
+
+    Returns (dimension, points, exit code, stdout, payload, spectra), where
+    spectra holds every eigenvalue the <D>^2 check computed, one row per
+    momentum block, recorded from its eigvalsh calls.
+    """
+    dim, points = request.param
+    out = tmp_path_factory.mktemp("verify")
+    spectra = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a):
+        values = eigvalsh(a)
+        spectra.append(values)
+        return values
+    text = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(text):
+        mp.setattr(np.linalg, "eigvalsh", recorded)
+        code = cli.main(["verify", "--dimension", str(dim), "--points",
+                         str(points), "--out", str(out)])
+    payload = json.loads((out / "verify.json").read_text())
+    return dim, points, code, text.getvalue(), payload, np.concatenate(spectra)
+
+
+def test_periodic_4d_verify_runs_up_to_the_site_limit(verified):
+    dim, points, code, out, payload, _ = verified
+    assert code == 0 and payload["passed"] is True
+    assert "FAIL" not in out
+    assert len(out.splitlines()) == len(payload["checks"])
+    assert payload["config"]["points"] == points
+
+
+def test_momentum_block_spectra_match_the_closed_form(verified):
+    # every eigenvalue of every block the suite diagonalised, above
+    # ORACLE_LIMIT too, against the flat spectrum sum_mu sin^2(2 pi n/N)/h^2
+    dim, points, _, _, payload, spectra = verified
+    want = flat_spectrum((points,) * dim, (1.0,) * dim,
+                         build_gamma(dim).matrix_size)
+    assert spectra.shape == want.shape
+    assert np.max(np.abs(spectra - want)) <= 1e-12 * np.max(want)
+    assert payload["axioms"]["elliptic_min_eigenvalue"] == spectra.min()
 
 
 @pytest.mark.parametrize("command, config", [
@@ -314,6 +369,21 @@ def test_overflowing_candidate_leaves_stderr_clean(tmp_path):
     (record,) = payload["rejected"]
     assert record["candidate"] == "t+1e308*x"
     assert record["worst_margin"] is None     # a NaN margin, written as null
+
+
+def test_warnings_reach_stderr_as_one_line_each(tmp_path):
+    # the twisted engine's Nyquist warnings, without library path or source
+    # line, in the order the cross-engine check raises them
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        moyal.cross_engine_check(theta=0.25)
+    assert len(caught) == 5
+    done = _cli_process(["moyal", "--theta", "0.25", "--quick"], tmp_path)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == ["warning: %s" % w.message
+                                        for w in caught]
+    payload = json.loads((tmp_path / "moyal.json").read_text())
+    assert payload["cross_engine"]["twisted_tail_warnings"] == 5
 
 
 def _refuse_constant(name):

@@ -16,7 +16,8 @@ from lorentzlab.lattice import Lattice, ScalarField, SpinorField, gradient
 
 def weighted_adjoint(op, a):
     """Adjoint of a dense matrix w.r.t. the metric measure of `op`."""
-    w = np.repeat(op.measure_weights().reshape(-1), op.spinor_dim)
+    w = np.broadcast_to(op.measure_weights(), op.lattice.shape)
+    w = np.repeat(w.reshape(-1), op.spinor_dim)
     return (a.conj().T * w[None, :]) / w[:, None]
 
 
@@ -122,6 +123,10 @@ def test_reciprocal_residual_above_bound_fails(monkeypatch):
     assert [c.name for c in bad if not c.passed] == ["u_ax * u_metric = 1"]
 
 
+# a lapse with a spatial spread under U_VARIATION_TOL: accepted as t-only,
+# yet not translation invariant, so its operators keep every site
+FULL_STORAGE_U = "1 + 1e-13*x"
+
 # The stencil products may sum in another order than zgemm; measured entry
 # differences stay below 2.2 ulps of max|<D>^2| on these lattices.
 ELLIPTIC_ULPS = 4
@@ -199,10 +204,16 @@ def test_sparse_matrix_equals_dense_oracle(dim, points, boundary, u):
     assert np.array_equal(op.sparse_matrix().toarray(), op.dense_matrix())
 
 
+def _commutator_operator(op):
+    """K = [D,T] as a StencilOperator on the stored sites, as the suite
+    forms it."""
+    return dirac._site_blocks(op.lattice, op.temporal_commutator()[op._stored])
+
+
 def _stencil_square(op):
     """<D>^2 in stencil form, as check_temporal_axioms forms it."""
     d = op.sparse_matrix()
-    k = dirac._site_blocks(op.lattice, op.temporal_commutator())
+    k = _commutator_operator(op)
     return dirac._elliptic_square(d, k, k @ d)
 
 
@@ -258,9 +269,16 @@ def test_clamped_elliptic_check_keeps_dense_limit():
 
 
 def test_periodic_elliptic_check_keeps_momentum_budget():
-    op = flat_operator(2, 81)
+    # one chunk of momentum blocks is held at a time, so only a lattice
+    # one block of which overfills MOMENTUM_BYTES_LIMIT, with the two
+    # block-sized temporaries of its eigenvalues, is refused
+    op = flat_operator(2, (1200, 2))
     assert dirac.momentum_block_bytes(op.lattice.points, 2) > dirac.MOMENTUM_BYTES_LIMIT
-    assert dirac.momentum_block_bytes((80, 80), 2) <= dirac.MOMENTUM_BYTES_LIMIT
+    limit = dirac.MOMENTUM_BYTES_LIMIT
+    assert 3 * dirac.momentum_block_bytes((418, 2), 2) <= limit
+    assert dirac.elliptic_size_error((418, 2), "periodic", 2) is None
+    assert "momentum block" in dirac.elliptic_size_error((419, 2), "periodic", 2)
+    assert dirac.elliptic_size_error((16,) * 4, "periodic", 4) is None
     with pytest.raises(ValueError, match="momentum"):
         check_temporal_axioms(op)
 
@@ -273,9 +291,9 @@ def test_elliptic_minimum_is_the_same_in_chunks(monkeypatch, dim, points, u):
     whole = check_temporal_axioms(op, seed=0)[1]["elliptic_min_eigenvalue"]
     m = _stencil_square(op)
     blocks = dirac._momentum_blocks(m)
-    # the smallest limit that still admits the lattice: chunks of 1-2 momenta
+    # the smallest limit that still admits the lattice: chunks of 1 momentum
     monkeypatch.setattr(dirac, "MOMENTUM_BYTES_LIMIT",
-                        dirac.momentum_block_bytes(pts, s))
+                        3 * dirac.momentum_block_bytes(pts, s))
     chunks = dirac._momentum_chunks(pts, s)
     assert len(chunks) >= 8
     assert np.array_equal(np.concatenate(
@@ -424,13 +442,15 @@ def test_hermiticity_residual_is_the_difference_with_the_adjoint(
         dim, points, boundary, u):
     op = flat_operator(dim, points, boundary=boundary, u=u)
     d = op.sparse_matrix()
-    k = dirac._site_blocks(op.lattice, op.temporal_commutator())
+    k = _commutator_operator(op)
     for a in (d, k @ d, d + k, _stencil_square(op)):
         assert a.hermiticity_residual() == (a - a.adjoint()).max_abs()
 
 
 def test_hermiticity_residual_holds_two_diagonals_at_a_time(traced_peak):
-    m = _stencil_square(flat_operator(4, 6))
+    op = flat_operator(4, 6, u=FULL_STORAGE_U)
+    assert op.measure_weights().shape == op.lattice.shape
+    m = _stencil_square(op)
     largest = max(v.nbytes for v in m.diagonals.values())
     _, peak = traced_peak(m.hermiticity_residual)
     # a few temporaries of one diagonal pair, never A^H or A - A^H
@@ -446,7 +466,7 @@ def test_elliptic_square_in_place_equals_the_formula(dim, points, boundary,
     # same diagonals, in the same order, bit for bit
     op = flat_operator(dim, points, boundary=boundary, u=u)
     d = op.sparse_matrix()
-    k = dirac._site_blocks(op.lattice, op.temporal_commutator())
+    k = _commutator_operator(op)
     dk, kd = d @ k, k @ d
     want = -0.5 * (dk @ dk + kd @ kd)
     got = dirac._elliptic_square(d, k, kd)
@@ -477,7 +497,7 @@ def test_product_diagonals_are_the_one_pass_product(dim, points, boundary):
     # pairs in pair order, keys in the order they first appear
     op = flat_operator(dim, points, boundary=boundary, u="1+0.1*t")
     d = op.sparse_matrix()
-    k = dirac._site_blocks(op.lattice, op.temporal_commutator())
+    k = _commutator_operator(op)
     for a, b in ((d, d), (d, k), (k, d), (d @ k, d @ k)):
         want = {}
         for (oa, ka), va in a.diagonals.items():
@@ -495,19 +515,83 @@ def test_elliptic_square_holds_little_beside_its_result(traced_peak):
     # D K D K takes each diagonal of K D K D as it is formed, and the sum
     # and the scaling in place (2.04 results with K D K D held whole, 3.54
     # when their sum was a new one)
-    op = flat_operator(4, 6)
+    op = flat_operator(4, 6, u=FULL_STORAGE_U)
+    assert op.measure_weights().shape == op.lattice.shape
     d = op.sparse_matrix()
-    k = dirac._site_blocks(op.lattice, op.temporal_commutator())
+    k = _commutator_operator(op)
     m, peak = traced_peak(dirac._elliptic_square, d, k, k @ d)
     assert peak <= 1.5 * sum(v.nbytes for v in m.diagonals.values()), peak
 
 
 def test_axiom_suite_holds_each_operator_only_while_it_is_read(traced_peak):
     # 3.17 results of <D>^2 when every operator lived to the end
-    op = flat_operator(4, 8)
+    op = flat_operator(4, 8, u=FULL_STORAGE_U)
+    assert op.measure_weights().shape == op.lattice.shape
     result = sum(v.nbytes for v in _stencil_square(op).diagonals.values())
     _, peak = traced_peak(check_temporal_axioms, op, 0)
     assert peak <= 2.5 * result, peak / result
+
+
+def test_translation_invariant_operators_are_stored_per_time_slice():
+    op = flat_operator(4, 8)
+    assert op.measure_weights().shape == (8, 1, 1, 1)
+    assert op.u.shape == op.lattice.shape and not op.u.flags.writeable
+    for a in (op.sparse_matrix(), _stencil_square(op)):
+        assert {v.shape for v in a.diagonals.values()} == {(8, 1, 1, 1, 4)}
+    # a clamped lattice, or any spatial spread of the lapse, keeps every site
+    for kept in (flat_operator(4, 4, boundary="clamped"),
+                 flat_operator(4, 4, u=FULL_STORAGE_U)):
+        shapes = {v.shape for v in kept.sparse_matrix().diagonals.values()}
+        assert shapes == {kept.lattice.shape + (4,)}
+
+
+def test_axiom_suite_per_time_slice_holds_one_momentum_chunk(traced_peak):
+    # stored per time slice, the operators are a few kB at 8^4: what is left
+    # is one chunk of momentum blocks and its Hermitian-part temporary (the
+    # full-lattice diagonals peaked at 17.3 MB here)
+    op = flat_operator(4, 8)
+    _, peak = traced_peak(check_temporal_axioms, op, 0)
+    assert peak <= 2.5 * dirac.MOMENTUM_BYTES_LIMIT / 8, peak
+
+
+def _full_storage(monkeypatch):
+    """Make every DiracOperator built from now on keep every site."""
+    monkeypatch.setattr(dirac, "_stored_sites",
+                        lambda lattice, u: (slice(None),) * lattice.dimension)
+
+
+@pytest.mark.parametrize("dim,points,u", [
+    (4, 5, None), (4, 8, None), (2, 16, None), (3, 6, "2+sin(t)")])
+def test_storage_shape_leaves_every_payload_value_bitwise_equal(
+        monkeypatch, dim, points, u):
+    op = flat_operator(dim, points, u=u)
+    assert op.measure_weights().shape == (points,) + (1,) * (dim - 1)
+    checks, payload = check_temporal_axioms(op, seed=0)
+    _full_storage(monkeypatch)
+    full = flat_operator(dim, points, u=u)
+    assert full.measure_weights().shape == full.lattice.shape
+    want_checks, want = check_temporal_axioms(full, seed=0)
+    # repr tells -0.0 from 0.0 and prints every float round-trip exact
+    assert repr(payload) == repr(want)
+    assert repr(checks) == repr(want_checks)
+
+
+@pytest.mark.parametrize("dim,points,u", [
+    (2, 16, None), (4, 3, None), (3, 4, "2+sin(t)"),
+    pytest.param(2, (6, 2), "1 + 0.1*t", id="6x2-1 + 0.1*t")])
+def test_reductions_and_toarray_agree_on_both_storage_shapes(
+        monkeypatch, dim, points, u):
+    def operators():
+        op = flat_operator(dim, points, u=u)
+        d = op.sparse_matrix()
+        kd = _commutator_operator(op) @ d
+        return [d, kd, op.weighted_adjoint(kd) + kd, _stencil_square(op)]
+    sliced = operators()
+    _full_storage(monkeypatch)
+    for a, b in zip(sliced, operators()):
+        assert a.max_abs() == b.max_abs()
+        assert a.hermiticity_residual() == b.hermiticity_residual()
+        assert np.array_equal(a.toarray(), b.toarray())
 
 
 def test_axiom_suite_takes_the_oracle_residual_in_place(traced_peak):

@@ -1,3 +1,4 @@
+import inspect
 import re
 import warnings
 
@@ -479,6 +480,9 @@ def test_delta_record_is_the_gram_residual(theta, truncation, passed,
         checks, payload = run_moyal_suite(theta=theta, truncation=truncation)
     record, = [c for c in checks if c.name == "matrix basis delta algebra"]
     assert record.value == payload["delta_algebra"]["projection_residual"]
+    # the cross-engine check runs at most CROSS_ENGINE_TRUNCATION orders
+    assert payload["cross_engine"]["truncation"] == min(
+        truncation, moyal.CROSS_ENGINE_TRUNCATION)
     assert (record.relation, record.bound) == ("<=", DELTA_TOL)
     assert record.passed is passed
     assert record.value == pytest.approx(residual, rel=1e-3)
@@ -658,6 +662,9 @@ def test_quick_suite_runs_the_library_defaults():
             payload["associativity_residual"],
             payload["involution_residual"]) == twisted_identities_check(THETA)
     assert payload["cross_engine"] == cross_engine_check(THETA)
+    assert payload["cross_engine"]["truncation"] == moyal.CROSS_ENGINE_TRUNCATION
+    default = inspect.signature(cross_engine_check).parameters["truncation"]
+    assert default.default == moyal.CROSS_ENGINE_TRUNCATION
     assert payload["commutation"] == commutation_check(THETA)
     assert payload["delta_algebra"] == delta_algebra_check(THETA, truncation=8)
     assert payload["center_time"] == {"cases": center_time_check(THETA, points=24)}
