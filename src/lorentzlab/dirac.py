@@ -14,21 +14,26 @@ only): one array of coefficients per diagonal, a site offset together with
 a spinor diagonal a -> a XOR k, assembled from the one-dimensional stencils
 of `lattice.gradient` and the gamma matrices.  The products, adjoints and
 residuals of the suite are array operations on those diagonals.
-`DiracOperator` picks the shape of those arrays when it is built.  On a
-periodic lattice whose lapse has no spatial variation at all, D commutes
-with spatial translations and every per-site array (lapse, weights,
-diagonals) is stored once per time slice, with shape (N_t, 1, ..., 1) and
-numpy broadcasting over space; a clamped lattice, or a lapse with any
-spatial spread, keeps one value per site.  Both shapes give the same
-entries, so every residual is the same.  The
+`DiracOperator` picks the shape of those arrays when it is built, from u.
+On a periodic lattice whose lapse is exactly constant, D commutes with
+every translation, in time as well as space, and every per-site array
+(lapse, weights, diagonals) is stored once, with shape (1, ..., 1); where
+the lapse has no spatial variation at all but changes in time, D commutes
+with spatial translations and the arrays are stored once per time slice,
+with shape (N_t, 1, ..., 1).  numpy broadcasting spreads either over the
+lattice.  A clamped lattice, or a lapse with any spatial spread, keeps one
+value per site.  Every shape gives the same entries, so every residual is
+the same.  The
 probe-built `dense_matrix` is the independent route D is checked against:
 by the tests, and by the suite itself up to ORACLE_LIMIT dense dimensions.
 It pushes a block of unit probes at a time through `apply`, as one stack
 of spinor fields, so every column equals `apply` on its probe without one
 `apply` call per column.
-On a periodic lattice D commutes with spatial translations (u depends on t
-only), so the spectrum of the stencil <D>^2 is computed one spatial
-momentum at a time, from the spatial Fourier transform of its diagonals.
+On a periodic lattice the spectrum of the stencil <D>^2 is computed one
+momentum at a time, from the Fourier transform of its diagonals over every
+axis they are stored once on: one s x s block per space-time momentum
+when u is constant, one (N_t s)^2 block per spatial momentum when u
+depends on t.
 The symbol of [D, f], and with the exact gradient dT = dt that of [D, T],
 is `gradient_symbol` of the gradient values.
 
@@ -69,8 +74,10 @@ COMMUTE_SAMPLES = 3      # random (f, psi) draws of the "[D,T] commutes" check
 class DiracOperator:
     """D on `lattice`; `conformal_u` is None (u = 1) or a ScalarField on it.
 
-    Its per-site arrays live on the sites `_stored_sites` picks: one per
-    time slice when D commutes with spatial translations, else every site.
+    Its per-site arrays live on the sites `_stored_sites` picks: one for
+    the whole lattice when D commutes with every translation (u constant),
+    one per time slice when it commutes with spatial translations, else
+    every site.
     """
 
     def __init__(self, rep: GammaRep, lattice: Lattice, conformal_u=None):
@@ -94,7 +101,7 @@ class DiracOperator:
                 raise ValueError("conformal factor u must depend on t only "
                                  "(axis %d spread %.3e)" % (axis, spread))
         self._stored = _stored_sites(lattice, u)
-        self._u = np.ascontiguousarray(u[self._stored])
+        self._u = u[self._stored].copy()    # not a view that keeps u whole
         self.u = np.broadcast_to(self._u, lattice.shape)   # read-only
 
     @property
@@ -206,14 +213,22 @@ class DiracOperator:
 
 
 def _stored_sites(lattice, u):
-    """The index of the sites per-site arrays keep: x = 0 of every time
-    slice where D commutes with spatial translations (a periodic lattice
-    and a lapse with no spatial variation at all), else every site."""
-    per_slice = (slice(None),) + (slice(0, 1),) * (lattice.dimension - 1)
-    if lattice.boundary == "periodic" and np.array_equal(
-            u, np.broadcast_to(u[per_slice], u.shape)):
-        return per_slice
-    return (slice(None),) * lattice.dimension
+    """The index of the sites per-site arrays keep.
+
+    On a periodic lattice D commutes with every translation that leaves u
+    unchanged.  A lapse that is exactly constant keeps the one site x = 0,
+    shape (1, ..., 1); one with no spatial variation at all keeps x = 0 of
+    every time slice, shape (N_t, 1, ..., 1).  A clamped lattice, or any
+    spatial spread of u, keeps every site.
+    """
+    every = (slice(None),) * lattice.dimension
+    if lattice.boundary != "periodic":
+        return every
+    once = (slice(0, 1),) * lattice.dimension
+    for stored in (once, (slice(None),) + once[1:]):
+        if np.array_equal(u, np.broadcast_to(u[stored], u.shape)):
+            return stored
+    return every
 
 
 def gradient_symbol(rep, grads, u):
@@ -253,7 +268,8 @@ def _require(error):
 
 
 def momentum_block_bytes(points, spinor_dim):
-    """Bytes of one periodic <D>^2 momentum block: (N_t s)^2 complex entries."""
+    """Bytes of one periodic <D>^2 momentum block over points[0] time sites:
+    (points[0] s)^2 complex entries."""
     return (points[0] * spinor_dim) ** 2 * 16
 
 
@@ -264,8 +280,10 @@ def elliptic_size_error(points, boundary, spinor_dim):
     at a time, and that chunk's working set, about three times its blocks,
     is held to MOMENTUM_BYTES_LIMIT.  A chunk of several momenta takes at
     most an eighth of the limit, so only a chunk of one block can overfill
-    it.  A clamped lattice needs a dense eigvalsh, held to DENSE_LIMIT
-    dimensions.
+    it.  The bound is that of the (N_t s)^2 block of a lapse u(t), also
+    where a constant lapse splits it into s x s blocks, so the verdict
+    depends on the lattice alone.  A clamped lattice needs a dense
+    eigvalsh, held to DENSE_LIMIT dimensions.
     """
     if boundary != "periodic":
         return _dense_error(int(np.prod(points)) * spinor_dim, "dense eigvalsh")
@@ -317,9 +335,10 @@ def _shift(values, sites, k=0):
     """values[x + sites, a XOR k] at every site x and spinor row a.
 
     Sites wrap at the lattice edges; k = 0 leaves a trailing axis alone, so
-    the same shift serves per-site weights.
+    the same shift serves per-site weights.  An axis values is stored once
+    on (extent 1) holds the same value at every site, so it is not rolled.
     """
-    axes = [a for a, o in enumerate(sites) if o]
+    axes = [a for a, o in enumerate(sites) if o and values.shape[a] > 1]
     if axes:
         values = np.roll(values, [-sites[a] for a in axes], axis=axes)
     if k:
@@ -360,11 +379,13 @@ class StencilOperator:
 
         (A psi)[x, a] = sum_(o, k) V[x, a] psi[x + o, a XOR k].
 
-    V may also have shape (N_t, 1, ..., 1, s), one row per time slice, as
-    the operators of a `DiracOperator` that commutes with spatial
-    translations have: numpy broadcasting spreads it over space, and a
-    shift along a size-1 axis is the identity, so products, adjoints and
-    reductions need no second code path.
+    V may also have extent 1 along lattice axes, as the operators of a
+    `DiracOperator` that commutes with translations along them have: shape
+    (N_t, 1, ..., 1, s), one row per time slice, under spatial translations,
+    or (1, ..., 1, s), one row for the whole lattice, under every
+    translation.  numpy broadcasting spreads V over those axes, and
+    `_shift` does not roll them (a shift along them is the identity), so
+    products, adjoints and reductions need no second code path.
 
     Offsets are reduced mod n on a periodic lattice, so offsets that alias
     share one array and every matrix entry lives in exactly one diagonal.
@@ -525,44 +546,65 @@ def elliptic_square(D: DiracOperator):
     return _elliptic_square(d, k, k @ d).toarray()
 
 
-def _momentum_blocks(m, momenta=slice(None)):
-    """<D>^2 on a periodic lattice as one (N_t s)^2 block per spatial momentum.
+def _block_time(m):
+    """Time sites of one `_momentum_blocks` block of m: N_t where a diagonal
+    of m varies over time slices, 1 where every diagonal is stored once."""
+    return max(v.shape[0] for v in m.diagonals.values())
 
-    m is <D>^2 in stencil form.  u depends on t only, so every diagonal of m
-    is the same at every spatial site, and the unitary spatial Fourier
-    transform splits m into blocks, one for each momentum p: the diagonal
-    (o, k) adds V[t, x=0, a] exp(2 pi i p.o_x / N_x) at row (t, a), column
-    ((t + o_t) mod N_t, a XOR k).  Returns shape (momenta, N_t s, N_t s),
-    momenta in row-major order over the spatial axes; `momenta` slices that
-    order.
+
+def _momentum_blocks(m, momenta=slice(None)):
+    """<D>^2 on a periodic lattice as one (n s)^2 block per momentum.
+
+    m is <D>^2 in stencil form and n = `_block_time(m)`.  u does not vary
+    over space, so every diagonal of m is the same at every spatial site;
+    with n = 1 (u constant) it is also the same in every time slice.  The
+    unitary Fourier transform over those axes, the waved axes, splits m
+    into one block per momentum p: the diagonal (o, k) adds V[t, x=0, a]
+    exp(2 pi i p.o / N), p and o over the waved axes, at row (t, a), column
+    ((t + o_t) mod n, a XOR k).  With n = N_t the waved axes are the
+    spatial ones and each block is (N_t s)^2; with n = 1 they are all the
+    axes, time included, and each block is s x s.  Returns shape (momenta,
+    n s, n s), momenta in row-major order over the waved axes; `momenta`
+    slices that order.
     """
     lat, s = m.lattice, m.spinor_dim
-    nt, space = lat.points[0], lat.points[1:]
-    waves = np.stack([g.reshape(-1) for g in np.meshgrid(
-        *(np.arange(n) / n for n in space), indexing="ij")], axis=-1)[momenta]
+    nt = _block_time(m)
+    waved = 0 if nt == 1 else 1          # the first waved axis
+    sizes = lat.points[waved:]
+    index = np.arange(int(np.prod(sizes)))[momenta]
+    waves = np.stack(np.unravel_index(index, sizes), axis=-1) / np.array(sizes)
+    first = (slice(None),) + (0,) * (lat.dimension - 1)  # the t axis at x = 0
+    # diagonals that land on the same entries of a block, one (o_t mod n, k)
+    # apiece, are summed per momentum before one scatter into the blocks
+    groups = {}
+    for (o, k), v in m.diagonals.items():
+        groups.setdefault((o[0] % nt, k), []).append((o[waved:], v[first]))
     out = np.zeros((len(waves), nt, s, nt, s), dtype=complex)
     t = np.arange(nt)[:, None]
     a = np.arange(s)
-    first = (slice(None),) + (0,) * len(space)      # the t axis at x = 0
-    for (o, k), v in m.diagonals.items():
-        phase = np.exp(2j * np.pi * (waves @ np.array(o[1:], dtype=float)))
-        out[:, t, a, (t + o[0]) % nt, a ^ k] += phase[:, None, None] * v[first]
+    for (ot, k), members in groups.items():
+        total = 0.0
+        for o, v in members:
+            phase = np.exp(2j * np.pi * (waves @ np.array(o, dtype=float)))
+            total = total + phase[:, None, None] * v
+        out[:, t, a, (t + ot) % nt, a ^ k] = total
     return out.reshape(len(waves), nt * s, nt * s)
 
 
-def _momentum_chunks(points, spinor_dim):
-    """Slices of momenta whose blocks take at most MOMENTUM_BYTES_LIMIT / 8,
-    or one momentum each where a block alone is larger.
+def _momentum_chunks(m):
+    """Slices of the momenta of `_momentum_blocks(m)` whose blocks take at
+    most MOMENTUM_BYTES_LIMIT / 8, or one momentum each where a block alone
+    is larger.
 
     The blocks, symmetrised in place, the conjugate transpose added into
     them and the copy eigvalsh works on hold about three block-sized arrays
     at once, so a chunk's working set stays within half the limit, or
     within the limit where `elliptic_size_error` admits one larger block.
     """
-    momenta = int(np.prod(points[1:]))
-    block = momentum_block_bytes(points, spinor_dim)
+    nt = _block_time(m)
+    block = momentum_block_bytes((nt,), m.spinor_dim)
     step = max(1, MOMENTUM_BYTES_LIMIT // (8 * block))
-    return [slice(i, i + step) for i in range(0, momenta, step)]
+    return [slice(i, i + step) for i in range(0, m.lattice.site_count // nt, step)]
 
 
 def _min_eigenvalue(blocks):
@@ -579,7 +621,8 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
     the probe-built `dense_matrix`.  The smallest eigenvalue of <D>^2 comes
     from `_momentum_blocks` of the same stencil <D>^2 whose hermiticity is
     checked, on a periodic lattice, built and diagonalised in chunks of
-    momenta (`_momentum_chunks`); on a clamped lattice it needs a dense
+    momenta (`_momentum_chunks`): s x s blocks where u is constant, (N_t s)^2
+    blocks where it depends on t.  On a clamped lattice it needs a dense
     eigvalsh.  `elliptic_size_error` holds both to their limits.
 
     Returns (checks, payload), the payload every measured value and note.
@@ -622,20 +665,22 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
     rng = default_rng(seed)
     commute = 0.0
     for _ in range(COMMUTE_SAMPLES):
+        # one draw's fields at a time: each is freed before the next is drawn
         f = rng.standard_normal(lat.shape)
         psi = random_spinor(lat, s, rng)
         lhs = np.einsum("...ab,...b->...a", K, f[..., None] * psi.values)
-        rhs = f[..., None] * np.einsum("...ab,...b->...a", K, psi.values)
-        commute = np.maximum(commute, np.abs(lhs - rhs).max())
+        lhs -= f[..., None] * np.einsum("...ab,...b->...a", K, psi.values)
+        commute = np.maximum(commute, np.abs(lhs).max())
+        del f, psi, lhs
     commute = float(commute)
-    del K, ksq, f, psi, lhs, rhs
+    del K, ksq
 
     m = _elliptic_square(d, k, kd)
     del d, k, kd
     ell_herm = m.hermiticity_residual()
     if periodic:
         ell_min = min(_min_eigenvalue(_momentum_blocks(m, chunk))
-                      for chunk in _momentum_chunks(lat.points, s))
+                      for chunk in _momentum_chunks(m))
     else:
         ell_min = float(np.linalg.eigvalsh(
             (0.5 * (m + m.adjoint())).toarray()).min())

@@ -52,7 +52,7 @@ def inner_product(psi, phi, weight=None):
 
 
 def flat_spectrum(points, spacings, spinor_dim):
-    """Eigenvalues of the flat (u = 1) periodic <D>^2, per spatial momentum.
+    """Eigenvalues of the flat (u = 1) periodic <D>^2, per space-time momentum.
 
     On the plane wave exp(i k.x) eta with k_mu = 2 pi n_mu / (N_mu h_mu),
     the central difference d_mu is i a_mu, a_mu = sin(2 pi n_mu / N_mu) / h_mu,
@@ -67,16 +67,36 @@ def flat_spectrum(points, spacings, spinor_dim):
         (K D)^2 = -a_0^2 - 2 a_0 S gamma^0 - S^2,
 
     and <D>^2 = -1/2 ((D K)^2 + (K D)^2) = sum_mu a_mu^2 times the identity:
-    the cross terms a_0 S gamma^0 cancel.  Each value thus appears
-    spinor_dim times.  Returns shape (prod(points[1:]), points[0] *
-    spinor_dim): one row per spatial momentum, in row-major order over the
-    spatial axes, each row sorted; a row is the spectrum of the momentum
-    block of that spatial momentum, whose time momenta n_0 run over the row.
+    the cross terms a_0 S gamma^0 cancel.  Returns shape (prod(points),
+    spinor_dim): one row per space-time momentum (n_0, n_1, ...), in
+    row-major order over all the axes, holding the spinor_dim equal
+    eigenvalues of that momentum's s x s block.
     """
     terms = [np.sin(2.0 * np.pi * np.arange(n) / n) ** 2 / h ** 2
              for n, h in zip(points, spacings)]
-    space = np.zeros(())
-    for term in terms[1:]:
-        space = np.add.outer(space, term)
-    values = np.add.outer(space.reshape(-1), terms[0])
-    return np.sort(np.repeat(values, spinor_dim, axis=1), axis=1)
+    values = np.zeros(())
+    for term in terms:
+        values = np.add.outer(values, term)
+    return np.repeat(values.reshape(-1, 1), spinor_dim, axis=1)
+
+
+def constant_lapse_spectrum(points, spacings, spinor_dim, c):
+    """Eigenvalues of the periodic <D>^2 under the constant lapse u = c,
+    per space-time momentum, as `flat_spectrum` orders them.
+
+    With u = c, D = -i (c^(-1/2) gamma^0 d_t + gamma^i d_i) and K = [D,T] =
+    c^(-1/2) K_1, K_1 = -i gamma^0 the flat K.  On the plane wave of
+    `flat_spectrum`, D acts as gamma^0 c^(-1/2) a_0 + S: the flat D with
+    a_0 -> c^(-1/2) a_0, which is the flat D on the time spacing sqrt(c) h_t
+    (a_0 = sin(2 pi n_0 / N_0) / h_t).  Each of D K D K and K D K D holds K
+    twice, so
+
+        <D>^2 = -1/2 (D K D K + K D K D)
+              = c^(-1) (-1/2) (D K_1 D K_1 + K_1 D K_1 D)
+              = c^(-1) (a_0^2 / c + sum_i a_i^2),
+
+    the flat spectrum on spacings (sqrt(c) h_t, h_x, ...) divided by c:
+    the lapse rescales time by sqrt(c) and K by c^(-1/2).
+    """
+    scaled = (np.sqrt(c) * spacings[0],) + tuple(spacings[1:])
+    return flat_spectrum(points, scaled, spinor_dim) / c

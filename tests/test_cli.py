@@ -17,7 +17,7 @@ from lorentzlab.distance import run_distance_suite
 from lorentzlab.filtration import run_filtration_suite
 from lorentzlab.moyal import run_moyal_suite
 from lorentzlab.steepness import equivalence_scan
-from oracles import clifford_residuals, flat_spectrum
+from oracles import clifford_residuals, constant_lapse_spectrum
 
 
 def run(argv, tmp_path, extra=()):
@@ -159,16 +159,18 @@ def test_periodic_verify_is_held_to_the_momentum_budget(tmp_path, capsys,
     assert len(errors) == 1 and "momentum block" in errors[0]
 
 
-@pytest.fixture(scope="module", params=[(2, 16), (4, 5), (4, 16)],
-                ids=["2d-16", "4d-5", "4d-16"])
+@pytest.fixture(scope="module",
+                params=[(2, 16, 1), (4, 5, 1), (4, 16, 1), (2, 16, 2), (4, 5, 2)],
+                ids=["2d-16", "4d-5", "4d-16", "2d-16-u2", "4d-5-u2"])
 def verified(request, tmp_path_factory):
-    """`verify` on one flat periodic lattice, run once for the module.
+    """`verify` on one periodic lattice with a constant lapse u, run once for
+    the module.
 
-    Returns (dimension, points, exit code, stdout, payload, spectra), where
-    spectra holds every eigenvalue the <D>^2 check computed, one row per
-    momentum block, recorded from its eigvalsh calls.
+    Returns (dimension, points, u, exit code, stdout, payload, spectra),
+    where spectra holds every eigenvalue the <D>^2 check computed, one row
+    per momentum block, recorded from its eigvalsh calls.
     """
-    dim, points = request.param
+    dim, points, u = request.param
     out = tmp_path_factory.mktemp("verify")
     spectra = []
     eigvalsh = np.linalg.eigvalsh
@@ -181,13 +183,14 @@ def verified(request, tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(text):
         mp.setattr(np.linalg, "eigvalsh", recorded)
         code = cli.main(["verify", "--dimension", str(dim), "--points",
-                         str(points), "--out", str(out)])
+                         str(points), "--u", str(u), "--out", str(out)])
     payload = json.loads((out / "verify.json").read_text())
-    return dim, points, code, text.getvalue(), payload, np.concatenate(spectra)
+    return (dim, points, u, code, text.getvalue(), payload,
+            np.concatenate(spectra))
 
 
 def test_periodic_4d_verify_runs_up_to_the_site_limit(verified):
-    dim, points, code, out, payload, _ = verified
+    dim, points, _, code, out, payload, _ = verified
     assert code == 0 and payload["passed"] is True
     assert "FAIL" not in out
     assert len(out.splitlines()) == len(payload["checks"])
@@ -196,10 +199,12 @@ def test_periodic_4d_verify_runs_up_to_the_site_limit(verified):
 
 def test_momentum_block_spectra_match_the_closed_form(verified):
     # every eigenvalue of every block the suite diagonalised, above
-    # ORACLE_LIMIT too, against the flat spectrum sum_mu sin^2(2 pi n/N)/h^2
-    dim, points, _, _, payload, spectra = verified
-    want = flat_spectrum((points,) * dim, (1.0,) * dim,
-                         build_gamma(dim).matrix_size)
+    # ORACLE_LIMIT too, against the closed form (sum_mu sin^2(2 pi n/N)/h^2
+    # for u = 1): a constant lapse gives one s x s block per space-time
+    # momentum, in row-major order over the axes
+    dim, points, u, _, _, payload, spectra = verified
+    want = constant_lapse_spectrum((points,) * dim, (1.0,) * dim,
+                                   build_gamma(dim).matrix_size, u)
     assert spectra.shape == want.shape
     assert np.max(np.abs(spectra - want)) <= 1e-12 * np.max(want)
     assert payload["axioms"]["elliptic_min_eigenvalue"] == spectra.min()

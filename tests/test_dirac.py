@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -12,6 +13,7 @@ from lorentzlab.dirac import (DENSE_LIMIT, ORACLE_LIMIT, RECIPROCAL_TOL,
                               check_temporal_axioms, elliptic_square,
                               flat_operator)
 from lorentzlab.lattice import Lattice, ScalarField, SpinorField, gradient
+from oracles import constant_lapse_spectrum
 
 
 def weighted_adjoint(op, a):
@@ -204,6 +206,27 @@ def test_sparse_matrix_equals_dense_oracle(dim, points, boundary, u):
     assert np.array_equal(op.sparse_matrix().toarray(), op.dense_matrix())
 
 
+def _dense_momentum_blocks(m, points, s, nt):
+    """Hermitian parts of the blocks F_p^H m F_p of a dense periodic <D>^2.
+
+    Column (t, a) of F_p is the unit plane wave exp(2 pi i p.x / N) over
+    the waved axes (every axis for nt = 1, the spatial ones for nt = N_t),
+    times the unit vector of spinor row a and, for nt = N_t, of time slice
+    t.  Momenta p come in row-major order.
+    """
+    waved = 0 if nt == 1 else 1
+    waves = [np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
+             / np.sqrt(n) for n in points[waved:]]
+    f = np.eye(nt)
+    for w in waves:
+        f = np.kron(f, w)
+    # rows (t, x, a) and columns (t, p, a), split into one (t, a) block per p
+    f = np.kron(f, np.eye(s)).reshape(-1, nt, f.shape[1] // nt, s)
+    f = f.transpose(2, 0, 1, 3).reshape(-1, m.shape[0], nt * s)
+    blocks = np.conj(np.swapaxes(f, 1, 2)) @ (m @ f)
+    return 0.5 * (blocks + np.conj(np.swapaxes(blocks, 1, 2)))
+
+
 def _commutator_operator(op):
     """K = [D,T] as a StencilOperator on the stored sites, as the suite
     forms it."""
@@ -229,9 +252,17 @@ def test_momentum_blocks_match_dense_eigenvalues(dim, points, u):
     want = np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min()
     checks, rep = check_temporal_axioms(op, seed=0)
     assert abs(rep["elliptic_min_eigenvalue"] - want) <= 1e-12
-    pts = op.lattice.points
+    pts, s = op.lattice.points, op.spinor_dim
+    # a constant lapse splits <D>^2 into s x s blocks, one per space-time
+    # momentum; a lapse u(t) into (N_t s)^2 blocks, one per spatial momentum
+    nt = 1 if u == "1" else pts[0]
     blocks = dirac._momentum_blocks(_stencil_square(op))
-    assert blocks.shape == (int(np.prod(pts[1:])),) + (pts[0] * op.spinor_dim,) * 2
+    assert blocks.shape == (op.lattice.site_count // nt,) + (nt * s,) * 2
+    # every eigenvalue, grouped by momentum, against the dense <D>^2 taken
+    # on the plane waves of each momentum
+    got = np.linalg.eigvalsh(0.5 * (blocks + np.conj(np.swapaxes(blocks, 1, 2))))
+    dense = _dense_momentum_blocks(m, pts, s, nt)
+    assert np.max(np.abs(got - np.linalg.eigvalsh(dense))) <= 1e-12
     if u == "2+sin(t)":     # the failing 3-d CLI config
         assert rep["elliptic_min_eigenvalue"] == pytest.approx(-5.0554e-3, abs=1e-7)
         assert not all(c.passed for c in checks)
@@ -283,18 +314,20 @@ def test_periodic_elliptic_check_keeps_momentum_budget():
         check_temporal_axioms(op)
 
 
-@pytest.mark.parametrize("dim,points,u", [(2, 8, "1 + 0.1*t"), (3, 4, "2+sin(t)")])
+@pytest.mark.parametrize("dim,points,u", [(2, 8, "1 + 0.1*t"), (3, 4, "2+sin(t)"),
+                                          (4, 5, "2")])
 def test_elliptic_minimum_is_the_same_in_chunks(monkeypatch, dim, points, u):
     op = flat_operator(dim, points, u=u)
     pts, s = op.lattice.points, op.spinor_dim
-    assert len(dirac._momentum_chunks(pts, s)) == 1
-    whole = check_temporal_axioms(op, seed=0)[1]["elliptic_min_eigenvalue"]
     m = _stencil_square(op)
+    assert len(dirac._momentum_chunks(m)) == 1
+    whole = check_temporal_axioms(op, seed=0)[1]["elliptic_min_eigenvalue"]
     blocks = dirac._momentum_blocks(m)
-    # the smallest limit that still admits the lattice: chunks of 1 momentum
+    # the smallest limit that still admits the lattice: chunks of one
+    # (N_t s)^2 block, or under the constant lapse of nine s x s blocks
     monkeypatch.setattr(dirac, "MOMENTUM_BYTES_LIMIT",
                         3 * dirac.momentum_block_bytes(pts, s))
-    chunks = dirac._momentum_chunks(pts, s)
+    chunks = dirac._momentum_chunks(m)
     assert len(chunks) >= 8
     assert np.array_equal(np.concatenate(
         [dirac._momentum_blocks(m, momenta=c) for c in chunks]), blocks)
@@ -533,47 +566,145 @@ def test_axiom_suite_holds_each_operator_only_while_it_is_read(traced_peak):
 
 
 def test_translation_invariant_operators_are_stored_per_time_slice():
-    op = flat_operator(4, 8)
-    assert op.measure_weights().shape == (8, 1, 1, 1)
-    assert op.u.shape == op.lattice.shape and not op.u.flags.writeable
-    for a in (op.sparse_matrix(), _stencil_square(op)):
-        assert {v.shape for v in a.diagonals.values()} == {(8, 1, 1, 1, 4)}
-    # a clamped lattice, or any spatial spread of the lapse, keeps every site
-    for kept in (flat_operator(4, 4, boundary="clamped"),
-                 flat_operator(4, 4, u=FULL_STORAGE_U)):
+    # an exactly constant lapse is stored once, one with no spatial
+    # variation once per time slice: constancy is exact equality
+    for u, stored in ((None, (1, 1, 1, 1)), ("2", (1, 1, 1, 1)),
+                      ("2+sin(t)", (8, 1, 1, 1)), ("1+1e-15*t", (8, 1, 1, 1))):
+        op = flat_operator(4, 8, u=u)
+        assert op.measure_weights().shape == stored, u
+        # a copy: a view of the stored sites would keep the lattice-sized u
+        assert op._u.base is None
+        assert op.u.shape == op.lattice.shape and not op.u.flags.writeable
+        for a in (op.sparse_matrix(), _stencil_square(op)):
+            assert {v.shape for v in a.diagonals.values()} == {stored + (4,)}
+        # a clamped lattice keeps every site, whatever the lapse
+        kept = flat_operator(4, 4, boundary="clamped", u=u)
         shapes = {v.shape for v in kept.sparse_matrix().diagonals.values()}
-        assert shapes == {kept.lattice.shape + (4,)}
+        assert shapes == {kept.lattice.shape + (4,)}, u
+    # and so does any spatial spread of the lapse
+    kept = flat_operator(4, 4, u=FULL_STORAGE_U)
+    shapes = {v.shape for v in kept.sparse_matrix().diagonals.values()}
+    assert shapes == {kept.lattice.shape + (4,)}
+
+
+@pytest.mark.parametrize("dim,points,u", [
+    (2, 6, None), (3, (4, 3, 2), "2+sin(t)"), (2, 5, FULL_STORAGE_U),
+    (3, 4, None), (2, (4, 3), None)])
+def test_shift_is_the_shift_of_the_broadcast_sites(dim, points, u):
+    # an axis stored once is not rolled: the shift of the stored sites is
+    # the stored sites of the shift of the full, broadcast array
+    op = flat_operator(dim, points, u=u)
+    lat, s = op.lattice, op.spinor_dim
+    v = op.sparse_matrix().diagonals[((1,) + (0,) * (dim - 1), 1)]
+    w = op.measure_weights()
+    full_v = np.broadcast_to(v, lat.shape + (s,))
+    full_w = np.broadcast_to(w, lat.shape)
+    for sites in itertools.product((-1, 0, 1, 2), repeat=dim):
+        for k in range(s):
+            got = dirac._shift(v, sites, k)
+            assert got.shape == v.shape
+            assert np.array_equal(got, dirac._shift(full_v, sites, k)[op._stored])
+        assert np.array_equal(dirac._shift(w, sites),
+                              dirac._shift(full_w, sites)[op._stored])
 
 
 def test_axiom_suite_per_time_slice_holds_one_momentum_chunk(traced_peak):
     # stored per time slice, the operators are a few kB at 8^4: what is left
     # is one chunk of momentum blocks and its Hermitian-part temporary (the
     # full-lattice diagonals peaked at 17.3 MB here)
-    op = flat_operator(4, 8)
+    op = flat_operator(4, 8, u="1+1e-15*t")
+    assert op.measure_weights().shape == (8, 1, 1, 1)
     _, peak = traced_peak(check_temporal_axioms, op, 0)
     assert peak <= 2.5 * dirac.MOMENTUM_BYTES_LIMIT / 8, peak
 
 
-def _full_storage(monkeypatch):
-    """Make every DiracOperator built from now on keep every site."""
+def test_constant_lapse_suite_holds_one_chunk_of_spinor_blocks(traced_peak):
+    # stored once, the operators are a few hundred bytes at 8^4, and the
+    # 4096 s x s momentum blocks (1 MiB) fit one chunk: what is left is that
+    # chunk, its Hermitian-part temporary and the copy eigvalsh works on
+    op = flat_operator(4, 8)
+    assert op.measure_weights().shape == (1, 1, 1, 1)
+    assert len(dirac._momentum_chunks(_stencil_square(op))) == 1
+    chunk = 8 ** 4 * dirac.momentum_block_bytes((1,), 4)
+    _, peak = traced_peak(check_temporal_axioms, op, 0)
+    assert peak <= 2.5 * chunk, peak / chunk
+
+
+def test_commute_check_holds_one_draw_at_a_time(traced_peak):
+    # each random (f, psi) draw and its residual are freed before the next
+    # draw: at 16^4 the suite peaks there, at about four spinor fields (5.17
+    # when a draw's fields lived on while the next was drawn)
+    op = flat_operator(4, 16)
+    field = op.lattice.site_count * op.spinor_dim * 16
+    _, peak = traced_peak(check_temporal_axioms, op, 0)
+    assert peak <= 4.5 * field, peak / field
+
+
+def _storage(monkeypatch, stored):
+    """Make every DiracOperator built from now on keep the sites
+    stored(dimension) indexes."""
     monkeypatch.setattr(dirac, "_stored_sites",
-                        lambda lattice, u: (slice(None),) * lattice.dimension)
+                        lambda lattice, u: stored(lattice.dimension))
+
+
+def _per_slice_storage(monkeypatch):
+    _storage(monkeypatch, lambda dim: (slice(None),) + (slice(0, 1),) * (dim - 1))
+
+
+def _full_storage(monkeypatch):
+    _storage(monkeypatch, lambda dim: (slice(None),) * dim)
+
+
+def _block_spectra(op):
+    """Eigenvalues of the suite's momentum blocks of op, one row per
+    spatial momentum: the s x s blocks of a lapse stored once are gathered
+    over the time momenta of each spatial momentum, and each row sorted."""
+    m = _stencil_square(op)
+    blocks = dirac._momentum_blocks(m)
+    values = np.linalg.eigvalsh(0.5 * (blocks + np.conj(np.swapaxes(blocks, 1, 2))))
+    if dirac._block_time(m) == 1:
+        nt = op.lattice.points[0]
+        values = values.reshape(nt, -1, op.spinor_dim).swapaxes(0, 1)
+    return np.sort(values.reshape(values.shape[0], -1), axis=1)
 
 
 @pytest.mark.parametrize("dim,points,u", [
     (4, 5, None), (4, 8, None), (2, 16, None), (3, 6, "2+sin(t)")])
 def test_storage_shape_leaves_every_payload_value_bitwise_equal(
         monkeypatch, dim, points, u):
-    op = flat_operator(dim, points, u=u)
-    assert op.measure_weights().shape == (points,) + (1,) * (dim - 1)
-    checks, payload = check_temporal_axioms(op, seed=0)
-    _full_storage(monkeypatch)
-    full = flat_operator(dim, points, u=u)
-    assert full.measure_weights().shape == full.lattice.shape
-    want_checks, want = check_temporal_axioms(full, seed=0)
+    # once, per time slice and at every site: every payload value but the
+    # <D>^2 minimum is bitwise the same on each storage shape.  The minimum
+    # comes from s x s blocks where u is stored once, so there it is held
+    # to the closed form and the block spectra to the per-slice ones
+    runs, spectra = [], []
+    for force in (None, _per_slice_storage, _full_storage):
+        if force is not None:
+            force(monkeypatch)
+        op = flat_operator(dim, points, u=u)
+        checks, payload = check_temporal_axioms(op, seed=0)
+        runs.append((op.measure_weights().shape, checks, payload))
+        if force is not _full_storage:
+            spectra.append(_block_spectra(op))
+    shapes = [shape for shape, _, _ in runs]
+    assert shapes[1:] == [(points,) + (1,) * (dim - 1), (points,) * dim]
+    constant = u is None
+    assert shapes[0] == ((1,) * dim if constant else shapes[1])
+    minima = [payload.pop("elliptic_min_eigenvalue") for _, _, payload in runs]
+    for _, checks, _ in runs:
+        assert checks[8].name == "<D>^2 non-negative"
+        checks[8] = dataclasses.replace(checks[8], value=None)
     # repr tells -0.0 from 0.0 and prints every float round-trip exact
-    assert repr(payload) == repr(want)
-    assert repr(checks) == repr(want_checks)
+    assert len({repr(payload) for _, _, payload in runs}) == 1
+    assert len({repr(checks) for _, checks, _ in runs}) == 1
+    if constant:
+        want = constant_lapse_spectrum((points,) * dim, (1.0,) * dim,
+                                       op.spinor_dim, 1.0)
+        for minimum in minima:
+            assert abs(minimum - want.min()) <= 1e-12 * want.max()
+        assert np.max(np.abs(spectra[0] - spectra[1])) <= 1e-12 * want.max()
+    else:
+        assert len(set(map(repr, minima))) == 1
+        assert np.array_equal(spectra[0], spectra[1])
 
 
 @pytest.mark.parametrize("dim,points,u", [
@@ -586,12 +717,14 @@ def test_reductions_and_toarray_agree_on_both_storage_shapes(
         d = op.sparse_matrix()
         kd = _commutator_operator(op) @ d
         return [d, kd, op.weighted_adjoint(kd) + kd, _stencil_square(op)]
-    sliced = operators()
-    _full_storage(monkeypatch)
-    for a, b in zip(sliced, operators()):
-        assert a.max_abs() == b.max_abs()
-        assert a.hermiticity_residual() == b.hermiticity_residual()
-        assert np.array_equal(a.toarray(), b.toarray())
+    stored = operators()
+    # a lapse stored once is also compared with its per-slice storage
+    for force in (_per_slice_storage, _full_storage):
+        force(monkeypatch)
+        for a, b in zip(stored, operators()):
+            assert a.max_abs() == b.max_abs()
+            assert a.hermiticity_residual() == b.hermiticity_residual()
+            assert np.array_equal(a.toarray(), b.toarray())
 
 
 def test_axiom_suite_takes_the_oracle_residual_in_place(traced_peak):
