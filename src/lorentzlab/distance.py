@@ -19,9 +19,7 @@ stack of them for each of p and q and return one value per pair.  The
 boosted family is a scalar golden section per pair, the route the oracle is
 checked against.  A candidate is an expression string or a filtered
 element; a filtered element is evaluated at events by the pure-state
-extension rule, ``filtration.extend_state``.  ``conformal_time_distance``
-integrates sqrt(u) dt, for a lapse expression u, along pure time
-displacements of the conformally flat metric -u(t) dt^2 + dx^2.
+extension rule, ``filtration.extend_state``.
 """
 
 from dataclasses import dataclass
@@ -126,28 +124,6 @@ def boosted_family_distance(p, q):
 
     _, h_star = golden_section(h, 0.0, V_CAP)
     return max(0.0, float(min(h_star, h(0.0))))   # h(0) = dt is in the family
-
-
-def conformal_time_distance(t0, t1, u="1"):
-    """Distance along a pure time displacement for ds^2 = -u(t)dt^2 + dx^2.
-
-    u is an expression string in t.  The steep time function is
-    tau(t) = int sqrt(u); the distance between (t0, x) and (t1, x) is
-    tau(t1) - tau(t0) for t1 >= t0, else 0.
-    """
-    _, compiled = expressions.compile_expression(u)
-    u_fn = lambda t: compiled(t=np.asarray(t, dtype=float))
-    t0, t1 = float(t0), float(t1)
-    if t1 <= t0:
-        return 0.0
-    for ts in np.linspace(t0, t1, 7):
-        if not float(u_fn(ts)) > 0.0:
-            raise ValueError("u(t) must be positive on [t0, t1]; "
-                             "u(%r) = %r" % (ts, float(u_fn(ts))))
-    from scipy.integrate import quad    # deferred: it also loads scipy.optimize
-    val, _ = quad(lambda s: np.sqrt(float(u_fn(s))), t0, t1,
-                  epsabs=1e-12, epsrel=1e-12, limit=200)
-    return float(val)
 
 
 # ------------------------------------------------------------- variational

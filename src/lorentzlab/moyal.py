@@ -168,11 +168,6 @@ def phys_fft(values, lat):
     return F, ks
 
 
-def _stack_rows(values, head, count):
-    """values broadcast to head + (count,), as (prod(head), count) rows."""
-    return np.broadcast_to(values, head + (count,)).reshape(-1, count)
-
-
 # -------------------------------------------------------- quadrature engine
 
 
@@ -224,7 +219,7 @@ def star_quadrature(f, h, theta, points, lat, slot):
     edge = np.zeros(len(W))
     for s in _blocks(lat.site_count, 16 * len(W)):
         block = [c[s] for c in axes]
-        W[:, s] = _stack_rows(at(transformed, block), stack, len(block[0]))
+        W[:, s] = at(transformed, block).reshape(-1, len(block[0]))
         v = np.abs(W[:, s])
         np.maximum(top, v.max(axis=1), out=top)
         np.maximum(edge, v[:, shell[s]].max(axis=1, initial=0.0), out=edge)
@@ -249,14 +244,14 @@ def star_quadrature(f, h, theta, points, lat, slot):
             rows = at(shifted, (x + shifts[b]).T)
             size = len(shifts[b])
             # fold the phase into the samples only when no one else can see
-            # them: a complex array of the block's own shape, owning its
-            # memory, with no reference but this one
-            if (rows.dtype == complex and rows.shape == head + (size,)
-                    and rows.base is None and sys.getrefcount(rows) <= 2):
+            # them: a complex array owning its memory, with no reference
+            # but this one
+            if (rows.dtype == complex and rows.base is None
+                    and sys.getrefcount(rows) <= 2):
                 rows = rows.reshape(count, size)
                 rows *= phase[b]
             else:
-                rows = _stack_rows(rows, head, size) * phase[b]
+                rows = rows.reshape(count, size) * phase[b]
             got += rows @ W[:, b].T
             del rows        # one block of samples at a time
         out.append(got if slot == "second" else got.T)

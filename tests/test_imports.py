@@ -1,14 +1,18 @@
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import lorentzlab
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 # public functions and methods that no library code calls and the benchmark
 # does not name, each with the reason it stays
@@ -17,8 +21,6 @@ TEST_ONLY = {
     "moyal.synthesize": "the Moyal-triple item's ladder-derivative oracle",
     "steepness.is_steep_scalar":
         "the doubler-free certificate item feeds it upwind gradients",
-    "distance.conformal_time_distance":
-        "the non-flat lapse item's tau oracle",
 }
 
 # bare names that several public functions or methods define: a read of the
@@ -30,34 +32,86 @@ SHARED_NAMES = {
 }
 
 
-def test_import_loads_no_deferred_scipy_subpackage():
-    # the package runs on numpy alone: scipy.integrate is imported by
-    # conformal_time_distance when it is first called, and only the tests
-    # use scipy otherwise, as an oracle
+def _package_path():
+    """PYTHONPATH for a child process that imports this package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(lorentzlab.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+
+def test_import_loads_no_deferred_scipy_subpackage():
+    # the package runs on numpy alone: no module of it imports scipy, at
+    # module level or in a function body (test_src_never_imports_scipy),
+    # and only the tests use scipy, as an oracle
     code = ("import sys, lorentzlab, lorentzlab.cli; "
             "print(' '.join(sorted(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          env=dict(os.environ, PYTHONPATH=_package_path()))
     loaded = set(done.stdout.split())
     assert "lorentzlab.cli" in loaded and "numpy" in loaded
     assert sorted(name for name in loaded if name.split(".")[0] == "scipy") == []
 
 
-def test_all_lists_exactly_the_public_imports():
-    # every exported name resolves, and every public name __init__ imports
-    # is exported
-    for name in lorentzlab.__all__:
-        assert hasattr(lorentzlab, name), name
-    with open(lorentzlab.__file__) as fh:
-        tree = ast.parse(fh.read())
-    imported = {alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    public = {name for name in imported if not name.startswith("_")}
-    assert public <= set(lorentzlab.__all__)
-    assert len(lorentzlab.__all__) == len(set(lorentzlab.__all__))
+def test_import_loads_every_submodule():
+    # the package itself defines only __version__: each public name has one
+    # import path, through the submodule that `import lorentzlab` loads
+    submodules = {"checks", "clifford", "dirac", "distance", "expressions",
+                  "filtration", "lattice", "moyal", "steepness"}
+    for name in submodules:
+        assert getattr(lorentzlab, name).__name__ == "lorentzlab." + name
+    public = {name for name in vars(lorentzlab) if not name.startswith("_")}
+    assert submodules <= public <= submodules | {"cli"}
+    assert lorentzlab.__version__ == "0.1.0"
+
+
+# makes every later scipy import in the process raise ImportError
+REFUSE_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy is blocked: " + name)
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+"""
+
+# runs the CLI on the arguments after -c
+CLI = "import sys; from lorentzlab import cli; sys.exit(cli.main(sys.argv[1:]))"
+
+
+def _run_cli(code, argv, out):
+    out.mkdir()
+    done = subprocess.run([sys.executable, "-c", code, *argv, "--out",
+                           str(out)], capture_output=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=_package_path()))
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return done, files
+
+
+def test_scipy_block_refuses_scipy():
+    done = subprocess.run([sys.executable, "-c",
+                           REFUSE_SCIPY + "import scipy.integrate"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode != 0
+    assert "scipy is blocked: scipy" in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--dimension", "4", "--points", "5"],
+    ["report", "--points", "12", "--pairs", "10"],
+], ids=["verify_4d", "report"])
+def test_cli_runs_without_scipy(argv, tmp_path):
+    # both benchmark configurations run with scipy unimportable and write
+    # the artifacts and lines of a normal run, byte for byte
+    blocked, blocked_files = _run_cli(REFUSE_SCIPY + CLI, argv,
+                                      tmp_path / "blocked")
+    normal, normal_files = _run_cli(CLI, argv, tmp_path / "normal")
+    assert blocked.returncode == 0, blocked.stderr
+    assert normal.returncode == 0, normal.stderr
+    assert blocked_files and blocked_files == normal_files
+    assert blocked.stdout == normal.stdout
 
 
 def _src_trees():
@@ -81,6 +135,36 @@ def _loaded_names(trees):
             elif isinstance(node, ast.Attribute):
                 reads.add(node.attr)
     return reads
+
+
+def test_src_never_imports_scipy():
+    # every import statement, module level or deferred into a function
+    trees = _src_trees()
+    imported = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [(module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.append((module, node.module))
+    assert any(name == "numpy" for _, name in imported)
+    assert [(module, name) for module, name in imported
+            if name.split(".")[0] == "scipy"] == []
+
+
+def _requirement_names(requirements):
+    return sorted(re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower()
+                  for req in requirements)
+
+
+def test_runtime_dependency_is_numpy_only():
+    # scipy is an oracle of the tests, so it sits in the test extra
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert _requirement_names(project["dependencies"]) == ["numpy"]
+    test_extra = project["optional-dependencies"]["test"]
+    assert _requirement_names(test_extra) == ["pytest", "scipy"]
 
 
 def test_every_module_constant_is_read_in_src():

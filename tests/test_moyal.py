@@ -190,7 +190,7 @@ def _quadrature_unstreamed(f, h, theta, points, lat, slot):
     for x in pts:
         sv = np.asarray(shifted(**dict(zip(lat.axis_names, (x + shifts).T))))
         head = sv.shape[:-1]
-        rows = np.broadcast_to(sv, head + (len(K),)).reshape(-1, len(K))
+        rows = sv.reshape(-1, len(K))
         phase = wq * np.exp(1j * (K @ x))
         got = np.zeros((len(rows), len(W)), dtype=complex)
         for b in moyal._blocks(len(K), 16 * len(rows)):
@@ -213,8 +213,6 @@ def _pair_stack(x, y):
 STREAMED_CASES = {
     "basis-stacks": (_basis8, _basis8, (7.0, 64), None),
     "scalar-shift": (_basis8, moyal._damped(0, 4.0), (20.0, 64), None),
-    "constant-shift": (moyal._damped(1, 4.0), lambda x, y: 2.0 - 0.5j,
-                       (20.0, 48), None),
     # 48^2 = 2304 sites: site blocks of 700 for the six transformed
     # functions, frequency blocks of 2100 for the two shifted ones
     "partial-blocks": (lambda x, y: basis_stack(3, THETA, x, y)[:2],
