@@ -8,6 +8,8 @@ both render from it.
 import operator
 from dataclasses import dataclass
 
+MIN_SCALE = 1e-30      # the least scale a relative residual divides by
+
 RELATIONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
              ">": operator.gt}
 

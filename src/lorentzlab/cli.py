@@ -22,7 +22,7 @@ from . import clifford, dirac, distance, filtration, moyal, steepness
 from .checks import verdict
 from .expressions import (AXIS_NAMES, ExpressionError, parse_expression,
                           variables_used)
-from .lattice import Lattice, ScalarField
+from .lattice import BOUNDARIES, Lattice, ScalarField
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -54,8 +54,8 @@ VALUE_RULES = {
     "dimension": (lambda v: v in (2, 3, 4), "2, 3, or 4"),
     "points": (lambda v: v >= 3, ">= 3"),
     "box": (lambda v: math.isfinite(v) and v > 0, "positive and finite"),
-    "boundary": (lambda v: v in ("periodic", "clamped"),
-                 "'periodic' or 'clamped'"),
+    "boundary": (lambda v: v in BOUNDARIES,
+                 " or ".join(map(repr, BOUNDARIES))),
     "theta": (lambda v: math.isfinite(v) and v > 0, "positive and finite"),
     "truncation": (lambda v: 2 <= v <= 32, "in [2, 32]"),
     "pairs": (lambda v: 1 <= v <= 10000, "in [1, 10000]"),
@@ -333,7 +333,7 @@ def build_parser():
     v.add_argument("--dimension", type=int)
     v.add_argument("--points", type=int)
     v.add_argument("--box", type=float)
-    v.add_argument("--boundary", choices=("periodic", "clamped"))
+    v.add_argument("--boundary", choices=BOUNDARIES)
     v.add_argument("--u", help="conformal factor u(t), expression in t")
 
     d = sub.add_parser("distance", parents=[common],

@@ -51,9 +51,9 @@ from numpy.random import default_rng
 
 from .checks import Check
 from .clifford import GammaRep, build_gamma, fundamental_symmetry, max_abs
-from .lattice import Lattice, ScalarField, SpinorField, gradient
+from .lattice import Lattice, ScalarField, SpinorField, gradient, slices
 
-DENSE_LIMIT = 4096       # dense_dim of the clamped eigvalsh and elliptic_square
+DENSE_LIMIT = 4096       # dense_dim of the clamped <D>^2 block and elliptic_square
 ORACLE_LIMIT = 512       # dense_dim up to which the suite probes dense_matrix
 SITE_LIMIT = 65536       # lattice sites any command may allocate fields on
 MOMENTUM_BYTES_LIMIT = 2 ** 25   # one chunk of periodic <D>^2 momentum blocks
@@ -184,16 +184,18 @@ class DiracOperator:
         """Dense matrix of D in row-major (site, spinor) order.
 
         Column j is `apply` on the j-th unit probe.  The probes go through
-        a block of columns at a time (`_probe_blocks`), as one stacked
-        spinor field per block.  The diagonal assembly of `sparse_matrix` is
-        not used: this is the route it is checked against.
+        a block of columns at a time, as one stacked spinor field per block.
+        The diagonal assembly of `sparse_matrix` is not used: this is the
+        route it is checked against.
         """
         n = self.dense_dim
         _require(_dense_error(n, "dense matrix"))
         lat, s = self.lattice, self.spinor_dim
         out = np.empty((n, n), dtype=complex)
         rows = out.reshape(lat.site_count, s, n)
-        for cols in _probe_blocks(n):
+        # a block's probes, image and the temporaries of `apply` are about
+        # six probe-sized arrays, so eight blocks stay within the result
+        for cols in slices(n, n // 8):
             col = np.arange(cols.start, cols.stop)
             probes = np.zeros((lat.site_count, len(col), s), dtype=complex)
             probes[col // s, np.arange(len(col)), col % s] = 1.0
@@ -244,17 +246,6 @@ def gradient_symbol(rep, grads, u):
     return -1j * out
 
 
-def _probe_blocks(n):
-    """Slices of the n columns of `dense_matrix`, at most n // 8 wide.
-
-    A block's probes, image and the temporaries of `apply` are about
-    six probe-sized arrays, so with eight blocks they stay within the size
-    of the dense result.
-    """
-    step = max(1, n // 8)
-    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
-
-
 def _dense_error(n, what):
     if n > DENSE_LIMIT:
         return ("%s would be %d^2; limit is %d^2 (use a coarser lattice)"
@@ -282,8 +273,8 @@ def elliptic_size_error(points, boundary, spinor_dim):
     most an eighth of the limit, so only a chunk of one block can overfill
     it.  The bound is that of the (N_t s)^2 block of a lapse u(t), also
     where a constant lapse splits it into s x s blocks, so the verdict
-    depends on the lattice alone.  A clamped lattice needs a dense
-    eigvalsh, held to DENSE_LIMIT dimensions.
+    depends on the lattice alone.  A clamped lattice is one dense block,
+    held to DENSE_LIMIT dimensions.
     """
     if boundary != "periodic":
         return _dense_error(int(np.prod(points)) * spinor_dim, "dense eigvalsh")
@@ -433,14 +424,6 @@ class StencilOperator:
             _accumulate(out, self.lattice, o, k, v)
         return self._like(out)
 
-    def __mul__(self, scalar):
-        return self._like({o: scalar * v for o, v in self.diagonals.items()})
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
     def adjoint(self, weights=None):
         """Conjugate transpose; with per-site weights w, W^-1 A^H W.
 
@@ -457,7 +440,7 @@ class StencilOperator:
         return self._like(out)
 
     def hermiticity_residual(self):
-        """Largest |entry| of A - A^H, as `(a - a.adjoint()).max_abs()`.
+        """Largest |entry| of A - A^H, as `max_abs` of the dense difference.
 
         Taken one diagonal at a time, so neither A^H nor the difference is
         ever held: A^H on the diagonal (-o, k) is the conjugate of A's (o, k)
@@ -523,16 +506,15 @@ def _elliptic_square(d, k, kd):
     Each diagonal of K D K D is added into the diagonals of D K D K as soon
     as it is formed, and the sum is then scaled in place: K D K D is never
     held whole, and no sum beside the products.  Each entry is the same sum
-    and product as -0.5 * (dk @ dk + kd @ kd).
+    and product as -0.5 * (dk @ dk + kd @ kd).  Both products pair the same
+    diagonals of D and K is site-diagonal, so D K D K has every diagonal of
+    K D K D.
     """
     dk = d @ k
     m = dk @ dk
     del dk
     for key, v in kd.product_diagonals(kd):
-        if key in m.diagonals:
-            m.diagonals[key] += v
-        else:
-            m.diagonals[key] = v
+        m.diagonals[key] += v
     for v in m.diagonals.values():
         v *= -0.5
     return m
@@ -603,8 +585,7 @@ def _momentum_chunks(m):
     """
     nt = _block_time(m)
     block = momentum_block_bytes((nt,), m.spinor_dim)
-    step = max(1, MOMENTUM_BYTES_LIMIT // (8 * block))
-    return [slice(i, i + step) for i in range(0, m.lattice.site_count // nt, step)]
+    return slices(m.lattice.site_count // nt, MOMENTUM_BYTES_LIMIT // (8 * block))
 
 
 def _min_eigenvalue(blocks):
@@ -618,12 +599,13 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
     """Run the axiom residual suite on D in stencil form (`sparse_matrix`).
 
     Up to ORACLE_LIMIT dense dimensions that D is also compared with
-    the probe-built `dense_matrix`.  The smallest eigenvalue of <D>^2 comes
-    from `_momentum_blocks` of the same stencil <D>^2 whose hermiticity is
-    checked, on a periodic lattice, built and diagonalised in chunks of
-    momenta (`_momentum_chunks`): s x s blocks where u is constant, (N_t s)^2
-    blocks where it depends on t.  On a clamped lattice it needs a dense
-    eigvalsh.  `elliptic_size_error` holds both to their limits.
+    the probe-built `dense_matrix`.  The smallest eigenvalue of <D>^2 is
+    `_min_eigenvalue` of blocks of the same stencil <D>^2 whose hermiticity
+    is checked: on a periodic lattice its `_momentum_blocks`, built and
+    diagonalised in chunks of momenta (`_momentum_chunks`), s x s blocks
+    where u is constant, (N_t s)^2 blocks where it depends on t; on a
+    clamped lattice its dense matrix, one block.  `elliptic_size_error`
+    holds both to their limits.
 
     Returns (checks, payload), the payload every measured value and note.
     """
@@ -682,8 +664,7 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
         ell_min = min(_min_eigenvalue(_momentum_blocks(m, chunk))
                       for chunk in _momentum_chunks(m))
     else:
-        ell_min = float(np.linalg.eigvalsh(
-            (0.5 * (m + m.adjoint())).toarray()).min())
+        ell_min = _min_eigenvalue(m.toarray()[None])
 
     notes = []
     if not periodic:

@@ -37,7 +37,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from . import expressions
-from .checks import Check, verdict
+from .checks import MIN_SCALE, Check, verdict
 from .expressions import AXIS_NAMES, Binary, Call, Constant, Variable
 from .lattice import Lattice, ScalarField
 
@@ -50,6 +50,7 @@ CENTRAL_TOL = 1e-13
 TIME_NORM_BOUND = 1.0        # ||T||_{-1} < 1: the time element is a contraction
 COUNTEREXAMPLE_FLOOR = 0.1   # the non-central witness must violate by more
 STATE_WEIGHT_FLOOR = 1e-300
+MIN_GRADING_SCALE = 1e-300   # the grading spread divides by at least this
 DECOMPOSITION_TOL = 1e-9     # relative: two decompositions of one function
 GRADING_TRIALS = 8           # random spinors per H_n, after the site delta
 GRADING_GRADES = (-2, -1, 0, 1, 2)   # the n of each H_n
@@ -117,7 +118,7 @@ def submultiplicativity_residual(a, b, lattice):
     prod = a.multiply(b)
     lhs = weighted_norm(prod, m_a + m_b, lattice)
     rhs = weighted_norm(a, m_a, lattice) * weighted_norm(b, m_b, lattice)
-    scale = max(rhs, 1e-30)
+    scale = max(rhs, MIN_SCALE)
     return (lhs - rhs) / scale
 
 
@@ -162,7 +163,8 @@ def operator_norm_grading_check(elem: FilteredElement, lattice: Lattice, seed=0)
         den = np.sum(np.conj(phi) * phi * wn[..., None], axis=axes).real
         estimates[int(n)] = float(np.sqrt(num / den).max())
     vals = np.array(list(estimates.values()))
-    spread = float((vals.max() - vals.min()) / max(vals.max(), 1e-300))
+    spread = float((vals.max() - vals.min())
+                   / max(vals.max(), MIN_GRADING_SCALE))
     return {"weighted_norm": sup, "estimates": estimates, "spread": spread}
 
 
@@ -196,7 +198,7 @@ def well_definedness_check(elem_a, elem_b, lattice, states):
     """
     va = elem_a.sample(lattice).values
     vb = elem_b.sample(lattice).values
-    scale = max(float(np.max(np.abs(va))), 1e-30)
+    scale = max(float(np.max(np.abs(va))), MIN_SCALE)
     fun_dev = float(np.max(np.abs(va - vb)))
     if fun_dev > DECOMPOSITION_TOL * scale:
         raise ValueError("decompositions differ as functions "

@@ -19,6 +19,15 @@ import numpy as np
 
 from . import expressions
 
+BOUNDARIES = ("periodic", "clamped")
+
+
+def slices(count, step):
+    """Consecutive slices of range(count), `step` items each (at least
+    one); the last ends at count.  Every streamed loop is cut by these."""
+    step = max(1, step)
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
 
 @dataclass(frozen=True)
 class Lattice:
@@ -28,9 +37,9 @@ class Lattice:
     axis_names: tuple = None
 
     def __post_init__(self):
-        if self.boundary not in ("periodic", "clamped"):
-            raise ValueError("boundary must be 'periodic' or 'clamped', got %r"
-                             % (self.boundary,))
+        if self.boundary not in BOUNDARIES:
+            raise ValueError("boundary must be %s, got %r"
+                             % (" or ".join(map(repr, BOUNDARIES)), self.boundary))
         if len(self.extents) != len(self.points):
             raise ValueError("extents/points length mismatch")
         for (lo, hi), n in zip(self.extents, self.points):

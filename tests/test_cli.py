@@ -15,6 +15,7 @@ from lorentzlab.clifford import build_gamma, check_clifford
 from lorentzlab.dirac import check_temporal_axioms, flat_operator
 from lorentzlab.distance import run_distance_suite
 from lorentzlab.filtration import run_filtration_suite
+from lorentzlab.lattice import BOUNDARIES, Lattice
 from lorentzlab.moyal import run_moyal_suite
 from lorentzlab.steepness import equivalence_scan
 from oracles import clifford_residuals, constant_lapse_spectrum
@@ -125,6 +126,47 @@ def test_unsteep_candidate_pool_is_config_error(tmp_path, capsys):
                 "--candidates", "0.5*t"], tmp_path)
     assert code == 2
     assert "no steep candidates" in capsys.readouterr().err
+
+
+def test_boundaries_are_named_once(tmp_path, capsys):
+    # Lattice, the config rule and the --boundary flag accept exactly
+    # lattice.BOUNDARIES, and refuse anything else in their own words
+    assert BOUNDARIES == ("periodic", "clamped")
+    rule, what = cli.VALUE_RULES["boundary"]
+    verify = next(a for a in cli.build_parser()._actions
+                  if a.dest == "command").choices["verify"]
+    flag = next(a for a in verify._actions if a.dest == "boundary")
+    assert tuple(flag.choices) == BOUNDARIES
+    for boundary in BOUNDARIES:
+        assert Lattice(((0.0, 1.0),), (4,), boundary).boundary == boundary
+        assert rule(boundary)
+    with pytest.raises(ValueError) as refused:
+        Lattice(((0.0, 1.0),), (4,), "open")
+    assert str(refused.value) == ("boundary must be 'periodic' or 'clamped', "
+                                  "got 'open'")
+    assert not rule("open")
+    errors = cli.validate_config(cli.RunConfig(boundary="open"), "verify")
+    assert errors == ["boundary must be 'periodic' or 'clamped', got 'open'"]
+    with pytest.raises(SystemExit):
+        run(["verify", "--boundary", "open"], tmp_path)
+    assert "invalid choice: 'open'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["verify", "--points", "4"],
+                                  ["verify", "--dimension", "5"]])
+def test_main_validates_once_through_the_module_attribute(argv, tmp_path,
+                                                          monkeypatch):
+    # the benchmark times set-up by replacing cli.validate_config, so main
+    # must look it up on the module, once per run, refused or not
+    calls = []
+    validate = cli.validate_config
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return validate(*args, **kwargs)
+    monkeypatch.setattr(cli, "validate_config", counted)
+    run(argv, tmp_path)
+    assert calls == ["verify"]
 
 
 def test_output_env_var(tmp_path, monkeypatch):

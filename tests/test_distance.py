@@ -210,6 +210,50 @@ def test_variational_filtered_element_candidate():
     assert label == "T"
 
 
+def suite_op():
+    """The distance suite's certification operator: clamped 16^2 on
+    [-PAIR_EXTENT, PAIR_EXTENT]^2."""
+    box = ((-PAIR_EXTENT, PAIR_EXTENT),) * 2
+    return flat_operator(2, 16, box=box, boundary="clamped")
+
+
+def _time_bounded_part(scale):
+    return lambda **c: scale * c["t"] / np.sqrt(1.0 + c["t"] ** 2)
+
+
+def test_filtered_time_element_matches_the_time_expression():
+    # a filtered element is evaluated at events by the pure-state extension
+    # rule: for the time element that is (1+t^2)^{1/2} t/sqrt(1+t^2) = t
+    op = suite_op()
+    pool = certify_candidates([FilteredElement.time_element()], op)
+    assert [label for label, _ in pool.certified] == ["T"]
+    assert pool.rejected == ()
+    events = np.random.default_rng(7).uniform(-PAIR_EXTENT, PAIR_EXTENT,
+                                              size=(50, 2, 2))
+    p, q = events[:, 0], events[:, 1]
+    got, labels = variational_distance(p, q, pool)
+    want, _ = variational_distance(p, q, certify_candidates(["t"], op))
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert set(labels) == {"T"}
+
+
+def test_unlabelled_filtered_element_reports_filtered():
+    pool = certify_candidates([FilteredElement(1, _time_bounded_part(1.0))],
+                              suite_op())
+    assert variational_distance((0.0, 0.0), (1.0, 0.5), pool)[1] == "filtered"
+
+
+def test_filtered_element_of_half_the_time_is_refused():
+    half = FilteredElement(1, _time_bounded_part(0.5), "T/2")
+    with pytest.raises(ValueError, match="no steep candidates"):
+        certify_candidates([half], suite_op())
+    pool = certify_candidates([half, FilteredElement.time_element()],
+                              suite_op())
+    assert [label for label, _ in pool.certified] == ["T"]
+    (record,) = pool.rejected
+    assert record["candidate"] == "T/2" and record["worst_margin"] < 0
+
+
 def test_variational_spacelike_clips_to_zero():
     value, _ = variational_distance((0.0, 0.0), (-1.0, 0.0), pool_of(["t"]))
     assert value == 0.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
 
-from lorentzlab.lattice import Lattice
+from lorentzlab.lattice import Lattice, slices
 from lorentzlab import moyal
 from lorentzlab.moyal import (CROSS_ENGINE_POINTS, DECAY_REFUSE, DELTA_TOL, TAIL_WARN, ThetaMatrix,
                               _genlaguerre,
@@ -193,7 +193,7 @@ def _quadrature_unstreamed(f, h, theta, points, lat, slot):
         rows = sv.reshape(-1, len(K))
         phase = wq * np.exp(1j * (K @ x))
         got = np.zeros((len(rows), len(W)), dtype=complex)
-        for b in moyal._blocks(len(K), 16 * len(rows)):
+        for b in slices(len(K), moyal.BLOCK_BYTES // (16 * len(rows))):
             got += (rows[:, b] * phase[b]) @ W[:, b].T
         out.append(got if slot == "second" else got.T)
     shape = head + stack if slot == "second" else stack + head
