@@ -13,7 +13,9 @@ The axiom suite works on D in stencil form (`StencilOperator`, numpy
 only): one array of coefficients per diagonal, a site offset together with
 a spinor diagonal a -> a XOR k, assembled from the one-dimensional stencils
 of `lattice.gradient` and the gamma matrices.  The products, adjoints and
-residuals of the suite are array operations on those diagonals.
+residuals of the suite are array operations on those diagonals.  Site
+offsets are taken mod n on every lattice; a clamped box is zero
+coefficients wherever a column would leave it (`_stencil`).
 `DiracOperator` picks the shape of those arrays when it is built, from u.
 On a periodic lattice whose lapse is exactly constant, D commutes with
 every translation, in time as well as space, and every per-site array
@@ -295,7 +297,8 @@ def _stencil(n, h, boundary):
     rolled difference does); a clamped axis also carries the one-sided
     `np.gradient(edge_order=2)` rows 0 and n - 1 at offsets 0, +-1, +-2, as
     coefficients that are zero in the interior and wherever the column
-    would leave the axis.
+    would leave the axis: offsets are keyed mod n on every lattice, so
+    those zeros alone keep a clamped operator from wrapping.
     """
     forward = np.full(n, 1.0 / (2.0 * h))
     backward = np.full(n, -1.0 / (2.0 * h))
@@ -338,27 +341,13 @@ def _shift(values, sites, k=0):
 
 
 def _site_key(lattice, sites):
-    """A site offset as diagonals are keyed: mod n on a periodic lattice.
-
-    On a clamped lattice an offset of n or more addresses no entry: None.
-    """
-    if lattice.boundary == "periodic":
-        return tuple(o % n for o, n in zip(sites, lattice.points))
-    if any(abs(o) >= n for o, n in zip(sites, lattice.points)):
-        return None
-    return sites
+    """A site offset as diagonals are keyed: mod n along every axis."""
+    return tuple(o % n for o, n in zip(sites, lattice.points))
 
 
 def _accumulate(diagonals, lattice, sites, k, values):
-    """Add values to the diagonal (sites, k), with sites reduced on `lattice`.
-
-    Site offsets are taken mod n on a periodic lattice; on a clamped one an
-    offset of n or more addresses no entry and is dropped.
-    """
-    sites = _site_key(lattice, sites)
-    if sites is None:
-        return
-    key = (sites, k)
+    """Add values to the diagonal (sites, k), with sites reduced mod n."""
+    key = (_site_key(lattice, sites), k)
     diagonals[key] = diagonals[key] + values if key in diagonals else values
 
 
@@ -378,14 +367,14 @@ class StencilOperator:
     `_shift` does not roll them (a shift along them is the identity), so
     products, adjoints and reductions need no second code path.
 
-    Offsets are reduced mod n on a periodic lattice, so offsets that alias
-    share one array and every matrix entry lives in exactly one diagonal.
-    On a clamped lattice V[x] is zero wherever x + o leaves it; products
-    and adjoints keep that, so the wrapped reads of `_shift` there only
-    ever meet zeros.  Each entry of a product is one multiplication, as in a
-    dense product, when one factor has a single nonzero per row (the
-    per-site blocks K = [D,T] and J); with several it may be summed in
-    another order than a dense product, within rounding.
+    Offsets are reduced mod n on every lattice, so offsets that alias share
+    one array and every matrix entry lives in exactly one diagonal.  A box
+    without wrap is zero coefficients: V[x] is zero wherever x + o leaves
+    the box, and products and adjoints keep those zeros, so the wrapped
+    reads of `_shift` there only ever meet zeros.  Each entry of a product
+    is one multiplication, as in a dense product, when one factor has a
+    single nonzero per row (the per-site blocks K = [D,T] and J); with
+    several it may be summed in another order, within rounding.
     """
 
     def __init__(self, lattice, spinor_dim, diagonals):
@@ -406,8 +395,7 @@ class StencilOperator:
         for (oa, ka), va in self.diagonals.items():
             for (ob, kb), vb in other.diagonals.items():
                 sites = _site_key(self.lattice, tuple(a + b for a, b in zip(oa, ob)))
-                if sites is not None:
-                    terms.setdefault((sites, ka ^ kb), []).append((va, vb, oa, ka))
+                terms.setdefault((sites, ka ^ kb), []).append((va, vb, oa, ka))
         for key, pairs in terms.items():
             total = None
             for va, vb, oa, ka in pairs:
@@ -468,17 +456,13 @@ class StencilOperator:
         lat, s = self.lattice, self.spinor_dim
         out = np.zeros((lat.site_count, s, lat.site_count, s), dtype=complex)
         sites = np.indices(lat.shape)
+        row = np.arange(lat.site_count)[:, None]
         spin = np.arange(s)
         for (o, k), v in self.diagonals.items():
             v = np.broadcast_to(v, lat.shape + (s,))
             target = [i + a for i, a in zip(sites, o)]
-            inside = np.ones(lat.shape, dtype=bool)
-            if lat.boundary != "periodic":
-                for t, n in zip(target, lat.points):
-                    inside &= (t >= 0) & (t < n)
-            row = np.flatnonzero(inside)[:, None]
-            col = np.ravel_multi_index(target, lat.shape, mode="wrap")[inside]
-            out[row, spin, col[:, None], spin ^ k] = v.reshape(-1, s)[row[:, 0]]
+            col = np.ravel_multi_index(target, lat.shape, mode="wrap").reshape(-1, 1)
+            out[row, spin, col, spin ^ k] = v.reshape(-1, s)
         return out.reshape(lat.site_count * s, -1)
 
 

@@ -139,8 +139,8 @@ def operator_norm_grading_check(elem: FilteredElement, lattice: Lattice, seed=0)
     shape = lattice.shape + (GRADING_SPINOR_DIM,)
     t = lattice.coordinate_array(0)
     a = elem.sample(lattice).values
-    sup = weighted_norm(elem, m, lattice)
     target = np.abs((1.0 + t ** 2) ** (m / 2.0) * a)
+    sup = float(target.max())
     best_site = np.unravel_index(int(np.argmax(target)), lattice.shape)
 
     # one draw for every grade and trial, in the order of per-trial draws

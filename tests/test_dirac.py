@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 
 import numpy as np
@@ -126,6 +127,37 @@ def test_reciprocal_residual_above_bound_fails(monkeypatch):
     assert [c.name for c in bad if not c.passed] == ["u_ax * u_metric = 1"]
 
 
+# how each payload value scales when the box is dilated by 2^k with u kept:
+# as 1/h, as 1/h^2, or not at all
+DILATION_POWERS = {"skew_residual": 1, "krein_skew_residual": 1,
+                   "krein_equiv_residual": 1, "elliptic_hermiticity": 2,
+                   "elliptic_min_eigenvalue": 2, "commute_residual": 0,
+                   "u_ax_min": 0, "u_ax_max": 0, "u_metric_min": 0,
+                   "u_metric_max": 0}
+
+
+@pytest.mark.parametrize("dim,points,boundary", [
+    (2, 16, "periodic"), (3, 6, "periodic"), (4, 5, "periodic"),
+    (2, 7, "clamped"), (3, 4, "clamped")])
+@pytest.mark.parametrize("lapse", ["2", "2+sin(t/{})"],
+                         ids=["u=2", "u=2+sin(t)"])
+def test_dilating_the_box_scales_the_payload_exactly(dim, points, boundary,
+                                                     lapse):
+    # box -> 2^k box with u(t) written in the dilated time keeps u's values;
+    # every stencil coefficient scales by the power of two 2^-k, so each
+    # value scales exactly (==), with no rounding
+    def payload(scale):
+        box = ((0.0, scale * points),) * dim
+        op = flat_operator(dim, points, box=box, boundary=boundary,
+                           u=lapse.format(scale))
+        return check_temporal_axioms(op, seed=0)[1]
+    base = payload(1.0)
+    for k in (1, 3, -2):
+        scaled = payload(2.0 ** k)
+        for key, power in DILATION_POWERS.items():
+            assert scaled[key] == base[key] * 2.0 ** (-power * k), (k, key)
+
+
 # a lapse with a spatial spread under U_VARIATION_TOL: accepted as t-only,
 # yet not translation invariant, so its operators keep every site
 FULL_STORAGE_U = "1 + 1e-13*x"
@@ -200,6 +232,10 @@ ORACLE_CASES += [pytest.param(2, points, "periodic", u,
                               id="%dx%d-periodic-%s" % (points + (u,)))
                  for points in ((2, 5), (5, 2), (2, 2))
                  for u in (None, "1 + 0.1*t")]
+# 3-site clamped axes: the +2 and -1 offsets share one key mod 3
+ORACLE_CASES += [pytest.param(2, points, "clamped", "1 + 0.1*t",
+                              id="%dx%d-clamped" % points)
+                 for points in ((3, 5), (5, 3))]
 
 
 @pytest.mark.parametrize("dim,points,boundary,u", ORACLE_CASES)
@@ -498,7 +534,8 @@ def test_hermiticity_residual_holds_two_diagonals_at_a_time(traced_peak):
 
 @pytest.mark.parametrize("dim,points,boundary,u", [
     (4, 3, "periodic", None), (2, 8, "periodic", "1 + 0.1*t"),
-    (2, 7, "clamped", "1+0.1*t"), (3, 6, "periodic", "2+sin(t)")])
+    (2, 7, "clamped", "1+0.1*t"), (3, 6, "periodic", "2+sin(t)"),
+    (2, (3, 5), "clamped", "1+0.1*t")])
 def test_elliptic_square_in_place_equals_the_formula(dim, points, boundary,
                                                      u):
     # same diagonals, in the same order, bit for bit
@@ -529,7 +566,7 @@ def test_axiom_suite_forms_k_d_once(monkeypatch):
 
 @pytest.mark.parametrize("dim,points,boundary", [
     (2, 6, "periodic"), (2, 7, "clamped"), (3, (4, 2, 3), "periodic"),
-    (4, 3, "clamped")])
+    (4, 3, "clamped"), (2, (5, 3), "clamped")])
 def test_product_diagonals_are_the_one_pass_product(dim, points, boundary):
     # grouped by output diagonal, yet bit for bit the accumulation over all
     # pairs in pair order, keys in the order they first appear
@@ -547,6 +584,28 @@ def test_product_diagonals_are_the_one_pass_product(dim, points, boundary):
         assert [key for key, _ in got] == list(want)
         for key, v in got:
             assert np.array_equal(v, want[key]), key
+
+
+@pytest.mark.parametrize("dim,points,boundary,u", [
+    (2, 6, "periodic", None), (2, 2, "periodic", None),
+    (2, (3, 5), "clamped", None), (2, (5, 3), "clamped", None),
+    (3, 4, "clamped", "2+sin(t)"), (4, 3, "clamped", None)])
+def test_every_diagonal_key_is_a_site_offset_mod_n(dim, points, boundary, u):
+    # one index rule on both boundaries: a clamped box is zero coefficients,
+    # never an unreduced offset
+    op = flat_operator(dim, points, boundary=boundary, u=u)
+    d = op.sparse_matrix()
+    k = _commutator_operator(op)
+    kd = k @ d
+    for a in (d, kd, dirac._elliptic_square(d, k, kd), op.weighted_adjoint(d)):
+        for o, _ in a.diagonals:
+            assert all(0 <= x < n for x, n in zip(o, op.lattice.points)), o
+
+
+def test_the_stencil_algebra_never_reads_the_boundary():
+    # the boundary lives in the coefficients `_stencil` returns alone
+    for name in ("_site_key", "_accumulate", "_shift", "StencilOperator"):
+        assert ".boundary" not in inspect.getsource(getattr(dirac, name)), name
 
 
 def test_elliptic_square_holds_little_beside_its_result(traced_peak):
