@@ -300,8 +300,27 @@ def run_report(cfg):
     return checks, payload, rows
 
 
-RUNS = {"verify": run_verify, "distance": run_distance, "moyal": run_moyal,
-        "filtration": run_filtration, "report": run_report}
+# name: (run function, help, flags in order); a flag converts its value to
+# its RunConfig field's type unless FLAG_OPTIONS gives its argparse options
+COMMANDS = {
+    "verify": (run_verify, "gamma algebra + temporal axiom suite",
+               ("dimension", "points", "box", "boundary", "u")),
+    "distance": (run_distance, "oracle / boosted / variational distances",
+                 ("dimension", "points", "pairs", "candidates")),
+    "moyal": (run_moyal, "star product engine checks",
+              ("theta", "truncation", "quick")),
+    "filtration": (run_filtration, "filtered algebra and state extension", ()),
+    "report": (run_report, "run everything, write a single report",
+               ("dimension", "points", "pairs", "theta")),
+}
+FLAG_OPTIONS = {
+    "boundary": {"choices": BOUNDARIES},
+    "u": {"help": "conformal factor u(t), expression in t"},
+    "candidates": {"nargs": "+",
+                   "help": "steep candidate expressions in t,x,y,z"},
+    # default None, not False, so a config file's "quick" is not overridden
+    "quick": {"action": "store_true", "default": None},
+}
 
 
 # -------------------------------------------------------------------- main
@@ -327,39 +346,12 @@ def build_parser():
                     "steep functions, causal distances, star products, and "
                     "filtered algebras.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    v = sub.add_parser("verify", parents=[common],
-                       help="gamma algebra + temporal axiom suite")
-    v.add_argument("--dimension", type=int)
-    v.add_argument("--points", type=int)
-    v.add_argument("--box", type=float)
-    v.add_argument("--boundary", choices=BOUNDARIES)
-    v.add_argument("--u", help="conformal factor u(t), expression in t")
-
-    d = sub.add_parser("distance", parents=[common],
-                       help="oracle / boosted / variational distances")
-    d.add_argument("--dimension", type=int)
-    d.add_argument("--points", type=int)
-    d.add_argument("--pairs", type=int)
-    d.add_argument("--candidates", nargs="+",
-                   help="steep candidate expressions in t,x,y,z")
-
-    m = sub.add_parser("moyal", parents=[common],
-                       help="star product engine checks")
-    m.add_argument("--theta", type=float)
-    m.add_argument("--truncation", type=int)
-    # default None, not False, so a config file's "quick" is not overridden
-    m.add_argument("--quick", action="store_true", default=None)
-
-    f = sub.add_parser("filtration", parents=[common],
-                       help="filtered algebra and state extension")
-
-    r = sub.add_parser("report", parents=[common],
-                       help="run everything, write a single report")
-    r.add_argument("--dimension", type=int)
-    r.add_argument("--points", type=int)
-    r.add_argument("--pairs", type=int)
-    r.add_argument("--theta", type=float)
+    types = {f.name: f.type for f in fields(RunConfig)}
+    for name, (_, help_text, flags) in COMMANDS.items():
+        command = sub.add_parser(name, parents=[common], help=help_text)
+        for flag in flags:
+            command.add_argument("--" + flag, **FLAG_OPTIONS.get(
+                flag, {"type": types[flag]}))
     return p
 
 
@@ -393,8 +385,8 @@ def _run(args):
               file=sys.stderr)
         return EXIT_CONFIG
     try:
-        checks, payload, *rows = RUNS[args.command](cfg)
-    except (ExpressionError, ValueError) as exc:
+        checks, payload, *rows = COMMANDS[args.command][0](cfg)
+    except ValueError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     for check in checks:

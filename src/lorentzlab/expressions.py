@@ -8,16 +8,19 @@ Grammar (standard precedence, caret binds tightest and is right associative):
     power   := atom ("^" factor)?
     atom    := NUMBER | IDENT | IDENT "(" expr ")" | "(" expr ")"
 
-Identifiers are the coordinate variables t, x, y, z and the unary functions
-sin, cos, exp, sqrt, tanh, abs.  Anything else is a parse error carrying the
-character position.  So is nesting deeper than MAX_DEPTH levels (parentheses,
-calls, unary minus, exponents, and the operators of the expression tree), which
-would otherwise exhaust the interpreter's stack in the recursive parser or
-evaluator.  Evaluation is vectorized over numpy arrays and guards the partial
-functions (sqrt of a negative, division by ~0) with errors that name the first
+A NUMBER is digits and points with at most one exponent marker e or E, taken
+only where a sign or a digit follows it.  Identifiers are the coordinate
+variables t, x, y, z and the unary functions sin, cos, exp, sqrt, tanh, abs.
+Anything else is a parse error carrying the character position.  So is
+nesting deeper than MAX_DEPTH levels (parentheses, calls, unary minus,
+exponents, and the operators of the expression tree), which would otherwise
+exhaust the interpreter's stack in the recursive parser or evaluator.
+Evaluation is vectorized over numpy arrays and guards the partial functions
+(sqrt of a negative, division by ~0) with errors that name the first
 offending site.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,51 +83,33 @@ class Call:
 
 # ---------------------------------------------------------------- tokenizer
 
-_OPERATORS = set("+-*/^(),")
+# a number is digits and points, then at most one exponent marker, taken only
+# where a sign or a digit follows it
+_TOKEN = re.compile(r"""
+    (?P<space>\s+)
+  | (?P<num>[\d.]+(?:[eE](?:[+-]|(?=\d))[\d.]*)?)
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<op>[-+*/^(),])
+""", re.VERBOSE)
 
 
 def _tokenize(text):
     tokens = []  # (kind, value, position)
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _OPERATORS:
-            tokens.append(("op", c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            seen_e = False
-            while j < n:
-                d = text[j]
-                if d.isdigit() or d == ".":
-                    j += 1
-                elif d in "eE" and not seen_e and j + 1 < n and (
-                    text[j + 1].isdigit() or text[j + 1] in "+-"
-                ):
-                    seen_e = True
-                    j += 2 if text[j + 1] in "+-" else 1
-                else:
-                    break
+    i = 0
+    while i < len(text):
+        match = _TOKEN.match(text, i)
+        if match is None:
+            raise ExpressionError("unexpected character %r" % text[i], i)
+        kind, value = match.lastgroup, match.group()
+        if kind == "num":
             try:
-                value = float(text[i:j])
+                value = float(value)
             except ValueError:
-                raise ExpressionError("malformed number %r" % text[i:j], i)
-            tokens.append(("num", value, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise ExpressionError("unexpected character %r" % c, i)
-    tokens.append(("end", None, n))
+                raise ExpressionError("malformed number %r" % value, i)
+        if kind != "space":
+            tokens.append((kind, value, i))
+        i = match.end()
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
@@ -133,7 +118,6 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -172,25 +156,21 @@ class _Parser:
             raise ExpressionError("trailing input %r" % value, position)
         return node
 
-    def expr(self):
-        node = self.term()
+    def left_associative(self, ops, operand):
+        """operand (op operand)* for op in ops, grouped to the left."""
+        node = operand()
         while True:
             kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                node = Binary(value, node, self.term())
-            else:
+            if kind != "op" or value not in ops:
                 return node
+            self.advance()
+            node = Binary(value, node, operand())
+
+    def expr(self):
+        return self.left_associative("+-", self.term)
 
     def term(self):
-        node = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                node = Binary(value, node, self.factor())
-            else:
-                return node
+        return self.left_associative("*/", self.factor)
 
     def factor(self):
         kind, value, _ = self.peek()

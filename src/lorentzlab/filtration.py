@@ -38,6 +38,7 @@ from numpy.random import default_rng
 
 from . import expressions
 from .checks import MIN_SCALE, Check, verdict
+from .clifford import SIGMA1, SIGMA3
 from .expressions import AXIS_NAMES, Binary, Call, Constant, Variable
 from .lattice import Lattice, ScalarField
 
@@ -271,16 +272,11 @@ def central_multiplicativity_check(algebra: ToyAlgebra, seed=0):
 
     worst = float(np.max(np.abs(chi(ab) - chi(a) * chi(b))))
 
-    # explicit non-central witness
-    sigma3 = np.array([[1, 0], [0, -1]], dtype=complex)
-    sigma1 = np.array([[0, 1], [1, 0]], dtype=complex)
-    a = np.zeros((algebra.sites, 2, 2), dtype=complex)
-    b = np.zeros((algebra.sites, 2, 2), dtype=complex)
-    a[:] = sigma3
-    b[:] = sigma1
+    # explicit non-central witness; the state reads site 0 only
+    a, b = SIGMA3[None], SIGMA1[None]
     alpha = np.pi / 8.0
     chi = ToyState(0, (np.cos(alpha), np.sin(alpha)))
-    ab = np.einsum("kij,kjl->kil", a, b)
+    ab = a @ b
     violation = abs(chi(ab) - chi(a) * chi(b))
     return {
         "trials": CENTRAL_TRIALS,

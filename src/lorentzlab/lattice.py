@@ -140,7 +140,7 @@ class ScalarField:
                 "variables %s not available on a %d-d lattice with axes %s"
                 % (sorted(unknown), lattice.dimension, list(lattice.axis_names)))
         values = fn(**lattice.environment())
-        return cls(lattice, np.broadcast_to(values, lattice.shape).astype(float).copy())
+        return cls(lattice, np.broadcast_to(values, lattice.shape).astype(float))
 
     @classmethod
     def from_callable(cls, lattice, fn):

@@ -677,9 +677,10 @@ def run_moyal_suite(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,
     The payload holds every measured quantity; its "passed" is all checks.
     """
     n = QUICK_TRUNCATION if quick else truncation
-    delta = delta_algebra_check(theta=theta, truncation=n)
+    # first: its basis is the one factor that outgrows the box as theta grows
     cross = cross_engine_check(theta=theta,
                                truncation=min(n, CROSS_ENGINE_TRUNCATION))
+    delta = delta_algebra_check(theta=theta, truncation=n)
     comm = commutation_check(theta=theta)
     center = center_time_check(theta=theta, points=24 if quick else 32)
     gauss, tr, assoc, invol = twisted_identities_check(theta)

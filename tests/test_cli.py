@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -150,6 +152,55 @@ def test_boundaries_are_named_once(tmp_path, capsys):
     with pytest.raises(SystemExit):
         run(["verify", "--boundary", "open"], tmp_path)
     assert "invalid choice: 'open'" in capsys.readouterr().err
+
+
+def test_each_flag_converts_to_its_run_config_field_type():
+    # a subcommand's flags set RunConfig fields of the same name and read
+    # their type from it, except the four whose argparse options say more
+    types = {f.name: f.type for f in fields(cli.RunConfig)}
+    root = cli.build_parser()
+    shared = {a.dest for a in root._actions}       # help, --config/--out/--seed
+    commands = next(a for a in root._actions if a.dest == "command").choices
+    declared = {name: [a.dest for a in command._actions
+                       if a.dest not in shared]
+                for name, command in commands.items()}
+    assert declared == {
+        "verify": ["dimension", "points", "box", "boundary", "u"],
+        "distance": ["dimension", "points", "pairs", "candidates"],
+        "moyal": ["theta", "truncation", "quick"],
+        "filtration": [],
+        "report": ["dimension", "points", "pairs", "theta"],
+    }
+    for command in commands.values():
+        for flag in command._actions:
+            if flag.dest in shared:
+                continue
+            assert flag.dest in types
+            if flag.dest == "quick":
+                assert isinstance(flag, argparse._StoreTrueAction)
+                assert flag.default is None
+                continue
+            assert flag.type is (None if flag.dest in ("boundary", "u",
+                                                       "candidates")
+                                 else types[flag.dest])
+            assert flag.choices == (BOUNDARIES if flag.dest == "boundary"
+                                    else None)
+
+
+@pytest.mark.parametrize("quick", [[], ["--quick"]], ids=["full", "quick"])
+def test_too_large_theta_is_refused_before_the_delta_check(quick, tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+    # the cross-engine basis outgrows the box first, so its refusal comes
+    # before any matrix basis delta algebra work
+    calls = []
+    monkeypatch.setattr(moyal, "delta_algebra_check",
+                        lambda *args, **kwargs: calls.append(kwargs))
+    assert run(["moyal", "--theta", "5", *quick], tmp_path) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "does not decay inside the box" in captured.err
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv", [["verify", "--points", "4"],

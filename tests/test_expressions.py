@@ -49,6 +49,35 @@ def test_scientific_notation():
     assert ev("1e-3 + 2.5E2") == 0.001 + 250.0
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("1e", "trailing input 'e'", 1),
+    ("1e+", "malformed number '1e+'", 0),
+    ("1e+x", "malformed number '1e+'", 0),
+    ("1.2.3", "malformed number '1.2.3'", 0),
+    (".", "malformed number '.'", 0),
+    ("1e5e3", "trailing input 'e3'", 3),
+    ("3 $ 4", "unexpected character '$'", 2),
+    ("t\u00b2", "unknown identifier 't\u00b2'", 0),
+])
+def test_scanner_errors_name_the_token_and_its_position(text, message,
+                                                        position):
+    # an exponent marker joins a number only before a sign or a digit
+    with pytest.raises(ExpressionError) as err:
+        parse_expression(text)
+    assert err.value.position == position
+    assert str(err.value) == "%s (at position %d)" % (message, position)
+
+
+@pytest.mark.parametrize("text, t, value", [
+    ("1.e5", 0.0, 1e5),
+    (".5e-1", 0.0, 0.05),
+    ("2E+7*t", 1.0, 2e7),
+    ("\u0663*t", 2.0, 6.0),      # ARABIC-INDIC DIGIT THREE is a decimal digit
+])
+def test_scanner_reads_numbers(text, t, value):
+    assert ev(text, t=t) == value
+
+
 def test_variables_used():
     ast = parse_expression("sin(t)*x + 3")
     assert variables_used(ast) == {"t", "x"}
