@@ -137,9 +137,9 @@ def _resolve_candidate(cand, lattice):
     if not isinstance(cand, str):
         raise TypeError("unsupported candidate type: %r"
                         % (type(cand).__name__,))
-    fn = expressions.compile_expression(cand)[1]
+    ast, fn = expressions.compile_expression(cand)
     names = lattice.axis_names
-    return (cand, ScalarField.from_expression(lattice, cand),
+    return (cand, ScalarField.from_expression(lattice, ast),
             lambda events: fn(**dict(zip(names, np.moveaxis(events, -1, 0)))))
 
 

@@ -2,11 +2,12 @@
 
 Three independent engines for f * h:
 
-* quadrature     (f*h)(x) = (2pi)^-d int ĥ(q) e^{iqx} f(x - Theta q/2) dq,
-                 or the mirrored slot with f transformed and h(x + Theta p/2);
+* quadrature     (f*h)(x) = (2pi)^-d int ĥ(q) e^{iqx} f(x - Theta q/2) dq;
                  pointwise, any dimension; both factors are callables and
-                 the transformed one must decay.  Either may return a stack
-                 of functions, and one call then gives every product.
+                 the transformed one, h, must decay.  h *_Theta f is
+                 f *_{-Theta} h, so one path serves either order with h
+                 transformed.  Either may return a stack of functions, and
+                 one call then gives every product.
 * twisted        full-grid product of two sampled arrays on a 2-d periodic
                  lattice; the twist phase (theta/2)(q1 p2 - q2 p1) splits
                  into two one-variable phase matrices, and the double
@@ -69,7 +70,9 @@ IDENTITY_GRID = (7.0, 64)       # fixed-width Gaussians, whatever theta and n
 COMMUTATION_POINTS = 64  # on [-5 sigma, 5 sigma)^2 for each sigma
 COMMUTATION_BOX_FACTOR = 5.0
 COMMUTATION_SIGMAS = (4.0, 4.0 * math.sqrt(2.0))
-CENTER_BOX = 6.0         # 3-d; the points per axis are center_time_check's
+CENTER_BOX = 6.0         # 3-d
+CENTER_POINTS = 32       # per axis, center_time_check's `points`
+QUICK_CENTER_POINTS = 24     # the points of moyal --quick and report
 CENTER_SIGMA = 2.0
 GAUSSIAN_WIDTHS = (0.5, 0.8)     # exp(-a r^2) * exp(-b r^2)
 CROSS_ENGINE_POINTS = ((0.0, 0.0), (0.3, -0.4), (1.1, 0.7))
@@ -162,19 +165,18 @@ def phys_fft(values, lat):
 # -------------------------------------------------------- quadrature engine
 
 
-def star_quadrature(f, h, theta, points, lat, slot):
+def star_quadrature(f, h, theta, points, lat):
     """Pointwise f * h at the given points on any-dimensional grids.
 
     f and h are callables of the axis names of `lat`, evaluated pointwise on
-    1-d arrays of points.  slot="second" samples and transforms h and shifts
-    f by -Theta q/2; slot="first" transforms f and shifts h by +Theta p/2.
-    Both evaluate the same ordered product.  The transformed factor must
-    decay inside the box: a boundary fraction (largest |value| on the outer
-    shell over the largest |value|) above DECAY_REFUSE for any function of
-    its stack is a ValueError.  Either factor may return a stack of
-    functions, shape S + the shape of its arguments; the values then hold
-    every product, shape S_f + S_h + (len(points),).  Returns the values
-    array.
+    1-d arrays of points.  h is sampled and transformed and f is shifted by
+    -Theta q/2; h *_Theta f is star_quadrature(f, h, -Theta, ...), since
+    h *_Theta f = f *_{-Theta} h.  h must decay inside the box: a boundary
+    fraction (largest |value| on the outer shell over the largest |value|)
+    above DECAY_REFUSE for any function of its stack is a ValueError.
+    Either factor may return a stack of functions, shape S + the shape of
+    its arguments; the values then hold every product, shape
+    S_f + S_h + (len(points),).  Returns the values array.
     The engine owns one complex spectrum buffer of the transformed stack,
     filled from blocks of sites and transformed in place (phys_fft).  Each
     point evaluates the shifted factor one block of at most BLOCK_BYTES at a
@@ -187,12 +189,6 @@ def star_quadrature(f, h, theta, points, lat, slot):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != d:
         raise ValueError("points must have %d coordinates" % d)
-    if slot == "first":
-        transformed, shifted, sign = f, h, +0.5
-    elif slot == "second":
-        transformed, shifted, sign = h, f, -0.5
-    else:
-        raise ValueError("slot must be 'first' or 'second', got %r" % (slot,))
 
     def at(fn, coords):
         """fn at the points whose coordinates per axis are `coords`."""
@@ -203,14 +199,14 @@ def star_quadrature(f, h, theta, points, lat, slot):
     axes = [c.reshape(-1) for c in lat.environment().values()]
     idx = np.indices(lat.shape).reshape(d, -1)
     shell = np.any((idx == 0) | (idx == np.array(lat.points)[:, None] - 1), 0)
-    stack = at(transformed, [c[:1] for c in axes]).shape[:-1]
+    stack = at(h, [c[:1] for c in axes]).shape[:-1]
     F = np.empty(stack + lat.shape, dtype=complex)
     W = F.reshape(-1, lat.site_count)
     top = np.zeros(len(W))
     edge = np.zeros(len(W))
     for s in slices(lat.site_count, BLOCK_BYTES // (16 * len(W))):
         block = [c[s] for c in axes]
-        W[:, s] = at(transformed, block).reshape(-1, len(block[0]))
+        W[:, s] = at(h, block).reshape(-1, len(block[0]))
         v = np.abs(W[:, s])
         np.maximum(top, v.max(axis=1), out=top)
         np.maximum(edge, v[:, shell[s]].max(axis=1, initial=0.0), out=edge)
@@ -218,21 +214,20 @@ def star_quadrature(f, h, theta, points, lat, slot):
     bd = float((edge / np.where(top > 0.0, top, 1.0)).max())
     if bd > DECAY_REFUSE:
         raise ValueError("transformed factor does not decay inside the box "
-                         "(boundary fraction %.3e for slot %r); enlarge the "
-                         "box" % (bd, slot))
+                         "(boundary fraction %.3e); enlarge the box" % bd)
     F, ks = phys_fft(F, lat)
 
     K = np.stack(np.meshgrid(*ks, indexing="ij"), axis=-1).reshape(-1, d)
     wq = float(np.prod([k[1] - k[0] for k in ks])) / (2.0 * np.pi) ** d
-    shifts = sign * (K @ th.T)
-    head = at(shifted, pts[:1].T).shape[:-1]
+    shifts = -0.5 * (K @ th.T)
+    head = at(f, pts[:1].T).shape[:-1]
     count = int(np.prod(head))
     out = []
     for x in pts:
         phase = wq * np.exp(1j * (K @ x))
         got = np.zeros((count, len(W)), dtype=complex)
         for b in slices(len(K), BLOCK_BYTES // (16 * count)):
-            rows = at(shifted, (x + shifts[b]).T)
+            rows = at(f, (x + shifts[b]).T)
             size = len(shifts[b])
             # fold the phase into the samples only when no one else can see
             # them: a complex array owning its memory, with no reference
@@ -246,9 +241,8 @@ def star_quadrature(f, h, theta, points, lat, slot):
                 rows = rows.reshape(count, size) * phase[b]
             got += rows @ W[:, b].T
             del rows        # one block of samples at a time
-        out.append(got if slot == "second" else got.T)
-    shape = head + stack if slot == "second" else stack + head
-    return np.stack(out, axis=-1).reshape(shape + (len(pts),))
+        out.append(got)
+    return np.stack(out, axis=-1).reshape(head + stack + (len(pts),))
 
 
 # ----------------------------------------------------------- twisted engine
@@ -532,7 +526,7 @@ def cross_engine_check(theta=THETA_DEFAULT, truncation=CROSS_ENGINE_TRUNCATION):
         return basis_stack(n, theta, x, y)
 
     pts = np.asarray(CROSS_ENGINE_POINTS, dtype=float)
-    got = star_quadrature(basis, basis, theta, pts, lat, slot="second")
+    got = star_quadrature(basis, basis, theta, pts, lat)
     # delta rule: f_mk * f_Kl = delta_kK f_ml
     want = np.einsum("kK,mlp->mkKlp", np.eye(n), basis(pts[:, 0], pts[:, 1]))
     worst_quad = float(np.max(np.abs(got - want)))
@@ -575,8 +569,8 @@ def commutation_check(theta=THETA_DEFAULT):
     for sigma in COMMUTATION_SIGMAS:
         lat = moyal_grid(COMMUTATION_BOX_FACTOR * sigma, COMMUTATION_POINTS)
         fx, fy = _damped(0, sigma), _damped(1, sigma)
-        ab = star_quadrature(fx, fy, theta, [(0.0, 0.0)], lat, slot="second")
-        ba = star_quadrature(fy, fx, theta, [(0.0, 0.0)], lat, slot="second")
+        ab = star_quadrature(fx, fy, theta, [(0.0, 0.0)], lat)
+        ba = star_quadrature(fy, fx, theta, [(0.0, 0.0)], lat)
         val = complex(ab[0] - ba[0])
         raws.append(val)
         e = theta ** 2 / sigma ** 4
@@ -593,7 +587,7 @@ def commutation_check(theta=THETA_DEFAULT):
             "residual": float(residual)}
 
 
-def center_time_check(theta=THETA_DEFAULT, points=32):
+def center_time_check(theta=THETA_DEFAULT, *, points):
     """Time is central iff Theta has vanishing first row/column.
 
     Checks [f, h]_* for f = t exp(-t^2/sigma^2) against three Theta choices:
@@ -618,8 +612,10 @@ def center_time_check(theta=THETA_DEFAULT, points=32):
     cases = []
     for name, th in (("zero", zero), ("spatial_block", spatial),
                      ("time_space_block", mixed)):
-        fh = star_quadrature(f_time, h_gauss, th, pts, lat, slot="second")
-        hf = star_quadrature(h_gauss, f_time, th, pts, lat, slot="first")
+        fh = star_quadrature(f_time, h_gauss, th, pts, lat)
+        # h *_Theta f = f *_{-Theta} h: h_gauss stays the transformed factor
+        hf = star_quadrature(f_time, h_gauss, ThetaMatrix(-th.entries), pts,
+                             lat)
         resid = float(np.max(np.abs(fh - hf)))
         cases.append({"theta_case": name,
                       "commutative_time": th.commutative_time(),
@@ -682,7 +678,8 @@ def run_moyal_suite(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,
                                truncation=min(n, CROSS_ENGINE_TRUNCATION))
     delta = delta_algebra_check(theta=theta, truncation=n)
     comm = commutation_check(theta=theta)
-    center = center_time_check(theta=theta, points=24 if quick else 32)
+    center = center_time_check(
+        theta=theta, points=QUICK_CENTER_POINTS if quick else CENTER_POINTS)
     gauss, tr, assoc, invol = twisted_identities_check(theta)
     central = [c["commutator_residual"] for c in center
                if c["commutative_time"]]

@@ -9,6 +9,9 @@ reads `perfbench/`.
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -53,3 +56,16 @@ def test_hooks_read_arguments_the_functions_take():
         assert len(reads) <= len(takes), dotted
         for want, have in zip(reads, takes):
             assert have in (want, "self"), (dotted, want, have)
+
+
+def test_trace_mode_installs_in_a_fresh_process():
+    # install imports lorentzlab.cli and then looks up every traced layer in
+    # sys.modules, so the CLI must import each layer when it is imported
+    src = Path(importlib.util.find_spec("lorentzlab").origin).parents[1]
+    path = os.pathsep.join(filter(None, [str(SPANS.parent), str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import spans; spans.install(spans.Tracer())"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr

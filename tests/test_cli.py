@@ -192,14 +192,17 @@ def test_too_large_theta_is_refused_before_the_delta_check(quick, tmp_path,
                                                           capsys,
                                                           monkeypatch):
     # the cross-engine basis outgrows the box first, so its refusal comes
-    # before any matrix basis delta algebra work
+    # before any matrix basis delta algebra work, any PASS line or artifact
     calls = []
     monkeypatch.setattr(moyal, "delta_algebra_check",
                         lambda *args, **kwargs: calls.append(kwargs))
     assert run(["moyal", "--theta", "5", *quick], tmp_path) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "does not decay inside the box" in captured.err
+    assert captured.err.splitlines() == [
+        "config error: transformed factor does not decay inside the box "
+        "(boundary fraction 5.988e-01); enlarge the box"]
+    assert list(tmp_path.iterdir()) == []
     assert calls == []
 
 

@@ -72,6 +72,26 @@ def test_gaussian_closed_form_twisted(identity_residuals):
     assert identity_residuals["gaussian"] <= 1e-8
 
 
+# which factor of f * h the quadrature samples and transforms
+ORIENTATIONS = ["first", "second"]
+
+
+def _star(f, h, theta, points, lat, transformed, engine=star_quadrature):
+    """f * h with its `transformed` factor ("first" or "second") sampled.
+
+    "second" is the engine's call (f, h, Theta) as it stands; "first" is the
+    same product as h *_{-Theta} f, with the stack axes put back in f, h
+    order: S_f + S_h + (len(points),).
+    """
+    if transformed == "second":
+        return engine(f, h, theta, points, lat)
+    minus = ThetaMatrix(-moyal._theta_entries(theta, lat.dimension))
+    got = engine(h, f, minus, points, lat)
+    n_h = np.ndim(h(**dict.fromkeys(lat.axis_names, np.zeros(1)))) - 1
+    n_f = got.ndim - 1 - n_h
+    return np.moveaxis(got, range(n_h), range(n_f, n_f + n_h))
+
+
 def test_gaussian_closed_form_quadrature():
     lat = moyal_grid(7.0, 96)
     a, b = 0.5, 0.8
@@ -80,8 +100,8 @@ def test_gaussian_closed_form_quadrature():
     pts = [(0.0, 0.0), (0.7, -0.2), (1.3, 0.9)]
     r2 = np.array([x * x + y * y for x, y in pts])
     want = gaussian_star_closed_form(a, b, THETA, r2)
-    for slot in ("first", "second"):
-        got = star_quadrature(f, h, THETA, pts, lat, slot=slot)
+    for transformed in ORIENTATIONS:
+        got = _star(f, h, THETA, pts, lat, transformed)
         assert np.max(np.abs(got - want)) <= 1e-8
     for factor in (f, h):
         values = factor(**lat.environment())
@@ -97,13 +117,27 @@ def test_zero_theta_is_pointwise_product():
     assert np.max(np.abs(got - fv * hv)) <= 1e-13
 
 
-def test_slot_mirror_consistency():
+@pytest.mark.parametrize("theta", [0.0, ThetaMatrix(np.zeros((2, 2)))],
+                         ids=["scalar", "matrix"])
+def test_quadrature_at_zero_theta_is_pointwise_product(theta):
+    # either factor transformed: E(f, h, 0) and E(h, f, 0) are both f h
+    lat = moyal_grid(7.0, 64)
+    f = lambda x, y: (1.0 + x) * np.exp(-0.5 * (x * x + y * y))
+    h = lambda x, y: (y - 0.5 * x) * np.exp(-0.8 * (x * x + y * y))
+    pts = np.array([(0.0, 0.0), (0.21875, -0.4375), (0.3, -0.4), (1.1, 0.7)])
+    want = f(*pts.T) * h(*pts.T)
+    for a, b in ((f, h), (h, f)):
+        got = star_quadrature(a, b, theta, pts, lat)
+        assert np.max(np.abs(got - want)) <= 1e-11
+
+
+def test_quadrature_mirror_consistency():
     lat = moyal_grid(7.0, 96)
     f = lambda x, y: x * np.exp(-(x * x + y * y) / 2.0)
     h = lambda x, y: (1.0 - y) * np.exp(-(x * x + y * y) / 3.0)
     pts = [(0.2, 0.1), (-0.5, 0.8)]
-    first = star_quadrature(f, h, THETA, pts, lat, slot="first")
-    second = star_quadrature(f, h, THETA, pts, lat, slot="second")
+    first, second = (_star(f, h, THETA, pts, lat, transformed)
+                     for transformed in ORIENTATIONS)
     assert np.max(np.abs(first - second)) <= 1e-8
 
 
@@ -111,26 +145,24 @@ def test_quadrature_refuses_undamped_factor():
     lat = moyal_grid(7.0, 48)
     f = lambda x, y: np.cos(x) + 0 * y
     h = lambda x, y: np.sin(y) + 0 * x
-    for slot in ("first", "second"):
+    for transformed in ORIENTATIONS:
         with pytest.raises(ValueError, match="decay"):
-            star_quadrature(f, h, THETA, [(0.0, 0.0)], lat, slot=slot)
+            _star(f, h, THETA, [(0.0, 0.0)], lat, transformed)
 
 
-def test_quadrature_slot_needs_callable_shift():
+def test_quadrature_needs_callable_shift():
     lat = moyal_grid(7.0, 48)
     x, y = lat.coordinate_array(0), lat.coordinate_array(1)
     fv = np.exp(-(x * x + y * y))         # samples only: cannot be shifted
     h = lambda x, y: np.exp(-(x * x + y * y) / 2.0)
     with pytest.raises(TypeError, match="callable"):
-        star_quadrature(fv, h, THETA, [(0.0, 0.0)], lat, slot="second")
-    with pytest.raises(TypeError, match="slot"):
-        star_quadrature(h, h, THETA, [(0.0, 0.0)], lat)
-    with pytest.raises(ValueError, match="slot"):
-        star_quadrature(h, h, THETA, [(0.0, 0.0)], lat, slot="auto")
+        star_quadrature(fv, h, THETA, [(0.0, 0.0)], lat)
+    with pytest.raises(TypeError, match="callable"):
+        _star(h, fv, THETA, [(0.0, 0.0)], lat, "first")
 
 
-@pytest.mark.parametrize("slot", ["first", "second"])
-def test_quadrature_of_stacks_holds_every_product(slot):
+@pytest.mark.parametrize("transformed", ORIENTATIONS)
+def test_quadrature_of_stacks_holds_every_product(transformed):
     # a stack of 2 x 3 left factors times a stack of 2 right factors gives
     # the 2 x 3 x 2 products of single calls, point by point
     lat = moyal_grid(7.0, 48)
@@ -143,17 +175,17 @@ def test_quadrature_of_stacks_holds_every_product(slot):
         return np.stack([np.exp(-(x * x + y * y) / 2.0),
                          y * np.exp(-(x * x + y * y) / 3.0)])
 
-    got = star_quadrature(left, right, THETA, pts, lat, slot=slot)
+    got = _star(left, right, THETA, pts, lat, transformed)
     assert got.shape == (2, 3, 2, 3)
     for (i, j, k) in np.ndindex(2, 3, 2):
-        one = star_quadrature(lambda x, y: left(x, y)[i, j],
-                                 lambda x, y: right(x, y)[k],
-                                 THETA, pts, lat, slot=slot)
+        one = _star(lambda x, y: left(x, y)[i, j],
+                    lambda x, y: right(x, y)[k],
+                    THETA, pts, lat, transformed)
         assert np.max(np.abs(got[i, j, k] - one)) <= 1e-15
 
 
-@pytest.mark.parametrize("slot", ["first", "second"])
-def test_quadrature_memory_is_one_stack_and_a_block(slot, traced_peak):
+@pytest.mark.parametrize("transformed", ORIENTATIONS)
+def test_quadrature_memory_is_one_stack_and_a_block(transformed, traced_peak):
     # the owned spectrum buffer and one block of shifted samples (a quarter
     # stack here), phased in place: no sampled copy of the transformed
     # stack beside its spectrum, and no point's whole shifted stack
@@ -163,11 +195,11 @@ def test_quadrature_memory_is_one_stack_and_a_block(slot, traced_peak):
         return basis_stack(8, THETA, x, y)
 
     pts = [(0.0, 0.0), (0.3, -0.4), (1.1, 0.7)]
-    _, peak = traced_peak(star_quadrature, basis, basis, THETA, pts, lat, slot)
+    _, peak = traced_peak(_star, basis, basis, THETA, pts, lat, transformed)
     assert peak <= 1.5 * 8 * 8 * 64 * 64 * 16, peak
 
 
-def _quadrature_unstreamed(f, h, theta, points, lat, slot):
+def _quadrature_unstreamed(f, h, theta, points, lat):
     """star_quadrature's values from whole samples: the reference.
 
     The transformed stack sampled on the whole grid, its FFT copy, and each
@@ -177,27 +209,24 @@ def _quadrature_unstreamed(f, h, theta, points, lat, slot):
     d = lat.dimension
     th = moyal._theta_entries(theta, d)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    transformed, shifted, sign = ((f, h, 0.5) if slot == "first"
-                                  else (h, f, -0.5))
-    vals = np.asarray(transformed(**lat.environment()))
+    vals = np.asarray(h(**lat.environment()))
     stack = vals.shape[:vals.ndim - d]
     F, ks = moyal.phys_fft(np.array(vals, dtype=complex), lat)
     K = np.stack(np.meshgrid(*ks, indexing="ij"), axis=-1).reshape(-1, d)
     W = F.reshape(-1, len(K))
     wq = float(np.prod([k[1] - k[0] for k in ks])) / (2.0 * np.pi) ** d
-    shifts = sign * (K @ th.T)
+    shifts = -0.5 * (K @ th.T)
     out = []
     for x in pts:
-        sv = np.asarray(shifted(**dict(zip(lat.axis_names, (x + shifts).T))))
+        sv = np.asarray(f(**dict(zip(lat.axis_names, (x + shifts).T))))
         head = sv.shape[:-1]
         rows = sv.reshape(-1, len(K))
         phase = wq * np.exp(1j * (K @ x))
         got = np.zeros((len(rows), len(W)), dtype=complex)
         for b in slices(len(K), moyal.BLOCK_BYTES // (16 * len(rows))):
             got += (rows[:, b] * phase[b]) @ W[:, b].T
-        out.append(got if slot == "second" else got.T)
-    shape = head + stack if slot == "second" else stack + head
-    return np.stack(out, axis=-1).reshape(shape + (len(pts),))
+        out.append(got)
+    return np.stack(out, axis=-1).reshape(head + stack + (len(pts),))
 
 
 def _basis8(x, y):
@@ -209,7 +238,7 @@ def _pair_stack(x, y):
                      y * np.exp(-(x * x + y * y) / 3.0)])
 
 
-# (transformed, shifted, grid, block bytes or None for BLOCK_BYTES)
+# (sampled, shifted, grid, block bytes or None for BLOCK_BYTES)
 STREAMED_CASES = {
     "basis-stacks": (_basis8, _basis8, (7.0, 64), None),
     "scalar-shift": (_basis8, moyal._damped(0, 4.0), (20.0, 64), None),
@@ -220,23 +249,24 @@ STREAMED_CASES = {
 }
 
 
-@pytest.mark.parametrize("slot", ["first", "second"])
+@pytest.mark.parametrize("transformed", ORIENTATIONS)
 @pytest.mark.parametrize("case", list(STREAMED_CASES))
-def test_streamed_quadrature_equals_unstreamed_bitwise(case, slot,
+def test_streamed_quadrature_equals_unstreamed_bitwise(case, transformed,
                                                        monkeypatch):
-    transformed, shifted, grid, block = STREAMED_CASES[case]
+    sampled, shifted, grid, block = STREAMED_CASES[case]
     if block is not None:
         monkeypatch.setattr(moyal, "BLOCK_BYTES", block)
-    f, h = (transformed, shifted) if slot == "first" else (shifted, transformed)
+    f, h = ((sampled, shifted) if transformed == "first"
+            else (shifted, sampled))
     lat = moyal_grid(*grid)
     pts = CROSS_ENGINE_POINTS
-    got = star_quadrature(f, h, THETA, pts, lat, slot)
-    assert np.array_equal(got, _quadrature_unstreamed(f, h, THETA, pts, lat,
-                                                      slot))
+    got = _star(f, h, THETA, pts, lat, transformed)
+    assert np.array_equal(got, _star(f, h, THETA, pts, lat, transformed,
+                                     engine=_quadrature_unstreamed))
 
 
-@pytest.mark.parametrize("slot", ["first", "second"])
-def test_quadrature_leaves_returned_arrays_alone(slot):
+@pytest.mark.parametrize("transformed", ORIENTATIONS)
+def test_quadrature_leaves_returned_arrays_alone(transformed):
     # a callable may keep the arrays it returns: the engine writes only
     # into arrays of its own
     kept = []
@@ -246,8 +276,8 @@ def test_quadrature_leaves_returned_arrays_alone(slot):
         kept.append((np.copy(x), np.copy(y), values))
         return values
 
-    star_quadrature(keeping, keeping, THETA, CROSS_ENGINE_POINTS,
-                    moyal_grid(7.0, 32), slot)
+    _star(keeping, keeping, THETA, CROSS_ENGINE_POINTS, moyal_grid(7.0, 32),
+          transformed)
     assert len(kept) > 2
     for x, y, values in kept:
         assert np.array_equal(values, basis_stack(2, THETA, x, y))
@@ -263,9 +293,10 @@ def _last_site_bump(lat):
     return field
 
 
-@pytest.mark.parametrize("slot", ["first", "second"])
+@pytest.mark.parametrize("transformed", ORIENTATIONS)
 @pytest.mark.parametrize("case", ["last-function", "last-site-block"])
-def test_streamed_decay_refusal_sees_every_block(case, slot, monkeypatch):
+def test_streamed_decay_refusal_sees_every_block(case, transformed,
+                                                 monkeypatch):
     # 48^2 sites in blocks of 700: the refusal must see the last function
     # of the stack and the last, partial block of sites
     lat = moyal_grid(7.0, 48)
@@ -280,10 +311,10 @@ def test_streamed_decay_refusal_sees_every_block(case, slot, monkeypatch):
     want = _boundary_fraction(factor(**lat.environment()), lat)
     assert want.max() > DECAY_REFUSE and np.argmax(want) == len(want) - 1
     gauss = lambda x, y: np.exp(-(x * x + y * y) / 2.0)
-    f, h = (factor, gauss) if slot == "first" else (gauss, factor)
+    f, h = (factor, gauss) if transformed == "first" else (gauss, factor)
     with pytest.raises(ValueError, match=re.escape(
-            "boundary fraction %.3e for slot %r" % (want.max(), slot))):
-        star_quadrature(f, h, THETA, [(0.0, 0.0)], lat, slot)
+            "(boundary fraction %.3e); enlarge the box" % want.max())):
+        _star(f, h, THETA, [(0.0, 0.0)], lat, transformed)
 
 
 def test_twisted_needs_2d_periodic():
