@@ -36,10 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng
 
-from . import expressions
 from .checks import MIN_SCALE, Check, verdict
 from .clifford import SIGMA1, SIGMA3
-from .expressions import AXIS_NAMES, Binary, Call, Constant, Variable
+from .expressions import AXIS_NAMES
 from .lattice import Lattice, ScalarField
 
 SUBMULT_TOL = 1e-12          # relative
@@ -51,7 +50,6 @@ CENTRAL_TOL = 1e-13
 TIME_NORM_BOUND = 1.0        # ||T||_{-1} < 1: the time element is a contraction
 COUNTEREXAMPLE_FLOOR = 0.1   # the non-central witness must violate by more
 STATE_WEIGHT_FLOOR = 1e-300
-MIN_GRADING_SCALE = 1e-300   # the grading spread divides by at least this
 DECOMPOSITION_TOL = 1e-9     # relative: two decompositions of one function
 GRADING_TRIALS = 8           # random spinors per H_n, after the site delta
 GRADING_GRADES = (-2, -1, 0, 1, 2)   # the n of each H_n
@@ -60,6 +58,11 @@ CENTRAL_TRIALS = 500
 
 
 # --------------------------------------------------------------- elements
+
+
+def time_weight(t, n):
+    """(1+t^2)^{n/2}, the weight of degree n at time t."""
+    return (1.0 + t ** 2) ** (n / 2.0)
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,7 @@ class FilteredElement:
 
     def sample(self, lattice: Lattice) -> ScalarField:
         t = lattice.coordinate_array(0)
-        vals = (1.0 + t ** 2) ** (self.degree / 2.0) * self.bounded_values(lattice)
+        vals = time_weight(t, self.degree) * self.bounded_values(lattice)
         return ScalarField(lattice, np.array(vals))
 
     def multiply(self, other):
@@ -94,11 +97,11 @@ class FilteredElement:
 
     def to_degree(self, new_degree):
         """Re-express the same function at a different declared degree."""
-        shift = (self.degree - new_degree) / 2.0
+        shift = self.degree - new_degree
         a0 = self.bounded_part
         return FilteredElement(
             new_degree,
-            lambda **c: (1.0 + c["t"] ** 2) ** shift * np.asarray(a0(**c)),
+            lambda **c: time_weight(c["t"], shift) * np.asarray(a0(**c)),
             label=self.label,
         )
 
@@ -107,7 +110,7 @@ def weighted_norm(elem: FilteredElement, m, lattice: Lattice):
     """sup over sites of |(1+t^2)^{m/2} a(x)|."""
     t = lattice.coordinate_array(0)
     a = elem.sample(lattice).values
-    return float(np.max(np.abs((1.0 + t ** 2) ** (m / 2.0) * a)))
+    return float(np.max(np.abs(time_weight(t, m) * a)))
 
 
 def submultiplicativity_residual(a, b, lattice):
@@ -140,7 +143,7 @@ def operator_norm_grading_check(elem: FilteredElement, lattice: Lattice, seed=0)
     shape = lattice.shape + (GRADING_SPINOR_DIM,)
     t = lattice.coordinate_array(0)
     a = elem.sample(lattice).values
-    target = np.abs((1.0 + t ** 2) ** (m / 2.0) * a)
+    target = np.abs(time_weight(t, m) * a)
     sup = float(target.max())
     best_site = np.unravel_index(int(np.argmax(target)), lattice.shape)
 
@@ -158,14 +161,13 @@ def operator_norm_grading_check(elem: FilteredElement, lattice: Lattice, seed=0)
     w = lattice.site_weights()
     estimates = {}
     for n, phi, aphi in zip(GRADING_GRADES, probes, aprobes):
-        wn = w * (1.0 + t ** 2) ** float(n)
-        wnm = w * (1.0 + t ** 2) ** float(n + m)
+        wn = w * time_weight(t, 2 * n)
+        wnm = w * time_weight(t, 2 * (n + m))
         num = np.sum(np.conj(aphi) * aphi * wnm[..., None], axis=axes).real
         den = np.sum(np.conj(phi) * phi * wn[..., None], axis=axes).real
         estimates[int(n)] = float(np.sqrt(num / den).max())
     vals = np.array(list(estimates.values()))
-    spread = float((vals.max() - vals.min())
-                   / max(vals.max(), MIN_GRADING_SCALE))
+    spread = float((vals.max() - vals.min()) / max(vals.max(), MIN_SCALE))
     return {"weighted_norm": sup, "estimates": estimates, "spread": spread}
 
 
@@ -182,7 +184,7 @@ def extend_state(points, elem: FilteredElement):
     chi((1+T^2)^{-1/2}), the extension is rejected.
     """
     coords = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
-    w = (1.0 + coords[0] * coords[0]) ** -0.5
+    w = time_weight(coords[0], -1)
     if not np.all(np.isfinite(w) & (np.abs(w) >= STATE_WEIGHT_FLOOR)):
         raise ValueError("state has chi((1+T^2)^{-1/2}) = 0; extension "
                          "undefined (state must be ignored)")
@@ -298,16 +300,14 @@ def central_multiplicativity_check(algebra: ToyAlgebra, seed=0):
 def _random_element(rng, degree):
     """c0*sin(t) + c1*cos(x) + c2 with c uniform in [-2, 2), at `degree`.
 
-    Compiled from its expression tree, not parsed.  The label is the
+    The bounded part is a closure, not a parsed text.  The label is the
     expression text; `%r` round-trips the floats, so it parses to a tree that
     evaluates to the same values.
     """
-    c = tuple(float(v) for v in rng.uniform(-2.0, 2.0, size=3))
-    term = [Binary("*", Constant(v), Call(func, Variable(axis)))
-            for v, func, axis in zip(c, ("sin", "cos"), ("t", "x"))]
-    tree = Binary("+", Binary("+", *term), Constant(c[2]))
-    _, fn = expressions.compile_expression(tree)
-    return FilteredElement(degree, fn, "%r*sin(t) + %r*cos(x) + %r" % c)
+    c = c0, c1, c2 = tuple(float(v) for v in rng.uniform(-2.0, 2.0, size=3))
+    return FilteredElement(
+        degree, lambda **e: c0 * np.sin(e["t"]) + c1 * np.cos(e["x"]) + c2,
+        "%r*sin(t) + %r*cos(x) + %r" % c)
 
 
 def run_filtration_suite(seed=0):

@@ -230,10 +230,11 @@ def star_quadrature(f, h, theta, points, lat):
             rows = at(f, (x + shifts[b]).T)
             size = len(shifts[b])
             # fold the phase into the samples only when no one else can see
-            # them: a complex array owning its memory, with no reference
-            # but this one (a plain product raises `report` peak RSS from
-            # 44.9 to 46.0 MB: this block is at its peak)
+            # them: a writeable complex array owning its memory, with no
+            # reference but this one (a plain product raises `report` peak
+            # RSS from 44.9 to 46.0 MB: this block is at its peak)
             if (rows.dtype == complex and rows.base is None
+                    and rows.flags.writeable
                     and sys.getrefcount(rows) <= 2):
                 rows = rows.reshape(count, size)
                 rows *= phase[b]

@@ -7,12 +7,24 @@ from lorentzlab.clifford import (GammaRep, build_gamma, check_clifford,
 from oracles import clifford_residuals, conjugated, krein_adjoint
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def assert_maxima_match_oracle(rep, report, rel=0.0):
+    """check_clifford's payload maxima against the per-label loop of the
+    oracle: to `rel` relative, bit for bit at rel = 0."""
+    anti, herm = clifford_residuals(rep)
+    want = {"max_anticommutator_residual": max(anti.values()),
+            "max_hermiticity_residual": max(herm)}
+    want["max_residual"] = max(want.values())
+    for key, value in want.items():
+        assert report[key] == pytest.approx(value, rel=rel, abs=0.0), key
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_anticommutators_exact(n):
     rep = build_gamma(n)
     checks, report = check_clifford(rep)
     assert report["passed"] and verdict(checks)["passed"]
     assert report["max_residual"] <= 1e-12
+    assert_maxima_match_oracle(rep, report)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
@@ -105,6 +117,7 @@ def test_perturbation_oracle():
     _, report = check_clifford(bad)
     assert not report["passed"]
     assert report["max_residual"] == pytest.approx(2e-3, rel=1e-10)
+    assert_maxima_match_oracle(bad, report, rel=1e-15)
 
 
 def test_check_clifford_rejects_two_time_directions():
@@ -122,6 +135,7 @@ def test_check_clifford_rejects_two_time_directions():
     assert herm[1] == pytest.approx(2.0)
     assert report["max_anticommutator_residual"] == pytest.approx(4.0)
     assert report["max_hermiticity_residual"] == pytest.approx(2.0)
+    assert_maxima_match_oracle(bad, report, rel=1e-15)
 
 
 def test_check_clifford_rejects_a_nan_entry():
@@ -141,9 +155,11 @@ def test_check_clifford_rejects_a_nan_entry():
 def test_check_clifford_rejects_random_matrices():
     rng = np.random.RandomState(3)
     mats = tuple(rng.randn(4, 4) + 1j * rng.randn(4, 4) for _ in range(3))
-    _, report = check_clifford(GammaRep(3, mats, (-1, 1, 1)))
+    rep = GammaRep(3, mats, (-1, 1, 1))
+    _, report = check_clifford(rep)
     assert not report["passed"]
     assert report["max_residual"] > 1.0
+    assert_maxima_match_oracle(rep, report, rel=1e-15)
 
 
 def test_build_gamma_rejects_bad_dimension():

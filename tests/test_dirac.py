@@ -10,7 +10,7 @@ from scipy.linalg import block_diag
 from lorentzlab import dirac
 from lorentzlab.clifford import build_gamma, fundamental_symmetry, max_abs
 from lorentzlab.dirac import (DENSE_LIMIT, ORACLE_LIMIT, RECIPROCAL_TOL,
-                              DiracOperator,
+                              SKEW_TOL, DiracOperator,
                               check_temporal_axioms, elliptic_square,
                               flat_operator)
 from lorentzlab.lattice import (Lattice, ScalarField, SpinorField, gradient,
@@ -111,6 +111,21 @@ def test_varying_u_reports_honest_defect():
     assert any("non-constant" in note for note in rep["notes"])
     assert rep["reciprocal_residual"] <= 1e-13     # pointwise identity still exact
     assert rep["u_square_deviation"] <= 1e-13
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_time_dependent_lapse_skew_residual_has_closed_form(n):
+    # with a = u^{-1/2}(t), the [D,T] D skew residual on the periodic box
+    # is max_i |a_i (a_i - a_{i+-1})| / (2h): it measures the lapse's time
+    # derivative, so the verdict stays FAIL and only the value is pinned
+    op = flat_operator(2, n, box=((0.0, 2.0 * np.pi),) * 2,
+                       boundary="periodic", u="2+sin(t)")
+    _, rep = check_temporal_axioms(op, seed=0)
+    h = 2.0 * np.pi / n
+    a = (2.0 + np.sin(h * np.arange(n))) ** -0.5
+    want = max(np.max(np.abs(a * (a - np.roll(a, s)))) for s in (1, -1))
+    assert abs(rep["skew_residual"] - want / (2.0 * h)) <= 1e-14
+    assert rep["skew_residual"] > SKEW_TOL
 
 
 def test_reciprocal_residual_above_bound_fails(monkeypatch):

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -300,3 +302,12 @@ def test_random_elements_evaluate_as_their_parsed_labels():
             parsed = element(elem.label, degree)
             assert np.array_equal(elem.sample(lat).values,
                                   parsed.sample(lat).values), elem.label
+
+
+def test_filtration_names_no_expression_tree_or_second_scale_floor():
+    # the random elements are closures, and the grading spread divides by
+    # checks.MIN_SCALE
+    source = inspect.getsource(filtration)
+    for name in ("Binary", "Call", "Constant", "Variable",
+                 "compile_expression", "MIN_GRADING_SCALE"):
+        assert name not in source, name

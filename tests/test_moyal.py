@@ -283,6 +283,25 @@ def test_quadrature_leaves_returned_arrays_alone(transformed):
         assert np.array_equal(values, basis_stack(2, THETA, x, y))
 
 
+@pytest.mark.parametrize("transformed", ORIENTATIONS)
+def test_quadrature_reads_read_only_samples(transformed):
+    # a callable may return a fresh array it has made read-only: the engine
+    # then multiplies by the phase into an array of its own
+    def gauss(x, y):
+        return np.exp(-(x * x + y * y)).astype(complex)
+
+    def read_only(x, y):
+        values = gauss(x, y)
+        values.setflags(write=False)
+        return values
+
+    lat = moyal_grid(7.0, 48)
+    pts = CROSS_ENGINE_POINTS
+    assert np.array_equal(_star(read_only, read_only, THETA, pts, lat,
+                                transformed),
+                          _star(gauss, gauss, THETA, pts, lat, transformed))
+
+
 def _last_site_bump(lat):
     """(x, y) -> a Gaussian plus 0.5 at the last site of `lat` only."""
     x_last, y_last = (lat.coordinate_array(a).reshape(-1)[-1] for a in (0, 1))
