@@ -15,25 +15,25 @@ Anything else is a parse error carrying the character position.  So is
 nesting deeper than MAX_DEPTH levels (parentheses, calls, unary minus,
 exponents, and the operators of the expression tree), which would otherwise
 exhaust the interpreter's stack in the recursive parser or evaluator.
-Evaluation is vectorized over numpy arrays and guards the partial functions
-(sqrt of a negative, division by ~0) with errors that name the first
-offending site.
+Evaluation is one recursive walk of the tree under an arithmetic: floats for
+`evaluate`, vectorized over numpy arrays, and variable names for
+`variables_used`.  Three rules on argument values refuse a partial operation
+with an error naming the first offending site: sqrt of a negative; a divisor
+below DIV_FLOOR in magnitude; and a power whose base is negative while its
+exponent is not a whole number, or whose base is below DIV_FLOOR in magnitude
+while its exponent is negative (a division by zero).
 """
 
+import operator
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 AXIS_NAMES = ("t", "x", "y", "z")      # also the lattice axes, in order
-FUNCTIONS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "sqrt": np.sqrt,
-    "tanh": np.tanh,
-    "abs": np.abs,
-}
+FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt,
+             "tanh": np.tanh, "abs": np.abs}
 
 DIV_FLOOR = 1e-300
 MAX_DEPTH = 100     # parser nesting and expression-tree depth
@@ -109,7 +109,7 @@ def _tokenize(text):
         if kind != "space":
             tokens.append((kind, value, i))
         i = match.end()
-    tokens.append(("end", None, len(text)))
+    tokens.append(("end", "end of input", len(text)))
     return tokens
 
 
@@ -126,17 +126,13 @@ class _Parser:
         return self.tokens[self.pos]
 
     def advance(self):
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
     def expect_op(self, op):
         kind, value, position = self.peek()
         if kind != "op" or value != op:
-            raise ExpressionError(
-                "expected %r, found %r" % (op, value if value is not None else "end of input"),
-                position,
-            )
+            raise ExpressionError("expected %r, found %r" % (op, value), position)
         return self.advance()
 
     def nested(self, parse):
@@ -208,20 +204,18 @@ class _Parser:
             node = self.nested(self.expr)
             self.expect_op(")")
             return node
-        raise ExpressionError(
-            "expected a value, found %r" % (value if value is not None else "end of input"),
-            position,
-        )
+        raise ExpressionError("expected a value, found %r" % value, position)
 
 
-def _children(node):
+def _split(node):
+    """(operation name, children); "neg" is unary minus, (None, ()) a leaf."""
     if isinstance(node, Unary):
-        return (node.operand,)
+        return "neg", (node.operand,)
     if isinstance(node, Call):
-        return (node.arg,)
+        return node.func, (node.arg,)
     if isinstance(node, Binary):
-        return (node.left, node.right)
-    return ()
+        return node.op, (node.left, node.right)
+    return None, ()
 
 
 def _tree_depth(node):
@@ -230,15 +224,15 @@ def _tree_depth(node):
     while stack:
         node, level = stack.pop()
         deepest = max(deepest, level)
-        stack.extend((child, level + 1) for child in _children(node))
+        stack.extend((child, level + 1) for child in _split(node)[1])
     return deepest
 
 
 def parse_expression(text):
     """Parse `text` into an AST.  Raises ExpressionError with a position.
 
-    The tree is at most MAX_DEPTH levels deep, so the recursive
-    `variables_used` and `evaluate` stay well inside the stack.
+    The tree is at most MAX_DEPTH levels deep, so the recursive walk of
+    `variables_used` and `evaluate` stays well inside the stack.
     """
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError("empty expression")
@@ -251,75 +245,81 @@ def parse_expression(text):
 
 # --------------------------------------------------------------- evaluation
 
+# an arithmetic reads a constant from its value, a variable from its name and
+# the environment, and an operation from its name and its arguments' readings
+_Arithmetic = namedtuple("_Arithmetic", "constant variable operation")
+
+
+def _fold(node, arithmetic, env=None):
+    """Read `node` bottom-up under `arithmetic`: the one walk of the tree."""
+    if isinstance(node, Constant):
+        return arithmetic.constant(node.value)
+    if isinstance(node, Variable):
+        return arithmetic.variable(node.name, env)
+    name, children = _split(node)
+    if name is None:
+        raise TypeError("not an AST node: %r" % (node,))
+    return arithmetic.operation(name, [_fold(c, arithmetic, env) for c in children])
+
+
+_NAMES = _Arithmetic(lambda value: set(), lambda name, env: {name},
+                     lambda name, args: set().union(*args))
+
 
 def variables_used(node):
-    if isinstance(node, Variable):
-        return {node.name}
-    return set().union(*map(variables_used, _children(node)))
+    return _fold(node, _NAMES)
 
 
-def _first_bad_site(mask):
-    """'site 128 (8, 0)': the first True of mask, flat and as an index."""
-    flat = int(np.argmax(mask))
-    index = np.unravel_index(flat, mask.shape) if mask.ndim else ()
-    return "site %d (%s)" % (flat, ", ".join(str(int(i)) for i in index))
+def _refuse(mask, what):
+    """Raise 'what at site 128 (8, 0)' at mask's first True, flat and as an
+    index ('site 0 ()' for a 0-d mask), if it has one."""
+    if np.any(mask):
+        flat = int(np.argmax(mask))
+        index = ", ".join(str(int(i)) for i in np.unravel_index(flat, np.shape(mask)))
+        raise ExpressionError("%s at site %d (%s)" % (what, flat, index))
+
+
+def _power_rule(base, exponent):
+    base, exponent = np.asarray(base, dtype=float), np.asarray(exponent, dtype=float)
+    whole = np.isfinite(exponent) & (np.floor(exponent) == exponent)
+    _refuse((base < 0) & ~whole, "non-integer power of negative value")
+    _refuse((np.abs(base) < DIV_FLOOR) & (exponent < 0), "division by zero")
+
+
+_FLOAT_OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                     "/": operator.truediv, "^": operator.pow,
+                     "neg": operator.neg, **FUNCTIONS}
+# the partial operations, each guarded by a rule on its argument values
+_FLOAT_GUARDS = {
+    "sqrt": lambda arg: _refuse(np.asarray(arg) < 0, "sqrt of negative value"),
+    "/": lambda left, right: _refuse(
+        np.abs(np.asarray(right, dtype=float)) < DIV_FLOOR, "division by zero"),
+    "^": _power_rule,
+}
+
+
+def _float_variable(name, env):
+    if name not in env:
+        raise ExpressionError("variable %r is not available in this domain" % name)
+    return env[name]
+
+
+def _float_operation(name, args):
+    if name in _FLOAT_GUARDS:
+        _FLOAT_GUARDS[name](*args)
+    return _FLOAT_OPERATIONS[name](*args)
+
+
+_FLOATS = _Arithmetic(np.float64, _float_variable, _float_operation)
 
 
 def evaluate(node, env):
-    """Evaluate AST over an environment {var: ndarray-or-scalar}.
-
-    All arrays must broadcast; the result is a float ndarray (or scalar).
-    """
-    if isinstance(node, Constant):
-        return node.value
-    if isinstance(node, Variable):
-        if node.name not in env:
-            raise ExpressionError(
-                "variable %r is not available in this domain" % node.name)
-        return env[node.name]
-    if isinstance(node, Unary):
-        return -evaluate(node.operand, env)
-    if isinstance(node, Call):
-        arg = evaluate(node.arg, env)
-        if node.func == "sqrt":
-            bad = np.asarray(arg) < 0
-            if np.any(bad):
-                raise ExpressionError("sqrt of negative value at %s"
-                                      % _first_bad_site(bad))
-        return FUNCTIONS[node.func](arg)
-    if isinstance(node, Binary):
-        left = evaluate(node.left, env)
-        right = evaluate(node.right, env)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            bad = np.abs(np.asarray(right, dtype=float)) < DIV_FLOOR
-            if np.any(bad):
-                raise ExpressionError("division by zero at %s"
-                                      % _first_bad_site(bad))
-            return left / right
-        if node.op == "^":
-            base = np.asarray(left, dtype=float)
-            if np.any(base < 0):
-                # only integer exponents are defined for negative bases
-                if not (isinstance(node.right, Constant)
-                        and float(node.right.value).is_integer()):
-                    raise ExpressionError(
-                        "non-integer power of negative value at %s"
-                        % _first_bad_site(base < 0))
-            return left ** right
-    raise TypeError("not an AST node: %r" % (node,))
+    """Evaluate AST over an environment {var: ndarray-or-scalar} whose
+    arrays broadcast; the result is a float ndarray (or scalar)."""
+    return _fold(node, _FLOATS, env)
 
 
 def compile_expression(text_or_ast):
     """Return (ast, callable(**coords) -> ndarray)."""
     ast = text_or_ast if not isinstance(text_or_ast, str) else parse_expression(text_or_ast)
-
-    def fn(**coords):
-        return evaluate(ast, coords)
-
-    return ast, fn
+    return ast, lambda **coords: evaluate(ast, coords)

@@ -330,13 +330,16 @@ def test_momentum_block_spectra_match_the_closed_form(verified):
     ("verify", {"u": "1e-160"}),
     ("moyal", {"theta": 1e-20}),
     ("report", {"theta": 1e-100}),
+    ("verify", {"u": "2+0^-1"}),
+    ("verify", {"u": "1+10^400"}),
 ], ids=["out-type", "box-inf", "theta-nan", "quick-type", "u-negative",
         "u-division-floor", "u-sqrt-negative", "pairs-bool", "theta-bool",
         "box-bool", "distance-sites", "distance-odd-dimension",
         "report-odd-dimension", "out-under-a-file", "out-is-a-file",
         "candidate-not-a-string", "u-nested-250", "candidate-sum-1500",
         "box-underflow", "box-overflow", "u-underflow", "basis-overflow",
-        "report-basis-overflow"])
+        "report-basis-overflow", "u-zero-to-negative-power",
+        "u-constant-overflow"])
 def test_bad_config_fails_before_any_work(command, config, tmp_path,
                                           monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -470,6 +473,18 @@ def test_overflowing_candidate_leaves_stderr_clean(tmp_path):
     (record,) = payload["rejected"]
     assert record["candidate"] == "t+1e308*x"
     assert record["worst_margin"] is None     # a NaN margin, written as null
+
+
+def test_zero_to_a_negative_power_is_a_division_by_zero(tmp_path):
+    # x = -3 at site 0 of the candidates' box: both pools are refused alike,
+    # before any check line and with no numpy warning
+    runs = [_cli_process(["distance", "--candidates", cand, "t"], tmp_path)
+            for cand in ("t+0*(x+3)^-1", "t+0/(x+3)")]
+    for done in runs:
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.splitlines() == [
+            "config error: division by zero at site 0 (0, 0)"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_warnings_reach_stderr_as_one_line_each(tmp_path):
