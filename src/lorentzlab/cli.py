@@ -9,6 +9,7 @@ the same configuration are byte-identical.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -174,8 +175,8 @@ def validate_config(cfg, command):
     if axioms and not errors:
         lat = _lattice(cfg)
         try:
+            u = _lapse(lat, cfg.u).values
             with np.errstate(all="ignore"):
-                u = ScalarField.from_expression(lat, cfg.u).values
                 # the time part of <D>^2 scales as 1/(h^2 u^2)
                 scale = 1.0 / (lat.spacing(0) * np.min(u)) ** 2
         except ExpressionError as exc:
@@ -236,6 +237,13 @@ def _lattice(cfg):
     return Lattice(extents, (cfg.points,) * cfg.dimension, cfg.boundary)
 
 
+@functools.lru_cache(maxsize=1)
+def _lapse(lat, u):
+    """u on `lat`, sampled once per run, warnings off, for validation and D."""
+    with np.errstate(all="ignore"):
+        return ScalarField.from_expression(lat, u)
+
+
 # ------------------------------------------------------------- subcommands
 # Each returns (checks, payload) or (checks, payload, csv rows); the suites
 # decide every verdict and main only renders and writes them.
@@ -244,8 +252,8 @@ def _lattice(cfg):
 def run_verify(cfg):
     gammas = [clifford.check_clifford(clifford.build_gamma(n))
               for n in (2, 3, 4, 6)]
-    op = dirac.flat_operator(cfg.dimension, cfg.points, _lattice(cfg).extents,
-                             cfg.boundary, cfg.u)
+    u = _lapse(_lattice(cfg), cfg.u)
+    op = dirac.DiracOperator(clifford.build_gamma(cfg.dimension), u.lattice, u)
     axiom_checks, axioms = dirac.check_temporal_axioms(op, seed=cfg.seed)
     checks = [c for gamma_checks, _ in gammas for c in gamma_checks] + axiom_checks
     payload = {"clifford": {str(gamma["dimension"]): gamma for _, gamma in gammas},

@@ -32,7 +32,6 @@ declared ("assumed"), not verified; only the numerical identities are checked.
 """
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -179,10 +178,11 @@ def star_quadrature(f, h, theta, points, lat):
     S_f + S_h + (len(points),).  Returns the values array.
     The engine owns one complex spectrum buffer of the transformed stack,
     filled from blocks of sites and transformed in place (phys_fft).  Each
-    point evaluates the shifted factor one block of at most BLOCK_BYTES at a
-    time and folds its phase e^{ik.x} into that block, in place when nothing
-    else holds the block, so beside the spectrum one block is held: about
-    one stack in all.
+    point evaluates the shifted factor one block of frequencies at a time
+    and multiplies it by its phase e^{ik.x} into a second buffer the engine
+    allocates once per call; a block's samples and that buffer share
+    BLOCK_BYTES, so beside the spectrum one block is held: about one stack
+    in all.  No array a callable returned is ever written.
     """
     d = lat.dimension
     th = _theta_entries(theta, d)
@@ -222,26 +222,17 @@ def star_quadrature(f, h, theta, points, lat):
     shifts = -0.5 * (K @ th.T)
     head = at(f, pts[:1].T).shape[:-1]
     count = int(np.prod(head))
+    blocks = slices(len(K), BLOCK_BYTES // (32 * count))
+    phased = np.empty(count * blocks[0].stop, dtype=complex)   # widest block
     out = []
     for x in pts:
         phase = wq * np.exp(1j * (K @ x))
         got = np.zeros((count, len(W)), dtype=complex)
-        for b in slices(len(K), BLOCK_BYTES // (16 * count)):
-            rows = at(f, (x + shifts[b]).T)
-            size = len(shifts[b])
-            # fold the phase into the samples only when no one else can see
-            # them: a writeable complex array owning its memory, with no
-            # reference but this one (a plain product raises `report` peak
-            # RSS from 44.9 to 46.0 MB: this block is at its peak)
-            if (rows.dtype == complex and rows.base is None
-                    and rows.flags.writeable
-                    and sys.getrefcount(rows) <= 2):
-                rows = rows.reshape(count, size)
-                rows *= phase[b]
-            else:
-                rows = rows.reshape(count, size) * phase[b]
+        for b in blocks:
+            rows = phased[:count * (b.stop - b.start)].reshape(count, -1)
+            np.multiply(at(f, (x + shifts[b]).T).reshape(rows.shape),
+                        phase[b], out=rows)
             got += rows @ W[:, b].T
-            del rows        # one block of samples at a time
         out.append(got)
     return np.stack(out, axis=-1).reshape(head + stack + (len(pts),))
 

@@ -487,6 +487,13 @@ def test_zero_to_a_negative_power_is_a_division_by_zero(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_lapse_is_sampled_once_with_warnings_off(tmp_path):
+    # 1e308*10 overflows to inf on the way to u = 1: validation judges the
+    # field under its silent policy, and verify builds D from that field
+    done = _cli_process(["verify", "--u", "1/(1e308*10)+1"], tmp_path)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
 def test_warnings_reach_stderr_as_one_line_each(tmp_path):
     # the twisted engine's Nyquist warnings, without library path or source
     # line, in the order the cross-engine check raises them

@@ -9,7 +9,7 @@ from lorentzlab.distance import (PAIR_EXTENT, V_CAP,
                                  boosted_family_distance, certify_candidates,
                                  golden_section, minkowski_oracle,
                                  run_distance_suite, variational_distance)
-from lorentzlab.expressions import compile_expression
+from lorentzlab.expressions import AXIS_NAMES, compile_expression
 from lorentzlab.filtration import FilteredElement
 
 ROOT3 = 1.7320508075688772            # sqrt(2^2 - 1^2)
@@ -380,3 +380,28 @@ def test_routes_return_plain_values():
     assert np.ndim(minkowski_oracle((0.0, 0.0), (2.0, 1.0))) == 0
     value, label = variational_distance((0.0, 0.0), (2.0, 1.0), pool_of(["t"]))
     assert np.ndim(value) == 0 and type(label) is str
+
+
+@pytest.mark.parametrize("dim, points", [(2, 16), (4, 6)])
+def test_dilating_events_and_box_doubles_every_distance(dim, points):
+    # d(2p, 2q) = 2 d(p, q), exactly: doubling is exact in floating point,
+    # and so it passes through the oracle's sqrt, the linear boosted
+    # candidates and every golden-section comparison unchanged
+    events = np.random.default_rng(5).uniform(-PAIR_EXTENT, PAIR_EXTENT,
+                                              size=(200, 2, dim))
+    cands = boosted_candidate_expressions(axes=AXIS_NAMES[1:dim])
+    routes = []
+    for scale in (1.0, 2.0):
+        box = ((-scale * PAIR_EXTENT, scale * PAIR_EXTENT),) * dim
+        pool = certify_candidates(cands, flat_operator(dim, points, box=box,
+                                                       boundary="clamped"))
+        assert pool.rejected == ()
+        p, q = scale * events[:, 0], scale * events[:, 1]
+        boosted = [boosted_family_distance(a, b) for a, b in zip(p, q)]
+        routes.append((minkowski_oracle(p, q), np.array(boosted),
+                       *variational_distance(p, q, pool)))
+    (oracle, boosted, vari, labels), dilated = routes
+    assert np.count_nonzero(oracle) >= 10 and len(set(labels)) > 1
+    for got, want in zip(dilated[:3], (oracle, boosted, vari)):
+        assert np.array_equal(got, 2.0 * want)
+    assert np.array_equal(dilated[3], labels)

@@ -20,7 +20,9 @@ TEST_ONLY = {
     "moyal.project": "the Moyal-triple item projects its derivatives back",
     "moyal.synthesize": "the Moyal-triple item's ladder-derivative oracle",
     "steepness.is_steep_scalar":
-        "the doubler-free certificate item feeds it upwind gradients",
+        "the scalar route on stencil gradients, the tests' cross-check of "
+        "is_steep_matrix until the piecewise-linear certificate item calls "
+        "scalar_margins on simplex gradients",
 }
 
 # bare names that several public functions or methods define: a read of the
@@ -150,6 +152,16 @@ def test_src_never_imports_scipy():
     assert any(name == "numpy" for _, name in imported)
     assert [(module, name) for module, name in imported
             if name.split(".")[0] == "scipy"] == []
+
+
+def test_src_never_counts_references():
+    # whether an array may be written cannot rest on sys.getrefcount: an
+    # interpreter that borrows references on local loads (CPython 3.14)
+    # reads the count low, so an array a caller kept would look unshared
+    trees = _src_trees()
+    imported = {alias.name for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "getrefcount" not in _loaded_names(trees) | imported
 
 
 def _requirement_names(requirements):

@@ -186,9 +186,10 @@ def test_quadrature_of_stacks_holds_every_product(transformed):
 
 @pytest.mark.parametrize("transformed", ORIENTATIONS)
 def test_quadrature_memory_is_one_stack_and_a_block(transformed, traced_peak):
-    # the owned spectrum buffer and one block of shifted samples (a quarter
-    # stack here), phased in place: no sampled copy of the transformed
-    # stack beside its spectrum, and no point's whole shifted stack
+    # the owned spectrum buffer, one block of shifted samples and the
+    # engine's phased copy of it (an eighth of a stack each here): no
+    # sampled copy of the transformed stack beside its spectrum, and no
+    # point's whole shifted stack
     lat = moyal_grid(7.0, 64)
 
     def basis(x, y):
@@ -223,7 +224,7 @@ def _quadrature_unstreamed(f, h, theta, points, lat):
         rows = sv.reshape(-1, len(K))
         phase = wq * np.exp(1j * (K @ x))
         got = np.zeros((len(rows), len(W)), dtype=complex)
-        for b in slices(len(K), moyal.BLOCK_BYTES // (16 * len(rows))):
+        for b in slices(len(K), moyal.BLOCK_BYTES // (32 * len(rows))):
             got += (rows[:, b] * phase[b]) @ W[:, b].T
         out.append(got)
     return np.stack(out, axis=-1).reshape(head + stack + (len(pts),))
@@ -243,7 +244,7 @@ STREAMED_CASES = {
     "basis-stacks": (_basis8, _basis8, (7.0, 64), None),
     "scalar-shift": (_basis8, moyal._damped(0, 4.0), (20.0, 64), None),
     # 48^2 = 2304 sites: site blocks of 700 for the six transformed
-    # functions, frequency blocks of 2100 for the two shifted ones
+    # functions, frequency blocks of 1050 for the two shifted ones
     "partial-blocks": (lambda x, y: basis_stack(3, THETA, x, y)[:2],
                        _pair_stack, (7.0, 48), 96 * 700),
 }
