@@ -12,8 +12,9 @@ with respect to that weighted inner product.
 The axiom suite works on D in stencil form (`StencilOperator`, numpy
 only): one array of coefficients per diagonal, a site offset together with
 a spinor diagonal a -> a XOR k, assembled from the one-dimensional stencils
-of `lattice.gradient` and the gamma matrices.  The products, adjoints and
-residuals of the suite are array operations on those diagonals.  Site
+of `lattice.gradient` and the gamma matrices.  The products of the suite
+are array operations on those diagonals, and its adjoint residuals
+(`adjoint_residual`) stream the diagonals of an adjoint one at a time.  Site
 offsets are taken mod n on every lattice; a clamped box is zero
 coefficients wherever a column would leave it (`_stencil`).
 `DiracOperator` picks the shape of those arrays when it is built, from u.
@@ -211,10 +212,6 @@ class DiracOperator:
         sites as `vielbein`."""
         return self.lattice.site_weights()[self._stored] * np.sqrt(self._u)
 
-    def weighted_adjoint(self, a):
-        """Adjoint of a StencilOperator w.r.t. the metric measure."""
-        return a.adjoint(self.measure_weights())
-
 
 def _stored_sites(lattice, u):
     """The index of the sites per-site arrays keep.
@@ -242,10 +239,7 @@ def gradient_symbol(rep, grads, u):
     u^{-1/2}, e^i = 1), broadcast together; returns their shape + (s, s).
     """
     comps = np.broadcast_arrays(grads[0] * (1.0 / np.sqrt(u)), *grads[1:])
-    out = np.zeros(comps[0].shape + (rep.matrix_size,) * 2, dtype=complex)
-    for df, g in zip(comps, rep.matrices):
-        out += df[..., None, None] * g
-    return -1j * out
+    return -1j * np.tensordot(np.stack(comps, axis=-1), np.stack(rep.matrices), 1)
 
 
 def _dense_error(n, what):
@@ -365,16 +359,16 @@ class StencilOperator:
     or (1, ..., 1, s), one row for the whole lattice, under every
     translation.  numpy broadcasting spreads V over those axes, and
     `_shift` does not roll them (a shift along them is the identity), so
-    products, adjoints and reductions need no second code path.
+    products and adjoint residuals need no second code path.
 
     Offsets are reduced mod n on every lattice, so offsets that alias share
     one array and every matrix entry lives in exactly one diagonal.  A box
     without wrap is zero coefficients: V[x] is zero wherever x + o leaves
-    the box, and products and adjoints keep those zeros, so the wrapped
-    reads of `_shift` there only ever meet zeros.  Each entry of a product
-    is one multiplication, as in a dense product, when one factor has a
-    single nonzero per row (the per-site blocks K = [D,T] and J); with
-    several it may be summed in another order, within rounding.
+    the box, and products and adjoint diagonals keep those zeros, so the
+    wrapped reads of `_shift` there only ever meet zeros.  Each entry of a
+    product is one multiplication, as in a dense product, when one factor
+    has a single nonzero per row (the per-site blocks K = [D,T] and J);
+    with several it may be summed in another order, within rounding.
     """
 
     def __init__(self, lattice, spinor_dim, diagonals):
@@ -406,50 +400,41 @@ class StencilOperator:
     def __matmul__(self, other):
         return self._like(dict(self.product_diagonals(other)))
 
-    def __add__(self, other):
-        out = dict(self.diagonals)
-        for (o, k), v in other.diagonals.items():
-            _accumulate(out, self.lattice, o, k, v)
-        return self._like(out)
+    def _adjoint_diagonals(self, weights):
+        """Yield (key, array) per diagonal of W^-1 A^H W, formed when yielded.
 
-    def adjoint(self, weights=None):
-        """Conjugate transpose; with per-site weights w, W^-1 A^H W.
-
-        Entry by entry: the conjugated entry times w of its new column,
-        divided by w of its new row.
+        A^H on the diagonal (-o, k), a distinct key for each (o, k), is the
+        conjugate of A's (o, k) shifted back; with per-site weights w each
+        entry is also multiplied by w of its new column and divided by w of
+        its new row.
         """
-        out = {}
-        for (o, k), v in self.diagonals.items():
-            back = tuple(-a for a in o)
-            w = np.conj(_shift(v, back, k))
-            if weights is not None:
-                w = w * _shift(weights, back)[..., None] / weights[..., None]
-            _accumulate(out, self.lattice, back, k, w)
-        return self._like(out)
-
-    def hermiticity_residual(self):
-        """Largest |entry| of A - A^H, as `max_abs` of the dense difference.
-
-        Taken one diagonal at a time, so neither A^H nor the difference is
-        ever held: A^H on the diagonal (-o, k) is the conjugate of A's (o, k)
-        shifted back, and there it meets A's own (-o, k), if A has one.  A
-        diagonal of A with no such partner is met by none either, and its
-        largest |entry| is that of its conjugate.
-        """
-        worst = 0.0
         for (o, k), v in self.diagonals.items():
             back = tuple(-a for a in o)
             h = np.conj(_shift(v, back, k))
-            mirror = self.diagonals.get((_site_key(self.lattice, back), k))
-            diff = h if mirror is None else mirror - h
-            worst = np.maximum(worst, np.abs(diff).max())
-        return float(worst)
+            if weights is not None:
+                h = h * _shift(weights, back)[..., None] / weights[..., None]
+            yield (_site_key(self.lattice, back), k), h
 
-    def max_abs(self):
-        """Largest |entry|, NaN if any, as `clifford.max_abs` of the dense
-        matrix."""
-        return float(np.max([np.abs(v).max() for v in self.diagonals.values()],
-                            initial=0.0))
+    def adjoint_residual(self, other, combine=np.add, weights=None):
+        """Largest |entry| of combine(W^-1 A^H W, B), B = other, as `max_abs`
+        of the dense result: np.add measures A^dagger = -B, np.subtract
+        A^dagger = B.
+
+        Taken one diagonal at a time, so neither the adjoint nor the result
+        is ever held: each diagonal of the adjoint meets B's on the same
+        key, if B has one, and every diagonal of B that none met counts by
+        itself.  np.maximum keeps a NaN.
+        """
+        worst = 0.0
+        unmet = dict(other.diagonals)
+        for key, h in self._adjoint_diagonals(weights):
+            b = unmet.pop(key, None)
+            if b is not None:
+                h = combine(h, b)
+            worst = np.maximum(worst, np.abs(h).max())
+        for b in unmet.values():
+            worst = np.maximum(worst, np.abs(b).max())
+        return float(worst)
 
     def toarray(self):
         """The dense matrix in row-major (site, spinor) order."""
@@ -616,17 +601,18 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
         dense -= d.toarray()
         assembly = max_abs(dense)
         del dense
+    w = D.measure_weights()
     k = _site_blocks(lat, K)
     kd = k @ d
-    skew = (D.weighted_adjoint(kd) + kd).max_abs()
+    skew = kd.adjoint_residual(kd, weights=w)
 
     # Krein equivalence both ways with J = i gamma^0 (normalized symmetry):
     # J D skew-Hermitian, and D^dagger = -J D J.
     j = _site_blocks(lat, np.broadcast_to(fundamental_symmetry(D.rep), K.shape))
     jd = j @ d
-    krein_skew = (D.weighted_adjoint(jd) + jd).max_abs()
-    krein_equiv = (D.weighted_adjoint(d) + jd @ j).max_abs()
-    del j, jd
+    krein_skew = jd.adjoint_residual(jd, weights=w)
+    krein_equiv = d.adjoint_residual(jd @ j, weights=w)
+    del j, jd, w
 
     rng = default_rng(seed)
     commute = 0.0
@@ -643,7 +629,7 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
 
     m = _elliptic_square(d, k, kd)
     del d, k, kd
-    ell_herm = m.hermiticity_residual()
+    ell_herm = m.adjoint_residual(m, np.subtract)
     if periodic:
         ell_min = min(_min_eigenvalue(_momentum_blocks(m, chunk))
                       for chunk in _momentum_chunks(m))

@@ -113,8 +113,6 @@ def equivalence_scan(samples, seed, dimension=2):
     Returns (checks, payload): every draw must agree, and the payload lists
     the draws that do not.
     """
-    if dimension % 2 != 0:
-        raise ValueError("matrix mode needs even dimension (chirality)")
     low = np.r_[-2.5, np.full(dimension - 1, -1.5)]
     grads = default_rng(seed).uniform(low, -low, size=(samples, dimension))
     m_margin, _ = matrix_margins(grads.T, 1.0, build_gamma(dimension))

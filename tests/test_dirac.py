@@ -25,6 +25,13 @@ def weighted_adjoint(op, a):
     return (a.conj().T * w[None, :]) / w[:, None]
 
 
+def _adjoint(a, weights=None):
+    """W^-1 A^H W as a StencilOperator, from the diagonals that
+    `adjoint_residual` streams."""
+    return dirac.StencilOperator(a.lattice, a.spinor_dim,
+                                 dict(a._adjoint_diagonals(weights)))
+
+
 def test_plane_wave_symbol():
     # D e^{ikx} eta = gamma^mu (sin(k_mu h)/h) e^{ikx} eta on the flat torus
     op = flat_operator(2, 16)
@@ -69,6 +76,34 @@ def test_temporal_commutator_exact_symbol():
     assert k.shape == op.lattice.shape + (2, 2)
     assert np.max(np.abs(k - want)) == 0.0
     assert max_abs(k - np.conj(np.swapaxes(k, -1, -2))) == 0.0
+
+
+def _symbol_loop(rep, grads, u):
+    """`gradient_symbol` accumulated one gamma matrix at a time."""
+    comps = np.broadcast_arrays(grads[0] * (1.0 / np.sqrt(u)), *grads[1:])
+    out = np.zeros(comps[0].shape + (rep.matrix_size,) * 2, dtype=complex)
+    for df, g in zip(comps, rep.matrices):
+        out += df[..., None, None] * g
+    return -1j * out
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_gradient_symbol_is_the_loop_over_gammas(dim):
+    # gamma entries are 0, +-1 or +-i and at most two share a matrix entry,
+    # so the contraction rounds as the loop does, inf and NaN included
+    rep = build_gamma(dim)
+    rng = np.random.default_rng(dim)
+    grads = list(rng.standard_normal((dim, 7, 5)))
+    grads[0][0, :3] = np.inf, -np.inf, np.nan
+    grads[-1][1, :3] = np.nan, np.inf, -np.inf
+    u = rng.uniform(0.5, 2.0, (7, 1))
+    s = rep.matrix_size
+    for g in (grads, [1.0] + [0.0] * (dim - 1)):
+        with np.errstate(all="ignore"):
+            got = dirac.gradient_symbol(rep, g, u)
+            want = _symbol_loop(rep, g, u)
+        assert got.shape == want.shape == np.broadcast(*g, u).shape + (s, s)
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 @pytest.mark.parametrize("u,expect", [("1", 1.0), ("4", 0.25)])
@@ -173,6 +208,41 @@ def test_dilating_the_box_scales_the_payload_exactly(dim, points, boundary,
             assert scaled[key] == base[key] * 2.0 ** (-power * k), (k, key)
 
 
+# how each payload value scales when the time extent of the box is
+# stretched by lam and u(t) is replaced by u(t/lam)/lam^2: K = [D,T] scales
+# by lam, while D, J and the metric measure stay as they are
+REPARAMETRISATION_POWERS = {
+    "hermiticity_residual": 1, "skew_residual": 1, "commute_residual": 1,
+    "u_square_deviation": 2, "u_ax_min": 2, "u_ax_max": 2,
+    "elliptic_hermiticity": 2, "elliptic_min_eigenvalue": 2,
+    "u_metric_min": -2, "u_metric_max": -2, "reciprocal_residual": 0,
+    "krein_skew_residual": 0, "krein_equiv_residual": 0,
+    "assembly_residual": 0, "adjoints_exact": 0, "notes": 0}
+
+
+@pytest.mark.parametrize("dim,points,boundary", [
+    (2, 16, "periodic"), (3, 6, "periodic"), (4, 5, "periodic"),
+    (2, 7, "clamped"), (3, 4, "clamped")])
+@pytest.mark.parametrize("lapse", ["1", "2", "1+0.1*{t}", "2+sin({t})"],
+                         ids=["u=1", "u=2", "u=1+0.1t", "u=2+sin(t)"])
+def test_reparametrising_time_scales_the_payload_exactly(dim, points,
+                                                         boundary, lapse):
+    # t -> lam t with lam a power of two: the time spacing, u and K change
+    # by powers of lam alone, so each value scales exactly (==)
+    def payload(lam):
+        box = ((0.0, lam * points),) + ((0.0, float(points)),) * (dim - 1)
+        u = "(%s)/%r" % (lapse.format(t="(t/%r)" % lam), lam ** 2)
+        op = flat_operator(dim, points, box=box, boundary=boundary, u=u)
+        return check_temporal_axioms(op, seed=0)[1]
+    base = payload(1.0)
+    assert set(base) == set(REPARAMETRISATION_POWERS)
+    for lam in (2.0, 0.5):
+        scaled = payload(lam)
+        for key, power in REPARAMETRISATION_POWERS.items():
+            want = base[key] if power == 0 else base[key] * lam ** power
+            assert scaled[key] == want, (lam, key)
+
+
 # a lapse with a spatial spread under U_VARIATION_TOL: accepted as t-only,
 # yet not translation invariant, so its operators keep every site
 FULL_STORAGE_U = "1 + 1e-13*x"
@@ -206,9 +276,9 @@ def test_block_products_match_dense_oracles(dim, points):
     assert np.array_equal((sk @ sd).toarray(), kd)
     assert np.array_equal((sd @ sk).toarray(), dk)
     assert np.array_equal((sj @ sd).toarray(), jd)
-    assert np.array_equal(op.weighted_adjoint(sd).toarray(), weighted_adjoint(op, d))
-    assert np.array_equal(op.weighted_adjoint(sk @ sd).toarray(),
-                          weighted_adjoint(op, kd))
+    w = op.measure_weights()
+    assert np.array_equal(_adjoint(sd, w).toarray(), weighted_adjoint(op, d))
+    assert np.array_equal(_adjoint(sk @ sd, w).toarray(), weighted_adjoint(op, kd))
     assert rep["skew_residual"] == max_abs(weighted_adjoint(op, kd) + kd)
     assert rep["krein_skew_residual"] == max_abs(weighted_adjoint(op, jd) + jd)
     assert rep["krein_equiv_residual"] == max_abs(weighted_adjoint(op, d) + j @ d @ j)
@@ -292,6 +362,20 @@ def _stencil_square(op):
     d = op.sparse_matrix()
     k = _commutator_operator(op)
     return dirac._elliptic_square(d, k, k @ d)
+
+
+def _suite_residuals(op):
+    """(A, B, combine, weights) of each `adjoint_residual` the axiom suite
+    takes on op: the skew, both Krein and the <D>^2 Hermiticity residuals."""
+    w = op.measure_weights()
+    d = op.sparse_matrix()
+    kd = _commutator_operator(op) @ d
+    j = dirac._site_blocks(op.lattice, np.broadcast_to(
+        fundamental_symmetry(op.rep), op.temporal_commutator()[op._stored].shape))
+    jd = j @ d
+    m = _stencil_square(op)
+    return [(kd, kd, np.add, w), (jd, jd, np.add, w), (d, jd @ j, np.add, w),
+            (m, m, np.subtract, None)]
 
 
 @pytest.mark.parametrize("dim,points,u", [
@@ -446,9 +530,10 @@ def test_weighted_adjoint_is_involutive():
     a = dirac.StencilOperator(op.lattice, op.spinor_dim, {
         key: rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
         for key, v in op.sparse_matrix().diagonals.items()})
-    twice = op.weighted_adjoint(op.weighted_adjoint(a))
+    w = op.measure_weights()
+    twice = _adjoint(_adjoint(a, w), w)
     assert np.max(np.abs(twice.toarray() - a.toarray())) <= 1e-12
-    assert np.array_equal(op.weighted_adjoint(a).toarray(),
+    assert np.array_equal(_adjoint(a, w).toarray(),
                           weighted_adjoint(op, a.toarray()))
 
 
@@ -531,9 +616,9 @@ def test_hermiticity_residual_is_the_difference_with_the_adjoint(
     op = flat_operator(dim, points, boundary=boundary, u=u)
     d = op.sparse_matrix()
     k = _commutator_operator(op)
-    for a in (d, k @ d, d + k, _stencil_square(op)):
-        assert a.hermiticity_residual() == max_abs(a.toarray()
-                                                   - a.adjoint().toarray())
+    for a in (d, k @ d, _stencil_square(op)):
+        assert a.adjoint_residual(a, np.subtract) == max_abs(
+            a.toarray() - _adjoint(a).toarray())
 
 
 def test_hermiticity_residual_holds_two_diagonals_at_a_time(traced_peak):
@@ -541,7 +626,7 @@ def test_hermiticity_residual_holds_two_diagonals_at_a_time(traced_peak):
     assert op.measure_weights().shape == op.lattice.shape
     m = _stencil_square(op)
     largest = max(v.nbytes for v in m.diagonals.values())
-    _, peak = traced_peak(m.hermiticity_residual)
+    _, peak = traced_peak(m.adjoint_residual, m, np.subtract)
     # a few temporaries of one diagonal pair, never A^H or A - A^H
     assert len(m.diagonals) >= 30
     assert peak <= 6 * largest
@@ -558,7 +643,12 @@ def test_elliptic_square_in_place_equals_the_formula(dim, points, boundary,
     d = op.sparse_matrix()
     k = _commutator_operator(op)
     dk, kd = d @ k, k @ d
-    want = {key: -0.5 * v for key, v in (dk @ dk + kd @ kd).diagonals.items()}
+    # the sum of the two products, as the diagonals of the second were
+    # added into those of the first
+    total = dict((dk @ dk).diagonals)
+    for (o, kk), v in (kd @ kd).diagonals.items():
+        dirac._accumulate(total, op.lattice, o, kk, v)
+    want = {key: -0.5 * v for key, v in total.items()}
     got = dirac._elliptic_square(d, k, kd)
     assert list(got.diagonals) == list(want)
     for key, v in want.items():
@@ -612,8 +702,11 @@ def test_every_diagonal_key_is_a_site_offset_mod_n(dim, points, boundary, u):
     d = op.sparse_matrix()
     k = _commutator_operator(op)
     kd = k @ d
-    for a in (d, kd, dirac._elliptic_square(d, k, kd), op.weighted_adjoint(d)):
-        for o, _ in a.diagonals:
+    adjoint = [key for key, _ in d._adjoint_diagonals(op.measure_weights())]
+    assert len(set(adjoint)) == len(adjoint) == len(d.diagonals)
+    for keys in (d.diagonals, kd.diagonals,
+                 dirac._elliptic_square(d, k, kd).diagonals, adjoint):
+        for o, _ in keys:
             assert all(0 <= x < n for x, n in zip(o, op.lattice.points)), o
 
 
@@ -791,19 +884,63 @@ def test_storage_shape_leaves_every_payload_value_bitwise_equal(
     pytest.param(2, (6, 2), "1 + 0.1*t", id="6x2-1 + 0.1*t")])
 def test_reductions_and_toarray_agree_on_both_storage_shapes(
         monkeypatch, dim, points, u):
-    def operators():
-        op = flat_operator(dim, points, u=u)
-        d = op.sparse_matrix()
-        kd = _commutator_operator(op) @ d
-        return [d, kd, op.weighted_adjoint(kd) + kd, _stencil_square(op)]
-    stored = operators()
+    stored = _suite_residuals(flat_operator(dim, points, u=u))
     # a lapse stored once is also compared with its per-slice storage
     for force in (_per_slice_storage, _full_storage):
         force(monkeypatch)
-        for a, b in zip(stored, operators()):
-            assert a.max_abs() == b.max_abs()
-            assert a.hermiticity_residual() == b.hermiticity_residual()
-            assert np.array_equal(a.toarray(), b.toarray())
+        forced = _suite_residuals(flat_operator(dim, points, u=u))
+        for (a, b, combine, w), (fa, fb, _, fw) in zip(stored, forced):
+            assert a.adjoint_residual(b, combine, w) == \
+                fa.adjoint_residual(fb, combine, fw)
+            assert np.array_equal(a.toarray(), fa.toarray())
+            assert np.array_equal(b.toarray(), fb.toarray())
+
+
+@pytest.mark.parametrize("dim,points,boundary,u,force", [
+    (2, 6, "periodic", None, None), (2, 6, "periodic", None, _per_slice_storage),
+    (2, 6, "periodic", None, _full_storage),
+    (3, 4, "periodic", "2+sin(t)", None), (3, 4, "periodic", "2+sin(t)", _full_storage),
+    (4, 3, "periodic", None, None), (2, 7, "clamped", "1+0.1*t", None),
+    (3, 4, "clamped", None, None), (2, (5, 3), "clamped", "1+0.1*t", None)],
+    ids=["2-periodic-once", "2-periodic-per-slice", "2-periodic-full",
+         "3-periodic-u(t)", "3-periodic-u(t)-full", "4-periodic-once",
+         "2-clamped-u(t)", "3-clamped", "5x3-clamped-u(t)"])
+def test_adjoint_residual_is_max_abs_of_the_dense_form(monkeypatch, dim, points,
+                                                       boundary, u, force):
+    # every residual the suite takes, against the dense matrices
+    if force is not None:
+        force(monkeypatch)
+    op = flat_operator(dim, points, boundary=boundary, u=u)
+    for a, b, combine, w in _suite_residuals(op):
+        dense = a.toarray()
+        adjoint = dense.conj().T if w is None else weighted_adjoint(op, dense)
+        want = max_abs(combine(adjoint, b.toarray()))
+        assert a.adjoint_residual(b, combine, w) == want, combine
+
+
+def test_adjoint_residual_counts_an_unmet_diagonal_of_b():
+    # B's diagonal ((1, 0), 1) meets no diagonal of the adjoint of A, and it
+    # holds the largest entry
+    lat = Lattice(((0.0, 4.0), (0.0, 4.0)), (4, 4))
+    a = dirac.StencilOperator(lat, 2, {((0, 0), 0): np.ones((4, 4, 2))})
+    b = dirac.StencilOperator(lat, 2, {((0, 0), 0): np.ones((4, 4, 2)),
+                                       ((1, 0), 1): np.full((4, 4, 2), -5.0)})
+    for combine in (np.add, np.subtract):
+        want = max_abs(combine(a.toarray().conj().T, b.toarray()))
+        assert a.adjoint_residual(b, combine) == want == 5.0
+
+
+def test_weighted_adjoint_residual_holds_few_diagonals_at_a_time(traced_peak):
+    # a few temporaries of one adjoint diagonal and its partner in B, never
+    # the whole adjoint or sum (16.1 largest diagonals when both were held)
+    op = flat_operator(4, 6, u=FULL_STORAGE_U)
+    w = op.measure_weights()
+    assert w.shape == op.lattice.shape
+    kd = _commutator_operator(op) @ op.sparse_matrix()
+    largest = max(v.nbytes for v in kd.diagonals.values())
+    _, peak = traced_peak(kd.adjoint_residual, kd, np.add, w)
+    assert len(kd.diagonals) >= 8
+    assert peak <= 8 * largest, peak / largest
 
 
 def test_axiom_suite_takes_the_oracle_residual_in_place(traced_peak):
@@ -829,9 +966,14 @@ def _nan_stencil(first):
 
 @pytest.mark.parametrize("first", [True, False], ids=["nan-first", "nan-last"])
 def test_stencil_reductions_keep_a_nan(first):
+    # the NaN on the adjoint's first or last diagonal, on B's, or on both;
+    # as B, its diagonal ((1, 0), 1) meets no diagonal of the adjoint
     a = _nan_stencil(first)
-    assert np.isnan(a.max_abs())
-    assert np.isnan(a.hermiticity_residual())
+    clean = dirac.StencilOperator(a.lattice, 2, {
+        key: np.ones_like(v) for key, v in a.diagonals.items()})
+    for combine in (np.add, np.subtract):
+        for x, y in ((a, a), (a, clean), (clean, a)):
+            assert np.isnan(x.adjoint_residual(y, combine)), (combine, x is a)
 
 
 def test_a_nan_commute_residual_fails_the_suite(monkeypatch):

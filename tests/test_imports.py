@@ -28,10 +28,7 @@ TEST_ONLY = {
 # bare names that several public functions or methods define: a read of the
 # name in the package counts as a call of each only when it is listed here,
 # with the reason every definition has a caller
-SHARED_NAMES = {
-    "max_abs": "clifford.max_abs reduces the Clifford residuals and "
-               "StencilOperator.max_abs the axiom suite's",
-}
+SHARED_NAMES = {}
 
 
 def _package_path():
