@@ -99,8 +99,8 @@ def _has_type(value, kind):
 
 
 # commands that run the axiom suite (held to dirac.elliptic_size_error), and
-# commands whose steepness certificates need the chirality matrix (even
-# dimensions)
+# commands whose steepness certificates need the grading of the gamma
+# representation, which only an even dimension has
 AXIOM_COMMANDS = ("verify", "report")
 EVEN_COMMANDS = ("distance", "report")
 MOYAL_COMMANDS = ("moyal", "report")    # held to moyal.basis_overflow_error

@@ -8,8 +8,10 @@ Conventions, fixed once and used everywhere downstream:
   Hermitian with (gamma^i)^2 = +1;
 * fundamental symmetry J = i gamma^0 (Hermitian, J^2 = 1), Krein adjoint
   A+ = J A* J;
-* chirality (even n only)  gamma_ch = (-i)^{n/2+1} gamma^0 ... gamma^{n-1},
-  Hermitian, squares to 1, anticommutes with every gamma^mu.
+* grading (even n only)  gamma_ch = (-i)^{n/2+1} gamma^0 ... gamma^{n-1},
+  Hermitian, squares to 1, anticommutes with every gamma^mu: `build_gamma`
+  stores it on the rep, and `check_clifford` checks it as one more
+  generator of metric sign +1.
 
 The construction is the usual tensor-product ladder: Hermitian Euclidean
 generators G_1..G_n built from sigma1/sigma2 with sigma3 prefixes, then
@@ -45,11 +47,13 @@ def max_abs(m):
 
 @dataclass(frozen=True)
 class GammaRep:
-    """An n-tuple of gamma matrices with the metric signs they should square to."""
+    """An n-tuple of gamma matrices with the metric signs they should square
+    to, and the grading of the representation (None where it has none)."""
 
     dimension: int
     matrices: tuple
     metric_signs: tuple  # +-1 per index; canonical reps use (-1, 1, ..., 1)
+    grading: object = None
 
     @property
     def matrix_size(self):
@@ -70,14 +74,22 @@ def _euclidean_generators(n):
 
 
 def build_gamma(n):
-    """Deterministic gamma representation for signature (-,+,...,+) in n >= 2."""
+    """Deterministic gamma representation for signature (-,+,...,+) in n >= 2,
+    graded by gamma_ch where n is even."""
     if not isinstance(n, int) or n < 2:
         raise ValueError("dimension must be an integer >= 2, got %r" % (n,))
     gens = _euclidean_generators(n)
     mats = [1j * gens[0]] + gens[1:]
+    grading = None
+    if n % 2 == 0:
+        prod = np.eye(len(gens[0]), dtype=complex)
+        for g in mats:
+            prod = prod @ g
+        grading = (-1j) ** (n // 2 + 1) * prod
+        grading.setflags(write=False)
     for g in mats:
         g.setflags(write=False)
-    return GammaRep(n, tuple(mats), tuple([-1] + [1] * (n - 1)))
+    return GammaRep(n, tuple(mats), tuple([-1] + [1] * (n - 1)), grading)
 
 
 def check_clifford(rep):
@@ -85,19 +97,23 @@ def check_clifford(rep):
 
     Returns (checks, payload): one check held to CLIFFORD_TOL, and the
     dimension, the largest anticommutator and Hermiticity residuals, their
-    max and the verdict.  Every product gamma^mu gamma^nu comes from one
-    stacked product; the anticommutator residual is one max_abs over all
-    pairs, and the Hermiticity residual the max_abs of
-    gamma^mu - eta_mu (gamma^mu)^dagger over every mu, with eta the metric
-    signs.  Every max is np.max, so a NaN residual stays NaN.
+    max and the verdict.  A stored grading is generator n+1, of metric
+    sign +1: it must anticommute with every gamma^mu, square to 1 and be
+    Hermitian.  Every product of two generators comes from one stacked
+    product; the anticommutator residual is one max_abs over all pairs, and
+    the Hermiticity residual the max_abs of g - eta g^dagger over every
+    generator g, with eta its metric sign.  Every max is np.max, so a NaN
+    residual stays NaN.
     """
     n, size = rep.dimension, rep.matrix_size
-    g = np.stack(rep.matrices)
-    eta = np.asarray(rep.metric_signs, dtype=float)[:, None, None]
-    prod = g[:, None] @ g[None]             # prod[mu, nu] = gamma^mu gamma^nu
-    # {gamma^mu, gamma^nu} - 2 g^{mu nu} 1 over every (mu, nu): the sum and
-    # the target are symmetric bit for bit, so this is the max over mu <= nu
-    target = 2.0 * np.eye(n)[:, :, None, None] * eta[:, None] * np.eye(size)
+    grading = () if rep.grading is None else (rep.grading,)
+    g = np.stack(rep.matrices + grading)
+    eta = np.asarray(rep.metric_signs + (1,) * len(grading),
+                     dtype=float)[:, None, None]
+    prod = g[:, None] @ g[None]             # prod[mu, nu] = g^mu g^nu
+    # {g^mu, g^nu} - 2 g^{mu nu} 1 over every (mu, nu): the sum and the
+    # target are symmetric bit for bit, so this is the max over mu <= nu
+    target = 2.0 * np.eye(len(g))[:, :, None, None] * eta[:, None] * np.eye(size)
     anti = max_abs(prod + prod.swapaxes(0, 1) - target)
     herm = max_abs(g - eta * g.conj().transpose(0, 2, 1))
     worst = float(np.max([anti, herm]))
@@ -111,31 +127,11 @@ def check_clifford(rep):
     }
 
 
-def _require_valid(rep):
+def require_valid(rep):
+    """Raise unless `rep` passes `check_clifford`."""
     _, payload = check_clifford(rep)
     if not payload["passed"]:
         raise ValueError(
             "gamma representation fails the Clifford relations "
             "(max residual %.3e)" % payload["max_residual"])
 
-
-def fundamental_symmetry(rep):
-    """J = i gamma^0.  Hermitian with J^2 = 1 for a valid rep."""
-    _require_valid(rep)
-    j = 1j * rep.matrices[0]
-    j.setflags(write=False)
-    return j
-
-
-def chirality(rep):
-    """gamma_ch = (-i)^{n/2+1} gamma^0 ... gamma^{n-1}; even n only."""
-    _require_valid(rep)
-    n = rep.dimension
-    if n % 2 != 0:
-        raise ValueError("chirality requires even dimension, got n = %d" % n)
-    prod = np.eye(rep.matrix_size, dtype=complex)
-    for g in rep.matrices:
-        prod = prod @ g
-    gam = (-1j) ** (n // 2 + 1) * prod
-    gam.setflags(write=False)
-    return gam

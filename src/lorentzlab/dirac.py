@@ -53,7 +53,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .checks import Check
-from .clifford import GammaRep, build_gamma, fundamental_symmetry, max_abs
+from .clifford import GammaRep, build_gamma, max_abs, require_valid
 from .lattice import Lattice, ScalarField, SpinorField, gradient, slices
 
 DENSE_LIMIT = 4096       # dense_dim of the clamped <D>^2 block and elliptic_square
@@ -264,12 +264,12 @@ def elliptic_size_error(points, boundary, spinor_dim):
     """Why the suite cannot take the <D>^2 spectrum on this lattice, or None.
 
     A periodic lattice holds one `_momentum_chunks` chunk of momentum blocks
-    at a time, and that chunk's working set, about three times its blocks,
-    is held to MOMENTUM_BYTES_LIMIT.  A chunk of several momenta takes at
-    most an eighth of the limit, so only a chunk of one block can overfill
-    it.  The bound is that of the (N_t s)^2 block of a lapse u(t), also
-    where a constant lapse splits it into s x s blocks, so the verdict
-    depends on the lattice alone.  A clamped lattice is one dense block,
+    at a time.  That chunk's working set is at most twice its blocks, and
+    three times its blocks is held to MOMENTUM_BYTES_LIMIT.  A chunk of
+    several momenta takes at most an eighth of the limit, so only a chunk
+    of one block can overfill it.  The bound is that of the (N_t s)^2 block
+    of a lapse u(t), also where a constant lapse splits it into s x s
+    blocks, so the verdict depends on the lattice alone.  A clamped lattice is one dense block,
     held to DENSE_LIMIT dimensions.
     """
     if boundary != "periodic":
@@ -547,10 +547,10 @@ def _momentum_chunks(m):
     most MOMENTUM_BYTES_LIMIT / 8, or one momentum each where a block alone
     is larger.
 
-    The blocks, symmetrised in place, the conjugate transpose added into
-    them and the copy eigvalsh works on hold about three block-sized arrays
-    at once, so a chunk's working set stays within half the limit, or
-    within the limit where `elliptic_size_error` admits one larger block.
+    The blocks, symmetrised in place, and the copy of one block eigvalsh
+    works on hold at most two block-sized arrays at once, so a chunk's
+    working set stays within a quarter of the limit, or within the limit
+    where `elliptic_size_error` admits one larger block.
     """
     nt = _block_time(m)
     block = momentum_block_bytes((nt,), m.spinor_dim)
@@ -558,9 +558,16 @@ def _momentum_chunks(m):
 
 
 def _min_eigenvalue(blocks):
-    """Smallest eigenvalue of the Hermitian parts of blocks it overwrites."""
-    blocks += np.conj(np.swapaxes(blocks, -1, -2))
-    blocks *= 0.5
+    """Smallest eigenvalue of the Hermitian parts of blocks it overwrites.
+
+    eigvalsh reads the lower triangle alone, so only that is symmetrised,
+    (b_ij + conj(b_ji)) / 2 for j <= i, one row at a time: the temporary
+    is one row of each block.
+    """
+    for i in range(blocks.shape[-1]):
+        row = blocks[..., i, :i + 1]
+        row += np.conj(blocks[..., :i + 1, i])
+        row *= 0.5
     return float(np.linalg.eigvalsh(blocks).min())
 
 
@@ -574,7 +581,8 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
     diagonalised in chunks of momenta (`_momentum_chunks`), s x s blocks
     where u is constant, (N_t s)^2 blocks where it depends on t; on a
     clamped lattice its dense matrix, one block.  `elliptic_size_error`
-    holds both to their limits.
+    holds both to their limits, and a gamma representation that fails
+    `check_clifford` is refused.
 
     Returns (checks, payload), the payload every measured value and note.
     """
@@ -582,6 +590,7 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
     s = D.spinor_dim
     periodic = lat.boundary == "periodic"
     _require(elliptic_size_error(lat.points, lat.boundary, s))
+    require_valid(D.rep)
     # each operator is deleted after its last read: <D>^2 is formed beside D,
     # K and K D alone.  Every per-site array is taken on the stored sites.
     K = D.temporal_commutator()[D._stored]
@@ -608,7 +617,7 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
 
     # Krein equivalence both ways with J = i gamma^0 (normalized symmetry):
     # J D skew-Hermitian, and D^dagger = -J D J.
-    j = _site_blocks(lat, np.broadcast_to(fundamental_symmetry(D.rep), K.shape))
+    j = _site_blocks(lat, np.broadcast_to(1j * D.rep.matrices[0], K.shape))
     jd = j @ d
     krein_skew = jd.adjoint_residual(jd, weights=w)
     krein_equiv = d.adjoint_residual(jd @ j, weights=w)

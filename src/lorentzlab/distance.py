@@ -147,7 +147,8 @@ def _resolve_candidate(cand, lattice):
 class CandidatePool:
     """Candidates certified steep on one operator lattice.
 
-    `certified` holds (label, value_at) per steep candidate in input order;
+    `certified` holds (label, value_at, hermiticity_residual) per steep
+    candidate in input order, the residual that of its constraint matrices;
     `rejected` holds one {candidate, worst_margin} record per candidate that
     failed.
     """
@@ -165,16 +166,22 @@ def certify_candidates(candidates, dirac):
     operator on a clamped lattice; a periodic wrap would corrupt their
     boundary gradients.  A candidate that overflows on the lattice has NaN
     margins, which fail its sites, so its floating-point warnings are not
-    raised.  Raises when no candidate is certified.
+    raised.  A candidate that cannot be evaluated on the lattice is an
+    ExpressionError that names it.  Raises when no candidate is certified.
     """
     certified = []
     rejected = []
     for cand in candidates:
         with np.errstate(over="ignore", invalid="ignore"):
-            label, fld, value_at = _resolve_candidate(cand, dirac.lattice)
+            try:
+                label, fld, value_at = _resolve_candidate(cand, dirac.lattice)
+            except expressions.ExpressionError as exc:
+                raise expressions.ExpressionError(
+                    "candidate %r cannot be evaluated on the certification "
+                    "lattice: %s" % (cand, exc)) from exc
             report = is_steep_matrix(fld, dirac)
         if report.steep:
-            certified.append((label, value_at))
+            certified.append((label, value_at, report.hermiticity_residual))
         else:
             rejected.append({"candidate": label,
                              "worst_margin": report.worst_margin})
@@ -195,12 +202,12 @@ def variational_distance(p, q, pool):
     p, q = _events(p, q, pool.lattice)
     events = np.stack((p, q))
     gaps = []
-    for _, value_at in pool.certified:
+    for _, value_at, _ in pool.certified:
         values = value_at(events)
         gap = values[1] - values[0]
         gaps.append(np.where(gap > 0.0, gap, 0.0))      # max(0, gap)
     best = np.argmin(gaps, axis=0)
-    labels = np.array([label for label, _ in pool.certified], dtype=object)
+    labels = np.array([label for label, *_ in pool.certified], dtype=object)
     return np.min(gaps, axis=0)[()], labels[best]
 
 
@@ -243,6 +250,8 @@ def run_distance_suite(pairs, dimension, points, seed, candidates=None):
     worst_gap_high = float(np.max(gap, initial=0.0))
     rows = list(zip(range(pairs), *_separation(p, q), oracle, boosted,
                     variational, achieving))
+    # np.max keeps a NaN residual
+    herm = float(np.max([h for *_, h in pool.certified]))
     checks = (
         Check("boosted family matches oracle", worst_boosted, "<=", BOOSTED_TOL),
         Check("variational bound above oracle", worst_gap_low, ">=",
@@ -254,6 +263,7 @@ def run_distance_suite(pairs, dimension, points, seed, candidates=None):
         "seed": seed,
         "candidates": [str(c) for c in cands],
         "rejected": list(pool.rejected),
+        "max_certified_hermiticity_residual": herm,
         "max_boosted_error": worst_boosted,
         "min_variational_gap": worst_gap_low,
         "max_variational_gap": worst_gap_high,

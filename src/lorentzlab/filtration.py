@@ -21,9 +21,10 @@ Pure states extend from the bounded level by
 
 rejecting states with chi((1+T^2)^{-1/2}) = 0.  For an evaluation state at a
 point p this is literally (1+t_p^2)^{n/2} a0(p).  The noncommutative side is
-exercised on the toy algebra C^K (x) M2 (block matrices over K sites with
-fixed t-values), where T is central by construction and chi(ab) =
-chi(a) chi(b) holds for central a and any pure state.
+exercised on the toy algebra C^K (x) M2, 2x2 blocks over K = TOY_SITES
+sites, whose pure states read the block of one site with a unit vector v
+of C^2, chi(a) = conj(v) a v: chi(ab) = chi(a) chi(b) holds for central a
+(a scalar per site) and any pure state, and fails for a non-central a.
 
 The random trials of the checks are array operations: the grading spinors
 of every grade come from one draw, in the order per-trial draws would take
@@ -55,6 +56,7 @@ GRADING_TRIALS = 8           # random spinors per H_n, after the site delta
 GRADING_GRADES = (-2, -1, 0, 1, 2)   # the n of each H_n
 GRADING_SPINOR_DIM = 2
 CENTRAL_TRIALS = 500
+TOY_SITES = 8                # the K of the toy algebra C^K (x) M2
 
 
 # --------------------------------------------------------------- elements
@@ -213,37 +215,14 @@ def well_definedness_check(elem_a, elem_b, lattice, states):
 # ----------------------------------------------------------------- toy algebra
 
 
-@dataclass(frozen=True)
-class ToyAlgebra:
-    """C^K (x) M2: block-diagonal 2x2 matrices over K sites with t-values."""
-
-    t_values: tuple
-
-    @property
-    def sites(self):
-        return len(self.t_values)
-
-
-@dataclass(frozen=True)
-class ToyState:
-    """Pure state of C^K (x) M2: a site and a unit vector in C^2."""
-
-    site: int
-    vector: tuple
-
-    def __call__(self, element):
-        v = np.asarray(self.vector, dtype=complex)
-        return complex(v.conj() @ np.asarray(element)[self.site] @ v)
-
-
-def _central_panel(algebra, rng):
+def _central_panel(rng):
     """CENTRAL_TRIALS random (central a, any b, pure state) draws, in bulk.
 
     One draw per kind, real then imaginary part: the central fibers c of a,
     shape (N, K); b, shape (N, K, 2, 2); the sites of the states, shape (N,);
     and their vectors, shape (N, 2), normalised.
     """
-    n, k = CENTRAL_TRIALS, algebra.sites
+    n, k = CENTRAL_TRIALS, TOY_SITES
     c = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
     b = (rng.standard_normal((n, k, 2, 2))
          + 1j * rng.standard_normal((n, k, 2, 2)))
@@ -253,7 +232,7 @@ def _central_panel(algebra, rng):
     return c, b, sites, v
 
 
-def central_multiplicativity_check(algebra: ToyAlgebra, seed=0):
+def central_multiplicativity_check(seed=0):
     """chi(ab) = chi(a) chi(b) over CENTRAL_TRIALS random central a, b, states.
 
     The trials are one bulk panel (`_central_panel`); a state reads only its
@@ -263,23 +242,23 @@ def central_multiplicativity_check(algebra: ToyAlgebra, seed=0):
     Also records the documented non-central counterexample (a = sigma3 fiber,
     b = sigma1, angled state), which must violate multiplicativity.
     """
-    c, b, sites, v = _central_panel(algebra, default_rng(seed))
+    c, b, sites, v = _central_panel(default_rng(seed))
     trial = np.arange(CENTRAL_TRIALS)
     a = c[trial, sites, None, None] * np.eye(2)     # each a at its state's site
     b = b[trial, sites]
     ab = np.einsum("nij,njl->nil", a, b)
 
-    def chi(x):             # ToyState's conj(v) x v, for every trial at once
+    def chi(x):             # conj(v) x v, for every trial at once
         return (v.conj()[:, None, :] @ x @ v[:, :, None])[:, 0, 0]
 
     worst = float(np.max(np.abs(chi(ab) - chi(a) * chi(b))))
 
-    # explicit non-central witness; the state reads site 0 only
-    a, b = SIGMA3[None], SIGMA1[None]
+    # explicit non-central witness, at the one site its state reads
+    a, b = SIGMA3, SIGMA1
     alpha = np.pi / 8.0
-    chi = ToyState(0, (np.cos(alpha), np.sin(alpha)))
+    v = np.array([np.cos(alpha), np.sin(alpha)], dtype=complex)
     ab = a @ b
-    violation = abs(chi(ab) - chi(a) * chi(b))
+    violation = abs(v.conj() @ ab @ v - (v.conj() @ a @ v) * (v.conj() @ b @ v))
     return {
         "trials": CENTRAL_TRIALS,
         "max_central_residual": worst,
@@ -337,8 +316,7 @@ def run_filtration_suite(seed=0):
         worst_well = np.maximum(worst_well,
                                 well_definedness_check(a, b, lat, states))
 
-    toy = ToyAlgebra(tuple(np.linspace(-3.0, 3.0, 8)))
-    central = central_multiplicativity_check(toy, seed=seed)
+    central = central_multiplicativity_check(seed=seed)
     try:
         extend_state((float("inf"), 0.0), t_elem)
         unrejected = 1          # degenerate states that extend without raising

@@ -2,9 +2,10 @@
 
 A function f is steep when the per-site constraint matrix
 
-    M(x) = [D,T] ( -i gamma^mu e^mu (d_mu f)(x) + i gamma_ch )
+    M(x) = [D,T] ( -i gamma^mu e^mu (d_mu f)(x) + i gamma_ch ),
 
-is positive semidefinite everywhere (matrix mode), equivalently when
+gamma_ch the grading of the gamma representation, is positive semidefinite
+everywhere (matrix mode), equivalently when
 
     g(grad f, grad f) = -(d_t f)^2 / u + sum_i (d_i f)^2  <=  -1
     and  d_t f > 0                                           (scalar mode).
@@ -32,7 +33,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .checks import Check, verdict
-from .clifford import build_gamma, chirality
+from .clifford import build_gamma, require_valid
 from .dirac import DiracOperator, gradient_symbol
 from .lattice import ScalarField, gradient
 
@@ -55,11 +56,16 @@ def matrix_margins(grads, u, rep):
     M = [D,T] (-i c(df) + i gamma_ch) is built from gradient values: grads
     holds one array of d_mu f per axis and u the lapse, broadcast together;
     [D,T] is the symbol of the exact gradient dT = dt, and gamma_ch is
-    chirality(rep).
+    rep.grading.  A rep without a grading, or one that fails
+    `check_clifford`, is refused.
     """
+    if rep.grading is None:
+        raise ValueError("the %d-dimensional gamma representation has no "
+                         "grading" % rep.dimension)
+    require_valid(rep)
     k = gradient_symbol(rep, [1.0] + [0.0] * (len(grads) - 1), u)
     m = np.einsum("...ab,...bc->...ac", k,
-                  gradient_symbol(rep, grads, u) + 1j * chirality(rep))
+                  gradient_symbol(rep, grads, u) + 1j * rep.grading)
     mh = np.conj(np.swapaxes(m, -1, -2))
     herm = float(np.abs(m - mh).max(initial=0.0))
     return np.linalg.eigvalsh(0.5 * (m + mh))[..., 0], herm

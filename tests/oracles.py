@@ -9,30 +9,44 @@ import numpy as np
 from lorentzlab.clifford import GammaRep, max_abs
 
 
+def fundamental_symmetry(rep):
+    """J = i gamma^0, Hermitian with J^2 = 1 for a valid rep."""
+    return 1j * rep.matrices[0]
+
+
 def krein_adjoint(a, j):
     """A+ = J A* J with A* the conjugate transpose."""
     return j @ a.conj().T @ j
 
 
 def conjugated(rep, unitary):
-    """`rep` with every matrix replaced by U g U^dagger."""
+    """`rep` with every matrix, and its grading, replaced by U g U^dagger."""
     u = np.asarray(unitary, dtype=complex)
     mats = tuple(u @ g @ u.conj().T for g in rep.matrices)
-    return GammaRep(rep.dimension, mats, rep.metric_signs)
+    grading = None if rep.grading is None else u @ rep.grading @ u.conj().T
+    return GammaRep(rep.dimension, mats, rep.metric_signs, grading)
 
 
 def clifford_residuals(rep):
     """Per pair mu <= nu, |{g^mu, g^nu} - 2 g^{mu nu}|; per index, the
-    distance of g^mu from anti-Hermitian (metric sign -1) or Hermitian."""
+    distance of g^mu from anti-Hermitian (metric sign -1) or Hermitian.
+
+    A stored grading is index n, of metric sign +1: its pairs (mu, n) hold
+    its anticommutators and its square, and herm[n] its Hermiticity.
+    """
+    mats, signs = list(rep.matrices), list(rep.metric_signs)
+    if rep.grading is not None:
+        mats.append(rep.grading)
+        signs.append(1)
     eye = np.eye(rep.matrix_size)
     anti = {}
-    for mu in range(rep.dimension):
-        for nu in range(mu, rep.dimension):
-            g, h = rep.matrices[mu], rep.matrices[nu]
-            target = 2.0 * rep.metric_signs[mu] * eye if mu == nu else 0.0
+    for mu in range(len(mats)):
+        for nu in range(mu, len(mats)):
+            g, h = mats[mu], mats[nu]
+            target = 2.0 * signs[mu] * eye if mu == nu else 0.0
             anti[(mu, nu)] = max_abs(g @ h + h @ g - target)
     herm = tuple(max_abs(g - sign * g.conj().T) for g, sign
-                 in zip(rep.matrices, rep.metric_signs))
+                 in zip(mats, signs))
     return anti, herm
 
 

@@ -5,14 +5,13 @@ import time
 import numpy as np
 
 from lorentzlab import cli
-from lorentzlab.clifford import (build_gamma, check_clifford, chirality,
-                                 fundamental_symmetry, max_abs)
+from lorentzlab.clifford import build_gamma, check_clifford, max_abs
 from lorentzlab.dirac import DiracOperator, check_temporal_axioms, flat_operator
 from lorentzlab.distance import (boosted_candidate_expressions,
                                  boosted_family_distance, certify_candidates,
                                  minkowski_oracle, variational_distance)
 from lorentzlab.expressions import compile_expression
-from lorentzlab.filtration import (FilteredElement, ToyAlgebra,
+from lorentzlab.filtration import (FilteredElement,
                                    central_multiplicativity_check,
                                    operator_norm_grading_check,
                                    submultiplicativity_residual,
@@ -20,7 +19,7 @@ from lorentzlab.filtration import (FilteredElement, ToyAlgebra,
 from lorentzlab.lattice import Lattice
 from lorentzlab.moyal import run_moyal_suite
 from lorentzlab.steepness import equivalence_scan
-from oracles import krein_adjoint
+from oracles import fundamental_symmetry, krein_adjoint
 
 
 def _criterion(name, ok, detail=""):
@@ -46,7 +45,7 @@ def test_gamma_algebra_exact():
             assert max_abs(krein_adjoint(g, j) + g) <= 1e-14
 
         if n % 2 == 0:
-            ch = chirality(rep)
+            ch = rep.grading
             assert max_abs(ch - np.diag(np.diag(ch))) == 0.0
             assert max_abs(ch @ ch - eye) == 0.0
             for g in rep.matrices:
@@ -222,8 +221,7 @@ def test_filtered_algebra_suite():
     assert worst_slack <= 1e-12
     assert worst_ext <= 1e-12
 
-    toy = ToyAlgebra(tuple(np.linspace(-3.0, 3.0, 8)))
-    cent = central_multiplicativity_check(toy, seed=42)
+    cent = central_multiplicativity_check(seed=42)
     assert cent["max_central_residual"] <= 1e-13
     assert abs(cent["counterexample_residual"] - 0.5) <= 1e-12
     elapsed = time.perf_counter() - start

@@ -478,12 +478,25 @@ def test_overflowing_candidate_leaves_stderr_clean(tmp_path):
 def test_zero_to_a_negative_power_is_a_division_by_zero(tmp_path):
     # x = -3 at site 0 of the candidates' box: both pools are refused alike,
     # before any check line and with no numpy warning
-    runs = [_cli_process(["distance", "--candidates", cand, "t"], tmp_path)
-            for cand in ("t+0*(x+3)^-1", "t+0/(x+3)")]
-    for done in runs:
+    for cand in ("t+0*(x+3)^-1", "t+0/(x+3)"):
+        done = _cli_process(["distance", "--candidates", cand, "t"], tmp_path)
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.splitlines() == [
-            "config error: division by zero at site 0 (0, 0)"]
+            "config error: candidate %r cannot be evaluated on the "
+            "certification lattice: division by zero at site 0 (0, 0)" % cand]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_candidate_that_cannot_be_evaluated_is_named(tmp_path, capsys):
+    # sqrt(t) parses, but t = -3 at site 0 of the certification box: the
+    # refusal names it among the candidates, before any check line
+    argv = ["distance", "--candidates", "t", "sqrt(t)", "2*t"]
+    assert run(argv, tmp_path) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "config error: candidate 'sqrt(t)' cannot be evaluated on the "
+        "certification lattice: sqrt of negative value at site 0 (0, 0)"]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from lorentzlab.checks import verdict
-from lorentzlab.clifford import (GammaRep, build_gamma, check_clifford,
-                                 chirality, fundamental_symmetry, max_abs)
-from oracles import clifford_residuals, conjugated, krein_adjoint
+from lorentzlab.clifford import GammaRep, build_gamma, check_clifford, max_abs
+from lorentzlab.dirac import DiracOperator, check_temporal_axioms
+from lorentzlab.lattice import Lattice
+from lorentzlab.steepness import equivalence_scan, matrix_margins
+from oracles import (clifford_residuals, conjugated, fundamental_symmetry,
+                     krein_adjoint)
 
 
 def assert_maxima_match_oracle(rep, report, rel=0.0):
@@ -46,8 +49,14 @@ def test_metric_signs():
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_chirality(n):
     rep = build_gamma(n)
-    gam = chirality(rep)
+    gam = rep.grading
     s = rep.matrix_size
+    assert not gam.flags.writeable
+    # (-i)^{n/2+1} gamma^0 ... gamma^{n-1}, the product taken left to right
+    prod = np.eye(s)
+    for g in rep.matrices:
+        prod = prod @ g
+    assert np.array_equal(gam, (-1j) ** (n // 2 + 1) * prod)
     assert max_abs(gam - gam.conj().T) == 0.0
     assert max_abs(gam @ gam - np.eye(s)) == 0.0
     for g in rep.matrices:
@@ -57,13 +66,23 @@ def test_chirality(n):
 
 
 def test_chirality_two_dimensions_is_sigma3():
-    gam = chirality(build_gamma(2))
+    gam = build_gamma(2).grading
     assert np.array_equal(gam, np.diag([1.0 + 0j, -1.0]))
 
 
 def test_chirality_needs_even_dimension():
-    with pytest.raises(ValueError):
-        chirality(build_gamma(3))
+    for n in (3, 5, 7):
+        rep = build_gamma(n)
+        assert rep.grading is None
+        # the steepness matrix reads the grading, and names the dimension
+        # of a rep that has none
+        with pytest.raises(ValueError, match="%d-dimensional" % n):
+            matrix_margins([np.ones(1)] * n, 1.0, rep)
+    with pytest.raises(ValueError, match="3-dimensional"):
+        equivalence_scan(4, seed=0, dimension=3)
+    ungraded = GammaRep(2, build_gamma(2).matrices, (-1, 1))
+    with pytest.raises(ValueError, match="2-dimensional"):
+        matrix_margins([np.ones(1)] * 2, 1.0, ungraded)
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -167,3 +186,47 @@ def test_build_gamma_rejects_bad_dimension():
         build_gamma(1)
     with pytest.raises(ValueError):
         build_gamma(0)
+
+
+def _regraded(rep, grading):
+    return GammaRep(rep.dimension, rep.matrices, rep.metric_signs, grading)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_check_clifford_checks_the_grading(n):
+    # the grading is generator n+1 of metric sign +1: a scaled one fails its
+    # square, one that commutes fails the anticommutators, and each residual
+    # is the loop oracle's
+    rep = build_gamma(n)
+    eye = np.eye(rep.matrix_size, dtype=complex)
+    for grading, anti, herm in ((2.0 * rep.grading, 6.0, 0.0),
+                                (eye, 2.0, 0.0),
+                                (1j * rep.grading, 4.0, 2.0)):
+        bad = _regraded(rep, grading)
+        checks, report = check_clifford(bad)
+        assert not report["passed"] and not verdict(checks)["passed"]
+        assert report["max_anticommutator_residual"] == pytest.approx(anti)
+        assert report["max_hermiticity_residual"] == pytest.approx(herm)
+        assert_maxima_match_oracle(bad, report, rel=1e-15)
+
+
+def test_conjugating_the_gammas_alone_breaks_the_grading():
+    rep = build_gamma(4)
+    rng = np.random.RandomState(5)
+    q, _ = np.linalg.qr(rng.randn(4, 4) + 1j * rng.randn(4, 4))
+    rot = conjugated(rep, q)
+    _, report = check_clifford(_regraded(rot, rep.grading))
+    assert not report["passed"]
+    assert_maxima_match_oracle(_regraded(rot, rep.grading), report, rel=1e-12)
+
+
+def test_readers_refuse_a_rep_that_fails_check_clifford():
+    rep = build_gamma(2)
+    lat = Lattice(((0.0, 4.0), (0.0, 4.0)), (4, 4))
+    for bad in (GammaRep(2, (rep.matrices[0], 2.0 * rep.matrices[1]),
+                         rep.metric_signs, rep.grading),
+                _regraded(rep, 2.0 * rep.grading)):
+        with pytest.raises(ValueError, match="fails the Clifford relations"):
+            matrix_margins([np.ones(1), np.zeros(1)], 1.0, bad)
+        with pytest.raises(ValueError, match="fails the Clifford relations"):
+            check_temporal_axioms(DiracOperator(bad, lat))

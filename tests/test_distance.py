@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -192,7 +194,7 @@ def test_pool_rejects_a_candidate_whose_gradients_overflow():
     with pytest.raises(ValueError, match="no steep candidates"):
         certify_candidates(["t+1e308*x"], op)
     pool = certify_candidates(["t+1e308*x", "t"], op)
-    assert [label for label, _ in pool.certified] == ["t"]
+    assert [label for label, *_ in pool.certified] == ["t"]
     assert [r["candidate"] for r in pool.rejected] == ["t+1e308*x"]
     assert np.isnan(pool.rejected[0]["worst_margin"])
 
@@ -226,7 +228,7 @@ def test_filtered_time_element_matches_the_time_expression():
     # rule: for the time element that is (1+t^2)^{1/2} t/sqrt(1+t^2) = t
     op = suite_op()
     pool = certify_candidates([FilteredElement.time_element()], op)
-    assert [label for label, _ in pool.certified] == ["T"]
+    assert [label for label, *_ in pool.certified] == ["T"]
     assert pool.rejected == ()
     events = np.random.default_rng(7).uniform(-PAIR_EXTENT, PAIR_EXTENT,
                                               size=(50, 2, 2))
@@ -249,7 +251,7 @@ def test_filtered_element_of_half_the_time_is_refused():
         certify_candidates([half], suite_op())
     pool = certify_candidates([half, FilteredElement.time_element()],
                               suite_op())
-    assert [label for label, _ in pool.certified] == ["T"]
+    assert [label for label, *_ in pool.certified] == ["T"]
     (record,) = pool.rejected
     assert record["candidate"] == "T/2" and record["worst_margin"] < 0
 
@@ -285,6 +287,27 @@ def test_distance_suite_certifies_each_candidate_once(monkeypatch):
     checks, payload, rows = run_distance_suite(25, 2, 8, 1)
     assert len(rows) == 25 and payload["passed"]
     assert len(calls) == len(payload["candidates"]) == 4
+
+
+def test_distance_payload_keeps_the_largest_certified_hermiticity_residual(
+        monkeypatch):
+    # max |M - M^dagger| of each certificate, over the certified candidates
+    # alone; a NaN residual is kept (an artifact writes it as null)
+    _, payload, _ = run_distance_suite(5, 2, 16, 42)
+    pool = certify_candidates(payload["candidates"], suite_op())
+    assert payload["max_certified_hermiticity_residual"] == max(
+        herm for *_, herm in pool.certified)
+    certify = distance.is_steep_matrix
+    for residuals, want in (([1e-16, 5.0, 3e-16], 3e-16),
+                            ([0.0, 5.0, np.nan], np.nan)):
+        given = iter(residuals)
+        monkeypatch.setattr(distance, "is_steep_matrix", lambda f, D: (
+            dataclasses.replace(certify(f, D), hermiticity_residual=next(given))))
+        _, payload, _ = run_distance_suite(5, 2, 12, 42,
+                                           candidates=["t", "0.5*t", "1.25*t"])
+        assert [r["candidate"] for r in payload["rejected"]] == ["0.5*t"]
+        np.testing.assert_equal(payload["max_certified_hermiticity_residual"],
+                                want)
 
 
 def test_distance_suite_certifies_on_the_sampled_box():

@@ -6,8 +6,7 @@ import pytest
 from lorentzlab import filtration
 from lorentzlab.expressions import compile_expression
 from lorentzlab.filtration import (GRADING_GRADES, GRADING_SPINOR_DIM,
-                                   GRADING_TRIALS, FilteredElement,
-                                   ToyAlgebra, ToyState,
+                                   GRADING_TRIALS, TOY_SITES, FilteredElement,
                                    central_multiplicativity_check,
                                    extend_state, operator_norm_grading_check,
                                    run_filtration_suite,
@@ -167,25 +166,24 @@ def test_well_definedness_rejects_mismatch():
 
 # ------------------------------------------------------------- toy algebra
 
-def toy():
-    return ToyAlgebra(tuple(np.linspace(-3.0, 3.0, 8)))
-
-
-def central_element(alg, fiber_values):
-    """c_k times the 2x2 identity at site k; shape (sites, 2, 2)."""
+def central_element(fiber_values):
+    """c_k times the 2x2 identity at site k; shape (TOY_SITES, 2, 2)."""
     c = np.asarray(fiber_values)
-    if c.shape != (alg.sites,):
+    if c.shape != (TOY_SITES,):
         raise ValueError("need one fiber value per site (%d), got shape %s"
-                         % (alg.sites, c.shape))
+                         % (TOY_SITES, c.shape))
     return np.asarray(c[:, None, None] * np.eye(2), dtype=complex)
 
 
-def time_element(alg):
-    return central_element(alg, alg.t_values)
+def state_value(site, vector, element):
+    """The pure state of C^K (x) M2 at a site, with a unit vector v of C^2:
+    conj(v) a v of the element's block a there."""
+    v = np.asarray(vector, dtype=complex)
+    return complex(v.conj() @ np.asarray(element)[site] @ v)
 
 
 def test_central_multiplicativity():
-    rep = central_multiplicativity_check(toy(), seed=0)
+    rep = central_multiplicativity_check(seed=0)
     assert rep["trials"] == 500
     assert rep["max_central_residual"] <= 1e-13
     assert rep["counterexample_residual"] == pytest.approx(0.5, abs=1e-12)
@@ -194,39 +192,41 @@ def test_central_multiplicativity():
 
 
 def test_toy_state_is_normalized():
-    alg = toy()
-    ident = central_element(alg, np.ones(alg.sites))
-    st = ToyState(3, (1.0, 0.0))
-    assert st(ident) == 1.0
+    # every state of the panel, and the counterexample's, is a state: it
+    # reads 1 on the identity
+    ident = central_element(np.ones(TOY_SITES))
+    _, _, sites, v = filtration._central_panel(np.random.default_rng(0))
+    alpha = np.pi / 8.0
+    for site, vector in [*zip(sites, v), (0, (np.cos(alpha), np.sin(alpha)))]:
+        assert state_value(int(site), vector, ident) == pytest.approx(
+            1.0, rel=0, abs=1e-15)
+    assert state_value(3, (1.0, 0.0), ident) == 1.0
 
 
 def test_central_element_is_a_scalar_per_site():
-    alg = toy()
-    c = np.arange(alg.sites) - 2.5j
-    a = central_element(alg, c)
-    assert a.shape == (alg.sites, 2, 2) and a.dtype == complex
-    for k in range(alg.sites):
+    c = np.arange(TOY_SITES) - 2.5j
+    a = central_element(c)
+    assert a.shape == (TOY_SITES, 2, 2) and a.dtype == complex
+    for k in range(TOY_SITES):
         assert np.array_equal(a[k], c[k] * np.eye(2))
-    assert np.array_equal(time_element(alg),
-                          central_element(alg, np.array(alg.t_values)))
     with pytest.raises(ValueError, match="per site"):
-        central_element(alg, np.ones(alg.sites - 1))
+        central_element(np.ones(TOY_SITES - 1))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42])
 def test_central_residual_is_the_per_trial_loop_over_the_panel(seed):
-    alg = toy()
-    c, b, sites, v = filtration._central_panel(alg, np.random.default_rng(seed))
-    assert c.shape == (500, alg.sites) and b.shape == (500, alg.sites, 2, 2)
+    c, b, sites, v = filtration._central_panel(np.random.default_rng(seed))
+    assert c.shape == (500, TOY_SITES) and b.shape == (500, TOY_SITES, 2, 2)
     assert np.allclose(np.linalg.norm(v, axis=1), 1.0, rtol=0, atol=1e-15)
     chi_ab, chi_a, chi_b = np.empty((3, 500), dtype=complex)
     for i in range(500):
-        a = central_element(alg, c[i])
-        chi = ToyState(int(sites[i]), tuple(v[i]))
-        chi_ab[i] = chi(np.einsum("kij,kjl->kil", a, b[i]))
-        chi_a[i], chi_b[i] = chi(a), chi(b[i])
+        a = central_element(c[i])
+        site, vector = int(sites[i]), tuple(v[i])
+        chi_ab[i] = state_value(site, vector, np.einsum("kij,kjl->kil", a, b[i]))
+        chi_a[i] = state_value(site, vector, a)
+        chi_b[i] = state_value(site, vector, b[i])
     want = float(np.max(np.abs(chi_ab - chi_a * chi_b)))
-    assert central_multiplicativity_check(alg, seed=seed)[
+    assert central_multiplicativity_check(seed=seed)[
         "max_central_residual"] == want
 
 

@@ -1,5 +1,7 @@
 import ast
+import importlib
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -159,6 +161,45 @@ def test_src_never_counts_references():
     imported = {alias.name for tree in trees.values() for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "getrefcount" not in _loaded_names(trees) | imported
+
+
+ARTIFACT_SUFFIXES = {"json", "csv"}      # `distance.json` names a file
+
+
+def _package_roots():
+    """Each module of the package, the package itself and each class the
+    package defines, by the name a README token starts with."""
+    roots = {"lorentzlab": lorentzlab}
+    for module in _src_trees():
+        mod = importlib.import_module("lorentzlab." + module)
+        roots.setdefault(module, mod)
+        for name, obj in vars(mod).items():
+            if inspect.isclass(obj) and obj.__module__ == mod.__name__:
+                roots[name] = obj
+    return roots
+
+
+def test_every_dotted_readme_name_resolves():
+    # a backticked README token that is exactly a dotted name rooted at the
+    # package must name something that exists
+    roots = _package_roots()
+    tokens = {token for token in re.findall(r"`([^`\n]+)`",
+                                            (ROOT / "README.md").read_text())
+              if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+", token)
+              and token.split(".")[0] in roots
+              and token.rpartition(".")[2] not in ARTIFACT_SUFFIXES}
+    assert len(tokens) >= 25
+
+    def resolves(token):
+        root, *attrs = token.split(".")
+        obj = roots[root]
+        for attr in attrs:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+
+    assert sorted(t for t in tokens if not resolves(t)) == []
 
 
 def _requirement_names(requirements):
