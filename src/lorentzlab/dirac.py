@@ -26,9 +26,12 @@ with spatial translations and the arrays are stored once per time slice,
 with shape (N_t, 1, ..., 1).  numpy broadcasting spreads either over the
 lattice.  A clamped lattice, or a lapse with any spatial spread, keeps one
 value per site.  Every shape gives the same entries, so every residual is
-the same.  The
-probe-built `dense_matrix` is the independent route D is checked against:
-by the tests, and by the suite itself up to ORACLE_LIMIT dense dimensions.
+the same.  `D.u` and `D.temporal_commutator()` are such arrays: the lapse
+and K = [D,T] on the stored sites.  `elliptic_square(d, k, kd)` forms the
+stencil <D>^2 = -1/2 (D K D K + K D K D) from the operators of D, K and
+K D.  The probe-built `dense_matrix` is the independent route D is
+checked against: by the tests, and by the suite itself up to ORACLE_LIMIT
+dense dimensions.
 It pushes a block of unit probes at a time through `apply`, as one stack
 of spinor fields, so every column equals `apply` on its probe without one
 `apply` call per column.
@@ -56,7 +59,7 @@ from .checks import Check
 from .clifford import GammaRep, build_gamma, max_abs, require_valid
 from .lattice import Lattice, ScalarField, SpinorField, gradient, slices
 
-DENSE_LIMIT = 4096       # dense_dim of the clamped <D>^2 block and elliptic_square
+DENSE_LIMIT = 4096       # dense_dim of dense_matrix and the clamped <D>^2 block
 ORACLE_LIMIT = 512       # dense_dim up to which the suite probes dense_matrix
 SITE_LIMIT = 65536       # lattice sites any command may allocate fields on
 MOMENTUM_BYTES_LIMIT = 2 ** 25   # one chunk of periodic <D>^2 momentum blocks
@@ -80,7 +83,8 @@ class DiracOperator:
     Its per-site arrays live on the sites `_stored_sites` picks: one for
     the whole lattice when D commutes with every translation (u constant),
     one per time slice when it commutes with spatial translations, else
-    every site.
+    every site.  `u` is the lapse on those sites, read-only; like every
+    per-site array of D it broadcasts against lattice-shaped fields.
     """
 
     def __init__(self, rep: GammaRep, lattice: Lattice, conformal_u=None):
@@ -104,8 +108,8 @@ class DiracOperator:
                 raise ValueError("conformal factor u must depend on t only "
                                  "(axis %d spread %.3e)" % (axis, spread))
         self._stored = _stored_sites(lattice, u)
-        self._u = u[self._stored].copy()    # not a view that keeps u whole
-        self.u = np.broadcast_to(self._u, lattice.shape)   # read-only
+        self.u = u[self._stored].copy()    # not a view that keeps u whole
+        self.u.flags.writeable = False
 
     @property
     def spinor_dim(self):
@@ -119,8 +123,8 @@ class DiracOperator:
         """e^mu diagonal factor: u^{-1/2} for time, 1 for space, on the
         stored sites (it broadcasts against lattice-shaped fields)."""
         if axis == 0:
-            return 1.0 / np.sqrt(self._u)
-        return np.ones(self._u.shape)
+            return 1.0 / np.sqrt(self.u)
+        return np.ones(self.u.shape)
 
     def apply(self, psi: SpinorField) -> SpinorField:
         """D on a spinor field, or a stack of them (`dense_matrix` probes):
@@ -146,17 +150,15 @@ class DiracOperator:
         if f.lattice != self.lattice:
             raise ValueError("scalar lives on a different lattice")
         grads = [gradient(f, mu).values for mu in range(self.lattice.dimension)]
-        return gradient_symbol(self.rep, grads, self._u)
+        return gradient_symbol(self.rep, grads, self.u)
 
     def temporal_commutator(self):
         """[D, T] at symbol level: -i gamma^0 u^{-1/2}(x), exact per site.
 
-        Returns an array of shape lattice.shape + (s, s), a read-only
-        broadcast of the stored sites.
+        Returns an array of the shape of `u` + (s, s), on the stored sites.
         """
         dt = [1.0] + [0.0] * (self.lattice.dimension - 1)
-        k = gradient_symbol(self.rep, dt, self._u)
-        return np.broadcast_to(k, self.lattice.shape + k.shape[-2:])
+        return gradient_symbol(self.rep, dt, self.u)
 
     # ------------------------------------------------------------ matrices
 
@@ -170,7 +172,7 @@ class DiracOperator:
         coefficient in every row, so an axis stored once keeps one.
         """
         lat, s = self.lattice, self.spinor_dim
-        shape = self._u.shape
+        shape = self.u.shape
         diagonals = {}
         for mu in range(lat.dimension):
             e = self.vielbein(mu)[..., None]
@@ -210,7 +212,7 @@ class DiracOperator:
     def measure_weights(self):
         """Per-site metric measure sqrt(u) * quadrature weight, on the stored
         sites as `vielbein`."""
-        return self.lattice.site_weights()[self._stored] * np.sqrt(self._u)
+        return self.lattice.site_weights()[self._stored] * np.sqrt(self.u)
 
 
 def _stored_sites(lattice, u):
@@ -264,12 +266,15 @@ def elliptic_size_error(points, boundary, spinor_dim):
     """Why the suite cannot take the <D>^2 spectrum on this lattice, or None.
 
     A periodic lattice holds one `_momentum_chunks` chunk of momentum blocks
-    at a time.  That chunk's working set is at most twice its blocks, and
-    three times its blocks is held to MOMENTUM_BYTES_LIMIT.  A chunk of
-    several momenta takes at most an eighth of the limit, so only a chunk
-    of one block can overfill it.  The bound is that of the (N_t s)^2 block
-    of a lapse u(t), also where a constant lapse splits it into s x s
-    blocks, so the verdict depends on the lattice alone.  A clamped lattice is one dense block,
+    at a time, and three times its blocks is held to MOMENTUM_BYTES_LIMIT:
+    a chunk of one (N_t s)^2 block grows the peak resident set by about
+    2.2 blocks (2-d, u = 2+sin(t), 10.7 MiB and 16.0 MiB blocks at N_t =
+    418 and 512), eigvalsh's workspace included, so charging two would
+    admit lattices that overrun the limit.  A chunk of several momenta
+    takes at most an eighth of the limit, so only a chunk of one block can
+    overfill it.  The bound is that of the (N_t s)^2 block of a lapse u(t),
+    also where a constant lapse splits it into s x s blocks, so the verdict
+    depends on the lattice alone.  A clamped lattice is one dense block,
     held to DENSE_LIMIT dimensions.
     """
     if boundary != "periodic":
@@ -469,8 +474,9 @@ def _site_blocks(lattice, blocks):
                            {(zero, k): v for k, v in _diagonals(blocks)})
 
 
-def _elliptic_square(d, k, kd):
-    """-1/2 (D K D K + K D K D) from the matrices of D, K = [D,T] and K D.
+def elliptic_square(d, k, kd):
+    """<D>^2 = -1/2 (D K D K + K D K D) from the StencilOperators of D,
+    K = [D,T] and K D, as a StencilOperator.
 
     Each diagonal of K D K D is added into the diagonals of D K D K as soon
     as it is formed, and the sum is then scaled in place: K D K D is never
@@ -487,14 +493,6 @@ def _elliptic_square(d, k, kd):
     for v in m.diagonals.values():
         v *= -0.5
     return m
-
-
-def elliptic_square(D: DiracOperator):
-    """<D>^2 = -1/2 (D K D K + K D K D) with K = [D,T], as a dense matrix."""
-    _require(_dense_error(D.dense_dim, "<D>^2"))
-    d = D.sparse_matrix()
-    k = _site_blocks(D.lattice, D.temporal_commutator())
-    return _elliptic_square(d, k, k @ d).toarray()
 
 
 def _block_time(m):
@@ -592,8 +590,8 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
     _require(elliptic_size_error(lat.points, lat.boundary, s))
     require_valid(D.rep)
     # each operator is deleted after its last read: <D>^2 is formed beside D,
-    # K and K D alone.  Every per-site array is taken on the stored sites.
-    K = D.temporal_commutator()[D._stored]
+    # K and K D alone.  Every per-site array is on the stored sites.
+    K = D.temporal_commutator()
 
     herm = max_abs(K - np.conj(np.swapaxes(K, -1, -2)))
 
@@ -601,7 +599,7 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
     c = np.einsum("...aa", ksq).real / s
     eye = np.eye(s)
     dev = max_abs(ksq - c[..., None, None] * eye)
-    recip = float(np.max(np.abs(c * D._u - 1.0)))
+    recip = float(np.max(np.abs(c * D.u - 1.0)))
 
     d = D.sparse_matrix()
     assembly = None
@@ -636,7 +634,7 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
     commute = float(commute)
     del K, ksq
 
-    m = _elliptic_square(d, k, kd)
+    m = elliptic_square(d, k, kd)
     del d, k, kd
     ell_herm = m.adjoint_residual(m, np.subtract)
     if periodic:
@@ -649,7 +647,7 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
     if not periodic:
         notes.append("clamped lattice: difference adjoints hold only up to "
                      "boundary terms; skew residuals are approximate")
-    uvar = float(np.ptp(D._u))
+    uvar = float(np.ptp(D.u))
     if uvar > U_VARIATION_TOL:
         notes.append("non-constant u(t): continuum skew-self-adjointness of "
                      "[D,T]D acquires a bounded defect ~ d(u^{-1/2}); residual "
@@ -679,8 +677,8 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
         "u_square_deviation": dev,     # max per-site distance of [D,T]^2 from c 1
         "u_ax_min": float(c.min()),
         "u_ax_max": float(c.max()),
-        "u_metric_min": float(D._u.min()),
-        "u_metric_max": float(D._u.max()),
+        "u_metric_min": float(D.u.min()),
+        "u_metric_max": float(D.u.max()),
         "reciprocal_residual": recip,  # max |u_ax * u_metric - 1|
         "skew_residual": skew,
         "krein_skew_residual": krein_skew,     # || (J D)^+ + J D ||

@@ -139,12 +139,12 @@ class ScalarField:
             raise expressions.ExpressionError(
                 "variables %s not available on a %d-d lattice with axes %s"
                 % (sorted(unknown), lattice.dimension, list(lattice.axis_names)))
-        values = fn(**lattice.environment())
-        return cls(lattice, np.broadcast_to(values, lattice.shape).astype(float))
+        return cls.from_callable(lattice, fn)
 
     @classmethod
     def from_callable(cls, lattice, fn):
-        return cls(lattice, np.asarray(fn(**lattice.environment())))
+        values = fn(**lattice.environment())
+        return cls(lattice, np.broadcast_to(values, lattice.shape).astype(float))
 
 
 @dataclass

@@ -17,9 +17,10 @@ a/u +- sqrt((1+|b|^2)/u), which makes the two criteria exactly equivalent;
 
 Each route is one function of gradient values: `matrix_margins` builds M
 and returns its margins, `scalar_margins` the scalar ones.  The
-certificates `is_steep_matrix(f, D)` and `is_steep_scalar(f, D)` feed them
-the stencil gradients of f and the lapse u of D, and `equivalence_scan`
-feeds them every constant-gradient draw at once, at u = 1.
+certificate `is_steep_matrix(f, D)` feeds the matrix route the stencil
+gradients of f and the lapse u of D, kept on D's stored sites and
+broadcast against the gradients, and `equivalence_scan` feeds both routes
+every constant-gradient draw at once, at u = 1.
 
 Margins: matrix mode reports the minimal eigenvalue of M (0 on the exactly
 steep boundary), scalar mode reports -(g(grad f, grad f) + 1).  Steep means
@@ -42,12 +43,10 @@ EIG_TOL = 1e-9
 
 @dataclass
 class SteepnessReport:
-    mode: str                    # "matrix" | "scalar"
     steep: bool
     sites_failed: int
     worst_margin: float
-    hermiticity_residual: float = 0.0
-    orientation_ok: bool = True  # scalar mode: d_t f > 0 everywhere
+    hermiticity_residual: float
 
 
 def matrix_margins(grads, u, rep):
@@ -90,23 +89,10 @@ def is_steep_matrix(f: ScalarField, D: DiracOperator):
     margins, herm = matrix_margins(_stencil_gradients(f, D), D.u, D.rep)
     failed = int(np.count_nonzero(~(margins >= -EIG_TOL)))
     return SteepnessReport(
-        mode="matrix",
         steep=bool(failed == 0),
         sites_failed=failed,
         worst_margin=float(margins.min()),
         hermiticity_residual=herm,
-    )
-
-
-def is_steep_scalar(f: ScalarField, D: DiracOperator):
-    margins, oriented = scalar_margins(_stencil_gradients(f, D), D.u)
-    failed = int(np.count_nonzero(~((margins >= -EIG_TOL) & oriented)))
-    return SteepnessReport(
-        mode="scalar",
-        steep=bool(failed == 0),
-        sites_failed=failed,
-        worst_margin=float(margins.min()),
-        orientation_ok=bool(np.all(oriented)),
     )
 
 

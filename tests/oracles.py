@@ -4,9 +4,12 @@ None of these is library code: each rebuilds a quantity from its definition
 so that a test can hold the library's own route to it.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from lorentzlab.clifford import GammaRep, max_abs
+from lorentzlab.steepness import EIG_TOL, _stencil_gradients, scalar_margins
 
 
 def fundamental_symmetry(rep):
@@ -48,6 +51,25 @@ def clifford_residuals(rep):
     herm = tuple(max_abs(g - sign * g.conj().T) for g, sign
                  in zip(mats, signs))
     return anti, herm
+
+
+@dataclass
+class ScalarSteepness:
+    steep: bool
+    sites_failed: int
+    worst_margin: float
+    orientation_ok: bool         # d_t f > 0 at every site
+
+
+def is_steep_scalar(f, D):
+    """The scalar route on stencil gradients: the cross-check of
+    `is_steep_matrix`.  A site passes when -(g(df, df) + 1) >= -EIG_TOL
+    and d_t f > 0, with the lapse u of D."""
+    margins, oriented = scalar_margins(_stencil_gradients(f, D), D.u)
+    failed = int(np.count_nonzero(~((margins >= -EIG_TOL) & oriented)))
+    return ScalarSteepness(steep=bool(failed == 0), sites_failed=failed,
+                           worst_margin=float(margins.min()),
+                           orientation_ok=bool(np.all(oriented)))
 
 
 def inner_product(psi, phi, weight=None):

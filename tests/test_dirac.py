@@ -12,7 +12,7 @@ from lorentzlab.clifford import build_gamma, max_abs
 from lorentzlab.dirac import (DENSE_LIMIT, ORACLE_LIMIT, RECIPROCAL_TOL,
                               SKEW_TOL, DiracOperator,
                               check_temporal_axioms, elliptic_square,
-                              flat_operator)
+                              flat_operator, gradient_symbol)
 from lorentzlab.lattice import (Lattice, ScalarField, SpinorField, gradient,
                                slices)
 from oracles import constant_lapse_spectrum, fundamental_symmetry
@@ -73,7 +73,7 @@ def test_temporal_commutator_exact_symbol():
     op = flat_operator(2, 8, u="4")
     k = op.temporal_commutator()
     want = -1j * op.rep.matrices[0] * 0.5      # u^{-1/2} = 1/2
-    assert k.shape == op.lattice.shape + (2, 2)
+    assert k.shape == (1, 1, 2, 2)             # a constant lapse: one site
     assert np.max(np.abs(k - want)) == 0.0
     assert max_abs(k - np.conj(np.swapaxes(k, -1, -2))) == 0.0
 
@@ -257,6 +257,12 @@ def _site_operator(op, blocks):
         blocks, op.temporal_commutator().shape))
 
 
+def _full_commutator(op):
+    """K = [D,T] at every site, shape lattice.shape + (s, s)."""
+    s = op.spinor_dim
+    return np.broadcast_to(op.temporal_commutator(), op.lattice.shape + (s, s))
+
+
 @pytest.mark.parametrize("dim,points", [(2, 6), (4, 3)])
 def test_block_products_match_dense_oracles(dim, points):
     # K = [D,T] and J act per site; the suite's stencil products must agree
@@ -266,7 +272,7 @@ def test_block_products_match_dense_oracles(dim, points):
     _, rep = check_temporal_axioms(op, seed=0)
     s = op.spinor_dim
     d = op.dense_matrix()
-    k = block_diag(*op.temporal_commutator().reshape(-1, s, s))
+    k = block_diag(*_full_commutator(op).reshape(-1, s, s))
     j = np.kron(np.eye(op.lattice.site_count), fundamental_symmetry(op.rep))
     kd, dk, jd = k @ d, d @ k, j @ d
     sd = op.sparse_matrix()
@@ -282,9 +288,9 @@ def test_block_products_match_dense_oracles(dim, points):
     assert rep["skew_residual"] == max_abs(weighted_adjoint(op, kd) + kd)
     assert rep["krein_skew_residual"] == max_abs(weighted_adjoint(op, jd) + jd)
     assert rep["krein_equiv_residual"] == max_abs(weighted_adjoint(op, d) + j @ d @ j)
-    # <D>^2: the suite's residual is that of the matrix elliptic_square
-    # returns, which is within a few ulps of the zgemm product
-    got = elliptic_square(op)
+    # <D>^2: the suite's residual is that of the stencil <D>^2 made dense,
+    # which is within a few ulps of the zgemm product
+    got = _dense_square(op)
     assert rep["elliptic_hermiticity"] == max_abs(got - got.conj().T)
     assert rep["elliptic_min_eigenvalue"] == np.linalg.eigvalsh(
         0.5 * (got + got.conj().T)).min()
@@ -300,10 +306,10 @@ def test_elliptic_square_equals_csr_product_when_exact(dim, points):
     op = flat_operator(dim, points, u="4")
     s = op.spinor_dim
     d = sp.csr_matrix(op.dense_matrix())
-    k = sp.csr_matrix(block_diag(*op.temporal_commutator().reshape(-1, s, s)))
+    k = sp.csr_matrix(block_diag(*_full_commutator(op).reshape(-1, s, s)))
     dk, kd = d @ k, k @ d
     want = -0.5 * (dk @ dk + kd @ kd)
-    assert np.array_equal(elliptic_square(op), want.toarray())
+    assert np.array_equal(_dense_square(op), want.toarray())
     _, rep = check_temporal_axioms(op, seed=0)
     assert rep["elliptic_hermiticity"] == max_abs(want - want.conj().T)
 
@@ -354,14 +360,19 @@ def _dense_momentum_blocks(m, points, s, nt):
 def _commutator_operator(op):
     """K = [D,T] as a StencilOperator on the stored sites, as the suite
     forms it."""
-    return dirac._site_blocks(op.lattice, op.temporal_commutator()[op._stored])
+    return dirac._site_blocks(op.lattice, op.temporal_commutator())
 
 
 def _stencil_square(op):
     """<D>^2 in stencil form, as check_temporal_axioms forms it."""
     d = op.sparse_matrix()
     k = _commutator_operator(op)
-    return dirac._elliptic_square(d, k, k @ d)
+    return elliptic_square(d, k, k @ d)
+
+
+def _dense_square(op):
+    """The dense matrix of the stencil <D>^2."""
+    return _stencil_square(op).toarray()
 
 
 def _suite_residuals(op):
@@ -371,7 +382,7 @@ def _suite_residuals(op):
     d = op.sparse_matrix()
     kd = _commutator_operator(op) @ d
     j = dirac._site_blocks(op.lattice, np.broadcast_to(
-        fundamental_symmetry(op.rep), op.temporal_commutator()[op._stored].shape))
+        fundamental_symmetry(op.rep), op.temporal_commutator().shape))
     jd = j @ d
     m = _stencil_square(op)
     return [(kd, kd, np.add, w), (jd, jd, np.add, w), (d, jd @ j, np.add, w),
@@ -386,7 +397,7 @@ def _suite_residuals(op):
     pytest.param(3, (4, 2, 3), "1", id="4x2x3-1")])
 def test_momentum_blocks_match_dense_eigenvalues(dim, points, u):
     op = flat_operator(dim, points, u=u)
-    m = elliptic_square(op)
+    m = _dense_square(op)
     want = np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min()
     checks, rep = check_temporal_axioms(op, seed=0)
     assert abs(rep["elliptic_min_eigenvalue"] - want) <= 1e-12
@@ -433,8 +444,6 @@ def test_clamped_elliptic_check_keeps_dense_limit():
     assert op.dense_dim > DENSE_LIMIT
     with pytest.raises(ValueError, match="dense"):
         check_temporal_axioms(op)
-    with pytest.raises(ValueError, match="limit"):
-        elliptic_square(op)
 
 
 def test_periodic_elliptic_check_keeps_momentum_budget():
@@ -474,7 +483,7 @@ def test_elliptic_minimum_is_the_same_in_chunks(monkeypatch, dim, points, u):
 
 def test_elliptic_square_positive_with_zero_mode():
     op = flat_operator(2, 8)
-    m = elliptic_square(op)
+    m = _dense_square(op)
     herm = max_abs(m - m.conj().T)
     assert herm <= 1e-12
     eigs = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
@@ -649,7 +658,7 @@ def test_elliptic_square_in_place_equals_the_formula(dim, points, boundary,
     for (o, kk), v in (kd @ kd).diagonals.items():
         dirac._accumulate(total, op.lattice, o, kk, v)
     want = {key: -0.5 * v for key, v in total.items()}
-    got = dirac._elliptic_square(d, k, kd)
+    got = elliptic_square(d, k, kd)
     assert list(got.diagonals) == list(want)
     for key, v in want.items():
         assert np.array_equal(got.diagonals[key], v), key
@@ -705,7 +714,7 @@ def test_every_diagonal_key_is_a_site_offset_mod_n(dim, points, boundary, u):
     adjoint = [key for key, _ in d._adjoint_diagonals(op.measure_weights())]
     assert len(set(adjoint)) == len(adjoint) == len(d.diagonals)
     for keys in (d.diagonals, kd.diagonals,
-                 dirac._elliptic_square(d, k, kd).diagonals, adjoint):
+                 elliptic_square(d, k, kd).diagonals, adjoint):
         for o, _ in keys:
             assert all(0 <= x < n for x, n in zip(o, op.lattice.points)), o
 
@@ -724,7 +733,7 @@ def test_elliptic_square_holds_little_beside_its_result(traced_peak):
     assert op.measure_weights().shape == op.lattice.shape
     d = op.sparse_matrix()
     k = _commutator_operator(op)
-    m, peak = traced_peak(dirac._elliptic_square, d, k, k @ d)
+    m, peak = traced_peak(elliptic_square, d, k, k @ d)
     assert peak <= 1.5 * sum(v.nbytes for v in m.diagonals.values()), peak
 
 
@@ -737,6 +746,27 @@ def test_axiom_suite_holds_each_operator_only_while_it_is_read(traced_peak):
     assert peak <= 2.5 * result, peak / result
 
 
+@pytest.mark.parametrize("boundary,u,stored", [
+    ("periodic", "2", (1, 1)), ("periodic", "2+sin(t)", (6, 1)),
+    ("clamped", "2+sin(t)", (6, 5))], ids=["once", "per-slice", "every-site"])
+def test_operator_hands_out_its_stored_sites(boundary, u, stored):
+    # D.u is the lapse on the stored sites, read-only, and [D,T] is its
+    # symbol there: broadcast over the lattice, that is the symbol of the
+    # whole lapse field bit for bit
+    op = flat_operator(2, (6, 5), boundary=boundary, u=u)
+    lat, s = op.lattice, op.spinor_dim
+    assert op.u.shape == stored
+    assert not op.u.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        op.u[0, 0] = 1.0
+    full = ScalarField.from_expression(lat, u).values
+    want = gradient_symbol(op.rep, [1.0, 0.0], full)
+    got = np.broadcast_to(op.temporal_commutator(), lat.shape + (s, s))
+    assert got.shape == want.shape
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint8),
+                          want.view(np.uint8))
+
+
 def test_translation_invariant_operators_are_stored_per_time_slice():
     # an exactly constant lapse is stored once, one with no spatial
     # variation once per time slice: constancy is exact equality
@@ -745,8 +775,8 @@ def test_translation_invariant_operators_are_stored_per_time_slice():
         op = flat_operator(4, 8, u=u)
         assert op.measure_weights().shape == stored, u
         # a copy: a view of the stored sites would keep the lattice-sized u
-        assert op._u.base is None
-        assert op.u.shape == op.lattice.shape and not op.u.flags.writeable
+        assert op.u.base is None
+        assert op.u.shape == stored and not op.u.flags.writeable
         for a in (op.sparse_matrix(), _stencil_square(op)):
             assert {v.shape for v in a.diagonals.values()} == {stored + (4,)}
         # a clamped lattice keeps every site, whatever the lapse

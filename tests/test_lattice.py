@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lorentzlab.expressions import ExpressionError
+from lorentzlab.expressions import ExpressionError, compile_expression
 from lorentzlab.lattice import Lattice, ScalarField, SpinorField, gradient
 from oracles import inner_product
 
@@ -134,3 +134,19 @@ def test_field_shape_validation():
         ScalarField(lat, np.zeros((4, 5)))
     with pytest.raises(ValueError):
         SpinorField(lat, np.zeros((4, 4)))   # missing spinor axis
+
+
+def test_from_callable_is_the_sampler_of_from_expression():
+    # the expression route checks the variable names and then samples the
+    # compiled callable: the same field bit for bit
+    lat = Lattice(((0.0, 4.0), (-1.0, 1.0)), (8, 5), boundary="clamped")
+    text = "2+sin(t)*x - 0.1*t^2"
+    _, fn = compile_expression(text)
+    got = ScalarField.from_callable(lat, fn).values
+    want = ScalarField.from_expression(lat, text).values
+    assert got.dtype == want.dtype == float
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+    # a constant is broadcast to the lattice, as a writable float field
+    const = ScalarField.from_callable(lat, lambda **axes: 3)
+    assert const.values.shape == lat.shape and const.values.dtype == float
+    assert np.all(const.values == 3.0) and const.values.flags.writeable

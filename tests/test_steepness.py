@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,10 @@ from lorentzlab import steepness
 from lorentzlab.clifford import build_gamma
 from lorentzlab.dirac import flat_operator
 from lorentzlab.lattice import ScalarField
-from lorentzlab.steepness import (equivalence_scan, is_steep_matrix,
-                                  is_steep_scalar, matrix_margins,
+from lorentzlab.steepness import (EIG_TOL, SteepnessReport, equivalence_scan,
+                                  is_steep_matrix, matrix_margins,
                                   scalar_margins)
-from oracles import conjugated
+from oracles import conjugated, is_steep_scalar
 
 
 def matrix_margin(grad, rep=None, u=1.0):
@@ -188,6 +190,25 @@ def test_report_serialization():
     f = ScalarField.from_expression(op.lattice, "t")
     rep = is_steep_matrix(f, op)
     assert rep.steep is True
-    assert rep.mode == "matrix"
+    assert [fld.name for fld in dataclasses.fields(rep)] == [
+        "steep", "sites_failed", "worst_margin", "hermiticity_residual"]
     assert rep.sites_failed == 0
     assert isinstance(rep.worst_margin, float)
+
+
+@pytest.mark.parametrize("boundary,u", [
+    ("periodic", "2"), ("periodic", "2+sin(t)"), ("clamped", "2+sin(t)")],
+    ids=["once", "per-slice", "every-site"])
+def test_certificate_broadcasts_the_stored_lapse(boundary, u):
+    # is_steep_matrix reads D.u on the stored sites of D; matrix_margins fed
+    # the lattice-shaped lapse gives the same report bit for bit
+    op = flat_operator(2, (6, 5), boundary=boundary, u=u)
+    f = ScalarField.from_expression(op.lattice, "3*t - 0.3*t^2 + 0.3*sin(x)")
+    full = ScalarField.from_expression(op.lattice, u).values
+    margins, herm = matrix_margins(steepness._stencil_gradients(f, op), full,
+                                   op.rep)
+    failed = int(np.count_nonzero(~(margins >= -EIG_TOL)))
+    want = SteepnessReport(failed == 0, failed, float(margins.min()), herm)
+    got = is_steep_matrix(f, op)
+    assert 0 < got.sites_failed < op.lattice.site_count    # steep and not
+    assert repr(got) == repr(want)
