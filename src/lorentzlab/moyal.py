@@ -31,6 +31,7 @@ Membership of unbounded symbols in the unitized multiplier algebra is
 declared ("assumed"), not verified; only the numerical identities are checked.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -175,7 +176,12 @@ def star_quadrature(f, h, theta, points, lat):
     above DECAY_REFUSE for any function of its stack is a ValueError.
     Either factor may return a stack of functions, shape S + the shape of
     its arguments; the values then hold every product, shape
-    S_f + S_h + (len(points),).  Returns the values array.
+    S_f + S_h + (len(points),).  theta is one Theta or a tuple of them: a
+    tuple of T gives the values of each Theta, shape (T,) + that shape,
+    from one sampled and transformed h and one phase e^{ik.x} per point.
+    Each Theta's shifts -Theta q/2 are formed into one buffer just before
+    its own blocks, so one phase and one Theta's shifts are held at a
+    time.  Returns the values array.
     The engine owns one complex spectrum buffer of the transformed stack,
     filled from blocks of sites and transformed in place (phys_fft).  Each
     point evaluates the shifted factor one block of frequencies at a time
@@ -185,7 +191,8 @@ def star_quadrature(f, h, theta, points, lat):
     in all.  No array a callable returned is ever written.
     """
     d = lat.dimension
-    th = _theta_entries(theta, d)
+    stacked = isinstance(theta, tuple)
+    ths = [_theta_entries(t, d) for t in (theta if stacked else (theta,))]
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != d:
         raise ValueError("points must have %d coordinates" % d)
@@ -213,31 +220,57 @@ def star_quadrature(f, h, theta, points, lat):
         del v
     bd = float((edge / np.where(top > 0.0, top, 1.0)).max())
     if bd > DECAY_REFUSE:
+        box = " x ".join("[%g, %g)" % e for e in lat.extents)
         raise ValueError("transformed factor does not decay inside the box "
-                         "(boundary fraction %.3e); enlarge the box" % bd)
+                         "%s (boundary fraction %.3e)" % (box, bd))
     F, ks = phys_fft(F, lat)
 
     K = np.stack(np.meshgrid(*ks, indexing="ij"), axis=-1).reshape(-1, d)
     wq = float(np.prod([k[1] - k[0] for k in ks])) / (2.0 * np.pi) ** d
-    shifts = -0.5 * (K @ th.T)
+    shifts = np.empty_like(K)           # one Theta's -Theta q/2 at a time
     head = at(f, pts[:1].T).shape[:-1]
     count = int(np.prod(head))
     blocks = slices(len(K), BLOCK_BYTES // (32 * count))
     phased = np.empty(count * blocks[0].stop, dtype=complex)   # widest block
-    out = []
+    out = [[] for _ in ths]
     for x in pts:
         phase = wq * np.exp(1j * (K @ x))
-        got = np.zeros((count, len(W)), dtype=complex)
-        for b in blocks:
-            rows = phased[:count * (b.stop - b.start)].reshape(count, -1)
-            np.multiply(at(f, (x + shifts[b]).T).reshape(rows.shape),
-                        phase[b], out=rows)
-            got += rows @ W[:, b].T
-        out.append(got)
-    return np.stack(out, axis=-1).reshape(head + stack + (len(pts),))
+        for th, got_th in zip(ths, out):
+            np.multiply(np.matmul(K, th.T, out=shifts), -0.5, out=shifts)
+            got = np.zeros((count, len(W)), dtype=complex)
+            for b in blocks:
+                rows = phased[:count * (b.stop - b.start)].reshape(count, -1)
+                np.multiply(at(f, (x + shifts[b]).T).reshape(rows.shape),
+                            phase[b], out=rows)
+                got += rows @ W[:, b].T
+            got_th.append(got)
+    values = [np.stack(o, axis=-1).reshape(head + stack + (len(pts),))
+              for o in out]
+    return np.stack(values) if stacked else values[0]
 
 
 # ----------------------------------------------------------- twisted engine
+
+
+@functools.lru_cache(maxsize=1)
+def _twist_tables(m1, m2, spacing0, spacing1, theta):
+    """star_twisted's tables for one grid and theta, built once, read-only.
+
+    Returns (q, twist, untwist, nyquist): the regrouping q[p1, s] =
+    (s - p1) mod m1, A[p2, q1] = e^{i theta/2 k2[p2] k1[q1]} (B is its
+    conjugate), B shaped (m1, 1, m2) for a block, and the Nyquist-shell mask
+    of the frequency grid.
+    """
+    k1 = 2.0 * np.pi * fftfreq(m1, spacing0)
+    k2 = 2.0 * np.pi * fftfreq(m2, spacing1)
+    nyquist = (np.abs(k1)[:, None] > NYQUIST_SHELL * np.abs(k1).max()) \
+        | (np.abs(k2)[None, :] > NYQUIST_SHELL * np.abs(k2).max())
+    q = (np.arange(m1)[None, :] - np.arange(m1)[:, None]) % m1
+    twist = np.exp(1j * (0.5 * theta * np.outer(k1, k2)))
+    untwist = np.conj(twist)[:, None, :]
+    for table in (q, twist, untwist, nyquist):
+        table.setflags(write=False)
+    return q, twist, untwist, nyquist
 
 
 def star_twisted(f, h, lat, theta):
@@ -254,28 +287,27 @@ def star_twisted(f, h, lat, theta):
     (p1, s, .) for a block of C rows s, their product is summed over p1,
     and one inverse FFT over s gives the result.  O(M^3 log M) work, no DFT
     matrix; C = BLOCK_BYTES // (16 m1 m2), at least 1, so the two block
-    intermediates hold about 2 BLOCK_BYTES whatever the grid.
+    intermediates hold about 2 BLOCK_BYTES whatever the grid.  The index,
+    A, B and the Nyquist mask are built once per (grid, theta) and shared
+    by its products (_twist_tables).
     Warns when either factor has significant spectral content near the
     Nyquist shell (aliasing risk).  Returns (values, tails): the product on
     the grid and the two factors' spectral tail fractions.
     """
     if lat.dimension != 2 or lat.boundary != "periodic":
         raise ValueError("twisted engine needs a 2-d periodic lattice")
-    half_theta = 0.5 * float(theta)
     m1, m2 = lat.points
+    q, twist, untwist, nyquist = _twist_tables(m1, m2, lat.spacing(0),
+                                               lat.spacing(1), float(theta))
     fr = fft2(np.asarray(f, dtype=complex))
     hr = fft2(np.asarray(h, dtype=complex))
-    k1 = 2.0 * np.pi * fftfreq(m1, lat.spacing(0))
-    k2 = 2.0 * np.pi * fftfreq(m2, lat.spacing(1))
 
     def shell_fraction(spec):
         a = np.abs(spec)
         tot = float(a.sum())
         if tot == 0.0:
             return 0.0
-        mask = (np.abs(k1)[:, None] > NYQUIST_SHELL * np.abs(k1).max()) \
-            | (np.abs(k2)[None, :] > NYQUIST_SHELL * np.abs(k2).max())
-        return float(a[mask].sum()) / tot
+        return float(a[nyquist].sum()) / tot
 
     tails = (shell_fraction(fr), shell_fraction(hr))
     if max(tails) > TAIL_WARN:
@@ -283,11 +315,6 @@ def star_twisted(f, h, lat, theta):
                       "near Nyquist; result may be aliased" % tails,
                       RuntimeWarning, stacklevel=2)
 
-    # (p1, q1) regrouped by s = (p1 + q1) mod m1: q[p1, s] = (s - p1) mod m1
-    q = (np.arange(m1)[None, :] - np.arange(m1)[:, None]) % m1
-    phase = half_theta * np.outer(k1, k2)
-    twist = np.exp(1j * phase)          # A; B is its conjugate
-    untwist = np.conj(twist)[:, None, :]
     rows = np.empty((m1, m2), dtype=complex)
     for s in slices(m1, BLOCK_BYTES // (16 * m1 * m2)):
         # fa[p1, s, j2] = m2^-1 sum_p2 F[p1, p2] A[p2, q1] e^{2 pi i p2 j2/m2}
@@ -585,7 +612,9 @@ def center_time_check(theta=THETA_DEFAULT, *, points):
     Checks [f, h]_* for f = t exp(-t^2/sigma^2) against three Theta choices:
     the zero matrix, a purely spatial block (both commutative time, residual
     at tolerance), and a t-x block (non-central, residual must exceed the
-    contrast level).  Returns one case record per Theta.
+    contrast level).  One star_quadrature call on the Theta stack
+    (0, -0, S, -S, M, -M) gives both products of every case, shape (6, 3)
+    for the three points.  Returns one case record per Theta.
     """
     lat = moyal_grid(CENTER_BOX, points, dimension=3)
     s2 = CENTER_SIGMA ** 2
@@ -597,22 +626,16 @@ def center_time_check(theta=THETA_DEFAULT, *, points):
         return (1.0 + 0.3 * x + 0.2 * y) * np.exp(-(t * t + x * x + y * y) / s2)
 
     pts = [(0.0, 0.0, 0.0), (0.5, -0.3, 0.2), (1.0, 0.8, -0.6)]
-    zero = ThetaMatrix(np.zeros((3, 3)))
-    spatial = ThetaMatrix.plane_block(theta, 3, axes=(1, 2))
-    mixed = ThetaMatrix.plane_block(theta, 3, axes=(0, 1))
-
-    cases = []
-    for name, th in (("zero", zero), ("spatial_block", spatial),
-                     ("time_space_block", mixed)):
-        fh = star_quadrature(f_time, h_gauss, th, pts, lat)
-        # h *_Theta f = f *_{-Theta} h: h_gauss stays the transformed factor
-        hf = star_quadrature(f_time, h_gauss, ThetaMatrix(-th.entries), pts,
-                             lat)
-        resid = float(np.max(np.abs(fh - hf)))
-        cases.append({"theta_case": name,
-                      "commutative_time": th.commutative_time(),
-                      "commutator_residual": resid})
-    return cases
+    named = (("zero", ThetaMatrix(np.zeros((3, 3)))),
+             ("spatial_block", ThetaMatrix.plane_block(theta, 3, (1, 2))),
+             ("time_space_block", ThetaMatrix.plane_block(theta, 3, (0, 1))))
+    # one call: f *_Theta h, then h *_Theta f = f *_{-Theta} h, for each
+    # Theta, with h_gauss the transformed factor, sampled and transformed once
+    stack = tuple(m for _, th in named for m in (th, ThetaMatrix(-th.entries)))
+    both = star_quadrature(f_time, h_gauss, stack, pts, lat)
+    return [{"theta_case": name, "commutative_time": th.commutative_time(),
+             "commutator_residual": float(np.max(np.abs(fh - hf)))}
+            for (name, th), fh, hf in zip(named, both[0::2], both[1::2])]
 
 
 def twisted_identities_check(theta):

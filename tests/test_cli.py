@@ -201,7 +201,7 @@ def test_too_large_theta_is_refused_before_the_delta_check(quick, tmp_path,
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "config error: transformed factor does not decay inside the box "
-        "(boundary fraction 5.988e-01); enlarge the box"]
+        "[-7, 7) x [-7, 7) (boundary fraction 5.988e-01)"]
     assert list(tmp_path.iterdir()) == []
     assert calls == []
 

@@ -81,15 +81,18 @@ def _star(f, h, theta, points, lat, transformed, engine=star_quadrature):
 
     "second" is the engine's call (f, h, Theta) as it stands; "first" is the
     same product as h *_{-Theta} f, with the stack axes put back in f, h
-    order: S_f + S_h + (len(points),).
+    order: S_f + S_h + (len(points),), after the Theta axis of a tuple.
     """
     if transformed == "second":
         return engine(f, h, theta, points, lat)
-    minus = ThetaMatrix(-moyal._theta_entries(theta, lat.dimension))
-    got = engine(h, f, minus, points, lat)
+    lead = isinstance(theta, tuple)
+    minus = tuple(ThetaMatrix(-moyal._theta_entries(t, lat.dimension))
+                  for t in (theta if lead else (theta,)))
+    got = engine(h, f, minus if lead else minus[0], points, lat)
     n_h = np.ndim(h(**dict.fromkeys(lat.axis_names, np.zeros(1)))) - 1
-    n_f = got.ndim - 1 - n_h
-    return np.moveaxis(got, range(n_h), range(n_f, n_f + n_h))
+    n_f = got.ndim - 1 - n_h - lead
+    return np.moveaxis(got, range(lead, lead + n_h),
+                       range(lead + n_f, lead + n_f + n_h))
 
 
 def test_gaussian_closed_form_quadrature():
@@ -239,14 +242,19 @@ def _pair_stack(x, y):
                      y * np.exp(-(x * x + y * y) / 3.0)])
 
 
-# (sampled, shifted, grid, block bytes or None for BLOCK_BYTES)
+# a Theta stack: scalars, a matrix, zero and a negative zero
+THETA_STACK = (THETA, ThetaMatrix.plane_block(-0.3), 0.0,
+               ThetaMatrix(-np.zeros((2, 2))))
+# (sampled, shifted, grid, block bytes or None for BLOCK_BYTES, theta)
 STREAMED_CASES = {
-    "basis-stacks": (_basis8, _basis8, (7.0, 64), None),
-    "scalar-shift": (_basis8, moyal._damped(0, 4.0), (20.0, 64), None),
+    "basis-stacks": (_basis8, _basis8, (7.0, 64), None, THETA),
+    "scalar-shift": (_basis8, moyal._damped(0, 4.0), (20.0, 64), None, THETA),
     # 48^2 = 2304 sites: site blocks of 700 for the six transformed
     # functions, frequency blocks of 1050 for the two shifted ones
     "partial-blocks": (lambda x, y: basis_stack(3, THETA, x, y)[:2],
-                       _pair_stack, (7.0, 48), 96 * 700),
+                       _pair_stack, (7.0, 48), 96 * 700, THETA),
+    "theta-stack": (lambda x, y: basis_stack(3, THETA, x, y)[:2],
+                    _pair_stack, (7.0, 48), 96 * 700, THETA_STACK),
 }
 
 
@@ -254,16 +262,35 @@ STREAMED_CASES = {
 @pytest.mark.parametrize("case", list(STREAMED_CASES))
 def test_streamed_quadrature_equals_unstreamed_bitwise(case, transformed,
                                                        monkeypatch):
-    sampled, shifted, grid, block = STREAMED_CASES[case]
+    # a Theta stack gives, slice by slice, each Theta's own values; one
+    # Theta gives them without the leading axis
+    sampled, shifted, grid, block, theta = STREAMED_CASES[case]
     if block is not None:
         monkeypatch.setattr(moyal, "BLOCK_BYTES", block)
     f, h = ((sampled, shifted) if transformed == "first"
             else (shifted, sampled))
     lat = moyal_grid(*grid)
     pts = CROSS_ENGINE_POINTS
-    got = _star(f, h, THETA, pts, lat, transformed)
-    assert np.array_equal(got, _star(f, h, THETA, pts, lat, transformed,
-                                     engine=_quadrature_unstreamed))
+    got = _star(f, h, theta, pts, lat, transformed)
+    stacked = isinstance(theta, tuple)
+    want = [_star(f, h, t, pts, lat, transformed,
+                  engine=_quadrature_unstreamed)
+            for t in (theta if stacked else (theta,))]
+    assert np.array_equal(got, np.stack(want) if stacked else want[0])
+
+
+def test_theta_stack_of_wrong_dimension_is_refused_before_sampling():
+    calls = []
+
+    def gauss(x, y):
+        calls.append(1)
+        return np.exp(-(x * x + y * y))
+
+    lat = moyal_grid(7.0, 16)
+    stack = (THETA, ThetaMatrix.plane_block(THETA, 3))
+    with pytest.raises(ValueError, match="dimension 3 does not match"):
+        star_quadrature(gauss, gauss, stack, [(0.0, 0.0)], lat)
+    assert calls == []
 
 
 @pytest.mark.parametrize("transformed", ORIENTATIONS)
@@ -333,7 +360,8 @@ def test_streamed_decay_refusal_sees_every_block(case, transformed,
     gauss = lambda x, y: np.exp(-(x * x + y * y) / 2.0)
     f, h = (factor, gauss) if transformed == "first" else (gauss, factor)
     with pytest.raises(ValueError, match=re.escape(
-            "(boundary fraction %.3e); enlarge the box" % want.max())):
+            "inside the box [-7, 7) x [-7, 7) (boundary fraction %.3e)"
+            % want.max()) + "$"):
         _star(f, h, THETA, [(0.0, 0.0)], lat, transformed)
 
 
@@ -689,6 +717,92 @@ def test_center_time_verdicts():
     assert cases[0]["commutator_residual"] <= 1e-10
     assert cases[1]["commutator_residual"] <= 1e-10
     assert cases[2]["commutator_residual"] >= 1e-3
+
+
+def _spy(monkeypatch, name, shape_of):
+    """Replace moyal.<name> by a wrapper; returns the list of result shapes."""
+    shapes = []
+    engine = getattr(moyal, name)
+
+    def spy(*args, **kwargs):
+        got = engine(*args, **kwargs)
+        shapes.append(np.shape(shape_of(got)))
+        return got
+    monkeypatch.setattr(moyal, name, spy)
+    return shapes
+
+
+def test_center_time_check_is_one_quadrature_call(monkeypatch):
+    # the six products of the three cases, (f h, h f) for each Theta, come
+    # from one call on the Theta stack (0, -0, S, -S, M, -M)
+    shapes = _spy(monkeypatch, "star_quadrature", lambda got: got)
+    center_time_check(points=24)
+    assert shapes == [(6, 3)]
+
+
+def test_quick_suite_engine_calls(monkeypatch):
+    # cross-engine 1 + commutation 2 x 2 + center 1 quadrature calls; the
+    # cross-engine 5 + identities 8 twisted products
+    quadrature = _spy(monkeypatch, "star_quadrature", lambda got: got)
+    twisted = _spy(monkeypatch, "star_twisted", lambda got: got[0])
+    run_moyal_suite(quick=True)
+    assert len(quadrature) == 6
+    assert twisted == [(64, 64)] * 13
+
+
+def test_quick_suite_builds_its_twist_tables_once():
+    # all 13 twisted products share one grid and one theta
+    moyal._twist_tables.cache_clear()
+    run_moyal_suite(quick=True)
+    info = moyal._twist_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 12)
+
+
+def test_twist_tables_are_read_only():
+    lat = moyal_grid(7.0, 64)
+    for table in moyal._twist_tables(64, 64, lat.spacing(0), lat.spacing(1),
+                                     THETA):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 0
+
+
+@pytest.mark.parametrize("points", [(64, 64), (9, 7)])
+def test_twist_tables_follow_grid_and_theta(points):
+    # a product after one at another theta, and after one on another grid,
+    # is still the unblocked reference's bit for bit
+    lat = Lattice(((-7.0, 7.0), (-6.0, 6.5)), points, boundary="periodic",
+                  axis_names=("x", "y"))
+    x, y = lat.coordinate_array(0), lat.coordinate_array(1)
+    fv = (1.0 + x + 0.5j * y) * np.exp(-(x * x + y * y) / 3.0)
+    hv = (y - 0.5 * x) * np.exp(-(x * x + y * y) / 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # coarse grids
+        for theta in (0.5, 0.25, 0.5):
+            got, _ = star_twisted(fv, hv, lat, theta)
+            assert np.array_equal(got, _twisted_unblocked(fv, hv, lat, theta))
+
+
+def test_center_time_check_holds_one_theta_at_a_time(traced_peak):
+    # on the check's 24^3 lattice, the six-Theta call peaks no higher than
+    # one single-Theta call of the same factors but for a named slack: the
+    # six results and the stack's entries.  A second Theta's shifts held
+    # at once (24^3 x 3 floats, 324 KiB) would exceed it
+    slack = 64 * 1024
+    lat = moyal_grid(moyal.CENTER_BOX, 24, dimension=3)
+    s2 = moyal.CENTER_SIGMA ** 2
+
+    def f_time(t, x, y):
+        return t * np.exp(-t * t / s2)
+
+    def h_gauss(t, x, y):
+        return (1.0 + 0.3 * x + 0.2 * y) * np.exp(-(t * t + x * x + y * y) / s2)
+
+    pts = [(0.0, 0.0, 0.0), (0.5, -0.3, 0.2), (1.0, 0.8, -0.6)]
+    mixed = ThetaMatrix.plane_block(THETA, 3, axes=(0, 1))
+    _, one = traced_peak(star_quadrature, f_time, h_gauss, mixed, pts, lat)
+    _, peak = traced_peak(lambda: center_time_check(THETA, points=24))
+    assert peak <= one + slack, (peak, one)
 
 
 def test_trace_property(identity_residuals):
