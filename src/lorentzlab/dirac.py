@@ -17,29 +17,28 @@ are array operations on those diagonals, and its adjoint residuals
 (`adjoint_residual`) stream the diagonals of an adjoint one at a time.  Site
 offsets are taken mod n on every lattice; a clamped box is zero
 coefficients wherever a column would leave it (`_stencil`).
-`DiracOperator` picks the shape of those arrays when it is built, from u.
-On a periodic lattice whose lapse is exactly constant, D commutes with
-every translation, in time as well as space, and every per-site array
-(lapse, weights, diagonals) is stored once, with shape (1, ..., 1); where
-the lapse has no spatial variation at all but changes in time, D commutes
-with spatial translations and the arrays are stored once per time slice,
-with shape (N_t, 1, ..., 1).  numpy broadcasting spreads either over the
-lattice.  A clamped lattice, or a lapse with any spatial spread, keeps one
-value per site.  Every shape gives the same entries, so every residual is
-the same.  `D.u` and `D.temporal_commutator()` are such arrays: the lapse
-and K = [D,T] on the stored sites.  `elliptic_square(d, k, kd)` forms the
-stencil <D>^2 = -1/2 (D K D K + K D K D) from the operators of D, K and
-K D.  The probe-built `dense_matrix` is the independent route D is
-checked against: by the tests, and by the suite itself up to ORACLE_LIMIT
-dense dimensions.
+`DiracOperator` picks the shape of those arrays when it is built, by one
+rule: an axis is *waved* when it is periodic and u is exactly constant
+along it, so that D commutes with translations along it.  Every per-site
+array (lapse, weights, diagonals) keeps one site along each waved axis,
+extent 1, and every site along the others; numpy broadcasting spreads it
+over the lattice.  A constant lapse on a periodic lattice is stored once,
+shape (1, ..., 1); a lapse u(t) once per time slice, (N_t, 1, ..., 1); a
+clamped lattice keeps every site.  Every shape gives the same entries, so
+every residual is the same.  `D.u` and `D.temporal_commutator()` are such
+arrays: the lapse and K = [D,T] on the stored sites.
+`elliptic_square(d, k, kd)` forms the stencil <D>^2 = -1/2 (D K D K +
+K D K D) from the operators of D, K and K D.  The probe-built
+`dense_matrix` is the independent route D is checked against: by the
+tests, and by the suite itself up to ORACLE_LIMIT dense dimensions.
 It pushes a block of unit probes at a time through `apply`, as one stack
 of spinor fields, so every column equals `apply` on its probe without one
 `apply` call per column.
-On a periodic lattice the spectrum of the stencil <D>^2 is computed one
-momentum at a time, from the Fourier transform of its diagonals over every
-axis they are stored once on: one s x s block per space-time momentum
-when u is constant, one (N_t s)^2 block per spatial momentum when u
-depends on t.
+The spectrum of the stencil <D>^2 is computed one momentum at a time, from
+the Fourier transform of its diagonals over the waved axes: one block per
+momentum over the sites of the other axes, s x s where every axis is
+waved, (N_t s)^2 where u depends on t alone, and one dense block where no
+axis is waved.
 The symbol of [D, f], and with the exact gradient dT = dt that of [D, T],
 is `gradient_symbol` of the gradient values.
 
@@ -52,6 +51,8 @@ u_ax = [D,T]^2 = 1/u per site; the suite carries u_ax, u and the reciprocal
 residual so both conventions stay visible.
 """
 
+import math
+
 import numpy as np
 from numpy.random import default_rng
 
@@ -59,10 +60,10 @@ from .checks import Check
 from .clifford import GammaRep, build_gamma, max_abs, require_valid
 from .lattice import Lattice, ScalarField, SpinorField, gradient, slices
 
-DENSE_LIMIT = 4096       # dense_dim of dense_matrix and the clamped <D>^2 block
+DENSE_LIMIT = 4096       # dense_dim of dense_matrix and of an unwaved <D>^2
 ORACLE_LIMIT = 512       # dense_dim up to which the suite probes dense_matrix
 SITE_LIMIT = 65536       # lattice sites any command may allocate fields on
-MOMENTUM_BYTES_LIMIT = 2 ** 25   # one chunk of periodic <D>^2 momentum blocks
+MOMENTUM_BYTES_LIMIT = 2 ** 25   # one chunk of <D>^2 momentum blocks
 
 HERMITICITY_TOL = 1e-12
 U_SQUARE_TOL = 1e-13
@@ -80,10 +81,10 @@ COMMUTE_SAMPLES = 3      # random (f, psi) draws of the "[D,T] commutes" check
 class DiracOperator:
     """D on `lattice`; `conformal_u` is None (u = 1) or a ScalarField on it.
 
-    Its per-site arrays live on the sites `_stored_sites` picks: one for
-    the whole lattice when D commutes with every translation (u constant),
-    one per time slice when it commutes with spatial translations, else
-    every site.  `u` is the lapse on those sites, read-only; like every
+    `waved` holds the axes D commutes with translations along: periodic,
+    with u exactly constant along them.  Its per-site arrays live on the
+    sites `_stored_sites` picks: one along each waved axis, every site along
+    the others.  `u` is the lapse on those sites, read-only; like every
     per-site array of D it broadcasts against lattice-shaped fields.
     """
 
@@ -107,7 +108,9 @@ class DiracOperator:
             if spread > U_VARIATION_TOL * max(1.0, np.max(np.abs(u))):
                 raise ValueError("conformal factor u must depend on t only "
                                  "(axis %d spread %.3e)" % (axis, spread))
-        self._stored = _stored_sites(lattice, u)
+        self.waved = tuple(a for a, b in enumerate(lattice.boundary)
+                           if b == "periodic" and np.ptp(u, axis=a).max() == 0)
+        self._stored = _stored_sites(lattice, self.waved)
         self.u = u[self._stored].copy()    # not a view that keeps u whole
         self.u.flags.writeable = False
 
@@ -178,7 +181,8 @@ class DiracOperator:
             e = self.vielbein(mu)[..., None]
             along = [1] * (lat.dimension + 1)
             along[mu] = shape[mu]
-            for step, coeff in _stencil(lat.points[mu], lat.spacing(mu), lat.boundary):
+            for step, coeff in _stencil(lat.points[mu], lat.spacing(mu),
+                                        lat.boundary[mu]):
                 sites = tuple(step if a == mu else 0 for a in range(lat.dimension))
                 c = coeff[:shape[mu]].reshape(along)
                 for k, g in _diagonals(self.rep.matrices[mu]):
@@ -215,23 +219,11 @@ class DiracOperator:
         return self.lattice.site_weights()[self._stored] * np.sqrt(self.u)
 
 
-def _stored_sites(lattice, u):
-    """The index of the sites per-site arrays keep.
-
-    On a periodic lattice D commutes with every translation that leaves u
-    unchanged.  A lapse that is exactly constant keeps the one site x = 0,
-    shape (1, ..., 1); one with no spatial variation at all keeps x = 0 of
-    every time slice, shape (N_t, 1, ..., 1).  A clamped lattice, or any
-    spatial spread of u, keeps every site.
-    """
-    every = (slice(None),) * lattice.dimension
-    if lattice.boundary != "periodic":
-        return every
-    once = (slice(0, 1),) * lattice.dimension
-    for stored in (once, (slice(None),) + once[1:]):
-        if np.array_equal(u, np.broadcast_to(u[stored], u.shape)):
-            return stored
-    return every
+def _stored_sites(lattice, waved):
+    """The index of the sites per-site arrays keep: x = 0 along each waved
+    axis, every site along the others."""
+    return tuple(slice(0, 1) if a in waved else slice(None)
+                 for a in range(lattice.dimension))
 
 
 def gradient_symbol(rep, grads, u):
@@ -257,29 +249,34 @@ def _require(error):
 
 
 def momentum_block_bytes(points, spinor_dim):
-    """Bytes of one periodic <D>^2 momentum block over points[0] time sites:
-    (points[0] s)^2 complex entries."""
-    return (points[0] * spinor_dim) ** 2 * 16
+    """Bytes of one <D>^2 momentum block over the sites of `points`:
+    (prod(points) s)^2 complex entries."""
+    return (math.prod(points) * spinor_dim) ** 2 * 16
 
 
 def elliptic_size_error(points, boundary, spinor_dim):
     """Why the suite cannot take the <D>^2 spectrum on this lattice, or None.
 
-    A periodic lattice holds one `_momentum_chunks` chunk of momentum blocks
-    at a time, and three times its blocks is held to MOMENTUM_BYTES_LIMIT:
-    a chunk of one (N_t s)^2 block grows the peak resident set by about
-    2.2 blocks (2-d, u = 2+sin(t), 10.7 MiB and 16.0 MiB blocks at N_t =
-    418 and 512), eigvalsh's workspace included, so charging two would
-    admit lattices that overrun the limit.  A chunk of several momenta
-    takes at most an eighth of the limit, so only a chunk of one block can
-    overfill it.  The bound is that of the (N_t s)^2 block of a lapse u(t),
-    also where a constant lapse splits it into s x s blocks, so the verdict
-    depends on the lattice alone.  A clamped lattice is one dense block,
-    held to DENSE_LIMIT dimensions.
+    `boundary` is one name for every axis or one per axis.  The bound is
+    that of the block of a lapse u(t), over time and every axis that is not
+    periodic, also where a constant lapse waves time too, so the verdict
+    depends on the lattice alone.  Where that leaves no axis waved, the one
+    block is the dense <D>^2, held to DENSE_LIMIT dimensions.  Otherwise one
+    `_momentum_chunks` chunk of blocks is held at a time, and three times
+    one block is held to MOMENTUM_BYTES_LIMIT: a chunk of one (N_t s)^2
+    block grows the peak resident set by about 2.2 blocks (2-d, u =
+    2+sin(t), 10.7 MiB and 16.0 MiB blocks at N_t = 418 and 512),
+    eigvalsh's workspace included, so charging two would admit lattices
+    that overrun the limit.  A chunk of several momenta takes at most an
+    eighth of the limit, so only a chunk of one block can overfill it.
     """
-    if boundary != "periodic":
-        return _dense_error(int(np.prod(points)) * spinor_dim, "dense eigvalsh")
-    n = 3 * momentum_block_bytes(points, spinor_dim)
+    if isinstance(boundary, str):
+        boundary = (boundary,) * len(points)
+    block = points[:1] + tuple(n for n, b in zip(points[1:], boundary[1:])
+                               if b != "periodic")
+    if len(block) == len(points):
+        return _dense_error(math.prod(points) * spinor_dim, "dense eigvalsh")
+    n = 3 * momentum_block_bytes(block, spinor_dim)
     if n > MOMENTUM_BYTES_LIMIT:
         return ("one <D>^2 momentum block would need about %d bytes of "
                 "working set; limit is %d (use a coarser lattice)"
@@ -359,12 +356,12 @@ class StencilOperator:
         (A psi)[x, a] = sum_(o, k) V[x, a] psi[x + o, a XOR k].
 
     V may also have extent 1 along lattice axes, as the operators of a
-    `DiracOperator` that commutes with translations along them have: shape
-    (N_t, 1, ..., 1, s), one row per time slice, under spatial translations,
-    or (1, ..., 1, s), one row for the whole lattice, under every
-    translation.  numpy broadcasting spreads V over those axes, and
-    `_shift` does not roll them (a shift along them is the identity), so
-    products and adjoint residuals need no second code path.
+    `DiracOperator` have along its waved axes, which it commutes with
+    translations along: shape (N_t, 1, ..., 1, s), one row per time slice,
+    when those are the spatial axes, or (1, ..., 1, s), one row for the
+    whole lattice, when they are all.  numpy broadcasting spreads V over
+    those axes, and `_shift` does not roll them (a shift along them is the
+    identity), so products and adjoint residuals need no second code path.
 
     Offsets are reduced mod n on every lattice, so offsets that alias share
     one array and every matrix entry lives in exactly one diagonal.  A box
@@ -495,64 +492,62 @@ def elliptic_square(d, k, kd):
     return m
 
 
-def _block_time(m):
-    """Time sites of one `_momentum_blocks` block of m: N_t where a diagonal
-    of m varies over time slices, 1 where every diagonal is stored once."""
-    return max(v.shape[0] for v in m.diagonals.values())
+def _momentum_blocks(m, waved, momenta=slice(None)):
+    """<D>^2 as one (n s)^2 block per momentum over the `waved` axes.
 
-
-def _momentum_blocks(m, momenta=slice(None)):
-    """<D>^2 on a periodic lattice as one (n s)^2 block per momentum.
-
-    m is <D>^2 in stencil form and n = `_block_time(m)`.  u does not vary
-    over space, so every diagonal of m is the same at every spatial site;
-    with n = 1 (u constant) it is also the same in every time slice.  The
-    unitary Fourier transform over those axes, the waved axes, splits m
-    into one block per momentum p: the diagonal (o, k) adds V[t, x=0, a]
-    exp(2 pi i p.o / N), p and o over the waved axes, at row (t, a), column
-    ((t + o_t) mod n, a XOR k).  With n = N_t the waved axes are the
-    spatial ones and each block is (N_t s)^2; with n = 1 they are all the
-    axes, time included, and each block is s x s.  Returns shape (momenta,
+    m is <D>^2 in stencil form and `waved` the waved axes of its D: every
+    diagonal of m is the same at every site along them.  The unitary
+    Fourier transform over those axes splits m into one block per momentum
+    p, over the n sites x of the other axes: the diagonal (o, k) adds
+    V[x, a] exp(2 pi i p.o / N), V read at index 0 along the waved axes and
+    p and o over them, at row (x, a), column (x + o mod N, a XOR k), x and
+    o over the other axes.  With every axis waved each block is s x s; with
+    none the one block is the dense matrix of m.  Returns shape (momenta,
     n s, n s), momenta in row-major order over the waved axes; `momenta`
     slices that order.
     """
     lat, s = m.lattice, m.spinor_dim
-    nt = _block_time(m)
-    waved = 0 if nt == 1 else 1          # the first waved axis
-    sizes = lat.points[waved:]
-    index = np.arange(int(np.prod(sizes)))[momenta]
-    waves = np.stack(np.unravel_index(index, sizes), axis=-1) / np.array(sizes)
-    first = (slice(None),) + (0,) * (lat.dimension - 1)  # the t axis at x = 0
-    # diagonals that land on the same entries of a block, one (o_t mod n, k)
-    # apiece, are summed per momentum before one scatter into the blocks
+    sizes = [lat.points[a] for a in waved]
+    still = [a for a in range(lat.dimension) if a not in waved]
+    index = np.arange(math.prod(sizes))[momenta]
+    # p / N, row-major in p (unravel_index takes no empty shape)
+    waves = (np.stack(np.unravel_index(index, sizes), axis=-1) / np.array(sizes)
+             if waved else np.zeros((len(index), 0)))
+    first = tuple(0 if a in waved else slice(None) for a in range(lat.dimension))
+    # diagonals that land on the same entries of a block, one (o mod N, k)
+    # over the other axes apiece, are summed per momentum before one
+    # scatter into the blocks
     groups = {}
     for (o, k), v in m.diagonals.items():
-        groups.setdefault((o[0] % nt, k), []).append((o[waved:], v[first]))
-    out = np.zeros((len(waves), nt, s, nt, s), dtype=complex)
-    t = np.arange(nt)[:, None]
-    a = np.arange(s)
-    for (ot, k), members in groups.items():
+        groups.setdefault((tuple(o[a] for a in still), k), []).append(
+            ([o[a] for a in waved], v[first].reshape(-1, s)))
+    shape = [lat.points[a] for a in still]
+    n = math.prod(shape)
+    grid = np.arange(n).reshape(shape)      # the row of each site x
+    out = np.zeros((len(index), n, s, n, s), dtype=complex)
+    x, a = np.arange(n)[:, None], np.arange(s)
+    for (o, k), members in groups.items():
         total = 0.0
-        for o, v in members:
-            phase = np.exp(2j * np.pi * (waves @ np.array(o, dtype=float)))
+        for w, v in members:
+            phase = np.exp(2j * np.pi * (waves @ np.array(w, dtype=float)))
             total = total + phase[:, None, None] * v
-        out[:, t, a, (t + ot) % nt, a ^ k] = total
-    return out.reshape(len(waves), nt * s, nt * s)
+        out[:, x, a, _shift(grid, o).reshape(-1, 1), a ^ k] = total
+    return out.reshape(len(index), n * s, n * s)
 
 
-def _momentum_chunks(m):
-    """Slices of the momenta of `_momentum_blocks(m)` whose blocks take at
-    most MOMENTUM_BYTES_LIMIT / 8, or one momentum each where a block alone
-    is larger.
+def _momentum_chunks(m, waved):
+    """Slices of the momenta of `_momentum_blocks(m, waved)` whose blocks
+    take at most MOMENTUM_BYTES_LIMIT / 8, or one momentum each where a
+    block alone is larger.
 
     The blocks, symmetrised in place, and the copy of one block eigvalsh
     works on hold at most two block-sized arrays at once, so a chunk's
     working set stays within a quarter of the limit, or within the limit
     where `elliptic_size_error` admits one larger block.
     """
-    nt = _block_time(m)
-    block = momentum_block_bytes((nt,), m.spinor_dim)
-    return slices(m.lattice.site_count // nt, MOMENTUM_BYTES_LIMIT // (8 * block))
+    momenta = math.prod(m.lattice.points[a] for a in waved)
+    block = momentum_block_bytes((m.lattice.site_count // momenta,), m.spinor_dim)
+    return slices(momenta, MOMENTUM_BYTES_LIMIT // (8 * block))
 
 
 def _min_eigenvalue(blocks):
@@ -574,19 +569,17 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
 
     Up to ORACLE_LIMIT dense dimensions that D is also compared with
     the probe-built `dense_matrix`.  The smallest eigenvalue of <D>^2 is
-    `_min_eigenvalue` of blocks of the same stencil <D>^2 whose hermiticity
-    is checked: on a periodic lattice its `_momentum_blocks`, built and
-    diagonalised in chunks of momenta (`_momentum_chunks`), s x s blocks
-    where u is constant, (N_t s)^2 blocks where it depends on t; on a
-    clamped lattice its dense matrix, one block.  `elliptic_size_error`
-    holds both to their limits, and a gamma representation that fails
-    `check_clifford` is refused.
+    `_min_eigenvalue` of the `_momentum_blocks` over D's waved axes of the
+    same stencil <D>^2 whose hermiticity is checked, built and
+    diagonalised in chunks of momenta (`_momentum_chunks`).
+    `elliptic_size_error` holds them to their limits, and a gamma
+    representation that fails `check_clifford` is refused.
 
     Returns (checks, payload), the payload every measured value and note.
     """
     lat = D.lattice
     s = D.spinor_dim
-    periodic = lat.boundary == "periodic"
+    periodic = set(lat.boundary) == {"periodic"}
     _require(elliptic_size_error(lat.points, lat.boundary, s))
     require_valid(D.rep)
     # each operator is deleted after its last read: <D>^2 is formed beside D,
@@ -637,11 +630,8 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
     m = elliptic_square(d, k, kd)
     del d, k, kd
     ell_herm = m.adjoint_residual(m, np.subtract)
-    if periodic:
-        ell_min = min(_min_eigenvalue(_momentum_blocks(m, chunk))
-                      for chunk in _momentum_chunks(m))
-    else:
-        ell_min = _min_eigenvalue(m.toarray()[None])
+    ell_min = min(_min_eigenvalue(_momentum_blocks(m, D.waved, chunk))
+                  for chunk in _momentum_chunks(m, D.waved))
 
     notes = []
     if not periodic:
@@ -695,8 +685,9 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
 def flat_operator(dimension, points, box=None, boundary="periodic", u=None):
     """Convenience constructor: cubic box (default side = points, h = 1).
 
-    `points` is a count per axis or one count for every axis; `u` is None
-    (flat) or an expression string for the lapse.
+    `points` is a count per axis or one count for every axis, `boundary`
+    one name per axis or one for every axis; `u` is None (flat) or an
+    expression string for the lapse.
     """
     pts = tuple(points) if isinstance(points, (tuple, list)) else (points,) * dimension
     extents = tuple((0.0, float(p)) for p in pts) if box is None else tuple(box)

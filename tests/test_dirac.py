@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -243,9 +244,10 @@ def test_reparametrising_time_scales_the_payload_exactly(dim, points,
             assert scaled[key] == want, (lam, key)
 
 
-# a lapse with a spatial spread under U_VARIATION_TOL: accepted as t-only,
-# yet not translation invariant, so its operators keep every site
-FULL_STORAGE_U = "1 + 1e-13*x"
+# a lapse that varies along every axis, with a spatial spread under
+# U_VARIATION_TOL: accepted as t-only, yet constant along no axis, so its
+# operators keep every site
+FULL_STORAGE_U = {2: "1 + 1e-13*(t+x)", 4: "1 + 1e-13*(t+x+y+z)"}
 
 # The stencil products may sum in another order than zgemm; measured entry
 # differences stay below 2.2 ulps of max|<D>^2| on these lattices.
@@ -336,23 +338,24 @@ def test_sparse_matrix_equals_dense_oracle(dim, points, boundary, u):
     assert np.array_equal(op.sparse_matrix().toarray(), op.dense_matrix())
 
 
-def _dense_momentum_blocks(m, points, s, nt):
-    """Hermitian parts of the blocks F_p^H m F_p of a dense periodic <D>^2.
+def _dense_momentum_blocks(m, points, s, waved):
+    """Hermitian parts of the blocks F_p^H m F_p of a dense <D>^2.
 
-    Column (t, a) of F_p is the unit plane wave exp(2 pi i p.x / N) over
-    the waved axes (every axis for nt = 1, the spatial ones for nt = N_t),
-    times the unit vector of spinor row a and, for nt = N_t, of time slice
-    t.  Momenta p come in row-major order.
+    Column (x, a) of F_p is the unit plane wave exp(2 pi i p.y / N) over
+    the waved axes y, times the unit vectors of the site x over the other
+    axes and of spinor row a.  Momenta p come in row-major order.
     """
-    waved = 0 if nt == 1 else 1
-    waves = [np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
-             / np.sqrt(n) for n in points[waved:]]
-    f = np.eye(nt)
-    for w in waves:
-        f = np.kron(f, w)
-    # rows (t, x, a) and columns (t, p, a), split into one (t, a) block per p
-    f = np.kron(f, np.eye(s)).reshape(-1, nt, f.shape[1] // nt, s)
-    f = f.transpose(2, 0, 1, 3).reshape(-1, m.shape[0], nt * s)
+    f = np.eye(1)
+    for axis, n in enumerate(points):
+        wave = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
+        f = np.kron(f, wave / np.sqrt(n) if axis in waved else np.eye(n))
+    # rows (x, a) and columns (c, a), c the momentum along a waved axis and
+    # the site along another, split into one (x, a) block per momentum
+    still = [a for a in range(len(points)) if a not in waved]
+    f = np.kron(f, np.eye(s)).reshape((-1,) + tuple(points) + (s,))
+    f = f.transpose([1 + a for a in waved] + [0] + [1 + a for a in still]
+                    + [len(points) + 1])
+    f = f.reshape(math.prod(points[a] for a in waved), m.shape[0], -1)
     blocks = np.conj(np.swapaxes(f, 1, 2)) @ (m @ f)
     return 0.5 * (blocks + np.conj(np.swapaxes(blocks, 1, 2)))
 
@@ -405,16 +408,59 @@ def test_momentum_blocks_match_dense_eigenvalues(dim, points, u):
     # a constant lapse splits <D>^2 into s x s blocks, one per space-time
     # momentum; a lapse u(t) into (N_t s)^2 blocks, one per spatial momentum
     nt = 1 if u == "1" else pts[0]
-    blocks = dirac._momentum_blocks(_stencil_square(op))
+    blocks = dirac._momentum_blocks(_stencil_square(op), op.waved)
     assert blocks.shape == (op.lattice.site_count // nt,) + (nt * s,) * 2
     # every eigenvalue, grouped by momentum, against the dense <D>^2 taken
     # on the plane waves of each momentum
     got = np.linalg.eigvalsh(0.5 * (blocks + np.conj(np.swapaxes(blocks, 1, 2))))
-    dense = _dense_momentum_blocks(m, pts, s, nt)
+    dense = _dense_momentum_blocks(m, pts, s, op.waved)
     assert np.max(np.abs(got - np.linalg.eigvalsh(dense))) <= 1e-12
     if u == "2+sin(t)":     # the failing 3-d CLI config
         assert rep["elliptic_min_eigenvalue"] == pytest.approx(-5.0554e-3, abs=1e-7)
         assert not all(c.passed for c in checks)
+
+
+# lattices periodic along some axes and clamped along others: (boundary
+# per axis, points, u, stored sites, momentum block array)
+MIXED_LATTICES = [
+    pytest.param(("periodic", "clamped"), (8, 6), "2", (1, 6), (8, 12, 12),
+                 id="pc-8x6-u=2"),
+    pytest.param(("periodic", "clamped"), (8, 6), "2+sin(t)", (8, 6),
+                 (1, 96, 96), id="pc-8x6-u=2+sin(t)"),
+    pytest.param(("clamped", "periodic"), (6, 8), "2", (6, 1), (8, 12, 12),
+                 id="cp-6x8-u=2"),
+    pytest.param(("periodic", "clamped", "periodic"), (4, 5, 4), "1",
+                 (1, 5, 1), (16, 10, 10), id="pcp-4x5x4-u=1"),
+    pytest.param(("periodic", "periodic", "clamped"), (4, 3, 5),
+                 "2+0.5*sin(t)", (4, 1, 5), (3, 40, 40), id="ppc-4x3x5-u(t)")]
+
+
+@pytest.mark.parametrize("boundary,points,u,stored,shape", MIXED_LATTICES)
+def test_mixed_lattice_blocks_match_the_dense_oracle(boundary, points, u,
+                                                     stored, shape):
+    # one rule stores D and splits <D>^2: one site along each waved axis
+    # (periodic, u constant along it), one block per momentum over them
+    op = flat_operator(len(points), points, boundary=boundary, u=u)
+    assert op.u.shape == op.measure_weights().shape == stored
+    m = _stencil_square(op)
+    blocks = dirac._momentum_blocks(m, op.waved)
+    assert blocks.shape == shape
+    got = np.linalg.eigvalsh(0.5 * (blocks + np.conj(np.swapaxes(blocks, 1, 2))))
+    dense = m.toarray()
+    want = np.linalg.eigvalsh(0.5 * (dense + dense.conj().T))
+    tol = 1e-12 * np.abs(want).max()
+    assert np.max(np.abs(np.sort(got, axis=None) - want)) <= tol
+    # momentum by momentum, against the dense <D>^2 on its plane waves
+    oracle = _dense_momentum_blocks(dense, points, op.spinor_dim, op.waved)
+    assert np.max(np.abs(got - np.linalg.eigvalsh(oracle))) <= tol
+    _, rep = check_temporal_axioms(op, seed=0)
+    assert rep["elliptic_min_eigenvalue"] == got.min()
+    assert np.array_equal(op.sparse_matrix().toarray(), op.dense_matrix())
+    for a, b, combine, w in _suite_residuals(op):
+        dense = a.toarray()
+        adjoint = dense.conj().T if w is None else weighted_adjoint(op, dense)
+        residual = max_abs(combine(adjoint, b.toarray()))
+        assert a.adjoint_residual(b, combine, w) == residual, combine
 
 
 def test_suite_compares_sparse_d_with_probe_oracle(monkeypatch):
@@ -451,14 +497,76 @@ def test_periodic_elliptic_check_keeps_momentum_budget():
     # one block of which overfills MOMENTUM_BYTES_LIMIT, with the two
     # block-sized temporaries of its eigenvalues, is refused
     op = flat_operator(2, (1200, 2))
-    assert dirac.momentum_block_bytes(op.lattice.points, 2) > dirac.MOMENTUM_BYTES_LIMIT
+    assert dirac.momentum_block_bytes(op.lattice.points[:1], 2) > dirac.MOMENTUM_BYTES_LIMIT
     limit = dirac.MOMENTUM_BYTES_LIMIT
-    assert 3 * dirac.momentum_block_bytes((418, 2), 2) <= limit
+    assert 3 * dirac.momentum_block_bytes((418,), 2) <= limit
     assert dirac.elliptic_size_error((418, 2), "periodic", 2) is None
     assert "momentum block" in dirac.elliptic_size_error((419, 2), "periodic", 2)
     assert dirac.elliptic_size_error((16,) * 4, "periodic", 4) is None
     with pytest.raises(ValueError, match="momentum"):
         check_temporal_axioms(op)
+
+
+def _cubic_lattices():
+    """(dimension, points) of every cubic lattice the CLI admits before its
+    <D>^2 size check: 3 points or more, at most SITE_LIMIT sites."""
+    for dim in (2, 3, 4):
+        n = 3
+        while n ** dim <= dirac.SITE_LIMIT:
+            yield dim, n
+            n += 1
+
+
+def test_size_verdicts_and_chunk_counts_on_every_cubic_lattice():
+    # the verdicts and chunk counts of the rule before waved axes, one
+    # boundary for the whole lattice, written out: a periodic lattice is
+    # held to three (N_t s)^2 blocks, a clamped one is one dense block
+    limit = dirac.MOMENTUM_BYTES_LIMIT
+    for dim, n in _cubic_lattices():
+        s = build_gamma(dim).matrix_size
+        for boundary in ("periodic", "clamped"):
+            lat = Lattice(((0.0, 1.0),) * dim, (n,) * dim, boundary)
+            got = dirac.elliptic_size_error(lat.points, boundary, s)
+            assert got == dirac.elliptic_size_error(lat.points, lat.boundary, s)
+            if boundary == "periodic":
+                need = 3 * (n * s) ** 2 * 16
+                want = None if need <= limit else (
+                    "one <D>^2 momentum block would need about %d bytes of "
+                    "working set; limit is %d (use a coarser lattice)"
+                    % (need, limit))
+                # a constant lapse waves every axis, a lapse u(t) space
+                counts = {tuple(range(dim)): math.ceil(
+                              n ** dim / max(1, limit // (8 * s * s * 16))),
+                          tuple(range(1, dim)): math.ceil(
+                              n ** (dim - 1) / max(1, limit // (8 * need // 3)))}
+            else:
+                size = n ** dim * s
+                want = None if size <= DENSE_LIMIT else (
+                    "dense eigvalsh would be %d^2; limit is %d^2 (use a "
+                    "coarser lattice)" % (size, DENSE_LIMIT))
+                counts = {(): 1}
+            assert got == want, (dim, n, boundary)
+            m = dirac.StencilOperator(lat, s, {})
+            for waved, count in counts.items():
+                assert len(dirac._momentum_chunks(m, waved)) == count, waved
+
+
+def test_mixed_lattices_are_charged_the_block_of_a_lapse_u_t():
+    # the block over time and every clamped axis: with nothing else
+    # waved it is the dense <D>^2, held to DENSE_LIMIT dimensions
+    error = dirac.elliptic_size_error
+    assert error((40, 51), ("periodic", "clamped"), 2) is None
+    assert "dense eigvalsh" in error((40, 52), ("periodic", "clamped"), 2)
+    op = flat_operator(2, (40, 52), boundary=("periodic", "clamped"))
+    with pytest.raises(ValueError, match="dense eigvalsh"):
+        check_temporal_axioms(op)
+    # otherwise three momentum blocks, held to MOMENTUM_BYTES_LIMIT
+    assert error((418, 2), ("clamped", "periodic"), 2) is None
+    assert "momentum block" in error((419, 2), ("clamped", "periodic"), 2)
+    # 3-d: the block is over t and z, 19 x 22 = 418 sites, x not counted
+    assert error((19, 40, 22), ("periodic", "periodic", "clamped"), 2) is None
+    assert "momentum block" in error((19, 4, 23),
+                                     ("periodic", "periodic", "clamped"), 2)
 
 
 @pytest.mark.parametrize("dim,points,u", [(2, 8, "1 + 0.1*t"), (3, 4, "2+sin(t)"),
@@ -467,17 +575,17 @@ def test_elliptic_minimum_is_the_same_in_chunks(monkeypatch, dim, points, u):
     op = flat_operator(dim, points, u=u)
     pts, s = op.lattice.points, op.spinor_dim
     m = _stencil_square(op)
-    assert len(dirac._momentum_chunks(m)) == 1
+    assert len(dirac._momentum_chunks(m, op.waved)) == 1
     whole = check_temporal_axioms(op, seed=0)[1]["elliptic_min_eigenvalue"]
-    blocks = dirac._momentum_blocks(m)
+    blocks = dirac._momentum_blocks(m, op.waved)
     # the smallest limit that still admits the lattice: chunks of one
     # (N_t s)^2 block, or under the constant lapse of nine s x s blocks
     monkeypatch.setattr(dirac, "MOMENTUM_BYTES_LIMIT",
-                        3 * dirac.momentum_block_bytes(pts, s))
-    chunks = dirac._momentum_chunks(m)
+                        3 * dirac.momentum_block_bytes(pts[:1], s))
+    chunks = dirac._momentum_chunks(m, op.waved)
     assert len(chunks) >= 8
     assert np.array_equal(np.concatenate(
-        [dirac._momentum_blocks(m, momenta=c) for c in chunks]), blocks)
+        [dirac._momentum_blocks(m, op.waved, momenta=c) for c in chunks]), blocks)
     assert check_temporal_axioms(op, seed=0)[1]["elliptic_min_eigenvalue"] == whole
 
 
@@ -631,7 +739,7 @@ def test_hermiticity_residual_is_the_difference_with_the_adjoint(
 
 
 def test_hermiticity_residual_holds_two_diagonals_at_a_time(traced_peak):
-    op = flat_operator(4, 6, u=FULL_STORAGE_U)
+    op = flat_operator(4, 6, u=FULL_STORAGE_U[4])
     assert op.measure_weights().shape == op.lattice.shape
     m = _stencil_square(op)
     largest = max(v.nbytes for v in m.diagonals.values())
@@ -720,16 +828,41 @@ def test_every_diagonal_key_is_a_site_offset_mod_n(dim, points, boundary, u):
 
 
 def test_the_stencil_algebra_never_reads_the_boundary():
-    # the boundary lives in the coefficients `_stencil` returns alone
-    for name in ("_site_key", "_accumulate", "_shift", "StencilOperator"):
+    # the boundary lives in the coefficients `_stencil` returns alone, and
+    # the split of <D>^2 in the waved axes of D
+    for name in ("_site_key", "_accumulate", "_shift", "StencilOperator",
+                 "_momentum_blocks", "_momentum_chunks", "_min_eigenvalue"):
         assert ".boundary" not in inspect.getsource(getattr(dirac, name)), name
+    assert not hasattr(dirac, "_block_time")
+
+
+@pytest.mark.parametrize("boundary,points,calls", [
+    ("clamped", 20, 0), (("periodic", "clamped"), (24, 12), 0),
+    ("periodic", 20, 0), ("clamped", 6, 1)])
+def test_axiom_suite_takes_the_spectrum_from_blocks_alone(monkeypatch,
+                                                          boundary, points,
+                                                          calls):
+    # no operator is made dense for the <D>^2 minimum, on any boundary: the
+    # one toarray is that of D, compared with the probe-built D up to
+    # ORACLE_LIMIT
+    op = flat_operator(2, points, boundary=boundary, u="2+sin(t)")
+    assert (op.dense_dim <= ORACLE_LIMIT) == (calls == 1)
+    made = []
+    dense = dirac.StencilOperator.toarray
+
+    def counted(self):
+        made.append(self)
+        return dense(self)
+    monkeypatch.setattr(dirac.StencilOperator, "toarray", counted)
+    check_temporal_axioms(op, seed=0)
+    assert len(made) == calls
 
 
 def test_elliptic_square_holds_little_beside_its_result(traced_peak):
     # D K D K takes each diagonal of K D K D as it is formed, and the sum
     # and the scaling in place (2.04 results with K D K D held whole, 3.54
     # when their sum was a new one)
-    op = flat_operator(4, 6, u=FULL_STORAGE_U)
+    op = flat_operator(4, 6, u=FULL_STORAGE_U[4])
     assert op.measure_weights().shape == op.lattice.shape
     d = op.sparse_matrix()
     k = _commutator_operator(op)
@@ -737,9 +870,13 @@ def test_elliptic_square_holds_little_beside_its_result(traced_peak):
     assert peak <= 1.5 * sum(v.nbytes for v in m.diagonals.values()), peak
 
 
-def test_axiom_suite_holds_each_operator_only_while_it_is_read(traced_peak):
-    # 3.17 results of <D>^2 when every operator lived to the end
-    op = flat_operator(4, 8, u=FULL_STORAGE_U)
+def test_axiom_suite_holds_each_operator_only_while_it_is_read(traced_peak,
+                                                              monkeypatch):
+    # 3.17 results of <D>^2 when every operator lived to the end.  Every
+    # site is kept by force: a lapse that varies along every axis would
+    # leave no axis waved, and <D>^2 one 16384^2 block
+    _full_storage(monkeypatch)
+    op = flat_operator(4, 8, u="1 + 1e-13*t")
     assert op.measure_weights().shape == op.lattice.shape
     result = sum(v.nbytes for v in _stencil_square(op).diagonals.values())
     _, peak = traced_peak(check_temporal_axioms, op, 0)
@@ -783,14 +920,14 @@ def test_translation_invariant_operators_are_stored_per_time_slice():
         kept = flat_operator(4, 4, boundary="clamped", u=u)
         shapes = {v.shape for v in kept.sparse_matrix().diagonals.values()}
         assert shapes == {kept.lattice.shape + (4,)}, u
-    # and so does any spatial spread of the lapse
-    kept = flat_operator(4, 4, u=FULL_STORAGE_U)
+    # and so does a lapse that varies along every axis
+    kept = flat_operator(4, 4, u=FULL_STORAGE_U[4])
     shapes = {v.shape for v in kept.sparse_matrix().diagonals.values()}
     assert shapes == {kept.lattice.shape + (4,)}
 
 
 @pytest.mark.parametrize("dim,points,u", [
-    (2, 6, None), (3, (4, 3, 2), "2+sin(t)"), (2, 5, FULL_STORAGE_U),
+    (2, 6, None), (3, (4, 3, 2), "2+sin(t)"), (2, 5, FULL_STORAGE_U[2]),
     (3, 4, None), (2, (4, 3), None)])
 def test_shift_is_the_shift_of_the_broadcast_sites(dim, points, u):
     # an axis stored once is not rolled: the shift of the stored sites is
@@ -826,7 +963,7 @@ def test_constant_lapse_suite_holds_one_chunk_of_spinor_blocks(traced_peak):
     # chunk, its Hermitian-part temporary and the copy eigvalsh works on
     op = flat_operator(4, 8)
     assert op.measure_weights().shape == (1, 1, 1, 1)
-    assert len(dirac._momentum_chunks(_stencil_square(op))) == 1
+    assert len(dirac._momentum_chunks(_stencil_square(op), op.waved)) == 1
     chunk = 8 ** 4 * dirac.momentum_block_bytes((1,), 4)
     _, peak = traced_peak(check_temporal_axioms, op, 0)
     assert peak <= 2.5 * chunk, peak / chunk
@@ -839,8 +976,8 @@ def test_hermitian_part_is_formed_without_a_chunk_sized_temporary(traced_peak):
     # eigenvalues are those of the whole Hermitian part bit for bit
     op = flat_operator(2, (128, 4), u="2+sin(t)")
     m = _stencil_square(op)
-    (chunk,) = dirac._momentum_chunks(m)
-    blocks = dirac._momentum_blocks(m, chunk)
+    (chunk,) = dirac._momentum_chunks(m, op.waved)
+    blocks = dirac._momentum_blocks(m, op.waved, chunk)
     assert blocks.shape == (4, 256, 256)
     whole = np.linalg.eigvalsh(
         (blocks + np.conj(np.swapaxes(blocks, -1, -2))) * 0.5).min()
@@ -863,7 +1000,7 @@ def _storage(monkeypatch, stored):
     """Make every DiracOperator built from now on keep the sites
     stored(dimension) indexes."""
     monkeypatch.setattr(dirac, "_stored_sites",
-                        lambda lattice, u: stored(lattice.dimension))
+                        lambda lattice, waved: stored(lattice.dimension))
 
 
 def _per_slice_storage(monkeypatch):
@@ -878,10 +1015,9 @@ def _block_spectra(op):
     """Eigenvalues of the suite's momentum blocks of op, one row per
     spatial momentum: the s x s blocks of a lapse stored once are gathered
     over the time momenta of each spatial momentum, and each row sorted."""
-    m = _stencil_square(op)
-    blocks = dirac._momentum_blocks(m)
+    blocks = dirac._momentum_blocks(_stencil_square(op), op.waved)
     values = np.linalg.eigvalsh(0.5 * (blocks + np.conj(np.swapaxes(blocks, 1, 2))))
-    if dirac._block_time(m) == 1:
+    if len(op.waved) == op.lattice.dimension:
         nt = op.lattice.points[0]
         values = values.reshape(nt, -1, op.spinor_dim).swapaxes(0, 1)
     return np.sort(values.reshape(values.shape[0], -1), axis=1)
@@ -980,7 +1116,7 @@ def test_adjoint_residual_counts_an_unmet_diagonal_of_b():
 def test_weighted_adjoint_residual_holds_few_diagonals_at_a_time(traced_peak):
     # a few temporaries of one adjoint diagonal and its partner in B, never
     # the whole adjoint or sum (16.1 largest diagonals when both were held)
-    op = flat_operator(4, 6, u=FULL_STORAGE_U)
+    op = flat_operator(4, 6, u=FULL_STORAGE_U[4])
     w = op.measure_weights()
     assert w.shape == op.lattice.shape
     kd = _commutator_operator(op) @ op.sparse_matrix()
