@@ -24,9 +24,11 @@ array (lapse, weights, diagonals) keeps one site along each waved axis,
 extent 1, and every site along the others; numpy broadcasting spreads it
 over the lattice.  A constant lapse on a periodic lattice is stored once,
 shape (1, ..., 1); a lapse u(t) once per time slice, (N_t, 1, ..., 1); a
-clamped lattice keeps every site.  Every shape gives the same entries, so
-every residual is the same.  `D.u` and `D.temporal_commutator()` are such
-arrays: the lapse and K = [D,T] on the stored sites.
+clamped lattice keeps every site, and so does a periodic one along each
+axis that a spread of u under U_VARIATION_TOL leaves unwaved.  Every
+shape gives the same entries, so every residual is the same.  `D.u` and
+`D.temporal_commutator()` are such arrays: the lapse and K = [D,T] on the
+stored sites.
 `elliptic_square(d, k, kd)` forms the stencil <D>^2 = -1/2 (D K D K +
 K D K D) from the operators of D, K and K D.  The probe-built
 `dense_matrix` is the independent route D is checked against: by the
@@ -108,8 +110,8 @@ class DiracOperator:
             if spread > U_VARIATION_TOL * max(1.0, np.max(np.abs(u))):
                 raise ValueError("conformal factor u must depend on t only "
                                  "(axis %d spread %.3e)" % (axis, spread))
-        self.waved = tuple(a for a, b in enumerate(lattice.boundary)
-                           if b == "periodic" and np.ptp(u, axis=a).max() == 0)
+        self.waved = () if lattice.boundary != "periodic" else tuple(
+            a for a in range(lattice.dimension) if np.ptp(u, axis=a).max() == 0)
         self._stored = _stored_sites(lattice, self.waved)
         self.u = u[self._stored].copy()    # not a view that keeps u whole
         self.u.flags.writeable = False
@@ -181,8 +183,7 @@ class DiracOperator:
             e = self.vielbein(mu)[..., None]
             along = [1] * (lat.dimension + 1)
             along[mu] = shape[mu]
-            for step, coeff in _stencil(lat.points[mu], lat.spacing(mu),
-                                        lat.boundary[mu]):
+            for step, coeff in _stencil(lat.points[mu], lat.spacing(mu), lat.boundary):
                 sites = tuple(step if a == mu else 0 for a in range(lat.dimension))
                 c = coeff[:shape[mu]].reshape(along)
                 for k, g in _diagonals(self.rep.matrices[mu]):
@@ -249,34 +250,38 @@ def _require(error):
 
 
 def momentum_block_bytes(points, spinor_dim):
-    """Bytes of one <D>^2 momentum block over the sites of `points`:
-    (prod(points) s)^2 complex entries."""
-    return (math.prod(points) * spinor_dim) ** 2 * 16
+    """Bytes of one <D>^2 momentum block over points[0] sites:
+    (points[0] s)^2 complex entries."""
+    return (points[0] * spinor_dim) ** 2 * 16
 
 
 def elliptic_size_error(points, boundary, spinor_dim):
-    """Why the suite cannot take the <D>^2 spectrum on this lattice, or None.
-
-    `boundary` is one name for every axis or one per axis.  The bound is
-    that of the block of a lapse u(t), over time and every axis that is not
-    periodic, also where a constant lapse waves time too, so the verdict
-    depends on the lattice alone.  Where that leaves no axis waved, the one
-    block is the dense <D>^2, held to DENSE_LIMIT dimensions.  Otherwise one
-    `_momentum_chunks` chunk of blocks is held at a time, and three times
-    one block is held to MOMENTUM_BYTES_LIMIT: a chunk of one (N_t s)^2
-    block grows the peak resident set by about 2.2 blocks (2-d, u =
-    2+sin(t), 10.7 MiB and 16.0 MiB blocks at N_t = 418 and 512),
-    eigvalsh's workspace included, so charging two would admit lattices
-    that overrun the limit.  A chunk of several momenta takes at most an
-    eighth of the limit, so only a chunk of one block can overfill it.
+    """Why the suite cannot take the <D>^2 spectrum on this lattice, or None:
+    the `_block_size_error` of a lapse u(t), waved in space on a periodic
+    lattice and nowhere on a clamped one, whatever D's lapse is.
     """
-    if isinstance(boundary, str):
-        boundary = (boundary,) * len(points)
-    block = points[:1] + tuple(n for n, b in zip(points[1:], boundary[1:])
-                               if b != "periodic")
-    if len(block) == len(points):
-        return _dense_error(math.prod(points) * spinor_dim, "dense eigvalsh")
-    n = 3 * momentum_block_bytes(block, spinor_dim)
+    waved = range(1, len(points)) if boundary == "periodic" else ()
+    return _block_size_error(points, waved, spinor_dim)
+
+
+def _block_size_error(points, waved, spinor_dim):
+    """Why the `_momentum_blocks` over the `waved` axes of a lattice of
+    `points` cannot be held, or None.
+
+    With no axis waved the one block is the dense <D>^2, held to
+    DENSE_LIMIT dimensions.  Otherwise one `_momentum_chunks` chunk of
+    blocks is held at a time, and three times one block is held to
+    MOMENTUM_BYTES_LIMIT: a chunk of one (N_t s)^2 block grows the peak
+    resident set by about 2.2 blocks (2-d, u = 2+sin(t), 10.7 MiB and
+    16.0 MiB blocks at N_t = 418 and 512), eigvalsh's workspace included,
+    so charging two would admit lattices that overrun the limit.  A chunk
+    of several momenta takes at most an eighth of the limit, so only a
+    chunk of one block can overfill it.
+    """
+    sites = math.prod(n for a, n in enumerate(points) if a not in waved)
+    if not waved:
+        return _dense_error(sites * spinor_dim, "dense eigvalsh")
+    n = 3 * momentum_block_bytes((sites,), spinor_dim)
     if n > MOMENTUM_BYTES_LIMIT:
         return ("one <D>^2 momentum block would need about %d bytes of "
                 "working set; limit is %d (use a coarser lattice)"
@@ -543,7 +548,7 @@ def _momentum_chunks(m, waved):
     The blocks, symmetrised in place, and the copy of one block eigvalsh
     works on hold at most two block-sized arrays at once, so a chunk's
     working set stays within a quarter of the limit, or within the limit
-    where `elliptic_size_error` admits one larger block.
+    where `_block_size_error` admits one larger block.
     """
     momenta = math.prod(m.lattice.points[a] for a in waved)
     block = momentum_block_bytes((m.lattice.site_count // momenta,), m.spinor_dim)
@@ -572,15 +577,19 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
     `_min_eigenvalue` of the `_momentum_blocks` over D's waved axes of the
     same stencil <D>^2 whose hermiticity is checked, built and
     diagonalised in chunks of momenta (`_momentum_chunks`).
-    `elliptic_size_error` holds them to their limits, and a gamma
-    representation that fails `check_clifford` is refused.
+    `elliptic_size_error` holds the lattice, and `_block_size_error` those
+    blocks, to their limits; a gamma representation that fails
+    `check_clifford` is refused.
 
     Returns (checks, payload), the payload every measured value and note.
     """
     lat = D.lattice
     s = D.spinor_dim
-    periodic = set(lat.boundary) == {"periodic"}
-    _require(elliptic_size_error(lat.points, lat.boundary, s))
+    periodic = lat.boundary == "periodic"
+    # a spatial spread under U_VARIATION_TOL leaves space unwaved, so the
+    # blocks can outgrow the lattice's charge
+    _require(elliptic_size_error(lat.points, lat.boundary, s)
+             or _block_size_error(lat.points, D.waved, s))
     require_valid(D.rep)
     # each operator is deleted after its last read: <D>^2 is formed beside D,
     # K and K D alone.  Every per-site array is on the stored sites.
@@ -685,9 +694,8 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
 def flat_operator(dimension, points, box=None, boundary="periodic", u=None):
     """Convenience constructor: cubic box (default side = points, h = 1).
 
-    `points` is a count per axis or one count for every axis, `boundary`
-    one name per axis or one for every axis; `u` is None (flat) or an
-    expression string for the lapse.
+    `points` is a count per axis or one count for every axis; `u` is None
+    (flat) or an expression string for the lapse.
     """
     pts = tuple(points) if isinstance(points, (tuple, list)) else (points,) * dimension
     extents = tuple((0.0, float(p)) for p in pts) if box is None else tuple(box)

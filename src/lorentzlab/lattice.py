@@ -1,6 +1,6 @@
 """Uniform rectangular lattices, fields, difference stencils and quadrature.
 
-Axis 0 is time.  Two boundary modes, one name for every axis or one per axis:
+Axis 0 is time.  Two boundary modes:
 
 * "periodic": N sites per axis at min + k*h with h = (max-min)/N; the right
   endpoint is identified with the left one.  Riemann weights (h per site), so
@@ -33,27 +33,20 @@ def slices(count, step):
 class Lattice:
     extents: tuple          # ((lo, hi), ...) per axis
     points: tuple           # sites per axis
-    boundary: tuple = "periodic"    # one name for every axis, or one per axis
+    boundary: str = "periodic"
     axis_names: tuple = None
 
     def __post_init__(self):
-        names = self.boundary
-        names = (names,) * len(self.points) if isinstance(names, str) else tuple(names)
-        for name in names:
-            if name not in BOUNDARIES:
-                raise ValueError("boundary must be %s, got %r"
-                                 % (" or ".join(map(repr, BOUNDARIES)), name))
-        if len(names) != len(self.points):
-            raise ValueError("%d boundary names for %d axes"
-                             % (len(names), len(self.points)))
+        if self.boundary not in BOUNDARIES:
+            raise ValueError("boundary must be %s, got %r"
+                             % (" or ".join(map(repr, BOUNDARIES)), self.boundary))
         if len(self.extents) != len(self.points):
             raise ValueError("extents/points length mismatch")
-        for (lo, hi), n, name in zip(self.extents, self.points, names):
+        for (lo, hi), n in zip(self.extents, self.points):
             if not hi > lo:
                 raise ValueError("empty extent (%r, %r)" % (lo, hi))
-            if n < (2 if name == "periodic" else 3):
+            if n < (2 if self.boundary == "periodic" else 3):
                 raise ValueError("too few points per axis: %d" % n)
-        object.__setattr__(self, "boundary", names)
         if self.axis_names is None:
             object.__setattr__(self, "axis_names",
                                expressions.AXIS_NAMES[: self.dimension])
@@ -75,7 +68,7 @@ class Lattice:
     def spacing(self, axis):
         lo, hi = self.extents[axis]
         n = self.points[axis]
-        return (hi - lo) / (n if self.boundary[axis] == "periodic" else n - 1)
+        return (hi - lo) / (n if self.boundary == "periodic" else n - 1)
 
     @property
     def spacings(self):
@@ -90,7 +83,7 @@ class Lattice:
         """
         out = []
         for axis, ((lo, hi), n) in enumerate(zip(self.extents, self.points)):
-            if self.boundary[axis] == "periodic":
+            if self.boundary == "periodic":
                 c = lo + self.spacing(axis) * np.arange(n)
             else:
                 c = np.linspace(lo, hi, n)
@@ -106,7 +99,7 @@ class Lattice:
     def axis_weights(self, axis):
         h = self.spacing(axis)
         n = self.points[axis]
-        if self.boundary[axis] == "periodic":
+        if self.boundary == "periodic":
             return np.full(n, h)
         w = np.full(n, h)
         w[0] = w[-1] = h / 2.0
@@ -180,5 +173,5 @@ def gradient(fld, axis):
     if axis < 0 or axis >= lat.dimension:
         raise ValueError("axis %d out of range for %d-d lattice" % (axis, lat.dimension))
     h = lat.spacing(axis)
-    out = _central_diff(fld.values, axis, h, lat.boundary[axis])
+    out = _central_diff(fld.values, axis, h, lat.boundary)
     return type(fld)(lat, out)

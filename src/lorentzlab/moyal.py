@@ -294,7 +294,7 @@ def star_twisted(f, h, lat, theta):
     Nyquist shell (aliasing risk).  Returns (values, tails): the product on
     the grid and the two factors' spectral tail fractions.
     """
-    if lat.dimension != 2 or set(lat.boundary) != {"periodic"}:
+    if lat.dimension != 2 or lat.boundary != "periodic":
         raise ValueError("twisted engine needs a 2-d periodic lattice")
     m1, m2 = lat.points
     q, twist, untwist, nyquist = _twist_tables(m1, m2, lat.spacing(0),

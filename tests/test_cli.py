@@ -140,7 +140,7 @@ def test_boundaries_are_named_once(tmp_path, capsys):
     flag = next(a for a in verify._actions if a.dest == "boundary")
     assert tuple(flag.choices) == BOUNDARIES
     for boundary in BOUNDARIES:
-        assert Lattice(((0.0, 1.0),), (4,), boundary).boundary == (boundary,)
+        assert Lattice(((0.0, 1.0),), (4,), boundary).boundary == boundary
         assert rule(boundary)
     with pytest.raises(ValueError) as refused:
         Lattice(((0.0, 1.0),), (4,), "open")
@@ -247,7 +247,7 @@ def test_periodic_verify_is_held_to_the_momentum_budget(tmp_path, capsys,
         assert run(["verify", *argv], tmp_path) == 0
         assert "FAIL" not in capsys.readouterr().out
     monkeypatch.setattr(dirac, "MOMENTUM_BYTES_LIMIT",
-                        dirac.momentum_block_bytes((81,), 2) - 1)
+                        dirac.momentum_block_bytes((81, 81), 2) - 1)
     assert run(["verify", "--points", "81"], tmp_path) == 2
     captured = capsys.readouterr()
     assert "momentum block" in captured.err and captured.out == ""

@@ -420,24 +420,29 @@ def test_momentum_blocks_match_dense_eigenvalues(dim, points, u):
         assert not all(c.passed for c in checks)
 
 
-# lattices periodic along some axes and clamped along others: (boundary
-# per axis, points, u, stored sites, momentum block array)
-MIXED_LATTICES = [
-    pytest.param(("periodic", "clamped"), (8, 6), "2", (1, 6), (8, 12, 12),
-                 id="pc-8x6-u=2"),
-    pytest.param(("periodic", "clamped"), (8, 6), "2+sin(t)", (8, 6),
-                 (1, 96, 96), id="pc-8x6-u=2+sin(t)"),
-    pytest.param(("clamped", "periodic"), (6, 8), "2", (6, 1), (8, 12, 12),
-                 id="cp-6x8-u=2"),
-    pytest.param(("periodic", "clamped", "periodic"), (4, 5, 4), "1",
-                 (1, 5, 1), (16, 10, 10), id="pcp-4x5x4-u=1"),
-    pytest.param(("periodic", "periodic", "clamped"), (4, 3, 5),
-                 "2+0.5*sin(t)", (4, 1, 5), (3, 40, 40), id="ppc-4x3x5-u(t)")]
+# (boundary, points, u, stored sites, momentum block array) of lattices
+# whose lapse leaves every axis, some axes or none waved, time among them or
+# not; a spread under U_VARIATION_TOL unwaves the axes it varies along
+WAVED_LATTICES = [
+    pytest.param("periodic", (8, 6), "2", (1, 1), (48, 2, 2), id="p-8x6-u=2"),
+    pytest.param("periodic", (8, 6), "2+sin(t)", (8, 1), (6, 16, 16),
+                 id="p-8x6-u(t)"),
+    pytest.param("periodic", (8, 6), "2+1e-13*x", (1, 6), (8, 12, 12),
+                 id="p-8x6-u(x)"),
+    pytest.param("periodic", (6, 5), "1+1e-13*(t+x)", (6, 5), (1, 60, 60),
+                 id="p-6x5-u(t,x)"),
+    pytest.param("clamped", (6, 5), "2", (6, 5), (1, 60, 60), id="c-6x5-u=2"),
+    pytest.param("periodic", (4, 5, 4), "1+1e-13*x", (1, 5, 1), (16, 10, 10),
+                 id="p-4x5x4-u(x)"),
+    pytest.param("periodic", (4, 3, 5), "2+0.5*sin(t)+1e-13*y", (4, 1, 5),
+                 (3, 40, 40), id="p-4x3x5-u(t,y)"),
+    pytest.param("clamped", (4, 3, 5), "2+0.5*sin(t)", (4, 3, 5),
+                 (1, 120, 120), id="c-4x3x5-u(t)")]
 
 
-@pytest.mark.parametrize("boundary,points,u,stored,shape", MIXED_LATTICES)
-def test_mixed_lattice_blocks_match_the_dense_oracle(boundary, points, u,
-                                                     stored, shape):
+@pytest.mark.parametrize("boundary,points,u,stored,shape", WAVED_LATTICES)
+def test_waved_axes_blocks_match_the_dense_oracle(boundary, points, u, stored,
+                                                  shape):
     # one rule stores D and splits <D>^2: one site along each waved axis
     # (periodic, u constant along it), one block per momentum over them
     op = flat_operator(len(points), points, boundary=boundary, u=u)
@@ -497,9 +502,9 @@ def test_periodic_elliptic_check_keeps_momentum_budget():
     # one block of which overfills MOMENTUM_BYTES_LIMIT, with the two
     # block-sized temporaries of its eigenvalues, is refused
     op = flat_operator(2, (1200, 2))
-    assert dirac.momentum_block_bytes(op.lattice.points[:1], 2) > dirac.MOMENTUM_BYTES_LIMIT
+    assert dirac.momentum_block_bytes(op.lattice.points, 2) > dirac.MOMENTUM_BYTES_LIMIT
     limit = dirac.MOMENTUM_BYTES_LIMIT
-    assert 3 * dirac.momentum_block_bytes((418,), 2) <= limit
+    assert 3 * dirac.momentum_block_bytes((418, 2), 2) <= limit
     assert dirac.elliptic_size_error((418, 2), "periodic", 2) is None
     assert "momentum block" in dirac.elliptic_size_error((419, 2), "periodic", 2)
     assert dirac.elliptic_size_error((16,) * 4, "periodic", 4) is None
@@ -518,16 +523,15 @@ def _cubic_lattices():
 
 
 def test_size_verdicts_and_chunk_counts_on_every_cubic_lattice():
-    # the verdicts and chunk counts of the rule before waved axes, one
-    # boundary for the whole lattice, written out: a periodic lattice is
-    # held to three (N_t s)^2 blocks, a clamped one is one dense block
+    # the verdicts and chunk counts of the rule before waved axes, written
+    # out: a periodic lattice is held to three (N_t s)^2 blocks, a clamped
+    # one is one dense block
     limit = dirac.MOMENTUM_BYTES_LIMIT
     for dim, n in _cubic_lattices():
         s = build_gamma(dim).matrix_size
         for boundary in ("periodic", "clamped"):
             lat = Lattice(((0.0, 1.0),) * dim, (n,) * dim, boundary)
             got = dirac.elliptic_size_error(lat.points, boundary, s)
-            assert got == dirac.elliptic_size_error(lat.points, lat.boundary, s)
             if boundary == "periodic":
                 need = 3 * (n * s) ** 2 * 16
                 want = None if need <= limit else (
@@ -551,22 +555,25 @@ def test_size_verdicts_and_chunk_counts_on_every_cubic_lattice():
                 assert len(dirac._momentum_chunks(m, waved)) == count, waved
 
 
-def test_mixed_lattices_are_charged_the_block_of_a_lapse_u_t():
-    # the block over time and every clamped axis: with nothing else
-    # waved it is the dense <D>^2, held to DENSE_LIMIT dimensions
-    error = dirac.elliptic_size_error
-    assert error((40, 51), ("periodic", "clamped"), 2) is None
-    assert "dense eigvalsh" in error((40, 52), ("periodic", "clamped"), 2)
-    op = flat_operator(2, (40, 52), boundary=("periodic", "clamped"))
-    with pytest.raises(ValueError, match="dense eigvalsh"):
+def test_suite_charges_the_blocks_of_the_waved_axes():
+    # a spread under U_VARIATION_TOL passes the lattice's charge, which
+    # assumes space waved, but unwaves the axes it varies along: the suite
+    # is held to the blocks it would build
+    op = flat_operator(4, 8, u="1+1e-13*(t+x+y+z)")
+    assert op.waved == ()
+    assert dirac.elliptic_size_error(op.lattice.points, "periodic", 4) is None
+    with pytest.raises(ValueError, match="dense eigvalsh would be 16384"):
         check_temporal_axioms(op)
-    # otherwise three momentum blocks, held to MOMENTUM_BYTES_LIMIT
-    assert error((418, 2), ("clamped", "periodic"), 2) is None
-    assert "momentum block" in error((419, 2), ("clamped", "periodic"), 2)
-    # 3-d: the block is over t and z, 19 x 22 = 418 sites, x not counted
-    assert error((19, 40, 22), ("periodic", "periodic", "clamped"), 2) is None
-    assert "momentum block" in error((19, 4, 23),
-                                     ("periodic", "periodic", "clamped"), 2)
+    # with time and y waved, the block is over x alone: 419 x 2 overfills
+    # three momentum blocks, as a lapse u(t) over 419 time sites does
+    error = dirac._block_size_error
+    assert error((4, 418), (0,), 2) is None
+    assert error((4, 419), (0,), 2) == dirac.elliptic_size_error(
+        (419, 4), "periodic", 2)
+    op = flat_operator(2, (4, 419), u="1+1e-15*x")
+    assert op.waved == (0,)
+    with pytest.raises(ValueError, match="momentum block"):
+        check_temporal_axioms(op)
 
 
 @pytest.mark.parametrize("dim,points,u", [(2, 8, "1 + 0.1*t"), (3, 4, "2+sin(t)"),
@@ -581,7 +588,7 @@ def test_elliptic_minimum_is_the_same_in_chunks(monkeypatch, dim, points, u):
     # the smallest limit that still admits the lattice: chunks of one
     # (N_t s)^2 block, or under the constant lapse of nine s x s blocks
     monkeypatch.setattr(dirac, "MOMENTUM_BYTES_LIMIT",
-                        3 * dirac.momentum_block_bytes(pts[:1], s))
+                        3 * dirac.momentum_block_bytes(pts, s))
     chunks = dirac._momentum_chunks(m, op.waved)
     assert len(chunks) >= 8
     assert np.array_equal(np.concatenate(
@@ -836,16 +843,16 @@ def test_the_stencil_algebra_never_reads_the_boundary():
     assert not hasattr(dirac, "_block_time")
 
 
-@pytest.mark.parametrize("boundary,points,calls", [
-    ("clamped", 20, 0), (("periodic", "clamped"), (24, 12), 0),
-    ("periodic", 20, 0), ("clamped", 6, 1)])
+@pytest.mark.parametrize("boundary,points,u,calls", [
+    ("clamped", 20, "2+sin(t)", 0), ("periodic", (24, 12), "2+1e-13*(t+x)", 0),
+    ("periodic", 20, "2+sin(t)", 0), ("clamped", 6, "2+sin(t)", 1)])
 def test_axiom_suite_takes_the_spectrum_from_blocks_alone(monkeypatch,
                                                           boundary, points,
-                                                          calls):
-    # no operator is made dense for the <D>^2 minimum, on any boundary: the
-    # one toarray is that of D, compared with the probe-built D up to
-    # ORACLE_LIMIT
-    op = flat_operator(2, points, boundary=boundary, u="2+sin(t)")
+                                                          u, calls):
+    # no operator is made dense for the <D>^2 minimum, on any boundary or
+    # with no axis waved: the one toarray is that of D, compared with the
+    # probe-built D up to ORACLE_LIMIT
+    op = flat_operator(2, points, boundary=boundary, u=u)
     assert (op.dense_dim <= ORACLE_LIMIT) == (calls == 1)
     made = []
     dense = dirac.StencilOperator.toarray

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from lorentzlab import cli
 from lorentzlab.expressions import ExpressionError, compile_expression
-from lorentzlab.lattice import (BOUNDARIES, Lattice, ScalarField, SpinorField,
-                               gradient)
+from lorentzlab.lattice import Lattice, ScalarField, SpinorField, gradient
 from oracles import inner_product
 
 
 def axis_coordinates(lat, axis):
     """The 1-d site coordinates along `axis` of a lattice."""
     (lo, hi), n = lat.extents[axis], lat.points[axis]
-    if lat.boundary[axis] == "periodic":
+    if lat.boundary == "periodic":
         return lo + lat.spacing(axis) * np.arange(n)
     return np.linspace(lo, hi, n)
 
@@ -70,59 +68,6 @@ def test_validation_errors():
         Lattice(((0.0, 1.0),), (8,), boundary="open")
     with pytest.raises(ValueError):
         Lattice(((0.0, 1.0), (0.0, 1.0)), (8,))
-
-
-def test_one_boundary_name_is_that_name_on_every_axis():
-    extents, points = ((0.0, 4.0), (-1.0, 1.0), (0.0, 2.0)), (4, 5, 3)
-    for name in BOUNDARIES:
-        one = Lattice(extents, points, name)
-        per_axis = Lattice(extents, points, (name,) * 3)
-        assert one.boundary == per_axis.boundary == (name,) * 3
-        assert one == per_axis and hash(one) == hash(per_axis)
-    # so the CLI's lapse cache keys both spellings alike
-    cli._lapse.cache_clear()
-    cli._lapse(Lattice(extents, points, "clamped"), "2+sin(t)")
-    cli._lapse(Lattice(extents, points, ("clamped",) * 3), "2+sin(t)")
-    assert cli._lapse.cache_info().hits == 1
-
-
-def _bits(a):
-    return np.ascontiguousarray(a).view(np.uint8)
-
-
-@pytest.mark.parametrize("boundary", [("periodic", "clamped", "periodic"),
-                                      ("clamped", "periodic", "clamped")])
-def test_each_axis_reads_its_own_boundary(boundary):
-    # along each axis a mixed lattice is, bit for bit, the uniform lattice
-    # with that axis's boundary
-    extents, points = ((-1.0, 2.0), (0.0, 4.0), (1.0, 3.0)), (4, 5, 6)
-    mixed = Lattice(extents, points, boundary)
-    values = np.random.default_rng(0).standard_normal(points)
-    for axis, name in enumerate(boundary):
-        uniform = Lattice(extents, points, name)
-        assert _bits(mixed.spacing(axis)).tobytes() == \
-            _bits(uniform.spacing(axis)).tobytes()
-        for got, want in (
-                (mixed.axis_weights(axis), uniform.axis_weights(axis)),
-                (mixed.coordinate_array(axis), uniform.coordinate_array(axis)),
-                (gradient(ScalarField(mixed, values), axis).values,
-                 gradient(ScalarField(uniform, values), axis).values)):
-            assert got.shape == want.shape
-            assert np.array_equal(_bits(got), _bits(want)), (axis, name)
-
-
-def test_per_axis_boundary_refusals():
-    extents = ((0.0, 1.0), (0.0, 1.0))
-    for names in (("periodic",), ("periodic",) * 3):
-        with pytest.raises(ValueError, match="%d boundary names for 2 axes"
-                           % len(names)):
-            Lattice(extents, (4, 4), names)
-    with pytest.raises(ValueError, match="got 'open'"):
-        Lattice(extents, (4, 4), ("periodic", "open"))
-    with pytest.raises(ValueError, match="too few points"):
-        Lattice(extents, (4, 2), ("periodic", "clamped"))
-    # two points stay legal on a periodic axis
-    assert Lattice(extents, (2, 4), ("periodic", "clamped")).points == (2, 4)
 
 
 def test_gaussian_integral():
