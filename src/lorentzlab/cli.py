@@ -98,9 +98,10 @@ def _has_type(value, kind):
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-# commands that run the axiom suite (held to dirac.elliptic_size_error), and
-# commands whose steepness certificates need the grading of the gamma
-# representation, which only an even dimension has
+# commands that run the axiom suite (validation builds the D they run and
+# holds it to dirac.elliptic_size_error), and commands whose steepness
+# certificates need the grading of the gamma representation, which only an
+# even dimension has
 AXIOM_COMMANDS = ("verify", "report")
 EVEN_COMMANDS = ("distance", "report")
 MOYAL_COMMANDS = ("moyal", "report")    # held to moyal.basis_overflow_error
@@ -153,7 +154,7 @@ def validate_config(cfg, command):
                           "non-zero" % (cfg.box, float(h), cfg.dimension,
                                         float(weight), float(inverse)))
     if command in EVEN_COMMANDS and "dimension" in valid and cfg.dimension % 2:
-        errors.append("%s needs an even dimension (chirality), got %d"
+        errors.append("%s needs an even dimension (grading), got %d"
                       % (command, cfg.dimension))
     if command in MOYAL_COMMANDS and {"theta", "truncation", "quick"} <= valid:
         # report runs the quick suite
@@ -162,31 +163,26 @@ def validate_config(cfg, command):
         error = moyal.basis_overflow_error(n, float(cfg.theta))
         if error:
             errors.append(error)
-    axioms = command in AXIOM_COMMANDS
     if not errors and cfg.points ** cfg.dimension > dirac.SITE_LIMIT:
         errors.append("lattice too large: %d^%d sites > %d"
                       % (cfg.points, cfg.dimension, dirac.SITE_LIMIT))
-    if axioms and not errors:
-        error = dirac.elliptic_size_error(
-            (cfg.points,) * cfg.dimension, cfg.boundary,
-            clifford.build_gamma(cfg.dimension).matrix_size)
-        if error:
-            errors.append("%d^%d lattice: %s" % (cfg.points, cfg.dimension, error))
-    if axioms and not errors:
-        lat = _lattice(cfg)
-        try:
-            u = _lapse(lat, cfg.u).values
-            with np.errstate(all="ignore"):
-                # the time part of <D>^2 scales as 1/(h^2 u^2)
-                scale = 1.0 / (lat.spacing(0) * np.min(u)) ** 2
-        except ExpressionError as exc:
-            errors.append("u cannot be evaluated on the lattice: %s" % exc)
-        else:
-            if not (np.all(np.isfinite(u) & (u > 0)) and scale < math.inf):
-                errors.append("u = %r must be positive and finite at every "
-                              "site of the %d^%d lattice, and 1/(h^2 min(u)^2) "
-                              "finite" % (cfg.u, cfg.points, cfg.dimension))
-    return errors
+    if command not in AXIOM_COMMANDS or errors:
+        return errors
+    try:
+        D = _operator(_lattice(cfg), cfg.u)
+        with np.errstate(all="ignore"):
+            # the time part of <D>^2 scales as 1/(h^2 u^2)
+            finite = 1.0 / (D.lattice.spacing(0) * np.min(D.u)) ** 2 < math.inf
+    except ExpressionError as exc:
+        return ["u cannot be evaluated on the lattice: %s" % exc]
+    except ValueError:      # D refuses a u that is not finite and positive
+        finite = False
+    if not finite:
+        return ["u = %r must be positive and finite at every site of the "
+                "%d^%d lattice, and 1/(h^2 min(u)^2) finite"
+                % (cfg.u, cfg.points, cfg.dimension)]
+    error = dirac.elliptic_size_error(D)
+    return ["%d^%d lattice: %s" % (cfg.points, cfg.dimension, error)] if error else []
 
 
 def _plain(obj):
@@ -238,10 +234,12 @@ def _lattice(cfg):
 
 
 @functools.lru_cache(maxsize=1)
-def _lapse(lat, u):
-    """u on `lat`, sampled once per run, warnings off, for validation and D."""
+def _operator(lat, u):
+    """D on `lat` with the lapse u, sampled with warnings off, built once
+    per run: the operator validation judges is the one verify runs."""
     with np.errstate(all="ignore"):
-        return ScalarField.from_expression(lat, u)
+        return dirac.DiracOperator(clifford.build_gamma(lat.dimension), lat,
+                                   ScalarField.from_expression(lat, u))
 
 
 # ------------------------------------------------------------- subcommands
@@ -252,9 +250,8 @@ def _lapse(lat, u):
 def run_verify(cfg):
     gammas = [clifford.check_clifford(clifford.build_gamma(n))
               for n in (2, 3, 4, 6)]
-    u = _lapse(_lattice(cfg), cfg.u)
-    op = dirac.DiracOperator(clifford.build_gamma(cfg.dimension), u.lattice, u)
-    axiom_checks, axioms = dirac.check_temporal_axioms(op, seed=cfg.seed)
+    axiom_checks, axioms = dirac.check_temporal_axioms(
+        _operator(_lattice(cfg), cfg.u), seed=cfg.seed)
     checks = [c for gamma_checks, _ in gammas for c in gamma_checks] + axiom_checks
     payload = {"clifford": {str(gamma["dimension"]): gamma for _, gamma in gammas},
                "axioms": axioms,

@@ -105,13 +105,13 @@ class DiracOperator:
         if not np.all(np.isfinite(u) & (u > 0)):
             raise ValueError("conformal factor u must be finite and strictly "
                              "positive")
+        spread = [np.ptp(u, axis=a).max() for a in range(lattice.dimension)]
         for axis in range(1, lattice.dimension):
-            spread = np.max(np.ptp(u, axis=axis))
-            if spread > U_VARIATION_TOL * max(1.0, np.max(np.abs(u))):
+            if spread[axis] > U_VARIATION_TOL * max(1.0, np.max(np.abs(u))):
                 raise ValueError("conformal factor u must depend on t only "
-                                 "(axis %d spread %.3e)" % (axis, spread))
+                                 "(axis %d spread %.3e)" % (axis, spread[axis]))
         self.waved = () if lattice.boundary != "periodic" else tuple(
-            a for a in range(lattice.dimension) if np.ptp(u, axis=a).max() == 0)
+            a for a, w in enumerate(spread) if w == 0)
         self._stored = _stored_sites(lattice, self.waved)
         self.u = u[self._stored].copy()    # not a view that keeps u whole
         self.u.flags.writeable = False
@@ -249,24 +249,15 @@ def _require(error):
         raise ValueError(error)
 
 
-def momentum_block_bytes(points, spinor_dim):
-    """Bytes of one <D>^2 momentum block over points[0] sites:
-    (points[0] s)^2 complex entries."""
-    return (points[0] * spinor_dim) ** 2 * 16
+def momentum_block_bytes(sites, spinor_dim):
+    """Bytes of one <D>^2 momentum block over `sites` lattice sites:
+    (sites s)^2 complex entries."""
+    return (sites * spinor_dim) ** 2 * 16
 
 
-def elliptic_size_error(points, boundary, spinor_dim):
-    """Why the suite cannot take the <D>^2 spectrum on this lattice, or None:
-    the `_block_size_error` of a lapse u(t), waved in space on a periodic
-    lattice and nowhere on a clamped one, whatever D's lapse is.
-    """
-    waved = range(1, len(points)) if boundary == "periodic" else ()
-    return _block_size_error(points, waved, spinor_dim)
-
-
-def _block_size_error(points, waved, spinor_dim):
-    """Why the `_momentum_blocks` over the `waved` axes of a lattice of
-    `points` cannot be held, or None.
+def elliptic_size_error(D):
+    """Why the suite cannot take the <D>^2 spectrum of D, or None: the
+    `_momentum_blocks` over D's waved axes cannot be held.
 
     With no axis waved the one block is the dense <D>^2, held to
     DENSE_LIMIT dimensions.  Otherwise one `_momentum_chunks` chunk of
@@ -278,10 +269,11 @@ def _block_size_error(points, waved, spinor_dim):
     of several momenta takes at most an eighth of the limit, so only a
     chunk of one block can overfill it.
     """
-    sites = math.prod(n for a, n in enumerate(points) if a not in waved)
-    if not waved:
-        return _dense_error(sites * spinor_dim, "dense eigvalsh")
-    n = 3 * momentum_block_bytes((sites,), spinor_dim)
+    lat, s = D.lattice, D.spinor_dim
+    sites = lat.site_count // math.prod(lat.points[a] for a in D.waved)
+    if not D.waved:
+        return _dense_error(sites * s, "dense eigvalsh")
+    n = 3 * momentum_block_bytes(sites, s)
     if n > MOMENTUM_BYTES_LIMIT:
         return ("one <D>^2 momentum block would need about %d bytes of "
                 "working set; limit is %d (use a coarser lattice)"
@@ -548,10 +540,10 @@ def _momentum_chunks(m, waved):
     The blocks, symmetrised in place, and the copy of one block eigvalsh
     works on hold at most two block-sized arrays at once, so a chunk's
     working set stays within a quarter of the limit, or within the limit
-    where `_block_size_error` admits one larger block.
+    where `elliptic_size_error` admits one larger block.
     """
     momenta = math.prod(m.lattice.points[a] for a in waved)
-    block = momentum_block_bytes((m.lattice.site_count // momenta,), m.spinor_dim)
+    block = momentum_block_bytes(m.lattice.site_count // momenta, m.spinor_dim)
     return slices(momenta, MOMENTUM_BYTES_LIMIT // (8 * block))
 
 
@@ -577,19 +569,15 @@ def check_temporal_axioms(D: DiracOperator, seed=0):
     `_min_eigenvalue` of the `_momentum_blocks` over D's waved axes of the
     same stencil <D>^2 whose hermiticity is checked, built and
     diagonalised in chunks of momenta (`_momentum_chunks`).
-    `elliptic_size_error` holds the lattice, and `_block_size_error` those
-    blocks, to their limits; a gamma representation that fails
-    `check_clifford` is refused.
+    `elliptic_size_error` holds those blocks to their limits; a gamma
+    representation that fails `check_clifford` is refused.
 
     Returns (checks, payload), the payload every measured value and note.
     """
     lat = D.lattice
     s = D.spinor_dim
     periodic = lat.boundary == "periodic"
-    # a spatial spread under U_VARIATION_TOL leaves space unwaved, so the
-    # blocks can outgrow the lattice's charge
-    _require(elliptic_size_error(lat.points, lat.boundary, s)
-             or _block_size_error(lat.points, D.waved, s))
+    _require(elliptic_size_error(D))
     require_valid(D.rep)
     # each operator is deleted after its last read: <D>^2 is formed beside D,
     # K and K D alone.  Every per-site array is on the stored sites.

@@ -242,17 +242,89 @@ def test_periodic_verify_is_held_to_the_momentum_budget(tmp_path, capsys,
     # blocks at a time: 81^2 and 4-d 11^4, whose blocks total more than
     # MOMENTUM_BYTES_LIMIT, run.  No cubic lattice within SITE_LIMIT has a
     # block too large alone, so the refusal is shown under a limit one
-    # block of 81^2 overfills: before any work, with nothing on stdout
+    # block of 81^2 under a lapse u(t) overfills: before any work, with
+    # nothing on stdout
     for argv in (["--points", "81"], ["--dimension", "4", "--points", "11"]):
         assert run(["verify", *argv], tmp_path) == 0
         assert "FAIL" not in capsys.readouterr().out
     monkeypatch.setattr(dirac, "MOMENTUM_BYTES_LIMIT",
-                        dirac.momentum_block_bytes((81, 81), 2) - 1)
-    assert run(["verify", "--points", "81"], tmp_path) == 2
+                        dirac.momentum_block_bytes(81, 2) - 1)
+    assert run(["verify", "--points", "81", "--u", "2+sin(t)"], tmp_path) == 2
     captured = capsys.readouterr()
     assert "momentum block" in captured.err and captured.out == ""
-    errors = cli.validate_config(cli.RunConfig(points=81), "verify")
+    errors = cli.validate_config(cli.RunConfig(points=81, u="2+sin(t)"), "verify")
     assert len(errors) == 1 and "momentum block" in errors[0]
+
+
+def test_validation_charges_the_blocks_of_the_lapse_it_is_given(monkeypatch):
+    # under the limit above, a constant lapse waves every axis and its 2 x 2
+    # blocks pass, while a lapse u(t) keeps the (N_t s)^2 blocks
+    limit = dirac.momentum_block_bytes(81, 2) - 1
+    monkeypatch.setattr(dirac, "MOMENTUM_BYTES_LIMIT", limit)
+    assert cli.validate_config(cli.RunConfig(points=81), "verify") == []
+    assert cli.validate_config(cli.RunConfig(points=81, u="2+sin(t)"),
+                               "verify") == [
+        "81^2 lattice: one <D>^2 momentum block would need about %d bytes "
+        "of working set; limit is %d (use a coarser lattice)"
+        % (3 * dirac.momentum_block_bytes(81, 2), limit)]
+
+
+def test_verify_runs_the_operator_validation_built(tmp_path, monkeypatch):
+    cli._operator.cache_clear()
+    built, judged, ran = [], [], []
+    init, validate, suite = (dirac.DiracOperator.__init__, cli.validate_config,
+                             dirac.check_temporal_axioms)
+
+    def counted_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    def counted_validate(*args):
+        errors = validate(*args)
+        judged.extend(built)
+        return errors
+
+    def counted_suite(D, **kwargs):
+        ran.append(D)
+        return suite(D, **kwargs)
+    monkeypatch.setattr(dirac.DiracOperator, "__init__", counted_init)
+    monkeypatch.setattr(cli, "validate_config", counted_validate)
+    monkeypatch.setattr(dirac, "check_temporal_axioms", counted_suite)
+    assert run(["verify"], tmp_path) == 0
+    assert len(built) == 1 and judged == built and ran == built
+
+
+def test_validation_refuses_what_the_suite_refuses(monkeypatch):
+    # under lowered limits, on both sides of each: the CLI's refusal is the
+    # suite's own reason, and a lattice it admits runs.  DENSE_LIMIT stays
+    # above ORACLE_LIMIT, as shipped: the suite's probe-built D up to
+    # ORACLE_LIMIT is held to DENSE_LIMIT too
+    monkeypatch.setattr(dirac, "DENSE_LIMIT", 600)
+    monkeypatch.setattr(dirac, "MOMENTUM_BYTES_LIMIT",
+                        3 * dirac.momentum_block_bytes(6, 2))
+    for dim, points, boundary, u in [
+            (2, 6, "periodic", "1"), (2, 40, "periodic", "1"),
+            (2, 6, "periodic", "2+sin(t)"), (2, 7, "periodic", "2+sin(t)"),
+            (2, 17, "clamped", "1"), (2, 18, "clamped", "1"),
+            (3, 5, "periodic", "1+0.1*t"), (4, 3, "periodic", "2+sin(t)"),
+            (4, 4, "periodic", "2+sin(t)"), (4, 3, "clamped", "1"),
+            (4, 4, "clamped", "1+0.1*t")]:
+        cfg = cli.RunConfig(dimension=dim, points=points, boundary=boundary, u=u)
+        try:
+            check_temporal_axioms(flat_operator(dim, points, boundary=boundary, u=u))
+            want = []
+        except ValueError as exc:
+            want = ["%d^%d lattice: %s" % (points, dim, exc)]
+        assert cli.validate_config(cfg, "verify") == want, cfg
+
+
+def test_a_bad_lapse_is_named_before_the_lattice_size():
+    # the lapse is judged on the operator the run would build, and only that
+    # operator's blocks are charged
+    cfg = cli.RunConfig(points=80, boundary="clamped", u="t-3")
+    assert cli.validate_config(cfg, "verify") == [
+        "u = 't-3' must be positive and finite at every site of the 80^2 "
+        "lattice, and 1/(h^2 min(u)^2) finite"]
 
 
 @pytest.fixture(scope="module",
@@ -350,6 +422,9 @@ def test_bad_config_fails_before_any_work(command, config, tmp_path,
     assert out == ""
     assert "config error:" in err
     assert list(tmp_path.iterdir()) == [path]
+    if config.get("dimension") == 3:
+        assert err == ("config error: %s needs an even dimension (grading), "
+                       "got 3\n" % command)
 
 
 @pytest.mark.parametrize("box", [1e-160, 1e200],

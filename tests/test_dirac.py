@@ -500,16 +500,29 @@ def test_clamped_elliptic_check_keeps_dense_limit():
 def test_periodic_elliptic_check_keeps_momentum_budget():
     # one chunk of momentum blocks is held at a time, so only a lattice
     # one block of which overfills MOMENTUM_BYTES_LIMIT, with the two
-    # block-sized temporaries of its eigenvalues, is refused
-    op = flat_operator(2, (1200, 2))
-    assert dirac.momentum_block_bytes(op.lattice.points, 2) > dirac.MOMENTUM_BYTES_LIMIT
+    # block-sized temporaries of its eigenvalues, is refused: under a lapse
+    # u(t) a block is over the N_t time sites
+    op = flat_operator(2, (1200, 2), u="2+sin(t)")
+    assert dirac.momentum_block_bytes(1200, 2) > dirac.MOMENTUM_BYTES_LIMIT
     limit = dirac.MOMENTUM_BYTES_LIMIT
-    assert 3 * dirac.momentum_block_bytes((418, 2), 2) <= limit
-    assert dirac.elliptic_size_error((418, 2), "periodic", 2) is None
-    assert "momentum block" in dirac.elliptic_size_error((419, 2), "periodic", 2)
-    assert dirac.elliptic_size_error((16,) * 4, "periodic", 4) is None
+    assert 3 * dirac.momentum_block_bytes(418, 2) <= limit
+    error = dirac.elliptic_size_error
+    assert error(flat_operator(2, (418, 2), u="2+sin(t)")) is None
+    assert "momentum block" in error(flat_operator(2, (419, 2), u="2+sin(t)"))
+    assert error(flat_operator(4, 16, u="2+sin(t)")) is None
     with pytest.raises(ValueError, match="momentum"):
         check_temporal_axioms(op)
+
+
+def test_a_constant_lapse_is_charged_its_spinor_blocks():
+    # u = 1 waves every axis: each momentum block is s x s, however many
+    # time sites the lattice has
+    for points in ((1200, 2), (4096, 4)):
+        op = flat_operator(2, points)
+        assert dirac.elliptic_size_error(op) is None
+        checks, payload = check_temporal_axioms(op)
+        assert all(c.passed for c in checks)
+        assert payload["elliptic_min_eigenvalue"] >= dirac.ELLIPTIC_EIG_FLOOR
 
 
 def _cubic_lattices():
@@ -524,20 +537,20 @@ def _cubic_lattices():
 
 def test_size_verdicts_and_chunk_counts_on_every_cubic_lattice():
     # the verdicts and chunk counts of the rule before waved axes, written
-    # out: a periodic lattice is held to three (N_t s)^2 blocks, a clamped
-    # one is one dense block
+    # out: under a lapse u(t) a periodic lattice is held to three (N_t s)^2
+    # blocks, a clamped one is one dense block; a constant lapse waves every
+    # axis of a periodic lattice, whose s x s blocks are never refused
     limit = dirac.MOMENTUM_BYTES_LIMIT
     for dim, n in _cubic_lattices():
         s = build_gamma(dim).matrix_size
         for boundary in ("periodic", "clamped"):
-            lat = Lattice(((0.0, 1.0),) * dim, (n,) * dim, boundary)
-            got = dirac.elliptic_size_error(lat.points, boundary, s)
             if boundary == "periodic":
                 need = 3 * (n * s) ** 2 * 16
                 want = None if need <= limit else (
                     "one <D>^2 momentum block would need about %d bytes of "
                     "working set; limit is %d (use a coarser lattice)"
                     % (need, limit))
+                verdicts = {"2+sin(t)": want, "1": None}
                 # a constant lapse waves every axis, a lapse u(t) space
                 counts = {tuple(range(dim)): math.ceil(
                               n ** dim / max(1, limit // (8 * s * s * 16))),
@@ -548,30 +561,30 @@ def test_size_verdicts_and_chunk_counts_on_every_cubic_lattice():
                 want = None if size <= DENSE_LIMIT else (
                     "dense eigvalsh would be %d^2; limit is %d^2 (use a "
                     "coarser lattice)" % (size, DENSE_LIMIT))
+                verdicts = {"2+sin(t)": want, "1": want}
                 counts = {(): 1}
-            assert got == want, (dim, n, boundary)
-            m = dirac.StencilOperator(lat, s, {})
+            for u, verdict in verdicts.items():
+                op = flat_operator(dim, n, boundary=boundary, u=u)
+                assert dirac.elliptic_size_error(op) == verdict, (dim, n, boundary, u)
+            m = dirac.StencilOperator(op.lattice, s, {})
             for waved, count in counts.items():
                 assert len(dirac._momentum_chunks(m, waved)) == count, waved
 
 
 def test_suite_charges_the_blocks_of_the_waved_axes():
-    # a spread under U_VARIATION_TOL passes the lattice's charge, which
-    # assumes space waved, but unwaves the axes it varies along: the suite
-    # is held to the blocks it would build
+    # a spread under U_VARIATION_TOL unwaves the axes it varies along: the
+    # suite is held to the blocks it would build
     op = flat_operator(4, 8, u="1+1e-13*(t+x+y+z)")
     assert op.waved == ()
-    assert dirac.elliptic_size_error(op.lattice.points, "periodic", 4) is None
     with pytest.raises(ValueError, match="dense eigvalsh would be 16384"):
         check_temporal_axioms(op)
     # with time and y waved, the block is over x alone: 419 x 2 overfills
     # three momentum blocks, as a lapse u(t) over 419 time sites does
-    error = dirac._block_size_error
-    assert error((4, 418), (0,), 2) is None
-    assert error((4, 419), (0,), 2) == dirac.elliptic_size_error(
-        (419, 4), "periodic", 2)
+    error = dirac.elliptic_size_error
+    assert error(flat_operator(2, (4, 418), u="1+1e-15*x")) is None
     op = flat_operator(2, (4, 419), u="1+1e-15*x")
     assert op.waved == (0,)
+    assert error(op) == error(flat_operator(2, (419, 4), u="2+sin(t)"))
     with pytest.raises(ValueError, match="momentum block"):
         check_temporal_axioms(op)
 
@@ -588,7 +601,7 @@ def test_elliptic_minimum_is_the_same_in_chunks(monkeypatch, dim, points, u):
     # the smallest limit that still admits the lattice: chunks of one
     # (N_t s)^2 block, or under the constant lapse of nine s x s blocks
     monkeypatch.setattr(dirac, "MOMENTUM_BYTES_LIMIT",
-                        3 * dirac.momentum_block_bytes(pts, s))
+                        3 * dirac.momentum_block_bytes(pts[0], s))
     chunks = dirac._momentum_chunks(m, op.waved)
     assert len(chunks) >= 8
     assert np.array_equal(np.concatenate(
@@ -971,7 +984,7 @@ def test_constant_lapse_suite_holds_one_chunk_of_spinor_blocks(traced_peak):
     op = flat_operator(4, 8)
     assert op.measure_weights().shape == (1, 1, 1, 1)
     assert len(dirac._momentum_chunks(_stencil_square(op), op.waved)) == 1
-    chunk = 8 ** 4 * dirac.momentum_block_bytes((1,), 4)
+    chunk = 8 ** 4 * dirac.momentum_block_bytes(1, 4)
     _, peak = traced_peak(check_temporal_axioms, op, 0)
     assert peak <= 2.5 * chunk, peak / chunk
 
