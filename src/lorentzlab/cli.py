@@ -40,7 +40,7 @@ class RunConfig:
     boundary: str = "periodic"
     u: str = "1"
     theta: float = moyal.THETA_DEFAULT
-    truncation: int = moyal.TRUNCATION_DEFAULT
+    truncation: int = None       # default = moyal.suite_truncation's
     pairs: int = 24
     candidates: list = None
     out: str = None
@@ -85,10 +85,8 @@ def load_config(path, overrides):
                               % (key, ", ".join(CONFIG_KEYS)))
             else:
                 setattr(cfg, key, val)
-    for key, val in overrides.items():
-        if val is not None:
-            setattr(cfg, key, val)
-    return cfg, errors
+    overrides = {key: val for key, val in overrides.items() if val is not None}
+    return replace(cfg, **overrides), errors
 
 
 def _has_type(value, kind):
@@ -98,28 +96,18 @@ def _has_type(value, kind):
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-# commands that run the axiom suite (validation builds the D they run and
-# holds it to dirac.elliptic_size_error), and commands whose steepness
-# certificates need the grading of the gamma representation, which only an
-# even dimension has
-AXIOM_COMMANDS = ("verify", "report")
-EVEN_COMMANDS = ("distance", "report")
-MOYAL_COMMANDS = ("moyal", "report")    # held to moyal.basis_overflow_error
-
-
 def validate_config(cfg, command):
     errors = []
     valid = set()
     for f in fields(RunConfig):
         value = getattr(cfg, f.name)
-        if value is None and f.default is None:
-            continue
-        if not _has_type(value, f.type):
+        unset = value is None and f.default is None     # the suite's default
+        if not (unset or _has_type(value, f.type)):
             errors.append("%s must be of type %s, got %r"
                           % (f.name, f.type.__name__, value))
             continue
         rule = VALUE_RULES.get(f.name)
-        if rule is None or rule[0](value):
+        if unset or rule is None or rule[0](value):
             valid.add(f.name)
         else:
             errors.append("%s must be %s, got %r" % (f.name, rule[1], value))
@@ -131,7 +119,7 @@ def validate_config(cfg, command):
                               % sorted(extra))
         except ExpressionError as exc:
             errors.append("u does not parse: %s" % exc)
-    if "candidates" in valid:
+    if "candidates" in valid and cfg.candidates is not None:
         allowed = set(AXIS_NAMES[: cfg.dimension] if "dimension" in valid
                       else AXIS_NAMES)
         for cand in cfg.candidates:
@@ -143,7 +131,7 @@ def validate_config(cfg, command):
                                                sorted(allowed)))
             except ExpressionError as exc:
                 errors.append("candidate %r does not parse: %s" % (cand, exc))
-    if {"box", "points", "dimension", "boundary"} <= valid:
+    if {"box", "points", "dimension", "boundary"} <= valid and cfg.box:
         # sites weigh h^d in every integral and <D>^2 scales as 1/h^2
         h = np.float64(_lattice(cfg).spacing(0))
         with np.errstate(all="ignore"):
@@ -153,36 +141,19 @@ def validate_config(cfg, command):
                           "h^%d = %r and 1/h^2 = %r must be finite and "
                           "non-zero" % (cfg.box, float(h), cfg.dimension,
                                         float(weight), float(inverse)))
-    if command in EVEN_COMMANDS and "dimension" in valid and cfg.dimension % 2:
-        errors.append("%s needs an even dimension (grading), got %d"
-                      % (command, cfg.dimension))
-    if command in MOYAL_COMMANDS and {"theta", "truncation", "quick"} <= valid:
-        # report runs the quick suite
-        n = (moyal.QUICK_TRUNCATION if cfg.quick or command == "report"
-             else cfg.truncation)
-        error = moyal.basis_overflow_error(n, float(cfg.theta))
-        if error:
-            errors.append(error)
+    suites, _, _, settings = COMMANDS[command]
+    cfg = replace(cfg, **settings)
+    refusals = [SUITES[name][1:] for name in suites]
+    for refuse, reads in refusals:
+        if reads is not None and reads <= valid:
+            errors += refuse(cfg, command)
     if not errors and cfg.points ** cfg.dimension > dirac.SITE_LIMIT:
         errors.append("lattice too large: %d^%d sites > %d"
                       % (cfg.points, cfg.dimension, dirac.SITE_LIMIT))
-    if command not in AXIOM_COMMANDS or errors:
-        return errors
-    try:
-        D = _operator(_lattice(cfg), cfg.u)
-        with np.errstate(all="ignore"):
-            # the time part of <D>^2 scales as 1/(h^2 u^2)
-            finite = 1.0 / (D.lattice.spacing(0) * np.min(D.u)) ** 2 < math.inf
-    except ExpressionError as exc:
-        return ["u cannot be evaluated on the lattice: %s" % exc]
-    except ValueError:      # D refuses a u that is not finite and positive
-        finite = False
-    if not finite:
-        return ["u = %r must be positive and finite at every site of the "
-                "%d^%d lattice, and 1/(h^2 min(u)^2) finite"
-                % (cfg.u, cfg.points, cfg.dimension)]
-    error = dirac.elliptic_size_error(D)
-    return ["%d^%d lattice: %s" % (cfg.points, cfg.dimension, error)] if error else []
+    for refuse, reads in refusals:
+        if refuse and reads is None and not errors:
+            errors += refuse(cfg, command)
+    return errors
 
 
 def _plain(obj):
@@ -221,12 +192,6 @@ def _line(check):
                                           check.relation, check.bound)
 
 
-def _outdir(cfg):
-    out = cfg.out or os.environ.get(OUTPUT_ENV) or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _lattice(cfg):
     side = float(cfg.box) if cfg.box is not None else float(cfg.points)
     extents = tuple((0.0, side) for _ in range(cfg.dimension))
@@ -242,9 +207,9 @@ def _operator(lat, u):
                                    ScalarField.from_expression(lat, u))
 
 
-# ------------------------------------------------------------- subcommands
-# Each returns (checks, payload) or (checks, payload, csv rows); the suites
-# decide every verdict and main only renders and writes them.
+# ------------------------------------------------------------------ suites
+# A run returns (checks, payload) or (checks, payload, csv rows) and decides
+# every verdict; a refusal(cfg, command) lists the config errors it finds.
 
 
 def run_verify(cfg):
@@ -262,9 +227,39 @@ def run_verify(cfg):
     return checks, payload
 
 
-def run_distance(cfg):
-    return distance.run_distance_suite(cfg.pairs, cfg.dimension, cfg.points,
-                                       cfg.seed, cfg.candidates)
+def refuse_operator(cfg, command):
+    # D's own refusal of u, else elliptic_size_error of the D verify runs
+    try:
+        D = _operator(_lattice(cfg), cfg.u)
+        with np.errstate(all="ignore"):
+            # the time part of <D>^2 scales as 1/(h^2 u^2)
+            finite = 1.0 / (D.lattice.spacing(0) * np.min(D.u)) ** 2 < math.inf
+    except ExpressionError as exc:
+        return ["u cannot be evaluated on the lattice: %s" % exc]
+    except ValueError:      # D refuses a u that is not finite and positive
+        finite = False
+    if not finite:
+        return ["u = %r must be positive and finite at every site of the "
+                "%d^%d lattice, and 1/(h^2 min(u)^2) finite"
+                % (cfg.u, cfg.points, cfg.dimension)]
+    error = dirac.elliptic_size_error(D)
+    return ["%d^%d lattice: %s" % (cfg.points, cfg.dimension, error)] if error else []
+
+
+def refuse_odd_dimension(cfg, command):
+    # steepness certificates need the grading, which only an even dimension has
+    return (["%s needs an even dimension (grading), got %d"
+             % (command, cfg.dimension)] if cfg.dimension % 2 else [])
+
+
+def refuse_moyal(cfg, command):
+    # a truncation that quick would drop, else a Landau basis that overflows
+    n = moyal.suite_truncation(cfg.truncation, cfg.quick)
+    if cfg.truncation not in (None, n):
+        return ["truncation %d cannot run with quick, which runs truncation "
+                "%d" % (cfg.truncation, n)]
+    error = moyal.basis_overflow_error(n, float(cfg.theta))
+    return [error] if error else []
 
 
 def write_distance_csv(path, rows):
@@ -276,6 +271,11 @@ def write_distance_csv(path, rows):
                         float(boosted), float(vari), ach))
 
 
+def run_distance(cfg):
+    return distance.run_distance_suite(cfg.pairs, cfg.dimension, cfg.points,
+                                       cfg.seed, cfg.candidates)
+
+
 def run_moyal(cfg):
     return moyal.run_moyal_suite(theta=float(cfg.theta),
                                  truncation=cfg.truncation, quick=cfg.quick)
@@ -285,38 +285,36 @@ def run_filtration(cfg):
     return filtration.run_filtration_suite(seed=cfg.seed)
 
 
-def run_report(cfg):
-    verify_checks, verify_payload = run_verify(cfg)
-    dist_checks, dist_payload, rows = run_distance(cfg)
-    moyal_checks, moyal_payload = run_moyal(replace(cfg, quick=True))
-    filt_checks, filt_payload = run_filtration(cfg)
-    scan_checks, scan_payload = steepness.equivalence_scan(500, cfg.seed,
-                                                           dimension=2)
-    checks = [*verify_checks, *dist_checks, *moyal_checks, *filt_checks,
-              *scan_checks]
-    payload = {
-        "verify": verify_payload,
-        "distance": dist_payload,
-        "moyal": moyal_payload,
-        "filtration": filt_payload,
-        "steepness_equivalence": scan_payload,
-        **verdict(checks),
-    }
-    return checks, payload, rows
+def run_scan(cfg):
+    return steepness.equivalence_scan(500, cfg.seed, dimension=cfg.dimension)
 
 
-# name: (run function, help, flags in order); a flag converts its value to
-# its RunConfig field's type unless FLAG_OPTIONS gives its argparse options
+# name (a report's section): (run, refusal or None, the fields the refusal
+# reads once valid; None: it builds what the suite runs, so it goes last)
+SUITES = {
+    "verify": (run_verify, refuse_operator, None),
+    "distance": (run_distance, refuse_odd_dimension, {"dimension"}),
+    "moyal": (run_moyal, refuse_moyal, {"theta", "truncation", "quick"}),
+    "filtration": (run_filtration, None, None),
+    "steepness_equivalence": (run_scan, None, None),
+}
+
+# name: (suites run in order, help, flags in order, settings); a flag
+# converts its value to its RunConfig field's type unless FLAG_OPTIONS gives
+# its argparse options, and settings fix fields once the config is validated
 COMMANDS = {
-    "verify": (run_verify, "gamma algebra + temporal axiom suite",
-               ("dimension", "points", "box", "boundary", "u")),
-    "distance": (run_distance, "oracle / boosted / variational distances",
-                 ("dimension", "points", "pairs", "candidates")),
-    "moyal": (run_moyal, "star product engine checks",
-              ("theta", "truncation", "quick")),
-    "filtration": (run_filtration, "filtered algebra and state extension", ()),
-    "report": (run_report, "run everything, write a single report",
-               ("dimension", "points", "pairs", "theta")),
+    "verify": (("verify",), "gamma algebra + temporal axiom suite",
+               ("dimension", "points", "box", "boundary", "u"), {}),
+    "distance": (("distance",), "oracle / boosted / variational distances",
+                 ("dimension", "points", "pairs", "candidates"), {}),
+    "moyal": (("moyal",), "star product engine checks",
+              ("theta", "truncation", "quick"), {}),
+    "filtration": (("filtration",), "filtered algebra and state extension",
+                   (), {}),
+    # the quick Moyal suite, whatever the config's quick and truncation
+    "report": (tuple(SUITES), "run everything, write a single report",
+               ("dimension", "points", "pairs", "theta"),
+               {"quick": True, "truncation": None}),
 }
 FLAG_OPTIONS = {
     "boundary": {"choices": BOUNDARIES},
@@ -352,7 +350,7 @@ def build_parser():
                     "filtered algebras.")
     sub = p.add_subparsers(dest="command", required=True)
     types = {f.name: f.type for f in fields(RunConfig)}
-    for name, (_, help_text, flags) in COMMANDS.items():
+    for name, (_, help_text, flags, _) in COMMANDS.items():
         command = sub.add_parser(name, parents=[common], help=help_text)
         for flag in flags:
             command.add_argument("--" + flag, **FLAG_OPTIONS.get(
@@ -363,8 +361,7 @@ def build_parser():
 def main(argv=None):
     """Run one command; the warnings it raises go to stderr as one
     `warning: <message>` line each, with no library path or source line."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         try:
             return _run(args)
@@ -374,8 +371,7 @@ def main(argv=None):
 
 
 def _run(args):
-    overrides = {k: v for k, v in vars(args).items()
-                 if k in CONFIG_KEYS and v is not None}
+    overrides = {k: v for k, v in vars(args).items() if k in CONFIG_KEYS}
     cfg, errors = load_config(getattr(args, "config", None), overrides)
     errors += validate_config(cfg, args.command)
     if errors:
@@ -383,17 +379,27 @@ def _run(args):
             print("config error: %s" % err, file=sys.stderr)
         return EXIT_CONFIG
 
+    out = cfg.out or os.environ.get(OUTPUT_ENV) or "."
     try:
-        out = _outdir(cfg)
+        os.makedirs(out, exist_ok=True)
     except OSError as exc:
         print("config error: cannot create output directory: %s" % exc,
               file=sys.stderr)
         return EXIT_CONFIG
+    suites, _, _, settings = COMMANDS[args.command]
+    cfg = replace(cfg, **settings)
+    checks, sections, rows = [], {}, []
     try:
-        checks, payload, *rows = COMMANDS[args.command][0](cfg)
+        for name in suites:
+            suite_checks, sections[name], *suite_rows = SUITES[name][0](cfg)
+            checks += suite_checks
+            rows += suite_rows
     except ValueError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
+    # one suite's payload is its command's artifact; several are sections
+    payload = (sections[name] if len(sections) == 1
+               else {**sections, **verdict(checks)})
     for check in checks:
         print(_line(check))
     write_json(os.path.join(out, args.command + ".json"), payload)

@@ -681,13 +681,18 @@ def twisted_identities_check(theta):
     return gaussian, trace, associativity, involution
 
 
-def run_moyal_suite(theta=THETA_DEFAULT, truncation=TRUNCATION_DEFAULT,
-                    quick=False):
+def suite_truncation(truncation=None, quick=False):
+    """The truncation run_moyal_suite runs; None is TRUNCATION_DEFAULT."""
+    default = TRUNCATION_DEFAULT if truncation is None else truncation
+    return QUICK_TRUNCATION if quick else default
+
+
+def run_moyal_suite(theta=THETA_DEFAULT, truncation=None, quick=False):
     """All star-product checks; returns (checks, payload).
 
     The payload holds every measured quantity; its "passed" is all checks.
     """
-    n = QUICK_TRUNCATION if quick else truncation
+    n = suite_truncation(truncation, quick)
     # first: its basis is the one factor that outgrows the box as theta grows
     cross = cross_engine_check(theta=theta,
                                truncation=min(n, CROSS_ENGINE_TRUNCATION))

@@ -3,10 +3,12 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -447,11 +449,12 @@ def test_box_must_give_finite_cell_weights(box):
     ("report", {"theta": 1e-20, "truncation": 32}, False),
     ("report", {"theta": 1e-100}, True),
     ("verify", {"theta": 1e-100}, False),
+    ("moyal", {"theta": 1e-20, "quick": True, "truncation": 8}, False),
 ])
 def test_theta_must_keep_the_landau_basis_finite(command, config, refused):
     # at the corner of the delta grid the basis is inf * 0 for a small
-    # theta and many orders; moyal runs truncation orders (8 with --quick),
-    # report 8, and verify none
+    # theta and many orders; moyal runs truncation orders (8 with --quick,
+    # which also accepts --truncation 8), report 8, and verify none
     errors = cli.validate_config(cli.RunConfig(**config), command)
     if refused:
         assert len(errors) == 1 and "Landau basis" in errors[0], errors
@@ -471,6 +474,71 @@ def test_quick_truncation_is_the_one_the_guard_checks(monkeypatch):
     assert guarded == [6, 6]
     _, payload = run_moyal_suite(quick=True)
     assert payload["delta_algebra"]["truncation"] == 6
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--quick", "--truncation", "24"], {}),
+    ([], {"quick": True, "truncation": 32, "theta": 1e-12}),
+], ids=["flags", "config-file"])
+def test_quick_refuses_a_truncation_it_would_drop(argv, config, tmp_path,
+                                                  monkeypatch, capsys):
+    # --quick runs QUICK_TRUNCATION, so any other truncation is refused
+    # before any work, naming both keys, rather than silently dropped
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["moyal", *argv, "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    truncation = config.get("truncation", 24)
+    assert out == ""
+    assert err == ("config error: truncation %d cannot run with quick, which "
+                   "runs truncation %d\n" % (truncation, moyal.QUICK_TRUNCATION))
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_report_runs_the_steepness_scan_at_its_dimension(tmp_path):
+    # every suite of a report reads the report's dimension
+    argv = ["report", "--dimension", "4", "--points", "5", "--pairs", "4"]
+    assert run(argv, tmp_path) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["verify"]["config"]["dimension"] == 4
+    _, scan = equivalence_scan(500, 42, dimension=4)
+    assert report["steepness_equivalence"] == cli._plain(scan)
+    assert scan["dimension"] == 4 and scan["passed"] is True
+
+
+def test_each_report_section_is_its_commands_artifact(tmp_path):
+    # report is the union of the commands' suites: each section equals the
+    # artifact its own command writes, and the distance rows are the same
+    runs = {"report": ["report", "--points", "12", "--pairs", "10"],
+            "verify": ["verify", "--points", "12"],
+            "distance": ["distance", "--points", "12", "--pairs", "10"],
+            "moyal": ["moyal", "--quick"],
+            "filtration": ["filtration"]}
+    for name, argv in runs.items():
+        (tmp_path / name).mkdir()
+        assert run(argv, tmp_path / name) == 0
+    report = json.loads((tmp_path / "report" / "report.json").read_text())
+    for name in ("verify", "distance", "moyal", "filtration"):
+        artifact = tmp_path / name / (name + ".json")
+        assert report[name] == json.loads(artifact.read_text()), name
+    assert ((tmp_path / "report" / "distance.csv").read_bytes()
+            == (tmp_path / "distance" / "distance.csv").read_bytes())
+
+
+def test_readme_synopsis_lists_each_commands_flags():
+    # the `lorentzlab <command> [...]` block under "## Command line" lists
+    # every command, each with exactly its flags, in order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    synopsis = {}
+    for line in block.strip().splitlines():
+        prog, command, *rest = line.split()
+        assert prog == "lorentzlab", line
+        synopsis[command] = re.findall(r"\[--([a-z]+)", " ".join(rest))
+    assert synopsis == {name: list(flags)
+                        for name, (_, _, flags, _) in cli.COMMANDS.items()}
 
 
 def test_u_must_keep_the_elliptic_time_part_finite():
