@@ -23,7 +23,7 @@ from . import clifford, dirac, distance, filtration, moyal, steepness
 from .checks import verdict
 from .expressions import (AXIS_NAMES, ExpressionError, parse_expression,
                           variables_used)
-from .lattice import BOUNDARIES, Lattice, ScalarField
+from .lattice import BOUNDARIES
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -131,25 +131,12 @@ def validate_config(cfg, command):
                                                sorted(allowed)))
             except ExpressionError as exc:
                 errors.append("candidate %r does not parse: %s" % (cand, exc))
-    if {"box", "points", "dimension", "boundary"} <= valid and cfg.box:
-        # sites weigh h^d in every integral and <D>^2 scales as 1/h^2
-        h = np.float64(_lattice(cfg).spacing(0))
-        with np.errstate(all="ignore"):
-            weight, inverse = h ** cfg.dimension, 1.0 / h ** 2
-        if not (0.0 < weight < math.inf and inverse < math.inf):
-            errors.append("box %r gives spacing h = %r, whose cell weight "
-                          "h^%d = %r and 1/h^2 = %r must be finite and "
-                          "non-zero" % (cfg.box, float(h), cfg.dimension,
-                                        float(weight), float(inverse)))
     suites, _, _, settings = COMMANDS[command]
     cfg = replace(cfg, **settings)
     refusals = [SUITES[name][1:] for name in suites]
     for refuse, reads in refusals:
         if reads is not None and reads <= valid:
             errors += refuse(cfg, command)
-    if not errors and cfg.points ** cfg.dimension > dirac.SITE_LIMIT:
-        errors.append("lattice too large: %d^%d sites > %d"
-                      % (cfg.points, cfg.dimension, dirac.SITE_LIMIT))
     for refuse, reads in refusals:
         if refuse and reads is None and not errors:
             errors += refuse(cfg, command)
@@ -192,19 +179,13 @@ def _line(check):
                                           check.relation, check.bound)
 
 
-def _lattice(cfg):
-    side = float(cfg.box) if cfg.box is not None else float(cfg.points)
-    extents = tuple((0.0, side) for _ in range(cfg.dimension))
-    return Lattice(extents, (cfg.points,) * cfg.dimension, cfg.boundary)
-
-
 @functools.lru_cache(maxsize=1)
-def _operator(lat, u):
-    """D on `lat` with the lapse u, sampled with warnings off, built once
-    per run: the operator validation judges is the one verify runs."""
+def _operator(dimension, points, box, boundary, u):
+    """verify's D, its lapse sampled with warnings off, built once per run:
+    the operator validation judges is the one the run uses."""
+    extents = None if box is None else ((0.0, float(box)),) * dimension
     with np.errstate(all="ignore"):
-        return dirac.DiracOperator(clifford.build_gamma(lat.dimension), lat,
-                                   ScalarField.from_expression(lat, u))
+        return dirac.flat_operator(dimension, points, extents, boundary, u)
 
 
 # ------------------------------------------------------------------ suites
@@ -216,7 +197,8 @@ def run_verify(cfg):
     gammas = [clifford.check_clifford(clifford.build_gamma(n))
               for n in (2, 3, 4, 6)]
     axiom_checks, axioms = dirac.check_temporal_axioms(
-        _operator(_lattice(cfg), cfg.u), seed=cfg.seed)
+        _operator(cfg.dimension, cfg.points, cfg.box, cfg.boundary, cfg.u),
+        seed=cfg.seed)
     checks = [c for gamma_checks, _ in gammas for c in gamma_checks] + axiom_checks
     payload = {"clifford": {str(gamma["dimension"]): gamma for _, gamma in gammas},
                "axioms": axioms,
@@ -228,20 +210,15 @@ def run_verify(cfg):
 
 
 def refuse_operator(cfg, command):
-    # D's own refusal of u, else elliptic_size_error of the D verify runs
+    # D's or its lattice's own refusal, else elliptic_size_error of the D
+    # verify runs
     try:
-        D = _operator(_lattice(cfg), cfg.u)
-        with np.errstate(all="ignore"):
-            # the time part of <D>^2 scales as 1/(h^2 u^2)
-            finite = 1.0 / (D.lattice.spacing(0) * np.min(D.u)) ** 2 < math.inf
+        D = _operator(cfg.dimension, cfg.points, cfg.box, cfg.boundary, cfg.u)
     except ExpressionError as exc:
         return ["u cannot be evaluated on the lattice: %s" % exc]
-    except ValueError:      # D refuses a u that is not finite and positive
-        finite = False
-    if not finite:
-        return ["u = %r must be positive and finite at every site of the "
-                "%d^%d lattice, and 1/(h^2 min(u)^2) finite"
-                % (cfg.u, cfg.points, cfg.dimension)]
+    except ValueError as exc:
+        return ["%d^%d lattice, u = %r: %s"
+                % (cfg.points, cfg.dimension, cfg.u, exc)]
     error = dirac.elliptic_size_error(D)
     return ["%d^%d lattice: %s" % (cfg.points, cfg.dimension, error)] if error else []
 

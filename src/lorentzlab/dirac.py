@@ -64,7 +64,6 @@ from .lattice import Lattice, ScalarField, SpinorField, gradient, slices
 
 DENSE_LIMIT = 4096       # dense_dim of dense_matrix and of an unwaved <D>^2
 ORACLE_LIMIT = 512       # dense_dim up to which the suite probes dense_matrix
-SITE_LIMIT = 65536       # lattice sites any command may allocate fields on
 MOMENTUM_BYTES_LIMIT = 2 ** 25   # one chunk of <D>^2 momentum blocks
 
 HERMITICITY_TOL = 1e-12
@@ -110,6 +109,18 @@ class DiracOperator:
             if spread[axis] > U_VARIATION_TOL * max(1.0, np.max(np.abs(u))):
                 raise ValueError("conformal factor u must depend on t only "
                                  "(axis %d spread %.3e)" % (axis, spread[axis]))
+        h = np.array(lattice.spacings)
+        with np.errstate(all="ignore"):
+            # sites weigh prod(h) in every integral, and <D>^2 scales as
+            # 1/h^2 along each axis and as 1/(h_0 u)^2 along time
+            weight, inverse = np.prod(h), np.max(1.0 / h ** 2)
+            time = 1.0 / (h[0] * np.min(u)) ** 2
+        if not (0.0 < weight < math.inf and max(inverse, time) < math.inf):
+            raise ValueError("spacings h = %s give cell weight prod(h) = %r, "
+                             "max 1/h^2 = %r and 1/(h_0^2 min(u)^2) = %r; the "
+                             "weight must be non-zero and all three finite"
+                             % (h.tolist(), float(weight), float(inverse),
+                                float(time)))
         self.waved = () if lattice.boundary != "periodic" else tuple(
             a for a, w in enumerate(spread) if w == 0)
         self._stored = _stored_sites(lattice, self.waved)
@@ -686,7 +697,8 @@ def flat_operator(dimension, points, box=None, boundary="periodic", u=None):
     (flat) or an expression string for the lapse.
     """
     pts = tuple(points) if isinstance(points, (tuple, list)) else (points,) * dimension
-    extents = tuple((0.0, float(p)) for p in pts) if box is None else tuple(box)
+    # Lattice makes the extents floats only once it has counted the sites
+    extents = tuple((0, p) for p in pts) if box is None else tuple(box)
     lat = Lattice(extents, pts, boundary)
     ufield = None if u is None else ScalarField.from_expression(lat, u)
     return DiracOperator(build_gamma(dimension), lat, ufield)

@@ -12,6 +12,7 @@ Axis 0 is time.  Two boundary modes:
 Site ordering for flattening is row major (C order).
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,6 +21,7 @@ import numpy as np
 from . import expressions
 
 BOUNDARIES = ("periodic", "clamped")
+SITE_LIMIT = 65536       # lattice sites any command may allocate fields on
 
 
 def slices(count, step):
@@ -42,16 +44,22 @@ class Lattice:
                              % (" or ".join(map(repr, BOUNDARIES)), self.boundary))
         if len(self.extents) != len(self.points):
             raise ValueError("extents/points length mismatch")
+        object.__setattr__(self, "points", tuple(int(n) for n in self.points))
         for (lo, hi), n in zip(self.extents, self.points):
             if not hi > lo:
                 raise ValueError("empty extent (%r, %r)" % (lo, hi))
             if n < (2 if self.boundary == "periodic" else 3):
                 raise ValueError("too few points per axis: %d" % n)
+        if self.site_count > SITE_LIMIT:
+            raise ValueError("lattice too large: %s sites > %d"
+                             % (" x ".join(map(str, self.points)), SITE_LIMIT))
         if self.axis_names is None:
             object.__setattr__(self, "axis_names",
                                expressions.AXIS_NAMES[: self.dimension])
+        if not len(self.axis_names) == len(set(self.axis_names)) == self.dimension:
+            raise ValueError("axis names %r are not %d distinct names"
+                             % (self.axis_names, self.dimension))
         object.__setattr__(self, "extents", tuple((float(a), float(b)) for a, b in self.extents))
-        object.__setattr__(self, "points", tuple(int(n) for n in self.points))
 
     @property
     def dimension(self):
@@ -63,7 +71,7 @@ class Lattice:
 
     @property
     def site_count(self):
-        return int(np.prod(self.points))
+        return math.prod(self.points)
 
     def spacing(self, axis):
         lo, hi = self.extents[axis]

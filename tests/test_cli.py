@@ -325,8 +325,8 @@ def test_a_bad_lapse_is_named_before_the_lattice_size():
     # operator's blocks are charged
     cfg = cli.RunConfig(points=80, boundary="clamped", u="t-3")
     assert cli.validate_config(cfg, "verify") == [
-        "u = 't-3' must be positive and finite at every site of the 80^2 "
-        "lattice, and 1/(h^2 min(u)^2) finite"]
+        "80^2 lattice, u = 't-3': conformal factor u must be finite and "
+        "strictly positive"]
 
 
 @pytest.fixture(scope="module",
@@ -440,6 +440,43 @@ def test_box_must_give_finite_cell_weights(box):
         assert not cli.validate_config(cli.RunConfig(box=fine), "verify")
 
 
+@pytest.mark.parametrize("command, points", [
+    ("verify", "300"), ("report", "300"), ("distance", "300"),
+    ("verify", str(10 ** 400))], ids=["verify", "report", "distance", "huge"])
+def test_the_lattice_refuses_more_sites_than_the_limit(command, points,
+                                                         tmp_path, capsys):
+    # verify's and report's validation build D, distance's run its
+    # certification operator: each lattice refuses too many sites itself,
+    # counted in integers, so a count past any float is a config error too
+    assert run([command, "--points", points], tmp_path) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("config error:") and "> 65536" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, config", [
+    (["moyal", "--quick"], {"points": 300}),
+    (["moyal", "--quick"], {"box": 1e-160}),
+    (["filtration"], {"points": 300}),
+    (["filtration"], {"box": 1e-160}),
+    (["distance"], {"box": 1e-160}),
+], ids=["moyal-points", "moyal-box", "filtration-points", "filtration-box",
+        "distance-box"])
+def test_a_key_the_command_never_reads_is_not_refused(command, config,
+                                                       tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    for out, extra in (("with", ["--config", str(path)]), ("without", [])):
+        (tmp_path / out).mkdir()
+        assert run(command, tmp_path / out, extra) == 0
+    for artifact in (tmp_path / "without").iterdir():
+        assert (artifact.read_bytes()
+                == (tmp_path / "with" / artifact.name).read_bytes())
+    assert (sorted(p.name for p in (tmp_path / "with").iterdir())
+            == sorted(p.name for p in (tmp_path / "without").iterdir()))
+
+
 @pytest.mark.parametrize("command, config, refused", [
     ("moyal", {"theta": 1e-20}, True),
     ("moyal", {"theta": 1e-20, "quick": True}, False),
@@ -549,9 +586,9 @@ def test_u_must_keep_the_elliptic_time_part_finite():
     assert not cli.validate_config(cli.RunConfig(u="1e-154"), "verify")
 
 
-def _verify_checks(points, u="1", boundary="periodic"):
+def _verify_checks(points, u="1", boundary="periodic", box=None):
     checks = [c for n in (2, 3, 4, 6) for c in check_clifford(build_gamma(n))[0]]
-    op = flat_operator(2, points, boundary=boundary, u=u)
+    op = flat_operator(2, points, box=box, boundary=boundary, u=u)
     return checks + list(check_temporal_axioms(op, seed=42)[0])
 
 
@@ -566,13 +603,15 @@ def _report_checks():
     (["verify", "--points", "12"], lambda: _verify_checks(12)),
     (["verify", "--points", "12", "--boundary", "clamped", "--u", "1+0.1*t"],
      lambda: _verify_checks(12, u="1+0.1*t", boundary="clamped")),
+    (["verify", "--points", "12", "--box", "8", "--u", "2"],
+     lambda: _verify_checks(12, u="2", box=((0.0, 8.0),) * 2)),
     (["moyal", "--quick"], lambda: run_moyal_suite(quick=True)[0]),
     (["filtration"], lambda: run_filtration_suite(seed=42)[0]),
     (["distance", "--pairs", "10", "--points", "12"],
      lambda: run_distance_suite(10, 2, 12, 42)[0]),
     (["report", "--points", "12", "--pairs", "10"], _report_checks),
-], ids=["verify", "verify-failing", "moyal-quick", "filtration", "distance",
-        "report"])
+], ids=["verify", "verify-failing", "verify-box", "moyal-quick", "filtration",
+        "distance", "report"])
 def test_cli_prints_exactly_the_suite_checks(argv, expected, tmp_path, capsys):
     code = run(argv, tmp_path)
     out = capsys.readouterr().out

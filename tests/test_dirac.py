@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import block_diag
 
-from lorentzlab import dirac
+from lorentzlab import dirac, lattice
 from lorentzlab.clifford import build_gamma, max_abs
 from lorentzlab.dirac import (DENSE_LIMIT, ORACLE_LIMIT, RECIPROCAL_TOL,
                               SKEW_TOL, DiracOperator,
@@ -530,7 +530,7 @@ def _cubic_lattices():
     <D>^2 size check: 3 points or more, at most SITE_LIMIT sites."""
     for dim in (2, 3, 4):
         n = 3
-        while n ** dim <= dirac.SITE_LIMIT:
+        while n ** dim <= lattice.SITE_LIMIT:
             yield dim, n
             n += 1
 
@@ -658,6 +658,24 @@ def test_lapse_from_another_lattice_rejected():
     op = DiracOperator(build_gamma(2), lat,
                        ScalarField.from_expression(lat, "2+sin(t)"))
     assert np.array_equal(op.u[:, 0], 2.0 + np.sin(lat.coordinate_array(0)[:, 0]))
+
+
+@pytest.mark.parametrize("box, u, refused", [
+    (1e-160, None, True), (1e200, None, True), (1e-3, None, False),
+    (1e6, None, False), (None, "1e-155", True), (None, "1e-154", False)],
+    ids=["box-underflow", "box-overflow", "box-small", "box-large",
+         "u-underflow", "u-small"])
+def test_operator_refuses_a_scale_it_cannot_represent(box, u, refused):
+    # h = box / 16: h^2 underflows to a subnormal whose reciprocal is inf,
+    # or overflows; at h = 1 the time part 1/(h u)^2 overflows for u =
+    # 1e-155 and not for 1e-154.  D decides without a RuntimeWarning, which
+    # the pytest configuration makes an error
+    extents = None if box is None else ((0.0, box),) * 2
+    if refused:
+        with pytest.raises(ValueError, match="cell weight"):
+            flat_operator(2, 16, box=extents, u=u)
+    else:
+        flat_operator(2, 16, box=extents, u=u)
 
 
 def test_weighted_adjoint_is_involutive():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from lorentzlab.expressions import ExpressionError, compile_expression
-from lorentzlab.lattice import Lattice, ScalarField, SpinorField, gradient
+from lorentzlab.lattice import (SITE_LIMIT, Lattice, ScalarField, SpinorField,
+                               gradient)
 from oracles import inner_product
 
 
@@ -68,6 +69,23 @@ def test_validation_errors():
         Lattice(((0.0, 1.0),), (8,), boundary="open")
     with pytest.raises(ValueError):
         Lattice(((0.0, 1.0), (0.0, 1.0)), (8,))
+
+
+def test_site_limit_is_held_by_the_lattice():
+    assert Lattice(((0.0, 1.0),) * 4, (16, 16, 16, 16)).site_count == SITE_LIMIT
+    with pytest.raises(ValueError, match="lattice too large"):
+        Lattice(((0.0, 1.0),) * 4, (17, 16, 16, 16))
+    # counted in integers: a count past any float, or past the digits
+    # Python will print, is refused for its size
+    with pytest.raises(ValueError, match="lattice too large"):
+        Lattice(((0, 1),) * 2, (10 ** 3000, 10 ** 3000))
+
+
+@pytest.mark.parametrize("names", [("x",), ("t", "x", "y"), ("x", "x")],
+                         ids=["short", "long", "repeated"])
+def test_axis_names_are_one_distinct_name_per_axis(names):
+    with pytest.raises(ValueError, match="axis names"):
+        Lattice(((0.0, 1.0), (0.0, 1.0)), (4, 4), axis_names=names)
 
 
 def test_gaussian_integral():
