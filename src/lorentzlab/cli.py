@@ -1,15 +1,17 @@
 """Command-line driver: verify / distance / moyal / filtration / report.
 
 Configuration comes from an optional JSON file plus flag overrides; every
-validation problem is collected and reported before exiting.  Exit codes:
-0 = all checks passed, 1 = at least one check failed, 2 = bad configuration
-or unparsable input.  Artifacts are deterministic: sorted JSON keys, LF line
-endings, shortest round-trip float formatting, no timestamps; reruns with
-the same configuration are byte-identical.
+field problem is collected and reported before exiting, and only a config
+with none is handed to the command's suites, each of which plans its run:
+it builds what the run consumes, or refuses with the library's reason.
+Exit codes: 0 = all checks passed, 1 = at least one check failed, 2 = bad
+configuration or unparsable input.  The output directory is made only once
+every run has returned.  Artifacts are deterministic: sorted JSON keys, LF
+line endings, shortest round-trip float formatting, no timestamps; reruns
+with the same configuration are byte-identical.
 """
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -97,6 +99,10 @@ def _has_type(value, kind):
 
 
 def validate_config(cfg, command):
+    """Every field problem of cfg, else the first refusal of the command's
+    plans, run in suite order once its settings are applied (a report's
+    suites share their lattice fields, so a second refusal would repeat the
+    first); returns (errors, each suite's planned run by name)."""
     errors = []
     valid = set()
     for f in fields(RunConfig):
@@ -131,16 +137,14 @@ def validate_config(cfg, command):
                                                sorted(allowed)))
             except ExpressionError as exc:
                 errors.append("candidate %r does not parse: %s" % (cand, exc))
+    if errors:
+        return errors, {}
     suites, _, _, settings = COMMANDS[command]
     cfg = replace(cfg, **settings)
-    refusals = [SUITES[name][1:] for name in suites]
-    for refuse, reads in refusals:
-        if reads is not None and reads <= valid:
-            errors += refuse(cfg, command)
-    for refuse, reads in refusals:
-        if refuse and reads is None and not errors:
-            errors += refuse(cfg, command)
-    return errors
+    try:
+        return [], {name: SUITES[name](cfg) for name in suites}
+    except ValueError as exc:
+        return [str(exc)], {}
 
 
 def _plain(obj):
@@ -179,64 +183,59 @@ def _line(check):
                                           check.relation, check.bound)
 
 
-@functools.lru_cache(maxsize=1)
-def _operator(dimension, points, box, boundary, u):
-    """verify's D, its lapse sampled with warnings off, built once per run:
-    the operator validation judges is the one the run uses."""
-    extents = None if box is None else ((0.0, float(box)),) * dimension
-    with np.errstate(all="ignore"):
-        return dirac.flat_operator(dimension, points, extents, boundary, u)
-
-
 # ------------------------------------------------------------------ suites
-# A run returns (checks, payload) or (checks, payload, csv rows) and decides
-# every verdict; a refusal(cfg, command) lists the config errors it finds.
+# A plan(cfg) builds what its suite's run consumes, or raises ValueError
+# with the library's reason; the run it returns takes no argument, returns
+# (checks, payload) or (checks, payload, csv rows) and decides every verdict.
 
 
-def run_verify(cfg):
-    gammas = [clifford.check_clifford(clifford.build_gamma(n))
-              for n in (2, 3, 4, 6)]
-    axiom_checks, axioms = dirac.check_temporal_axioms(
-        _operator(cfg.dimension, cfg.points, cfg.box, cfg.boundary, cfg.u),
-        seed=cfg.seed)
-    checks = [c for gamma_checks, _ in gammas for c in gamma_checks] + axiom_checks
-    payload = {"clifford": {str(gamma["dimension"]): gamma for _, gamma in gammas},
-               "axioms": axioms,
-               "config": {"dimension": cfg.dimension, "points": cfg.points,
-                          "boundary": cfg.boundary, "u": cfg.u,
-                          "seed": cfg.seed},
-               **verdict(checks)}
-    return checks, payload
-
-
-def refuse_operator(cfg, command):
-    # D's or its lattice's own refusal, else elliptic_size_error of the D
-    # verify runs
+def plan_verify(cfg):
+    # D, its lapse sampled with warnings off, and the charge of its <D>^2
+    extents = None if cfg.box is None else ((0.0, float(cfg.box)),) * cfg.dimension
     try:
-        D = _operator(cfg.dimension, cfg.points, cfg.box, cfg.boundary, cfg.u)
+        with np.errstate(all="ignore"):
+            D = dirac.flat_operator(cfg.dimension, cfg.points, extents,
+                                    cfg.boundary, cfg.u)
     except ExpressionError as exc:
-        return ["u cannot be evaluated on the lattice: %s" % exc]
+        raise ValueError("u cannot be evaluated on the lattice: %s" % exc) from exc
     except ValueError as exc:
-        return ["%d^%d lattice, u = %r: %s"
-                % (cfg.points, cfg.dimension, cfg.u, exc)]
+        raise ValueError("%d^%d lattice, u = %r: %s"
+                         % (cfg.points, cfg.dimension, cfg.u, exc)) from exc
     error = dirac.elliptic_size_error(D)
-    return ["%d^%d lattice: %s" % (cfg.points, cfg.dimension, error)] if error else []
+    if error:
+        raise ValueError("%d^%d lattice: %s" % (cfg.points, cfg.dimension, error))
+
+    def run():
+        gammas = [clifford.check_clifford(clifford.build_gamma(n))
+                  for n in (2, 3, 4, 6)]
+        axiom_checks, axioms = dirac.check_temporal_axioms(D, seed=cfg.seed)
+        checks = [c for gamma_checks, _ in gammas for c in gamma_checks] + axiom_checks
+        payload = {"clifford": {str(gamma["dimension"]): gamma for _, gamma in gammas},
+                   "axioms": axioms,
+                   "config": {"dimension": cfg.dimension, "points": cfg.points,
+                              "boundary": cfg.boundary, "u": cfg.u,
+                              "seed": cfg.seed},
+                   **verdict(checks)}
+        return checks, payload
+    return run
 
 
-def refuse_odd_dimension(cfg, command):
-    # steepness certificates need the grading, which only an even dimension has
-    return (["%s needs an even dimension (grading), got %d"
-             % (command, cfg.dimension)] if cfg.dimension % 2 else [])
+def plan_distance(cfg):
+    # the certification operator, whose rep must have a grading
+    op = distance.certification_operator(cfg.dimension, cfg.points)
+    steepness.require_grading(op.rep)
+    return lambda: distance.run_distance_suite(cfg.pairs, op, cfg.seed,
+                                               cfg.candidates)
 
 
-def refuse_moyal(cfg, command):
-    # a truncation that quick would drop, else a Landau basis that overflows
-    n = moyal.suite_truncation(cfg.truncation, cfg.quick)
-    if cfg.truncation not in (None, n):
-        return ["truncation %d cannot run with quick, which runs truncation "
-                "%d" % (cfg.truncation, n)]
-    error = moyal.basis_overflow_error(n, float(cfg.theta))
-    return [error] if error else []
+def plan_moyal(cfg):
+    # the truncation the suite runs, whose Landau basis must be finite
+    error = moyal.basis_overflow_error(
+        moyal.suite_truncation(cfg.truncation, cfg.quick), float(cfg.theta))
+    if error:
+        raise ValueError(error)
+    return lambda: moyal.run_moyal_suite(float(cfg.theta), cfg.truncation,
+                                         cfg.quick)
 
 
 def write_distance_csv(path, rows):
@@ -248,32 +247,15 @@ def write_distance_csv(path, rows):
                         float(boosted), float(vari), ach))
 
 
-def run_distance(cfg):
-    return distance.run_distance_suite(cfg.pairs, cfg.dimension, cfg.points,
-                                       cfg.seed, cfg.candidates)
-
-
-def run_moyal(cfg):
-    return moyal.run_moyal_suite(theta=float(cfg.theta),
-                                 truncation=cfg.truncation, quick=cfg.quick)
-
-
-def run_filtration(cfg):
-    return filtration.run_filtration_suite(seed=cfg.seed)
-
-
-def run_scan(cfg):
-    return steepness.equivalence_scan(500, cfg.seed, dimension=cfg.dimension)
-
-
-# name (a report's section): (run, refusal or None, the fields the refusal
-# reads once valid; None: it builds what the suite runs, so it goes last)
+# name (a report's section): plan
 SUITES = {
-    "verify": (run_verify, refuse_operator, None),
-    "distance": (run_distance, refuse_odd_dimension, {"dimension"}),
-    "moyal": (run_moyal, refuse_moyal, {"theta", "truncation", "quick"}),
-    "filtration": (run_filtration, None, None),
-    "steepness_equivalence": (run_scan, None, None),
+    "verify": plan_verify,
+    "distance": plan_distance,
+    "moyal": plan_moyal,
+    "filtration": lambda cfg: lambda: filtration.run_filtration_suite(
+        seed=cfg.seed),
+    "steepness_equivalence": lambda cfg: lambda: steepness.equivalence_scan(
+        500, cfg.seed, dimension=cfg.dimension),
 }
 
 # name: (suites run in order, help, flags in order, settings); a flag
@@ -350,29 +332,28 @@ def main(argv=None):
 def _run(args):
     overrides = {k: v for k, v in vars(args).items() if k in CONFIG_KEYS}
     cfg, errors = load_config(getattr(args, "config", None), overrides)
-    errors += validate_config(cfg, args.command)
+    field_errors, runs = validate_config(cfg, args.command)
+    errors += field_errors
     if errors:
         for err in errors:
             print("config error: %s" % err, file=sys.stderr)
         return EXIT_CONFIG
 
+    checks, sections, rows = [], {}, []
+    try:
+        for name, run in runs.items():
+            suite_checks, sections[name], *suite_rows = run()
+            checks += suite_checks
+            rows += suite_rows
+    except ValueError as exc:
+        print("config error: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
     out = cfg.out or os.environ.get(OUTPUT_ENV) or "."
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
         print("config error: cannot create output directory: %s" % exc,
               file=sys.stderr)
-        return EXIT_CONFIG
-    suites, _, _, settings = COMMANDS[args.command]
-    cfg = replace(cfg, **settings)
-    checks, sections, rows = [], {}, []
-    try:
-        for name in suites:
-            suite_checks, sections[name], *suite_rows = SUITES[name][0](cfg)
-            checks += suite_checks
-            rows += suite_rows
-    except ValueError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     # one suite's payload is its command's artifact; several are sections
     payload = (sections[name] if len(sections) == 1

@@ -225,15 +225,18 @@ def boosted_candidate_expressions(axes=("x",)):
     return out
 
 
-def run_distance_suite(pairs, dimension, points, seed, candidates=None):
-    """Distances on seeded random pairs; returns (checks, payload, rows).
-
-    The candidates are certified once, on a clamped lattice (steep candidates
-    are not periodic) over the box [-PAIR_EXTENT, PAIR_EXTENT]^d the events
-    are drawn from.  All pairs come from one draw, p then q for each pair.
-    """
+def certification_operator(dimension, points):
+    """Flat D on a clamped lattice (steep candidates are not periodic) over
+    the box [-PAIR_EXTENT, PAIR_EXTENT]^d the suite's events are drawn from."""
     box = ((-PAIR_EXTENT, PAIR_EXTENT),) * dimension
-    op = flat_operator(dimension, points, box=box, boundary="clamped")
+    return flat_operator(dimension, points, box=box, boundary="clamped")
+
+
+def run_distance_suite(pairs, op, seed, candidates=None):
+    """Distances on seeded random pairs, the candidates certified once on `op`
+    (a `certification_operator`); returns (checks, payload, rows).  All
+    pairs come from one draw, p then q for each pair."""
+    dimension = op.lattice.dimension
     cands = list(candidates) if candidates else \
         boosted_candidate_expressions(axes=AXIS_NAMES[1:dimension])
     pool = certify_candidates(cands, op)

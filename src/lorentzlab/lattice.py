@@ -13,6 +13,7 @@ Site ordering for flattening is row major (C order).
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,7 +45,12 @@ class Lattice:
                              % (" or ".join(map(repr, BOUNDARIES)), self.boundary))
         if len(self.extents) != len(self.points):
             raise ValueError("extents/points length mismatch")
-        object.__setattr__(self, "points", tuple(int(n) for n in self.points))
+        try:
+            points = tuple(map(operator.index, self.points))
+        except TypeError:
+            raise ValueError("point counts must be integers, got %r"
+                             % (self.points,)) from None
+        object.__setattr__(self, "points", points)
         for (lo, hi), n in zip(self.extents, self.points):
             if not hi > lo:
                 raise ValueError("empty extent (%r, %r)" % (lo, hi))

@@ -682,7 +682,11 @@ def twisted_identities_check(theta):
 
 
 def suite_truncation(truncation=None, quick=False):
-    """The truncation run_moyal_suite runs; None is TRUNCATION_DEFAULT."""
+    """The truncation run_moyal_suite runs; None is TRUNCATION_DEFAULT.
+    quick runs QUICK_TRUNCATION and refuses any other truncation."""
+    if quick and truncation not in (None, QUICK_TRUNCATION):
+        raise ValueError("truncation %d cannot run with quick, which runs "
+                         "truncation %d" % (truncation, QUICK_TRUNCATION))
     default = TRUNCATION_DEFAULT if truncation is None else truncation
     return QUICK_TRUNCATION if quick else default
 

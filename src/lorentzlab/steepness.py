@@ -49,6 +49,13 @@ class SteepnessReport:
     hermiticity_residual: float
 
 
+def require_grading(rep):
+    """Refuse a rep without the grading gamma_ch that M is built from."""
+    if rep.grading is None:
+        raise ValueError("the %d-dimensional gamma representation has no "
+                         "grading" % rep.dimension)
+
+
 def matrix_margins(grads, u, rep):
     """Minimal eigenvalue of M at each point, and the Hermiticity residual of M.
 
@@ -58,9 +65,7 @@ def matrix_margins(grads, u, rep):
     rep.grading.  A rep without a grading, or one that fails
     `check_clifford`, is refused.
     """
-    if rep.grading is None:
-        raise ValueError("the %d-dimensional gamma representation has no "
-                         "grading" % rep.dimension)
+    require_grading(rep)
     require_valid(rep)
     k = gradient_symbol(rep, [1.0] + [0.0] * (len(grads) - 1), u)
     m = np.einsum("...ab,...bc->...ac", k,

@@ -40,7 +40,8 @@ GUARDS = {"U_VARIATION_TOL", "GOLDEN_TOL", "DECOMPOSITION_TOL",
 SUITES = {
     clifford: lambda: clifford.check_clifford(clifford.build_gamma(4))[0],
     dirac: lambda: dirac.check_temporal_axioms(dirac.flat_operator(2, 4))[0],
-    distance: lambda: distance.run_distance_suite(3, 2, 8, 0)[0],
+    distance: lambda: distance.run_distance_suite(
+        3, distance.certification_operator(2, 8), 0)[0],
     moyal: lambda: moyal.run_moyal_suite(quick=True)[0],
     filtration: lambda: filtration.run_filtration_suite()[0],
     steepness: lambda: steepness.equivalence_scan(50, 0)[0],

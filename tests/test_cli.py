@@ -13,11 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lorentzlab import cli, dirac, moyal
+from lorentzlab import cli, dirac, distance, moyal
 from lorentzlab.checks import verdict
 from lorentzlab.clifford import build_gamma, check_clifford
 from lorentzlab.dirac import check_temporal_axioms, flat_operator
-from lorentzlab.distance import run_distance_suite
+from lorentzlab.distance import certification_operator, run_distance_suite
 from lorentzlab.filtration import run_filtration_suite
 from lorentzlab.lattice import BOUNDARIES, Lattice
 from lorentzlab.moyal import run_moyal_suite
@@ -149,7 +149,7 @@ def test_boundaries_are_named_once(tmp_path, capsys):
     assert str(refused.value) == ("boundary must be 'periodic' or 'clamped', "
                                   "got 'open'")
     assert not rule("open")
-    errors = cli.validate_config(cli.RunConfig(boundary="open"), "verify")
+    errors = cli.validate_config(cli.RunConfig(boundary="open"), "verify")[0]
     assert errors == ["boundary must be 'periodic' or 'clamped', got 'open'"]
     with pytest.raises(SystemExit):
         run(["verify", "--boundary", "open"], tmp_path)
@@ -254,7 +254,7 @@ def test_periodic_verify_is_held_to_the_momentum_budget(tmp_path, capsys,
     assert run(["verify", "--points", "81", "--u", "2+sin(t)"], tmp_path) == 2
     captured = capsys.readouterr()
     assert "momentum block" in captured.err and captured.out == ""
-    errors = cli.validate_config(cli.RunConfig(points=81, u="2+sin(t)"), "verify")
+    errors = cli.validate_config(cli.RunConfig(points=81, u="2+sin(t)"), "verify")[0]
     assert len(errors) == 1 and "momentum block" in errors[0]
 
 
@@ -263,16 +263,15 @@ def test_validation_charges_the_blocks_of_the_lapse_it_is_given(monkeypatch):
     # blocks pass, while a lapse u(t) keeps the (N_t s)^2 blocks
     limit = dirac.momentum_block_bytes(81, 2) - 1
     monkeypatch.setattr(dirac, "MOMENTUM_BYTES_LIMIT", limit)
-    assert cli.validate_config(cli.RunConfig(points=81), "verify") == []
+    assert cli.validate_config(cli.RunConfig(points=81), "verify")[0] == []
     assert cli.validate_config(cli.RunConfig(points=81, u="2+sin(t)"),
-                               "verify") == [
+                               "verify")[0] == [
         "81^2 lattice: one <D>^2 momentum block would need about %d bytes "
         "of working set; limit is %d (use a coarser lattice)"
         % (3 * dirac.momentum_block_bytes(81, 2), limit)]
 
 
 def test_verify_runs_the_operator_validation_built(tmp_path, monkeypatch):
-    cli._operator.cache_clear()
     built, judged, ran = [], [], []
     init, validate, suite = (dirac.DiracOperator.__init__, cli.validate_config,
                              dirac.check_temporal_axioms)
@@ -296,6 +295,33 @@ def test_verify_runs_the_operator_validation_built(tmp_path, monkeypatch):
     assert len(built) == 1 and judged == built and ran == built
 
 
+def test_distance_certifies_on_the_operator_validation_built(tmp_path,
+                                                             monkeypatch):
+    # the distance plan builds the certification operator once per run, and
+    # the pool is certified on that operator
+    built, judged, certified = [], [], []
+    init, validate, certify = (dirac.DiracOperator.__init__,
+                               cli.validate_config, distance.certify_candidates)
+
+    def counted_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    def counted_validate(*args):
+        planned = validate(*args)
+        judged.extend(built)
+        return planned
+
+    def counted_certify(candidates, D):
+        certified.append(D)
+        return certify(candidates, D)
+    monkeypatch.setattr(dirac.DiracOperator, "__init__", counted_init)
+    monkeypatch.setattr(cli, "validate_config", counted_validate)
+    monkeypatch.setattr(distance, "certify_candidates", counted_certify)
+    assert run(["distance", "--points", "12", "--pairs", "4"], tmp_path) == 0
+    assert len(built) == 1 and judged == built and certified == built
+
+
 def test_validation_refuses_what_the_suite_refuses(monkeypatch):
     # under lowered limits, on both sides of each: the CLI's refusal is the
     # suite's own reason, and a lattice it admits runs.  DENSE_LIMIT stays
@@ -317,14 +343,14 @@ def test_validation_refuses_what_the_suite_refuses(monkeypatch):
             want = []
         except ValueError as exc:
             want = ["%d^%d lattice: %s" % (points, dim, exc)]
-        assert cli.validate_config(cfg, "verify") == want, cfg
+        assert cli.validate_config(cfg, "verify")[0] == want, cfg
 
 
 def test_a_bad_lapse_is_named_before_the_lattice_size():
     # the lapse is judged on the operator the run would build, and only that
     # operator's blocks are charged
     cfg = cli.RunConfig(points=80, boundary="clamped", u="t-3")
-    assert cli.validate_config(cfg, "verify") == [
+    assert cli.validate_config(cfg, "verify")[0] == [
         "80^2 lattice, u = 't-3': conformal factor u must be finite and "
         "strictly positive"]
 
@@ -416,17 +442,37 @@ def test_momentum_block_spectra_match_the_closed_form(verified):
         "u-constant-overflow"])
 def test_bad_config_fails_before_any_work(command, config, tmp_path,
                                           monkeypatch, capsys):
+    # an --out that does not exist yet is not made for a refused config
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
-    assert cli.main([command, "--config", str(path)]) == 2
+    fresh = tmp_path / "fresh"
+    flags = [] if "out" in config else ["--out", str(fresh)]
+    assert cli.main([command, "--config", str(path), *flags]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert "config error:" in err
     assert list(tmp_path.iterdir()) == [path]
+    assert not fresh.exists()
     if config.get("dimension") == 3:
-        assert err == ("config error: %s needs an even dimension (grading), "
-                       "got 3\n" % command)
+        assert err == ("config error: the 3-dimensional gamma representation "
+                       "has no grading\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["distance", "--candidates", "sqrt(t)", "t"],
+    ["moyal", "--theta", "5", "--quick"],
+], ids=["distance-candidate", "moyal-decay"])
+def test_a_refusal_at_run_time_makes_no_output_directory(argv, tmp_path,
+                                                         capsys):
+    # a candidate that cannot be evaluated and a factor that does not decay
+    # are found by the run: exit 2, and --out is made only after every run
+    fresh = tmp_path / "fresh"
+    assert cli.main([*argv, "--out", str(fresh)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("config error:")
+    assert not fresh.exists()
 
 
 @pytest.mark.parametrize("box", [1e-160, 1e200],
@@ -434,10 +480,10 @@ def test_bad_config_fails_before_any_work(command, config, tmp_path,
 def test_box_must_give_finite_cell_weights(box):
     # h = box / 16: h^2 underflows to a subnormal with 1/h^2 = inf, or
     # overflows to inf; either would surface only after the suite ran
-    errors = cli.validate_config(cli.RunConfig(box=box), "verify")
+    errors = cli.validate_config(cli.RunConfig(box=box), "verify")[0]
     assert len(errors) == 1 and "cell weight" in errors[0], errors
     for fine in (1e-3, 1e6):
-        assert not cli.validate_config(cli.RunConfig(box=fine), "verify")
+        assert not cli.validate_config(cli.RunConfig(box=fine), "verify")[0]
 
 
 @pytest.mark.parametrize("command, points", [
@@ -492,7 +538,7 @@ def test_theta_must_keep_the_landau_basis_finite(command, config, refused):
     # at the corner of the delta grid the basis is inf * 0 for a small
     # theta and many orders; moyal runs truncation orders (8 with --quick,
     # which also accepts --truncation 8), report 8, and verify none
-    errors = cli.validate_config(cli.RunConfig(**config), command)
+    errors = cli.validate_config(cli.RunConfig(**config), command)[0]
     if refused:
         assert len(errors) == 1 and "Landau basis" in errors[0], errors
     else:
@@ -506,8 +552,8 @@ def test_quick_truncation_is_the_one_the_guard_checks(monkeypatch):
     guarded = []
     monkeypatch.setattr(moyal, "basis_overflow_error",
                         lambda n, theta: guarded.append(n))
-    assert cli.validate_config(cli.RunConfig(quick=True), "moyal") == []
-    assert cli.validate_config(cli.RunConfig(), "report") == []
+    assert cli.validate_config(cli.RunConfig(quick=True), "moyal")[0] == []
+    assert cli.validate_config(cli.RunConfig(), "report")[0] == []
     assert guarded == [6, 6]
     _, payload = run_moyal_suite(quick=True)
     assert payload["delta_algebra"]["truncation"] == 6
@@ -581,9 +627,9 @@ def test_readme_synopsis_lists_each_commands_flags():
 def test_u_must_keep_the_elliptic_time_part_finite():
     # the time part of <D>^2 scales as 1/(h^2 u^2): at h = 1, u = 1e-155
     # squares to a subnormal whose reciprocal overflows, u = 1e-154 does not
-    errors = cli.validate_config(cli.RunConfig(u="1e-155"), "verify")
+    errors = cli.validate_config(cli.RunConfig(u="1e-155"), "verify")[0]
     assert len(errors) == 1 and "min(u)^2" in errors[0], errors
-    assert not cli.validate_config(cli.RunConfig(u="1e-154"), "verify")
+    assert not cli.validate_config(cli.RunConfig(u="1e-154"), "verify")[0]
 
 
 def _verify_checks(points, u="1", boundary="periodic", box=None):
@@ -593,7 +639,8 @@ def _verify_checks(points, u="1", boundary="periodic", box=None):
 
 
 def _report_checks():
-    return (_verify_checks(12) + list(run_distance_suite(10, 2, 12, 42)[0])
+    return (_verify_checks(12)
+            + list(run_distance_suite(10, certification_operator(2, 12), 42)[0])
             + list(run_moyal_suite(quick=True)[0])
             + list(run_filtration_suite(seed=42)[0])
             + list(equivalence_scan(500, 42, dimension=2)[0]))
@@ -608,7 +655,7 @@ def _report_checks():
     (["moyal", "--quick"], lambda: run_moyal_suite(quick=True)[0]),
     (["filtration"], lambda: run_filtration_suite(seed=42)[0]),
     (["distance", "--pairs", "10", "--points", "12"],
-     lambda: run_distance_suite(10, 2, 12, 42)[0]),
+     lambda: run_distance_suite(10, certification_operator(2, 12), 42)[0]),
     (["report", "--points", "12", "--pairs", "10"], _report_checks),
 ], ids=["verify", "verify-failing", "verify-box", "moyal-quick", "filtration",
         "distance", "report"])

@@ -8,7 +8,8 @@ from lorentzlab import distance
 from lorentzlab.dirac import flat_operator
 from lorentzlab.distance import (PAIR_EXTENT, V_CAP,
                                  boosted_candidate_expressions,
-                                 boosted_family_distance, certify_candidates,
+                                 boosted_family_distance, certification_operator,
+                                 certify_candidates,
                                  golden_section, minkowski_oracle,
                                  run_distance_suite, variational_distance)
 from lorentzlab.expressions import AXIS_NAMES, compile_expression
@@ -284,7 +285,8 @@ def test_distance_suite_certifies_each_candidate_once(monkeypatch):
         calls.append(args[0])
         return certify(*args, **kwargs)
     monkeypatch.setattr(distance, "is_steep_matrix", counted)
-    checks, payload, rows = run_distance_suite(25, 2, 8, 1)
+    op = certification_operator(2, 8)
+    checks, payload, rows = run_distance_suite(25, op, 1)
     assert len(rows) == 25 and payload["passed"]
     assert len(calls) == len(payload["candidates"]) == 4
 
@@ -293,7 +295,7 @@ def test_distance_payload_keeps_the_largest_certified_hermiticity_residual(
         monkeypatch):
     # max |M - M^dagger| of each certificate, over the certified candidates
     # alone; a NaN residual is kept (an artifact writes it as null)
-    _, payload, _ = run_distance_suite(5, 2, 16, 42)
+    _, payload, _ = run_distance_suite(5, certification_operator(2, 16), 42)
     pool = certify_candidates(payload["candidates"], suite_op())
     assert payload["max_certified_hermiticity_residual"] == max(
         herm for *_, herm in pool.certified)
@@ -303,18 +305,27 @@ def test_distance_payload_keeps_the_largest_certified_hermiticity_residual(
         given = iter(residuals)
         monkeypatch.setattr(distance, "is_steep_matrix", lambda f, D: (
             dataclasses.replace(certify(f, D), hermiticity_residual=next(given))))
-        _, payload, _ = run_distance_suite(5, 2, 12, 42,
-                                           candidates=["t", "0.5*t", "1.25*t"])
+        _, payload, _ = run_distance_suite(
+            5, certification_operator(2, 12), 42,
+            candidates=["t", "0.5*t", "1.25*t"])
         assert [r["candidate"] for r in payload["rejected"]] == ["0.5*t"]
         np.testing.assert_equal(payload["max_certified_hermiticity_residual"],
                                 want)
 
 
+def test_certification_operator_is_the_clamped_pair_box():
+    # the suite's operator, whose lattice covers every drawn event
+    lattice = certification_operator(2, 16).lattice
+    assert lattice == suite_op().lattice and lattice.boundary == "clamped"
+    assert lattice.extents == ((-PAIR_EXTENT, PAIR_EXTENT),) * 2
+
+
 def test_distance_suite_certifies_on_the_sampled_box():
     # |t| is steep on [0, n] but not on [-3, 3], where the events are drawn
+    op = certification_operator(2, 12)
     with pytest.raises(ValueError, match="no steep candidates"):
-        run_distance_suite(5, 2, 12, 42, candidates=["2*abs(t)"])
-    checks, payload, rows = run_distance_suite(5, 2, 12, 42,
+        run_distance_suite(5, op, 42, candidates=["2*abs(t)"])
+    checks, payload, rows = run_distance_suite(5, op, 42,
                                                candidates=["2*abs(t)", "t"])
     assert payload["passed"]
     assert {row[-1] for row in rows} == {"t"}
@@ -375,7 +386,7 @@ def test_suite_draws_p_then_q_for_each_pair():
     one_draw = np.random.default_rng(5).uniform(-PAIR_EXTENT, PAIR_EXTENT,
                                                 size=(12, 2, 2))
     assert np.array_equal(one_draw, drawn)
-    _, _, rows = run_distance_suite(12, 2, 8, 5)
+    _, _, rows = run_distance_suite(12, certification_operator(2, 8), 5)
     p, q = drawn[:, 0], drawn[:, 1]
     assert np.array_equal([row[1] for row in rows], q[:, 0] - p[:, 0])
     assert np.array_equal([row[3] for row in rows],

@@ -81,6 +81,18 @@ def test_site_limit_is_held_by_the_lattice():
         Lattice(((0, 1),) * 2, (10 ** 3000, 10 ** 3000))
 
 
+def test_point_counts_must_be_integers():
+    # a count that operator.index refuses is refused, not truncated to an
+    # int; numpy integers build as ints do
+    for points in ((4.7, 4), (4.0, 4), ("4", 4)):
+        with pytest.raises(ValueError, match="point counts must be integers"):
+            Lattice(((0, 1), (0, 1)), points)
+    lat = Lattice(((0, 1), (0, 1)), (np.int64(4), 4))
+    assert lat == Lattice(((0, 1), (0, 1)), (4, 4))
+    assert [type(n) for n in lat.points] == [int, int]
+    assert lat.spacing(0) == 0.25
+
+
 @pytest.mark.parametrize("names", [("x",), ("t", "x", "y"), ("x", "x")],
                          ids=["short", "long", "repeated"])
 def test_axis_names_are_one_distinct_name_per_axis(names):

@@ -831,3 +831,20 @@ def test_quick_suite_runs_the_library_defaults():
     assert payload["commutation"] == commutation_check(THETA)
     assert payload["delta_algebra"] == delta_algebra_check(THETA, truncation=8)
     assert payload["center_time"] == {"cases": center_time_check(THETA, points=24)}
+
+
+def test_quick_refuses_a_truncation_it_would_drop(monkeypatch):
+    # quick runs QUICK_TRUNCATION: the suite refuses any other truncation
+    # before any work rather than silently running that one
+    calls = []
+    monkeypatch.setattr(moyal, "cross_engine_check",
+                        lambda *args, **kwargs: calls.append(kwargs))
+    with pytest.raises(ValueError) as refused:
+        run_moyal_suite(truncation=24, quick=True)
+    assert str(refused.value) == ("truncation 24 cannot run with quick, which "
+                                  "runs truncation 8")
+    assert calls == []
+    assert moyal.suite_truncation(8, quick=True) == 8
+    assert moyal.suite_truncation(None, quick=True) == 8
+    assert moyal.suite_truncation(24) == 24
+    assert moyal.suite_truncation() == moyal.TRUNCATION_DEFAULT

@@ -9,7 +9,7 @@ from lorentzlab.dirac import flat_operator
 from lorentzlab.lattice import ScalarField
 from lorentzlab.steepness import (EIG_TOL, SteepnessReport, equivalence_scan,
                                   is_steep_matrix, matrix_margins,
-                                  scalar_margins)
+                                  require_grading, scalar_margins)
 from oracles import conjugated, is_steep_scalar
 
 
@@ -212,3 +212,15 @@ def test_certificate_broadcasts_the_stored_lapse(boundary, u):
     got = is_steep_matrix(f, op)
     assert 0 < got.sites_failed < op.lattice.site_count    # steep and not
     assert repr(got) == repr(want)
+
+
+def test_the_grading_is_required_in_one_place():
+    # the distance plan and matrix_margins refuse a rep without a grading
+    # with the same message; an even rep passes
+    require_grading(build_gamma(4))
+    with pytest.raises(ValueError) as planned:
+        require_grading(build_gamma(3))
+    with pytest.raises(ValueError) as margins:
+        matrix_margins([np.ones(1)] * 3, 1.0, build_gamma(3))
+    assert str(planned.value) == str(margins.value) == (
+        "the 3-dimensional gamma representation has no grading")
